@@ -10,15 +10,6 @@ cargo fmt --all --check
 echo "==> cargo clippy (workspace, all targets, deny warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "==> cargo clippy (strategy crates, explicit gate)"
-cargo clippy -p holistic-baselines -p holistic-strategies --all-targets -- -D warnings
-
-echo "==> cargo clippy (expression VM + block-kernel crates, explicit gate)"
-cargo clippy -p holistic-window -p holistic-core --all-targets -- -D warnings
-
-echo "==> cargo clippy (SQL frontend, explicit gate)"
-cargo clippy -p holistic-sql --all-targets -- -D warnings
-
 echo "==> cargo doc (workspace, deny warnings; holistic-sql denies missing_docs)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --quiet
 
@@ -28,8 +19,8 @@ cargo build --release --workspace
 echo "==> cargo test (workspace)"
 cargo test --workspace -q
 
-echo "==> SQL frontend tests + error-message snapshots"
-cargo test -q -p holistic-sql
+echo "==> perfbench driver smoke test (the benchmark package is outside the workspace)"
+cargo test --release -q --manifest-path perfbench/Cargo.toml
 
 echo "==> SQL quickstart example (the README snippet must not rot)"
 cargo run --release -q --example sql_quickstart > /dev/null

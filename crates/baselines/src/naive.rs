@@ -3,14 +3,17 @@
 //!
 //! Every function is derived directly from its SQL definition with plain
 //! scans over the frame, sharing no evaluation code with the merge sort tree
-//! engine (only the partition/sort/frame plumbing, which both sides need to
-//! agree on by construction).
+//! engine (only the partition/frame plumbing, which both sides need to agree
+//! on by construction). Ordering is the oracle's own: it evaluates the key
+//! values itself and compares them with `sql_cmp`, so a fault in the engine's
+//! normalized integer keys cannot cancel out; frame resolution gets the
+//! engine's comparator-form key columns, never the normalized ones.
 
 use holistic_window::error::Result;
 use holistic_window::expr::BoundExpr;
 use holistic_window::frame::{resolve_frames, ResolvedFrames};
 use holistic_window::hash::hash_value;
-use holistic_window::order::{sort_permutation, KeyColumns};
+use holistic_window::order::{KeyColumns, SortKey};
 use holistic_window::partition::partition_rows;
 use holistic_window::spec::{FuncKind, FunctionCall, WindowSpec};
 use holistic_window::{Column, Error, Table, Value, WindowQuery};
@@ -25,14 +28,15 @@ pub fn execute(query: &WindowQuery, table: &Table) -> Result<Table> {
         call.validate()?;
     }
     let partitions = partition_rows(table, &query.spec.partition_by)?;
-    let window_keys = KeyColumns::evaluate(table, &query.spec.order_by)?;
+    let window_keys = OracleKeys::evaluate(table, &query.spec.order_by)?;
+    let frame_keys = KeyColumns::evaluate_comparator(table, &query.spec.order_by)?;
 
     let mut out_values: Vec<Vec<Value>> =
         query.calls.iter().map(|_| vec![Value::Null; n]).collect();
     for part in &partitions {
         let mut rows = part.clone();
-        sort_permutation(&window_keys, &mut rows, false);
-        let frames = resolve_frames(table, &rows, &window_keys, &query.spec.frame)?;
+        rows.sort_by(|&a, &b| window_keys.cmp_rows(a, b).then(a.cmp(&b)));
+        let frames = resolve_frames(table, &rows, &frame_keys, &query.spec.frame)?;
         for (ci, call) in query.calls.iter().enumerate() {
             let vals = eval_call(table, &rows, &frames, &window_keys, call)?;
             for (pos, &row) in rows.iter().enumerate() {
@@ -56,6 +60,45 @@ pub fn execute_spec(table: &Table, spec: WindowSpec, calls: Vec<FunctionCall>) -
     execute(&q, table)
 }
 
+/// The oracle's ORDER BY: key values per criterion as it evaluated them,
+/// compared by the SQL definition.
+struct OracleKeys {
+    /// `(value per table row, desc, nulls_first)` per criterion.
+    criteria: Vec<(Vec<Value>, bool, bool)>,
+}
+
+impl OracleKeys {
+    fn evaluate(table: &Table, order_by: &[SortKey]) -> Result<Self> {
+        let mut criteria = Vec::with_capacity(order_by.len());
+        for key in order_by {
+            let bound = key.expr.bind(table)?;
+            let vals = (0..table.num_rows()).map(|r| bound.eval(table, r));
+            criteria.push((vals.collect::<Result<Vec<Value>>>()?, key.desc, key.nulls_first));
+        }
+        Ok(OracleKeys { criteria })
+    }
+
+    /// Criteria in order; NULLs at the end NULLS FIRST/LAST names, otherwise
+    /// `sql_cmp`, reversed for DESC.
+    fn cmp_rows(&self, a: usize, b: usize) -> Ordering {
+        for (vals, desc, nulls_first) in &self.criteria {
+            let ord = match (&vals[a], &vals[b]) {
+                (Value::Null, Value::Null) => Ordering::Equal,
+                (Value::Null, _) if *nulls_first => Ordering::Less,
+                (Value::Null, _) => Ordering::Greater,
+                (_, Value::Null) if *nulls_first => Ordering::Greater,
+                (_, Value::Null) => Ordering::Less,
+                (x, y) if *desc => y.sql_cmp(x),
+                (x, y) => x.sql_cmp(y),
+            };
+            if ord != Ordering::Equal {
+                return ord;
+            }
+        }
+        Ordering::Equal
+    }
+}
+
 struct NaiveCtx<'a> {
     table: &'a Table,
     rows: &'a [usize],
@@ -64,8 +107,8 @@ struct NaiveCtx<'a> {
     filter: Vec<bool>,
     /// First-argument value per position (empty if no args).
     arg0: Vec<Value>,
-    /// Inner-order key columns (falls back to the window keys).
-    keys: &'a KeyColumns,
+    /// Inner-order keys (falls back to the window keys).
+    keys: &'a OracleKeys,
     /// First inner key value per position (percentile output).
     key0: Vec<Value>,
     has_inner_order: bool,
@@ -96,7 +139,7 @@ fn eval_call(
     table: &Table,
     rows: &[usize],
     frames: &ResolvedFrames,
-    window_keys: &KeyColumns,
+    window_keys: &OracleKeys,
     call: &FunctionCall,
 ) -> Result<Vec<Value>> {
     let m = rows.len();
@@ -120,10 +163,10 @@ fn eval_call(
     // Rank functions with no inner order fall back to the window ORDER BY as
     // their ranking criterion, matching the engine.
     let inner_keys_owned;
-    let keys: &KeyColumns = if call.inner_order.is_empty() {
+    let keys: &OracleKeys = if call.inner_order.is_empty() {
         window_keys
     } else {
-        inner_keys_owned = KeyColumns::evaluate(table, &call.inner_order)?;
+        inner_keys_owned = OracleKeys::evaluate(table, &call.inner_order)?;
         &inner_keys_owned
     };
     let ctx = NaiveCtx {

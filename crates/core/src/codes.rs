@@ -37,6 +37,40 @@ pub struct DenseCodes {
     pub num_groups: usize,
 }
 
+impl DenseCodes {
+    /// Numbers an already sorted permutation: `perm[r]` is the row at sort
+    /// position `r`, and `ties_with_previous(&perm, r)` (asked for `r >= 1`
+    /// only) tells whether that row's key equals the key of `perm[r - 1]`.
+    pub fn from_sorted(
+        perm: Vec<usize>,
+        ties_with_previous: impl Fn(&[usize], usize) -> bool,
+    ) -> DenseCodes {
+        let n = perm.len();
+        let mut code = vec![0usize; n];
+        let mut group_min = vec![0usize; n];
+        let mut group_end = vec![0usize; n];
+        let mut group_id = vec![0usize; n];
+        let mut num_groups = 0usize;
+        let mut r = 0;
+        while r < n {
+            // Tie group [r, e).
+            let mut e = r + 1;
+            while e < n && ties_with_previous(&perm, e) {
+                e += 1;
+            }
+            for (rank, &row) in perm[r..e].iter().enumerate() {
+                code[row] = r + rank;
+                group_min[row] = r;
+                group_end[row] = e;
+                group_id[row] = num_groups;
+            }
+            num_groups += 1;
+            r = e;
+        }
+        DenseCodes { code, group_min, group_end, group_id, perm, num_groups }
+    }
+}
+
 /// Sorts rows by `keys` (ties by row index) and numbers them densely.
 pub fn dense_codes<K: Ord + Send + Sync>(keys: &[K], parallel: bool) -> DenseCodes {
     let n = keys.len();
@@ -46,28 +80,7 @@ pub fn dense_codes<K: Ord + Send + Sync>(keys: &[K], parallel: bool) -> DenseCod
     } else {
         perm.sort_unstable_by(|&a, &b| keys[a].cmp(&keys[b]).then(a.cmp(&b)));
     }
-    let mut code = vec![0usize; n];
-    let mut group_min = vec![0usize; n];
-    let mut group_end = vec![0usize; n];
-    let mut group_id = vec![0usize; n];
-    let mut num_groups = 0usize;
-    let mut r = 0;
-    while r < n {
-        // Tie group [r, e).
-        let mut e = r + 1;
-        while e < n && keys[perm[e]] == keys[perm[r]] {
-            e += 1;
-        }
-        for (rank, &row) in perm[r..e].iter().enumerate() {
-            code[row] = r + rank;
-            group_min[row] = r;
-            group_end[row] = e;
-            group_id[row] = num_groups;
-        }
-        num_groups += 1;
-        r = e;
-    }
-    DenseCodes { code, group_min, group_end, group_id, perm, num_groups }
+    DenseCodes::from_sorted(perm, |perm, r| keys[perm[r]] == keys[perm[r - 1]])
 }
 
 #[cfg(test)]

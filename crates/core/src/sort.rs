@@ -6,31 +6,164 @@
 //! multisequence selection. This module provides exactly that pipeline for
 //! integer-keyed elements (every MST preprocessing sort is integer-keyed
 //! after hashing/encoding, §5.1/§6.7).
+//!
+//! [`sort_pairs`] is the engine's one sort entry point: the window ORDER BY
+//! and the SQL session's final ORDER BY (through [`sort_rows`]) and every
+//! inner ORDER BY hand it `(normalized key, row)` pairs. Runs are formed with
+//! LSD radix passes when the key's bit width makes that cheaper than
+//! comparing, and merged with the same stable multiway merge as everything
+//! else here.
 
 use crate::index::TreeIndex;
 use crate::loser_tree::LoserTree;
 use crate::merge::{multisequence_split, Keyed};
 use rayon::prelude::*;
 
+/// Most bits one LSD radix pass consumes: 2^12 counters stay cache-resident
+/// and a date-sized key is one pass.
+const RADIX_DIGIT_BITS: u32 = 12;
+
+/// Fewest pairs worth forming parallel runs for: below it, spawning the
+/// workers and merging their runs costs more than the serial sort (on the
+/// two-core reference box the two meet at about a million pairs).
+const PARALLEL_MIN_LEN: usize = 1 << 16;
+
+/// Shortest run any key width is radix-sorted at; below it, pairs are not
+/// worth gathering either ([`sort_rows`]).
+const RADIX_MIN_LEN: usize = 1 << 10;
+
+/// Whether LSD radix passes beat the comparison sort on a run of `len` pairs
+/// with `key_bits`-wide keys. Measured on the reference box with duplicate-
+/// heavy keys (which the comparison sort likes), one pass costs about two of
+/// the comparison sort's `log2(len)` levels, and the counters and the scratch
+/// buffer another eight: one-pass keys win from 1 Ki pairs, 48-bit keys from
+/// 64 Ki. Past four passes the comparison sort is at least as fast at every
+/// length, so wider keys (hashes, full-range integers) always take it.
+fn radix_wins(len: usize, key_bits: u32) -> bool {
+    let passes = key_bits.div_ceil(RADIX_DIGIT_BITS);
+    len >= RADIX_MIN_LEN && passes <= 4 && 2 * passes + 8 <= len.ilog2()
+}
+
+/// Splits `data` into `num_runs` contiguous chunks, sorts each with `sort`
+/// (one task per chunk) and returns the run boundaries (always starting with
+/// 0 and ending with `data.len()`).
+fn form_runs<T: Send>(
+    data: &mut [T],
+    num_runs: usize,
+    sort: impl Fn(&mut [T]) + Send + Sync,
+) -> Vec<usize> {
+    let n = data.len();
+    let chunk = n.div_ceil(num_runs.clamp(1, n.max(1))).max(1);
+    let mut bounds: Vec<usize> = (0..n).step_by(chunk).collect();
+    bounds.push(n);
+    bounds.dedup();
+    data.par_chunks_mut(chunk).for_each(sort);
+    bounds
+}
+
 /// Sorts `data` into contiguous runs (one per task) and returns the run
 /// boundaries (always starting with 0 and ending with `data.len()`).
 ///
 /// This is the "sort thread-local" phase of Figure 14.
 pub fn sort_runs<I: TreeIndex, T: Keyed<I>>(data: &mut [T], num_runs: usize) -> Vec<usize> {
-    let n = data.len();
-    let num_runs = num_runs.max(1).min(n.max(1));
-    let chunk = n.div_ceil(num_runs);
-    let mut bounds = vec![0usize];
-    for start in (0..n).step_by(chunk.max(1)) {
-        bounds.push((start + chunk).min(n));
+    form_runs(data, num_runs, |c| c.sort_unstable_by_key(|e| e.key()))
+}
+
+/// Stable LSD radix sort of `run` on the low `key_bits` of each key.
+fn radix_sort_run(run: &mut [(u64, usize)], key_bits: u32) {
+    let passes = key_bits.div_ceil(RADIX_DIGIT_BITS);
+    if passes == 0 {
+        return;
     }
-    if n == 0 {
-        bounds.push(0);
-        bounds.dedup();
+    let digit_bits = key_bits.div_ceil(passes);
+    let buckets = 1usize << digit_bits;
+    let digit = |key: u64, pass: u32| (key >> (pass * digit_bits)) as usize & (buckets - 1);
+    // Every pass's histogram from one read of the run.
+    let mut counts = vec![0usize; passes as usize * buckets];
+    for &(key, _) in run.iter() {
+        for pass in 0..passes {
+            counts[pass as usize * buckets + digit(key, pass)] += 1;
+        }
     }
-    data.par_chunks_mut(chunk.max(1)).for_each(|c| c.sort_unstable_by_key(|e| e.key()));
-    bounds.dedup();
-    bounds
+    let mut scratch = run.to_vec();
+    let (mut src, mut dst) = (&mut *run, &mut scratch[..]);
+    let mut swapped = false;
+    for (pass, next) in (0..passes).zip(counts.chunks_mut(buckets)) {
+        if next.contains(&src.len()) {
+            continue; // every key shares this digit
+        }
+        let mut sum = 0;
+        for slot in next.iter_mut() {
+            sum += std::mem::replace(slot, sum);
+        }
+        for &pair in src.iter() {
+            let slot = &mut next[digit(pair.0, pass)];
+            dst[*slot] = pair;
+            *slot += 1;
+        }
+        std::mem::swap(&mut src, &mut dst);
+        swapped = !swapped;
+    }
+    if swapped {
+        dst.copy_from_slice(src);
+    }
+}
+
+/// Sorts one run of `(key, row)` pairs whose rows ascend: by key, ties in
+/// ascending row. Radix passes are stable, so they keep the input's row order
+/// among equal keys; the comparison sort orders the whole pair.
+fn sort_pair_run(run: &mut [(u64, usize)], key_bits: u32) {
+    if radix_wins(run.len(), key_bits) {
+        radix_sort_run(run, key_bits);
+    } else {
+        run.sort_unstable();
+    }
+}
+
+/// The engine's one sort: `(key, row)` pairs ascending by key, ties in
+/// ascending row — a total order, so the result is unique.
+///
+/// `key_bits` is an upper bound on the significant bits of every key (a
+/// by-product of range-compressing the keys, 64 when unknown); it decides
+/// between LSD radix passes and the comparison sort per run. Rows normally
+/// arrive ascending (a partition's rows in table order); when they do not,
+/// the pairs are comparison-sorted as a whole, which needs no stability.
+pub fn sort_pairs(
+    mut pairs: Vec<(u64, usize)>,
+    key_bits: u32,
+    parallel: bool,
+) -> Vec<(u64, usize)> {
+    debug_assert!(key_bits >= 64 || pairs.iter().all(|p| p.0 >> key_bits == 0));
+    if !pairs.windows(2).all(|w| w[0].1 < w[1].1) {
+        if parallel {
+            pairs.par_sort_unstable();
+        } else {
+            pairs.sort_unstable();
+        }
+        return pairs;
+    }
+    if !parallel || pairs.len() < PARALLEL_MIN_LEN {
+        sort_pair_run(&mut pairs, key_bits);
+        return pairs;
+    }
+    let tasks = rayon::current_num_threads().max(1) * 4;
+    let bounds = form_runs(&mut pairs, tasks, |run| sort_pair_run(run, key_bits));
+    // The merge breaks key ties towards the earlier run, whose rows are the
+    // smaller ones.
+    merge_runs::<u64, (u64, usize)>(&pairs, &bounds, true)
+}
+
+/// Sorts table `rows` by `(keys[row], row)`: [`sort_pairs`] over the gathered
+/// pairs, or in place when there are too few rows for the gather to pay.
+pub fn sort_rows(rows: &mut [usize], keys: &[u64], key_bits: u32, parallel: bool) {
+    if rows.len() < RADIX_MIN_LEN {
+        rows.sort_unstable_by_key(|&row| (keys[row], row));
+        return;
+    }
+    let pairs = rows.iter().map(|&row| (keys[row], row)).collect();
+    for (row, (_, sorted)) in rows.iter_mut().zip(sort_pairs(pairs, key_bits, parallel)) {
+        *row = sorted;
+    }
 }
 
 /// Merges the sorted runs delimited by `bounds` into a fresh vector,
@@ -130,6 +263,35 @@ mod tests {
         let p1: Vec<i64> = sorted.iter().filter(|p| p.0 == 1).map(|p| p.1).collect();
         assert_eq!(p1.len(), 2);
         assert!(p1.contains(&10) && p1.contains(&11));
+    }
+
+    #[test]
+    fn sort_pairs_orders_by_key_then_row_at_every_width() {
+        let mut rng = StdRng::seed_from_u64(79);
+        for &n in &[0usize, 1, 7, 1_000, 5_000, 40_000, 300_000] {
+            for &bits in &[0u32, 1, 6, 11, 12, 23, 40, 64] {
+                let mask = if bits == 64 { u64::MAX } else { (1u64 << bits) - 1 };
+                // Few distinct keys, so ties are common at every width.
+                let keys: Vec<u64> = (0..64).map(|_| rng.gen::<u64>() & mask).collect();
+                let pairs: Vec<(u64, usize)> =
+                    (0..n).map(|row| (keys[rng.gen_range(0..64usize)], row)).collect();
+                let mut expect = pairs.clone();
+                expect.sort_unstable();
+                assert_eq!(sort_pairs(pairs.clone(), bits, false), expect, "n={n} bits={bits}");
+                assert_eq!(sort_pairs(pairs, bits, true), expect, "n={n} bits={bits} parallel");
+            }
+        }
+    }
+
+    #[test]
+    fn sort_pairs_accepts_rows_in_any_order() {
+        let mut rng = StdRng::seed_from_u64(80);
+        let pairs: Vec<(u64, usize)> =
+            (0..100_000).rev().map(|row| (rng.gen_range(0..50), row)).collect();
+        let mut expect = pairs.clone();
+        expect.sort_unstable();
+        assert_eq!(sort_pairs(pairs.clone(), 6, false), expect);
+        assert_eq!(sort_pairs(pairs, 6, true), expect);
     }
 
     #[test]

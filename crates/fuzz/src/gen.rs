@@ -72,7 +72,7 @@ pub fn gen_table(rng: &mut StdRng, n: usize) -> Table {
     // NULLS and exclusion semantics earn their keep; the huge-key profiles
     // put RANGE arithmetic beyond f64's 2^53 exact-integer range.
     let null_p = [0.0, 0.1, 0.45][rng.gen_range(0usize..3)];
-    let key_profile = rng.gen_range(0u32..6);
+    let key_profile = rng.gen_range(0u32..7);
     let tie_heavy = rng.gen_bool(0.4);
     let alphabet = rng.gen_range(1usize..=4);
     let groups = ["x", "y", "z", "w"];
@@ -89,7 +89,11 @@ pub fn gen_table(rng: &mut StdRng, n: usize) -> Table {
                     2 => rng.gen_range(-40..40),
                     3 => rng.gen_range(-1000..1000),
                     4 => i64::MAX - rng.gen_range(0..8i64),
-                    _ => i64::MIN + rng.gen_range(0..8i64),
+                    5 => i64::MIN + rng.gen_range(0..8i64),
+                    // Both ends in one column: a range no 64-bit normalized
+                    // sort key can hold, so ordering takes the comparator.
+                    _ if rng.gen_bool(0.5) => i64::MAX - rng.gen_range(0..3i64),
+                    _ => i64::MIN + rng.gen_range(0..3i64),
                 })
             }
         })
@@ -206,7 +210,7 @@ pub fn gen_spec(rng: &mut StdRng) -> WindowSpec {
     };
     // RANGE with offsets needs a single numeric/date key; every other mode
     // works with any (or no) ORDER BY.
-    let (order_by, range_ok) = match rng.gen_range(0u32..9) {
+    let (order_by, range_ok) = match rng.gen_range(0u32..13) {
         0 => (vec![SortKey::asc(col("k"))], true),
         1 => (vec![SortKey::desc(col("k"))], true),
         2 => (vec![SortKey::asc(col("d"))], true),
@@ -215,6 +219,28 @@ pub fn gen_spec(rng: &mut StdRng) -> WindowSpec {
         5 => (vec![SortKey::desc(col("f"))], true),
         6 => (vec![SortKey::asc(col("k")), SortKey::desc(col("d"))], false),
         7 => (vec![SortKey::desc(col("g")), SortKey::asc(col("v"))], false),
+        // Shapes of the normalized sort keys: explicit NULL placement against
+        // the direction's default, a Bool criterion leading three keys, and
+        // floats at the edges of `total_cmp` (±inf, NaN, -0.0).
+        8 => (vec![SortKey::asc(col("k")).nulls_first(true)], true),
+        9 => (vec![SortKey::desc(col("f")).nulls_first(false)], true),
+        10 => (
+            vec![
+                SortKey::desc(col("v").gt(lit(0i64))),
+                SortKey::asc(col("d")).nulls_first(true),
+                SortKey::desc(col("k")).nulls_first(false),
+            ],
+            false,
+        ),
+        11 => {
+            let inf = col("f").mul(lit(1e308)).mul(lit(1e308));
+            let key = match rng.gen_range(0u32..3) {
+                0 => inf,
+                1 => inf.clone().sub(inf),
+                _ => col("f").neg(),
+            };
+            (vec![SortKey::asc(key), SortKey::desc(col("d"))], false)
+        }
         _ => (vec![], false),
     };
     WindowSpec::new().partition_by(partition_by).order_by(order_by).frame(gen_frame(rng, range_ok))
@@ -222,14 +248,16 @@ pub fn gen_spec(rng: &mut StdRng) -> WindowSpec {
 
 /// A random function-level ORDER BY (the paper's independent inner ordering).
 pub fn gen_inner_order(rng: &mut StdRng) -> Vec<SortKey> {
-    match rng.gen_range(0u32..7) {
+    match rng.gen_range(0u32..9) {
         0 => vec![SortKey::asc(col("v"))],
         1 => vec![SortKey::desc(col("v"))],
         2 => vec![SortKey::asc(col("f"))],
         3 => vec![SortKey::desc(col("f"))],
         4 => vec![SortKey::asc(col("d"))],
         5 => vec![SortKey::desc(col("d"))],
-        _ => vec![SortKey::asc(col("v")), SortKey::desc(col("d"))],
+        6 => vec![SortKey::asc(col("v")), SortKey::desc(col("d"))],
+        7 => vec![SortKey::desc(col("v")).nulls_first(false)],
+        _ => vec![SortKey::asc(col("f").le(lit(0.5))).nulls_first(true), SortKey::asc(col("k"))],
     }
 }
 

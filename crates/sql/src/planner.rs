@@ -308,14 +308,12 @@ fn lower_bound(b: &AstBound) -> FrameBound {
 
 fn lower_spec(def: &ResolvedDef) -> WindowSpec {
     let frame = match &def.frame {
-        Some(f) => {
-            FrameSpec {
-                mode: f.mode,
-                start: lower_bound(&f.start),
-                end: lower_bound(&f.end),
-                exclusion: f.exclusion.unwrap_or_default(),
-            }
-        }
+        Some(f) => FrameSpec {
+            mode: f.mode,
+            start: lower_bound(&f.start),
+            end: lower_bound(&f.end),
+            exclusion: f.exclusion.unwrap_or_default(),
+        },
         // SQL's default frame depends on ORDER BY presence.
         None if !def.order_by.is_empty() => FrameSpec::default_frame(),
         None => FrameSpec::whole_partition(),

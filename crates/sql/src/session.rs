@@ -107,16 +107,21 @@ pub fn execute_plan(
     opts: ExecOptions,
 ) -> Result<(Table, Vec<ExecProfile>), SqlError> {
     // 1. WHERE pre-filter (SQL evaluates WHERE before window functions).
-    let filtered: Table = match &plan.filter {
-        Some(pred) => filter_table(table, pred)?,
-        None => table.clone(),
+    //    Without a WHERE the registered table is used in place.
+    let kept;
+    let filtered: &Table = match &plan.filter {
+        Some(pred) => {
+            kept = filter_table(table, pred)?;
+            &kept
+        }
+        None => table,
     };
 
     // 2. One engine execution per distinct resolved window.
     let mut window_outputs: Vec<Table> = Vec::with_capacity(plan.windows.len());
     let mut profiles: Vec<ExecProfile> = Vec::with_capacity(plan.windows.len());
     for query in &plan.windows {
-        let (out, profile) = query.execute_profiled(&filtered, opts)?;
+        let (out, profile) = query.execute_profiled(filtered, opts)?;
         window_outputs.push(out);
         profiles.push(profile);
     }
@@ -146,7 +151,7 @@ pub fn execute_plan(
             }
             PlannedItem::Scalar { expr, name, span } => {
                 claim(name, *span)?;
-                out.add_column(name.clone(), expr.bind(&filtered)?.eval_column(&filtered)?)?;
+                out.add_column(name.clone(), expr.bind(filtered)?.eval_column(filtered)?)?;
             }
             PlannedItem::Window { group, call, name, span } => {
                 claim(name, *span)?;
@@ -165,7 +170,7 @@ pub fn execute_plan(
         for (i, key) in plan.order_by.iter().enumerate() {
             let col = match &key.expr {
                 Expr::Col(name) if out.column_index(name).is_ok() => out.column(name)?.clone(),
-                other => other.bind(&filtered)?.eval_column(&filtered)?,
+                other => other.bind(filtered)?.eval_column(filtered)?,
             };
             let kname = format!("__sort_key_{i}");
             key_table.add_column(kname.clone(), col)?;

@@ -49,7 +49,7 @@ use crate::executor::{AtomicProbeKernel, ExecOptions, SpillStats, WindowQuery};
 use crate::expr::Expr;
 use crate::frame::{resolve_frames_opts, FrameBound, FrameMode, ResolvedFrames};
 use crate::hash::hash_values;
-use crate::order::{sort_permutation, KeyColumns};
+use crate::order::{float_from_ordinal, float_ordinal, int_ordinal, sort_permutation, KeyColumns};
 use crate::plan::{
     canonical_order, plan_query, sort_keys_of, ArtifactKey, CanonicalSortKey, QueryPlan,
 };
@@ -131,14 +131,8 @@ enum KeyTy {
 /// `i64::MIN` descending). NULLs and non-numeric types are rejected.
 fn encode_key(v: &Value, desc: bool) -> Option<(u64, KeyTy)> {
     let (raw, ty) = match v {
-        Value::Int(x) => ((*x as u64) ^ (1 << 63), KeyTy::Int),
-        Value::Float(f) if f.is_finite() => {
-            // Total-order encoding (matches f64::total_cmp, which sql_cmp
-            // uses): flip all bits of negatives, set the sign bit of
-            // non-negatives. -0.0 stays below +0.0.
-            let b = f.to_bits();
-            (if b >> 63 == 1 { !b } else { b | (1 << 63) }, KeyTy::Float)
-        }
+        Value::Int(x) => (int_ordinal(*x), KeyTy::Int),
+        Value::Float(f) if f.is_finite() => (float_ordinal(*f), KeyTy::Float),
         _ => return None,
     };
     let enc = if desc { !raw } else { raw };
@@ -154,10 +148,7 @@ fn decode_key(enc: u64, desc: bool, ty: KeyTy) -> Value {
     let raw = if desc { !enc } else { enc };
     match ty {
         KeyTy::Int => Value::Int((raw ^ (1 << 63)) as i64),
-        KeyTy::Float => {
-            let b = if raw >> 63 == 1 { raw & !(1 << 63) } else { !raw };
-            Value::Float(f64::from_bits(b))
-        }
+        KeyTy::Float => Value::Float(float_from_ordinal(raw)),
     }
 }
 
@@ -644,7 +635,7 @@ impl IncrementalEngine {
                     return Ok(self.demote(pid));
                 };
                 debug_assert_eq!(kdesc, *desc);
-                let Some((enc, vty)) = encode_key(v, *desc) else {
+                let Some((enc, vty)) = encode_key(&v, *desc) else {
                     return Ok(self.demote(pid));
                 };
                 if *ty.get_or_insert(vty) != vty {
@@ -833,7 +824,7 @@ impl IncrementalEngine {
                 for &row in &rows {
                     let eligible = kc
                         .single_key(row)
-                        .and_then(|(v, _)| encode_key(v, *desc))
+                        .and_then(|(v, _)| encode_key(&v, *desc))
                         .filter(|(_, vty)| *ty.get_or_insert(*vty) == *vty);
                     match eligible {
                         Some((e, _)) => enc.push(e),

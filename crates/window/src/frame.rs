@@ -565,7 +565,7 @@ fn resolve_range_frames(
     // Integral keys (Int / Date) stay in exact i64 arithmetic — converting
     // them to f64 silently merges distinct keys beyond 2^53. Float keys, or
     // integral keys combined with a float offset, use f64.
-    let mut raw: Vec<Option<&Value>> = Vec::with_capacity(m);
+    let mut raw: Vec<Option<Value>> = Vec::with_capacity(m);
     let mut desc = false;
     let mut all_int = true;
     for &row in rows.iter() {
@@ -589,9 +589,9 @@ fn resolve_range_frames(
         }
     }
     let key_vals: KeyRep = if all_int {
-        KeyRep::Int(raw.iter().map(|o| o.and_then(|v| v.as_i64())).collect())
+        KeyRep::Int(raw.iter().map(|o| o.as_ref().and_then(Value::as_i64)).collect())
     } else {
-        KeyRep::Float(raw.iter().map(|o| o.and_then(|v| v.as_f64())).collect())
+        KeyRep::Float(raw.iter().map(|o| o.as_ref().and_then(Value::as_f64)).collect())
     };
     // NULL rows are contiguous at one end; compute the non-null span.
     let nn_lo = (0..m).take_while(|&p| key_vals.is_null(p)).count();

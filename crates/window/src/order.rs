@@ -3,13 +3,22 @@
 //!
 //! The merge sort tree only stores integers; this module is the boundary
 //! where SQL ordering intricacies (multiple criteria, DESC, NULLS FIRST/LAST)
-//! are folded into integer codes, exactly as §5.1 prescribes.
+//! are folded into integer codes, exactly as §5.1 prescribes. The folding
+//! happens once, when the key columns are evaluated: every criterion that is
+//! an Int, Date, Bool or Float is range-compressed and the criteria are
+//! concatenated into one *normalized key* per row, so that comparing two
+//! rows is comparing two integers and sorting is an integer sort
+//! ([`holistic_core::sort::sort_pairs`]). Criteria that do not fit 64 bits
+//! (strings, mixed types, very wide ranges) keep the `Value` comparator,
+//! which is also the definition the normalized key is tested against.
 
+use crate::column::Column;
 use crate::error::Result;
-use crate::expr::Expr;
+use crate::expr::{BoundExpr, Expr};
 use crate::table::Table;
-use crate::value::Value;
+use crate::value::{DataType, Value};
 use holistic_core::codes::DenseCodes;
+use holistic_core::sort::{sort_pairs, sort_rows};
 use rayon::prelude::*;
 use std::cmp::Ordering;
 
@@ -42,158 +51,507 @@ impl SortKey {
     }
 }
 
-/// Materialized sort key values for a set of rows, with comparison flags.
+/// Order-preserving `u64` image of an integer.
+pub(crate) fn int_ordinal(x: i64) -> u64 {
+    (x as u64) ^ (1 << 63)
+}
+
+/// Order-preserving `u64` image of a float under `f64::total_cmp` (which
+/// `sql_cmp` uses): negatives flip every bit, non-negatives set the sign
+/// bit, so `-0.0` stays below `+0.0` and NaNs keep their payload order.
+pub(crate) fn float_ordinal(f: f64) -> u64 {
+    let b = f.to_bits();
+    if b >> 63 == 1 {
+        !b
+    } else {
+        b | (1 << 63)
+    }
+}
+
+/// Inverts [`float_ordinal`] bit-faithfully.
+pub(crate) fn float_from_ordinal(o: u64) -> f64 {
+    f64::from_bits(if o >> 63 == 1 { o & !(1 << 63) } else { !o })
+}
+
+/// The ordinal of a non-NULL value of a packable type.
+fn ordinal(v: &Value) -> Option<(DataType, u64)> {
+    Some(match v {
+        Value::Int(x) => (DataType::Int, int_ordinal(*x)),
+        Value::Date(d) => (DataType::Date, int_ordinal(i64::from(*d))),
+        Value::Bool(b) => (DataType::Bool, u64::from(*b)),
+        Value::Float(f) => (DataType::Float, float_ordinal(*f)),
+        Value::Null | Value::Str(_) => return None,
+    })
+}
+
+/// Inverts [`ordinal`].
+fn value_of(ty: DataType, o: u64) -> Value {
+    let int = (o ^ (1 << 63)) as i64;
+    match ty {
+        DataType::Int => Value::Int(int),
+        DataType::Date => Value::Date(int as i32),
+        DataType::Bool => Value::Bool(o != 0),
+        DataType::Float => Value::Float(float_from_ordinal(o)),
+        DataType::Str => unreachable!("strings have no ordinal"),
+    }
+}
+
+/// One criterion's values as ordinals, the input of the key layout.
+struct Ordinals {
+    /// Type, smallest and largest ordinal of the non-NULL rows, if any.
+    range: Option<(DataType, u64, u64)>,
+    /// Ordinal per row (arbitrary where `valid` is false).
+    ords: Vec<u64>,
+    /// False marks NULL.
+    valid: Vec<bool>,
+}
+
+impl Ordinals {
+    fn new(ty: DataType, ords: Vec<u64>, valid: Vec<bool>) -> Self {
+        let (mut lo, mut hi) = (u64::MAX, 0);
+        for (&o, _) in ords.iter().zip(&valid).filter(|(_, &ok)| ok) {
+            lo = lo.min(o);
+            hi = hi.max(o);
+        }
+        Ordinals { range: (lo <= hi).then_some((ty, lo, hi)), ords, valid }
+    }
+
+    /// Typed fast path: a table column read in place.
+    fn of_column(col: &Column) -> Option<Self> {
+        let (ty, ords, valid): (_, Vec<u64>, &Vec<bool>) = match col {
+            Column::Int(d, v) => (DataType::Int, d.iter().map(|&x| int_ordinal(x)).collect(), v),
+            Column::Date(d, v) => {
+                (DataType::Date, d.iter().map(|&x| int_ordinal(i64::from(x))).collect(), v)
+            }
+            Column::Bool(d, v) => (DataType::Bool, d.iter().map(|&x| u64::from(x)).collect(), v),
+            Column::Float(d, v) => {
+                (DataType::Float, d.iter().map(|&x| float_ordinal(x)).collect(), v)
+            }
+            Column::Str(..) => return None,
+        };
+        // An empty validity mask means "no NULLs".
+        let valid = if valid.is_empty() { vec![true; ords.len()] } else { valid.clone() };
+        Some(Ordinals::new(ty, ords, valid))
+    }
+
+    /// Evaluated values: `None` for strings and for mixed types.
+    fn of_values(vals: &[Value]) -> Option<Self> {
+        let mut ty = None;
+        let mut ords = Vec::with_capacity(vals.len());
+        for v in vals {
+            ords.push(match v {
+                Value::Null => 0,
+                v => {
+                    let (t, o) = ordinal(v)?;
+                    if *ty.get_or_insert(t) != t {
+                        return None;
+                    }
+                    o
+                }
+            });
+        }
+        let valid = vals.iter().map(|v| !v.is_null()).collect();
+        Some(Ordinals::new(ty.unwrap_or(DataType::Int), ords, valid))
+    }
+
+    /// `self` followed by `more`; `None` when their types differ.
+    fn concat(mut self, more: Ordinals) -> Option<Self> {
+        self.range = match (self.range, more.range) {
+            (Some((a, lo, hi)), Some((b, lo2, hi2))) if a == b => {
+                Some((a, lo.min(lo2), hi.max(hi2)))
+            }
+            (Some(_), Some(_)) => return None,
+            (a, b) => a.or(b),
+        };
+        self.ords.extend(more.ords);
+        self.valid.extend(more.valid);
+        Some(self)
+    }
+
+    fn into_values(self) -> Vec<Value> {
+        let ty = self.range.map_or(DataType::Int, |r| r.0);
+        let value = |(&o, &ok): (&u64, &bool)| if ok { value_of(ty, o) } else { Value::Null };
+        self.ords.iter().zip(&self.valid).map(value).collect()
+    }
+}
+
+/// Where one criterion sits inside the normalized key, and how its values
+/// map to codes: ordinals `lo..=lo + span` become `0..=span` (complemented
+/// for DESC), shifted up by one under NULLS FIRST where NULL is code 0;
+/// under NULLS LAST NULL is `span + 1`. The field is as wide as `span + 1`.
+#[derive(Debug, Clone, Copy)]
+struct Field {
+    /// `None` while the criterion has only produced NULLs.
+    ty: Option<DataType>,
+    lo: u64,
+    span: u64,
+    shift: u32,
+    desc: bool,
+    nulls_first: bool,
+}
+
+impl Field {
+    fn width(&self) -> u32 {
+        u64::BITS - (self.span + 1).leading_zeros()
+    }
+
+    /// The field's code for `ord` (`None` is NULL), or `None` when the
+    /// ordinal lies outside the field's range.
+    fn code(&self, ord: Option<u64>) -> Option<u64> {
+        let Some(ord) = ord else {
+            return Some(if self.nulls_first { 0 } else { self.span + 1 });
+        };
+        let rel = ord.checked_sub(self.lo).filter(|&rel| rel <= self.span)?;
+        Some(if self.desc { self.span - rel } else { rel } + u64::from(self.nulls_first))
+    }
+
+    /// Inverts [`Field::code`] on a whole normalized key.
+    fn ordinal_in(&self, norm: u64) -> Option<u64> {
+        let code = (norm >> self.shift) & (u64::MAX >> (u64::BITS - self.width()));
+        if code == if self.nulls_first { 0 } else { self.span + 1 } {
+            return None;
+        }
+        let rel = code - u64::from(self.nulls_first);
+        Some(self.lo + if self.desc { self.span - rel } else { rel })
+    }
+
+    fn unpack(&self, norm: &[u64]) -> Ordinals {
+        let (ords, valid) =
+            norm.iter().map(|&k| self.ordinal_in(k).map_or((0, false), |o| (o, true))).unzip();
+        Ordinals::new(self.ty.unwrap_or(DataType::Int), ords, valid)
+    }
+}
+
+/// Lays the criteria out most-significant-first, each as narrow as its
+/// ordinal range allows; `None` when they need more than 64 bits. With
+/// `headroom` the spare bits are shared out among the criteria, so that a
+/// growing table rarely outgrows the layout again.
+fn layout(cols: &[Ordinals], flags: &[(bool, bool)], headroom: bool) -> Option<Vec<Field>> {
+    let needed = |c: &Ordinals| c.range.map_or(0, |(_, lo, hi)| hi - lo);
+    let mut widths = Vec::with_capacity(cols.len());
+    for c in cols {
+        // Codes run to `span + 1` (the NULL code), which must itself fit.
+        widths.push(u64::BITS - needed(c).checked_add(1)?.leading_zeros());
+    }
+    let total: u32 = widths.iter().sum();
+    if total > u64::BITS || cols.is_empty() {
+        return None;
+    }
+    let spare = if headroom { (u64::BITS - total) / cols.len() as u32 } else { 0 };
+    let mut shift = total + spare * cols.len() as u32;
+    let mut fields = Vec::with_capacity(cols.len());
+    for ((c, w), &(desc, nulls_first)) in cols.iter().zip(widths).zip(flags) {
+        let width = w + spare;
+        shift -= width;
+        // The widest span the field's bits can code, centred on the data.
+        let span = (u64::MAX >> (u64::BITS - width)) - 1;
+        let min = c.range.map_or(0, |r| r.1);
+        let lo = min.saturating_sub((span - needed(c)) / 2).min(u64::MAX - span);
+        fields.push(Field { ty: c.range.map(|r| r.0), lo, span, shift, desc, nulls_first });
+    }
+    Some(fields)
+}
+
+/// Encodes rows of `cols` under `fields`; `None` when a value's type or
+/// ordinal is outside its field.
+fn encode(fields: &[Field], cols: &[Ordinals]) -> Option<Vec<u64>> {
+    let fits = |(f, c): (&Field, &Ordinals)| c.range.is_none_or(|r| f.ty == Some(r.0));
+    if !fields.iter().zip(cols).all(fits) {
+        return None;
+    }
+    let mut norm = vec![0u64; cols.first().map_or(0, |c| c.ords.len())];
+    for (f, c) in fields.iter().zip(cols) {
+        for ((key, &o), &ok) in norm.iter_mut().zip(&c.ords).zip(&c.valid) {
+            *key |= f.code(ok.then_some(o))? << f.shift;
+        }
+    }
+    Some(norm)
+}
+
+/// Materialized sort keys for every row of a table.
 #[derive(Clone)]
 pub struct KeyColumns {
-    keys: Vec<(Vec<Value>, bool, bool)>, // (values per row, desc, nulls_first)
+    repr: Repr,
+}
+
+#[derive(Clone)]
+enum Repr {
+    /// One normalized key per row: `norm[a].cmp(&norm[b])` is the whole
+    /// comparison. The criteria's values are recoverable from the fields.
+    Packed { norm: Vec<u64>, fields: Vec<Field> },
+    /// `(values per row, desc, nulls_first)` per criterion, compared with
+    /// `sql_cmp`: the definition, and the path for keys that do not pack.
+    Values(Vec<(Vec<Value>, bool, bool)>),
+}
+
+/// One criterion's values before the representation is chosen.
+enum Source<'a> {
+    /// A plain column reference: read in place.
+    Column(&'a Column),
+    Values(Vec<Value>),
+}
+
+impl Source<'_> {
+    fn evaluate<'a>(table: &'a Table, key: &SortKey) -> Result<Source<'a>> {
+        Ok(match key.expr.bind(table)? {
+            BoundExpr::Col(idx) => Source::Column(table.column_at(idx)),
+            bound => Source::Values(bound.eval_all(table)?),
+        })
+    }
+
+    fn ordinals(&self) -> Option<Ordinals> {
+        match self {
+            Source::Column(col) => Ordinals::of_column(col),
+            Source::Values(vals) => Ordinals::of_values(vals),
+        }
+    }
+
+    fn into_values(self) -> Vec<Value> {
+        match self {
+            Source::Column(col) => col.to_values(),
+            Source::Values(vals) => vals,
+        }
+    }
+}
+
+fn flags(sort_keys: &[SortKey]) -> Vec<(bool, bool)> {
+    sort_keys.iter().map(|sk| (sk.desc, sk.nulls_first)).collect()
+}
+
+fn values_repr(values: impl Iterator<Item = Vec<Value>>, sort_keys: &[SortKey]) -> Repr {
+    Repr::Values(values.zip(sort_keys).map(|(v, sk)| (v, sk.desc, sk.nulls_first)).collect())
+}
+
+fn pack(cols: &[Ordinals], flags: &[(bool, bool)], headroom: bool) -> Option<Repr> {
+    let fields = layout(cols, flags, headroom)?;
+    let norm = encode(&fields, cols).expect("the layout covers every ordinal it was built from");
+    Some(Repr::Packed { norm, fields })
 }
 
 impl KeyColumns {
-    /// Evaluates `sort_keys` for every row of `table`.
+    /// Evaluates `sort_keys` for every row of `table`, as normalized integer
+    /// keys when the criteria pack into 64 bits and as `Value` columns
+    /// otherwise; the choice depends on the key data alone.
     pub fn evaluate(table: &Table, sort_keys: &[SortKey]) -> Result<Self> {
-        let mut keys = Vec::with_capacity(sort_keys.len());
+        let sources: Vec<Source<'_>> =
+            sort_keys.iter().map(|sk| Source::evaluate(table, sk)).collect::<Result<_>>()?;
+        let packed = sources
+            .iter()
+            .map(Source::ordinals)
+            .collect::<Option<Vec<Ordinals>>>()
+            .and_then(|cols| pack(&cols, &flags(sort_keys), false));
+        let repr = packed.unwrap_or_else(|| {
+            values_repr(sources.into_iter().map(Source::into_values), sort_keys)
+        });
+        Ok(KeyColumns { repr })
+    }
+
+    /// Evaluates `sort_keys` as `Value` columns compared with `sql_cmp`,
+    /// never normalized: the semantic definition that the naive oracle and
+    /// the equivalence tests hold the normalized keys against.
+    pub fn evaluate_comparator(table: &Table, sort_keys: &[SortKey]) -> Result<Self> {
+        let mut values = Vec::with_capacity(sort_keys.len());
         for sk in sort_keys {
-            let bound = sk.expr.bind(table)?;
-            keys.push((bound.eval_all(table)?, sk.desc, sk.nulls_first));
+            values.push(sk.expr.bind(table)?.eval_all(table)?);
         }
-        Ok(KeyColumns { keys })
+        Ok(KeyColumns { repr: values_repr(values.into_iter(), sort_keys) })
     }
 
     /// Extends already-materialized key columns with rows `from_row..` of a
-    /// grown table — the O(b) append path: only the new rows are evaluated.
+    /// grown table — the O(b) append path: only the new rows are evaluated
+    /// and, while they fit the key layout, encoded. A batch outside the
+    /// layout re-packs all rows once with the spare bits as headroom (or
+    /// falls back to `Value` columns when 64 bits no longer suffice).
     /// `sort_keys` must be the criteria this instance was built from.
     pub fn extend(&mut self, table: &Table, sort_keys: &[SortKey], from_row: usize) -> Result<()> {
-        debug_assert_eq!(self.keys.len(), sort_keys.len());
         let n = table.num_rows();
-        for (sk, (vals, _, _)) in sort_keys.iter().zip(self.keys.iter_mut()) {
+        let mut batch: Vec<Vec<Value>> = Vec::with_capacity(sort_keys.len());
+        for sk in sort_keys {
             let bound = sk.expr.bind(table)?;
-            vals.reserve(n - from_row);
-            for r in from_row..n {
-                vals.push(bound.eval(table, r)?);
-            }
+            batch.push((from_row..n).map(|r| bound.eval(table, r)).collect::<Result<_>>()?);
         }
+        let (norm, fields) = match &mut self.repr {
+            Repr::Values(keys) => {
+                debug_assert_eq!(keys.len(), sort_keys.len());
+                for ((vals, _, _), more) in keys.iter_mut().zip(batch) {
+                    vals.extend(more);
+                }
+                return Ok(());
+            }
+            Repr::Packed { norm, fields } => (norm, fields),
+        };
+        let more: Option<Vec<Ordinals>> = batch.iter().map(|v| Ordinals::of_values(v)).collect();
+        if let Some(codes) = more.as_ref().and_then(|more| encode(fields, more)) {
+            norm.extend(codes);
+            return Ok(());
+        }
+        let old = || fields.iter().map(|f| f.unpack(norm));
+        let repacked = more.and_then(|more| {
+            let all: Vec<Ordinals> =
+                old().zip(more).map(|(o, m)| o.concat(m)).collect::<Option<_>>()?;
+            pack(&all, &flags(sort_keys), true)
+        });
+        self.repr = repacked.unwrap_or_else(|| {
+            let values = old().zip(batch).map(|(o, more)| {
+                let mut vals = o.into_values();
+                vals.extend(more);
+                vals
+            });
+            values_repr(values, sort_keys)
+        });
         Ok(())
     }
 
-    /// Number of criteria.
+    /// True when there are no criteria (every row is a peer of every other).
     pub fn is_trivial(&self) -> bool {
-        self.keys.is_empty()
+        matches!(&self.repr, Repr::Values(keys) if keys.is_empty())
     }
 
-    /// Footprint in bytes of the materialized key columns: the `Value`
-    /// spines plus the string heap behind `Arc<str>` keys, counted once per
-    /// owned reference (see [`Value::heap_bytes`]). The per-ref count is a
-    /// deliberate upper bound — it prices what keeping these columns alive
-    /// keeps alive, which is what a memory budget must charge for.
+    /// Footprint in bytes of the materialized keys: the normalized key
+    /// column, or the `Value` spines plus the string heap behind `Arc<str>`
+    /// keys, counted once per owned reference (see [`Value::heap_bytes`]).
+    /// The per-ref count is a deliberate upper bound — it prices what keeping
+    /// these columns alive keeps alive, which is what a memory budget must
+    /// charge for.
     pub fn bytes(&self) -> usize {
-        self.keys
-            .iter()
-            .map(|(vals, _, _)| {
-                vals.len() * std::mem::size_of::<Value>()
-                    + vals.iter().map(Value::heap_bytes).sum::<usize>()
-            })
-            .sum()
+        match &self.repr {
+            Repr::Packed { norm, fields } => {
+                std::mem::size_of_val(&norm[..]) + std::mem::size_of_val(&fields[..])
+            }
+            Repr::Values(keys) => keys
+                .iter()
+                .map(|(vals, _, _)| {
+                    std::mem::size_of_val(&vals[..])
+                        + vals.iter().map(Value::heap_bytes).sum::<usize>()
+                })
+                .sum(),
+        }
     }
 
     /// Compares two rows under the full criteria list.
+    #[inline]
     pub fn cmp_rows(&self, a: usize, b: usize) -> Ordering {
-        for (vals, desc, nulls_first) in &self.keys {
-            let (va, vb) = (&vals[a], &vals[b]);
-            let ord = match (va.is_null(), vb.is_null()) {
-                (true, true) => Ordering::Equal,
-                (true, false) => {
-                    if *nulls_first {
-                        Ordering::Less
-                    } else {
-                        Ordering::Greater
-                    }
-                }
-                (false, true) => {
-                    if *nulls_first {
-                        Ordering::Greater
-                    } else {
-                        Ordering::Less
-                    }
-                }
-                (false, false) => {
-                    let o = va.sql_cmp(vb);
-                    if *desc {
-                        o.reverse()
-                    } else {
-                        o
-                    }
-                }
-            };
-            if ord != Ordering::Equal {
-                return ord;
-            }
+        match &self.repr {
+            Repr::Packed { norm, .. } => norm[a].cmp(&norm[b]),
+            Repr::Values(keys) => cmp_values(keys, a, b),
         }
-        Ordering::Equal
     }
 
     /// True when two rows are peers (equal under every criterion).
+    #[inline]
     pub fn rows_equal(&self, a: usize, b: usize) -> bool {
         self.cmp_rows(a, b) == Ordering::Equal
     }
 
-    /// The key value of the single criterion for row `i` (used by RANGE
-    /// frames, which SQL restricts to exactly one numeric key).
-    pub fn single_key(&self, i: usize) -> Option<(&Value, bool)> {
-        if self.keys.len() == 1 {
-            Some((&self.keys[0].0[i], self.keys[0].1))
-        } else {
-            None
+    /// The key value of the single criterion for row `i` and whether the
+    /// criterion is DESC (used by RANGE frames, which SQL restricts to
+    /// exactly one numeric key).
+    pub fn single_key(&self, i: usize) -> Option<(Value, bool)> {
+        match &self.repr {
+            Repr::Packed { norm, fields } => match fields[..] {
+                [f] => {
+                    let v = f
+                        .ordinal_in(norm[i])
+                        .zip(f.ty)
+                        .map_or(Value::Null, |(o, ty)| value_of(ty, o));
+                    Some((v, f.desc))
+                }
+                _ => None,
+            },
+            Repr::Values(keys) => match &keys[..] {
+                [(vals, desc, _)] => Some((vals[i].clone(), *desc)),
+                _ => None,
+            },
+        }
+    }
+
+    /// The normalized keys and an upper bound on their significant bits.
+    fn normalized(&self) -> Option<(&[u64], u32)> {
+        match &self.repr {
+            Repr::Packed { norm, fields } => Some((norm, fields[0].shift + fields[0].width())),
+            Repr::Values(_) => None,
         }
     }
 }
 
-/// Sorts `rows` (indices into the table) stably by `keys`, ties broken by the
-/// original index for determinism. This is the window operator's ORDER BY
-/// phase; it reuses the platform sorter as the paper reuses Hyper's (§5.3).
-pub fn sort_permutation(keys: &KeyColumns, rows: &mut [usize], parallel: bool) {
-    let cmp = |&a: &usize, &b: &usize| keys.cmp_rows(a, b).then_with(|| a.cmp(&b));
-    if parallel && rows.len() >= 4096 {
-        rows.par_sort_unstable_by(cmp);
-    } else {
-        rows.sort_unstable_by(cmp);
+/// The comparator: `sql_cmp` per criterion, reversed under DESC, NULLs at the
+/// end NULLS FIRST/LAST names.
+fn cmp_values(keys: &[(Vec<Value>, bool, bool)], a: usize, b: usize) -> Ordering {
+    for (vals, desc, nulls_first) in keys {
+        let (va, vb) = (&vals[a], &vals[b]);
+        let ord = match (va.is_null(), vb.is_null()) {
+            (true, true) => Ordering::Equal,
+            (true, false) => {
+                if *nulls_first {
+                    Ordering::Less
+                } else {
+                    Ordering::Greater
+                }
+            }
+            (false, true) => {
+                if *nulls_first {
+                    Ordering::Greater
+                } else {
+                    Ordering::Less
+                }
+            }
+            (false, false) => {
+                let o = va.sql_cmp(vb);
+                if *desc {
+                    o.reverse()
+                } else {
+                    o
+                }
+            }
+        };
+        if ord != Ordering::Equal {
+            return ord;
+        }
     }
+    Ordering::Equal
 }
 
-/// Dense code preprocessing (Figure 8) over arbitrary comparators.
+/// Sorts `rows` (indices into the table) by `keys`, ties broken by the row
+/// index, so the result is unique. This is the window operator's ORDER BY
+/// phase; it reuses the engine's integer sorter as the paper reuses Hyper's
+/// (§5.3).
+pub fn sort_permutation(keys: &KeyColumns, rows: &mut [usize], parallel: bool) {
+    let Some((norm, bits)) = keys.normalized() else {
+        let cmp = |&a: &usize, &b: &usize| keys.cmp_rows(a, b).then_with(|| a.cmp(&b));
+        if parallel && rows.len() >= 4096 {
+            rows.par_sort_unstable_by(cmp);
+        } else {
+            rows.sort_unstable_by(cmp);
+        }
+        return;
+    };
+    sort_rows(rows, norm, bits, parallel);
+}
+
+/// Dense code preprocessing (Figure 8): the inner ORDER BY sort and its
+/// tie-group numbering.
 ///
 /// `rows[pos]` maps partition positions to table rows; the returned codes are
 /// in *position* space (0-based positions within the sorted partition), ready
 /// to feed into a merge sort tree.
 pub fn dense_codes_for(keys: &KeyColumns, rows: &[usize], parallel: bool) -> DenseCodes {
     let n = rows.len();
-    let mut perm: Vec<usize> = (0..n).collect();
-    let cmp = |&a: &usize, &b: &usize| keys.cmp_rows(rows[a], rows[b]).then_with(|| a.cmp(&b));
-    if parallel && n >= 4096 {
-        perm.par_sort_unstable_by(cmp);
-    } else {
-        perm.sort_unstable_by(cmp);
-    }
-    let mut code = vec![0usize; n];
-    let mut group_min = vec![0usize; n];
-    let mut group_end = vec![0usize; n];
-    let mut group_id = vec![0usize; n];
-    let mut num_groups = 0usize;
-    let mut r = 0;
-    while r < n {
-        let mut e = r + 1;
-        while e < n && keys.rows_equal(rows[perm[e]], rows[perm[r]]) {
-            e += 1;
+    let Some((norm, bits)) = keys.normalized() else {
+        let mut perm: Vec<usize> = (0..n).collect();
+        let cmp = |&a: &usize, &b: &usize| keys.cmp_rows(rows[a], rows[b]).then_with(|| a.cmp(&b));
+        if parallel && n >= 4096 {
+            perm.par_sort_unstable_by(cmp);
+        } else {
+            perm.sort_unstable_by(cmp);
         }
-        for (off, &pos) in perm[r..e].iter().enumerate() {
-            code[pos] = r + off;
-            group_min[pos] = r;
-            group_end[pos] = e;
-            group_id[pos] = num_groups;
-        }
-        num_groups += 1;
-        r = e;
-    }
-    DenseCodes { code, group_min, group_end, group_id, perm, num_groups }
+        return DenseCodes::from_sorted(perm, |perm, r| {
+            keys.rows_equal(rows[perm[r]], rows[perm[r - 1]])
+        });
+    };
+    let pairs = rows.iter().enumerate().map(|(pos, &row)| (norm[row], pos)).collect();
+    let sorted = sort_pairs(pairs, bits, parallel);
+    let perm = sorted.iter().map(|&(_, pos)| pos).collect();
+    DenseCodes::from_sorted(perm, |_, r| sorted[r].0 == sorted[r - 1].0)
 }
 
 /// Peer group boundaries of an already-sorted position range: for each
@@ -313,6 +671,39 @@ mod tests {
         );
         // And the spine is still counted on top of the payload.
         assert!(keys.bytes() >= payload_total + 64 * std::mem::size_of::<Value>());
+
+        // Integer keys hold one normalized `u64` per row however many
+        // criteria there are, and no `Value` spine.
+        let t = Table::new(vec![
+            ("a", Column::ints((0..64).collect())),
+            ("d", Column::dates((0..64).collect())),
+        ])
+        .unwrap();
+        let keys =
+            KeyColumns::evaluate(&t, &[SortKey::asc(col("a")), SortKey::desc(col("d"))]).unwrap();
+        assert!(keys.bytes() >= 64 * std::mem::size_of::<u64>());
+        assert!(keys.bytes() < 64 * std::mem::size_of::<Value>());
+    }
+
+    #[test]
+    fn range_compression_sets_the_key_width() {
+        // Seven years of dates plus the NULL code: 12 bits, not 64.
+        let t = Table::new(vec![
+            ("d", Column::dates((8_036..10_562).collect())),
+            ("b", Column::bools(vec![true; 2_526])),
+        ])
+        .unwrap();
+        let width =
+            |keys: &[SortKey]| KeyColumns::evaluate(&t, keys).unwrap().normalized().unwrap().1;
+        assert_eq!(width(&[SortKey::asc(col("d"))]), 12);
+        assert_eq!(width(&[SortKey::desc(col("d")), SortKey::asc(col("b"))]), 13);
+        // Expressions pack like columns; strings do not pack at all.
+        assert_eq!(width(&[SortKey::asc(col("d").sub(crate::expr::lit(8_000i64)))]), 12);
+        let s = Table::new(vec![("s", Column::strs(vec!["x", "y"]))]).unwrap();
+        assert!(KeyColumns::evaluate(&s, &[SortKey::asc(col("s"))])
+            .unwrap()
+            .normalized()
+            .is_none());
     }
 
     #[test]
