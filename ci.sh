@@ -33,6 +33,13 @@ echo "==> fuzz smoke (differential: naive vs adaptive/forced configs, fixed seed
 cargo run --release -q -p holistic-fuzz --bin fuzz -- \
   --cases 600 --seed 0xC0FFEE --max-n 40 --time-budget-secs 120
 
+echo "==> fuzz (differential at a size where Adaptive itself picks alternates, fixed seed)"
+# At --max-n 40 Adaptive is all-naive and only the forced configs reach
+# eval/alt.rs. These 100 cases hold 3 queries whose partitions run tree-free
+# (incremental, no MST) and 8 mixing incremental and MST calls.
+cargo run --release -q -p holistic-fuzz --bin fuzz -- \
+  --cases 100 --seed 0xD15C0 --max-n 4000 --time-budget-secs 180
+
 echo "==> fuzz smoke (append delta API: bit-identity vs from-scratch, fixed seed)"
 cargo run --release -q -p holistic-fuzz --bin fuzz -- \
   --append --cases 600 --seed 0xC0FFEE --max-n 40 --time-budget-secs 120

@@ -12,12 +12,10 @@
 use holistic_window::error::Result;
 use holistic_window::expr::BoundExpr;
 use holistic_window::frame::{resolve_frames, ResolvedFrames};
-use holistic_window::hash::hash_value;
 use holistic_window::order::{KeyColumns, SortKey};
 use holistic_window::partition::partition_rows;
 use holistic_window::spec::{FuncKind, FunctionCall, WindowSpec};
 use holistic_window::{Column, Error, Table, Value, WindowQuery};
-use rustc_hash::FxHashSet;
 use std::cmp::Ordering;
 
 /// Executes a window query with the naive algorithm; output matches
@@ -49,6 +47,20 @@ pub fn execute(query: &WindowQuery, table: &Table) -> Result<Table> {
         out.add_column(call.output_name.clone(), Column::from_values(&out_values[ci])?)?;
     }
     Ok(out)
+}
+
+/// True the first time `v` is offered: DISTINCT's equality is `sql_cmp`'s,
+/// and `seen` is kept sorted by it. The oracle deduplicates on the values
+/// themselves, never on the engine's hashes, so a fault in those cannot
+/// cancel out.
+fn first_sight<'a>(seen: &mut Vec<&'a Value>, v: &'a Value) -> bool {
+    match seen.binary_search_by(|s| s.sql_cmp(v)) {
+        Ok(_) => false,
+        Err(at) => {
+            seen.insert(at, v);
+            true
+        }
+    }
 }
 
 /// Shorthand: builds the query from a spec + calls and executes naively.
@@ -197,11 +209,11 @@ fn eval_row(ctx: &NaiveCtx<'_>, call: &FunctionCall, i: usize) -> Result<Value> 
     match call.kind {
         CountStar => Ok(Value::Int(fp.iter().filter(|&&p| ctx.filter[p]).count() as i64)),
         Count if call.distinct => {
-            let mut seen = FxHashSet::default();
+            let mut seen = Vec::new();
             let c = fp
                 .iter()
                 .filter(|&&p| ctx.filter[p] && !ctx.arg0[p].is_null())
-                .filter(|&&p| seen.insert(hash_value(&ctx.arg0[p])))
+                .filter(|&&p| first_sight(&mut seen, &ctx.arg0[p]))
                 .count();
             Ok(Value::Int(c as i64))
         }
@@ -209,7 +221,7 @@ fn eval_row(ctx: &NaiveCtx<'_>, call: &FunctionCall, i: usize) -> Result<Value> 
             fp.iter().filter(|&&p| ctx.filter[p] && !ctx.arg0[p].is_null()).count() as i64,
         )),
         Sum | Avg => {
-            let mut seen = FxHashSet::default();
+            let mut seen = Vec::new();
             let mut sum_i: i128 = 0;
             let mut sum_f: f64 = 0.0;
             let mut any_float = false;
@@ -218,7 +230,7 @@ fn eval_row(ctx: &NaiveCtx<'_>, call: &FunctionCall, i: usize) -> Result<Value> 
                 if !ctx.filter[p] || ctx.arg0[p].is_null() {
                     continue;
                 }
-                if call.distinct && !seen.insert(hash_value(&ctx.arg0[p])) {
+                if call.distinct && !first_sight(&mut seen, &ctx.arg0[p]) {
                     continue;
                 }
                 match &ctx.arg0[p] {
@@ -248,9 +260,12 @@ fn eval_row(ctx: &NaiveCtx<'_>, call: &FunctionCall, i: usize) -> Result<Value> 
             } else if any_float {
                 Value::Float(sum_f)
             } else {
+                // The engine's contract past i64: SUM is a typed overflow
+                // error, SUM(DISTINCT) degrades to a float.
                 match i64::try_from(sum_i) {
                     Ok(x) => Value::Int(x),
-                    Err(_) => Value::Float(sum_i as f64),
+                    Err(_) if call.distinct => Value::Float(sum_i as f64),
+                    Err(_) => return Err(Error::Overflow("SUM")),
                 }
             })
         }

@@ -5,7 +5,8 @@
 //! the regions where window semantics actually bite: NULL-heavy and
 //! tie-heavy tables, empty and degenerate frames, per-row expression bounds
 //! (§2.2's stock-order example), huge offsets at the edge of the integer
-//! range, and keys beyond 2^53 where f64 arithmetic silently collapses.
+//! range, and keys and arguments beyond 2^53 where f64 arithmetic silently
+//! collapses neighbouring integers.
 
 use holistic_window::frame::FrameMode;
 use holistic_window::prelude::*;
@@ -66,13 +67,17 @@ pub fn generate(seed: u64, cfg: &GenConfig) -> FuzzCase {
 
 /// A random table over the fixed column profile the spec generator targets:
 /// `g` (strings, partition/tie column), `k` (nullable ints, the window order
-/// key), `v` (nullable small ints), `f` (nullable floats), `d` (dates).
+/// key), `v` (nullable ints: small, or huddled around 2^53 or below
+/// `i64::MAX`), `f` (nullable floats), `d` (dates).
 pub fn gen_table(rng: &mut StdRng, n: usize) -> Table {
     // Profiles: NULL-heavy and tie-heavy data is where peer groups, IGNORE
     // NULLS and exclusion semantics earn their keep; the huge-key profiles
     // put RANGE arithmetic beyond f64's 2^53 exact-integer range.
     let null_p = [0.0, 0.1, 0.45][rng.gen_range(0usize..3)];
     let key_profile = rng.gen_range(0u32..7);
+    // Arguments too: distinct aggregates decide equality on a value hash,
+    // which must not round neighbouring integers into one f64.
+    let arg_profile = rng.gen_range(0u32..8);
     let tie_heavy = rng.gen_bool(0.4);
     let alphabet = rng.gen_range(1usize..=4);
     let groups = ["x", "y", "z", "w"];
@@ -102,10 +107,13 @@ pub fn gen_table(rng: &mut StdRng, n: usize) -> Table {
         .map(|_| {
             if rng.gen_bool(null_p) {
                 None
-            } else if tie_heavy {
-                Some(rng.gen_range(-3..4))
             } else {
-                Some(rng.gen_range(-15..15))
+                Some(match arg_profile {
+                    0 => (1i64 << 53) + rng.gen_range(-4..5i64),
+                    1 => i64::MAX - rng.gen_range(0..8i64),
+                    _ if tie_heavy => rng.gen_range(-3..4),
+                    _ => rng.gen_range(-15..15),
+                })
             }
         })
         .collect();

@@ -117,13 +117,22 @@ pub fn execute_plan(
         None => table,
     };
 
-    // 2. One engine execution per distinct resolved window.
-    let mut window_outputs: Vec<Table> = Vec::with_capacity(plan.windows.len());
+    // 2. One engine execution per distinct resolved window. Each output
+    //    column moves into the result on its last use in the SELECT list, so
+    //    `pending` counts the items still to reference it.
+    let mut window_outputs: Vec<Vec<(Option<Column>, usize)>> =
+        Vec::with_capacity(plan.windows.len());
     let mut profiles: Vec<ExecProfile> = Vec::with_capacity(plan.windows.len());
     for query in &plan.windows {
         let (out, profile) = query.execute_profiled(filtered, opts)?;
-        window_outputs.push(out);
+        window_outputs
+            .push(out.into_columns().into_iter().map(|(_, col)| (Some(col), 0)).collect());
         profiles.push(profile);
+    }
+    for item in &plan.items {
+        if let PlannedItem::Window { group, call, .. } = item {
+            window_outputs[*group][*call].1 += 1;
+        }
     }
 
     // 3. Assemble the SELECT list in source order, enforcing unique output
@@ -155,7 +164,10 @@ pub fn execute_plan(
             }
             PlannedItem::Window { group, call, name, span } => {
                 claim(name, *span)?;
-                out.add_column(name.clone(), window_outputs[*group].column_at(*call).clone())?;
+                let (col, pending) = &mut window_outputs[*group][*call];
+                *pending -= 1;
+                let col = if *pending == 0 { col.take() } else { col.clone() };
+                out.add_column(name.clone(), col.expect("taken only on the last counted use"))?;
             }
         }
     }

@@ -41,7 +41,7 @@
 //! extend in place.
 
 use crate::artifacts::{self, ArtifactCache, BudgetGovernor};
-use crate::column::Column;
+use crate::column::ColumnScatter;
 use crate::error::{Error, Result};
 use crate::eval::direct::DirectCtx;
 use crate::eval::{alt, direct, evaluate_call, Ctx};
@@ -409,13 +409,11 @@ impl IncrementalEngine {
         let n = self.table.num_rows();
         let mut out = Table::empty();
         for (ci, call) in self.query.calls.iter().enumerate() {
-            let mut values = vec![Value::Null; n];
+            let mut column = ColumnScatter::new(n);
             for ps in &self.parts {
-                for (pos, &row) in ps.rows.iter().enumerate() {
-                    values[row] = ps.outs[ci][pos].clone();
-                }
+                column.write(&ps.rows, &ps.outs[ci]);
             }
-            out.add_column(call.output_name.clone(), Column::from_values(&values)?)?;
+            out.add_column(call.output_name.clone(), column.finish()?)?;
         }
         Ok(out)
     }

@@ -85,6 +85,12 @@ impl ArtifactBytes for Vec<Value> {
     }
 }
 
+impl ArtifactBytes for Vec<usize> {
+    fn bytes_built(&self) -> usize {
+        self.len() * size_of::<usize>()
+    }
+}
+
 impl ArtifactBytes for KeyColumns {
     fn bytes_built(&self) -> usize {
         self.bytes()
@@ -489,6 +495,17 @@ impl<I: TreeIndex> Drop for SpillableMst<I> {
     }
 }
 
+/// What a build recipe hands the cache.
+pub(crate) enum Built<T> {
+    /// A freshly built artifact: the cache takes ownership, records its
+    /// footprint and charges it to the budget.
+    New(T),
+    /// The recipe's product already exists as another cached artifact (kept
+    /// values under a mask that drops nothing *are* the values). The entry
+    /// holds that artifact's `Arc` and is recorded and charged as 0 bytes.
+    Shared(Arc<T>),
+}
+
 /// The per-partition artifact cache.
 pub(crate) struct ArtifactCache {
     slots: Mutex<FxHashMap<ArtifactKey, Slot>>,
@@ -612,6 +629,16 @@ impl ArtifactCache {
         T: Any + Send + Sync + ArtifactBytes,
         F: FnOnce() -> Result<T>,
     {
+        self.get_or_build_with(key, || build().map(Built::New))
+    }
+
+    /// [`ArtifactCache::get_or_build`] for recipes that may find their
+    /// product already exists as another artifact ([`Built::Shared`]).
+    pub fn get_or_build_with<T, F>(&self, key: &ArtifactKey, build: F) -> Result<Arc<T>>
+    where
+        T: Any + Send + Sync + ArtifactBytes,
+        F: FnOnce() -> Result<Built<T>>,
+    {
         let slot = {
             let mut slots = self.slots.lock().expect("artifact cache poisoned");
             match slots.get(key) {
@@ -627,9 +654,17 @@ impl ArtifactCache {
         let mut fresh = false;
         let res = slot.get_or_init(|| {
             fresh = true;
-            build().and_then(|v| {
-                let v = Arc::new(v);
-                let bytes = v.bytes_built();
+            build().and_then(|built| {
+                // A shared product is the other artifact's `Arc`: that
+                // artifact owns and is charged for the bytes, this entry
+                // records 0.
+                let (v, bytes) = match built {
+                    Built::New(v) => {
+                        let bytes = v.bytes_built();
+                        (Arc::new(v), bytes)
+                    }
+                    Built::Shared(v) => (v, 0),
+                };
                 self.stats.bytes_built.fetch_add(bytes as u64, Relaxed);
                 self.footprints.lock().expect("artifact cache poisoned").push((key.label(), bytes));
                 // Self-governed artifacts charge per residency transition;
@@ -698,14 +733,12 @@ impl ArtifactBytes for MaskArtifact {
     }
 }
 
-/// Distinct-aggregate preprocessing (§4.2): value hashes and shifted
-/// previous-occurrence indices per kept position, in `usize` (widened to the
-/// partition's tree index on demand).
+/// Distinct-aggregate preprocessing (§4.2): value hashes per kept position —
+/// all the tree-free strategies read. The previous-occurrence indices only
+/// the trees consume are an artifact of their own ([`Ctx::prev_idcs_art`]).
 pub(crate) struct DistinctPrepArt {
     /// Value hash per kept position.
     pub hashes: Vec<u64>,
-    /// Shifted previous-occurrence index per kept position (Algorithm 1).
-    pub prev: Vec<usize>,
     /// Kept values (payloads / exclusion corrections). `Arc`-shared with the
     /// kept-values artifact, which is the one charged for them.
     pub values: Arc<Vec<Value>>,
@@ -716,7 +749,6 @@ pub(crate) struct DistinctPrepArt {
 impl ArtifactBytes for DistinctPrepArt {
     fn bytes_built(&self) -> usize {
         self.hashes.len() * size_of::<u64>()
-            + self.prev.len() * size_of::<usize>()
             + self.occurrences.values().map(|v| v.len() * size_of::<usize>()).sum::<usize>()
     }
 }
@@ -800,16 +832,20 @@ impl Ctx<'_> {
     }
 
     /// Expression values per *kept* position ([`ArtifactKey::KeptValues`]).
+    /// Under a mask that drops nothing this is the values artifact itself.
     pub(crate) fn kept_values_art(&self, key: &ArtifactKey) -> Result<Arc<Vec<Value>>> {
         let ArtifactKey::KeptValues(e, mk) = key else {
             unreachable!("kept_values_art wants a KeptValues key")
         };
-        self.cache.get_or_build(key, || {
+        self.cache.get_or_build_with(key, || {
             let values = self.values_art(&ArtifactKey::Values(e.clone()))?;
             let mask = self.mask_art(&ArtifactKey::Mask(mk.clone()))?;
-            Ok((0..mask.kept_len())
-                .map(|k| values[mask.remap.to_position(k)].clone())
-                .collect::<Vec<Value>>())
+            if mask.kept_len() == values.len() {
+                return Ok(Built::Shared(values));
+            }
+            Ok(Built::New(
+                (0..mask.kept_len()).map(|k| values[mask.remap.to_position(k)].clone()).collect(),
+            ))
         })
     }
 
@@ -892,8 +928,8 @@ impl Ctx<'_> {
         sp.checkout()
     }
 
-    /// Distinct preprocessing: hashes, previous-occurrence indices and (under
-    /// exclusion) per-value occurrence lists ([`ArtifactKey::DistinctPrep`]).
+    /// Distinct preprocessing: hashes and (under exclusion) per-value
+    /// occurrence lists ([`ArtifactKey::DistinctPrep`]).
     pub(crate) fn distinct_prep_art(&self, key: &ArtifactKey) -> Result<Arc<DistinctPrepArt>> {
         let ArtifactKey::DistinctPrep(e, mk) = key else {
             unreachable!("distinct_prep_art wants a DistinctPrep key")
@@ -901,14 +937,26 @@ impl Ctx<'_> {
         self.cache.get_or_build(key, || {
             let values = self.kept_values_art(&ArtifactKey::KeptValues(e.clone(), mk.clone()))?;
             let hashes: Vec<u64> = values.iter().map(hash_value).collect();
-            let prev = holistic_core::prev_idcs_u64(&hashes, self.parallel);
             let mut occurrences: FxHashMap<u64, Vec<usize>> = FxHashMap::default();
             if self.frames.has_exclusion() {
                 for (k, &h) in hashes.iter().enumerate() {
                     occurrences.entry(h).or_default().push(k);
                 }
             }
-            Ok(DistinctPrepArt { hashes, prev, values: Arc::clone(&values), occurrences })
+            Ok(DistinctPrepArt { hashes, values, occurrences })
+        })
+    }
+
+    /// Shifted previous-occurrence index per kept position (Algorithm 1), in
+    /// `usize` (widened to the partition's tree index by the tree builders —
+    /// its only readers), from an [`ArtifactKey::PrevIdcs`] key.
+    pub(crate) fn prev_idcs_art(&self, key: &ArtifactKey) -> Result<Arc<Vec<usize>>> {
+        let ArtifactKey::PrevIdcs(e, mk) = key else {
+            unreachable!("prev_idcs_art wants a PrevIdcs key")
+        };
+        self.cache.get_or_build(key, || {
+            let prep = self.distinct_prep_art(&ArtifactKey::DistinctPrep(e.clone(), mk.clone()))?;
+            Ok(holistic_core::prev_idcs_u64(&prep.hashes, self.parallel))
         })
     }
 
@@ -923,9 +971,9 @@ impl Ctx<'_> {
         };
         let stats = self.cache.stats();
         let sp = self.cache.get_or_build::<SpillableMst<I>, _>(key, || {
-            let prep = self.distinct_prep_art(&ArtifactKey::DistinctPrep(e.clone(), mk.clone()))?;
+            let prev = self.prev_idcs_art(&ArtifactKey::PrevIdcs(e.clone(), mk.clone()))?;
             stats.mst_builds.fetch_add(1, Relaxed);
-            let prev: Vec<I> = prep.prev.iter().map(|&p| I::from_usize(p)).collect();
+            let prev: Vec<I> = prev.iter().map(|&p| I::from_usize(p)).collect();
             SpillableMst::build(&prev, self.params, self.cache.governor(), self.cache.partition())
         })?;
         SpillableMst::register(&sp);
@@ -1029,6 +1077,7 @@ pub(crate) fn force(ctx: &Ctx<'_>, key: &ArtifactKey) -> Result<()> {
             }
         }
         K::DistinctPrep(..) => drop(ctx.distinct_prep_art(key)?),
+        K::PrevIdcs(..) => drop(ctx.prev_idcs_art(key)?),
         K::DistinctCountMst(..) => {
             if ctx.u32_trees() {
                 drop(ctx.distinct_count_mst::<u32>(key)?);

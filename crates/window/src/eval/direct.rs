@@ -35,6 +35,7 @@ use holistic_core::index::fits_u32;
 use holistic_core::RangeSet;
 use holistic_segtree::{SegmentTree, SumF64Monoid};
 use rustc_hash::{FxHashMap, FxHashSet};
+use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::sync::Arc;
 
@@ -126,9 +127,13 @@ impl<'a> DirectCtx<'a> {
     }
 }
 
-/// Values per kept position, cloned out of the per-position vector.
-fn kept_values(values: &[Value], mask: &MaskArtifact) -> Vec<Value> {
-    (0..mask.kept_len()).map(|k| values[mask.remap.to_position(k)].clone()).collect()
+/// Values per kept position: the per-position vector itself when the mask
+/// drops nothing, cloned out of it otherwise.
+fn kept_values<'a>(values: &'a [Value], mask: &MaskArtifact) -> Cow<'a, [Value]> {
+    if mask.kept_len() == values.len() {
+        return Cow::Borrowed(values);
+    }
+    Cow::Owned((0..mask.kept_len()).map(|k| values[mask.remap.to_position(k)].clone()).collect())
 }
 
 /// Kept rows of `pieces` whose unique code is `< c` — the direct equivalent

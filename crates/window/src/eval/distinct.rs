@@ -4,9 +4,9 @@
 //!
 //! 1. the kept-row mask (FILTER ∧ non-NULL argument) and kept values come
 //!    from the artifact cache, remapping frame bounds (§4.7);
-//! 2. hash the kept values (§6.7 — type-independent preprocessing) and
-//!    compute shifted previous-occurrence indices (Algorithm 1) — the cached
-//!    `DistinctPrep` artifact;
+//! 2. hash the kept values (§6.7 — type-independent preprocessing; the
+//!    cached `DistinctPrep` artifact) and compute shifted previous-occurrence
+//!    indices over the hashes (Algorithm 1; the cached `PrevIdcs` artifact);
 //! 3. build the (annotated) merge sort tree — cached per (argument, mask)
 //!    and, for SUM/AVG, per aggregate flavor;
 //! 4. per row: `count_below(frame, frame_start + 1)` — or the annotated
@@ -231,8 +231,9 @@ where
     let stats = ctx.cache.stats();
     let tree: Arc<AnnotatedMst<I, A>> =
         ctx.cache.get_or_build(cp.keys.distinct_agg(flavor), || {
+            let prev = ctx.prev_idcs_art(cp.keys.prev_idcs())?;
             stats.mst_builds.fetch_add(1, Relaxed);
-            let prev: Vec<I> = prep.prev.iter().map(|&p| I::from_usize(p)).collect();
+            let prev: Vec<I> = prev.iter().map(|&p| I::from_usize(p)).collect();
             let payloads: Vec<A::Payload> = prep.values.iter().map(&payload_of).collect();
             Ok(AnnotatedMst::<I, A>::build(&prev, &payloads, ctx.params))
         })?;

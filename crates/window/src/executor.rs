@@ -11,7 +11,7 @@
 //! §5.2.
 
 use crate::artifacts::{self, ArtifactCache, AtomicStats, BudgetGovernor};
-use crate::column::Column;
+use crate::column::ColumnScatter;
 use crate::error::Result;
 use crate::eval::direct::DirectCtx;
 use crate::eval::{alt, direct, evaluate_call, Ctx};
@@ -356,7 +356,15 @@ pub struct StrategyProfile {
 /// `build` covers the partition sort, frame resolution and the eager
 /// prebuild of statically-planned artifacts; data-dependent artifacts (e.g.
 /// the SUM segment tree, whose element type depends on the data) are built
-/// lazily through the same cache and attributed to `probe`.
+/// lazily through the same cache and attributed to `probe`. The eager
+/// prebuild runs only for calls the merge sort tree serves: a call on an
+/// alternate strategy builds what it reads (values, mask, hashes, dense
+/// codes) inside `probe` and nothing it does not read — no `prev-idcs`,
+/// which only the distinct trees consume, and under a mask that drops
+/// nothing no copy of the values.
+/// Neither phase includes hash partitioning, the evaluation of the ORDER BY
+/// key columns or the scatter of the outputs into typed columns: those are
+/// the execution's wall time minus `plan + build + probe`.
 #[derive(Debug, Clone, Default)]
 pub struct ExecProfile {
     /// Call validation + query planning (once per query).
@@ -656,16 +664,14 @@ impl WindowQuery {
         };
 
         // Scatter back to original row order — one shared row map per
-        // partition, one output vector per call.
+        // partition, one typed output column per call.
         let mut out = Table::empty();
         for (ci, call) in self.calls.iter().enumerate() {
-            let mut values = vec![Value::Null; n];
+            let mut column = ColumnScatter::new(n);
             for (rows, outs) in &per_partition {
-                for (pos, &row) in rows.iter().enumerate() {
-                    values[row] = outs[ci][pos].clone();
-                }
+                column.write(rows, &outs[ci]);
             }
-            out.add_column(call.output_name.clone(), Column::from_values(&values)?)?;
+            out.add_column(call.output_name.clone(), column.finish()?)?;
         }
         let mut artifacts: Vec<ArtifactFootprint> = footprints
             .into_inner()
@@ -694,6 +700,7 @@ impl WindowQuery {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::column::Column;
     use crate::expr::{col, lit};
     use crate::frame::{FrameBound, FrameSpec};
     use crate::order::SortKey;

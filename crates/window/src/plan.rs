@@ -207,8 +207,11 @@ pub(crate) enum ArtifactKey {
     CodeMst(OrderKey, MaskKey),
     /// Merge sort tree over the permutation array (selection, §4.5).
     PermMst(OrderKey, MaskKey),
-    /// Distinct preprocessing: hashes + previous-occurrence indices (Alg. 1).
+    /// Distinct preprocessing: value hashes per kept position (§6.7).
     DistinctPrep(CanonicalExpr, MaskKey),
+    /// Previous-occurrence indices over those hashes (Alg. 1) — read only by
+    /// the distinct trees, so tree-free partitions never build it.
+    PrevIdcs(CanonicalExpr, MaskKey),
     /// Merge sort tree over the previous-occurrence indices (§4.2).
     DistinctCountMst(CanonicalExpr, MaskKey),
     /// Annotated merge sort tree for SUM/AVG DISTINCT (§4.3).
@@ -239,6 +242,7 @@ impl ArtifactKey {
             K::CodeMst(..) => "code-mst",
             K::PermMst(..) => "perm-mst",
             K::DistinctPrep(..) => "distinct-prep",
+            K::PrevIdcs(..) => "prev-idcs",
             K::DistinctCountMst(..) => "distinct-count-mst",
             K::DistinctAggMst(..) => "distinct-agg-mst",
             K::OrdinalEnc(_) => "ordinal-enc",
@@ -277,8 +281,10 @@ pub(crate) struct CallKeys {
     pub code_mst: Option<ArtifactKey>,
     /// Merge sort tree over the permutation array.
     pub perm_mst: Option<ArtifactKey>,
-    /// Distinct preprocessing (hashes + previous occurrences).
+    /// Distinct preprocessing (value hashes).
     pub distinct_prep: Option<ArtifactKey>,
+    /// Previous-occurrence indices (distinct trees only).
+    pub prev_idcs: Option<ArtifactKey>,
     /// COUNT DISTINCT tree.
     pub distinct_count_mst: Option<ArtifactKey>,
     /// Kept-row count segment tree.
@@ -332,6 +338,9 @@ impl CallKeys {
     pub fn distinct_prep(&self) -> &ArtifactKey {
         self.distinct_prep.as_ref().expect("plan derives a distinct-prep key")
     }
+    pub fn prev_idcs(&self) -> &ArtifactKey {
+        self.prev_idcs.as_ref().expect("plan derives a previous-occurrence key")
+    }
     pub fn distinct_count_mst(&self) -> &ArtifactKey {
         self.distinct_count_mst.as_ref().expect("plan derives a COUNT DISTINCT tree key")
     }
@@ -380,6 +389,7 @@ impl CallKeys {
             self.code_mst.as_ref(),
             self.perm_mst.as_ref(),
             self.distinct_prep.as_ref(),
+            self.prev_idcs.as_ref(),
             self.distinct_count_mst.as_ref(),
             self.count_segtree.as_ref(),
             self.range_tree.as_ref(),
@@ -486,6 +496,7 @@ fn derive_keys(
                 // MIN/MAX DISTINCT ≡ plain MIN/MAX → segment tree path below.
                 keys.kept_values = Some(K::KeptValues(arg.clone(), mask.clone()));
                 keys.distinct_prep = Some(K::DistinctPrep(arg.clone(), mask.clone()));
+                keys.prev_idcs = Some(K::PrevIdcs(arg.clone(), mask.clone()));
                 match call.kind {
                     Count => {
                         keys.distinct_count_mst = Some(K::DistinctCountMst(arg, mask.clone()));

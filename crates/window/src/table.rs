@@ -68,6 +68,11 @@ impl Table {
         &self.columns[idx].1
     }
 
+    /// Takes the table apart into its `(name, column)` pairs, in order.
+    pub fn into_columns(self) -> Vec<(String, Column)> {
+        self.columns
+    }
+
     /// Iterates `(name, column)`.
     pub fn iter(&self) -> impl Iterator<Item = (&str, &Column)> {
         self.columns.iter().map(|(n, c)| (n.as_str(), c))

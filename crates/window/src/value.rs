@@ -39,6 +39,23 @@ pub enum DataType {
     Bool,
 }
 
+impl DataType {
+    /// Every type, in declaration order (`ALL[t] as usize == t`).
+    pub const ALL: [DataType; 5] =
+        [DataType::Int, DataType::Float, DataType::Str, DataType::Date, DataType::Bool];
+
+    /// The type name, for diagnostics.
+    pub fn name(self) -> &'static str {
+        match self {
+            DataType::Int => "int",
+            DataType::Float => "float",
+            DataType::Str => "str",
+            DataType::Date => "date",
+            DataType::Bool => "bool",
+        }
+    }
+}
+
 impl Value {
     /// Builds a string value.
     pub fn str(s: impl Into<Arc<str>>) -> Self {
@@ -50,16 +67,21 @@ impl Value {
         matches!(self, Value::Null)
     }
 
+    /// The value's type; `None` for NULL.
+    pub fn data_type(&self) -> Option<DataType> {
+        match self {
+            Value::Null => None,
+            Value::Int(_) => Some(DataType::Int),
+            Value::Float(_) => Some(DataType::Float),
+            Value::Str(_) => Some(DataType::Str),
+            Value::Date(_) => Some(DataType::Date),
+            Value::Bool(_) => Some(DataType::Bool),
+        }
+    }
+
     /// The type name, for diagnostics.
     pub fn type_name(&self) -> &'static str {
-        match self {
-            Value::Null => "null",
-            Value::Int(_) => "int",
-            Value::Float(_) => "float",
-            Value::Str(_) => "str",
-            Value::Date(_) => "date",
-            Value::Bool(_) => "bool",
-        }
+        self.data_type().map_or("null", DataType::name)
     }
 
     /// Heap bytes behind this value, beyond the enum spine: the UTF-8

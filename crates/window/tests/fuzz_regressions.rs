@@ -31,3 +31,57 @@ fn percentile_cont_over_int_keys_is_float_on_exact_hits() {
         );
     }
 }
+
+/// Found by reading `hash_value` (ISSUE 13), not by a seed: the fuzzer's
+/// argument columns never left ±15. `Int(x)` hashed as `(x as f64).to_bits()`
+/// and every distinct path decides equality on the hash alone, so integers
+/// beyond 2^53 that round to one float counted as one value: the running
+/// distinct count over 2^53, 2^53+1, 2^53+2, 2^53+3 read 1, 1, 2, 3 and
+/// `SUM(DISTINCT)` dropped 2^53+1 — under every strategy alike.
+#[test]
+fn distinct_aggregates_tell_integers_beyond_2_pow_53_apart() {
+    const P53: i64 = 1 << 53;
+    let ints = |v: &[i64]| v.iter().map(|&x| Value::Int(x)).collect::<Vec<_>>();
+    let spec = WindowSpec::new()
+        .order_by(vec![SortKey::asc(col("pos"))])
+        .frame(FrameSpec::rows(FrameBound::UnboundedPreceding, FrameBound::CurrentRow));
+    // (values, running distinct count, running distinct sum where it fits i64)
+    let cases = [
+        (
+            vec![P53, P53 + 1, P53 + 2, P53 + 3],
+            vec![1, 2, 3, 4],
+            Some(vec![P53, 2 * P53 + 1, 3 * P53 + 3, 4 * P53 + 6]),
+        ),
+        (
+            vec![-P53 - 1, -P53, -P53 - 1, -P53 - 2],
+            vec![1, 2, 2, 3],
+            Some(vec![-P53 - 1, -2 * P53 - 1, -2 * P53 - 1, -3 * P53 - 3]),
+        ),
+        // `i64::MAX as f64` is 2^63: a check of `x as f64 as i64 == x`
+        // saturates back to i64::MAX and would take it for exact.
+        (vec![i64::MAX, i64::MAX - 1, i64::MAX - 2, i64::MAX], vec![1, 2, 3, 3], None),
+    ];
+    for (x, counts, sums) in cases {
+        let t = Table::new(vec![
+            ("pos", Column::ints((0..x.len() as i64).collect())),
+            ("x", Column::ints(x.clone())),
+        ])
+        .unwrap();
+        let mut q = WindowQuery::over(spec.clone())
+            .call(FunctionCall::count_distinct(col("x")).named("cd"));
+        if sums.is_some() {
+            q = q.call(FunctionCall::sum_distinct(col("x")).named("sd"));
+        }
+        for opts in ExecOptions::all_configs() {
+            let forced = [Strategy::Mst, Strategy::Incremental, Strategy::Naive];
+            for opts in std::iter::once(opts).chain(forced.map(|s| opts.force_strategy(s))) {
+                let out = q.execute_with(&t, opts).unwrap();
+                let label = format!("{x:?}, {}", opts.label());
+                assert_eq!(out.column("cd").unwrap().to_values(), ints(&counts), "{label}");
+                if let Some(sums) = &sums {
+                    assert_eq!(out.column("sd").unwrap().to_values(), ints(sums), "{label}");
+                }
+            }
+        }
+    }
+}
