@@ -55,17 +55,25 @@ echo "==> fuzz smoke (sql-roundtrip: print → parse → plan structural + sessi
 cargo run --release -q -p holistic-fuzz --bin fuzz -- \
   --sql-roundtrip --cases 500 --seed 0xC0FFEE --max-n 40 --time-budget-secs 120
 
-echo "==> bench smoke (tiny n; asserts cursor/stateless and shared/private identity)"
-N=3000 W=64 REPS=1 cargo run --release -q -p holistic-bench --bin probe_locality_ext -- --json
+echo "==> fuzz legs again through an overflow-checked release build (arithmetic at the edges)"
+# Release builds wrap on integer overflow; this build panics instead, and a
+# panic is a fuzz failure. Own target dir, so the flags never touch ./target.
+CARGO_TARGET_DIR=target/overflow-checks RUSTFLAGS="-C overflow-checks=on" \
+  cargo build --release -q -p holistic-fuzz --bin fuzz
+OFUZZ=target/overflow-checks/release/fuzz
+$OFUZZ --cases 600 --seed 0xC0FFEE --max-n 40 --time-budget-secs 120
+$OFUZZ --cases 100 --seed 0xD15C0 --max-n 4000 --time-budget-secs 180
+$OFUZZ --append --cases 600 --seed 0xC0FFEE --max-n 40 --time-budget-secs 120
+$OFUZZ --panic-sweep --cases 400 --seed 0x5EED
+$OFUZZ --cases 500 --seed 0xB4D6E7 --max-n 40 --budget 8192 --time-budget-secs 120
+$OFUZZ --sql-roundtrip --cases 500 --seed 0xC0FFEE --max-n 40 --time-budget-secs 120
+
+echo "==> bench smoke (tiny n; asserts shared/private identity)"
 N=3000 W=64 REPS=1 cargo run --release -q -p holistic-bench --bin sharing_ext -- --json
-# Asserts append outputs bit-identical across all 8 configs and vs from-scratch;
+# Asserts append outputs bit-identical across every config and vs from-scratch;
 # the ≥5×-vs-rebuild and beats-per-row gates self-skip below n = 500k.
 N=6000 B=200 REBUILD_SAMPLES=4 cargo run --release -q -p holistic-bench --bin append_ext -- --json
-N=4000 W=64 REPS=1 ENGINE_N=2000 cargo run --release -q -p holistic-bench --bin layout_ext -- --json
 N=4000 REPS=1 cargo run --release -q -p holistic-bench --bin crossover_ext -- --json
-# Asserts all 13 configs (incl. VM/block-probe escape hatches) bit-identical;
-# the ≥2×/≥3× speedup gates self-skip at tiny n.
-N=3000 REPS=1 cargo run --release -q -p holistic-bench --bin probe_batch_ext -- --json
 # Asserts budgeted execution bit-identical to unbudgeted, peak resident within
 # 1.25x budget, and that the auto-derived budget actually spills.
 N=60000 PARTS=6 BUDGET=0 REPS=1 cargo run --release -q -p holistic-bench --bin spill_ext -- --json

@@ -378,6 +378,8 @@ fn eval_row(ctx: &NaiveCtx<'_>, call: &FunctionCall, i: usize) -> Result<Value> 
             Ok(Value::Int(tile as i64))
         }
         PercentileDisc | PercentileCont | Median => {
+            // `validate` (run by `execute`) rejects a fraction that reads a
+            // column, so evaluating it at row `i` yields the call's one value.
             let p = if call.kind == Median {
                 0.5
             } else {

@@ -149,10 +149,11 @@ impl<I: TreeIndex, A: DistinctAggregate> AnnotatedMst<I, A> {
         (state, count)
     }
 
-    /// Cursor-seeded [`Self::aggregate_below`]. The decomposition's visit
-    /// order is preserved, so the combine order — and therefore the result,
-    /// even for floating-point states — is bit-identical to the stateless
-    /// path.
+    /// Cursor-seeded [`Self::aggregate_below`] — the product probe path of
+    /// `SUM(DISTINCT)`/`AVG(DISTINCT)`. The decomposition's visit order is
+    /// preserved, so the combine order — and therefore the result, even for
+    /// floating-point states — is bit-identical to the stateless recursion,
+    /// which stays as the reference this is proptested against.
     pub fn aggregate_below_with_cursor(
         &self,
         a: usize,
@@ -162,35 +163,12 @@ impl<I: TreeIndex, A: DistinctAggregate> AnnotatedMst<I, A> {
     ) -> (A::State, usize) {
         let mut state = A::identity();
         let mut count = 0usize;
-        self.tree.decompose_below_cursor(a, b, t, 0, cur, |level, run_start, pos| {
+        self.tree.decompose_below_cursor(a, b, t, cur, |level, run_start, pos| {
             if pos > 0 {
                 state = A::combine(state, self.pf(level, run_start + pos - 1));
                 count += pos;
             }
         });
-        (state, count)
-    }
-
-    /// Cursor-seeded [`Self::aggregate_below_multi`]; each piece keeps its
-    /// own memo slot.
-    pub fn aggregate_below_multi_with_cursor(
-        &self,
-        ranges: &RangeSet,
-        t: I,
-        cur: &mut ProbeCursor,
-    ) -> (A::State, usize) {
-        let mut state = A::identity();
-        let mut count = 0usize;
-        for (ri, (a, b)) in ranges.iter().enumerate() {
-            let mut piece = A::identity();
-            self.tree.decompose_below_cursor(a, b, t, ri, cur, |level, run_start, pos| {
-                if pos > 0 {
-                    piece = A::combine(piece, self.pf(level, run_start + pos - 1));
-                    count += pos;
-                }
-            });
-            state = A::combine(state, piece);
-        }
         (state, count)
     }
 
@@ -338,12 +316,10 @@ mod tests {
         }
         // Non-monotonic jumps stay bit-identical too.
         for _ in 0..200 {
-            let a = rng.gen_range(0..=n);
-            let b = rng.gen_range(0..=n);
-            let rs = RangeSet::frame_minus_holes(a.min(b), b.max(a), &[(a, a + 2)]);
-            let (s0, c0) = tree.aggregate_below_multi(&rs, a.min(b) as u32 + 1);
-            let (s1, c1) =
-                tree.aggregate_below_multi_with_cursor(&rs, a.min(b) as u32 + 1, &mut cur);
+            let (x, y) = (rng.gen_range(0..=n), rng.gen_range(0..=n));
+            let (a, b) = (x.min(y), x.max(y));
+            let (s0, c0) = tree.aggregate_below(a, b, a as u32 + 1);
+            let (s1, c1) = tree.aggregate_below_with_cursor(a, b, a as u32 + 1, &mut cur);
             assert_eq!(AvgF64::finish(s0).map(f64::to_bits), AvgF64::finish(s1).map(f64::to_bits));
             assert_eq!(c0, c1);
         }

@@ -1,7 +1,10 @@
-//! Probe cursors: amortized O(1) merge-sort-tree descents for monotonic
+//! Probe cursors: amortized O(1) annotated-tree descents for monotonic
 //! frame sequences.
 //!
-//! The evaluators of `holistic-window` issue one tree probe per output row.
+//! `SUM(DISTINCT)`/`AVG(DISTINCT)` issue one
+//! [`crate::AnnotatedMst::aggregate_below_with_cursor`] probe per output
+//! row (plain trees are probed in blocks by the level-synchronous kernels of
+//! [`crate::mst`] instead, which have no per-run prefix states to combine).
 //! For the dominant workloads (`ROWS BETWEEN x PRECEDING AND y FOLLOWING`,
 //! RANGE frames over a sorted key) consecutive probes move the frame
 //! boundaries and the threshold forward by a handful of positions, yet a
@@ -19,23 +22,18 @@
 //!
 //! Correctness does not depend on monotonicity: a galloping lower-bound
 //! search returns *exactly* the same position as `slice::partition_point`,
-//! so cursor-based probes are bit-identical to stateless probes on every
-//! input — the cursor only changes the constant factor. The visit order of
-//! the underlying range decomposition is also preserved, so even
-//! non-associative-rounding aggregates (`SUM(DISTINCT)` over floats) stay
-//! bit-identical.
-
-use crate::index::TreeIndex;
-use crate::range_set::MAX_RANGES;
+//! so cursor-based probes are bit-identical to the stateless recursion
+//! ([`crate::AnnotatedMst::aggregate_below`], the reference they are
+//! proptested against) on every input — the cursor only changes the constant
+//! factor. The visit order of the underlying range decomposition is also
+//! preserved, so even non-associative-rounding aggregates (`SUM(DISTINCT)`
+//! over floats) stay bit-identical.
 
 /// Probe-kernel counters accumulated by a cursor over its lifetime.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CursorStats {
-    /// Probe primitives that ran through an enabled cursor.
+    /// Probe primitives that ran through a cursor.
     pub cursor_probes: u64,
-    /// Probe primitives that ran through a disabled cursor (the stateless
-    /// fallback kept behind `ProbeOptions`).
-    pub stateless_probes: u64,
     /// Searches answered by galloping from a memoized position.
     pub gallop_seeded: u64,
     /// Total galloping steps taken across all seeded searches.
@@ -45,18 +43,6 @@ pub struct CursorStats {
     /// Per-level memo misses: the memo pointed into a different run and the
     /// descent fell back to the standard cascaded refinement.
     pub level_resets: u64,
-}
-
-impl CursorStats {
-    /// Accumulates another counter set into `self`.
-    pub fn merge_from(&mut self, o: &CursorStats) {
-        self.cursor_probes += o.cursor_probes;
-        self.stateless_probes += o.stateless_probes;
-        self.gallop_seeded += o.gallop_seeded;
-        self.gallop_steps += o.gallop_steps;
-        self.full_searches += o.full_searches;
-        self.level_resets += o.level_resets;
-    }
 }
 
 /// Lower bound (`partition_point`) by galloping outward from `seed`.
@@ -130,24 +116,23 @@ pub(crate) enum Side {
     Right,
 }
 
-/// Cursor for `count_below` / `aggregate_below` style probes on one
-/// `(tree, boundary stream)` pair.
+/// Cursor for `aggregate_below` style probes on one `(tree, boundary
+/// stream)` pair.
 ///
-/// Holds the shared top-level threshold memo plus, per frame piece (up to
-/// [`MAX_RANGES`]) and boundary side, one memoized `(run, pos)` per tree
-/// level. Construct one per tree and per probe loop (or per parallel probe
-/// chunk); never share a cursor across trees with different contents.
+/// Holds the shared top-level threshold memo plus, per boundary side, one
+/// memoized `(run, pos)` per tree level. Construct one per tree and per
+/// probe loop (or per parallel probe chunk); never share a cursor across
+/// trees with different contents.
 #[derive(Debug, Clone)]
 pub struct ProbeCursor {
-    enabled: bool,
     top_pos: usize,
     top_valid: bool,
     /// Number of memoized child levels (tree height − 1); sized lazily on
     /// first use so a fresh cursor works with any tree.
     levels: usize,
-    /// `[slot][side][level]`, flattened with stride `levels`.
+    /// `[side][level]`, flattened with stride `levels`.
     memos: Vec<LevelMemo>,
-    /// Counters; drain via [`Self::stats`] or read directly.
+    /// Counters accumulated over the cursor's lifetime.
     pub stats: CursorStats,
 }
 
@@ -158,10 +143,9 @@ impl Default for ProbeCursor {
 }
 
 impl ProbeCursor {
-    /// A fresh enabled cursor (memo storage grows on first probe).
+    /// A fresh cursor (memo storage grows on first probe).
     pub fn new() -> Self {
         ProbeCursor {
-            enabled: true,
             top_pos: 0,
             top_valid: false,
             levels: 0,
@@ -170,48 +154,25 @@ impl ProbeCursor {
         }
     }
 
-    /// A disabled cursor: every probe primitive takes the stateless path
-    /// (and counts as `stateless_probes`). Used to keep one code path in
-    /// probe loops while `ProbeOptions` toggles cursors off.
-    pub fn disabled() -> Self {
-        ProbeCursor { enabled: false, ..Self::new() }
-    }
-
-    /// Whether probes through this cursor use memoized positions.
-    pub fn enabled(&self) -> bool {
-        self.enabled
-    }
-
-    /// Invalidates all memos (the next probe pays full searches again).
-    pub fn reset(&mut self) {
-        self.top_valid = false;
-        self.memos.fill(LevelMemo::invalid());
-    }
-
-    /// Counter snapshot.
-    pub fn stats(&self) -> CursorStats {
-        self.stats
-    }
-
     /// Ensures memo storage for `levels` child levels, resetting on growth
     /// (only happens when a cursor is reused against a taller tree).
     pub(crate) fn ensure_levels(&mut self, levels: usize) {
         if self.levels < levels {
             self.levels = levels;
-            self.memos = vec![LevelMemo::invalid(); MAX_RANGES * 2 * levels];
+            self.memos = vec![LevelMemo::invalid(); 2 * levels];
             self.top_valid = false;
         }
     }
 
-    /// Flat memo index for `(slot, side, level)`.
+    /// Flat memo index for `(side, level)`.
     #[inline]
-    pub(crate) fn memo_index(&self, slot: usize, side: Side, level: usize) -> usize {
-        debug_assert!(slot < MAX_RANGES && level < self.levels);
+    pub(crate) fn memo_index(&self, side: Side, level: usize) -> usize {
+        debug_assert!(level < self.levels);
         let side = match side {
             Side::Left => 0,
             Side::Right => 1,
         };
-        (slot * 2 + side) * self.levels + level
+        side * self.levels + level
     }
 
     #[inline]
@@ -236,74 +197,6 @@ impl ProbeCursor {
         };
         self.top_valid = true;
         self.top_pos = pos;
-        pos
-    }
-}
-
-/// Cursor for `select` probes: memoizes the top-level positions of the per
-/// frame-piece value bounds (two per piece). The descent below the top level
-/// is already O(1) per level via sampled cascading and needs no memo.
-#[derive(Debug, Clone)]
-pub struct SelectCursor {
-    enabled: bool,
-    memos: [usize; MAX_RANGES * 2],
-    /// Counters; drain via [`Self::stats`] or read directly.
-    pub stats: CursorStats,
-}
-
-impl Default for SelectCursor {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl SelectCursor {
-    /// A fresh enabled cursor.
-    pub fn new() -> Self {
-        SelectCursor {
-            enabled: true,
-            memos: [INVALID; MAX_RANGES * 2],
-            stats: CursorStats::default(),
-        }
-    }
-
-    /// A disabled cursor (stateless fallback; see [`ProbeCursor::disabled`]).
-    pub fn disabled() -> Self {
-        SelectCursor { enabled: false, ..Self::new() }
-    }
-
-    /// Whether probes through this cursor use memoized positions.
-    pub fn enabled(&self) -> bool {
-        self.enabled
-    }
-
-    /// Invalidates all memos.
-    pub fn reset(&mut self) {
-        self.memos = [INVALID; MAX_RANGES * 2];
-    }
-
-    /// Counter snapshot.
-    pub fn stats(&self) -> CursorStats {
-        self.stats
-    }
-
-    /// Top-level lower bound of value `key` in `data` for memo slot `slot`,
-    /// galloping from the previous position when available.
-    pub(crate) fn seek<I: TreeIndex>(&mut self, slot: usize, data: &[I], key: usize) -> usize {
-        let seed = self.memos[slot];
-        let pos = if seed == INVALID {
-            self.stats.full_searches += 1;
-            data.partition_point(|&x| x.to_usize() < key)
-        } else {
-            self.stats.gallop_seeded += 1;
-            gallop_partition_point(
-                data,
-                seed,
-                |&x| x.to_usize() < key,
-                &mut self.stats.gallop_steps,
-            )
-        };
-        self.memos[slot] = pos;
         pos
     }
 }
@@ -342,43 +235,5 @@ mod tests {
         let p = gallop_partition_point(&data, 500_000, |&x| x < 499_999, &mut steps);
         assert_eq!(p, 499_999);
         assert!(steps <= 2, "steps = {steps}");
-    }
-
-    #[test]
-    fn disabled_cursors_report_disabled() {
-        assert!(!ProbeCursor::disabled().enabled());
-        assert!(!SelectCursor::disabled().enabled());
-        assert!(ProbeCursor::new().enabled());
-        assert!(SelectCursor::new().enabled());
-    }
-
-    #[test]
-    fn stats_merge_sums_fields() {
-        let a = CursorStats {
-            cursor_probes: 1,
-            stateless_probes: 2,
-            gallop_seeded: 3,
-            gallop_steps: 4,
-            full_searches: 5,
-            level_resets: 6,
-        };
-        let mut b = a;
-        b.merge_from(&a);
-        assert_eq!(b.cursor_probes, 2);
-        assert_eq!(b.level_resets, 12);
-    }
-
-    #[test]
-    fn select_cursor_seek_matches_partition_point() {
-        let mut rng = StdRng::seed_from_u64(9);
-        let mut data: Vec<u32> = (0..500).map(|_| rng.gen_range(0..400)).collect();
-        data.sort_unstable();
-        let mut cur = SelectCursor::new();
-        for _ in 0..200 {
-            let key = rng.gen_range(0..420usize);
-            let slot = rng.gen_range(0..MAX_RANGES * 2);
-            assert_eq!(cur.seek(slot, &data, key), data.partition_point(|&x| (x as usize) < key));
-        }
-        assert!(cur.stats.gallop_seeded > 0);
     }
 }

@@ -22,7 +22,7 @@
 //!
 //! * [`MstForest::count_below`] — counts sum across runs (each run clamps
 //!   the query ranges to its own position span and delegates to its tree's
-//!   block/cursor kernels);
+//!   `count_below`);
 //! * [`MstForest::select`] — a cross-run rank search over the shared value
 //!   domain: bisect for the smallest value `v` whose cumulative
 //!   `count_leq(v)` across all runs exceeds the requested rank.
@@ -34,7 +34,6 @@
 //! back to a full rebuild for those, which the window layer's append engine
 //! does automatically.
 
-use crate::cursor::ProbeCursor;
 use crate::mst::MergeSortTree;
 use crate::params::MstParams;
 use crate::range_set::RangeSet;
@@ -196,45 +195,6 @@ impl MstForest {
         self.count_below(ranges, t + 1)
     }
 
-    /// Cursor-seeded [`Self::count_below`]: one [`ProbeCursor`] per run, so
-    /// batches of probes advancing monotonically (the append engine's
-    /// freshly-appended suffix) amortize the per-level binary searches
-    /// exactly as the single-tree cursors do.
-    pub fn count_below_with(&self, ranges: &RangeSet, t: u64, cur: &mut ForestCursor) -> usize {
-        cur.ensure(self.runs.len());
-        let mut total = 0usize;
-        for (ri, run) in self.runs.iter().enumerate() {
-            if t <= run.min_val {
-                continue;
-            }
-            let end = run.start + run.tree.len();
-            if t > run.max_val {
-                for (a, b) in ranges.iter() {
-                    let (la, lb) = (a.max(run.start), b.min(end));
-                    total += lb.saturating_sub(la);
-                }
-                continue;
-            }
-            let mut clamped = RangeSet::empty();
-            for (a, b) in ranges.iter() {
-                let (la, lb) = (a.max(run.start), b.min(end));
-                if la < lb {
-                    clamped.push(la - run.start, lb - run.start);
-                }
-            }
-            if !clamped.is_empty() {
-                total += run.tree.count_below_multi_with_cursor(&clamped, t, &mut cur.cursors[ri]);
-            }
-        }
-        total
-    }
-
-    /// Cursor-seeded [`Self::count_leq`].
-    pub fn count_leq_with(&self, ranges: &RangeSet, t: u64, cur: &mut ForestCursor) -> usize {
-        debug_assert!(t < u64::MAX);
-        self.count_below_with(ranges, t + 1, cur)
-    }
-
     /// The `j`-th smallest value (0-based) among the positions in `ranges`,
     /// or `None` when fewer than `j + 1` positions exist. Cross-run rank
     /// search: bisect the value domain for the smallest `v` with
@@ -280,27 +240,6 @@ impl MstForest {
             }
         }
         Some(lo)
-    }
-}
-
-/// Per-run probe cursors for batched monotone probes over a forest. Resized
-/// (and reset) automatically whenever the run structure changed since the
-/// cursor was last used.
-#[derive(Default)]
-pub struct ForestCursor {
-    cursors: Vec<ProbeCursor>,
-}
-
-impl ForestCursor {
-    /// A cursor bundle with no per-run state yet.
-    pub fn new() -> Self {
-        ForestCursor::default()
-    }
-
-    fn ensure(&mut self, runs: usize) {
-        if self.cursors.len() != runs {
-            self.cursors = (0..runs).map(|_| ProbeCursor::new()).collect();
-        }
     }
 }
 
@@ -373,10 +312,8 @@ mod tests {
                 }
                 lo = b + 1;
             }
-            let mut cur = ForestCursor::new();
             for t in 0..31u64 {
                 assert_eq!(f.count_below(&ranges, t), brute_count_below(&vals, &ranges, t));
-                assert_eq!(f.count_below_with(&ranges, t, &mut cur), f.count_below(&ranges, t));
                 assert_eq!(f.count_leq(&ranges, t), brute_count_below(&vals, &ranges, t + 1));
             }
             for j in 0..f.positions(&ranges) + 2 {

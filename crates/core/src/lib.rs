@@ -49,7 +49,6 @@ pub mod arena;
 pub mod codes;
 pub mod cursor;
 pub mod index;
-pub mod layout_baseline;
 pub mod leveled;
 pub mod loser_tree;
 pub mod merge;
@@ -64,9 +63,9 @@ pub use aggregate::{AvgF64, CountAgg, DistinctAggregate, MaxI64, MinI64, SumF64,
 pub use annotated::AnnotatedMst;
 pub use arena::SpillableArena;
 pub use codes::{dense_codes, DenseCodes};
-pub use cursor::{CursorStats, ProbeCursor, SelectCursor};
+pub use cursor::{CursorStats, ProbeCursor};
 pub use index::TreeIndex;
-pub use leveled::{ForestCursor, MstForest};
+pub use leveled::MstForest;
 pub use mst::{
     mst_arena_len, mst_spill_build_len, BlockScratch, BlockStats, MergeSortTree, MstShell,
 };

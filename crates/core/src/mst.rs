@@ -12,7 +12,7 @@
 //! singleton children.
 
 use crate::arena::{prefetch_read, Span, SpillableArena};
-use crate::cursor::{gallop_partition_point, ProbeCursor, SelectCursor, Side};
+use crate::cursor::{gallop_partition_point, ProbeCursor, Side};
 use crate::index::TreeIndex;
 use crate::merge::{merge_run, Keyed, RunChildren};
 use crate::params::MstParams;
@@ -511,35 +511,6 @@ impl<I: TreeIndex> MergeSortTree<I> {
         ranges.iter().map(|(a, b)| self.count_below(a, b, t)).sum()
     }
 
-    /// Cursor-seeded [`Self::count_below`]: bit-identical result, amortized
-    /// O(1) per level when `(a, b, t)` advance monotonically across calls.
-    pub fn count_below_with_cursor(
-        &self,
-        a: usize,
-        b: usize,
-        t: I,
-        cur: &mut ProbeCursor,
-    ) -> usize {
-        let mut total = 0usize;
-        self.decompose_below_cursor(a, b, t, 0, cur, |_, _, pos| total += pos);
-        total
-    }
-
-    /// Cursor-seeded [`Self::count_below_multi`]; each frame piece keeps its
-    /// own memo slot so exclusion holes don't destroy locality.
-    pub fn count_below_multi_with_cursor(
-        &self,
-        ranges: &RangeSet,
-        t: I,
-        cur: &mut ProbeCursor,
-    ) -> usize {
-        let mut total = 0usize;
-        for (ri, (a, b)) in ranges.iter().enumerate() {
-            self.decompose_below_cursor(a, b, t, ri, cur, |_, _, pos| total += pos);
-        }
-        total
-    }
-
     /// Decomposes the position range `[a, b)` into covering runs, invoking
     /// `visit(level, run_start, pos_of_t_in_run)` for every run that is fully
     /// contained in the query range. The visited `pos` values are the per-run
@@ -638,8 +609,7 @@ impl<I: TreeIndex> MergeSortTree<I> {
 
     /// Cursor-seeded [`Self::decompose_below`]: same decomposition, same
     /// visit order, same `pos` values — only the per-level searches are
-    /// seeded from `cur`'s memos for slot `slot` instead of running from
-    /// scratch. A disabled cursor delegates to the stateless path.
+    /// seeded from `cur`'s memos instead of running from scratch.
     ///
     /// Visit order is preserved exactly (deepest-left first, each level's
     /// trailing siblings ascending, middles ascending, right path top-down),
@@ -650,15 +620,9 @@ impl<I: TreeIndex> MergeSortTree<I> {
         a: usize,
         b: usize,
         t: I,
-        slot: usize,
         cur: &mut ProbeCursor,
         mut visit: impl FnMut(usize, usize, usize),
     ) {
-        if !cur.enabled() {
-            cur.stats.stateless_probes += 1;
-            self.decompose_below(a, b, t, visit);
-            return;
-        }
         let b = b.min(self.n);
         if a >= b {
             return;
@@ -691,7 +655,7 @@ impl<I: TreeIndex> MergeSortTree<I> {
             let ca = (a - rs) / child_len;
             let cb = (b - 1 - rs) / child_len;
             if ca == cb {
-                pos = self.child_pos(level, run, pos, ca, t, slot, Side::Left, cur);
+                pos = self.child_pos(level, run, pos, ca, t, Side::Left, cur);
                 run = rs / child_len + ca;
                 level -= 1;
                 continue;
@@ -699,14 +663,13 @@ impl<I: TreeIndex> MergeSortTree<I> {
             // The paths split: descend the left boundary, emit fully-covered
             // middle children, then descend the right boundary.
             self.warm_children(level, run, pos, ca + 1, cb, &mut warm);
-            let ca_pos = self.child_pos(level, run, pos, ca, t, slot, Side::Left, cur);
+            let ca_pos = self.child_pos(level, run, pos, ca, t, Side::Left, cur);
             self.left_descend(
                 level - 1,
                 rs / child_len + ca,
                 a,
                 t,
                 ca_pos,
-                slot,
                 cur,
                 &mut warm,
                 &mut visit,
@@ -714,14 +677,13 @@ impl<I: TreeIndex> MergeSortTree<I> {
             for c in ca + 1..cb {
                 visit(level - 1, rs + c * child_len, self.cascade(level, run, pos, c, t));
             }
-            let cb_pos = self.child_pos(level, run, pos, cb, t, slot, Side::Right, cur);
+            let cb_pos = self.child_pos(level, run, pos, cb, t, Side::Right, cur);
             self.right_descend(
                 level - 1,
                 rs / child_len + cb,
                 b,
                 t,
                 cb_pos,
-                slot,
                 cur,
                 &mut warm,
                 &mut visit,
@@ -743,14 +705,13 @@ impl<I: TreeIndex> MergeSortTree<I> {
         pos: usize,
         c: usize,
         t: I,
-        slot: usize,
         side: Side,
         cur: &mut ProbeCursor,
     ) -> usize {
         let lvl = &self.levels[level];
         let child = &self.levels[level - 1];
         let child_run = run * (lvl.run_len / child.run_len) + c;
-        let idx = cur.memo_index(slot, side, level - 1);
+        let idx = cur.memo_index(side, level - 1);
         let m = cur.memo(idx);
         let new_pos = if m.run == child_run {
             let (cs, ce) = child.run_bounds(child_run, self.n);
@@ -780,7 +741,6 @@ impl<I: TreeIndex> MergeSortTree<I> {
         a: usize,
         t: I,
         pos: usize,
-        slot: usize,
         cur: &mut ProbeCursor,
         warm: &mut usize,
         visit: &mut impl FnMut(usize, usize, usize),
@@ -801,8 +761,8 @@ impl<I: TreeIndex> MergeSortTree<I> {
         let ca = (a - rs) / child_len;
         let ratio = lvl.run_len / child_len;
         self.warm_children(level, run, pos, ca + 1, self.params.fanout.min(ratio), warm);
-        let ca_pos = self.child_pos(level, run, pos, ca, t, slot, Side::Left, cur);
-        self.left_descend(level - 1, rs / child_len + ca, a, t, ca_pos, slot, cur, warm, visit);
+        let ca_pos = self.child_pos(level, run, pos, ca, t, Side::Left, cur);
+        self.left_descend(level - 1, rs / child_len + ca, a, t, ca_pos, cur, warm, visit);
         for c in ca + 1..self.params.fanout.min(ratio) {
             let cs = rs + c * child_len;
             if cs >= re {
@@ -823,7 +783,6 @@ impl<I: TreeIndex> MergeSortTree<I> {
         b: usize,
         t: I,
         pos: usize,
-        slot: usize,
         cur: &mut ProbeCursor,
         warm: &mut usize,
         visit: &mut impl FnMut(usize, usize, usize),
@@ -846,8 +805,8 @@ impl<I: TreeIndex> MergeSortTree<I> {
         for c in 0..cb {
             visit(level - 1, rs + c * child_len, self.cascade(level, run, pos, c, t));
         }
-        let cb_pos = self.child_pos(level, run, pos, cb, t, slot, Side::Right, cur);
-        self.right_descend(level - 1, rs / child_len + cb, b, t, cb_pos, slot, cur, warm, visit);
+        let cb_pos = self.child_pos(level, run, pos, cb, t, Side::Right, cur);
+        self.right_descend(level - 1, rs / child_len + cb, b, t, cb_pos, cur, warm, visit);
     }
 
     /// Finds the level-0 position of the `j`-th element (0-based) whose
@@ -890,43 +849,6 @@ impl<I: TreeIndex> MergeSortTree<I> {
                 top_data.partition_point(|&x| x.to_usize() < hi),
             );
         }
-        self.select_descend(ranges, j, bounds)
-    }
-
-    /// Cursor-seeded [`Self::select`]: the two top-level value-bound searches
-    /// per frame piece gallop from the previous probe's positions (the
-    /// descent below the top level is already O(1) per level via sampled
-    /// cascading). Bit-identical to the stateless path on every input.
-    pub fn select_with_cursor(
-        &self,
-        ranges: &RangeSet,
-        j: usize,
-        cur: &mut SelectCursor,
-    ) -> Option<usize> {
-        if !cur.enabled() {
-            cur.stats.stateless_probes += 1;
-            return self.select(ranges, j);
-        }
-        if self.n == 0 {
-            return None;
-        }
-        cur.stats.cursor_probes += 1;
-        let top = self.levels.len() - 1;
-        let top_data = self.keys(top);
-        let mut bounds = [(0usize, 0usize); MAX_RANGES];
-        for (ri, (lo, hi)) in ranges.iter().enumerate() {
-            bounds[ri] = (cur.seek(2 * ri, top_data, lo), cur.seek(2 * ri + 1, top_data, hi));
-        }
-        self.select_descend(ranges, j, bounds)
-    }
-
-    /// Shared select descent from resolved top-level bounds.
-    fn select_descend(
-        &self,
-        ranges: &RangeSet,
-        j: usize,
-        mut bounds: [(usize, usize); MAX_RANGES],
-    ) -> Option<usize> {
         let nr = ranges.len();
         let total: usize = bounds[..nr].iter().map(|&(l, h)| h - l).sum();
         if j >= total {
@@ -2099,103 +2021,34 @@ mod tests {
     }
 
     #[test]
-    fn cursor_count_below_matches_stateless_on_random_probes() {
-        let mut rng = StdRng::seed_from_u64(49);
-        for &(f, k) in &[(2, 1), (4, 2), (8, 32), (32, 32), (5, 7)] {
-            let n = rng.gen_range(1..400);
-            let vals: Vec<u32> = (0..n).map(|_| rng.gen_range(0..80)).collect();
-            let tree = MergeSortTree::<u32>::build(&vals, MstParams::new(f, k));
-            let mut cur = ProbeCursor::new();
-            // Monotonic sweep, then fully random jumps — identical either way.
-            let mut a = 0usize;
-            let mut b = 0usize;
-            for i in 0..n as usize {
-                a = a.max(i.saturating_sub(7));
-                b = (b.max(i + 1)).min(n as usize);
-                let t = rng.gen_range(0..85);
-                assert_eq!(
-                    tree.count_below_with_cursor(a, b, t, &mut cur),
-                    tree.count_below(a, b, t)
-                );
-            }
-            for _ in 0..120 {
-                let a = rng.gen_range(0..=n as usize);
-                let b = rng.gen_range(0..=n as usize + 2);
-                let t = rng.gen_range(0..85);
-                assert_eq!(
-                    tree.count_below_with_cursor(a, b, t, &mut cur),
-                    tree.count_below(a, b, t)
-                );
-            }
-            assert!(cur.stats.cursor_probes > 0);
-        }
-    }
-
-    #[test]
-    fn cursor_multi_and_select_match_stateless() {
-        let mut rng = StdRng::seed_from_u64(50);
-        let n = 300usize;
-        let mut perm: Vec<u32> = (0..n as u32).collect();
-        for i in (1..n).rev() {
-            perm.swap(i, rng.gen_range(0..=i));
-        }
-        let tree = MergeSortTree::<u32>::build(&perm, MstParams::new(8, 8));
-        let mut pc = ProbeCursor::new();
-        let mut sc = SelectCursor::new();
-        for i in 0..n {
-            // Frame with an exclusion hole around i.
-            let lo = i.saturating_sub(20);
-            let hi = (i + 20).min(n);
-            let rs = RangeSet::frame_minus_holes(lo, hi, &[(i, (i + 1).min(hi))]);
-            let t = rng.gen_range(0..n as u32 + 2);
-            assert_eq!(
-                tree.count_below_multi_with_cursor(&rs, t, &mut pc),
-                tree.count_below_multi(&rs, t)
-            );
-            let j = rng.gen_range(0..25);
-            assert_eq!(tree.select_with_cursor(&rs, j, &mut sc), tree.select(&rs, j));
-        }
-        assert!(pc.stats.gallop_seeded > 0);
-        assert!(sc.stats.gallop_seeded > 0);
-    }
-
-    #[test]
-    fn disabled_cursor_delegates_and_counts() {
-        let vals: Vec<u32> = (0..64).collect();
-        let tree = MergeSortTree::<u32>::build(&vals, MstParams::default());
-        let mut pc = ProbeCursor::disabled();
-        let mut sc = SelectCursor::disabled();
-        assert_eq!(tree.count_below_with_cursor(3, 40, 20, &mut pc), tree.count_below(3, 40, 20));
-        let rs = RangeSet::single(5, 30);
-        assert_eq!(tree.select_with_cursor(&rs, 4, &mut sc), tree.select(&rs, 4));
-        assert_eq!(pc.stats.stateless_probes, 1);
-        assert_eq!(pc.stats.cursor_probes, 0);
-        assert_eq!(sc.stats.stateless_probes, 1);
-        assert_eq!(sc.stats.gallop_seeded, 0);
-    }
-
-    #[test]
     fn cursor_visit_order_matches_stateless() {
         // Order-sensitive downstream combines (float aggregates) require the
-        // cursor descent to emit the exact visit sequence of the recursion.
+        // cursor descent to emit the exact visit sequence of the recursion;
+        // equal sequences also mean equal counts (the sum of the positions).
         let mut rng = StdRng::seed_from_u64(51);
-        for &(f, k) in &[(2, 1), (3, 2), (8, 8), (32, 32)] {
-            let n = 257usize;
+        for &(f, k) in &[(2, 1), (3, 2), (4, 2), (8, 8), (8, 32), (32, 32), (5, 7)] {
+            let n = rng.gen_range(1..400usize);
             let vals: Vec<u32> = (0..n).map(|_| rng.gen_range(0..64)).collect();
             let tree = MergeSortTree::<u32>::build(&vals, MstParams::new(f, k));
             let mut cur = ProbeCursor::new();
-            for _ in 0..200 {
-                let a = rng.gen_range(0..=n);
-                let b = rng.gen_range(0..=n);
-                let t = rng.gen_range(0..70);
+            let mut check = |a: usize, b: usize, t: u32| {
                 let mut stateless = Vec::new();
                 tree.decompose_below(a, b, t, |l, s, p| stateless.push((l, s, p)));
                 let mut cursored = Vec::new();
-                tree.decompose_below_cursor(a, b, t, 0, &mut cur, |l, s, p| {
-                    cursored.push((l, s, p))
-                });
+                tree.decompose_below_cursor(a, b, t, &mut cur, |l, s, p| cursored.push((l, s, p)));
                 assert_eq!(cursored, stateless, "f={f} k={k} a={a} b={b} t={t}");
+            };
+            // A monotonic sweep (the galloping case), then random jumps.
+            let (mut a, mut b) = (0usize, 0usize);
+            for i in 0..n {
+                a = a.max(i.saturating_sub(7));
+                b = b.max(i + 1).min(n);
+                check(a, b, rng.gen_range(0..70));
             }
+            for _ in 0..200 {
+                check(rng.gen_range(0..=n), rng.gen_range(0..=n + 2), rng.gen_range(0..70));
+            }
+            assert!(cur.stats.cursor_probes > 0 && cur.stats.gallop_seeded > 0);
         }
     }
 

@@ -2,7 +2,7 @@
 //! iterate much faster than the full bench binary. Run with
 //! `cargo test --release -p holistic-core --test microbench_block -- --ignored --nocapture`.
 
-use holistic_core::{BlockScratch, MergeSortTree, MstParams, ProbeCursor, RangeSet, SelectCursor};
+use holistic_core::{BlockScratch, MergeSortTree, MstParams, RangeSet};
 use std::time::Instant;
 
 fn splitmix(x: &mut u64) -> u64 {
@@ -68,10 +68,9 @@ fn block_vs_scalar_timing() {
         frames.iter().map(|&(a, b)| (a, b, ((a + b) / 2) as u32)).collect();
     let (scalar_sum, scalar_cnt, block_sum, block_cnt) = best2(
         &mut || {
-            let mut cur = ProbeCursor::new();
             let mut sum = 0usize;
             for &(a, b, t) in &cqs {
-                sum += tree.count_below_multi_with_cursor(&RangeSet::single(a, b), t, &mut cur);
+                sum += tree.count_below_multi(&RangeSet::single(a, b), t);
             }
             sum
         },
@@ -93,10 +92,9 @@ fn block_vs_scalar_timing() {
         frames.iter().map(|&(a, b)| (RangeSet::single(a, b), (b - a) / 2)).collect();
     let (scalar_sel, scalar_sel_t, block_sel, block_sel_t) = best2(
         &mut || {
-            let mut cur = SelectCursor::new();
             let mut acc = 0usize;
             for (rs, j) in &sqs {
-                acc ^= tree.select_with_cursor(rs, *j, &mut cur).unwrap_or(0);
+                acc ^= tree.select(rs, *j).unwrap_or(0);
             }
             acc
         },

@@ -1,12 +1,9 @@
-//! Property-based tests: cursor-seeded probes are bit-identical to the
-//! stateless probe primitives over arbitrary frame sequences — monotonic,
-//! non-monotonic, multi-piece (exclusion holes), u32 and u64 trees.
+//! Property-based tests: the cursor-seeded annotated-tree probe is
+//! bit-identical to the stateless recursion over arbitrary frame sequences —
+//! monotonic and non-monotonic, u32 and u64 trees.
 
-use holistic_core::aggregate::{AvgF64, DistinctAggregate, SumI64};
-use holistic_core::{
-    prev_idcs_by_key, AnnotatedMst, MergeSortTree, MstParams, ProbeCursor, RangeSet, SelectCursor,
-    TreeIndex,
-};
+use holistic_core::aggregate::{AvgF64, CountAgg, DistinctAggregate, SumI64};
+use holistic_core::{prev_idcs_by_key, AnnotatedMst, MstParams, ProbeCursor, TreeIndex};
 use proptest::prelude::*;
 
 fn params_strategy() -> impl Strategy<Value = MstParams> {
@@ -20,7 +17,7 @@ fn params_strategy() -> impl Strategy<Value = MstParams> {
     })
 }
 
-/// A probe sequence: raw (possibly reversed / jumping) frame triples. The
+/// A probe sequence: raw (possibly jumping) `(a, b, t)` frame triples. The
 /// `monotonic` flag turns the same triples into a sorted sweep, so both probe
 /// orders run against identical trees.
 #[derive(Debug, Clone)]
@@ -44,132 +41,56 @@ fn frame_seq(n_hint: usize, monotonic: bool) -> impl Strategy<Value = FrameSeq> 
     )
 }
 
-fn check_counts<I: TreeIndex>(tree: &MergeSortTree<I>, seq: &FrameSeq) {
+/// One cursor walks `seq` over a tree of aggregate `A`; every probe must
+/// return the stateless state (compared through `bits`, so float states are
+/// compared exactly) and the stateless `counted`.
+fn check_aggregate<I, A, B>(
+    prev: &[usize],
+    payloads: &[A::Payload],
+    params: MstParams,
+    seq: &FrameSeq,
+    bits: impl Fn(A::State) -> B,
+) where
+    I: TreeIndex,
+    A: DistinctAggregate,
+    B: PartialEq + std::fmt::Debug,
+{
+    let prev: Vec<I> = prev.iter().map(|&p| I::from_usize(p)).collect();
+    let tree = AnnotatedMst::<I, A>::build(&prev, payloads, params);
     let mut cur = ProbeCursor::new();
     for &(a, b, t) in &seq.frames {
         let t = I::from_usize(t);
-        prop_assert_eq!(tree.count_below_with_cursor(a, b, t, &mut cur), tree.count_below(a, b, t));
+        let (s0, c0) = tree.aggregate_below(a, b, t);
+        let (s1, c1) = tree.aggregate_below_with_cursor(a, b, t, &mut cur);
+        prop_assert_eq!(bits(s0), bits(s1));
+        prop_assert_eq!(c0, c1);
     }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// count_below through a cursor equals the stateless count on u32 and u64
-    /// trees, for monotonic and arbitrary probe orders.
+    /// `aggregate_below_with_cursor` ≡ `aggregate_below` — state bit-equal
+    /// (floating-point `AvgF64` included: combine-order preservation) and
+    /// `counted` equal; with `CountAgg` the state *is* `count_below`.
+    /// Thresholds are arbitrary, not only the `a + 1` of distinct probes.
     #[test]
-    fn cursor_count_below_bit_identical(
-        vals in prop::collection::vec(0u32..64, 0..220),
+    fn cursor_aggregate_bit_identical(
+        keys in prop::collection::vec(-8i64..8, 0..220),
         params in params_strategy(),
         seq in frame_seq(230, false),
         monotonic_seq in frame_seq(230, true),
     ) {
-        let t32 = MergeSortTree::<u32>::build(&vals, params);
-        let vals64: Vec<u64> = vals.iter().map(|&v| v as u64).collect();
-        let t64 = MergeSortTree::<u64>::build(&vals64, params);
-        check_counts(&t32, &seq);
-        check_counts(&t32, &monotonic_seq);
-        check_counts(&t64, &seq);
-        check_counts(&t64, &monotonic_seq);
-    }
-
-    /// Multi-piece frames (exclusion holes) through one cursor equal the
-    /// stateless multi count; the hole walks with the frame.
-    #[test]
-    fn cursor_count_multi_bit_identical(
-        vals in prop::collection::vec(0u32..48, 0..200),
-        params in params_strategy(),
-        seq in frame_seq(210, false),
-        hole_len in 0usize..4,
-    ) {
-        let tree = MergeSortTree::<u32>::build(&vals, params);
-        let mut cur = ProbeCursor::new();
-        for &(a, b, t) in &seq.frames {
-            let mid = a + (b - a) / 2;
-            let rs = RangeSet::frame_minus_holes(a, b, &[(mid, mid + hole_len)]);
-            let t = t as u32;
-            prop_assert_eq!(
-                tree.count_below_multi_with_cursor(&rs, t, &mut cur),
-                tree.count_below_multi(&rs, t)
-            );
+        let prev = prev_idcs_by_key(&keys, false);
+        let floats: Vec<f64> = keys.iter().map(|&k| k as f64 / 3.0).collect();
+        let avg_bits = |s| AvgF64::finish(s).map(f64::to_bits);
+        for seq in [&seq, &monotonic_seq] {
+            check_aggregate::<u32, CountAgg, _>(&prev, &keys, params, seq, CountAgg::finish);
+            check_aggregate::<u64, CountAgg, _>(&prev, &keys, params, seq, CountAgg::finish);
+            check_aggregate::<u32, SumI64, _>(&prev, &keys, params, seq, SumI64::finish);
+            check_aggregate::<u64, SumI64, _>(&prev, &keys, params, seq, SumI64::finish);
+            check_aggregate::<u32, AvgF64, _>(&prev, &floats, params, seq, avg_bits);
+            check_aggregate::<u64, AvgF64, _>(&prev, &floats, params, seq, avg_bits);
         }
-    }
-
-    /// select through a cursor equals stateless select on multi-piece value
-    /// ranges, for arbitrary probe orders.
-    #[test]
-    fn cursor_select_bit_identical(
-        vals in prop::collection::vec(0u32..64, 0..180),
-        params in params_strategy(),
-        seq in frame_seq(190, false),
-        j_off in 0usize..8,
-        hole_len in 0usize..3,
-    ) {
-        let tree = MergeSortTree::<u32>::build(&vals, params);
-        let mut cur = SelectCursor::new();
-        for &(lo, hi, j) in &seq.frames {
-            let mid = lo + (hi - lo) / 2;
-            let rs = RangeSet::frame_minus_holes(lo, hi, &[(mid, mid + hole_len)]);
-            let j = j.saturating_sub(j_off);
-            prop_assert_eq!(tree.select_with_cursor(&rs, j, &mut cur), tree.select(&rs, j));
-        }
-    }
-
-    /// Annotated aggregates through a cursor are bit-identical, including
-    /// floating-point states (combine-order preservation, checked via bits).
-    #[test]
-    fn cursor_aggregate_bit_identical(
-        keys in prop::collection::vec(-8i64..8, 0..160),
-        params in params_strategy(),
-        seq in frame_seq(170, false),
-        hole_len in 0usize..3,
-    ) {
-        let prev: Vec<u32> =
-            prev_idcs_by_key(&keys, false).iter().map(|&p| p as u32).collect();
-        let payloads: Vec<f64> = keys.iter().map(|&k| k as f64 / 3.0).collect();
-        let sum_tree = AnnotatedMst::<u32, SumI64>::build(&prev, &keys, params);
-        let avg_tree = AnnotatedMst::<u32, AvgF64>::build(&prev, &payloads, params);
-        let mut sum_cur = ProbeCursor::new();
-        let mut avg_cur = ProbeCursor::new();
-        for &(a, b, _) in &seq.frames {
-            let a = a.min(keys.len());
-            let b = b.min(keys.len()).max(a);
-            let t = a as u32 + 1;
-            let mid = a + (b - a) / 2;
-            let rs = RangeSet::frame_minus_holes(a, b, &[(mid, mid + hole_len)]);
-
-            let (s0, c0) = sum_tree.aggregate_below(a, b, t);
-            let (s1, c1) = sum_tree.aggregate_below_with_cursor(a, b, t, &mut sum_cur);
-            prop_assert_eq!(SumI64::finish(s0), SumI64::finish(s1));
-            prop_assert_eq!(c0, c1);
-
-            let (f0, d0) = avg_tree.aggregate_below_multi(&rs, t);
-            let (f1, d1) = avg_tree.aggregate_below_multi_with_cursor(&rs, t, &mut avg_cur);
-            prop_assert_eq!(
-                AvgF64::finish(f0).map(f64::to_bits),
-                AvgF64::finish(f1).map(f64::to_bits)
-            );
-            prop_assert_eq!(d0, d1);
-        }
-    }
-
-    /// A disabled cursor is exactly the stateless path and counts as such.
-    #[test]
-    fn disabled_cursor_is_stateless(
-        vals in prop::collection::vec(0u32..40, 0..120),
-        params in params_strategy(),
-        seq in frame_seq(130, false),
-    ) {
-        let tree = MergeSortTree::<u32>::build(&vals, params);
-        let mut cur = ProbeCursor::disabled();
-        for &(a, b, t) in &seq.frames {
-            prop_assert_eq!(
-                tree.count_below_with_cursor(a, b, t as u32, &mut cur),
-                tree.count_below(a, b, t as u32)
-            );
-        }
-        prop_assert_eq!(cur.stats.cursor_probes, 0);
-        prop_assert_eq!(cur.stats.gallop_seeded, 0);
-        prop_assert_eq!(cur.stats.stateless_probes, seq.frames.len() as u64);
     }
 }

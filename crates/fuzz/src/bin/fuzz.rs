@@ -7,8 +7,8 @@
 //! ```
 //!
 //! Default mode generates `--cases` cases from `--seed` and runs each
-//! through the differential check (naive baseline + all eight engine
-//! configurations). On the first divergence it shrinks the case, prints a
+//! through the differential check (naive baseline + every engine
+//! configuration of `diff::check_case`). On the first divergence it shrinks the case, prints a
 //! replayable report and exits non-zero. `--replay` re-runs exactly one case
 //! by its per-case seed (printed in every failure report). `--panic-sweep`
 //! runs the invalid-spec corpus instead: everything must return `Error`,
@@ -256,16 +256,20 @@ fn main() {
     } else if args.append {
         println!(
             "fuzz OK (append mode): {ran} cases, seed {:#x}, max-n {}, delta API vs \
-             from-scratch bit-identical over 8 configs ({:.1}s)",
+             from-scratch bit-identical over {} configs ({:.1}s)",
             args.seed,
             args.max_n,
+            holistic_window::ExecOptions::all_configs().len(),
             start.elapsed().as_secs_f64()
         );
     } else {
         println!(
-            "fuzz OK: {ran} cases, seed {:#x}, max-n {}, 16 exact configs + 4 forced strategies vs naive ({:.1}s)",
+            "fuzz OK: {ran} cases, seed {:#x}, max-n {}, {} exact configs + {} forced strategies \
+             vs naive ({:.1}s)",
             args.seed,
             args.max_n,
+            holistic_fuzz::diff::exact_configs().len(),
+            holistic_fuzz::diff::FORCED_ALTERNATES.len(),
             start.elapsed().as_secs_f64()
         );
     }

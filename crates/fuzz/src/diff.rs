@@ -7,9 +7,8 @@
 //!   (segment-tree pairwise vs. linear scan), so exact equality is not a
 //!   sound expectation.
 //! * **engine config vs. engine config** — bit-identical
-//!   ([`values_identical`]). Serial/parallel, cursor/stateless,
-//!   shared/private caching and adaptive-vs-forced-MST strategy choice are
-//!   pure execution strategies; any difference at all, down to the sign of
+//!   ([`values_identical`]). Serial/parallel, shared/private caching and
+//!   adaptive-vs-forced-MST strategy choice are pure execution strategies; any difference at all, down to the sign of
 //!   a zero, is a bug. Forced *alternate* strategies (naive, incremental,
 //!   ostree, segtree) compute with genuinely different arithmetic and are
 //!   held to the float-tolerant regime against the baseline instead.
@@ -169,39 +168,39 @@ pub fn check_budget_case(
     Ok(())
 }
 
-/// Checks one case: the naive baseline, all eight adaptive engine
+/// The bit-identical group of [`check_case`]: every adaptive configuration
+/// plus forced-MST, serial and parallel.
+pub fn exact_configs() -> Vec<ExecOptions> {
+    let mut exact = ExecOptions::all_configs().to_vec();
+    exact.push(ExecOptions::serial().force_strategy(Strategy::Mst));
+    exact.push(ExecOptions::default().force_strategy(Strategy::Mst));
+    exact
+}
+
+/// The forced strategies [`check_case`] holds to the float-tolerant regime.
+pub const FORCED_ALTERNATES: [Strategy; 4] =
+    [Strategy::Naive, Strategy::Incremental, Strategy::OsTree, Strategy::SegTree];
+
+/// Checks one case: the naive baseline, all four adaptive engine
 /// configurations, forced-MST, and every forced alternate strategy must
 /// agree (per the module-level comparison regimes). `Ok(())` means full
 /// agreement; `Err` carries the first divergence found.
 ///
 /// Comparison groups:
 ///
-/// * the eight adaptive configs, forced-MST (serial and parallel), and the
-///   interpreted-expression / unbatched-probe escape hatches form the
-///   **bit-identical** group — the adaptive chooser is a pure function
+/// * the four adaptive configs and forced-MST (serial and parallel) form
+///   the **bit-identical** group ([`exact_configs`]) — the adaptive chooser is a pure function
 ///   of the resolved frames, so per-partition strategy choices cannot vary
 ///   across configs, and the direct/alternate evaluators replicate the MST
 ///   artifact recipes exactly;
-/// * each remaining forced strategy (naive, incremental, ostree, segtree)
-///   is compared **float-tolerantly** against the naive baseline — these
+/// * each remaining forced strategy ([`FORCED_ALTERNATES`]) is compared **float-tolerantly** against the naive baseline — these
 ///   paths derive aggregates with genuinely different arithmetic (e.g. a
 ///   sliding order-statistic tree vs. a per-row scan) — and its `Err`-ness
 ///   must match the baseline's.
 pub fn check_case(table: &Table, query: &WindowQuery) -> Result<(), Divergence> {
     let naive_res = run_protected("naive", || naive::execute(query, table))?;
     let mut reference: Option<(String, Table)> = None;
-    let mut exact: Vec<ExecOptions> = ExecOptions::all_configs().to_vec();
-    exact.push(ExecOptions::serial().force_strategy(Strategy::Mst));
-    exact.push(ExecOptions::default().force_strategy(Strategy::Mst));
-    // Escape hatches: the interpreter and the scalar (cursor-seeded) probe
-    // path must stay bit-identical to the compiled VM and the block kernels.
-    exact.push(ExecOptions::serial().interpreted_exprs());
-    exact.push(ExecOptions::default().interpreted_exprs());
-    exact.push(ExecOptions::serial().unbatched_probes());
-    exact.push(ExecOptions::default().unbatched_probes());
-    exact.push(ExecOptions::serial().interpreted_exprs().unbatched_probes());
-    exact.push(ExecOptions::serial().force_strategy(Strategy::Mst).unbatched_probes());
-    for opts in exact {
+    for opts in exact_configs() {
         let label = opts.label();
         let engine_res = run_protected(&label, || query.execute_with(table, opts))?;
         match (&naive_res, engine_res) {
@@ -233,7 +232,7 @@ pub fn check_case(table: &Table, query: &WindowQuery) -> Result<(), Divergence> 
     }
     // Forced alternates: strategies a call can't support fall back to the
     // MST per call, so every case exercises each forced path end to end.
-    for s in [Strategy::Naive, Strategy::Incremental, Strategy::OsTree, Strategy::SegTree] {
+    for s in FORCED_ALTERNATES {
         let opts = ExecOptions::serial().force_strategy(s);
         let label = opts.label();
         let engine_res = run_protected(&label, || query.execute_with(table, opts))?;

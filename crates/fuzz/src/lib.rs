@@ -3,16 +3,15 @@
 //! The merge sort tree engine has a large behavioral surface — six evaluator
 //! families × three frame modes × constant and per-row bounds × four
 //! exclusions × FILTER × IGNORE NULLS × independent inner ORDER BY — times
-//! eight engine configurations (serial/parallel × cursor/stateless probes ×
-//! shared/private artifact cache). This crate closes that surface with four
-//! pieces:
+//! four engine configurations (serial/parallel × shared/private artifact
+//! cache). This crate closes that surface with four pieces:
 //!
 //! * [`gen`] — a seeded, weighted generator over the full spec space. Every
 //!   case is identified by a single `u64` seed; the same seed always
 //!   regenerates the same table and query, so every failure is replayable.
 //! * [`diff`] — the differential check: the engine must agree with the naive
 //!   per-row baseline (float-tolerant, the two sides sum in different
-//!   orders); all eight adaptive configurations plus forced-MST must agree
+//!   orders); all four adaptive configurations plus forced-MST must agree
 //!   bit-identically with each other; and every forced alternate strategy
 //!   (naive, incremental, ostree, segtree) must agree float-tolerantly with
 //!   the baseline. Panics are caught and reported as failures, never

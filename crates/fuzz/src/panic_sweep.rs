@@ -184,6 +184,16 @@ fn curated() -> Vec<(String, Expect, WindowQuery)> {
         MustErr,
         call_query(FunctionCall::new(FuncKind::PercentileDisc, vec![lit(0.5)])),
     );
+    // `d - d` is 0 on every row — a legal fraction value, so only the
+    // constant-expression rule rejects it.
+    add(
+        "percentile fraction reading a column",
+        MustErr,
+        call_query(
+            FunctionCall::new(FuncKind::PercentileDisc, vec![col("d").sub(col("d"))])
+                .order_by(vec![SortKey::asc(col("v"))]),
+        ),
+    );
     add(
         "nth_value with one argument",
         MustErr,

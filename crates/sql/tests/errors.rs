@@ -289,6 +289,17 @@ case!(
      |        ^^^^^^^^^^^^^^^^^^^^"
 );
 
+case!(
+    percentile_fraction_reads_a_column,
+    "SELECT percentile_disc(b ORDER BY a) OVER () FROM t",
+    "plan error: invalid argument: percentile_disc: fraction must be a constant expression, \
+     not a column reference\n \
+     --> line 1, column 8\n   \
+     |\n \
+     1 | SELECT percentile_disc(b ORDER BY a) OVER () FROM t\n   \
+     |        ^^^^^^^^^^^^^^^^^^^^^^^^^^^^^"
+);
+
 // ---- session ----
 
 case!(

@@ -47,7 +47,7 @@ use crate::eval::direct::DirectCtx;
 use crate::eval::{alt, direct, evaluate_call, Ctx};
 use crate::executor::{AtomicProbeKernel, ExecOptions, SpillStats, WindowQuery};
 use crate::expr::Expr;
-use crate::frame::{resolve_frames_opts, FrameBound, FrameMode, ResolvedFrames};
+use crate::frame::{resolve_frames_counted, FrameBound, FrameMode, ResolvedFrames};
 use crate::hash::hash_values;
 use crate::order::{float_from_ordinal, float_ordinal, int_ordinal, sort_permutation, KeyColumns};
 use crate::plan::{
@@ -759,14 +759,8 @@ impl IncrementalEngine {
         let mut rows = std::mem::take(&mut self.parts[pid].rows);
         sort_permutation(wk, &mut rows, self.opts.parallel);
         let mut vm_stats = ExprVmStats::default();
-        let frames = resolve_frames_opts(
-            &self.table,
-            &rows,
-            wk,
-            &self.query.spec.frame,
-            self.opts.compiled_exprs,
-            &mut vm_stats,
-        )?;
+        let frames =
+            resolve_frames_counted(&self.table, &rows, wk, &self.query.spec.frame, &mut vm_stats)?;
         self.vm.absorb(&vm_stats);
         let mut acc = StatsAcc::new();
         acc.extend(&frames, 0);
@@ -892,10 +886,7 @@ impl IncrementalEngine {
                 parallel: within,
                 params,
                 cache,
-                cursors: self.opts.probe.cursors,
                 kernel: &self.kernel,
-                block_probes: self.opts.probe.block,
-                compiled_exprs: self.opts.compiled_exprs,
                 vm: &self.vm,
             };
             for (cp, &s) in self.plan.calls.iter().zip(choices) {
@@ -933,10 +924,7 @@ impl IncrementalEngine {
                     parallel: within,
                     params,
                     cache: &call_cache,
-                    cursors: self.opts.probe.cursors,
                     kernel: &self.kernel,
-                    block_probes: self.opts.probe.block,
-                    compiled_exprs: self.opts.compiled_exprs,
                     vm: &self.vm,
                 };
                 outs.push(match s {

@@ -807,13 +807,8 @@ impl Ctx<'_> {
                 Some(f) => {
                     let bound = f.to_expr().bind(self.table)?;
                     let mut stats = crate::vm::ExprVmStats::default();
-                    let keep = crate::vm::eval_filter_rows(
-                        &bound,
-                        self.table,
-                        self.rows,
-                        self.compiled_exprs,
-                        &mut stats,
-                    )?;
+                    let keep =
+                        crate::vm::eval_filter_rows(&bound, self.table, self.rows, &mut stats)?;
                     self.vm.absorb(&stats);
                     keep
                 }

@@ -122,8 +122,7 @@ fn evaluate_impl<I: TreeIndex>(
                     if !ctx.frames.has_exclusion() {
                         return Ok(Value::Int(base as i64));
                     }
-                    // Hole-only corrections never touch the tree; they stay
-                    // scalar in both probe modes.
+                    // Hole-only corrections never touch the tree.
                     let pieces = mask.remap.range_set(&ctx.frames.range_set(i));
                     let (holes, nh) = kept_holes(ctx, &mask, i);
                     let mut correction = 0usize;
@@ -237,27 +236,23 @@ where
             let payloads: Vec<A::Payload> = prep.values.iter().map(&payload_of).collect();
             Ok(AnnotatedMst::<I, A>::build(&prev, &payloads, ctx.params))
         })?;
-    ctx.probe_with(
-        || ctx.new_probe_cursor(),
-        |cur, i| {
-            let (a, b) = ctx.frames.bounds[i];
-            let (ka, kb) = mask.remap.range(a, b);
-            let (state, counted) =
-                tree.aggregate_below_with_cursor(ka, kb, I::from_usize(ka + 1), cur);
-            if !ctx.frames.has_exclusion() {
-                return Ok(finish(state, (A::identity(), counted)));
-            }
-            let pieces = mask.remap.range_set(&ctx.frames.range_set(i));
-            let (holes, nh) = kept_holes(ctx, mask, i);
-            let mut corr = A::identity();
-            let mut removed = 0usize;
-            hole_only_values(prep, &pieces, &holes[..nh], |p| {
-                corr = A::combine(corr, A::lift(payload_of(&prep.values[p])));
-                removed += 1;
-            });
-            Ok(finish(state, (corr, counted - removed)))
-        },
-    )
+    ctx.probe_with_cursor(|cur, i| {
+        let (a, b) = ctx.frames.bounds[i];
+        let (ka, kb) = mask.remap.range(a, b);
+        let (state, counted) = tree.aggregate_below_with_cursor(ka, kb, I::from_usize(ka + 1), cur);
+        if !ctx.frames.has_exclusion() {
+            return Ok(finish(state, (A::identity(), counted)));
+        }
+        let pieces = mask.remap.range_set(&ctx.frames.range_set(i));
+        let (holes, nh) = kept_holes(ctx, mask, i);
+        let mut corr = A::identity();
+        let mut removed = 0usize;
+        hole_only_values(prep, &pieces, &holes[..nh], |p| {
+            corr = A::combine(corr, A::lift(payload_of(&prep.values[p])));
+            removed += 1;
+        });
+        Ok(finish(state, (corr, counted - removed)))
+    })
 }
 
 #[cfg(test)]

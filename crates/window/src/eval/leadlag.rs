@@ -127,74 +127,64 @@ fn evaluate_framed<I: TreeIndex>(
     let offset_expr = call.args.get(1).map(|e| e.bind(ctx.table)).transpose()?;
     let default_expr = call.args.get(2).map(|e| e.bind(ctx.table)).transpose()?;
 
-    ctx.probe_with(
-        || (ctx.new_probe_cursor(), ctx.new_select_cursor()),
-        |(count_cur, select_cur), i| {
-            let default = || -> Result<Value> {
-                Ok(match &default_expr {
-                    Some(d) => d.eval(ctx.table, ctx.rows[i])?,
-                    None => Value::Null,
-                })
-            };
-            let Some(off) = offset_for(ctx, call, &offset_expr, i)? else {
-                return Ok(Value::Null);
-            };
-            let pieces = mask.remap.range_set(&ctx.frames.range_set(i));
-            let s = pieces.count();
-            // Step 1: own row number within the frame by the inner order. For
-            // rows not in the tree (filtered/ignored) rank virtually against the
-            // kept rows, matching the rank-family convention. Kept rows probe
-            // through the count cursor; the cold dropped-row path, which
-            // interleaves thresholds, stays stateless.
-            let rn0 = if mask.remap.is_kept(i) {
-                let k = mask.remap.kept_index(i);
-                code_tree.count_below_multi_with_cursor(
-                    &pieces,
-                    I::from_usize(dc.code[k]),
-                    count_cur,
-                )
-            } else {
-                // Rows absent from the tree rank virtually: key-smaller kept rows
-                // plus equal-key kept rows at earlier positions (the positional
-                // tie-break of unique codes).
-                let row = ctx.rows[i];
-                let search = |upper: bool| {
-                    let mut lo = 0;
-                    let mut hi = dc.perm.len();
-                    while lo < hi {
-                        let mid = lo + (hi - lo) / 2;
-                        let o = keys.cmp_rows(mask.kept_rows[dc.perm[mid]], row);
-                        let go_right = o == std::cmp::Ordering::Less
-                            || (upper && o == std::cmp::Ordering::Equal);
-                        if go_right {
-                            lo = mid + 1;
-                        } else {
-                            hi = mid;
-                        }
-                    }
-                    lo
-                };
-                let (gmin, gend) = (search(false), search(true));
-                let smaller = code_tree.count_below_multi(&pieces, I::from_usize(gmin));
-                let ki = mask.remap.range(0, i).1;
-                let mut earlier = holistic_core::RangeSet::empty();
-                for (a, b) in pieces.iter() {
-                    let b2 = b.min(ki);
-                    if a < b2 {
-                        earlier.push(a, b2);
+    ctx.probe(|i| {
+        let default = || -> Result<Value> {
+            Ok(match &default_expr {
+                Some(d) => d.eval(ctx.table, ctx.rows[i])?,
+                None => Value::Null,
+            })
+        };
+        let Some(off) = offset_for(ctx, call, &offset_expr, i)? else {
+            return Ok(Value::Null);
+        };
+        let pieces = mask.remap.range_set(&ctx.frames.range_set(i));
+        let s = pieces.count();
+        // Step 1: own row number within the frame by the inner order. For
+        // rows not in the tree (filtered/ignored) rank virtually against the
+        // kept rows, matching the rank-family convention.
+        let rn0 = if mask.remap.is_kept(i) {
+            let k = mask.remap.kept_index(i);
+            code_tree.count_below_multi(&pieces, I::from_usize(dc.code[k]))
+        } else {
+            // Rows absent from the tree rank virtually: key-smaller kept rows
+            // plus equal-key kept rows at earlier positions (the positional
+            // tie-break of unique codes).
+            let row = ctx.rows[i];
+            let search = |upper: bool| {
+                let mut lo = 0;
+                let mut hi = dc.perm.len();
+                while lo < hi {
+                    let mid = lo + (hi - lo) / 2;
+                    let o = keys.cmp_rows(mask.kept_rows[dc.perm[mid]], row);
+                    let go_right =
+                        o == std::cmp::Ordering::Less || (upper && o == std::cmp::Ordering::Equal);
+                    if go_right {
+                        lo = mid + 1;
+                    } else {
+                        hi = mid;
                     }
                 }
-                let eq_before = code_tree.count_below_multi(&earlier, I::from_usize(gend))
-                    - code_tree.count_below_multi(&earlier, I::from_usize(gmin));
-                smaller + eq_before
+                lo
             };
-            // Steps 2+3: adjust and select (checked: `off` is unbounded).
-            let Some(target) = target_position(rn0, off, s) else {
-                return default();
-            };
-            let rank =
-                select_tree.select_with_cursor(&pieces, target, select_cur).expect("target < s");
-            Ok(kept_out[dc.perm[rank]].clone())
-        },
-    )
+            let (gmin, gend) = (search(false), search(true));
+            let smaller = code_tree.count_below_multi(&pieces, I::from_usize(gmin));
+            let ki = mask.remap.range(0, i).1;
+            let mut earlier = holistic_core::RangeSet::empty();
+            for (a, b) in pieces.iter() {
+                let b2 = b.min(ki);
+                if a < b2 {
+                    earlier.push(a, b2);
+                }
+            }
+            let eq_before = code_tree.count_below_multi(&earlier, I::from_usize(gend))
+                - code_tree.count_below_multi(&earlier, I::from_usize(gmin));
+            smaller + eq_before
+        };
+        // Steps 2+3: adjust and select (checked: `off` is unbounded).
+        let Some(target) = target_position(rn0, off, s) else {
+            return default();
+        };
+        let rank = select_tree.select(&pieces, target).expect("target < s");
+        Ok(kept_out[dc.perm[rank]].clone())
+    })
 }

@@ -27,10 +27,7 @@ use crate::spec::{FuncKind, FunctionCall};
 use crate::table::Table;
 use crate::value::Value;
 use crate::vm::{self, AtomicExprVm, ExprVmStats};
-use holistic_core::{
-    BlockScratch, CursorStats, MergeSortTree, MstParams, ProbeCursor, RangeSet, SelectCursor,
-    TreeIndex,
-};
+use holistic_core::{BlockScratch, MergeSortTree, MstParams, ProbeCursor, RangeSet, TreeIndex};
 
 /// Rows per block handed to the MST block kernels. Large enough to keep
 /// dozens of independent cascade searches in flight per level, small enough
@@ -51,14 +48,8 @@ pub(crate) struct Ctx<'a> {
     pub params: MstParams,
     /// The partition's preprocessing-artifact cache.
     pub cache: &'a ArtifactCache,
-    /// Seed tree probes with cursors (see `ProbeOptions`).
-    pub cursors: bool,
-    /// Route MST probes through the block kernels (see `ProbeOptions`).
-    pub block_probes: bool,
-    /// Evaluate row expressions through compiled VM programs.
-    pub compiled_exprs: bool,
-    /// Query-level probe-kernel counters; cursors flush into it when their
-    /// probe loop (or chunk) finishes.
+    /// Query-level probe-kernel counters; cursors and block scratches flush
+    /// into it when their probe loop (or chunk) finishes.
     pub kernel: &'a AtomicProbeKernel,
     /// Query-level expression-VM counters.
     pub vm: &'a AtomicExprVm,
@@ -74,41 +65,6 @@ pub(crate) enum Planned<S> {
     Done(Value),
 }
 
-/// Per-probe-loop cursor state: owns the loop's cursors and exposes their
-/// counters so [`Ctx::probe_with`] can flush them into the query-level
-/// kernel. Implemented for the cursor types, tuples of them, and `()` for
-/// loops without tree probes.
-pub(crate) trait CursorState: Send {
-    /// Accumulated counters of every cursor in this state.
-    fn stats(&self) -> CursorStats;
-}
-
-impl CursorState for () {
-    fn stats(&self) -> CursorStats {
-        CursorStats::default()
-    }
-}
-
-impl CursorState for ProbeCursor {
-    fn stats(&self) -> CursorStats {
-        self.stats
-    }
-}
-
-impl CursorState for SelectCursor {
-    fn stats(&self) -> CursorStats {
-        self.stats
-    }
-}
-
-impl CursorState for (ProbeCursor, SelectCursor) {
-    fn stats(&self) -> CursorStats {
-        let mut s = self.0.stats;
-        s.merge_from(&self.1.stats);
-        s
-    }
-}
-
 impl<'a> Ctx<'a> {
     /// Partition size.
     pub fn m(&self) -> usize {
@@ -117,92 +73,52 @@ impl<'a> Ctx<'a> {
 
     /// Evaluates an expression for every position (in window order): one
     /// compiled-program run over the whole partition, falling back to the
-    /// per-row interpreter for the canonical first error (or when compiled
-    /// evaluation is disabled).
+    /// per-row interpreter for the canonical first error.
     pub fn eval_positions(&self, expr: &crate::expr::Expr) -> Result<Vec<Value>> {
         let bound = expr.bind(self.table)?;
         let mut stats = ExprVmStats::default();
-        let out = vm::eval_rows(&bound, self.table, self.rows, self.compiled_exprs, &mut stats);
+        let out = vm::eval_rows(&bound, self.table, self.rows, &mut stats);
         self.vm.absorb(&stats);
         out
     }
 
-    /// A probe cursor honoring the query's `ProbeOptions`.
-    pub fn new_probe_cursor(&self) -> ProbeCursor {
-        if self.cursors {
-            ProbeCursor::new()
-        } else {
-            ProbeCursor::disabled()
-        }
-    }
-
-    /// A select cursor honoring the query's `ProbeOptions`.
-    pub fn new_select_cursor(&self) -> SelectCursor {
-        if self.cursors {
-            SelectCursor::new()
-        } else {
-            SelectCursor::disabled()
-        }
-    }
-
-    /// Runs `f(state, i)` for every position `i` with cursor state from
-    /// `make`. Serially, one state walks the whole partition (maximal probe
-    /// locality); in parallel, positions are split into contiguous chunks
-    /// with a fresh state per chunk, so every probe still sees monotonically
-    /// advancing bounds within its chunk. Cursor probes are bit-identical to
-    /// stateless probes, hence serial ≡ parallel output is untouched.
-    pub fn probe_with<S, M, F>(&self, make: M, f: F) -> Result<Vec<Value>>
+    /// Runs `f(cursor, i)` for every position `i`. Serially, one cursor walks
+    /// the whole partition (maximal probe locality); in parallel, positions
+    /// are split into contiguous chunks with a fresh cursor per chunk, so
+    /// every probe still sees monotonically advancing bounds within its
+    /// chunk. Cursor probes are bit-identical to the stateless recursion,
+    /// hence serial ≡ parallel output is untouched. The cursor's counters
+    /// flush into the query-level kernel when its loop (or chunk) finishes.
+    pub fn probe_with_cursor<F>(&self, f: F) -> Result<Vec<Value>>
     where
-        S: CursorState,
-        M: Fn() -> S + Send + Sync,
-        F: Fn(&mut S, usize) -> Result<Value> + Send + Sync,
+        F: Fn(&mut ProbeCursor, usize) -> Result<Value> + Send + Sync,
     {
-        use rayon::prelude::*;
-        let m = self.m();
-        if self.parallel && m >= 2048 {
-            let chunk = m.div_ceil(rayon::current_num_threads()).max(2048);
-            let mut out = vec![Value::Null; m];
-            out.par_chunks_mut(chunk)
-                .enumerate()
-                .map(|(ci, slots)| {
-                    let mut st = make();
-                    for (off, slot) in slots.iter_mut().enumerate() {
-                        *slot = f(&mut st, ci * chunk + off)?;
-                    }
-                    self.kernel.absorb(&st.stats());
-                    Ok(())
-                })
-                .collect::<Result<()>>()?;
-            Ok(out)
-        } else {
-            let mut st = make();
-            let mut out = Vec::with_capacity(m);
-            for i in 0..m {
-                out.push(f(&mut st, i)?);
+        self.run_chunked(|base, slots| {
+            let mut cur = ProbeCursor::new();
+            for (off, slot) in slots.iter_mut().enumerate() {
+                *slot = f(&mut cur, base + off)?;
             }
-            self.kernel.absorb(&st.stats());
-            Ok(out)
-        }
+            self.kernel.absorb(&cur.stats);
+            Ok(())
+        })
     }
 
     /// Runs `f` for every position, in parallel when allowed (probe loops
-    /// without per-loop cursor state).
+    /// that never touch an annotated tree leave the cursor unused).
     pub fn probe<F>(&self, f: F) -> Result<Vec<Value>>
     where
         F: Fn(usize) -> Result<Value> + Send + Sync,
     {
-        self.probe_with(|| (), |_, i| f(i))
+        self.probe_with_cursor(|_, i| f(i))
     }
 
     /// Count-probe driver: per row, `plan(i, push)` pushes `(ranges,
     /// threshold)` count queries (or resolves the row directly) and `finish(i,
     /// state, sum)` turns the summed counts into the row's value.
     ///
-    /// With block probes enabled, rows are planned [`PROBE_BLOCK`] at a time
-    /// and their flattened per-piece queries answered by one
-    /// [`MergeSortTree::count_below_block`] call; otherwise each query runs
-    /// through `count_below_multi_with_cursor` in row order — the exact
-    /// pre-existing cursor path. Both paths are bit-identical.
+    /// Rows are planned [`PROBE_BLOCK`] at a time and their flattened
+    /// per-piece queries answered by one
+    /// [`MergeSortTree::count_below_block`] call.
     pub fn probe_counts<I, S, P, F>(
         &self,
         tree: &MergeSortTree<I>,
@@ -215,22 +131,7 @@ impl<'a> Ctx<'a> {
         P: Fn(usize, &mut dyn FnMut(&RangeSet, I)) -> Result<Planned<S>> + Send + Sync,
         F: Fn(usize, S, usize) -> Result<Value> + Send + Sync,
     {
-        if !self.block_probes {
-            return self.probe_with(
-                || self.new_probe_cursor(),
-                |cur, i| {
-                    let mut sum = 0usize;
-                    let planned = plan(i, &mut |rs: &RangeSet, t: I| {
-                        sum += tree.count_below_multi_with_cursor(rs, t, cur);
-                    })?;
-                    match planned {
-                        Planned::Done(v) => Ok(v),
-                        Planned::Counted(s) => finish(i, s, sum),
-                    }
-                },
-            );
-        }
-        self.run_blocked(|base, slots| {
+        self.run_chunked(|base, slots| {
             let mut scratch = BlockScratch::new();
             let mut queries: Vec<(usize, usize, I)> = Vec::new();
             let mut counts: Vec<usize> = Vec::new();
@@ -268,8 +169,9 @@ impl<'a> Ctx<'a> {
 
     /// Select-probe driver: per row, `plan(i, push)` pushes `(ranges, j)`
     /// selection queries and `finish(i, state, results)` receives the row's
-    /// selected positions in push order. Block and cursor paths mirror
-    /// [`Self::probe_counts`].
+    /// selected positions in push order (at most two per row:
+    /// PERCENTILE_CONT's interpolation endpoints), answered in blocks by
+    /// [`MergeSortTree::select_block`] like [`Self::probe_counts`].
     pub fn probe_selects<I, S, P, F>(
         &self,
         tree: &MergeSortTree<I>,
@@ -282,26 +184,7 @@ impl<'a> Ctx<'a> {
         P: Fn(usize, &mut dyn FnMut(RangeSet, usize)) -> Result<Planned<S>> + Send + Sync,
         F: Fn(usize, S, &[Option<usize>]) -> Result<Value> + Send + Sync,
     {
-        if !self.block_probes {
-            return self.probe_with(
-                || self.new_select_cursor(),
-                |cur, i| {
-                    // Rows push at most two selections (PERCENTILE_CONT's
-                    // interpolation endpoints).
-                    let mut res = [None, None];
-                    let mut nres = 0usize;
-                    let planned = plan(i, &mut |rs: RangeSet, j: usize| {
-                        res[nres] = tree.select_with_cursor(&rs, j, cur);
-                        nres += 1;
-                    })?;
-                    match planned {
-                        Planned::Done(v) => Ok(v),
-                        Planned::Counted(s) => finish(i, s, &res[..nres]),
-                    }
-                },
-            );
-        }
-        self.run_blocked(|base, slots| {
+        self.run_chunked(|base, slots| {
             let mut scratch = BlockScratch::new();
             let mut queries: Vec<(RangeSet, usize)> = Vec::new();
             let mut results: Vec<Option<usize>> = Vec::new();
@@ -333,10 +216,10 @@ impl<'a> Ctx<'a> {
         })
     }
 
-    /// Shared chunking for the block drivers: the same parallel split as
-    /// [`Self::probe_with`] (contiguous chunks, one task per chunk), with
-    /// `body(chunk_base, chunk_slots)` filling each chunk.
-    fn run_blocked<B>(&self, body: B) -> Result<Vec<Value>>
+    /// Shared chunking of every probe driver: contiguous chunks of positions,
+    /// one task per chunk when parallel probing is allowed, one chunk
+    /// otherwise, with `body(chunk_base, chunk_slots)` filling each chunk.
+    fn run_chunked<B>(&self, body: B) -> Result<Vec<Value>>
     where
         B: Fn(usize, &mut [Value]) -> Result<()> + Send + Sync,
     {
@@ -381,11 +264,11 @@ pub(crate) fn evaluate_call(
     }
 }
 
-/// Evaluates a constant expression (row-independent arguments like the
-/// percentile fraction).
+/// Evaluates a constant expression (the percentile fraction, which
+/// `FunctionCall::validate` guarantees reads no column).
 pub(crate) fn eval_const(ctx: &Ctx<'_>, expr: &crate::expr::Expr) -> Result<Value> {
     let bound = expr.bind(ctx.table)?;
-    // Use row 0 if any; constant expressions don't read columns.
+    // Any row will do; use row 0 if there is one.
     bound.eval(ctx.table, ctx.rows.first().copied().unwrap_or(0))
 }
 

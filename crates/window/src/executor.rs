@@ -15,7 +15,7 @@ use crate::column::ColumnScatter;
 use crate::error::Result;
 use crate::eval::direct::DirectCtx;
 use crate::eval::{alt, direct, evaluate_call, Ctx};
-use crate::frame::resolve_frames_opts;
+use crate::frame::resolve_frames_counted;
 use crate::order::{sort_permutation, KeyColumns};
 use crate::partition::partition_rows;
 use crate::plan::{
@@ -46,8 +46,6 @@ pub struct ExecOptions {
     /// trees) but nothing is shared between calls. Results are identical;
     /// only the work differs. Used by benchmarks quantifying sharing.
     pub share_artifacts: bool,
-    /// Probe-kernel tuning (cursor-seeded vs. stateless tree probes).
-    pub probe: ProbeOptions,
     /// Per-(partition × call) strategy selection: cost-based adaptive choice
     /// (default) or one forced strategy. Output is bit-identical under every
     /// mode — forcing exists for benchmarks and the differential fuzzer.
@@ -55,10 +53,6 @@ pub struct ExecOptions {
     /// Cost-model constants driving [`StrategyMode::Adaptive`]. Defaults are
     /// calibrated by the `crossover_ext` benchmark.
     pub cost_model: CostModel,
-    /// Evaluate frame-bound/FILTER/argument expressions through compiled
-    /// stack-VM programs (default). The interpreter escape hatch exists for
-    /// benchmarking and differential testing; results are bit-identical.
-    pub compiled_exprs: bool,
     /// Memory budget in bytes for resident preprocessing artifacts (`None`
     /// = unbounded, the default). Under a budget, merge-sort-tree arenas
     /// spill to temp files when cold and oversized partitions build their
@@ -68,38 +62,14 @@ pub struct ExecOptions {
     pub budget: Option<u64>,
 }
 
-/// Probe-kernel tuning knobs.
-#[derive(Debug, Clone, Copy)]
-pub struct ProbeOptions {
-    /// Seed tree probes with per-`(tree, boundary)` cursors that gallop from
-    /// the previous row's positions (default). Results are bit-identical
-    /// with cursors on or off — this only trades O(log n) searches for
-    /// amortized O(1) galloping on monotonic frame sequences. The stateless
-    /// path is kept for benchmarking and as a safety valve.
-    pub cursors: bool,
-    /// Answer MST probes in blocks of rows through the level-synchronous
-    /// block kernels (default); blocked probes bypass cursors. Results are
-    /// bit-identical with blocking on or off — the scalar escape hatch is
-    /// kept for benchmarking and differential testing.
-    pub block: bool,
-}
-
-impl Default for ProbeOptions {
-    fn default() -> Self {
-        ProbeOptions { cursors: true, block: true }
-    }
-}
-
 impl Default for ExecOptions {
     fn default() -> Self {
         ExecOptions {
             parallel: true,
             params: MstParams::default(),
             share_artifacts: true,
-            probe: ProbeOptions::default(),
             strategy: StrategyMode::default(),
             cost_model: CostModel::default(),
-            compiled_exprs: true,
             budget: None,
         }
     }
@@ -111,12 +81,7 @@ impl ExecOptions {
         ExecOptions {
             parallel: false,
             params: MstParams::default().serial(),
-            share_artifacts: true,
-            probe: ProbeOptions::default(),
-            strategy: StrategyMode::default(),
-            cost_model: CostModel::default(),
-            compiled_exprs: true,
-            budget: None,
+            ..ExecOptions::default()
         }
     }
 
@@ -140,49 +105,17 @@ impl ExecOptions {
         self
     }
 
-    /// Disables cursor-seeded probes (every tree probe searches from
-    /// scratch). Used by benchmarks quantifying probe locality.
-    pub fn stateless_probes(mut self) -> Self {
-        self.probe.cursors = false;
-        self
-    }
-
-    /// Escape hatch: evaluate expressions through the recursive interpreter
-    /// instead of compiled VM programs. Bit-identical output; used by the
-    /// differential fuzzer and the `probe_batch_ext` benchmark.
-    pub fn interpreted_exprs(mut self) -> Self {
-        self.compiled_exprs = false;
-        self
-    }
-
-    /// Escape hatch: answer every MST probe row-at-a-time (cursor-seeded)
-    /// instead of through the block kernels. Bit-identical output; used by
-    /// the differential fuzzer and the `probe_batch_ext` benchmark.
-    pub fn unbatched_probes(mut self) -> Self {
-        self.probe.block = false;
-        self
-    }
-
     /// Every engine configuration the result must be invariant under:
-    /// serial/parallel × cursor/stateless probes × shared/private artifact
-    /// cache. The differential fuzzer and equivalence tests iterate this
-    /// matrix; all eight configurations must produce bit-identical output.
-    pub fn all_configs() -> [ExecOptions; 8] {
-        let mut out = [ExecOptions::default(); 8];
-        let mut i = 0;
-        for parallel in [false, true] {
-            for cursors in [true, false] {
-                for share in [true, false] {
-                    let mut o =
-                        if parallel { ExecOptions::default() } else { ExecOptions::serial() };
-                    o.probe.cursors = cursors;
-                    o.share_artifacts = share;
-                    out[i] = o;
-                    i += 1;
-                }
-            }
-        }
-        out
+    /// serial/parallel × shared/private artifact cache. The differential
+    /// fuzzer and equivalence tests iterate this matrix; all four
+    /// configurations must produce bit-identical output.
+    pub fn all_configs() -> [ExecOptions; 4] {
+        [
+            ExecOptions::serial(),
+            ExecOptions::serial().no_sharing(),
+            ExecOptions::default(),
+            ExecOptions::default().no_sharing(),
+        ]
     }
 
     /// A short human-readable label of this configuration (replay output).
@@ -196,12 +129,9 @@ impl ExecOptions {
             Some(b) => format!("/budget-{b}"),
         };
         format!(
-            "{}/{}/{}{}{}{}{}",
+            "{}/{}{}{}",
             if self.parallel { "parallel" } else { "serial" },
-            if self.probe.cursors { "cursors" } else { "stateless" },
             if self.share_artifacts { "shared" } else { "private" },
-            if self.compiled_exprs { "" } else { "/interp" },
-            if self.probe.block { "" } else { "/scalar" },
             forced,
             budget,
         )
@@ -235,14 +165,12 @@ pub struct CacheStats {
     pub modeindex_builds: u64,
 }
 
-/// Probe-kernel counters, accumulated over every cursor of one execution
-/// (serial loops and parallel probe chunks alike).
+/// Probe-kernel counters, accumulated over every cursor and block scratch
+/// of one execution (serial loops and parallel probe chunks alike).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ProbeKernelStats {
-    /// Probe primitives that ran through an enabled cursor.
+    /// Annotated-tree probes (SUM/AVG DISTINCT), all cursor-seeded.
     pub cursor_probes: u64,
-    /// Probe primitives that took the stateless path (cursors disabled).
-    pub stateless_probes: u64,
     /// Searches answered by galloping from a memoized position.
     pub gallop_seeded: u64,
     /// Total galloping steps across all seeded searches.
@@ -262,7 +190,6 @@ pub struct ProbeKernelStats {
 #[derive(Debug, Default)]
 pub(crate) struct AtomicProbeKernel {
     cursor_probes: AtomicU64,
-    stateless_probes: AtomicU64,
     gallop_seeded: AtomicU64,
     gallop_steps: AtomicU64,
     full_searches: AtomicU64,
@@ -275,7 +202,6 @@ impl AtomicProbeKernel {
     /// Folds one cursor's counters into the query-level totals.
     pub(crate) fn absorb(&self, s: &holistic_core::CursorStats) {
         self.cursor_probes.fetch_add(s.cursor_probes, Relaxed);
-        self.stateless_probes.fetch_add(s.stateless_probes, Relaxed);
         self.gallop_seeded.fetch_add(s.gallop_seeded, Relaxed);
         self.gallop_steps.fetch_add(s.gallop_steps, Relaxed);
         self.full_searches.fetch_add(s.full_searches, Relaxed);
@@ -291,7 +217,6 @@ impl AtomicProbeKernel {
     fn snapshot(&self) -> ProbeKernelStats {
         ProbeKernelStats {
             cursor_probes: self.cursor_probes.load(Relaxed),
-            stateless_probes: self.stateless_probes.load(Relaxed),
             gallop_seeded: self.gallop_seeded.load(Relaxed),
             gallop_steps: self.gallop_steps.load(Relaxed),
             full_searches: self.full_searches.load(Relaxed),
@@ -530,12 +455,11 @@ impl WindowQuery {
             sort_permutation(&window_keys, &mut rows, within);
             let resolve_start = Instant::now();
             let mut vm_stats = ExprVmStats::default();
-            let frames = resolve_frames_opts(
+            let frames = resolve_frames_counted(
                 table,
                 &rows,
                 &window_keys,
                 &self.spec.frame,
-                opts.compiled_exprs,
                 &mut vm_stats,
             )?;
             resolve_nanos.fetch_add(resolve_start.elapsed().as_nanos() as u64, Relaxed);
@@ -544,7 +468,7 @@ impl WindowQuery {
 
             // Pick a strategy per call. The choice is a pure function of
             // (mode, call class, frame stats, cost model) — none of which
-            // depend on parallelism, cursors or sharing — so every engine
+            // depend on parallelism or sharing — so every engine
             // configuration makes identical choices and stays bit-identical.
             let pstats = PartitionStats::from_frames(&frames);
             // Under a budget, surcharge the MST's cost terms by how hard
@@ -593,10 +517,7 @@ impl WindowQuery {
                     parallel: within,
                     params,
                     cache: &cache,
-                    cursors: opts.probe.cursors,
                     kernel: &kernel,
-                    block_probes: opts.probe.block,
-                    compiled_exprs: opts.compiled_exprs,
                     vm: &vm_acc,
                 };
                 // Eager prebuild only for calls the MST actually serves;
@@ -639,10 +560,7 @@ impl WindowQuery {
                         parallel: within,
                         params,
                         cache: &cache,
-                        cursors: opts.probe.cursors,
                         kernel: &kernel,
-                        block_probes: opts.probe.block,
-                        compiled_exprs: opts.compiled_exprs,
                         vm: &vm_acc,
                     };
                     outs.push(match s {

@@ -102,6 +102,16 @@ impl Expr {
         Expr::Neg(Box::new(self))
     }
 
+    /// True when the expression reads any column (i.e. is not constant).
+    pub fn references_column(&self) -> bool {
+        match self {
+            Expr::Col(_) => true,
+            Expr::Lit(_) => false,
+            Expr::Bin(_, a, b) => a.references_column() || b.references_column(),
+            Expr::Not(a) | Expr::Neg(a) => a.references_column(),
+        }
+    }
+
     /// Resolves column references against `table`.
     pub fn bind(&self, table: &Table) -> Result<BoundExpr> {
         Ok(match self {

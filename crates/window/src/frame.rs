@@ -299,14 +299,14 @@ fn offsets_from_block(block: &vm::Block, n: usize) -> Option<Vec<Offset>> {
 
 /// Batch-evaluates one bound's offset expression over the whole partition
 /// through the compiled VM. Returns `None` when the bound carries no offset
-/// expression, compilation is disabled, or any row fails evaluation or
-/// validation — callers then evaluate that bound per row, which reproduces
-/// the interpreter's canonical first error.
+/// expression, `batch` is off (see [`resolve_frames_counted`]) or any row
+/// fails evaluation or validation — callers then evaluate that bound per
+/// row, which reproduces the interpreter's canonical first error.
 fn precompute_offsets(
     b: &PreBound,
     table: &Table,
     rows: &[usize],
-    compiled: bool,
+    batch: bool,
     stats: &mut ExprVmStats,
 ) -> Option<Vec<Offset>> {
     let e = match b {
@@ -314,11 +314,7 @@ fn precompute_offsets(
         _ => return None,
     };
     let n = rows.len();
-    if n == 0 {
-        return None;
-    }
-    if !compiled {
-        stats.interpreted_rows += n as u64;
+    if n == 0 || !batch {
         return None;
     }
     let prog = vm::Program::compile(e);
@@ -351,20 +347,19 @@ pub fn resolve_frames(
     keys: &KeyColumns,
     spec: &FrameSpec,
 ) -> Result<ResolvedFrames> {
-    resolve_frames_opts(table, rows, keys, spec, true, &mut ExprVmStats::default())
+    resolve_frames_counted(table, rows, keys, spec, &mut ExprVmStats::default())
 }
 
-/// [`resolve_frames`] with engine options: when `compiled`, per-row offset
-/// expressions run through the compiled VM in whole-partition batches
-/// (interpreter-identical results; counters land in `stats`), falling back
-/// to the per-row interpreter when a bound's batch fails so errors keep the
-/// canonical row order.
-pub fn resolve_frames_opts(
+/// [`resolve_frames`] with the expression-VM counters landing in `stats`:
+/// per-row offset expressions run through the compiled VM in whole-partition
+/// batches (interpreter-identical results), falling back to the per-row
+/// interpreter when a bound's batch fails so errors keep the canonical row
+/// order.
+pub fn resolve_frames_counted(
     table: &Table,
     rows: &[usize],
     keys: &KeyColumns,
     spec: &FrameSpec,
-    compiled: bool,
     stats: &mut ExprVmStats,
 ) -> Result<ResolvedFrames> {
     let m = rows.len();
@@ -377,9 +372,8 @@ pub fn resolve_frames_opts(
     // its first row *before* touching the other bound's expression; skip
     // batching entirely so no expression is evaluated on rows the canonical
     // path never reaches.
-    let static_invalid = matches!(pstart, PreBound::UnboundedFollowing)
-        || matches!(pend, PreBound::UnboundedPreceding);
-    let batch = compiled && !static_invalid;
+    let batch = !(matches!(pstart, PreBound::UnboundedFollowing)
+        || matches!(pend, PreBound::UnboundedPreceding));
 
     match spec.mode {
         FrameMode::Rows => {

@@ -63,8 +63,8 @@ pub use append::{AppendProfile, AppendResult, IncrementalEngine};
 pub use column::Column;
 pub use error::{Error, Result};
 pub use executor::{
-    CacheStats, ExecOptions, ExecProfile, ProbeKernelStats, ProbeOptions, SpillStats,
-    StrategyProfile, WindowQuery,
+    CacheStats, ExecOptions, ExecProfile, ProbeKernelStats, SpillStats, StrategyProfile,
+    WindowQuery,
 };
 pub use expr::{col, lit, BinOp, Expr};
 pub use frame::{FrameBound, FrameExclusion, FrameMode, FrameSpec};
@@ -80,8 +80,7 @@ pub mod prelude {
     pub use crate::append::{AppendProfile, AppendResult, IncrementalEngine};
     pub use crate::column::Column;
     pub use crate::executor::{
-        CacheStats, ExecOptions, ExecProfile, ProbeKernelStats, ProbeOptions, SpillStats,
-        WindowQuery,
+        CacheStats, ExecOptions, ExecProfile, ProbeKernelStats, SpillStats, WindowQuery,
     };
     pub use crate::expr::{col, lit, Expr};
     pub use crate::frame::{FrameBound, FrameExclusion, FrameSpec};

@@ -350,6 +350,12 @@ impl FunctionCall {
             PercentileDisc | PercentileCont => {
                 expect(argc == 1, "takes the fraction")?;
                 expect(self.inner_order.len() == 1, "needs exactly one ORDER BY key")?;
+                // SQL's ordered-set direct argument: one value per call, not
+                // per row (the evaluators read it once per partition).
+                expect(
+                    !self.args[0].references_column(),
+                    "fraction must be a constant expression, not a column reference",
+                )?;
             }
             Median => expect(self.inner_order.len() == 1, "needs exactly one ORDER BY key")?,
             FirstValue | LastValue => expect(argc == 1, "takes one argument")?,

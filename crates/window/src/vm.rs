@@ -182,6 +182,18 @@ pub(crate) enum Block {
 }
 
 impl Block {
+    /// The block of `n` positions as a predicate mask: `true` exactly where
+    /// the value is truthy (`Value::is_truthy` — NULL and non-bool values
+    /// are falsy), matching the interpreter's mask rule.
+    fn truthy_mask(self, n: usize) -> Vec<bool> {
+        match self {
+            Block::Bool(d, v) => (0..n).map(|i| vld(&v, i) && d[i]).collect(),
+            Block::Const(c) => vec![c.is_truthy(); n],
+            Block::Int(..) | Block::Float(..) => vec![false; n],
+            Block::Vals(vs) => vs.iter().map(|v| v.is_truthy()).collect(),
+        }
+    }
+
     /// The value at block position `i` (not a table row index).
     pub(crate) fn value_at(&self, i: usize) -> Value {
         match self {
@@ -666,13 +678,7 @@ impl ExprVm {
     /// non-bool values are falsy), matching the interpreter's mask rule.
     pub fn run_filter_mask(&mut self, prog: &Program, table: &Table) -> Result<Vec<bool>> {
         let n = table.num_rows();
-        let block = self.run_block(prog, table, RowSel::All(n))?;
-        Ok(match block {
-            Block::Bool(d, v) => (0..n).map(|i| vld(&v, i) && d[i]).collect(),
-            Block::Const(c) => vec![c.is_truthy(); n],
-            Block::Int(..) | Block::Float(..) => vec![false; n],
-            Block::Vals(vs) => vs.iter().map(|v| v.is_truthy()).collect(),
-        })
+        Ok(self.run_block(prog, table, RowSel::All(n))?.truthy_mask(n))
     }
 }
 
@@ -683,8 +689,8 @@ pub struct ExprVmStats {
     pub programs_compiled: u64,
     /// Rows evaluated through compiled programs.
     pub vm_rows: u64,
-    /// Rows evaluated through the per-row interpreter (compilation disabled,
-    /// or a fallback after a VM error).
+    /// Rows evaluated through the per-row interpreter (the fallback after a
+    /// VM error).
     pub interpreted_rows: u64,
     /// VM runs that errored and fell back to the interpreter for the
     /// canonical per-row error.
@@ -735,63 +741,55 @@ impl AtomicExprVm {
     }
 }
 
-/// Evaluates a bound expression for an explicit row selection, through the
-/// VM when `compiled` (falling back to the interpreter on VM errors for the
-/// canonical first error) or directly through the interpreter otherwise.
-/// Central helper for `Ctx::eval_positions` and the frame resolver.
+/// Evaluates a bound expression for an explicit row selection through the
+/// VM, falling back to the per-row interpreter on a VM error so the caller
+/// sees the canonical first error. Central helper for `Ctx::eval_positions`.
 pub(crate) fn eval_rows(
     bound: &BoundExpr,
     table: &Table,
     rows: &[usize],
-    compiled: bool,
     stats: &mut ExprVmStats,
 ) -> Result<Vec<Value>> {
-    if compiled {
-        let prog = Program::compile(bound);
-        stats.programs_compiled += 1;
-        let mut vm = ExprVm::new();
-        match vm.run_values(&prog, table, rows) {
-            Ok(vals) => {
-                stats.vm_rows += rows.len() as u64;
-                return Ok(vals);
-            }
-            Err(_) => stats.vm_fallbacks += 1,
+    let prog = Program::compile(bound);
+    stats.programs_compiled += 1;
+    let mut vm = ExprVm::new();
+    match vm.run_values(&prog, table, rows) {
+        Ok(vals) => {
+            stats.vm_rows += rows.len() as u64;
+            Ok(vals)
+        }
+        Err(_) => {
+            stats.vm_fallbacks += 1;
+            stats.interpreted_rows += rows.len() as u64;
+            rows.iter().map(|&r| bound.eval(table, r)).collect()
         }
     }
-    stats.interpreted_rows += rows.len() as u64;
-    rows.iter().map(|&r| bound.eval(table, r)).collect()
 }
 
 /// Evaluates a bound predicate for an explicit row selection into a kept-row
-/// mask (`is_truthy` per row — NULL and non-bool are falsy), through the VM
-/// when `compiled`. The FILTER half of the mask artifact builds through this.
+/// mask (`is_truthy` per row — NULL and non-bool are falsy) through the VM,
+/// with the same interpreter fallback as [`eval_rows`]. The FILTER half of
+/// the mask artifact builds through this.
 pub(crate) fn eval_filter_rows(
     bound: &BoundExpr,
     table: &Table,
     rows: &[usize],
-    compiled: bool,
     stats: &mut ExprVmStats,
 ) -> Result<Vec<bool>> {
-    if compiled {
-        let prog = Program::compile(bound);
-        stats.programs_compiled += 1;
-        let mut vm = ExprVm::new();
-        match vm.run_block(&prog, table, RowSel::Rows(rows)) {
-            Ok(block) => {
-                stats.vm_rows += rows.len() as u64;
-                let n = rows.len();
-                return Ok(match block {
-                    Block::Bool(d, v) => (0..n).map(|i| vld(&v, i) && d[i]).collect(),
-                    Block::Const(c) => vec![c.is_truthy(); n],
-                    Block::Int(..) | Block::Float(..) => vec![false; n],
-                    Block::Vals(vs) => vs.iter().map(|v| v.is_truthy()).collect(),
-                });
-            }
-            Err(_) => stats.vm_fallbacks += 1,
+    let prog = Program::compile(bound);
+    stats.programs_compiled += 1;
+    let mut vm = ExprVm::new();
+    match vm.run_block(&prog, table, RowSel::Rows(rows)) {
+        Ok(block) => {
+            stats.vm_rows += rows.len() as u64;
+            Ok(block.truthy_mask(rows.len()))
+        }
+        Err(_) => {
+            stats.vm_fallbacks += 1;
+            stats.interpreted_rows += rows.len() as u64;
+            rows.iter().map(|&r| Ok(bound.eval(table, r)?.is_truthy())).collect()
         }
     }
-    stats.interpreted_rows += rows.len() as u64;
-    rows.iter().map(|&r| Ok(bound.eval(table, r)?.is_truthy())).collect()
 }
 
 #[cfg(test)]

@@ -4,6 +4,7 @@
 //! exposed the bug.
 
 use holistic_window::prelude::*;
+use holistic_window::Error;
 
 /// Found by seed 0x87ff248bd515301d: PERCENTILE_CONT over an *integer* key
 /// returned the key value itself (an Int) whenever the rank landed exactly
@@ -80,6 +81,41 @@ fn distinct_aggregates_tell_integers_beyond_2_pow_53_apart() {
                 assert_eq!(out.column("cd").unwrap().to_values(), ints(&counts), "{label}");
                 if let Some(sums) = &sums {
                     assert_eq!(out.column("sd").unwrap().to_values(), ints(sums), "{label}");
+                }
+            }
+        }
+    }
+}
+
+/// Found by reading `eval::fraction_arg` (ISSUE 14), not by a seed: the
+/// fuzzer draws literal fractions only. A fraction that read a column was
+/// evaluated once, at the partition's first row, and used for every row —
+/// `10 10 10 20 30 40` here, where per-row evaluation gives
+/// `10 20 10 40 30 60`. SQL's ordered-set direct argument is one value per
+/// call, so such a fraction is rejected, under every strategy alike.
+#[test]
+fn percentile_fraction_reading_a_column_is_rejected() {
+    let t = Table::new(vec![
+        ("d", Column::ints((0..6).collect())),
+        ("x", Column::ints(vec![10, 20, 30, 40, 50, 60])),
+        ("p", Column::ints(vec![0, 1, 0, 1, 0, 1])),
+    ])
+    .unwrap();
+    let spec = WindowSpec::new()
+        .order_by(vec![SortKey::asc(col("d"))])
+        .frame(FrameSpec::rows(FrameBound::Preceding(lit(2i64)), FrameBound::CurrentRow));
+    for (kind, fraction) in
+        [(FuncKind::PercentileDisc, col("p")), (FuncKind::PercentileCont, lit(1i64).sub(col("p")))]
+    {
+        let call = FunctionCall::new(kind, vec![fraction]).order_by(vec![SortKey::asc(col("x"))]);
+        let q = WindowQuery::over(spec.clone()).call(call.named("q"));
+        for opts in ExecOptions::all_configs() {
+            for opts in std::iter::once(opts).chain(Strategy::ALL.map(|s| opts.force_strategy(s))) {
+                match q.execute_with(&t, opts) {
+                    Err(Error::InvalidArgument(m)) => {
+                        assert!(m.contains("constant expression"), "{}: {m}", opts.label())
+                    }
+                    other => panic!("{}: expected InvalidArgument, got {other:?}", opts.label()),
                 }
             }
         }

@@ -1,6 +1,6 @@
 //! Property test for the shared-artifact executor: a multi-call
 //! `WindowQuery` mixing every holistic family — shared and non-shared inner
-//! ORDER BYs, FILTER, IGNORE NULLS, frame exclusions — must produce
+//! ORDER BYs, FILTER, IGNORE NULLS, DISTINCT, frame exclusions — must produce
 //! bit-identical output to evaluating each call as its own single-call
 //! query, under shared and private caches, serial and parallel.
 
@@ -30,6 +30,12 @@ fn battery() -> Vec<FunctionCall> {
             .named("c6"),
         FunctionCall::lag(col("x"), 1, lit(-1i64)).named("c7"),
         FunctionCall::mode(col("y")).named("c8"),
+        // SUM/AVG(DISTINCT) are MST-only: the annotated tree's cursor
+        // descent runs on every partition, however small.
+        FunctionCall::sum_distinct(col("x")).named("c9"),
+        FunctionCall::sum_distinct(col("x")).filter(y_above_three()).named("c10"),
+        FunctionCall::avg(col("y")).distinct().named("c11"),
+        FunctionCall::avg(col("y")).distinct().filter(y_above_three()).named("c12"),
     ]
 }
 

@@ -160,6 +160,11 @@ proptest! {
 /// Forcing each alternate strategy end-to-end on a mixed query must agree
 /// with the default path: inapplicable calls fall back to the MST, the rest
 /// take the forced engine. Integer-only inputs make exact comparison sound.
+///
+/// Under forced MST each call alone must also take its tree's one probe
+/// path, visible in `ExecProfile::probe_kernel`: plain trees answer through
+/// the block kernels, the annotated tree through the cursor descent, and
+/// framed LEAD through the stateless recursion (neither counter).
 #[test]
 fn forced_alternates_agree_on_integer_data() {
     let n = 300i64;
@@ -168,25 +173,50 @@ fn forced_alternates_agree_on_integer_data() {
         ("v", Column::ints((0..n).map(|i| (i * 37) % 23).collect())),
     ])
     .unwrap();
-    let q = WindowQuery::over(
-        WindowSpec::new()
-            .order_by(vec![SortKey::asc(col("pos"))])
-            .frame(FrameSpec::rows(FrameBound::Preceding(lit(17i64)), FrameBound::CurrentRow)),
-    )
-    .call(FunctionCall::median(col("v")).named("med"))
-    .call(FunctionCall::count_distinct(col("v")).named("cd"))
-    .call(FunctionCall::sum(col("v")).named("s"));
+    let spec = WindowSpec::new()
+        .order_by(vec![SortKey::asc(col("pos"))])
+        .frame(FrameSpec::rows(FrameBound::Preceding(lit(17i64)), FrameBound::CurrentRow));
+    let by_v = || vec![SortKey::asc(col("v"))];
+    let calls = [
+        FunctionCall::median(col("v")).named("med"),
+        FunctionCall::count_distinct(col("v")).named("cd"),
+        FunctionCall::rank(by_v()).named("r"),
+        FunctionCall::sum(col("v")).named("s"),
+        FunctionCall::sum_distinct(col("v")).named("sd"),
+        FunctionCall::lead(col("v"), 1, lit(-1i64)).order_by(by_v()).named("ld"),
+    ];
+    let q = WindowQuery { spec: spec.clone(), calls: calls.to_vec() };
 
     let base = q.execute_with(&table, ExecOptions::serial()).unwrap();
     for s in Strategy::ALL {
         let out = q.execute_with(&table, ExecOptions::serial().force_strategy(s)).unwrap();
-        for name in ["med", "cd", "s"] {
+        for call in &calls {
+            let name = call.output_name.as_str();
             assert_eq!(
                 base.column(name).unwrap().to_values(),
                 out.column(name).unwrap().to_values(),
                 "column {name} differs under forced {}",
                 s.name()
             );
+        }
+    }
+
+    for call in &calls {
+        let name = call.output_name.as_str();
+        let single = WindowQuery::over(spec.clone()).call(call.clone());
+        let opts = ExecOptions::serial().force_strategy(Strategy::Mst);
+        let k = single.execute_profiled(&table, opts).unwrap().1.probe_kernel;
+        match name {
+            "med" | "cd" | "r" => {
+                assert!(k.block_queries > 0 && k.cursor_probes == 0, "{name}: {k:?}")
+            }
+            // The frame is monotone and never empty: one cursor probe per
+            // row, galloping from the previous row's positions.
+            "sd" => assert!(
+                k.cursor_probes == n as u64 && k.gallop_seeded > 0 && k.block_queries == 0,
+                "{name}: {k:?}"
+            ),
+            _ => assert!(k.block_queries == 0 && k.cursor_probes == 0, "{name}: {k:?}"),
         }
     }
 }

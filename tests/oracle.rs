@@ -7,8 +7,8 @@
 //! space — GROUPS frames, DESC inner ORDER BYs, per-row expression bounds,
 //! huge offsets, NULL-heavy and tie-heavy tables all come from the same
 //! weighted distribution. The check itself is the fuzzer's differential
-//! check: float-tolerant against naive, bit-identical across all eight
-//! engine configurations.
+//! check: float-tolerant against naive, bit-identical across every engine
+//! configuration.
 
 use holistic_fuzz::gen::{self, case_seed, generate, GenConfig};
 use holistic_fuzz::{check_case, with_quiet_panics};
