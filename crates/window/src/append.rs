@@ -40,24 +40,23 @@
 //! key seeds afterwards so the engine's key columns stay uniquely owned and
 //! extend in place.
 
-use crate::artifacts::{self, ArtifactCache, BudgetGovernor};
+use crate::artifacts::{ArtifactCache, BudgetGovernor};
 use crate::column::ColumnScatter;
 use crate::error::{Error, Result};
-use crate::eval::direct::DirectCtx;
-use crate::eval::{alt, direct, evaluate_call, Ctx};
+use crate::eval::pipeline::{hoist_keys, HoistedKeys, PartitionEval, PartitionOutput};
+use crate::eval::{cont_rank, cume_dist, disc_rank, percent_rank};
 use crate::executor::{AtomicProbeKernel, ExecOptions, SpillStats, WindowQuery};
 use crate::expr::Expr;
-use crate::frame::{resolve_frames_counted, FrameBound, FrameMode, ResolvedFrames};
+use crate::frame::{FrameBound, FrameMode, ResolvedFrames};
 use crate::hash::hash_values;
 use crate::order::{float_from_ordinal, float_ordinal, int_ordinal, sort_permutation, KeyColumns};
 use crate::plan::{
     canonical_order, plan_query, sort_keys_of, ArtifactKey, CanonicalSortKey, QueryPlan,
 };
 use crate::spec::{FuncKind, FunctionCall};
-use crate::strategy::{choose, PartitionStats, StatsAcc, Strategy};
+use crate::strategy::{PartitionStats, StatsAcc, Strategy};
 use crate::table::Table;
 use crate::value::Value;
-use crate::vm::{AtomicExprVm, ExprVmStats};
 use holistic_core::{MstForest, RangeSet};
 use rustc_hash::FxHashMap;
 use std::cmp::Ordering;
@@ -271,15 +270,8 @@ pub struct IncrementalEngine {
     parts: Vec<PartState>,
     /// Hoisted key columns (window ORDER BY + every planned inner ORDER BY),
     /// extended in place on append. Must stay uniquely owned between appends
-    /// — see the seed-release protocol in `compute_rows`.
-    hoisted: FxHashMap<Vec<CanonicalSortKey>, Arc<KeyColumns>>,
-    /// Rows covered by every `hoisted` entry.
-    hoisted_rows: usize,
-    window_order: Vec<CanonicalSortKey>,
-    /// Empty key columns standing in for an empty window ORDER BY.
-    trivial_keys: Arc<KeyColumns>,
-    kernel: AtomicProbeKernel,
-    vm: AtomicExprVm,
+    /// — see the seed release in `recompute_partition`.
+    hoisted: HoistedKeys,
     /// Budget governor shared by every partition's persistent cache (and by
     /// the per-call caches of private mode), so resident artifact bytes are
     /// bounded across the engine's whole lifetime, not per recompute.
@@ -308,9 +300,6 @@ impl IncrementalEngine {
             query.calls.iter().map(|c| fast_plan(&query, c)).collect();
         let splice = splice_frame(&query.spec);
         let all_fast = splice.is_some() && fast_plans.iter().all(|p| p.is_some());
-        let window_order = canonical_order(&query.spec.order_by);
-        let trivial_keys =
-            Arc::new(KeyColumns::evaluate(&table, &[]).expect("empty criteria list cannot fail"));
         let mut engine = IncrementalEngine {
             query,
             opts,
@@ -323,11 +312,6 @@ impl IncrementalEngine {
             rep_keys: Vec::new(),
             parts: Vec::new(),
             hoisted: FxHashMap::default(),
-            hoisted_rows: 0,
-            window_order,
-            trivial_keys,
-            kernel: AtomicProbeKernel::default(),
-            vm: AtomicExprVm::new(),
             gov: Arc::new(BudgetGovernor::new(opts.budget)),
             poisoned: false,
         };
@@ -514,43 +498,30 @@ impl IncrementalEngine {
             .collect())
     }
 
-    /// Extends every hoisted key column to cover the grown table and
-    /// evaluates any still-missing ones. Mirrors the batch executor's
-    /// hoisting (skipped entirely while the table is empty).
-    fn refresh_hoisted(&mut self) -> Result<()> {
-        let n = self.table.num_rows();
-        if n == 0 {
-            return Ok(());
+    /// Extends every hoisted key column over the table's rows `from_row..`,
+    /// then hoists what is still missing as the batch executor does. Returns
+    /// the window ORDER BY key columns (a cloned handle).
+    fn refresh_hoisted(&mut self, from_row: usize) -> Result<Arc<KeyColumns>> {
+        for (ks, kc) in self.hoisted.iter_mut() {
+            // Uniquely owned between appends (seeds are released after
+            // every recompute), so this extends in place, O(b).
+            Arc::make_mut(kc).extend(&self.table, &sort_keys_of(ks), from_row)?;
         }
-        if self.hoisted_rows < n {
-            for (ks, kc) in self.hoisted.iter_mut() {
-                // Uniquely owned between appends (seeds are released after
-                // every recompute), so this extends in place, O(b).
-                Arc::make_mut(kc).extend(&self.table, &sort_keys_of(ks), self.hoisted_rows)?;
-            }
-        }
-        if !self.window_order.is_empty() && !self.hoisted.contains_key(&self.window_order) {
-            let kc = Arc::new(KeyColumns::evaluate(&self.table, &self.query.spec.order_by)?);
-            self.hoisted.insert(self.window_order.clone(), kc);
-        }
-        for key in &self.plan.prebuild {
-            if let ArtifactKey::InnerKeys(ks) = key {
-                if !self.hoisted.contains_key(ks) {
-                    let kc = Arc::new(KeyColumns::evaluate(&self.table, &sort_keys_of(ks))?);
-                    self.hoisted.insert(ks.clone(), kc);
-                }
-            }
-        }
-        self.hoisted_rows = n;
-        Ok(())
+        hoist_keys(&self.table, &self.query.spec, &self.plan, &mut self.hoisted)
     }
 
-    /// The window ORDER BY key columns (a cloned handle).
-    fn window_keys(&self) -> Arc<KeyColumns> {
-        if self.window_order.is_empty() {
-            Arc::clone(&self.trivial_keys)
-        } else {
-            Arc::clone(&self.hoisted[&self.window_order])
+    /// The per-partition pipeline over the engine's current table.
+    fn evaluator<'a>(&'a self, window_keys: &'a KeyColumns) -> PartitionEval<'a> {
+        PartitionEval {
+            table: &self.table,
+            query: &self.query,
+            plan: &self.plan,
+            opts: self.opts,
+            within: self.opts.parallel,
+            window_keys,
+            hoisted: &self.hoisted,
+            gov: &self.gov,
+            kernel: AtomicProbeKernel::default(),
         }
     }
 
@@ -560,10 +531,9 @@ impl IncrementalEngine {
             AppendProfile { appended_rows: self.table.num_rows() - from_row, ..Default::default() };
         let mut changed: Vec<usize> = Vec::new();
         if profile.appended_rows > 0 {
-            self.refresh_hoisted()?;
+            let wk = self.refresh_hoisted(from_row)?;
             let touched = self.route_rows(from_row, &mut profile)?;
             profile.touched_partitions = touched.len();
-            let wk = self.window_keys();
             for (pid, mut new_rows) in touched {
                 sort_permutation(&wk, &mut new_rows, self.opts.parallel);
                 let m_old = self.parts[pid].rows.len();
@@ -688,13 +658,7 @@ impl IncrementalEngine {
         // path's own probes don't consult the choices (outputs are invariant
         // under strategy), but the next recompute — and the engine's
         // decision telemetry — must see current ones.
-        let stats = self.parts[pid].acc.stats();
-        let choices: Vec<Strategy> = self
-            .plan
-            .calls
-            .iter()
-            .map(|cp| choose(self.opts.strategy, cp.class, &stats, &self.opts.cost_model))
-            .collect();
+        let choices = self.evaluator(wk).choose(&self.parts[pid].acc.stats());
         if choices != self.parts[pid].choices {
             profile.strategy_replans += 1;
             self.parts[pid].choices = choices;
@@ -741,9 +705,9 @@ impl IncrementalEngine {
         false
     }
 
-    /// Full per-partition refresh: re-sort, re-resolve, re-evaluate (exactly
-    /// the batch executor's pipeline), then diff outputs against the
-    /// previous state. Returns the changed table rows.
+    /// Full per-partition refresh: re-sort, re-resolve, re-evaluate (the
+    /// batch executor's pipeline, by the same call), then diff outputs
+    /// against the previous state. Returns the changed table rows.
     fn recompute_partition(
         &mut self,
         pid: usize,
@@ -756,33 +720,24 @@ impl IncrementalEngine {
         // subsumes any partial state).
         let old_index: FxHashMap<usize, usize> =
             self.parts[pid].rows[..m_old].iter().enumerate().map(|(pos, &r)| (r, pos)).collect();
-        let mut rows = std::mem::take(&mut self.parts[pid].rows);
-        sort_permutation(wk, &mut rows, self.opts.parallel);
-        let mut vm_stats = ExprVmStats::default();
-        let frames =
-            resolve_frames_counted(&self.table, &rows, wk, &self.query.spec.frame, &mut vm_stats)?;
-        self.vm.absorb(&vm_stats);
-        let mut acc = StatsAcc::new();
-        acc.extend(&frames, 0);
-        let stats = acc.stats();
-        // Same pressure surcharge as the batch executor, so the engine
-        // re-plans to the choices a from-scratch run would make.
-        let est_tree_bytes = (holistic_core::mst_arena_len(rows.len(), self.opts.params)
-            * if holistic_core::index::fits_u32(rows.len() + 1) { 4 } else { 8 })
-            as u64;
-        let model = self.opts.cost_model.under_memory_pressure(est_tree_bytes, self.opts.budget);
-        let choices: Vec<Strategy> = self
-            .plan
-            .calls
-            .iter()
-            .map(|cp| choose(self.opts.strategy, cp.class, &stats, &model))
-            .collect();
+        let rows = std::mem::take(&mut self.parts[pid].rows);
+        // Positions shift, so every position-space artifact of the
+        // partition's persistent cache is stale: invalidate up front (the
+        // generation bump is what downstream holders would check).
+        let cache = &self.parts[pid].cache;
+        let g0 = cache.generation();
+        profile.evicted_artifacts += cache.invalidate_all();
+        debug_assert_eq!(cache.generation(), g0 + 1);
+        let PartitionOutput { rows, frames, acc, choices, outs, report } =
+            self.evaluator(wk).evaluate(rows, Some(cache))?;
+        // Release the key seeds so the engine's hoisted Arcs stay uniquely
+        // owned and extend in place on the next append.
+        cache.invalidate_where(|k| matches!(k, ArtifactKey::InnerKeys(_)));
+        profile.artifact_bytes_built +=
+            report.footprints.iter().map(|&(_, b)| b as u64).sum::<u64>();
         if choices != self.parts[pid].choices {
             profile.strategy_replans += 1;
         }
-        let (outs, evicted, built) = self.compute_rows(&rows, &frames, &choices, pid)?;
-        profile.evicted_artifacts += evicted;
-        profile.artifact_bytes_built += built;
 
         let mut changed: Vec<usize> = Vec::new();
         {
@@ -843,101 +798,6 @@ impl IncrementalEngine {
         ps.outs = outs;
         ps.forests = forests;
         Ok(changed)
-    }
-
-    /// Evaluates every call over one sorted partition, replicating the batch
-    /// executor's dispatch exactly (direct / shared cache / private caches)
-    /// so outputs stay bit-identical under every [`ExecOptions`] config.
-    /// Returns the outputs, the number of stale artifacts evicted from the
-    /// partition's persistent cache, and the artifact bytes built.
-    fn compute_rows(
-        &self,
-        rows: &[usize],
-        frames: &ResolvedFrames,
-        choices: &[Strategy],
-        pid: usize,
-    ) -> Result<(Vec<Vec<Value>>, usize, u64)> {
-        let cache = &self.parts[pid].cache;
-        // Positions shifted, so every position-space artifact is stale:
-        // invalidate up front (the generation bump is what downstream
-        // holders would check), then re-seed the hoisted key columns.
-        let g0 = cache.generation();
-        let evicted = cache.invalidate_all();
-        debug_assert_eq!(cache.generation(), g0 + 1);
-
-        let within = self.opts.parallel;
-        let params = if within { self.opts.params } else { self.opts.params.serial() };
-        let all_naive = choices.iter().all(|&s| s == Strategy::Naive);
-        let dctx = DirectCtx { table: &self.table, rows, frames, inner_keys: &self.hoisted };
-        let mut outs: Vec<Vec<Value>> = Vec::with_capacity(self.query.calls.len());
-        let mut built: u64 = 0;
-        if all_naive {
-            for (call, cp) in self.query.calls.iter().zip(&self.plan.calls) {
-                outs.push(direct::evaluate(&dctx, call, cp)?);
-            }
-        } else if self.opts.share_artifacts {
-            for (ks, kc) in &self.hoisted {
-                cache.seed(ArtifactKey::InnerKeys(ks.clone()), Arc::clone(kc));
-            }
-            let ctx = Ctx {
-                table: &self.table,
-                rows,
-                frames,
-                parallel: within,
-                params,
-                cache,
-                kernel: &self.kernel,
-                vm: &self.vm,
-            };
-            for (cp, &s) in self.plan.calls.iter().zip(choices) {
-                if s == Strategy::Mst {
-                    for key in cp.keys.eager() {
-                        artifacts::force(&ctx, key)?;
-                    }
-                }
-            }
-            for ((call, cp), &s) in self.query.calls.iter().zip(&self.plan.calls).zip(choices) {
-                outs.push(match s {
-                    Strategy::Mst => evaluate_call(&ctx, call, cp)?,
-                    Strategy::Naive => direct::evaluate(&dctx, call, cp)?,
-                    other => alt::evaluate(&ctx, call, cp, other)?,
-                });
-            }
-            // Release the key seeds so the engine's hoisted Arcs stay
-            // uniquely owned and extend in place on the next append.
-            cache.invalidate_where(|k| matches!(k, ArtifactKey::InnerKeys(_)));
-        } else {
-            for ((call, cp), &s) in self.query.calls.iter().zip(&self.plan.calls).zip(choices) {
-                if s == Strategy::Naive {
-                    outs.push(direct::evaluate(&dctx, call, cp)?);
-                    continue;
-                }
-                // Private mode: a fresh cache per call, as in the executor.
-                let call_cache = ArtifactCache::new(Arc::clone(&self.gov));
-                for (ks, kc) in &self.hoisted {
-                    call_cache.seed(ArtifactKey::InnerKeys(ks.clone()), Arc::clone(kc));
-                }
-                let ctx = Ctx {
-                    table: &self.table,
-                    rows,
-                    frames,
-                    parallel: within,
-                    params,
-                    cache: &call_cache,
-                    kernel: &self.kernel,
-                    vm: &self.vm,
-                };
-                outs.push(match s {
-                    Strategy::Mst => evaluate_call(&ctx, call, cp)?,
-                    other => alt::evaluate(&ctx, call, cp, other)?,
-                });
-                built += call_cache.take_footprints().iter().map(|&(_, b)| b as u64).sum::<u64>();
-            }
-        }
-        // Drain the footprints into the append profile (draining also keeps
-        // the per-partition cache's ledger from pooling across appends).
-        built += cache.take_footprints().iter().map(|&(_, b)| b as u64).sum::<u64>();
-        Ok((outs, evicted, built))
     }
 }
 
@@ -1023,8 +883,8 @@ fn clip_below(rs: &RangeSet, hi: usize) -> RangeSet {
 }
 
 /// One forest probe: computes a forest-eligible call's output for new
-/// position `pos` over its frame `pieces`. Each formula mirrors its batch
-/// evaluator bit for bit (`eval/rank.rs`, `eval/select_based.rs`).
+/// position `pos` over its frame `pieces`, with the SQL arithmetic of the
+/// batch evaluators (`eval/rank.rs`, `eval/select_based.rs`).
 #[allow(clippy::too_many_arguments)] // a per-row probe kernel, not an API
 fn probe_value(
     kind: FuncKind,
@@ -1055,26 +915,25 @@ fn probe_value(
             if s == 0 {
                 return Value::Null;
             }
-            let rank = forest.count_below(pieces, e) + 1;
-            Value::Float(if s <= 1 { 0.0 } else { (rank - 1) as f64 / (s - 1) as f64 })
+            Value::Float(percent_rank(forest.count_below(pieces, e), s))
         }
         CumeDist => {
             let s = pieces.count();
             if s == 0 {
                 return Value::Null;
             }
-            Value::Float(forest.count_leq(pieces, e) as f64 / s as f64)
+            Value::Float(cume_dist(forest.count_leq(pieces, e), s))
         }
         PercentileDisc | Median => {
             let s = pieces.count();
             if s == 0 {
                 return Value::Null;
             }
-            let j = ((p * s as f64).ceil() as usize).clamp(1, s);
             // Frames slide by one row between consecutive probes, so the
             // previous answer is almost always still (near) the percentile:
             // seed the forest's rank bisection with it.
-            let v = forest.select_from(pieces, j - 1, *hint).expect("rank within frame size");
+            let v =
+                forest.select_from(pieces, disc_rank(p, s), *hint).expect("rank within frame size");
             *hint = Some(v);
             decode_key(v, desc, ty)
         }
@@ -1083,20 +942,14 @@ fn probe_value(
             if s == 0 {
                 return Value::Null;
             }
-            let rn = p * (s - 1) as f64;
-            let lo = rn.floor() as usize;
-            let hi = rn.ceil() as usize;
             let mut at = |j: usize| -> f64 {
                 let v = forest.select_from(pieces, j, *hint).expect("rank within frame size");
                 *hint = Some(v);
                 decode_key(v, desc, ty).as_f64().expect("numeric forest key")
             };
-            if lo == hi {
-                Value::Float(at(lo))
-            } else {
-                let (x, y) = (at(lo), at(hi));
-                Value::Float(x + (y - x) * (rn - lo as f64))
-            }
+            let cr = cont_rank(p, s);
+            let x = at(cr.lo);
+            Value::Float(cr.interpolate(x, || at(cr.hi)))
         }
         _ => unreachable!("not a forest-planned call"),
     }

@@ -141,19 +141,6 @@ pub(crate) struct AtomicStats {
 }
 
 impl AtomicStats {
-    /// Accumulates this cache's counters into a query-level total.
-    pub fn merge_into(&self, dst: &AtomicStats) {
-        dst.hits.fetch_add(self.hits.load(Relaxed), Relaxed);
-        dst.misses.fetch_add(self.misses.load(Relaxed), Relaxed);
-        dst.key_clones.fetch_add(self.key_clones.load(Relaxed), Relaxed);
-        dst.bytes_built.fetch_add(self.bytes_built.load(Relaxed), Relaxed);
-        dst.inner_sorts.fetch_add(self.inner_sorts.load(Relaxed), Relaxed);
-        dst.mst_builds.fetch_add(self.mst_builds.load(Relaxed), Relaxed);
-        dst.segtree_builds.fetch_add(self.segtree_builds.load(Relaxed), Relaxed);
-        dst.rangetree_builds.fetch_add(self.rangetree_builds.load(Relaxed), Relaxed);
-        dst.modeindex_builds.fetch_add(self.modeindex_builds.load(Relaxed), Relaxed);
-    }
-
     pub fn snapshot(&self) -> CacheStats {
         CacheStats {
             hits: self.hits.load(Relaxed),
@@ -806,11 +793,7 @@ impl Ctx<'_> {
                 None => vec![true; m],
                 Some(f) => {
                     let bound = f.to_expr().bind(self.table)?;
-                    let mut stats = crate::vm::ExprVmStats::default();
-                    let keep =
-                        crate::vm::eval_filter_rows(&bound, self.table, self.rows, &mut stats)?;
-                    self.vm.absorb(&stats);
-                    keep
+                    crate::vm::eval_filter_rows(&bound, self.table, self.rows)?
                 }
             };
             if let Some(screen) = &mk.screen {

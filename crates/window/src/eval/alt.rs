@@ -16,7 +16,7 @@
 //! (exact integers); outputs are clones of the same kept values the MST
 //! path returns, so results are bit-identical by construction.
 
-use super::{fraction_arg, Ctx};
+use super::{cont_rank, disc_rank, fraction_arg, Ctx};
 use crate::error::{Error, Result};
 use crate::plan::CallPlan;
 use crate::spec::{FuncKind, FunctionCall};
@@ -79,7 +79,7 @@ fn percentile(
     let frames = kept_frames(ctx, &mask);
 
     let cont = call.kind == FuncKind::PercentileCont;
-    let p = if call.kind == FuncKind::Median { 0.5 } else { fraction_arg(ctx, call)? };
+    let p = fraction_arg(ctx.table, ctx.rows, call)?;
     if cont {
         if let Some(v) = kept_out.iter().find(|v| v.as_f64().is_none()) {
             return Err(Error::TypeMismatch {
@@ -99,19 +99,14 @@ fn percentile(
                 return;
             }
             if cont {
-                let rn = p * (s - 1) as f64;
-                let lo = rn.floor() as usize;
-                let hi = rn.ceil() as usize;
-                let x = kept_out[dc.perm[select(lo)]].as_f64().expect("checked numeric above");
-                out[i] = if lo == hi {
-                    Value::Float(x)
-                } else {
-                    let y = kept_out[dc.perm[select(hi)]].as_f64().expect("checked numeric above");
-                    Value::Float(x + (y - x) * (rn - lo as f64))
+                let mut at = |j: usize| {
+                    kept_out[dc.perm[select(j)]].as_f64().expect("checked numeric above")
                 };
+                let cr = cont_rank(p, s);
+                let x = at(cr.lo);
+                out[i] = Value::Float(cr.interpolate(x, || at(cr.hi)));
             } else {
-                let j = ((p * s as f64).ceil() as usize).clamp(1, s);
-                out[i] = kept_out[dc.perm[select(j - 1)]].clone();
+                out[i] = kept_out[dc.perm[select(disc_rank(p, s))]].clone();
             }
         };
 

@@ -22,6 +22,7 @@ use crate::error::{Error, Result};
 use crate::eval::distributive::{decode_ordinal, encode_ordinals};
 use crate::eval::leadlag::target_position;
 use crate::eval::rank::ntile_of;
+use crate::eval::{cont_rank, cume_dist, disc_rank, fraction_arg, percent_rank};
 use crate::frame::ResolvedFrames;
 use crate::hash::hash_value;
 use crate::order::{dense_codes_for, KeyColumns};
@@ -64,20 +65,6 @@ impl<'a> DirectCtx<'a> {
     fn eval_positions(&self, expr: &crate::expr::Expr) -> Result<Vec<Value>> {
         let bound = expr.bind(self.table)?;
         self.rows.iter().map(|&r| bound.eval(self.table, r)).collect()
-    }
-
-    /// Extracts a fraction in [0, 1] for percentile calls (same message as
-    /// the cached path's `fraction_arg`).
-    fn fraction_arg(&self, call: &FunctionCall) -> Result<f64> {
-        let bound = call.args[0].bind(self.table)?;
-        let v = bound.eval(self.table, self.rows.first().copied().unwrap_or(0))?;
-        match v.as_f64() {
-            Some(f) if (0.0..=1.0).contains(&f) => Ok(f),
-            _ => Err(Error::InvalidArgument(format!(
-                "{}: fraction must be in [0, 1], got {v}",
-                call.kind.name()
-            ))),
-        }
     }
 
     /// The call's kept-row mask, built locally (same recipe as `mask_art`).
@@ -411,12 +398,7 @@ fn rank_family(dctx: &DirectCtx<'_>, call: &FunctionCall, cp: &CallPlan) -> Resu
                     return Ok(Value::Null);
                 }
                 let (gmin, _, _) = code_bounds(dctx, &keys, &mask, &dc, i);
-                let rank = count_below(&dc, &pieces, gmin) + 1;
-                Ok(Value::Float(if size <= 1 {
-                    0.0
-                } else {
-                    (rank - 1) as f64 / (size - 1) as f64
-                }))
+                Ok(Value::Float(percent_rank(count_below(&dc, &pieces, gmin), size)))
             })
             .collect(),
         FuncKind::CumeDist => (0..m)
@@ -427,8 +409,7 @@ fn rank_family(dctx: &DirectCtx<'_>, call: &FunctionCall, cp: &CallPlan) -> Resu
                     return Ok(Value::Null);
                 }
                 let (_, gend, _) = code_bounds(dctx, &keys, &mask, &dc, i);
-                let le = count_below(&dc, &pieces, gend);
-                Ok(Value::Float(le as f64 / size as f64))
+                Ok(Value::Float(cume_dist(count_below(&dc, &pieces, gend), size)))
             })
             .collect(),
         FuncKind::Ntile => {
@@ -526,7 +507,7 @@ fn select_based(dctx: &DirectCtx<'_>, call: &FunctionCall, cp: &CallPlan) -> Res
 
     match call.kind {
         FuncKind::PercentileDisc | FuncKind::Median => {
-            let p = if call.kind == FuncKind::Median { 0.5 } else { dctx.fraction_arg(call)? };
+            let p = fraction_arg(dctx.table, dctx.rows, call)?;
             (0..m)
                 .map(|i| {
                     let pieces = dctx.kept_pieces(&mask, i);
@@ -534,14 +515,13 @@ fn select_based(dctx: &DirectCtx<'_>, call: &FunctionCall, cp: &CallPlan) -> Res
                     if s == 0 {
                         return Ok(Value::Null);
                     }
-                    let j = ((p * s as f64).ceil() as usize).clamp(1, s);
                     gather(&pieces, &mut buf);
-                    Ok(kept_out[kp_of(buf[j - 1])].clone())
+                    Ok(kept_out[kp_of(buf[disc_rank(p, s)])].clone())
                 })
                 .collect()
         }
         FuncKind::PercentileCont => {
-            let p = dctx.fraction_arg(call)?;
+            let p = fraction_arg(dctx.table, dctx.rows, call)?;
             if let Some(v) = kept_out.iter().find(|v| v.as_f64().is_none()) {
                 return Err(Error::TypeMismatch {
                     expected: "numeric",
@@ -556,16 +536,11 @@ fn select_based(dctx: &DirectCtx<'_>, call: &FunctionCall, cp: &CallPlan) -> Res
                     if s == 0 {
                         return Ok(Value::Null);
                     }
-                    let rn = p * (s - 1) as f64;
-                    let lo = rn.floor() as usize;
-                    let hi = rn.ceil() as usize;
                     gather(&pieces, &mut buf);
-                    let x = kept_out[kp_of(buf[lo])].as_f64().expect("checked numeric above");
-                    if lo == hi {
-                        return Ok(Value::Float(x));
-                    }
-                    let y = kept_out[kp_of(buf[hi])].as_f64().expect("checked numeric above");
-                    Ok(Value::Float(x + (y - x) * (rn - lo as f64)))
+                    let at =
+                        |j: usize| kept_out[kp_of(buf[j])].as_f64().expect("checked numeric above");
+                    let cr = cont_rank(p, s);
+                    Ok(Value::Float(cr.interpolate(at(cr.lo), || at(cr.hi))))
                 })
                 .collect()
         }

@@ -15,6 +15,7 @@ pub(crate) mod distinct;
 pub(crate) mod distributive;
 pub(crate) mod leadlag;
 pub(crate) mod mode;
+pub(crate) mod pipeline;
 pub(crate) mod rank;
 pub(crate) mod select_based;
 
@@ -26,7 +27,7 @@ use crate::plan::CallPlan;
 use crate::spec::{FuncKind, FunctionCall};
 use crate::table::Table;
 use crate::value::Value;
-use crate::vm::{self, AtomicExprVm, ExprVmStats};
+use crate::vm;
 use holistic_core::{BlockScratch, MergeSortTree, MstParams, ProbeCursor, RangeSet, TreeIndex};
 
 /// Rows per block handed to the MST block kernels. Large enough to keep
@@ -51,8 +52,6 @@ pub(crate) struct Ctx<'a> {
     /// Query-level probe-kernel counters; cursors and block scratches flush
     /// into it when their probe loop (or chunk) finishes.
     pub kernel: &'a AtomicProbeKernel,
-    /// Query-level expression-VM counters.
-    pub vm: &'a AtomicExprVm,
 }
 
 /// Outcome of planning one row's block queries: either the row pushed
@@ -75,11 +74,7 @@ impl<'a> Ctx<'a> {
     /// compiled-program run over the whole partition, falling back to the
     /// per-row interpreter for the canonical first error.
     pub fn eval_positions(&self, expr: &crate::expr::Expr) -> Result<Vec<Value>> {
-        let bound = expr.bind(self.table)?;
-        let mut stats = ExprVmStats::default();
-        let out = vm::eval_rows(&bound, self.table, self.rows, &mut stats);
-        self.vm.absorb(&stats);
-        out
+        vm::eval_rows(&expr.bind(self.table)?, self.table, self.rows)
     }
 
     /// Runs `f(cursor, i)` for every position `i`. Serially, one cursor walks
@@ -264,17 +259,66 @@ pub(crate) fn evaluate_call(
     }
 }
 
-/// Evaluates a constant expression (the percentile fraction, which
-/// `FunctionCall::validate` guarantees reads no column).
-pub(crate) fn eval_const(ctx: &Ctx<'_>, expr: &crate::expr::Expr) -> Result<Value> {
-    let bound = expr.bind(ctx.table)?;
-    // Any row will do; use row 0 if there is one.
-    bound.eval(ctx.table, ctx.rows.first().copied().unwrap_or(0))
+/// `PERCENTILE_DISC`'s 0-based rank among the `s >= 1` kept rows of a frame:
+/// the first row whose cumulative distribution reaches `p`.
+pub(crate) fn disc_rank(p: f64, s: usize) -> usize {
+    ((p * s as f64).ceil() as usize).clamp(1, s) - 1
 }
 
-/// Extracts a fraction in [0, 1] for percentile calls.
-pub(crate) fn fraction_arg(ctx: &Ctx<'_>, call: &FunctionCall) -> Result<f64> {
-    let v = eval_const(ctx, &call.args[0])?;
+/// `PERCENTILE_CONT`'s row number `p * (s - 1)` among the `s >= 1` kept rows
+/// of a frame: the two 0-based ranks it falls between and how far past the
+/// lower one.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct ContRank {
+    pub lo: usize,
+    pub hi: usize,
+    frac: f64,
+}
+
+pub(crate) fn cont_rank(p: f64, s: usize) -> ContRank {
+    let rn = p * (s - 1) as f64;
+    let lo = rn.floor() as usize;
+    ContRank { lo, hi: rn.ceil() as usize, frac: rn - lo as f64 }
+}
+
+impl ContRank {
+    /// The interpolated value given the value `x` at `lo`; `y` yields the
+    /// value at `hi` and is asked only when the ranks differ. Always a float,
+    /// even on an exact rank hit over an integer key (SQL: double precision).
+    pub fn interpolate(self, x: f64, y: impl FnOnce() -> f64) -> f64 {
+        if self.lo == self.hi {
+            x
+        } else {
+            x + (y() - x) * self.frac
+        }
+    }
+}
+
+/// `PERCENT_RANK` from the count of kept frame rows ordered strictly before
+/// the current row (`rank - 1`) and the frame's `size >= 1` kept rows.
+pub(crate) fn percent_rank(below: usize, size: usize) -> f64 {
+    if size <= 1 {
+        0.0
+    } else {
+        below as f64 / (size - 1) as f64
+    }
+}
+
+/// `CUME_DIST` from the count of kept frame rows ordered at or before the
+/// current row and the frame's `size >= 1` kept rows.
+pub(crate) fn cume_dist(at_or_before: usize, size: usize) -> f64 {
+    at_or_before as f64 / size as f64
+}
+
+/// The fraction in [0, 1] of a percentile call over the partition `rows`:
+/// 0.5 for `MEDIAN`, otherwise the first argument, a constant expression
+/// (`FunctionCall::validate` guarantees it reads no column).
+pub(crate) fn fraction_arg(table: &Table, rows: &[usize], call: &FunctionCall) -> Result<f64> {
+    if call.kind == FuncKind::Median {
+        return Ok(0.5);
+    }
+    // Any row will do; use row 0 if there is none.
+    let v = call.args[0].bind(table)?.eval(table, rows.first().copied().unwrap_or(0))?;
     match v.as_f64() {
         Some(f) if (0.0..=1.0).contains(&f) => Ok(f),
         _ => Err(Error::InvalidArgument(format!(

@@ -17,7 +17,7 @@
 //! whole family over one (criterion, mask) pair shares a single sort and a
 //! single code tree.
 
-use super::{Ctx, Planned};
+use super::{cume_dist, percent_rank, Ctx, Planned};
 use crate::artifacts::MaskArtifact;
 use crate::error::{Error, Result};
 use crate::order::KeyColumns;
@@ -163,14 +163,7 @@ fn evaluate_impl<I: TreeIndex>(
                 push(&pieces, I::from_usize(gmin));
                 Ok(Planned::Counted(size))
             },
-            |_, size, below| {
-                let rank = below + 1;
-                Ok(Value::Float(if size <= 1 {
-                    0.0
-                } else {
-                    (rank - 1) as f64 / (size - 1) as f64
-                }))
-            },
+            |_, size, below| Ok(Value::Float(percent_rank(below, size))),
         ),
         FuncKind::CumeDist => ctx.probe_counts(
             &tree,
@@ -184,7 +177,7 @@ fn evaluate_impl<I: TreeIndex>(
                 push(&pieces, I::from_usize(gend));
                 Ok(Planned::Counted(size))
             },
-            |_, size, le| Ok(Value::Float(le as f64 / size as f64)),
+            |_, size, le| Ok(Value::Float(cume_dist(le, size))),
         ),
         FuncKind::Ntile => {
             let buckets_expr = call.args[0].bind(ctx.table)?;

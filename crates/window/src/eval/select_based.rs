@@ -12,7 +12,7 @@
 //! remapping). The planner encodes exactly this rule in the call's mask key,
 //! so the sort and both trees come from the shared artifact cache.
 
-use super::{fraction_arg, Ctx, Planned};
+use super::{cont_rank, disc_rank, fraction_arg, Ctx, Planned};
 use crate::error::{Error, Result};
 use crate::plan::{CallPlan, OrderKey};
 use crate::spec::{FuncKind, FunctionCall};
@@ -57,7 +57,7 @@ fn evaluate_impl<I: TreeIndex>(
 
     match call.kind {
         FuncKind::PercentileDisc | FuncKind::Median => {
-            let p = if call.kind == FuncKind::Median { 0.5 } else { fraction_arg(ctx, call)? };
+            let p = fraction_arg(ctx.table, ctx.rows, call)?;
             ctx.probe_selects(
                 &tree,
                 |i, push| {
@@ -66,9 +66,7 @@ fn evaluate_impl<I: TreeIndex>(
                     if s == 0 {
                         return Ok(Planned::Done(Value::Null));
                     }
-                    // PERCENTILE_DISC: first value with cume_dist >= p.
-                    let j = ((p * s as f64).ceil() as usize).clamp(1, s);
-                    push(pieces, j - 1);
+                    push(pieces, disc_rank(p, s));
                     Ok(Planned::Counted(()))
                 },
                 |_, (), res| {
@@ -78,7 +76,7 @@ fn evaluate_impl<I: TreeIndex>(
             )
         }
         FuncKind::PercentileCont => {
-            let p = fraction_arg(ctx, call)?;
+            let p = fraction_arg(ctx.table, ctx.rows, call)?;
             // CONT interpolates: the key must be numeric throughout, even
             // when a particular rank lands exactly on one element.
             if let Some(v) = kept_out.iter().find(|v| v.as_f64().is_none()) {
@@ -96,34 +94,20 @@ fn evaluate_impl<I: TreeIndex>(
                     if s == 0 {
                         return Ok(Planned::Done(Value::Null));
                     }
-                    let rn = p * (s - 1) as f64;
-                    let lo = rn.floor() as usize;
-                    let hi = rn.ceil() as usize;
-                    push(pieces, lo);
-                    if hi != lo {
-                        push(pieces, hi);
+                    let cr = cont_rank(p, s);
+                    push(pieces, cr.lo);
+                    if cr.hi != cr.lo {
+                        push(pieces, cr.hi);
                     }
-                    Ok(Planned::Counted((rn, lo)))
+                    Ok(Planned::Counted(cr))
                 },
-                |_, (rn, lo), res| {
-                    let vlo = &kept_out[map_rank(res[0].expect("lo < s"))];
-                    if res.len() == 1 {
-                        // CONT yields a float even on an exact rank hit (SQL:
-                        // double precision) — over an integer key, returning
-                        // the key itself would mix Int and Float rows in one
-                        // output column.
-                        let x = vlo.as_f64().expect("checked numeric above");
-                        return Ok(Value::Float(x));
-                    }
-                    let vhi = &kept_out[map_rank(res[1].expect("hi < s"))];
-                    let (Some(x), Some(y)) = (vlo.as_f64(), vhi.as_f64()) else {
-                        return Err(Error::TypeMismatch {
-                            expected: "numeric",
-                            got: vlo.type_name(),
-                            context: "percentile_cont",
-                        });
+                |_, cr, res| {
+                    let at = |r: Option<usize>| {
+                        kept_out[map_rank(r.expect("rank < s"))]
+                            .as_f64()
+                            .expect("checked numeric above")
                     };
-                    Ok(Value::Float(x + (y - x) * (rn - lo as f64)))
+                    Ok(Value::Float(cr.interpolate(at(res[0]), || at(res[1]))))
                 },
             )
         }

@@ -10,25 +10,18 @@
 //! inside a partition, build and probe phases parallelize as described in
 //! §5.2.
 
-use crate::artifacts::{self, ArtifactCache, AtomicStats, BudgetGovernor};
+use crate::artifacts::BudgetGovernor;
 use crate::column::ColumnScatter;
 use crate::error::Result;
-use crate::eval::direct::DirectCtx;
-use crate::eval::{alt, direct, evaluate_call, Ctx};
-use crate::frame::resolve_frames_counted;
-use crate::order::{sort_permutation, KeyColumns};
+use crate::eval::pipeline::{hoist_keys, HoistedKeys, PartitionEval, PartitionOutput};
 use crate::partition::partition_rows;
-use crate::plan::{
-    canonical_order, plan_query, sort_keys_of, ArtifactKey, CanonicalSortKey, QueryPlan,
-};
+use crate::plan::{plan_query, QueryPlan};
 use crate::spec::{FunctionCall, WindowSpec};
-use crate::strategy::{choose, CostModel, PartitionStats, Strategy, StrategyMode};
+use crate::strategy::{Strategy, StrategyMode};
 use crate::table::Table;
 use crate::value::Value;
-use crate::vm::{AtomicExprVm, ExprVmStats};
 use holistic_core::MstParams;
 use rayon::prelude::*;
-use rustc_hash::FxHashMap;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -50,9 +43,6 @@ pub struct ExecOptions {
     /// (default) or one forced strategy. Output is bit-identical under every
     /// mode — forcing exists for benchmarks and the differential fuzzer.
     pub strategy: StrategyMode,
-    /// Cost-model constants driving [`StrategyMode::Adaptive`]. Defaults are
-    /// calibrated by the `crossover_ext` benchmark.
-    pub cost_model: CostModel,
     /// Memory budget in bytes for resident preprocessing artifacts (`None`
     /// = unbounded, the default). Under a budget, merge-sort-tree arenas
     /// spill to temp files when cold and oversized partitions build their
@@ -69,7 +59,6 @@ impl Default for ExecOptions {
             params: MstParams::default(),
             share_artifacts: true,
             strategy: StrategyMode::default(),
-            cost_model: CostModel::default(),
             budget: None,
         }
     }
@@ -163,6 +152,21 @@ pub struct CacheStats {
     pub rangetree_builds: u64,
     /// Range-mode index builds (MODE).
     pub modeindex_builds: u64,
+}
+
+impl CacheStats {
+    /// Adds another cache's counters to these.
+    pub(crate) fn add(&mut self, o: &CacheStats) {
+        self.hits += o.hits;
+        self.misses += o.misses;
+        self.key_clones += o.key_clones;
+        self.bytes_built += o.bytes_built;
+        self.inner_sorts += o.inner_sorts;
+        self.mst_builds += o.mst_builds;
+        self.segtree_builds += o.segtree_builds;
+        self.rangetree_builds += o.rangetree_builds;
+        self.modeindex_builds += o.modeindex_builds;
+    }
 }
 
 /// Probe-kernel counters, accumulated over every cursor and block scratch
@@ -301,8 +305,7 @@ pub struct ExecProfile {
     /// partitions.
     pub probe: Duration,
     /// Frame resolution alone, summed over partitions. A sub-span of
-    /// `build`; reported separately so the compiled-VM speedup on
-    /// expression-bound frames is directly observable.
+    /// `build`.
     pub resolve: Duration,
     /// Number of partitions processed.
     pub partitions: usize,
@@ -315,12 +318,37 @@ pub struct ExecProfile {
     pub artifacts: Vec<ArtifactFootprint>,
     /// Per-(partition × call) strategy decisions.
     pub strategy: StrategyProfile,
-    /// Expression-VM counters (programs compiled, rows evaluated by the VM
-    /// vs. the interpreter, fallbacks).
-    pub expr_vm: ExprVmStats,
     /// Memory-budget spill telemetry (bytes spilled, evictions, re-faults,
     /// peak resident).
     pub spill: SpillStats,
+}
+
+impl ExecProfile {
+    /// Adds one evaluated partition: its strategy decisions and what it cost.
+    fn absorb(&mut self, PartitionOutput { choices, report, .. }: &PartitionOutput) {
+        self.build += report.build;
+        self.probe += report.probe;
+        self.resolve += report.resolve;
+        self.cache.add(&report.cache);
+        for &(label, bytes) in &report.footprints {
+            match self.artifacts.iter_mut().find(|a| a.label == label) {
+                Some(a) => {
+                    a.builds += 1;
+                    a.bytes += bytes as u64;
+                }
+                None => {
+                    self.artifacts.push(ArtifactFootprint { label, builds: 1, bytes: bytes as u64 })
+                }
+            }
+        }
+        for (per_call, s) in self.strategy.per_call.iter_mut().zip(choices) {
+            self.strategy.decisions[s.index()] += 1;
+            per_call[s.index()] += 1;
+        }
+        if choices.iter().all(|&s| s == Strategy::Naive) {
+            self.strategy.cacheless_partitions += 1;
+        }
+    }
 }
 
 /// A window query: one OVER clause, many function calls.
@@ -374,211 +402,52 @@ impl WindowQuery {
         let plan_time = plan_start.elapsed();
 
         let partitions = partition_rows(table, &self.spec.partition_by)?;
-        let window_keys = Arc::new(KeyColumns::evaluate(table, &self.spec.order_by)?);
-        // The window ORDER BY key columns are query-level; each partition
-        // cache is seeded with them so calls falling back to the window
-        // order never re-evaluate the key expressions.
-        let window_order = canonical_order(&self.spec.order_by);
-
-        // Hoist *every* planned inner ORDER BY criterion to query level:
-        // key columns cover the full table and are mask-independent, so one
-        // evaluation serves all partitions (and the direct path, which has
-        // no cache to share through). Skipped when there are no partitions,
-        // preserving the no-work-no-error behaviour of empty inputs.
-        let mut hoisted_keys: FxHashMap<Vec<CanonicalSortKey>, Arc<KeyColumns>> =
-            FxHashMap::default();
-        if !partitions.is_empty() {
-            if !window_order.is_empty() {
-                hoisted_keys.insert(window_order.clone(), Arc::clone(&window_keys));
-            }
-            for key in &plan.prebuild {
-                if let ArtifactKey::InnerKeys(ks) = key {
-                    if !hoisted_keys.contains_key(ks) {
-                        let kc = Arc::new(KeyColumns::evaluate(table, &sort_keys_of(ks))?);
-                        hoisted_keys.insert(ks.clone(), kc);
-                    }
-                }
-            }
-        }
+        let mut hoisted = HoistedKeys::default();
+        let window_keys = hoist_keys(table, &self.spec, &plan, &mut hoisted)?;
 
         // Parallelize across partitions when there are many, inside a
         // partition when there are few (§5.2's task model collapses to this
         // two-level scheme here).
         let threads = rayon::current_num_threads();
         let across = opts.parallel && partitions.len() >= 2 * threads;
-        let within = opts.parallel && !across;
 
-        let build_nanos = AtomicU64::new(0);
-        let probe_nanos = AtomicU64::new(0);
-        let resolve_nanos = AtomicU64::new(0);
         // One budget governor per execution, shared by every per-partition
         // cache: charges accumulate across partitions, and eviction can park
         // a cold partition's trees to make room for a hot one's.
         let gov = Arc::new(BudgetGovernor::new(opts.budget));
-        let totals = AtomicStats::default();
-        let kernel = AtomicProbeKernel::default();
-        let vm_acc = AtomicExprVm::new();
-        // label → (builds, bytes), accumulated as each cache retires.
-        let footprints = Mutex::new(FxHashMap::<&'static str, (u64, u64)>::default());
-        let absorb_footprints = |cache: &ArtifactCache| {
-            let built = cache.take_footprints();
-            if built.is_empty() {
-                return;
-            }
-            let mut map = footprints.lock().expect("footprint accumulator poisoned");
-            for (label, bytes) in built {
-                let e = map.entry(label).or_insert((0, 0));
-                e.0 += 1;
-                e.1 += bytes as u64;
-            }
+        let eval = PartitionEval {
+            table,
+            query: self,
+            plan: &plan,
+            opts,
+            within: opts.parallel && !across,
+            window_keys: &window_keys,
+            hoisted: &hoisted,
+            gov: &gov,
+            kernel: AtomicProbeKernel::default(),
         };
-
-        let seeded_cache = || {
-            let cache = ArtifactCache::new(Arc::clone(&gov));
-            for (ks, kc) in &hoisted_keys {
-                cache.seed(ArtifactKey::InnerKeys(ks.clone()), Arc::clone(kc));
-            }
-            cache
-        };
-        // Strategy decisions, accumulated per partition. Additions commute,
-        // so the totals are deterministic under partition parallelism.
-        let strategy_acc = Mutex::new(StrategyProfile {
-            per_call: vec![[0u64; 5]; self.calls.len()],
-            ..StrategyProfile::default()
+        // Each partition's report is added to the profile as the partition
+        // finishes and its frames are dropped there; only rows and outputs
+        // stay until the scatter. Every profile field is a sum, so the
+        // totals do not depend on how the partitions were scheduled.
+        let profile = Mutex::new(ExecProfile {
+            plan: plan_time,
+            partitions: partitions.len(),
+            strategy: StrategyProfile {
+                per_call: vec![[0u64; 5]; self.calls.len()],
+                ..StrategyProfile::default()
+            },
+            ..ExecProfile::default()
         });
-
-        // Build + probe one partition; returns its sorted rows and one
-        // output vector per call (scattered back to table order below).
-        let process = |rows_unsorted: &Vec<usize>| -> Result<(Vec<usize>, Vec<Vec<Value>>)> {
-            let build_start = Instant::now();
-            let mut rows = rows_unsorted.clone();
-            sort_permutation(&window_keys, &mut rows, within);
-            let resolve_start = Instant::now();
-            let mut vm_stats = ExprVmStats::default();
-            let frames = resolve_frames_counted(
-                table,
-                &rows,
-                &window_keys,
-                &self.spec.frame,
-                &mut vm_stats,
-            )?;
-            resolve_nanos.fetch_add(resolve_start.elapsed().as_nanos() as u64, Relaxed);
-            vm_acc.absorb(&vm_stats);
-            let params = if within { opts.params } else { opts.params.serial() };
-
-            // Pick a strategy per call. The choice is a pure function of
-            // (mode, call class, frame stats, cost model) — none of which
-            // depend on parallelism or sharing — so every engine
-            // configuration makes identical choices and stays bit-identical.
-            let pstats = PartitionStats::from_frames(&frames);
-            // Under a budget, surcharge the MST's cost terms by how hard
-            // this partition's tree would press on it (spill writes +
-            // re-faults the base model doesn't price). The penalty is a pure
-            // function of (partition size, params, budget) — identical
-            // across engine configurations, so choices stay deterministic.
-            let est_tree_bytes = (holistic_core::mst_arena_len(rows.len(), params)
-                * if holistic_core::index::fits_u32(rows.len() + 1) { 4 } else { 8 })
-                as u64;
-            let model = opts.cost_model.under_memory_pressure(est_tree_bytes, opts.budget);
-            let choices: Vec<Strategy> = plan
-                .calls
-                .iter()
-                .map(|cp| choose(opts.strategy, cp.class, &pstats, &model))
-                .collect();
-            let all_naive = choices.iter().all(|&s| s == Strategy::Naive);
-            {
-                let mut sp = strategy_acc.lock().expect("strategy accumulator poisoned");
-                for (ci, s) in choices.iter().enumerate() {
-                    sp.decisions[s.index()] += 1;
-                    sp.per_call[ci][s.index()] += 1;
-                }
-                if all_naive {
-                    sp.cacheless_partitions += 1;
-                }
-            }
-
-            let dctx = DirectCtx { table, rows: &rows, frames: &frames, inner_keys: &hoisted_keys };
-            let mut outs: Vec<Vec<Value>> = Vec::with_capacity(self.calls.len());
-            if all_naive {
-                // Small-partition fast path: no cache, no seeding, no
-                // footprint accounting — just direct evaluation.
-                build_nanos.fetch_add(build_start.elapsed().as_nanos() as u64, Relaxed);
-                let probe_start = Instant::now();
-                for (call, cp) in self.calls.iter().zip(&plan.calls) {
-                    outs.push(direct::evaluate(&dctx, call, cp)?);
-                }
-                probe_nanos.fetch_add(probe_start.elapsed().as_nanos() as u64, Relaxed);
-            } else if opts.share_artifacts {
-                let cache = seeded_cache();
-                let ctx = Ctx {
-                    table,
-                    rows: &rows,
-                    frames: &frames,
-                    parallel: within,
-                    params,
-                    cache: &cache,
-                    kernel: &kernel,
-                    vm: &vm_acc,
-                };
-                // Eager prebuild only for calls the MST actually serves;
-                // alternates build lazily from the shared cache and the
-                // direct path needs nothing.
-                for (cp, &s) in plan.calls.iter().zip(&choices) {
-                    if s == Strategy::Mst {
-                        for key in cp.keys.eager() {
-                            artifacts::force(&ctx, key)?;
-                        }
-                    }
-                }
-                build_nanos.fetch_add(build_start.elapsed().as_nanos() as u64, Relaxed);
-                let probe_start = Instant::now();
-                for ((call, cp), &s) in self.calls.iter().zip(&plan.calls).zip(&choices) {
-                    outs.push(match s {
-                        Strategy::Mst => evaluate_call(&ctx, call, cp)?,
-                        Strategy::Naive => direct::evaluate(&dctx, call, cp)?,
-                        other => alt::evaluate(&ctx, call, cp, other)?,
-                    });
-                }
-                probe_nanos.fetch_add(probe_start.elapsed().as_nanos() as u64, Relaxed);
-                cache.stats().merge_into(&totals);
-                absorb_footprints(&cache);
-            } else {
-                build_nanos.fetch_add(build_start.elapsed().as_nanos() as u64, Relaxed);
-                let probe_start = Instant::now();
-                for ((call, cp), &s) in self.calls.iter().zip(&plan.calls).zip(&choices) {
-                    if s == Strategy::Naive {
-                        outs.push(direct::evaluate(&dctx, call, cp)?);
-                        continue;
-                    }
-                    // A fresh cache per call: artifacts are still shared
-                    // *within* the call, never across calls.
-                    let cache = seeded_cache();
-                    let ctx = Ctx {
-                        table,
-                        rows: &rows,
-                        frames: &frames,
-                        parallel: within,
-                        params,
-                        cache: &cache,
-                        kernel: &kernel,
-                        vm: &vm_acc,
-                    };
-                    outs.push(match s {
-                        Strategy::Mst => evaluate_call(&ctx, call, cp)?,
-                        other => alt::evaluate(&ctx, call, cp, other)?,
-                    });
-                    cache.stats().merge_into(&totals);
-                    absorb_footprints(&cache);
-                }
-                probe_nanos.fetch_add(probe_start.elapsed().as_nanos() as u64, Relaxed);
-            }
-            Ok((rows, outs))
+        let process = |rows: Vec<usize>| {
+            let p = eval.evaluate(rows, None)?;
+            profile.lock().expect("a partition panicked mid-report").absorb(&p);
+            Ok((p.rows, p.outs))
         };
-
         let per_partition: Vec<(Vec<usize>, Vec<Vec<Value>>)> = if across {
-            partitions.par_iter().map(process).collect::<Result<Vec<_>>>()?
+            partitions.into_par_iter().map(process).collect::<Result<_>>()?
         } else {
-            partitions.iter().map(process).collect::<Result<Vec<_>>>()?
+            partitions.into_iter().map(process).collect::<Result<_>>()?
         };
 
         // Scatter back to original row order — one shared row map per
@@ -591,26 +460,11 @@ impl WindowQuery {
             }
             out.add_column(call.output_name.clone(), column.finish()?)?;
         }
-        let mut artifacts: Vec<ArtifactFootprint> = footprints
-            .into_inner()
-            .expect("footprint accumulator poisoned")
-            .into_iter()
-            .map(|(label, (builds, bytes))| ArtifactFootprint { label, builds, bytes })
-            .collect();
-        artifacts.sort_by(|a, b| b.bytes.cmp(&a.bytes).then(a.label.cmp(b.label)));
-        let profile = ExecProfile {
-            plan: plan_time,
-            build: Duration::from_nanos(build_nanos.load(Relaxed)),
-            probe: Duration::from_nanos(probe_nanos.load(Relaxed)),
-            resolve: Duration::from_nanos(resolve_nanos.load(Relaxed)),
-            partitions: partitions.len(),
-            cache: totals.snapshot(),
-            probe_kernel: kernel.snapshot(),
-            artifacts,
-            strategy: strategy_acc.into_inner().expect("strategy accumulator poisoned"),
-            expr_vm: vm_acc.snapshot(),
-            spill: gov.snapshot(),
-        };
+
+        let mut profile = profile.into_inner().expect("a partition panicked mid-report");
+        profile.artifacts.sort_by(|a, b| b.bytes.cmp(&a.bytes).then(a.label.cmp(b.label)));
+        profile.probe_kernel = eval.kernel.snapshot();
+        profile.spill = gov.snapshot();
         Ok((out, profile))
     }
 }

@@ -18,7 +18,7 @@ use crate::expr::Expr;
 use crate::order::{peer_bounds, KeyColumns};
 use crate::table::Table;
 use crate::value::Value;
-use crate::vm::{self, ExprVmStats};
+use crate::vm;
 use holistic_core::RangeSet;
 use std::cmp::Ordering;
 
@@ -299,7 +299,7 @@ fn offsets_from_block(block: &vm::Block, n: usize) -> Option<Vec<Offset>> {
 
 /// Batch-evaluates one bound's offset expression over the whole partition
 /// through the compiled VM. Returns `None` when the bound carries no offset
-/// expression, `batch` is off (see [`resolve_frames_counted`]) or any row
+/// expression, `batch` is off (see [`resolve_frames`]) or any row
 /// fails evaluation or validation — callers then evaluate that bound per
 /// row, which reproduces the interpreter's canonical first error.
 fn precompute_offsets(
@@ -307,7 +307,6 @@ fn precompute_offsets(
     table: &Table,
     rows: &[usize],
     batch: bool,
-    stats: &mut ExprVmStats,
 ) -> Option<Vec<Offset>> {
     let e = match b {
         PreBound::Preceding(e) | PreBound::Following(e) => e,
@@ -318,49 +317,25 @@ fn precompute_offsets(
         return None;
     }
     let prog = vm::Program::compile(e);
-    stats.programs_compiled += 1;
-    let mut machine = vm::ExprVm::new();
-    let offs = machine
+    vm::ExprVm::new()
         .run_block(&prog, table, vm::RowSel::Rows(rows))
         .ok()
-        .and_then(|block| offsets_from_block(&block, n));
-    match offs {
-        Some(offs) => {
-            stats.vm_rows += n as u64;
-            Some(offs)
-        }
-        None => {
-            stats.vm_fallbacks += 1;
-            stats.interpreted_rows += n as u64;
-            None
-        }
-    }
+        .and_then(|block| offsets_from_block(&block, n))
 }
 
 /// Resolves all frames of a sorted partition.
 ///
 /// `rows` maps partition positions to table rows *in window order*; `keys`
 /// are the window ORDER BY keys (used for peers and RANGE arithmetic).
+/// Per-row offset expressions run through the compiled VM in whole-partition
+/// batches (interpreter-identical results), falling back to the per-row
+/// interpreter when a bound's batch fails so errors keep the canonical row
+/// order.
 pub fn resolve_frames(
     table: &Table,
     rows: &[usize],
     keys: &KeyColumns,
     spec: &FrameSpec,
-) -> Result<ResolvedFrames> {
-    resolve_frames_counted(table, rows, keys, spec, &mut ExprVmStats::default())
-}
-
-/// [`resolve_frames`] with the expression-VM counters landing in `stats`:
-/// per-row offset expressions run through the compiled VM in whole-partition
-/// batches (interpreter-identical results), falling back to the per-row
-/// interpreter when a bound's batch fails so errors keep the canonical row
-/// order.
-pub fn resolve_frames_counted(
-    table: &Table,
-    rows: &[usize],
-    keys: &KeyColumns,
-    spec: &FrameSpec,
-    stats: &mut ExprVmStats,
 ) -> Result<ResolvedFrames> {
     let m = rows.len();
     let (peer_start, peer_end) = peer_bounds(keys, rows);
@@ -377,8 +352,8 @@ pub fn resolve_frames_counted(
 
     match spec.mode {
         FrameMode::Rows => {
-            let pre_s = precompute_offsets(&pstart, table, rows, batch, stats);
-            let pre_e = precompute_offsets(&pend, table, rows, batch, stats);
+            let pre_s = precompute_offsets(&pstart, table, rows, batch);
+            let pre_e = precompute_offsets(&pend, table, rows, batch);
             let offset_at =
                 |pre: &Option<Vec<Offset>>, e: &crate::expr::BoundExpr, i: usize| match pre {
                     Some(v) => Ok(v[i]),
@@ -434,7 +409,6 @@ pub fn resolve_frames_counted(
                 &peer_end,
                 &mut bounds,
                 batch,
-                stats,
             )?;
         }
         FrameMode::Groups => {
@@ -453,8 +427,8 @@ pub fn resolve_frames_counted(
                 p = e;
             }
             let num_groups = starts.len();
-            let pre_s = precompute_offsets(&pstart, table, rows, batch, stats);
-            let pre_e = precompute_offsets(&pend, table, rows, batch, stats);
+            let pre_s = precompute_offsets(&pstart, table, rows, batch);
+            let pre_e = precompute_offsets(&pend, table, rows, batch);
             let offset_at =
                 |pre: &Option<Vec<Offset>>, e: &crate::expr::BoundExpr, i: usize| match pre {
                     Some(v) => Ok(v[i]),
@@ -526,7 +500,6 @@ fn resolve_range_frames(
     peer_end: &[usize],
     bounds: &mut Vec<(usize, usize)>,
     batch: bool,
-    stats: &mut ExprVmStats,
 ) -> Result<()> {
     let m = rows.len();
     let needs_key = |b: &PreBound| matches!(b, PreBound::Preceding(_) | PreBound::Following(_));
@@ -645,8 +618,8 @@ fn resolve_range_frames(
 
     // Offsets batch only after the key checks above: the canonical error
     // order reports an unsupported ORDER BY before any offset evaluation.
-    let pre_s = precompute_offsets(pstart, table, rows, batch, stats);
-    let pre_e = precompute_offsets(pend, table, rows, batch, stats);
+    let pre_s = precompute_offsets(pstart, table, rows, batch);
+    let pre_e = precompute_offsets(pend, table, rows, batch);
     let offset_at = |pre: &Option<Vec<Offset>>, e: &crate::expr::BoundExpr, i: usize| match pre {
         Some(v) => Ok(v[i]),
         None => eval_offset(e, table, rows[i]),

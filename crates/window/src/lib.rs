@@ -73,7 +73,7 @@ pub use spec::{FuncKind, FunctionCall, WindowSpec};
 pub use strategy::{CallClass, CostModel, PartitionStats, StatsAcc, Strategy, StrategyMode};
 pub use table::Table;
 pub use value::{DataType, Value};
-pub use vm::{ExprVm, ExprVmStats, Program};
+pub use vm::{ExprVm, Program};
 
 /// Convenient glob import.
 pub mod prelude {

@@ -6,16 +6,16 @@
 //! §5/§6, Table 1). Each wins somewhere: naive on tiny partitions where any
 //! preprocessing is overhead, incremental on narrow monotonic frames,
 //! trees on everything wide or adversarial. This module makes that choice
-//! explicit: a [`CostModel`] with calibratable constants scores every
-//! applicable [`Strategy`] against cheap [`PartitionStats`] and the executor
-//! dispatches each (partition × call) to the winner.
+//! explicit: a [`CostModel`] of calibrated constants scores every
+//! applicable [`Strategy`] against cheap [`PartitionStats`] and the
+//! per-partition pipeline dispatches each (partition × call) to the winner.
 //!
 //! Invariants the executor relies on:
 //!
 //! * The choice is a pure function of `(mode, class, stats, model)` — all
 //!   configuration-independent inputs — so every engine configuration
-//!   (serial/parallel, cursors on/off, shared/private caches) picks the same
-//!   strategy and stays bit-identical.
+//!   (serial/parallel, shared/private caches) picks the same strategy and
+//!   stays bit-identical.
 //! * Every strategy is bit-identical to the merge-sort-tree path by
 //!   construction: alternates slide/select *dense codes* (exact integer
 //!   ranks) and the direct path re-derives each family from the same
@@ -282,11 +282,12 @@ impl StatsAcc {
     }
 }
 
-/// Calibratable per-operation cost constants, in nanoseconds.
+/// Per-operation cost constants, in nanoseconds.
 ///
-/// Defaults come from the `crossover_ext` calibration benchmark (see
-/// `EXPERIMENTS.md`); they only need to rank strategies correctly near the
-/// crossover points, not predict absolute runtimes.
+/// The engine always scores with [`CostModel::default`], whose values come
+/// from the `crossover_ext` calibration benchmark (see `EXPERIMENTS.md`);
+/// they only need to rank strategies correctly near the crossover points,
+/// not predict absolute runtimes.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CostModel {
     /// Partitions at or below this size short-circuit to [`Strategy::Naive`]
@@ -314,7 +315,7 @@ pub struct CostModel {
     pub segtree_probe: f64,
     /// Merge sort tree: per element per level at build.
     pub mst_build_cell: f64,
-    /// Merge sort tree: per probe, scaled by `log(m)` (cursor-amortized).
+    /// Merge sort tree: per probe, scaled by `log(m)`.
     pub mst_probe: f64,
 }
 

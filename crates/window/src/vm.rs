@@ -28,7 +28,6 @@ use crate::error::{Error, Result};
 use crate::expr::{eval_binop, neg_value, not_value, BinOp, BoundExpr};
 use crate::table::Table;
 use crate::value::Value;
-use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::Arc;
 
 /// One instruction of a compiled expression program.
@@ -682,87 +681,14 @@ impl ExprVm {
     }
 }
 
-/// Expression-VM counters surfaced in `ExecProfile`.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ExprVmStats {
-    /// Expressions lowered to programs this query.
-    pub programs_compiled: u64,
-    /// Rows evaluated through compiled programs.
-    pub vm_rows: u64,
-    /// Rows evaluated through the per-row interpreter (the fallback after a
-    /// VM error).
-    pub interpreted_rows: u64,
-    /// VM runs that errored and fell back to the interpreter for the
-    /// canonical per-row error.
-    pub vm_fallbacks: u64,
-}
-
-impl ExprVmStats {
-    /// Accumulates another counter set into `self`.
-    pub fn merge_from(&mut self, o: &ExprVmStats) {
-        self.programs_compiled += o.programs_compiled;
-        self.vm_rows += o.vm_rows;
-        self.interpreted_rows += o.interpreted_rows;
-        self.vm_fallbacks += o.vm_fallbacks;
-    }
-}
-
-/// Lock-free accumulator for [`ExprVmStats`] across parallel partitions.
-#[derive(Debug, Default)]
-pub struct AtomicExprVm {
-    programs_compiled: AtomicU64,
-    vm_rows: AtomicU64,
-    interpreted_rows: AtomicU64,
-    vm_fallbacks: AtomicU64,
-}
-
-impl AtomicExprVm {
-    /// A zeroed accumulator.
-    pub fn new() -> AtomicExprVm {
-        AtomicExprVm::default()
-    }
-
-    /// Adds one local counter set.
-    pub fn absorb(&self, s: &ExprVmStats) {
-        self.programs_compiled.fetch_add(s.programs_compiled, Relaxed);
-        self.vm_rows.fetch_add(s.vm_rows, Relaxed);
-        self.interpreted_rows.fetch_add(s.interpreted_rows, Relaxed);
-        self.vm_fallbacks.fetch_add(s.vm_fallbacks, Relaxed);
-    }
-
-    /// Reads the accumulated totals.
-    pub fn snapshot(&self) -> ExprVmStats {
-        ExprVmStats {
-            programs_compiled: self.programs_compiled.load(Relaxed),
-            vm_rows: self.vm_rows.load(Relaxed),
-            interpreted_rows: self.interpreted_rows.load(Relaxed),
-            vm_fallbacks: self.vm_fallbacks.load(Relaxed),
-        }
-    }
-}
-
 /// Evaluates a bound expression for an explicit row selection through the
 /// VM, falling back to the per-row interpreter on a VM error so the caller
 /// sees the canonical first error. Central helper for `Ctx::eval_positions`.
-pub(crate) fn eval_rows(
-    bound: &BoundExpr,
-    table: &Table,
-    rows: &[usize],
-    stats: &mut ExprVmStats,
-) -> Result<Vec<Value>> {
+pub(crate) fn eval_rows(bound: &BoundExpr, table: &Table, rows: &[usize]) -> Result<Vec<Value>> {
     let prog = Program::compile(bound);
-    stats.programs_compiled += 1;
-    let mut vm = ExprVm::new();
-    match vm.run_values(&prog, table, rows) {
-        Ok(vals) => {
-            stats.vm_rows += rows.len() as u64;
-            Ok(vals)
-        }
-        Err(_) => {
-            stats.vm_fallbacks += 1;
-            stats.interpreted_rows += rows.len() as u64;
-            rows.iter().map(|&r| bound.eval(table, r)).collect()
-        }
+    match ExprVm::new().run_values(&prog, table, rows) {
+        Ok(vals) => Ok(vals),
+        Err(_) => rows.iter().map(|&r| bound.eval(table, r)).collect(),
     }
 }
 
@@ -774,21 +700,11 @@ pub(crate) fn eval_filter_rows(
     bound: &BoundExpr,
     table: &Table,
     rows: &[usize],
-    stats: &mut ExprVmStats,
 ) -> Result<Vec<bool>> {
     let prog = Program::compile(bound);
-    stats.programs_compiled += 1;
-    let mut vm = ExprVm::new();
-    match vm.run_block(&prog, table, RowSel::Rows(rows)) {
-        Ok(block) => {
-            stats.vm_rows += rows.len() as u64;
-            Ok(block.truthy_mask(rows.len()))
-        }
-        Err(_) => {
-            stats.vm_fallbacks += 1;
-            stats.interpreted_rows += rows.len() as u64;
-            rows.iter().map(|&r| Ok(bound.eval(table, r)?.is_truthy())).collect()
-        }
+    match ExprVm::new().run_block(&prog, table, RowSel::Rows(rows)) {
+        Ok(block) => Ok(block.truthy_mask(rows.len())),
+        Err(_) => rows.iter().map(|&r| Ok(bound.eval(table, r)?.is_truthy())).collect(),
     }
 }
 

@@ -279,25 +279,55 @@ fn new_partitions_appear_mid_stream() {
 
 #[test]
 fn incremental_stats_and_strategy_match_from_scratch() {
-    let full = timeseries(300);
-    let (base, batches) = suffix_batches(&full, 120, 6);
-    let q = all_fast_query();
-    let opts = ExecOptions::default();
+    // A wide frame over one large partition under a memory budget: the
+    // pressure surcharge decides between the merge sort tree and naive, so a
+    // splice that re-planned without it would drift from a from-scratch run.
+    let n = 20_000i64;
+    let budgeted = Table::new(vec![
+        ("t", Column::ints((0..n).collect())),
+        ("v", Column::ints((0..n).map(|i| (37 * i + 11) % 1009).collect())),
+    ])
+    .unwrap();
+    let budgeted_query = WindowQuery::over(
+        WindowSpec::new()
+            .order_by(vec![SortKey::asc(col("t"))])
+            .frame(FrameSpec::rows(FrameBound::Preceding(lit(550i64)), FrameBound::CurrentRow)),
+    )
+    .call(FunctionCall::rank(vec![SortKey::asc(col("v"))]).named("r"));
 
-    let mut engine = q.begin_incremental(&base, opts).unwrap();
-    for batch in &batches {
-        engine.append(batch).unwrap();
+    // (query, table, base rows, batches, options, re-plans expected)
+    let inputs = [
+        (all_fast_query(), timeseries(300), 120, 6, ExecOptions::default(), None),
+        (
+            budgeted_query,
+            budgeted,
+            19_990,
+            1,
+            ExecOptions::serial().memory_budget(800_000),
+            Some(0),
+        ),
+    ];
+    for (q, full, base_n, k, opts, replans) in inputs {
+        let (base, batches) = suffix_batches(&full, base_n, k);
+        let mut engine = q.begin_incremental(&base, opts).unwrap();
+        for batch in &batches {
+            let profile = engine.append(batch).unwrap().profile;
+            assert_eq!(profile.spliced_partitions, profile.touched_partitions);
+            if let Some(replans) = replans {
+                assert_eq!(profile.strategy_replans, replans, "{}", opts.label());
+            }
+        }
+        // A second engine built directly on the grown table computes its
+        // stats and strategy choices from scratch; the incrementally
+        // maintained ones must agree exactly.
+        let fresh = q.begin_incremental(engine.table(), opts).unwrap();
+        assert_eq!(engine.partition_stats(), fresh.partition_stats());
+        assert_eq!(engine.strategy_decisions(), fresh.strategy_decisions(), "{}", opts.label());
+
+        // And the engine's decision histogram matches the batch executor's.
+        let (_, profile) = q.execute_profiled(engine.table(), opts).unwrap();
+        assert_eq!(engine.strategy_decisions(), profile.strategy.decisions, "{}", opts.label());
     }
-    // A second engine built directly on the grown table computes its stats
-    // and strategy choices from scratch; the incrementally-maintained ones
-    // must agree exactly.
-    let fresh = q.begin_incremental(engine.table(), opts).unwrap();
-    assert_eq!(engine.partition_stats(), fresh.partition_stats());
-    assert_eq!(engine.strategy_decisions(), fresh.strategy_decisions());
-
-    // And the engine's decision histogram matches the batch executor's.
-    let (_, profile) = q.execute_profiled(engine.table(), opts).unwrap();
-    assert_eq!(engine.strategy_decisions(), profile.strategy.decisions);
 }
 
 #[test]

@@ -133,6 +133,21 @@ proptest! {
                     "forced MST did not stick ({})", label
                 );
                 prop_assert_eq!(profile.strategy.cacheless_partitions, 0);
+            } else {
+                // The per-partition reports fold to the same totals however
+                // the partitions were scheduled. `hits` is exempt: parallel
+                // probe chunks may re-request a lazily built artifact.
+                prop_assert_eq!(&profile.strategy, &base_profile.strategy);
+                prop_assert_eq!(profile.partitions, base_profile.partitions);
+                let (c, b) = (profile.cache, base_profile.cache);
+                prop_assert_eq!(
+                    (c.misses, c.key_clones, c.bytes_built, c.inner_sorts),
+                    (b.misses, b.key_clones, b.bytes_built, b.inner_sorts)
+                );
+                prop_assert_eq!(
+                    (c.mst_builds, c.segtree_builds, c.rangetree_builds, c.modeindex_builds),
+                    (b.mst_builds, b.segtree_builds, b.rangetree_builds, b.modeindex_builds)
+                );
             }
             for call in &calls {
                 let name = call.output_name.as_str();
