@@ -81,11 +81,13 @@ $OFUZZ --panic-sweep --cases 400 --seed 0x5EED
 $OFUZZ --cases 500 --seed 0xB4D6E7 --max-n 40 --budget 8192 --time-budget-secs 120
 $OFUZZ --sql-roundtrip --cases 500 --seed 0xC0FFEE --max-n 40 --time-budget-secs 120
 
-step "bench smoke (tiny n; asserts shared/private identity)"
-N=3000 W=64 REPS=1 cargo run --release -q -p holistic-bench --bin sharing_ext -- --json
-# Asserts append outputs bit-identical across every config and vs from-scratch;
-# the ≥5×-vs-rebuild and beats-per-row gates self-skip below n = 500k.
-N=6000 B=200 REBUILD_SAMPLES=4 cargo run --release -q -p holistic-bench --bin append_ext -- --json
+step "bench smoke (every bin once at tiny n: a figure bin that panics at run time fails here)"
+# Each bin reads only its own variables (fig10 steps through fixed sizes from
+# 20 000 up, N_MAX keeps the first). The bins cross-check their algorithms
+# against each other before timing, fig14 against the engine's own answer.
+for bin in table1 fig09 fig10 fig11 fig12 fig13 fig14 ablation dense_rank_ext mode_ext; do
+  N=2000 N_MAX=20000 W=100 REPS=1 cargo run --release -q -p holistic-bench --bin "$bin" > /dev/null
+done
 N=4000 REPS=1 cargo run --release -q -p holistic-bench --bin crossover_ext -- --json
 # Asserts budgeted execution bit-identical to unbudgeted, peak resident within
 # 1.25x budget, and that the auto-derived budget actually spills.

@@ -50,8 +50,26 @@ pub fn mtps(n: usize, d: Duration) -> f64 {
 
 /// Reads a usize from the environment with a default (used by the figure
 /// binaries to scale problem sizes: `N=1000000 cargo run --bin fig11 ...`).
+/// A value that is set but is not a usize ends the process with exit code 2,
+/// naming the variable and the value: a benchmark must not quietly run at a
+/// size nobody asked for.
 pub fn env_usize(name: &str, default: usize) -> usize {
-    std::env::var(name).ok().and_then(|v| v.parse().ok()).unwrap_or(default)
+    let set = std::env::var_os(name).map(|v| v.to_string_lossy().into_owned());
+    parse_usize(name, set.as_deref(), default).unwrap_or_else(|msg| {
+        eprintln!("error: {msg}");
+        std::process::exit(2)
+    })
+}
+
+/// [`env_usize`] without the environment: `value` is what the variable holds,
+/// `None` when it is unset.
+fn parse_usize(name: &str, value: Option<&str>, default: usize) -> Result<usize, String> {
+    match value {
+        None => Ok(default),
+        Some(v) => {
+            v.parse().map_err(|e| format!("{name}={v:?} is not a non-negative whole number ({e})"))
+        }
+    }
 }
 
 #[cfg(test)]
@@ -71,5 +89,15 @@ mod tests {
     #[test]
     fn env_usize_defaults() {
         assert_eq!(env_usize("HOLISTIC_BENCH_UNSET_VAR", 7), 7);
+    }
+
+    #[test]
+    fn set_but_unparsable_values_are_errors_not_defaults() {
+        assert_eq!(parse_usize("N", None, 7), Ok(7));
+        assert_eq!(parse_usize("N", Some("1000000"), 7), Ok(1_000_000));
+        for bad in ["1e6", "-3", "", " 5"] {
+            let msg = parse_usize("N", Some(bad), 7).unwrap_err();
+            assert!(msg.contains("N=") && msg.contains(bad), "{msg}");
+        }
     }
 }

@@ -64,7 +64,9 @@ fn form_runs<T: Send>(
 /// Sorts `data` into contiguous runs (one per task) and returns the run
 /// boundaries (always starting with 0 and ending with `data.len()`).
 ///
-/// This is the "sort thread-local" phase of Figure 14.
+/// Runs are ordered by key only: elements with equal keys land in no
+/// particular order, so a caller that needs ties in input order (prevIdcs)
+/// sorts whole pairs instead, as [`sort_pairs`] does.
 pub fn sort_runs<I: TreeIndex, T: Keyed<I>>(data: &mut [T], num_runs: usize) -> Vec<usize> {
     form_runs(data, num_runs, |c| c.sort_unstable_by_key(|e| e.key()))
 }

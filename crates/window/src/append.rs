@@ -722,12 +722,9 @@ impl IncrementalEngine {
             self.parts[pid].rows[..m_old].iter().enumerate().map(|(pos, &r)| (r, pos)).collect();
         let rows = std::mem::take(&mut self.parts[pid].rows);
         // Positions shift, so every position-space artifact of the
-        // partition's persistent cache is stale: invalidate up front (the
-        // generation bump is what downstream holders would check).
+        // partition's persistent cache is stale: invalidate up front.
         let cache = &self.parts[pid].cache;
-        let g0 = cache.generation();
         profile.evicted_artifacts += cache.invalidate_all();
-        debug_assert_eq!(cache.generation(), g0 + 1);
         let PartitionOutput { rows, frames, acc, choices, outs, report } =
             self.evaluator(wk).evaluate(rows, Some(cache))?;
         // Release the key seeds so the engine's hoisted Arcs stay uniquely

@@ -499,10 +499,6 @@ pub(crate) struct ArtifactCache {
     /// `(label, bytes)` per slot actually built (seeded slots excluded).
     footprints: Mutex<Vec<(&'static str, usize)>>,
     stats: AtomicStats,
-    /// Bumped by every invalidation; incremental consumers compare their
-    /// remembered generation against [`ArtifactCache::generation`] to detect
-    /// that borrowed artifacts may have been dropped underneath a delta.
-    generation: AtomicU64,
     /// The execution's shared budget governor.
     gov: Arc<BudgetGovernor>,
     /// This cache's partition id under the governor (eviction order).
@@ -516,7 +512,6 @@ impl ArtifactCache {
             slots: Mutex::new(FxHashMap::default()),
             footprints: Mutex::new(Vec::new()),
             stats: AtomicStats::default(),
-            generation: AtomicU64::new(0),
             gov,
             partition,
         }
@@ -547,14 +542,6 @@ impl ArtifactCache {
         }
     }
 
-    /// The current invalidation generation: 0 for a fresh cache, +1 per
-    /// [`ArtifactCache::invalidate_all`] / [`ArtifactCache::invalidate_where`]
-    /// call (even when nothing matched — the *intent* to invalidate is what a
-    /// consumer must observe).
-    pub fn generation(&self) -> u64 {
-        self.generation.load(Relaxed)
-    }
-
     /// Drops every cached artifact. Footprints and hit/miss statistics are
     /// retained: they describe build work actually performed, which
     /// invalidation cannot undo. Returns the number of slots dropped.
@@ -563,7 +550,6 @@ impl ArtifactCache {
         let n = slots.len();
         self.release_charges(slots.values());
         slots.clear();
-        self.generation.fetch_add(1, Relaxed);
         n
     }
 
@@ -585,7 +571,6 @@ impl ArtifactCache {
             }
             !drop_it
         });
-        self.generation.fetch_add(1, Relaxed);
         before - slots.len()
     }
 

@@ -21,7 +21,7 @@ use crate::artifacts::MaskArtifact;
 use crate::error::{Error, Result};
 use crate::eval::distributive::{decode_ordinal, encode_ordinals};
 use crate::eval::leadlag::target_position;
-use crate::eval::rank::ntile_of;
+use crate::eval::rank::{code_bounds, earlier_pieces, ntile_of};
 use crate::eval::{cont_rank, cume_dist, disc_rank, fraction_arg, percent_rank};
 use crate::frame::ResolvedFrames;
 use crate::hash::hash_value;
@@ -37,7 +37,6 @@ use holistic_core::RangeSet;
 use holistic_segtree::{SegmentTree, SumF64Monoid};
 use rustc_hash::{FxHashMap, FxHashSet};
 use std::borrow::Cow;
-use std::cmp::Ordering;
 use std::sync::Arc;
 
 /// Evaluation context of one partition on the direct path. Deliberately has
@@ -135,62 +134,6 @@ fn count_below(dc: &DenseCodes, pieces: &RangeSet, c: usize) -> usize {
         }
     }
     n
-}
-
-/// `(group_min, group_end, unique_code_or_none)` of row `i` in kept
-/// sorted-code space — dropped rows rank virtually via binary search, same
-/// as the rank family's `code_bounds`.
-fn code_bounds(
-    dctx: &DirectCtx<'_>,
-    keys: &KeyColumns,
-    mask: &MaskArtifact,
-    dc: &DenseCodes,
-    i: usize,
-) -> (usize, usize, Option<usize>) {
-    if mask.remap.is_kept(i) {
-        let k = mask.remap.kept_index(i);
-        (dc.group_min[k], dc.group_end[k], Some(dc.code[k]))
-    } else {
-        let row = dctx.rows[i];
-        let perm = &dc.perm;
-        let below = |x: usize| keys.cmp_rows(mask.kept_rows[perm[x]], row) == Ordering::Less;
-        let mut lo = 0;
-        let mut hi = perm.len();
-        while lo < hi {
-            let mid = lo + (hi - lo) / 2;
-            if below(mid) {
-                lo = mid + 1;
-            } else {
-                hi = mid;
-            }
-        }
-        let gmin = lo;
-        let mut hi2 = perm.len();
-        let mut lo2 = gmin;
-        while lo2 < hi2 {
-            let mid = lo2 + (hi2 - lo2) / 2;
-            if keys.rows_equal(mask.kept_rows[perm[mid]], row) {
-                lo2 = mid + 1;
-            } else {
-                hi2 = mid;
-            }
-        }
-        (gmin, lo2, None)
-    }
-}
-
-/// Pieces clipped to kept positions strictly before partition position `i`
-/// (the positional tie-break of dropped-row ranking).
-fn earlier_pieces(mask: &MaskArtifact, pieces: &RangeSet, i: usize) -> RangeSet {
-    let ki = mask.remap.range(0, i).1;
-    let mut earlier = RangeSet::empty();
-    for (a, b) in pieces.iter() {
-        let b2 = b.min(ki);
-        if a < b2 {
-            earlier.push(a, b2);
-        }
-    }
-    earlier
 }
 
 /// Evaluates one call directly. The output (values and errors) is
@@ -364,7 +307,7 @@ fn rank_family(dctx: &DirectCtx<'_>, call: &FunctionCall, cp: &CallPlan) -> Resu
     let m = dctx.m();
 
     let row_number = |i: usize, pieces: &RangeSet| -> usize {
-        let (gmin, gend, ucode) = code_bounds(dctx, &keys, &mask, &dc, i);
+        let (gmin, gend, ucode) = code_bounds(dctx.rows, &keys, &mask, &dc, i);
         match ucode {
             Some(c) => count_below(&dc, pieces, c) + 1,
             None => {
@@ -386,7 +329,7 @@ fn rank_family(dctx: &DirectCtx<'_>, call: &FunctionCall, cp: &CallPlan) -> Resu
         FuncKind::Rank => (0..m)
             .map(|i| {
                 let pieces = dctx.kept_pieces(&mask, i);
-                let (gmin, _, _) = code_bounds(dctx, &keys, &mask, &dc, i);
+                let (gmin, _, _) = code_bounds(dctx.rows, &keys, &mask, &dc, i);
                 Ok(Value::Int((count_below(&dc, &pieces, gmin) + 1) as i64))
             })
             .collect(),
@@ -397,7 +340,7 @@ fn rank_family(dctx: &DirectCtx<'_>, call: &FunctionCall, cp: &CallPlan) -> Resu
                 if size == 0 {
                     return Ok(Value::Null);
                 }
-                let (gmin, _, _) = code_bounds(dctx, &keys, &mask, &dc, i);
+                let (gmin, _, _) = code_bounds(dctx.rows, &keys, &mask, &dc, i);
                 Ok(Value::Float(percent_rank(count_below(&dc, &pieces, gmin), size)))
             })
             .collect(),
@@ -408,7 +351,7 @@ fn rank_family(dctx: &DirectCtx<'_>, call: &FunctionCall, cp: &CallPlan) -> Resu
                 if size == 0 {
                     return Ok(Value::Null);
                 }
-                let (_, gend, _) = code_bounds(dctx, &keys, &mask, &dc, i);
+                let (_, gend, _) = code_bounds(dctx.rows, &keys, &mask, &dc, i);
                 Ok(Value::Float(cume_dist(count_below(&dc, &pieces, gend), size)))
             })
             .collect(),
@@ -453,7 +396,7 @@ fn dense_rank(dctx: &DirectCtx<'_>, cp: &CallPlan) -> Result<Vec<Value>> {
     let mut groups: FxHashSet<usize> = FxHashSet::default();
     (0..dctx.m())
         .map(|i| {
-            let (gmin, _, _) = code_bounds(dctx, &keys, &mask, &dc, i);
+            let (gmin, _, _) = code_bounds(dctx.rows, &keys, &mask, &dc, i);
             let gcount = if gmin == 0 { 0 } else { dc.group_id[dc.perm[gmin - 1]] + 1 };
             groups.clear();
             for (a, b) in dctx.kept_pieces(&mask, i).iter() {
@@ -691,7 +634,7 @@ fn leadlag(dctx: &DirectCtx<'_>, call: &FunctionCall, cp: &CallPlan) -> Result<V
             };
             let pieces = dctx.kept_pieces(&mask, i);
             let s = pieces.count();
-            let (gmin, gend, ucode) = code_bounds(dctx, &keys, &mask, &dc, i);
+            let (gmin, gend, ucode) = code_bounds(dctx.rows, &keys, &mask, &dc, i);
             let rn0 = match ucode {
                 Some(c) => count_below(&dc, &pieces, c),
                 None => {

@@ -28,6 +28,7 @@ use holistic_core::codes::DenseCodes;
 use holistic_core::index::fits_u32;
 use holistic_core::{RangeSet, TreeIndex};
 use rustc_hash::FxHashSet;
+use std::cmp::Ordering;
 use std::sync::Arc;
 
 /// Shared preprocessing for the rank family (all cache-resident).
@@ -45,48 +46,49 @@ fn prepare(ctx: &Ctx<'_>, cp: &CallPlan) -> Result<RankPrep> {
 }
 
 impl RankPrep {
-    /// `(group_min, group_end, unique_code_or_none)` of the current row in
-    /// *kept sorted-code* space. Rows dropped by FILTER still rank against
-    /// the kept rows; their virtual code bounds come from binary search.
     fn code_bounds(&self, ctx: &Ctx<'_>, i: usize) -> (usize, usize, Option<usize>) {
-        if self.mask.remap.is_kept(i) {
-            let k = self.mask.remap.kept_index(i);
-            (self.dc.group_min[k], self.dc.group_end[k], Some(self.dc.code[k]))
-        } else {
-            let row = ctx.rows[i];
-            let perm = &self.dc.perm;
-            let below = |x: usize| {
-                self.keys.cmp_rows(self.mask.kept_rows[perm[x]], row) == std::cmp::Ordering::Less
-            };
-            let mut lo = 0;
-            let mut hi = perm.len();
-            while lo < hi {
-                let mid = lo + (hi - lo) / 2;
-                if below(mid) {
-                    lo = mid + 1;
-                } else {
-                    hi = mid;
-                }
-            }
-            let gmin = lo;
-            let mut hi2 = perm.len();
-            let mut lo2 = gmin;
-            while lo2 < hi2 {
-                let mid = lo2 + (hi2 - lo2) / 2;
-                if self.keys.rows_equal(self.mask.kept_rows[perm[mid]], row) {
-                    lo2 = mid + 1;
-                } else {
-                    hi2 = mid;
-                }
-            }
-            (gmin, lo2, None)
-        }
+        code_bounds(ctx.rows, &self.keys, &self.mask, &self.dc, i)
     }
 
     /// Frame pieces remapped to kept space.
     fn kept_pieces(&self, ctx: &Ctx<'_>, i: usize) -> RangeSet {
         self.mask.remap.range_set(&ctx.frames.range_set(i))
     }
+}
+
+/// `(group_min, group_end, unique_code_or_none)` of partition position `i`
+/// in *kept sorted-code* space. Rows dropped by FILTER still rank against the
+/// kept rows; their virtual code bounds come from binary search.
+pub(super) fn code_bounds(
+    rows: &[usize],
+    keys: &KeyColumns,
+    mask: &MaskArtifact,
+    dc: &DenseCodes,
+    i: usize,
+) -> (usize, usize, Option<usize>) {
+    if mask.remap.is_kept(i) {
+        let k = mask.remap.kept_index(i);
+        return (dc.group_min[k], dc.group_end[k], Some(dc.code[k]));
+    }
+    let row = rows[i];
+    let kept_row = |&p: &usize| mask.kept_rows[p];
+    let gmin = dc.perm.partition_point(|p| keys.cmp_rows(kept_row(p), row) == Ordering::Less);
+    let gend = gmin + dc.perm[gmin..].partition_point(|p| keys.rows_equal(kept_row(p), row));
+    (gmin, gend, None)
+}
+
+/// `pieces` clipped to kept positions strictly before partition position `i`
+/// (the positional tie-break of dropped-row ranking).
+pub(super) fn earlier_pieces(mask: &MaskArtifact, pieces: &RangeSet, i: usize) -> RangeSet {
+    let ki = mask.remap.range(0, i).1;
+    let mut earlier = RangeSet::empty();
+    for (a, b) in pieces.iter() {
+        let b2 = b.min(ki);
+        if a < b2 {
+            earlier.push(a, b2);
+        }
+    }
+    earlier
 }
 
 /// RANK / ROW_NUMBER / PERCENT_RANK / CUME_DIST / NTILE.
@@ -113,14 +115,7 @@ fn evaluate_impl<I: TreeIndex>(
     let row_number_dropped = |i: usize, pieces: &RangeSet| -> usize {
         let (gmin, gend, _) = prep.code_bounds(ctx, i);
         let smaller = tree.count_below_multi(pieces, I::from_usize(gmin));
-        let ki = self_kept_prefix(&prep, i);
-        let mut earlier = RangeSet::empty();
-        for (a, b) in pieces.iter() {
-            let b2 = b.min(ki);
-            if a < b2 {
-                earlier.push(a, b2);
-            }
-        }
+        let earlier = earlier_pieces(&prep.mask, pieces, i);
         let eq_before = tree.count_below_multi(&earlier, I::from_usize(gend))
             - tree.count_below_multi(&earlier, I::from_usize(gmin));
         smaller + eq_before + 1
@@ -214,11 +209,6 @@ fn evaluate_impl<I: TreeIndex>(
         }
         _ => unreachable!("rank dispatch"),
     }
-}
-
-/// Number of kept positions strictly before partition position `i`.
-fn self_kept_prefix(prep: &RankPrep, i: usize) -> usize {
-    prep.mask.remap.range(0, i).1
 }
 
 /// SQL NTILE: `size` rows into `b` buckets; the first `size % b` buckets get

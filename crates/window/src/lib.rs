@@ -51,7 +51,6 @@ pub mod hash;
 pub mod order;
 pub mod partition;
 mod plan;
-pub mod profile;
 pub mod remap;
 pub mod spec;
 pub mod strategy;
