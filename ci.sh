@@ -20,6 +20,16 @@ step() {
 step "cargo fmt --check"
 cargo fmt --all --check
 
+step "oracle independence (crates/baselines groups and deduplicates on its own)"
+# The naive oracle is what every differential leg compares the engine with: a
+# partitioner or value hash borrowed from the engine would agree with the
+# engine's faults.
+if grep -rnE "holistic_window::(partition|hash)\b|\b(partition|hash)::|partition_rows|Partitioner|hash_value" \
+  crates/baselines/src; then
+  echo "crates/baselines/src must not use holistic_window::partition or holistic_window::hash" >&2
+  exit 1
+fi
+
 step "cargo clippy (workspace, all targets, deny warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
 
@@ -48,8 +58,10 @@ cargo run --release -q -p holistic-fuzz --bin fuzz -- \
 
 step "fuzz (differential at a size where Adaptive itself picks alternates, fixed seed)"
 # At --max-n 40 Adaptive is all-naive and only the forced configs reach
-# eval/alt.rs. These 100 cases hold 3 queries whose partitions run tree-free
-# (incremental, no MST) and 8 mixing incremental and MST calls.
+# eval/alt.rs. These 100 cases hold 2 queries whose partitions run tree-free
+# (incremental, no MST), 7 mixing incremental and MST calls, and 58 with a
+# PARTITION BY (every shape of gen_partition_by but `-f`, which the max-n 40
+# legs draw).
 cargo run --release -q -p holistic-fuzz --bin fuzz -- \
   --cases 100 --seed 0xD15C0 --max-n 4000 --time-budget-secs 180
 

@@ -3,17 +3,17 @@
 //!
 //! Every function is derived directly from its SQL definition with plain
 //! scans over the frame, sharing no evaluation code with the merge sort tree
-//! engine (only the partition/frame plumbing, which both sides need to agree
-//! on by construction). Ordering is the oracle's own: it evaluates the key
-//! values itself and compares them with `sql_cmp`, so a fault in the engine's
-//! normalized integer keys cannot cancel out; frame resolution gets the
-//! engine's comparator-form key columns, never the normalized ones.
+//! engine (only the frame plumbing, which both sides need to agree on by
+//! construction). Partitioning and ordering are the oracle's own: it
+//! evaluates the key values itself and compares them with `sql_cmp`, so a
+//! fault in the engine's partitioner, its hashes or its normalized integer
+//! keys cannot cancel out; frame resolution gets the engine's
+//! comparator-form key columns, never the normalized ones.
 
 use holistic_window::error::Result;
-use holistic_window::expr::BoundExpr;
+use holistic_window::expr::{BoundExpr, Expr};
 use holistic_window::frame::{resolve_frames, ResolvedFrames};
 use holistic_window::order::{KeyColumns, SortKey};
-use holistic_window::partition::partition_rows;
 use holistic_window::spec::{FuncKind, FunctionCall, WindowSpec};
 use holistic_window::{Column, Error, Table, Value, WindowQuery};
 use std::cmp::Ordering;
@@ -25,7 +25,7 @@ pub fn execute(query: &WindowQuery, table: &Table) -> Result<Table> {
     for call in &query.calls {
         call.validate()?;
     }
-    let partitions = partition_rows(table, &query.spec.partition_by)?;
+    let partitions = partitions(table, &query.spec.partition_by)?;
     let window_keys = OracleKeys::evaluate(table, &query.spec.order_by)?;
     let frame_keys = KeyColumns::evaluate_comparator(table, &query.spec.order_by)?;
 
@@ -47,6 +47,29 @@ pub fn execute(query: &WindowQuery, table: &Table) -> Result<Table> {
         out.add_column(call.output_name.clone(), Column::from_values(&out_values[ci])?)?;
     }
     Ok(out)
+}
+
+/// PARTITION BY from its definition: rows whose key values all compare equal
+/// under `sql_cmp` (NULL with NULL) form one partition, and partitions come in
+/// the order of their first rows. A sort on the oracle's own key values, then
+/// adjacent grouping — nothing of the engine's partitioner or hashing.
+fn partitions(table: &Table, partition_by: &[Expr]) -> Result<Vec<Vec<usize>>> {
+    let mut rows: Vec<usize> = (0..table.num_rows()).collect();
+    if partition_by.is_empty() {
+        return Ok(vec![rows]);
+    }
+    let by_key: Vec<SortKey> = partition_by.iter().cloned().map(SortKey::asc).collect();
+    let keys = OracleKeys::evaluate(table, &by_key)?;
+    rows.sort_by(|&a, &b| keys.cmp_rows(a, b).then(a.cmp(&b)));
+    let mut parts: Vec<Vec<usize>> = Vec::new();
+    for row in rows {
+        match parts.last_mut() {
+            Some(part) if keys.cmp_rows(part[0], row).is_eq() => part.push(row),
+            _ => parts.push(vec![row]),
+        }
+    }
+    parts.sort_by_key(|part| part[0]);
+    Ok(parts)
 }
 
 /// True the first time `v` is offered: DISTINCT's equality is `sql_cmp`'s,
@@ -534,5 +557,32 @@ fn eval_row(ctx: &NaiveCtx<'_>, call: &FunctionCall, i: usize) -> Result<Value> 
                 None => default,
             })
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use holistic_window::col;
+
+    #[test]
+    fn partitions_group_by_sql_cmp_in_first_row_order() {
+        let t = Table::new(vec![
+            ("g", Column::strs(vec!["b", "a", "b", "a", "b", "a"])),
+            (
+                "f",
+                Column::floats_opt(vec![None, Some(0.0), None, Some(-0.0), Some(1.0), Some(0.0)]),
+            ),
+        ])
+        .unwrap();
+        assert_eq!(partitions(&t, &[]).unwrap(), vec![vec![0, 1, 2, 3, 4, 5]]);
+        assert_eq!(partitions(&t, &[col("g")]).unwrap(), vec![vec![0, 2, 4], vec![1, 3, 5]]);
+        assert_eq!(
+            partitions(&t, &[col("g"), col("f")]).unwrap(),
+            vec![vec![0, 2], vec![1, 5], vec![3], vec![4]]
+        );
+        let none = Table::new(vec![("g", Column::strs(Vec::<&str>::new()))]).unwrap();
+        assert_eq!(partitions(&none, &[]).unwrap(), vec![Vec::<usize>::new()]);
+        assert!(partitions(&none, &[col("g")]).unwrap().is_empty());
     }
 }

@@ -207,15 +207,38 @@ pub fn gen_frame(rng: &mut StdRng, range_ok: bool) -> FrameSpec {
     spec
 }
 
-/// A random OVER clause: partitioning (none / column / computed), window
+/// A random PARTITION BY list: none, the string column `g` (alone or with a
+/// computed int), or one shape per arm of the engine's partitioner — the
+/// nullable int `k` (whose profiles reach both `i64` extremes), the float `f`
+/// and expressions over it that yield signed zeros and NaN, the date `d`, a
+/// Bool expression, and three-key lists that fold all of them.
+pub fn gen_partition_by(rng: &mut StdRng) -> Vec<Expr> {
+    let days_mod_2 = || col("d").sub(lit(Value::Date(0))).rem(lit(2i64));
+    let positive = || col("v").gt(lit(0i64));
+    match rng.gen_range(0u32..13) {
+        0..=3 => vec![],
+        4 | 5 => vec![col("g")],
+        6 => vec![col("g"), days_mod_2()],
+        7 => vec![col("k")],
+        8 => vec![col("f")],
+        9 => vec![match rng.gen_range(0u32..3) {
+            0 => col("f").neg(),
+            1 => col("f").mul(lit(0i64)),
+            // ±inf · 0: NaN wherever `f` is not a zero.
+            _ => col("f").mul(lit(1e308)).mul(lit(1e308)).mul(lit(0i64)),
+        }],
+        10 => vec![col("d")],
+        11 => vec![positive()],
+        _ if rng.gen_bool(0.5) => vec![col("g"), col("k"), col("d")],
+        _ => vec![col("k"), col("f").neg(), positive()],
+    }
+}
+
+/// A random OVER clause: partitioning ([`gen_partition_by`]), window
 /// ORDER BY (single numeric keys both directions, multi-key, string-leading,
 /// or none at all), and a frame.
 pub fn gen_spec(rng: &mut StdRng) -> WindowSpec {
-    let partition_by = match rng.gen_range(0u32..5) {
-        0 | 1 => vec![],
-        2 | 3 => vec![col("g")],
-        _ => vec![col("g"), col("d").sub(lit(Value::Date(0))).rem(lit(2i64))],
-    };
+    let partition_by = gen_partition_by(rng);
     // RANGE with offsets needs a single numeric/date key; every other mode
     // works with any (or no) ORDER BY.
     let (order_by, range_ok) = match rng.gen_range(0u32..13) {

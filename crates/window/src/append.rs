@@ -48,8 +48,8 @@ use crate::eval::{cont_rank, cume_dist, disc_rank, percent_rank};
 use crate::executor::{AtomicProbeKernel, ExecOptions, SpillStats, WindowQuery};
 use crate::expr::Expr;
 use crate::frame::{FrameBound, FrameMode, ResolvedFrames};
-use crate::hash::hash_values;
 use crate::order::{float_from_ordinal, float_ordinal, int_ordinal, sort_permutation, KeyColumns};
+use crate::partition::Partitioner;
 use crate::plan::{
     canonical_order, plan_query, sort_keys_of, ArtifactKey, CanonicalSortKey, QueryPlan,
 };
@@ -263,10 +263,8 @@ pub struct IncrementalEngine {
     /// True when every call has a fast plan *and* the frame is spliceable.
     all_fast: bool,
     table: Table,
-    /// Partition routing: key hash → candidate partition ids.
-    route: FxHashMap<u64, Vec<usize>>,
-    /// Representative PARTITION BY key values per partition.
-    rep_keys: Vec<Vec<Value>>,
+    /// PARTITION BY routing; `parts[pid]` is its partition `pid`.
+    partitioner: Partitioner,
     parts: Vec<PartState>,
     /// Hoisted key columns (window ORDER BY + every planned inner ORDER BY),
     /// extended in place on append. Must stay uniquely owned between appends
@@ -301,15 +299,14 @@ impl IncrementalEngine {
         let splice = splice_frame(&query.spec);
         let all_fast = splice.is_some() && fast_plans.iter().all(|p| p.is_some());
         let mut engine = IncrementalEngine {
-            query,
             opts,
             plan,
             fast_plans,
             splice,
             all_fast,
+            partitioner: Partitioner::new(&table, &query.spec.partition_by)?,
+            query,
             table,
-            route: FxHashMap::default(),
-            rep_keys: Vec::new(),
             parts: Vec::new(),
             hoisted: FxHashMap::default(),
             gov: Arc::new(BudgetGovernor::new(opts.budget)),
@@ -409,93 +406,38 @@ impl IncrementalEngine {
         from_row: usize,
         profile: &mut AppendProfile,
     ) -> Result<Vec<(usize, Vec<usize>)>> {
-        let n = self.table.num_rows();
-        let ncalls = self.query.calls.len();
-        let mut touched: Vec<usize> = Vec::new();
-        let mut batches: FxHashMap<usize, Vec<usize>> = FxHashMap::default();
-        let new_part = |parts: &mut Vec<PartState>, profile: &mut AppendProfile| -> usize {
-            let pid = parts.len();
-            parts.push(PartState {
-                rows: Vec::new(),
-                frames: ResolvedFrames {
-                    bounds: Vec::new(),
-                    exclusion: self.query.spec.frame.exclusion,
-                    peer_start: Vec::new(),
-                    peer_end: Vec::new(),
-                },
-                acc: StatsAcc::new(),
-                choices: Vec::new(),
-                outs: vec![Vec::new(); ncalls],
-                fast_ok: true,
-                forests: self
-                    .fast_plans
-                    .iter()
-                    .map(|fp| match fp {
-                        Some(FastPlan::Forest { .. }) => Some(CallForest {
-                            forest: MstForest::new(self.opts.params),
-                            enc: Vec::new(),
-                            ty: None,
-                        }),
-                        _ => None,
-                    })
-                    .collect(),
-                cache: ArtifactCache::new(Arc::clone(&self.gov)),
-            });
-            profile.new_partitions += 1;
-            pid
-        };
-        if self.query.spec.partition_by.is_empty() {
-            if self.parts.is_empty() {
-                let pid = new_part(&mut self.parts, profile);
-                self.rep_keys.push(Vec::new());
-                debug_assert_eq!(pid, 0);
-            }
-            touched.push(0);
-            batches.insert(0, (from_row..n).collect());
-        } else {
-            let bound: Vec<_> = self
-                .query
-                .spec
-                .partition_by
-                .iter()
-                .map(|e| e.bind(&self.table))
-                .collect::<Result<Vec<_>>>()?;
-            for row in from_row..n {
-                let rk: Vec<Value> =
-                    bound.iter().map(|b| b.eval(&self.table, row)).collect::<Result<Vec<_>>>()?;
-                let h = hash_values(&rk);
-                let candidates = self.route.entry(h).or_default();
-                let mut found = None;
-                for &pid in candidates.iter() {
-                    let rep = &self.rep_keys[pid];
-                    if rep.len() == rk.len() && rep.iter().zip(&rk).all(|(a, b)| a.sql_eq(b)) {
-                        found = Some(pid);
-                        break;
-                    }
-                }
-                let pid = match found {
-                    Some(pid) => pid,
-                    None => {
-                        let pid = new_part(&mut self.parts, profile);
-                        candidates.push(pid);
-                        self.rep_keys.push(rk);
-                        pid
-                    }
-                };
-                let slot = batches.entry(pid).or_default();
-                if slot.is_empty() {
-                    touched.push(pid);
-                }
-                slot.push(row);
-            }
+        let touched = self.partitioner.route(&self.table, from_row)?;
+        profile.new_partitions = self.partitioner.num_partitions() - self.parts.len();
+        for _ in 0..profile.new_partitions {
+            self.parts.push(self.new_part());
         }
-        Ok(touched
-            .into_iter()
-            .map(|pid| {
-                let rows = batches.remove(&pid).unwrap_or_default();
-                (pid, rows)
-            })
-            .collect())
+        Ok(touched)
+    }
+
+    fn new_part(&self) -> PartState {
+        let forest = |fp: &Option<FastPlan>| match fp {
+            Some(FastPlan::Forest { .. }) => Some(CallForest {
+                forest: MstForest::new(self.opts.params),
+                enc: Vec::new(),
+                ty: None,
+            }),
+            _ => None,
+        };
+        PartState {
+            rows: Vec::new(),
+            frames: ResolvedFrames {
+                bounds: Vec::new(),
+                exclusion: self.query.spec.frame.exclusion,
+                peer_start: Vec::new(),
+                peer_end: Vec::new(),
+            },
+            acc: StatsAcc::new(),
+            choices: Vec::new(),
+            outs: vec![Vec::new(); self.query.calls.len()],
+            fast_ok: true,
+            forests: self.fast_plans.iter().map(forest).collect(),
+            cache: ArtifactCache::new(Arc::clone(&self.gov)),
+        }
     }
 
     /// Extends every hoisted key column over the table's rows `from_row..`,

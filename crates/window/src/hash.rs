@@ -55,15 +55,6 @@ pub fn hash_value(v: &Value) -> u64 {
     h.finish()
 }
 
-/// Hashes a composite key (partition keys).
-pub fn hash_values(vs: &[Value]) -> u64 {
-    let mut h = FxHasher::default();
-    for v in vs {
-        hash_value(v).hash(&mut h);
-    }
-    h.finish()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -103,12 +94,5 @@ mod tests {
         assert_ne!(hash_value(&Value::Null), hash_value(&Value::Int(0)));
         // Date and Int are distinct types (not sql_eq) and hash apart.
         assert_ne!(hash_value(&Value::Date(5)), hash_value(&Value::Int(5)));
-    }
-
-    #[test]
-    fn composite_hash_orders_matter() {
-        let a = [Value::Int(1), Value::Int(2)];
-        let b = [Value::Int(2), Value::Int(1)];
-        assert_ne!(hash_values(&a), hash_values(&b));
     }
 }
