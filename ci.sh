@@ -5,9 +5,15 @@
 set -euo pipefail
 cd "$(dirname "$0")"
 
-# Announces the next step. Under GitHub Actions each step is a log group, so
-# the job log folds per step.
+# `step` announces the next step, after the seconds the step that just ended
+# took. Under GitHub Actions each step is a log group, so the job log folds
+# per step.
+took() {
+  if [ -n "${step_started:-}" ]; then echo "    took $((SECONDS - step_started)) s"; fi
+}
 step() {
+  took
+  step_started=$SECONDS
   if [ -n "${GITHUB_ACTIONS:-}" ]; then
     if [ -n "${open_group:-}" ]; then echo "::endgroup::"; fi
     echo "::group::$1"
@@ -105,5 +111,6 @@ N=4000 REPS=1 cargo run --release -q -p holistic-bench --bin crossover_ext -- --
 # 1.25x budget, and that the auto-derived budget actually spills.
 N=60000 PARTS=6 BUDGET=0 REPS=1 cargo run --release -q -p holistic-bench --bin spill_ext -- --json
 
+took
 if [ -n "${open_group:-}" ]; then echo "::endgroup::"; fi
-echo "CI OK"
+echo "CI OK (${SECONDS} s)"

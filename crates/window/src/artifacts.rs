@@ -689,13 +689,39 @@ pub(crate) struct MaskArtifact {
     pub keep: Vec<bool>,
     /// Position ↔ kept-index remapping.
     pub remap: Remap,
-    /// Kept index → table row.
-    pub kept_rows: Vec<usize>,
+    /// Kept index → table row. Left empty when nothing is dropped: the list
+    /// would equal the partition's own rows, which [`Self::kept_rows`] hands
+    /// back instead.
+    kept_rows: Vec<usize>,
 }
 
 impl MaskArtifact {
+    /// The mask of a partition whose positions map to table `rows`, from its
+    /// keep flags — the one recipe behind the cached and the direct path.
+    pub fn build(keep: Vec<bool>, rows: &[usize]) -> Self {
+        let remap = Remap::new(&keep);
+        let kept_rows = if remap.is_identity() {
+            Vec::new()
+        } else {
+            (0..remap.kept_len()).map(|k| rows[remap.to_position(k)]).collect()
+        };
+        MaskArtifact { keep, remap, kept_rows }
+    }
+
     pub fn kept_len(&self) -> usize {
-        self.kept_rows.len()
+        self.remap.kept_len()
+    }
+
+    /// Kept index → table row. `rows` is the row list the mask was built
+    /// over (the artifact outlives any borrow of it inside the cache, so
+    /// readers pass it back in).
+    pub fn kept_rows<'a>(&'a self, rows: &'a [usize]) -> &'a [usize] {
+        debug_assert_eq!(rows.len(), self.keep.len());
+        if self.remap.is_identity() {
+            rows
+        } else {
+            &self.kept_rows
+        }
     }
 }
 
@@ -787,10 +813,7 @@ impl Ctx<'_> {
                     *k = *k && !vals[i].is_null();
                 }
             }
-            let remap = Remap::new(&keep);
-            let kept_rows: Vec<usize> =
-                (0..remap.kept_len()).map(|k| self.rows[remap.to_position(k)]).collect();
-            Ok(MaskArtifact { keep, remap, kept_rows })
+            Ok(MaskArtifact::build(keep, self.rows))
         })
     }
 
@@ -837,7 +860,7 @@ impl Ctx<'_> {
             let keys = self.inner_keys_art(&ArtifactKey::InnerKeys(ks.clone()))?;
             let mask = self.mask_art(&ArtifactKey::Mask(mk.clone()))?;
             stats.inner_sorts.fetch_add(1, Relaxed);
-            Ok(dense_codes_for(&keys, &mask.kept_rows, self.parallel))
+            Ok(dense_codes_for(&keys, mask.kept_rows(self.rows), self.parallel))
         })
     }
 

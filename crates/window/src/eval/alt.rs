@@ -17,6 +17,7 @@
 //! path returns, so results are bit-identical by construction.
 
 use super::{cont_rank, disc_rank, fraction_arg, Ctx};
+use crate::artifacts::MaskArtifact;
 use crate::error::{Error, Result};
 use crate::plan::CallPlan;
 use crate::spec::{FuncKind, FunctionCall};
@@ -25,6 +26,7 @@ use crate::value::Value;
 use holistic_segtree::SortedListSegTree;
 use holistic_strategies::incremental;
 use holistic_strategies::ostree::OrderStatisticTree;
+use std::borrow::Cow;
 
 /// Evaluates one call on an alternate strategy. Callers guarantee
 /// `applicable(strategy, class, stats)` held for this call.
@@ -44,13 +46,14 @@ pub(crate) fn evaluate(
 }
 
 /// Kept-space hull frames, one per row (no exclusion ⇒ one piece per frame).
-fn kept_frames(ctx: &Ctx<'_>, mask: &crate::artifacts::MaskArtifact) -> Vec<(usize, usize)> {
-    (0..ctx.m())
-        .map(|i| {
-            let (a, b) = ctx.frames.bounds[i];
-            mask.remap.range(a, b)
-        })
-        .collect()
+/// Under a mask that drops nothing these are the resolved bounds themselves,
+/// borrowed: `start <= end <= m` is [`crate::frame::ResolvedFrames`]'s
+/// invariant, so the remap's clamp has nothing left to do.
+fn kept_frames<'a>(ctx: &Ctx<'a>, mask: &MaskArtifact) -> Cow<'a, [(usize, usize)]> {
+    if mask.remap.is_identity() {
+        return Cow::Borrowed(&ctx.frames.bounds);
+    }
+    Cow::Owned(ctx.frames.bounds.iter().map(|&(a, b)| mask.remap.range(a, b)).collect())
 }
 
 /// COUNT(DISTINCT x) on the incremental hash multiset (Table 1 row 1):

@@ -27,7 +27,6 @@ use crate::frame::ResolvedFrames;
 use crate::hash::hash_value;
 use crate::order::{dense_codes_for, KeyColumns};
 use crate::plan::{sort_keys_of, ArtifactKey, CallPlan, CanonicalSortKey, OrderKey};
-use crate::remap::Remap;
 use crate::spec::{FuncKind, FunctionCall};
 use crate::table::Table;
 use crate::value::Value;
@@ -66,7 +65,8 @@ impl<'a> DirectCtx<'a> {
         self.rows.iter().map(|&r| bound.eval(self.table, r)).collect()
     }
 
-    /// The call's kept-row mask, built locally (same recipe as `mask_art`).
+    /// The call's kept-row mask, built locally: `mask_art`'s flags, evaluated
+    /// by the interpreter.
     fn mask_of(&self, cp: &CallPlan) -> Result<MaskArtifact> {
         let ArtifactKey::Mask(mk) = cp.keys.mask() else { unreachable!("mask key") };
         let m = self.m();
@@ -86,10 +86,7 @@ impl<'a> DirectCtx<'a> {
                 *k = *k && !vals[i].is_null();
             }
         }
-        let remap = Remap::new(&keep);
-        let kept_rows: Vec<usize> =
-            (0..remap.kept_len()).map(|k| self.rows[remap.to_position(k)]).collect();
-        Ok(MaskArtifact { keep, remap, kept_rows })
+        Ok(MaskArtifact::build(keep, self.rows))
     }
 
     /// The call's argument values, one per position.
@@ -303,7 +300,7 @@ fn rank_family(dctx: &DirectCtx<'_>, call: &FunctionCall, cp: &CallPlan) -> Resu
     let Some(OrderKey::Keys(ks)) = &cp.order else { unreachable!("rank plans carry keys") };
     let keys = dctx.keys_for(ks)?;
     let mask = dctx.mask_of(cp)?;
-    let dc = dense_codes_for(&keys, &mask.kept_rows, false);
+    let dc = dense_codes_for(&keys, mask.kept_rows(dctx.rows), false);
     let m = dctx.m();
 
     let row_number = |i: usize, pieces: &RangeSet| -> usize {
@@ -392,7 +389,7 @@ fn dense_rank(dctx: &DirectCtx<'_>, cp: &CallPlan) -> Result<Vec<Value>> {
     let Some(OrderKey::Keys(ks)) = &cp.order else { unreachable!("rank plans carry keys") };
     let keys = dctx.keys_for(ks)?;
     let mask = dctx.mask_of(cp)?;
-    let dc = dense_codes_for(&keys, &mask.kept_rows, false);
+    let dc = dense_codes_for(&keys, mask.kept_rows(dctx.rows), false);
     let mut groups: FxHashSet<usize> = FxHashSet::default();
     (0..dctx.m())
         .map(|i| {
@@ -422,7 +419,7 @@ fn select_based(dctx: &DirectCtx<'_>, call: &FunctionCall, cp: &CallPlan) -> Res
         OrderKey::Identity => None,
         OrderKey::Keys(ks) => {
             let keys = dctx.keys_for(ks)?;
-            Some(dense_codes_for(&keys, &mask.kept_rows, false))
+            Some(dense_codes_for(&keys, mask.kept_rows(dctx.rows), false))
         }
     };
     let m = dctx.m();
@@ -615,7 +612,7 @@ fn leadlag(dctx: &DirectCtx<'_>, call: &FunctionCall, cp: &CallPlan) -> Result<V
         unreachable!("framed lead/lag order is explicit")
     };
     let keys = dctx.keys_for(ks)?;
-    let dc = dense_codes_for(&keys, &mask.kept_rows, false);
+    let dc = dense_codes_for(&keys, mask.kept_rows(dctx.rows), false);
 
     let offset_expr = call.args.get(1).map(|e| e.bind(dctx.table)).transpose()?;
     let default_expr = call.args.get(2).map(|e| e.bind(dctx.table)).transpose()?;

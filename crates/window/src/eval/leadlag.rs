@@ -126,6 +126,7 @@ fn evaluate_framed<I: TreeIndex>(
 
     let offset_expr = call.args.get(1).map(|e| e.bind(ctx.table)).transpose()?;
     let default_expr = call.args.get(2).map(|e| e.bind(ctx.table)).transpose()?;
+    let kept_rows = mask.kept_rows(ctx.rows);
 
     ctx.probe(|i| {
         let default = || -> Result<Value> {
@@ -155,7 +156,7 @@ fn evaluate_framed<I: TreeIndex>(
                 let mut hi = dc.perm.len();
                 while lo < hi {
                     let mid = lo + (hi - lo) / 2;
-                    let o = keys.cmp_rows(mask.kept_rows[dc.perm[mid]], row);
+                    let o = keys.cmp_rows(kept_rows[dc.perm[mid]], row);
                     let go_right =
                         o == std::cmp::Ordering::Less || (upper && o == std::cmp::Ordering::Equal);
                     if go_right {

@@ -71,7 +71,8 @@ pub(super) fn code_bounds(
         return (dc.group_min[k], dc.group_end[k], Some(dc.code[k]));
     }
     let row = rows[i];
-    let kept_row = |&p: &usize| mask.kept_rows[p];
+    let kept_rows = mask.kept_rows(rows);
+    let kept_row = |&p: &usize| kept_rows[p];
     let gmin = dc.perm.partition_point(|p| keys.cmp_rows(kept_row(p), row) == Ordering::Less);
     let gend = gmin + dc.perm[gmin..].partition_point(|p| keys.rows_equal(kept_row(p), row));
     (gmin, gend, None)

@@ -111,7 +111,12 @@ impl FrameSpec {
 
 /// Per-row resolved frames of one sorted partition.
 pub struct ResolvedFrames {
-    /// `[start, end)` in partition positions, `start <= end`.
+    /// `[start, end)` in partition positions, one per row. Invariant, kept by
+    /// every mode of [`resolve_frames`] and checked where it returns:
+    /// `start <= end <= m` (the partition's size) — an empty frame is
+    /// `start == end`, never a reversed or overhanging pair. Readers index
+    /// per-position arrays with these bounds unclamped (`eval::alt` slides
+    /// over them as they are when the call's mask drops nothing).
     pub bounds: Vec<(usize, usize)>,
     /// Exclusion clause in force.
     pub exclusion: FrameExclusion,
@@ -485,6 +490,10 @@ pub fn resolve_frames(
         }
     }
 
+    debug_assert!(
+        bounds.len() == m && bounds.iter().all(|&(a, b)| a <= b && b <= m),
+        "resolved frames must satisfy start <= end <= m"
+    );
     Ok(ResolvedFrames { bounds, exclusion: spec.exclusion, peer_start, peer_end })
 }
 

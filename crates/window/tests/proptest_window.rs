@@ -1,7 +1,8 @@
 //! Property-based tests of the window substrate: frame resolution
 //! invariants, remapping, ordering and partitioning.
 
-use holistic_window::frame::{resolve_frames, FrameBound, FrameExclusion, FrameSpec};
+use holistic_core::RangeSet;
+use holistic_window::frame::{resolve_frames, FrameBound, FrameExclusion, FrameMode, FrameSpec};
 use holistic_window::order::{sort_permutation, KeyColumns, SortKey};
 use holistic_window::partition::{partition_rows, Partitioner};
 use holistic_window::remap::Remap;
@@ -127,10 +128,73 @@ fn partition_reference(t: &Table, keys: &[Expr]) -> Vec<Vec<usize>> {
     parts
 }
 
-/// The generated word list cut to a size class: empty one time in ten, a few
+/// One bound of the frame-invariant property. `kind`: 0 UNBOUNDED (PRECEDING
+/// as a start, FOLLOWING as an end), 1 CURRENT ROW, 2 `off` PRECEDING, 3 `off`
+/// FOLLOWING — so FOLLOWING starts and PRECEDING ends are drawn as often as
+/// the usual way round.
+fn invariant_bound(kind: usize, is_start: bool, off: Expr) -> FrameBound {
+    match kind {
+        0 if is_start => FrameBound::UnboundedPreceding,
+        0 => FrameBound::UnboundedFollowing,
+        1 => FrameBound::CurrentRow,
+        2 => FrameBound::Preceding(off),
+        _ => FrameBound::Following(off),
+    }
+}
+
+/// Offset `code` of the frame-invariant property over a partition of `m`
+/// rows: nothing, a few rows, exactly the partition, far past it (also as a
+/// float), and NULL (which must be refused, not resolved).
+fn invariant_offset(code: usize, m: usize) -> Value {
+    match code {
+        0 => Value::Int(0),
+        1 => Value::Int(1),
+        2 => Value::Int(3),
+        3 => Value::Int(m as i64),
+        4 => Value::Int(i64::MAX),
+        5 => Value::Float(2.5),
+        6 => Value::Float(1e300),
+        _ => Value::Null,
+    }
+}
+
+/// `Remap` from its definition: counts over the flags, nothing precomputed.
+struct RemapModel<'a>(&'a [bool]);
+
+impl RemapModel<'_> {
+    /// Kept positions `< i`, with `i` past the end read as the end.
+    fn before(&self, i: usize) -> usize {
+        self.0[..i.min(self.0.len())].iter().filter(|&&k| k).count()
+    }
+    fn kept(&self) -> Vec<usize> {
+        (0..self.0.len()).filter(|&i| self.0[i]).collect()
+    }
+    fn range_set(&self, pieces: &[(usize, usize)]) -> Vec<(usize, usize)> {
+        let translated = pieces.iter().map(|&(a, b)| (self.before(a), self.before(b)));
+        translated.filter(|(ka, kb)| ka < kb).collect()
+    }
+}
+
+/// The keep flags of one `shape`: nothing dropped, everything dropped, one
+/// position dropped (first / last / middle), or the random flags as drawn.
+fn keep_shape(shape: usize, mut random: Vec<bool>) -> Vec<bool> {
+    let n = random.len();
+    match shape {
+        0 => random.fill(true),
+        1 => random.fill(false),
+        2..=4 if n > 0 => {
+            random.fill(true);
+            random[[0, n - 1, n / 2][shape - 2]] = false;
+        }
+        _ => {}
+    }
+    random
+}
+
+/// A generated list cut to a size class: empty one time in ten, a few
 /// rows three times, otherwise up to 300 (enough rows for every direct table
 /// to be outgrown).
-fn sized(mut words: Vec<u64>, class: usize) -> Vec<u64> {
+fn sized<T>(mut words: Vec<T>, class: usize) -> Vec<T> {
     words.truncate(if class < 4 { class * 3 } else { usize::MAX });
     words
 }
@@ -240,28 +304,53 @@ proptest! {
         }
     }
 
-    /// Remap: ranges translate consistently with membership.
+    /// Every method of `Remap::new(&keep)` — whichever form it picked — is
+    /// the model's answer, bounds past the partition included; the form is
+    /// observable only as `is_identity()` and a footprint of 0.
     #[test]
-    fn remap_is_consistent(
-        keep in prop::collection::vec(any::<bool>(), 0..100),
-        spans in prop::collection::vec((0usize..110, 0usize..110), 1..20),
+    fn remap_matches_its_definition(
+        random in prop::collection::vec(any::<bool>(), 0..48),
+        shape in 0usize..8,
+        cuts in prop::collection::vec(prop::collection::vec(0usize..56, 6), 1..8),
     ) {
-        let r = Remap::new(&keep);
-        prop_assert_eq!(r.kept_len(), keep.iter().filter(|&&k| k).count());
-        for (a, b) in spans {
-            let (ka, kb) = r.range(a, b.max(a));
-            prop_assert!(ka <= kb);
-            let expected = keep[a.min(keep.len())..b.max(a).min(keep.len())]
-                .iter()
-                .filter(|&&k| k)
-                .count();
-            prop_assert_eq!(kb - ka, expected);
+        let keep = keep_shape(shape, random);
+        let n = keep.len();
+        let model = RemapModel(&keep);
+        let kept = model.kept();
+        let all_kept = kept.len() == n;
+        let mut forms = vec![Remap::new(&keep)];
+        if all_kept {
+            forms.push(Remap::identity(n));
         }
-        // Kept index roundtrips.
-        for k in 0..r.kept_len() {
-            let pos = r.to_position(k);
-            prop_assert!(r.is_kept(pos));
-            prop_assert_eq!(r.kept_index(pos), k);
+        for r in forms {
+            prop_assert_eq!(r.is_identity(), all_kept);
+            prop_assert_eq!(r.bytes() == 0, r.is_identity());
+            if !all_kept {
+                prop_assert_eq!(r.bytes(), 8 * (n + 1 + kept.len()));
+            }
+            prop_assert_eq!(r.kept_len(), kept.len());
+            for (k, &pos) in kept.iter().enumerate() {
+                prop_assert_eq!(r.to_position(k), pos);
+                prop_assert_eq!(r.kept_index(pos), k);
+            }
+            for (i, &k) in keep.iter().enumerate() {
+                prop_assert_eq!(r.is_kept(i), k);
+            }
+            // Every pair of bounds up to well past the end, reversed pairs too.
+            for a in 0..n + 4 {
+                for b in 0..n + 4 {
+                    prop_assert_eq!(r.range(a, b), (model.before(a), model.before(b)));
+                }
+            }
+            // Three-piece sets from six ascending cut points (some past the
+            // end): pieces empty in kept space must vanish.
+            for cut in &cuts {
+                let mut c = cut.clone();
+                c.sort_unstable();
+                let pieces = [(c[0], c[1]), (c[2], c[3]), (c[4], c[5])];
+                let got = r.range_set(&RangeSet::from_ranges(&pieces));
+                prop_assert_eq!(got.iter().collect::<Vec<_>>(), model.range_set(&pieces));
+            }
         }
     }
 
@@ -352,6 +441,71 @@ proptest! {
             prop_assert!(ord != std::cmp::Ordering::Greater);
             if ord == std::cmp::Ordering::Equal {
                 prop_assert!(w[0] < w[1], "ties break by row index");
+            }
+        }
+    }
+}
+
+proptest! {
+    // 3 modes × 16 bound shapes × 64 offset pairs: more cases than the rest.
+    #![proptest_config(ProptestConfig::with_cases(2048))]
+
+    /// Every mode of the resolver keeps `start <= end <= m` — what readers
+    /// that use the bounds unclamped lean on — or refuses the frame with an
+    /// error: ROWS / RANGE / GROUPS, constant and per-row offsets of 0, `m`,
+    /// `i64::MAX` and NULL, FOLLOWING starts and PRECEDING ends, NULL and
+    /// float keys, descending order, the empty partition.
+    #[test]
+    fn resolved_frames_stay_inside_the_partition(
+        keys in prop::collection::vec(prop::option::of(-8i64..8), 0..60),
+        class in 0usize..10,
+        mode in 0usize..3,
+        start_kind in 0usize..4,
+        end_kind in 0usize..4,
+        // `None`: the per-row column `o`; `Some(c)`: the constant of code `c`.
+        start_off in prop::option::of(0usize..8),
+        end_off in prop::option::of(0usize..8),
+        row_offs in prop::collection::vec(0usize..8, 60),
+        null_offsets in any::<bool>(),
+        float_keys in any::<bool>(),
+        desc in any::<bool>(),
+    ) {
+        let keys = sized(keys, class);
+        let m = keys.len();
+        // Per-row offsets; a NULL among them only when the case asks for one.
+        let o: Vec<Value> = (0..m)
+            .map(|i| match invariant_offset(row_offs[i], m) {
+                Value::Null if !null_offsets => Value::Int(2),
+                v => v,
+            })
+            .collect();
+        let k = if float_keys {
+            Column::floats_opt(keys.iter().map(|k| k.map(|k| k as f64 * 0.5)).collect())
+        } else {
+            Column::ints_opt(keys)
+        };
+        // An all-NULL offset column is typed Int, like any other here.
+        let o = if o.iter().any(|v| matches!(v, Value::Float(_))) {
+            Column::floats_opt(o.iter().map(Value::as_f64).collect())
+        } else {
+            Column::ints_opt(o.iter().map(Value::as_i64).collect())
+        };
+        let t = Table::new(vec![("k", k), ("o", o)]).unwrap();
+        let sk = if desc { SortKey::desc(col("k")) } else { SortKey::asc(col("k")) };
+        let kc = KeyColumns::evaluate(&t, &[sk]).unwrap();
+        let mut rows: Vec<usize> = (0..m).collect();
+        sort_permutation(&kc, &mut rows, false);
+        let off = |c: Option<usize>| c.map_or(col("o"), |c| lit(invariant_offset(c, m)));
+        let spec = FrameSpec {
+            mode: [FrameMode::Rows, FrameMode::Range, FrameMode::Groups][mode],
+            start: invariant_bound(start_kind, true, off(start_off)),
+            end: invariant_bound(end_kind, false, off(end_off)),
+            exclusion: FrameExclusion::NoOthers,
+        };
+        if let Ok(rf) = resolve_frames(&t, &rows, &kc, &spec) {
+            prop_assert_eq!(rf.bounds.len(), m);
+            for (i, &(a, b)) in rf.bounds.iter().enumerate() {
+                prop_assert!(a <= b && b <= m, "row {} of {}: ({}, {}) under {:?}", i, m, a, b, spec);
             }
         }
     }

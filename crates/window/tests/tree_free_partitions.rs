@@ -2,8 +2,8 @@
 //! what it skips must not show anywhere else: `prevIdcs` is built only for
 //! the distinct trees (and once for a partition mixing tree and tree-free
 //! calls), a mask that drops nothing shares the values instead of copying
-//! them — and every configuration still returns the same bits, whatever the
-//! mask drops.
+//! them and holds neither remap arrays nor a kept-row list — and every
+//! configuration still returns the same bits, whatever the mask drops.
 //! Second half: the executor's and the append engine's scatter into typed
 //! output columns yields the column `Column::from_values` would.
 
@@ -91,10 +91,94 @@ fn tree_free_partition_builds_no_prev_and_copies_no_values() {
     assert_eq!(footprint(&p, "distinct-prep"), (1, 8 * n as u64), "hashes only");
     assert_eq!(footprint(&p, "values"), (1, 24 * n as u64));
     assert_eq!(footprint(&p, "kept-values"), (1, 0), "shared with the values entry");
-    // Keep flags (1 B/row), both remap arrays (n + 1 and n indices) and the
-    // kept-row list (n): still materialised under a mask that drops nothing.
-    assert_eq!(footprint(&p, "mask"), (1, (n + 8 * (3 * n + 1)) as u64));
+    // A mask that drops nothing is its keep flags (1 B/row): no remap arrays,
+    // no kept-row list.
+    assert_eq!(footprint(&p, "mask"), (1, n as u64));
     assert_accounting(&p, "tree-free");
+}
+
+/// `n` rows none of the calls of [`one_row_apart_calls`] drops, then one last
+/// row each of them drops: NULL in `y` and `f`, `live` false.
+fn one_row_apart_table(n: usize) -> Table {
+    let i = || 0..n as i64;
+    let y = i().map(|i| Some((i * 37 + 11) % 23)).chain([None]);
+    let f = i().map(|i| Some(((i * 13) % 31) as f64 * 0.25)).chain([None]);
+    Table::new(vec![
+        ("pos", Column::ints((0..=n as i64).collect())),
+        ("y", Column::ints_opt(y.collect())),
+        ("f", Column::floats_opt(f.collect())),
+        ("live", Column::bools(i().map(|_| true).chain([false]).collect())),
+    ])
+    .unwrap()
+}
+
+/// One call per evaluator family with the strategies that serve it (the
+/// others fall back to the tree). The NULL-screening families lose the
+/// trailing row to its NULL argument, the others to `FILTER (WHERE live)`.
+fn one_row_apart_calls() -> Vec<(FunctionCall, &'static [Strategy])> {
+    use Strategy::*;
+    let by = |c: &str| vec![SortKey::asc(col(c))];
+    let framed_lead = FunctionCall::lead(col("y"), 1, lit(-1i64)).order_by(by("f")).ignore_nulls();
+    vec![
+        (
+            FunctionCall::count_distinct(col("y")).named("count_distinct"),
+            &[Naive, Incremental, Mst],
+        ),
+        (FunctionCall::sum_distinct(col("y")).named("sum_distinct"), &[Mst]),
+        (FunctionCall::median(col("y")).named("median"), &Strategy::ALL),
+        (
+            FunctionCall::percentile_cont(0.3, SortKey::desc(col("f"))).named("percentile_cont"),
+            &Strategy::ALL,
+        ),
+        (FunctionCall::rank(by("y")).filter(col("live")).named("rank"), &[Naive, Mst]),
+        (FunctionCall::dense_rank(by("y")).filter(col("live")).named("dense_rank"), &[Naive, Mst]),
+        (framed_lead.named("lead"), &[Naive, Mst]),
+        (FunctionCall::mode(col("y")).named("mode"), &[Naive, Mst]),
+        (FunctionCall::count_star().filter(col("live")).named("count_star"), &[Naive, Mst]),
+    ]
+}
+
+/// The two forms of a mask, one row apart: over `T` every call's mask drops
+/// nothing (the remap answers arithmetically, kept rows and hull frames are
+/// the partition's own), over `T` + one trailing dropped row it compacts. A
+/// running frame never reaches the trailing row from `T`'s rows, so their
+/// outputs must agree bit for bit — under every strategy, the cacheless path
+/// included — and the compacting form's footprint is what it always was.
+#[test]
+fn identity_and_compacting_masks_agree_one_row_apart() {
+    let n = 300usize;
+    let t_plus = one_row_apart_table(n);
+    let t = t_plus.slice_rows(0, n);
+    let identity_bytes = n as u64;
+    let compacting_bytes = ((n + 1) + 8 * ((n + 1) + 1 + 2 * n)) as u64;
+    for (call, served_by) in one_row_apart_calls() {
+        let name = call.output_name.clone();
+        let q = WindowQuery::over(running(false)).call(call);
+        let mut masks_seen = 0;
+        for mode in modes() {
+            let mut opts = ExecOptions::serial();
+            opts.strategy = mode;
+            let label = format!("{name}, {}", opts.label());
+            let (out, p) = q.execute_profiled(&t, opts).unwrap();
+            let (out_plus, p_plus) = q.execute_profiled(&t_plus, opts).unwrap();
+            assert_eq!(p.strategy.decisions, p_plus.strategy.decisions, "{label}");
+            if let StrategyMode::Force(s) = mode {
+                let taken = if served_by.contains(&s) { s } else { Strategy::Mst };
+                assert_eq!(p.strategy.decisions[taken.index()], 1, "{label}");
+            }
+            tables_bit_identical(&out_plus.slice_rows(0, n), &out, &label);
+            // The cached path builds the call's mask once; the cacheless
+            // (all-naive) path accounts for nothing.
+            let builds = footprint(&p, "mask").0;
+            assert!(builds <= 1, "{label}");
+            assert_eq!(footprint(&p, "mask"), (builds, builds * identity_bytes), "{label}");
+            assert_eq!(footprint(&p_plus, "mask"), (builds, builds * compacting_bytes), "{label}");
+            assert_accounting(&p, &label);
+            assert_accounting(&p_plus, &label);
+            masks_seen += builds;
+        }
+        assert!(masks_seen > 0, "{name}: no mode took the cached path");
+    }
 }
 
 #[test]
