@@ -23,6 +23,16 @@ step() {
   fi
 }
 
+step "size (non-test Rust lines per crate: every src/**/*.rs up to its first #[cfg(test)])"
+# The one definition of the SIZE line a simplicity PR reports. Printed, never
+# gated: a number to read next to the diff, not a budget.
+size() {
+  find "$@" -name '*.rs' -print0 | xargs -0 awk 'FNR == 1 { t = 0 } /#\[cfg\(test\)\]/ { t = 1 } !t { n++ } END { print n + 0 }'
+}
+for src in src crates/*/src crates/window/src/eval perfbench/src; do
+  printf '%8d  %s\n' "$(size "$src")" "$src"
+done
+
 step "cargo fmt --check"
 cargo fmt --all --check
 

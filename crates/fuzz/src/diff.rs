@@ -191,8 +191,8 @@ pub const FORCED_ALTERNATES: [Strategy; 4] =
 /// * the four adaptive configs and forced-MST (serial and parallel) form
 ///   the **bit-identical** group ([`exact_configs`]) — the adaptive chooser is a pure function
 ///   of the resolved frames, so per-partition strategy choices cannot vary
-///   across configs, and the direct/alternate evaluators replicate the MST
-///   artifact recipes exactly;
+///   across configs, naive is the MST evaluators themselves over exact
+///   scans, and the alternates select over the same dense codes;
 /// * each remaining forced strategy ([`FORCED_ALTERNATES`]) is compared **float-tolerantly** against the naive baseline — these
 ///   paths derive aggregates with genuinely different arithmetic (e.g. a
 ///   sliding order-statistic tree vs. a per-row scan) — and its `Err`-ness

@@ -360,9 +360,9 @@ fn sweep_one(
         let label = opts.label();
         runs.push((label.clone(), run_protected(&label, || query.execute_with(table, opts))));
     }
-    // Every forced strategy must also reject invalid specs cleanly: the
-    // direct and alternate evaluators have their own argument-validation
-    // paths, which only forcing reaches on these tiny tables.
+    // Every forced strategy must also reject invalid specs cleanly: a family
+    // validates its arguments once, whatever index answers, but only forcing
+    // reaches the alternates and the tree arm's builds on these tiny tables.
     for s in Strategy::ALL {
         let opts = ExecOptions::serial().force_strategy(s);
         let label = opts.label();

@@ -35,7 +35,7 @@ use crate::eval::Ctx;
 use crate::executor::{CacheStats, SpillStats};
 use crate::hash::hash_value;
 use crate::order::{dense_codes_for, KeyColumns};
-use crate::plan::{sort_keys_of, ArtifactKey, OrderKey, SegFlavor};
+use crate::plan::{sort_keys_of, ArtifactKey, CallKeys, OrderKey, SegFlavor};
 use crate::remap::Remap;
 use crate::value::Value;
 use holistic_core::aggregate::DistinctAggregate;
@@ -599,16 +599,6 @@ impl ArtifactCache {
     pub fn get_or_build<T, F>(&self, key: &ArtifactKey, build: F) -> Result<Arc<T>>
     where
         T: Any + Send + Sync + ArtifactBytes,
-        F: FnOnce() -> Result<T>,
-    {
-        self.get_or_build_with(key, || build().map(Built::New))
-    }
-
-    /// [`ArtifactCache::get_or_build`] for recipes that may find their
-    /// product already exists as another artifact ([`Built::Shared`]).
-    pub fn get_or_build_with<T, F>(&self, key: &ArtifactKey, build: F) -> Result<Arc<T>>
-    where
-        T: Any + Send + Sync + ArtifactBytes,
         F: FnOnce() -> Result<Built<T>>,
     {
         let slot = {
@@ -697,7 +687,7 @@ pub(crate) struct MaskArtifact {
 
 impl MaskArtifact {
     /// The mask of a partition whose positions map to table `rows`, from its
-    /// keep flags — the one recipe behind the cached and the direct path.
+    /// keep flags.
     pub fn build(keep: Vec<bool>, rows: &[usize]) -> Self {
         let remap = Remap::new(&keep);
         let kept_rows = if remap.is_identity() {
@@ -751,29 +741,31 @@ impl ArtifactBytes for DistinctPrepArt {
     }
 }
 
-/// DENSE_RANK range-tree artifact (§4.4).
-pub(crate) struct RangeTreeArt {
-    pub rt: RangeTree3,
+/// DENSE_RANK artifact (§4.4): the 3-d counter over the kept rows' `(tie
+/// group, its previous occurrence)` points — the range tree, or the points
+/// themselves for a scan.
+pub(crate) struct DenseRankArt<C> {
+    pub counter: C,
     /// Tie group → ascending kept positions; built only under exclusion.
     pub occurrences: Vec<Vec<usize>>,
 }
 
-impl ArtifactBytes for RangeTreeArt {
+impl ArtifactBytes for DenseRankArt<RangeTree3> {
     fn bytes_built(&self) -> usize {
-        self.rt.bytes()
+        self.counter.bytes()
             + self.occurrences.iter().map(|v| v.len() * size_of::<usize>()).sum::<usize>()
     }
 }
 
-/// MODE artifact: dense value ids (in value order) plus the √-decomposition
-/// index over them.
-pub(crate) struct ModeArt {
+/// MODE artifact: dense value ids (in value order) plus the index over them
+/// — the √-decomposition, or the ids themselves for a scan.
+pub(crate) struct ModeArt<X> {
     /// id → value (ascending by `sql_cmp`).
     pub decode: Vec<Value>,
-    pub index: RangeModeIndex,
+    pub index: X,
 }
 
-impl ArtifactBytes for ModeArt {
+impl ArtifactBytes for ModeArt<RangeModeIndex> {
     fn bytes_built(&self) -> usize {
         self.decode.len() * size_of::<Value>()
             + self.decode.iter().map(Value::heap_bytes).sum::<usize>()
@@ -781,6 +773,9 @@ impl ArtifactBytes for ModeArt {
     }
 }
 
+/// The artifact getters. Each takes the requesting call's [`CallKeys`] and
+/// reads its own key and its ingredients' keys from there, so nothing is
+/// derived (or cloned) per request.
 impl Ctx<'_> {
     /// True when this partition's trees index with u32 (uniform per
     /// partition, hence absent from artifact keys).
@@ -788,17 +783,65 @@ impl Ctx<'_> {
         fits_u32(self.m() + 1)
     }
 
-    /// Expression values per partition position. `key` must be a
-    /// [`ArtifactKey::Values`] (plan-derived; see [`crate::plan::CallKeys`]).
-    pub(crate) fn values_art(&self, key: &ArtifactKey) -> Result<Arc<Vec<Value>>> {
-        let ArtifactKey::Values(e) = key else { unreachable!("values_art wants a Values key") };
-        self.cache.get_or_build(key, || self.eval_positions(&e.to_expr()))
+    /// The artifact under `key`: the cache's, built on first request — or,
+    /// for a cacheless call, `own` if the call holds it already, else built
+    /// now and handed over.
+    fn artifact_in<T, F>(&self, key: &ArtifactKey, own: Option<&Arc<T>>, build: F) -> Result<Arc<T>>
+    where
+        T: Any + Send + Sync + ArtifactBytes,
+        F: FnOnce() -> Result<Built<T>>,
+    {
+        match (self.cache, own) {
+            (Some(cache), _) => cache.get_or_build(key, build),
+            (None, Some(held)) => Ok(Arc::clone(held)),
+            (None, None) => Ok(match build()? {
+                Built::New(v) => Arc::new(v),
+                Built::Shared(v) => v,
+            }),
+        }
     }
 
-    /// The kept-row mask artifact, from a [`ArtifactKey::Mask`] key.
-    pub(crate) fn mask_art(&self, key: &ArtifactKey) -> Result<Arc<MaskArtifact>> {
-        let ArtifactKey::Mask(mk) = key else { unreachable!("mask_art wants a Mask key") };
-        self.cache.get_or_build(key, || {
+    /// Builds a cacheless call's values and mask up front and holds them:
+    /// its recipes ask for these two again (kept values need the mask the
+    /// evaluator already holds), and without a cache nothing else would
+    /// remember them.
+    pub(crate) fn hold_own(&mut self, keys: &CallKeys) -> Result<()> {
+        if self.cache.is_none() {
+            self.own_values = keys.values.as_ref().map(|_| self.values_art(keys)).transpose()?;
+            self.own_mask = keys.mask.as_ref().map(|_| self.mask_art(keys)).transpose()?;
+        }
+        Ok(())
+    }
+
+    /// [`Self::artifact_in`] for a recipe that always builds anew.
+    pub(crate) fn artifact<T, F>(&self, key: &ArtifactKey, build: F) -> Result<Arc<T>>
+    where
+        T: Any + Send + Sync + ArtifactBytes,
+        F: FnOnce() -> Result<T>,
+    {
+        self.artifact_in(key, None, || build().map(Built::New))
+    }
+
+    /// Counts one build of a cached artifact kind (a cacheless call keeps no
+    /// statistics).
+    pub(crate) fn count_build(&self, counter: impl FnOnce(&AtomicStats) -> &AtomicU64) {
+        if let Some(cache) = self.cache {
+            counter(cache.stats()).fetch_add(1, Relaxed);
+        }
+    }
+
+    /// Expression values per partition position ([`ArtifactKey::Values`]).
+    pub(crate) fn values_art(&self, keys: &CallKeys) -> Result<Arc<Vec<Value>>> {
+        let ArtifactKey::Values(e) = keys.values() else { unreachable!("values key") };
+        self.artifact_in(keys.values(), self.own_values.as_ref(), || {
+            self.eval_positions(&e.to_expr()).map(Built::New)
+        })
+    }
+
+    /// The kept-row mask artifact ([`ArtifactKey::Mask`]).
+    pub(crate) fn mask_art(&self, keys: &CallKeys) -> Result<Arc<MaskArtifact>> {
+        let ArtifactKey::Mask(mk) = keys.mask() else { unreachable!("mask key") };
+        self.artifact_in(keys.mask(), self.own_mask.as_ref(), || {
             let m = self.m();
             let mut keep = match &mk.filter {
                 None => vec![true; m],
@@ -808,24 +851,23 @@ impl Ctx<'_> {
                 }
             };
             if let Some(screen) = &mk.screen {
-                let vals = self.values_art(&ArtifactKey::Values(screen.clone()))?;
+                // What a call screens for NULLs is what it evaluates.
+                debug_assert!(matches!(keys.values(), ArtifactKey::Values(e) if e == screen));
+                let vals = self.values_art(keys)?;
                 for (i, k) in keep.iter_mut().enumerate() {
                     *k = *k && !vals[i].is_null();
                 }
             }
-            Ok(MaskArtifact::build(keep, self.rows))
+            Ok(Built::New(MaskArtifact::build(keep, self.rows)))
         })
     }
 
     /// Expression values per *kept* position ([`ArtifactKey::KeptValues`]).
     /// Under a mask that drops nothing this is the values artifact itself.
-    pub(crate) fn kept_values_art(&self, key: &ArtifactKey) -> Result<Arc<Vec<Value>>> {
-        let ArtifactKey::KeptValues(e, mk) = key else {
-            unreachable!("kept_values_art wants a KeptValues key")
-        };
-        self.cache.get_or_build_with(key, || {
-            let values = self.values_art(&ArtifactKey::Values(e.clone()))?;
-            let mask = self.mask_art(&ArtifactKey::Mask(mk.clone()))?;
+    pub(crate) fn kept_values_art(&self, keys: &CallKeys) -> Result<Arc<Vec<Value>>> {
+        self.artifact_in(keys.kept_values(), None, || {
+            let values = self.values_art(keys)?;
+            let mask = self.mask_art(keys)?;
             if mask.kept_len() == values.len() {
                 return Ok(Built::Shared(values));
             }
@@ -836,92 +878,77 @@ impl Ctx<'_> {
     }
 
     /// Materialized inner ORDER BY key columns (full table; independent of
-    /// any mask, so structurally equal criteria share one evaluation).
-    /// `key` must be an [`ArtifactKey::InnerKeys`].
-    pub(crate) fn inner_keys_art(&self, key: &ArtifactKey) -> Result<Arc<KeyColumns>> {
-        let ArtifactKey::InnerKeys(ks) = key else {
-            unreachable!("inner_keys_art wants an InnerKeys key")
-        };
-        self.cache.get_or_build(key, || KeyColumns::evaluate(self.table, &sort_keys_of(ks)))
+    /// any mask, so structurally equal criteria share one evaluation —
+    /// hoisted per query whenever the plan knew them).
+    pub(crate) fn inner_keys_art(&self, keys: &CallKeys) -> Result<Arc<KeyColumns>> {
+        let ArtifactKey::InnerKeys(ks) = keys.inner_keys() else { unreachable!("inner-keys key") };
+        if self.cache.is_none() {
+            if let Some(kc) = self.hoisted.get(ks) {
+                return Ok(Arc::clone(kc));
+            }
+        }
+        self.artifact(keys.inner_keys(), || KeyColumns::evaluate(self.table, &sort_keys_of(ks)))
     }
 
     /// The inner sort: dense codes over the kept rows (Figure 8). Every
     /// cache miss here is one actual sort — the profile's `inner_sorts`.
-    /// `key` must be an [`ArtifactKey::DenseCodes`].
-    pub(crate) fn dense_codes_art(&self, key: &ArtifactKey) -> Result<Arc<DenseCodes>> {
-        let ArtifactKey::DenseCodes(order, mk) = key else {
-            unreachable!("dense_codes_art wants a DenseCodes key")
-        };
-        let OrderKey::Keys(ks) = order else {
-            unreachable!("dense codes require an explicit criterion")
-        };
-        let stats = self.cache.stats();
-        self.cache.get_or_build(key, || {
-            let keys = self.inner_keys_art(&ArtifactKey::InnerKeys(ks.clone()))?;
-            let mask = self.mask_art(&ArtifactKey::Mask(mk.clone()))?;
-            stats.inner_sorts.fetch_add(1, Relaxed);
-            Ok(dense_codes_for(&keys, mask.kept_rows(self.rows), self.parallel))
+    pub(crate) fn dense_codes_art(&self, keys: &CallKeys) -> Result<Arc<DenseCodes>> {
+        self.artifact(keys.dense_codes(), || {
+            let kc = self.inner_keys_art(keys)?;
+            let mask = self.mask_art(keys)?;
+            self.count_build(|s| &s.inner_sorts);
+            Ok(dense_codes_for(&kc, mask.kept_rows(self.rows), self.parallel))
         })
     }
 
-    /// Merge sort tree over the unique codes (rank family / framed LEAD),
-    /// from an [`ArtifactKey::CodeMst`] key.
-    pub(crate) fn code_mst<I: TreeIndex>(
+    /// A merge sort tree over `values()`, cached spillable under `key` and
+    /// checked out resident.
+    fn mst<I: TreeIndex>(
         &self,
         key: &ArtifactKey,
+        values: impl FnOnce() -> Result<Vec<I>>,
     ) -> Result<Arc<MergeSortTree<I>>> {
-        let ArtifactKey::CodeMst(order, mk) = key else {
-            unreachable!("code_mst wants a CodeMst key")
-        };
-        let stats = self.cache.stats();
-        let sp = self.cache.get_or_build::<SpillableMst<I>, _>(key, || {
-            let dc = self.dense_codes_art(&ArtifactKey::DenseCodes(order.clone(), mk.clone()))?;
-            stats.mst_builds.fetch_add(1, Relaxed);
-            let codes: Vec<I> = dc.code.iter().map(|&c| I::from_usize(c)).collect();
-            SpillableMst::build(&codes, self.params, self.cache.governor(), self.cache.partition())
+        let cache = self.cache.expect("only the tree arm builds merge sort trees");
+        let sp = cache.get_or_build::<SpillableMst<I>, _>(key, || {
+            let values = values()?;
+            self.count_build(|s| &s.mst_builds);
+            SpillableMst::build(&values, self.params, cache.governor(), cache.partition())
+                .map(Built::New)
         })?;
         SpillableMst::register(&sp);
         sp.checkout()
     }
 
-    /// Merge sort tree over the permutation array (selection family). The
-    /// `Identity` order is the identity permutation over the kept rows.
-    /// `key` must be an [`ArtifactKey::PermMst`].
-    pub(crate) fn perm_mst<I: TreeIndex>(
-        &self,
-        key: &ArtifactKey,
-    ) -> Result<Arc<MergeSortTree<I>>> {
-        let ArtifactKey::PermMst(order, mk) = key else {
-            unreachable!("perm_mst wants a PermMst key")
-        };
-        let stats = self.cache.stats();
-        let sp = self.cache.get_or_build::<SpillableMst<I>, _>(key, || {
-            stats.mst_builds.fetch_add(1, Relaxed);
-            let perm_i: Vec<I> = match order {
+    /// Merge sort tree over the unique codes (rank family / framed LEAD),
+    /// [`ArtifactKey::CodeMst`].
+    pub(crate) fn code_mst<I: TreeIndex>(&self, keys: &CallKeys) -> Result<Arc<MergeSortTree<I>>> {
+        self.mst(keys.code_mst(), || {
+            Ok(self.dense_codes_art(keys)?.code.iter().map(|&c| I::from_usize(c)).collect())
+        })
+    }
+
+    /// Merge sort tree over the permutation array (selection family),
+    /// [`ArtifactKey::PermMst`]. The `Identity` order is the identity
+    /// permutation over the kept rows.
+    pub(crate) fn perm_mst<I: TreeIndex>(&self, keys: &CallKeys) -> Result<Arc<MergeSortTree<I>>> {
+        let ArtifactKey::PermMst(order, _) = keys.perm_mst() else { unreachable!("perm-MST key") };
+        self.mst(keys.perm_mst(), || {
+            Ok(match order {
                 OrderKey::Identity => {
-                    let mask = self.mask_art(&ArtifactKey::Mask(mk.clone()))?;
-                    (0..mask.kept_len()).map(I::from_usize).collect()
+                    (0..self.mask_art(keys)?.kept_len()).map(I::from_usize).collect()
                 }
                 OrderKey::Keys(_) => {
-                    let dc =
-                        self.dense_codes_art(&ArtifactKey::DenseCodes(order.clone(), mk.clone()))?;
-                    dc.perm.iter().map(|&p| I::from_usize(p)).collect()
+                    self.dense_codes_art(keys)?.perm.iter().map(|&p| I::from_usize(p)).collect()
                 }
-            };
-            SpillableMst::build(&perm_i, self.params, self.cache.governor(), self.cache.partition())
-        })?;
-        SpillableMst::register(&sp);
-        sp.checkout()
+            })
+        })
     }
 
     /// Distinct preprocessing: hashes and (under exclusion) per-value
     /// occurrence lists ([`ArtifactKey::DistinctPrep`]).
-    pub(crate) fn distinct_prep_art(&self, key: &ArtifactKey) -> Result<Arc<DistinctPrepArt>> {
-        let ArtifactKey::DistinctPrep(e, mk) = key else {
-            unreachable!("distinct_prep_art wants a DistinctPrep key")
-        };
-        self.cache.get_or_build(key, || {
-            let values = self.kept_values_art(&ArtifactKey::KeptValues(e.clone(), mk.clone()))?;
+    pub(crate) fn distinct_prep_art(&self, keys: &CallKeys) -> Result<Arc<DistinctPrepArt>> {
+        self.artifact(keys.distinct_prep(), || {
+            let values = self.kept_values_art(keys)?;
             let hashes: Vec<u64> = values.iter().map(hash_value).collect();
             let mut occurrences: FxHashMap<u64, Vec<usize>> = FxHashMap::default();
             if self.frames.has_exclusion() {
@@ -935,151 +962,146 @@ impl Ctx<'_> {
 
     /// Shifted previous-occurrence index per kept position (Algorithm 1), in
     /// `usize` (widened to the partition's tree index by the tree builders —
-    /// its only readers), from an [`ArtifactKey::PrevIdcs`] key.
-    pub(crate) fn prev_idcs_art(&self, key: &ArtifactKey) -> Result<Arc<Vec<usize>>> {
-        let ArtifactKey::PrevIdcs(e, mk) = key else {
-            unreachable!("prev_idcs_art wants a PrevIdcs key")
-        };
-        self.cache.get_or_build(key, || {
-            let prep = self.distinct_prep_art(&ArtifactKey::DistinctPrep(e.clone(), mk.clone()))?;
+    /// its only readers), [`ArtifactKey::PrevIdcs`].
+    pub(crate) fn prev_idcs_art(&self, keys: &CallKeys) -> Result<Arc<Vec<usize>>> {
+        self.artifact(keys.prev_idcs(), || {
+            let prep = self.distinct_prep_art(keys)?;
             Ok(holistic_core::prev_idcs_u64(&prep.hashes, self.parallel))
         })
     }
 
     /// Merge sort tree over the previous-occurrence indices (COUNT DISTINCT),
-    /// from an [`ArtifactKey::DistinctCountMst`] key.
+    /// [`ArtifactKey::DistinctCountMst`].
     pub(crate) fn distinct_count_mst<I: TreeIndex>(
         &self,
-        key: &ArtifactKey,
+        keys: &CallKeys,
     ) -> Result<Arc<MergeSortTree<I>>> {
-        let ArtifactKey::DistinctCountMst(e, mk) = key else {
-            unreachable!("distinct_count_mst wants a DistinctCountMst key")
-        };
-        let stats = self.cache.stats();
-        let sp = self.cache.get_or_build::<SpillableMst<I>, _>(key, || {
-            let prev = self.prev_idcs_art(&ArtifactKey::PrevIdcs(e.clone(), mk.clone()))?;
-            stats.mst_builds.fetch_add(1, Relaxed);
-            let prev: Vec<I> = prev.iter().map(|&p| I::from_usize(p)).collect();
-            SpillableMst::build(&prev, self.params, self.cache.governor(), self.cache.partition())
-        })?;
-        SpillableMst::register(&sp);
-        sp.checkout()
+        self.mst(keys.distinct_count_mst(), || {
+            Ok(self.prev_idcs_art(keys)?.iter().map(|&p| I::from_usize(p)).collect())
+        })
     }
 
-    /// The kept-row count segment tree shared by a mask's aggregates, from
-    /// an [`ArtifactKey::SegTree`] `(None, _, Count)` key.
-    pub(crate) fn count_segtree(&self, key: &ArtifactKey) -> Result<Arc<SegmentTree<CountMonoid>>> {
-        let ArtifactKey::SegTree(None, mk, SegFlavor::Count) = key else {
-            unreachable!("count_segtree wants the count segment tree key")
-        };
-        let stats = self.cache.stats();
-        self.cache.get_or_build(key, || {
-            let mask = self.mask_art(&ArtifactKey::Mask(mk.clone()))?;
-            stats.segtree_builds.fetch_add(1, Relaxed);
+    /// The kept-row count segment tree shared by a mask's aggregates, the
+    /// [`ArtifactKey::SegTree`] `(None, _, Count)` key.
+    pub(crate) fn count_segtree(&self, keys: &CallKeys) -> Result<Arc<SegmentTree<CountMonoid>>> {
+        self.artifact(keys.count_segtree(), || {
+            let mask = self.mask_art(keys)?;
+            self.count_build(|s| &s.segtree_builds);
             let counts: Vec<u64> = mask.keep.iter().map(|&k| k as u64).collect();
             Ok(SegmentTree::<CountMonoid>::build(&counts, self.parallel))
         })
     }
 
-    /// DENSE_RANK's 3-d range tree over tie-group ids (u32 partitions only),
-    /// from an [`ArtifactKey::RangeTree`] key.
-    pub(crate) fn range_tree_art(&self, key: &ArtifactKey) -> Result<Arc<RangeTreeArt>> {
-        let ArtifactKey::RangeTree(order, mk) = key else {
-            unreachable!("range_tree_art wants a RangeTree key")
-        };
-        let stats = self.cache.stats();
-        self.cache.get_or_build(key, || {
-            let dc = self.dense_codes_art(&ArtifactKey::DenseCodes(order.clone(), mk.clone()))?;
-            stats.rangetree_builds.fetch_add(1, Relaxed);
-            let gids: Vec<u32> = dc.group_id.iter().map(|&g| g as u32).collect();
-            let prev: Vec<u32> = holistic_core::prev_idcs_by_key(&gids, self.parallel)
-                .iter()
-                .map(|&p| p as u32)
-                .collect();
-            let rt = RangeTree3::build(&gids, &prev, self.parallel);
-            let mut occurrences: Vec<Vec<usize>> = Vec::new();
-            if self.frames.has_exclusion() {
-                occurrences = vec![Vec::new(); dc.num_groups];
-                for (k, &g) in dc.group_id.iter().enumerate() {
-                    occurrences[g].push(k);
-                }
+    /// DENSE_RANK's counter over tie-group ids (u32 partitions only):
+    /// `index` makes it from each kept position's tie group and that
+    /// group's shifted previous occurrence.
+    pub(crate) fn dense_rank_parts<C>(
+        &self,
+        dc: &DenseCodes,
+        index: impl FnOnce(Vec<u32>, Vec<u32>) -> C,
+    ) -> DenseRankArt<C> {
+        let gids: Vec<u32> = dc.group_id.iter().map(|&g| g as u32).collect();
+        let prev: Vec<u32> = holistic_core::prev_idcs_by_key(&gids, self.parallel)
+            .iter()
+            .map(|&p| p as u32)
+            .collect();
+        let mut occurrences: Vec<Vec<usize>> = Vec::new();
+        if self.frames.has_exclusion() {
+            occurrences = vec![Vec::new(); dc.num_groups];
+            for (k, &g) in dc.group_id.iter().enumerate() {
+                occurrences[g].push(k);
             }
-            Ok(RangeTreeArt { rt, occurrences })
+        }
+        DenseRankArt { counter: index(gids, prev), occurrences }
+    }
+
+    /// DENSE_RANK's 3-d range tree, [`ArtifactKey::RangeTree`].
+    pub(crate) fn range_tree_art(&self, keys: &CallKeys) -> Result<Arc<DenseRankArt<RangeTree3>>> {
+        self.artifact(keys.range_tree(), || {
+            let dc = self.dense_codes_art(keys)?;
+            self.count_build(|s| &s.rangetree_builds);
+            Ok(self
+                .dense_rank_parts(&dc, |gids, prev| RangeTree3::build(&gids, &prev, self.parallel)))
         })
     }
 
-    /// The MODE decode table and √-decomposition index, from an
-    /// [`ArtifactKey::ModeIndex`] key.
-    pub(crate) fn mode_art(&self, key: &ArtifactKey) -> Result<Arc<ModeArt>> {
-        let ArtifactKey::ModeIndex(e, mk) = key else {
-            unreachable!("mode_art wants a ModeIndex key")
-        };
-        let stats = self.cache.stats();
-        self.cache.get_or_build(key, || {
-            let values = self.kept_values_art(&ArtifactKey::KeptValues(e.clone(), mk.clone()))?;
-            stats.modeindex_builds.fetch_add(1, Relaxed);
-            // Dense ids in value order (ids ascend with sql_cmp) so the
-            // index's smallest-id tie-break picks the smallest value.
-            let mut sorted: Vec<&Value> = values.iter().collect();
-            sorted.sort_by(|a, b| a.sql_cmp(b));
-            sorted.dedup_by(|a, b| a.sql_eq(b));
-            let decode: Vec<Value> = sorted.iter().map(|v| (*v).clone()).collect();
-            let ids: Vec<u32> = values
-                .iter()
-                .map(|v| {
-                    decode.binary_search_by(|probe| probe.sql_cmp(v)).expect("value interned")
-                        as u32
-                })
-                .collect();
-            let index = RangeModeIndex::build(&ids, decode.len());
-            Ok(ModeArt { decode, index })
+    /// MODE's decode table and index: `index` makes it from the kept rows'
+    /// dense ids and their number.
+    pub(crate) fn mode_parts<X>(
+        &self,
+        keys: &CallKeys,
+        index: impl FnOnce(Vec<u32>, usize) -> X,
+    ) -> Result<ModeArt<X>> {
+        let values = self.kept_values_art(keys)?;
+        // Dense ids in value order (ids ascend with sql_cmp) so the
+        // smallest-id tie-break picks the smallest value.
+        let mut sorted: Vec<&Value> = values.iter().collect();
+        sorted.sort_by(|a, b| a.sql_cmp(b));
+        sorted.dedup_by(|a, b| a.sql_eq(b));
+        let decode: Vec<Value> = sorted.iter().map(|v| (*v).clone()).collect();
+        let ids: Vec<u32> = values
+            .iter()
+            .map(|v| {
+                decode.binary_search_by(|probe| probe.sql_cmp(v)).expect("value interned") as u32
+            })
+            .collect();
+        let index = index(ids, decode.len());
+        Ok(ModeArt { decode, index })
+    }
+
+    /// The MODE decode table and √-decomposition index,
+    /// [`ArtifactKey::ModeIndex`].
+    pub(crate) fn mode_art(&self, keys: &CallKeys) -> Result<Arc<ModeArt<RangeModeIndex>>> {
+        self.artifact(keys.mode_index(), || {
+            self.count_build(|s| &s.modeindex_builds);
+            self.mode_parts(keys, |ids, u| RangeModeIndex::build(&ids, u))
         })
     }
 }
 
-/// Forces one planned artifact into the cache (the build phase's worklist
-/// driver). Dependencies resolve recursively through the getters; the
-/// partition's index width is chosen here for width-generic artifacts.
-pub(crate) fn force(ctx: &Ctx<'_>, key: &ArtifactKey) -> Result<()> {
+/// Forces one of `keys`' planned artifacts into the cache (the build phase's
+/// worklist driver). Dependencies resolve recursively through the getters;
+/// the partition's index width is chosen here for width-generic artifacts.
+pub(crate) fn force(ctx: &Ctx<'_>, keys: &CallKeys, key: &ArtifactKey) -> Result<()> {
     use ArtifactKey as K;
     match key {
-        K::Values(_) => drop(ctx.values_art(key)?),
-        K::Mask(_) => drop(ctx.mask_art(key)?),
-        K::KeptValues(..) => drop(ctx.kept_values_art(key)?),
-        K::InnerKeys(_) => drop(ctx.inner_keys_art(key)?),
-        K::DenseCodes(..) => drop(ctx.dense_codes_art(key)?),
+        K::Values(_) => drop(ctx.values_art(keys)?),
+        K::Mask(_) => drop(ctx.mask_art(keys)?),
+        K::KeptValues(..) => drop(ctx.kept_values_art(keys)?),
+        K::InnerKeys(_) => drop(ctx.inner_keys_art(keys)?),
+        K::DenseCodes(..) => drop(ctx.dense_codes_art(keys)?),
         K::CodeMst(..) => {
             if ctx.u32_trees() {
-                drop(ctx.code_mst::<u32>(key)?);
+                drop(ctx.code_mst::<u32>(keys)?);
             } else {
-                drop(ctx.code_mst::<u64>(key)?);
+                drop(ctx.code_mst::<u64>(keys)?);
             }
         }
         K::PermMst(..) => {
             if ctx.u32_trees() {
-                drop(ctx.perm_mst::<u32>(key)?);
+                drop(ctx.perm_mst::<u32>(keys)?);
             } else {
-                drop(ctx.perm_mst::<u64>(key)?);
+                drop(ctx.perm_mst::<u64>(keys)?);
             }
         }
-        K::DistinctPrep(..) => drop(ctx.distinct_prep_art(key)?),
-        K::PrevIdcs(..) => drop(ctx.prev_idcs_art(key)?),
+        K::DistinctPrep(..) => drop(ctx.distinct_prep_art(keys)?),
+        K::PrevIdcs(..) => drop(ctx.prev_idcs_art(keys)?),
         K::DistinctCountMst(..) => {
             if ctx.u32_trees() {
-                drop(ctx.distinct_count_mst::<u32>(key)?);
+                drop(ctx.distinct_count_mst::<u32>(keys)?);
             } else {
-                drop(ctx.distinct_count_mst::<u64>(key)?);
+                drop(ctx.distinct_count_mst::<u64>(keys)?);
             }
         }
-        K::SegTree(None, _, SegFlavor::Count) => drop(ctx.count_segtree(key)?),
+        K::SegTree(None, _, SegFlavor::Count) => drop(ctx.count_segtree(keys)?),
         K::RangeTree(..) => {
             // Wide partitions error at probe time (DENSE_RANK is u32-only);
             // skipping here keeps the error message on the evaluator's path.
             if ctx.u32_trees() {
-                drop(ctx.range_tree_art(key)?);
+                drop(ctx.range_tree_art(keys)?);
             }
         }
-        K::ModeIndex(..) => drop(ctx.mode_art(key)?),
+        K::ModeIndex(..) => drop(ctx.mode_art(keys)?),
         // Data-dependent artifacts (SUM flavor, MIN/MAX ordinal trees,
         // annotated distinct trees) are never planned eagerly; they build
         // lazily through the same cache during the probe phase.

@@ -4,10 +4,11 @@
 //! The cost model routes a (partition × call) here when sliding or
 //! tree-free selection beats the merge sort tree: narrow monotonic frames
 //! favor the incremental sorted array or the order-statistic tree, static
-//! mid-size partitions the sorted-list segment tree. All three consume the
-//! *same cached artifacts* (mask, kept values, dense codes) as the MST
-//! evaluators, so a mixed partition — one call on the MST, another on an
-//! alternate — still shares its preprocessing sort.
+//! mid-size partitions the sorted-list segment tree. All three are handed
+//! the *same cached artifacts* (mask, kept values, dense codes) by the
+//! family evaluator that acquired them for every strategy, so a mixed
+//! partition — one call on the MST, another on an alternate — still shares
+//! its preprocessing sort.
 //!
 //! Applicability is the strategy layer's contract: percentiles (DISC /
 //! CONT / MEDIAN) on all three engines, COUNT(DISTINCT) on the incremental
@@ -16,34 +17,18 @@
 //! (exact integers); outputs are clones of the same kept values the MST
 //! path returns, so results are bit-identical by construction.
 
-use super::{cont_rank, disc_rank, fraction_arg, Ctx};
-use crate::artifacts::MaskArtifact;
-use crate::error::{Error, Result};
-use crate::plan::CallPlan;
-use crate::spec::{FuncKind, FunctionCall};
+use super::select_based::Selection;
+use super::{cont_rank, disc_rank, Ctx};
+use crate::artifacts::{DistinctPrepArt, MaskArtifact};
+use crate::error::Result;
+use crate::spec::FuncKind;
 use crate::strategy::Strategy;
 use crate::value::Value;
+use holistic_core::codes::DenseCodes;
 use holistic_segtree::SortedListSegTree;
 use holistic_strategies::incremental;
 use holistic_strategies::ostree::OrderStatisticTree;
 use std::borrow::Cow;
-
-/// Evaluates one call on an alternate strategy. Callers guarantee
-/// `applicable(strategy, class, stats)` held for this call.
-pub(crate) fn evaluate(
-    ctx: &Ctx<'_>,
-    call: &FunctionCall,
-    cp: &CallPlan,
-    strategy: Strategy,
-) -> Result<Vec<Value>> {
-    match call.kind {
-        FuncKind::Count if call.distinct => count_distinct_incremental(ctx, cp),
-        FuncKind::PercentileDisc | FuncKind::PercentileCont | FuncKind::Median => {
-            percentile(ctx, call, cp, strategy)
-        }
-        _ => unreachable!("strategy layer routes only percentiles/COUNT DISTINCT to alternates"),
-    }
-}
 
 /// Kept-space hull frames, one per row (no exclusion ⇒ one piece per frame).
 /// Under a mask that drops nothing these are the resolved bounds themselves,
@@ -58,40 +43,27 @@ fn kept_frames<'a>(ctx: &Ctx<'a>, mask: &MaskArtifact) -> Cow<'a, [(usize, usize
 
 /// COUNT(DISTINCT x) on the incremental hash multiset (Table 1 row 1):
 /// O(1) amortized per slide step on monotonic frames.
-fn count_distinct_incremental(ctx: &Ctx<'_>, cp: &CallPlan) -> Result<Vec<Value>> {
-    let mask = ctx.mask_art(cp.keys.mask())?;
-    let prep = ctx.distinct_prep_art(cp.keys.distinct_prep())?;
-    let frames = kept_frames(ctx, &mask);
+pub(super) fn count_distinct_incremental(
+    ctx: &Ctx<'_>,
+    mask: &MaskArtifact,
+    prep: &DistinctPrepArt,
+) -> Result<Vec<Value>> {
+    let frames = kept_frames(ctx, mask);
     let counts = incremental::distinct_count(&prep.hashes, &frames);
     Ok(counts.into_iter().map(|c| Value::Int(c as i64)).collect())
 }
 
 /// Percentiles by sliding / selecting over unique dense codes.
-fn percentile(
-    ctx: &Ctx<'_>,
-    call: &FunctionCall,
-    cp: &CallPlan,
+pub(super) fn percentile(
+    sel: &Selection<'_>,
+    dc: &DenseCodes,
     strategy: Strategy,
 ) -> Result<Vec<Value>> {
-    // Same artifact acquisition order as the MST selection path, so error
-    // precedence (mask/values/keys before the fraction argument) matches.
-    let mask = ctx.mask_art(cp.keys.mask())?;
-    let kept_out = ctx.kept_values_art(cp.keys.kept_values())?;
-    let dc = ctx.dense_codes_art(cp.keys.dense_codes())?;
+    let Selection { ctx, kept_out, .. } = *sel;
     let m = ctx.m();
-    let frames = kept_frames(ctx, &mask);
-
-    let cont = call.kind == FuncKind::PercentileCont;
-    let p = fraction_arg(ctx.table, ctx.rows, call)?;
-    if cont {
-        if let Some(v) = kept_out.iter().find(|v| v.as_f64().is_none()) {
-            return Err(Error::TypeMismatch {
-                expected: "numeric",
-                got: v.type_name(),
-                context: "percentile_cont",
-            });
-        }
-    }
+    let frames = kept_frames(ctx, sel.mask);
+    let cont = sel.call.kind == FuncKind::PercentileCont;
+    let p = sel.fraction()?;
 
     let mut out = vec![Value::Null; m];
     {

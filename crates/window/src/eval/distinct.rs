@@ -8,12 +8,13 @@
 //!    cached `DistinctPrep` artifact) and compute shifted previous-occurrence
 //!    indices over the hashes (Algorithm 1; the cached `PrevIdcs` artifact);
 //! 3. build the (annotated) merge sort tree — cached per (argument, mask)
-//!    and, for SUM/AVG, per aggregate flavor;
+//!    and, for SUM/AVG, per aggregate flavor; a naive COUNT scans the
+//!    indices instead, the incremental one slides a hash multiset;
 //! 4. per row: `count_below(frame, frame_start + 1)` — or the annotated
 //!    prefix-aggregate query for SUM/AVG DISTINCT.
 //!
 //! `MIN(DISTINCT)`/`MAX(DISTINCT)` are semantically identical to their plain
-//! forms and route to the segment tree evaluator.
+//! forms and never come here.
 //!
 //! **Frame exclusion** (§4.7) makes frames non-contiguous, which interacts
 //! with distinctness: a value whose only frame occurrences sit inside the
@@ -24,33 +25,49 @@
 //! exact, and O(hole · log n) per row (the hole is the current row's peer
 //! group, so this is the peer-group-size-bounded part of the query).
 
-use super::{distributive, Ctx, Planned};
+use super::primitive::{CountBelow, Scan};
+use super::{alt, Ctx, Planned};
 use crate::artifacts::{DistinctPrepArt, MaskArtifact};
 use crate::error::{Error, Result};
 use crate::plan::{AggFlavor, CallPlan};
 use crate::spec::{FuncKind, FunctionCall};
+use crate::strategy::Strategy;
 use crate::value::Value;
 use holistic_core::aggregate::{AvgF64, SumF64, SumI64};
-use holistic_core::index::fits_u32;
-use holistic_core::{AnnotatedMst, DistinctAggregate, TreeIndex};
+use holistic_core::{AnnotatedMst, DistinctAggregate, RangeSet, TreeIndex};
 use rustc_hash::FxHashSet;
-use std::sync::atomic::Ordering::Relaxed;
 use std::sync::Arc;
 
 /// Entry point for DISTINCT aggregates.
-pub(crate) fn evaluate(ctx: &Ctx<'_>, call: &FunctionCall, cp: &CallPlan) -> Result<Vec<Value>> {
-    match call.kind {
-        FuncKind::Min | FuncKind::Max => distributive::evaluate(ctx, call, cp),
-        FuncKind::CountStar => {
-            Err(Error::InvalidArgument("COUNT(DISTINCT *) is not valid SQL".into()))
+pub(crate) fn evaluate(
+    ctx: &Ctx<'_>,
+    call: &FunctionCall,
+    cp: &CallPlan,
+    strategy: Strategy,
+) -> Result<Vec<Value>> {
+    if call.kind == FuncKind::CountStar {
+        return Err(Error::InvalidArgument("COUNT(DISTINCT *) is not valid SQL".into()));
+    }
+    let mask = ctx.mask_art(&cp.keys)?;
+    let prep = ctx.distinct_prep_art(&cp.keys)?;
+    if call.kind != FuncKind::Count {
+        // SUM / AVG: the annotated tree only (`strategy::applicable`).
+        return if ctx.u32_trees() {
+            sum_or_avg::<u32>(ctx, call, cp, &mask, &prep)
+        } else {
+            sum_or_avg::<u64>(ctx, call, cp, &mask, &prep)
+        };
+    }
+    match strategy {
+        Strategy::Incremental => alt::count_distinct_incremental(ctx, &mask, &prep),
+        Strategy::Naive => {
+            let prev = holistic_core::prev_idcs_u64(&prep.hashes, ctx.parallel);
+            count(ctx, &mask, &prep, &Scan(&prev))
         }
-        _ => {
-            if fits_u32(ctx.m() + 1) {
-                evaluate_impl::<u32>(ctx, call, cp)
-            } else {
-                evaluate_impl::<u64>(ctx, call, cp)
-            }
+        _ if ctx.u32_trees() => {
+            count(ctx, &mask, &prep, &*ctx.distinct_count_mst::<u32>(&cp.keys)?)
         }
+        _ => count(ctx, &mask, &prep, &*ctx.distinct_count_mst::<u64>(&cp.keys)?),
     }
 }
 
@@ -75,7 +92,7 @@ fn kept_holes(ctx: &Ctx<'_>, mask: &MaskArtifact, i: usize) -> ([(usize, usize);
 /// `visit` receives one kept position per such value.
 fn hole_only_values(
     prep: &DistinctPrepArt,
-    pieces: &holistic_core::RangeSet,
+    pieces: &RangeSet,
     holes: &[(usize, usize)],
     mut visit: impl FnMut(usize),
 ) {
@@ -98,111 +115,108 @@ fn hole_only_values(
     }
 }
 
-fn evaluate_impl<I: TreeIndex>(
+/// COUNT(DISTINCT): the entries of the frame hull's previous-occurrence
+/// indices that point before the hull (§4.2).
+fn count(
+    ctx: &Ctx<'_>,
+    mask: &MaskArtifact,
+    prep: &DistinctPrepArt,
+    prev_idcs: &impl CountBelow,
+) -> Result<Vec<Value>> {
+    ctx.probe_counts(
+        prev_idcs,
+        |i, push| {
+            let (a, b) = ctx.frames.bounds[i];
+            let (ka, kb) = mask.remap.range(a, b);
+            push(&RangeSet::single(ka, kb), ka + 1);
+            Ok(Planned::Counted(()))
+        },
+        |i, (), base| {
+            if !ctx.frames.has_exclusion() {
+                return Ok(Value::Int(base as i64));
+            }
+            // Hole-only corrections never touch the index.
+            let pieces = mask.remap.range_set(&ctx.frames.range_set(i));
+            let (holes, nh) = kept_holes(ctx, mask, i);
+            let mut correction = 0usize;
+            hole_only_values(prep, &pieces, &holes[..nh], |_| correction += 1);
+            Ok(Value::Int((base - correction) as i64))
+        },
+    )
+}
+
+fn sum_or_avg<I: TreeIndex>(
     ctx: &Ctx<'_>,
     call: &FunctionCall,
     cp: &CallPlan,
+    mask: &Arc<MaskArtifact>,
+    prep: &Arc<DistinctPrepArt>,
 ) -> Result<Vec<Value>> {
-    let mask = ctx.mask_art(cp.keys.mask())?;
-    let prep = ctx.distinct_prep_art(cp.keys.distinct_prep())?;
-    match call.kind {
-        FuncKind::Count => {
-            let tree = ctx.distinct_count_mst::<I>(cp.keys.distinct_count_mst())?;
-            ctx.probe_counts(
-                &tree,
-                |i, push| {
-                    let (a, b) = ctx.frames.bounds[i];
-                    let (ka, kb) = mask.remap.range(a, b);
-                    if ka < kb {
-                        push(&holistic_core::RangeSet::single(ka, kb), I::from_usize(ka + 1));
+    let is_float = prep.values.iter().any(|v| matches!(v, Value::Float(_)));
+    if let Some(v) = prep.values.iter().find(|v| !matches!(v, Value::Int(_) | Value::Float(_))) {
+        return Err(Error::TypeMismatch {
+            expected: "numeric",
+            got: v.type_name(),
+            context: "SUM/AVG DISTINCT",
+        });
+    }
+    if call.kind == FuncKind::Avg {
+        distinct_aggregate::<I, AvgF64>(
+            ctx,
+            cp,
+            mask,
+            prep,
+            AggFlavor::Avg,
+            |v| v.as_f64().unwrap_or(0.0),
+            |state, (corr, _)| {
+                let (s, c) = (state.0 - corr.0, state.1 - corr.1);
+                if c == 0 {
+                    Value::Null
+                } else {
+                    Value::Float(s / c as f64)
+                }
+            },
+        )
+    } else if is_float {
+        distinct_aggregate::<I, SumF64>(
+            ctx,
+            cp,
+            mask,
+            prep,
+            AggFlavor::SumF64,
+            |v| v.as_f64().unwrap_or(0.0),
+            |s, c| {
+                // `c` carries (correction, counted) packed below.
+                let (corr, cnt) = c;
+                if cnt == 0 {
+                    Value::Null
+                } else {
+                    Value::Float(s - corr)
+                }
+            },
+        )
+    } else {
+        distinct_aggregate::<I, SumI64>(
+            ctx,
+            cp,
+            mask,
+            prep,
+            AggFlavor::SumI64,
+            |v| v.as_i64().unwrap_or(0),
+            |s, c| {
+                let (corr, cnt) = c;
+                if cnt == 0 {
+                    Value::Null
+                } else {
+                    match i64::try_from(s - corr) {
+                        Ok(x) => Value::Int(x),
+                        // Sums exceeding i64 degrade to float rather
+                        // than erroring mid-probe.
+                        Err(_) => Value::Float((s - corr) as f64),
                     }
-                    Ok(Planned::Counted(()))
-                },
-                |i, (), base| {
-                    if !ctx.frames.has_exclusion() {
-                        return Ok(Value::Int(base as i64));
-                    }
-                    // Hole-only corrections never touch the tree.
-                    let pieces = mask.remap.range_set(&ctx.frames.range_set(i));
-                    let (holes, nh) = kept_holes(ctx, &mask, i);
-                    let mut correction = 0usize;
-                    hole_only_values(&prep, &pieces, &holes[..nh], |_| correction += 1);
-                    Ok(Value::Int((base - correction) as i64))
-                },
-            )
-        }
-        FuncKind::Sum | FuncKind::Avg => {
-            let avg = call.kind == FuncKind::Avg;
-            let is_float = prep.values.iter().any(|v| matches!(v, Value::Float(_)));
-            if let Some(v) =
-                prep.values.iter().find(|v| !matches!(v, Value::Int(_) | Value::Float(_)))
-            {
-                return Err(Error::TypeMismatch {
-                    expected: "numeric",
-                    got: v.type_name(),
-                    context: "SUM/AVG DISTINCT",
-                });
-            }
-            if avg {
-                distinct_aggregate::<I, AvgF64>(
-                    ctx,
-                    cp,
-                    &mask,
-                    &prep,
-                    AggFlavor::Avg,
-                    |v| v.as_f64().unwrap_or(0.0),
-                    |state, (corr, _)| {
-                        let (s, c) = (state.0 - corr.0, state.1 - corr.1);
-                        if c == 0 {
-                            Value::Null
-                        } else {
-                            Value::Float(s / c as f64)
-                        }
-                    },
-                )
-            } else if is_float {
-                distinct_aggregate::<I, SumF64>(
-                    ctx,
-                    cp,
-                    &mask,
-                    &prep,
-                    AggFlavor::SumF64,
-                    |v| v.as_f64().unwrap_or(0.0),
-                    |s, c| {
-                        // `c` carries (correction, counted) packed below.
-                        let (corr, cnt) = c;
-                        if cnt == 0 {
-                            Value::Null
-                        } else {
-                            Value::Float(s - corr)
-                        }
-                    },
-                )
-            } else {
-                distinct_aggregate::<I, SumI64>(
-                    ctx,
-                    cp,
-                    &mask,
-                    &prep,
-                    AggFlavor::SumI64,
-                    |v| v.as_i64().unwrap_or(0),
-                    |s, c| {
-                        let (corr, cnt) = c;
-                        if cnt == 0 {
-                            Value::Null
-                        } else {
-                            match i64::try_from(s - corr) {
-                                Ok(x) => Value::Int(x),
-                                // Sums exceeding i64 degrade to float rather
-                                // than erroring mid-probe.
-                                Err(_) => Value::Float((s - corr) as f64),
-                            }
-                        }
-                    },
-                )
-            }
-        }
-        _ => unreachable!("distinct dispatch"),
+                }
+            },
+        )
     }
 }
 
@@ -227,15 +241,13 @@ where
     I: TreeIndex,
     A: DistinctAggregate + 'static,
 {
-    let stats = ctx.cache.stats();
-    let tree: Arc<AnnotatedMst<I, A>> =
-        ctx.cache.get_or_build(cp.keys.distinct_agg(flavor), || {
-            let prev = ctx.prev_idcs_art(cp.keys.prev_idcs())?;
-            stats.mst_builds.fetch_add(1, Relaxed);
-            let prev: Vec<I> = prev.iter().map(|&p| I::from_usize(p)).collect();
-            let payloads: Vec<A::Payload> = prep.values.iter().map(&payload_of).collect();
-            Ok(AnnotatedMst::<I, A>::build(&prev, &payloads, ctx.params))
-        })?;
+    let tree: Arc<AnnotatedMst<I, A>> = ctx.artifact(cp.keys.distinct_agg(flavor), || {
+        let prev = ctx.prev_idcs_art(&cp.keys)?;
+        ctx.count_build(|s| &s.mst_builds);
+        let prev: Vec<I> = prev.iter().map(|&p| I::from_usize(p)).collect();
+        let payloads: Vec<A::Payload> = prep.values.iter().map(&payload_of).collect();
+        Ok(AnnotatedMst::<I, A>::build(&prev, &payloads, ctx.params))
+    })?;
     ctx.probe_with_cursor(|cur, i| {
         let (a, b) = ctx.frames.bounds[i];
         let (ka, kb) = mask.remap.range(a, b);
@@ -253,17 +265,4 @@ where
         });
         Ok(finish(state, (corr, counted - removed)))
     })
-}
-
-#[cfg(test)]
-mod tests {
-    use crate::remap::Remap;
-
-    #[test]
-    fn ordinal_helpers_are_reexported_elsewhere() {
-        // The distinct module itself is exercised end-to-end via the executor
-        // tests; here we only pin the hull/hole geometry helper.
-        let remap = Remap::new(&[true, true, false, true, true]);
-        assert_eq!(remap.range(0, 5), (0, 4));
-    }
 }

@@ -7,37 +7,38 @@
 //! against. Non-monotonic frames are free: segment trees never rely on frame
 //! overlap.
 //!
-//! All trees come from the artifact cache: the kept-row count tree is shared
+//! The trees come from the artifact cache: the kept-row count tree is shared
 //! by every aggregate over the same mask, and the data trees (whose monoid
 //! depends on the observed value types) build lazily under data-dependent
-//! keys during the probe phase.
+//! keys during the probe phase. A [`Strategy::Naive`] call folds the same
+//! inputs without them ([`super::primitive::Fold`]'s scan column).
 
+use super::primitive::{Fold, ScanFold};
 use super::Ctx;
 use crate::artifacts::ArtifactBytes;
 use crate::error::{Error, Result};
-use crate::plan::{CallPlan, SegFlavor};
+use crate::order::{float_from_ordinal, float_ordinal};
+use crate::plan::{ArtifactKey, CallPlan, SegFlavor};
 use crate::spec::{FuncKind, FunctionCall};
-use crate::value::{DataType, Value};
-use holistic_segtree::{MaxMonoid, MinMonoid, SegmentTree, SumF64Monoid, SumMonoid};
-use std::sync::atomic::Ordering::Relaxed;
+use crate::strategy::Strategy;
+use crate::value::Value;
+use holistic_segtree::{
+    MaxMonoid, MinMonoid, Monoid, PrefixSums, SegmentTree, SumF64Monoid, SumMonoid,
+};
 use std::sync::Arc;
 
 /// Order-preserving i64 encoding of an f64 (total order, NaN greatest).
-pub(crate) fn f64_to_ordinal(x: f64) -> i64 {
-    let b = x.to_bits();
-    let u = if b & (1 << 63) != 0 { !b } else { b | (1 << 63) };
-    (u ^ (1 << 63)) as i64
+fn f64_to_ordinal(x: f64) -> i64 {
+    (float_ordinal(x) ^ (1 << 63)) as i64
 }
 
 /// Inverse of [`f64_to_ordinal`].
-pub(crate) fn ordinal_to_f64(i: i64) -> f64 {
-    let u = (i as u64) ^ (1 << 63);
-    let b = if u & (1 << 63) != 0 { u ^ (1 << 63) } else { !u };
-    f64::from_bits(b)
+fn ordinal_to_f64(i: i64) -> f64 {
+    float_from_ordinal((i as u64) ^ (1 << 63))
 }
 
 /// How MIN/MAX ordinals decode back into values.
-pub(crate) enum OrdinalDecode {
+enum OrdinalDecode {
     Int,
     Date,
     Float,
@@ -63,7 +64,7 @@ impl ArtifactBytes for OrdEnc {
 }
 
 /// Encodes comparable values as i64 ordinals for MIN/MAX segment trees.
-pub(crate) fn encode_ordinals(values: &[Value]) -> Result<(Vec<Option<i64>>, OrdinalDecode)> {
+fn encode_ordinals(values: &[Value]) -> Result<(Vec<Option<i64>>, OrdinalDecode)> {
     // Establish the column type from the first non-null value.
     let first = values.iter().find(|v| !v.is_null());
     let decode = match first {
@@ -116,7 +117,7 @@ pub(crate) fn encode_ordinals(values: &[Value]) -> Result<(Vec<Option<i64>>, Ord
     Ok((ords, decode))
 }
 
-pub(crate) fn decode_ordinal(o: i64, d: &OrdinalDecode) -> Value {
+fn decode_ordinal(o: i64, d: &OrdinalDecode) -> Value {
     match d {
         OrdinalDecode::Int => Value::Int(o),
         OrdinalDecode::Date => Value::Date(o as i32),
@@ -127,27 +128,38 @@ pub(crate) fn decode_ordinal(o: i64, d: &OrdinalDecode) -> Value {
 }
 
 /// Evaluates a non-DISTINCT framed aggregate.
-pub(crate) fn evaluate(ctx: &Ctx<'_>, call: &FunctionCall, cp: &CallPlan) -> Result<Vec<Value>> {
-    let m = ctx.m();
-
+pub(crate) fn evaluate(
+    ctx: &Ctx<'_>,
+    call: &FunctionCall,
+    cp: &CallPlan,
+    strategy: Strategy,
+) -> Result<Vec<Value>> {
+    let (keys, naive) = (&cp.keys, strategy == Strategy::Naive);
+    // A frame's participating rows — those passing FILTER with a non-NULL
+    // argument, exactly the mask the plan derived — counted by the mask's
+    // count tree or, for a naive call, by its remap.
+    let count_index = || -> Result<Arc<dyn Fold<u64>>> {
+        Ok(if naive { ctx.mask_art(keys)? } else { ctx.count_segtree(keys)? })
+    };
+    let counted = |count: Arc<dyn Fold<u64>>| {
+        ctx.probe(move |i| Ok(Value::Int(count.fold(&ctx.frames.range_set(i)) as i64)))
+    };
     if call.kind == FuncKind::CountStar {
-        let tree = ctx.count_segtree(cp.keys.count_segtree())?;
-        return ctx.probe(move |i| {
-            Ok(Value::Int(tree.query_multi(ctx.frames.range_set(i).iter()) as i64))
-        });
+        // No argument: only the FILTER mask participates.
+        return counted(count_index()?);
     }
 
-    let values = ctx.values_art(cp.keys.values())?;
-    // "Participating" = passes FILTER and is non-NULL — exactly the mask the
-    // plan derived (screen = the argument).
-    let mask = ctx.mask_art(cp.keys.mask())?;
-    let count_tree = ctx.count_segtree(cp.keys.count_segtree())?;
-    let stats = ctx.cache.stats();
+    let values = ctx.values_art(keys)?;
+    let mask = ctx.mask_art(keys)?;
+    let count = count_index()?;
+    // A data index's input per position: `of(i)` for a participating row,
+    // the monoid's neutral element elsewhere.
+    fn inputs<T: Copy>(keep: &[bool], neutral: T, of: impl Fn(usize) -> Option<T>) -> Vec<T> {
+        keep.iter().enumerate().map(|(i, &k)| of(i).filter(|_| k).unwrap_or(neutral)).collect()
+    }
 
     match call.kind {
-        FuncKind::Count => ctx.probe(move |i| {
-            Ok(Value::Int(count_tree.query_multi(ctx.frames.range_set(i).iter()) as i64))
-        }),
+        FuncKind::Count => counted(count),
         FuncKind::Sum | FuncKind::Avg => {
             let avg = call.kind == FuncKind::Avg;
             let is_float = values.iter().any(|v| matches!(v, Value::Float(_)));
@@ -161,117 +173,105 @@ pub(crate) fn evaluate(ctx: &Ctx<'_>, call: &FunctionCall, cp: &CallPlan) -> Res
                 });
             }
             if is_float || avg {
-                let key = cp.keys.seg(SegFlavor::SumF64);
-                let tree: Arc<SegmentTree<SumF64Monoid>> = ctx.cache.get_or_build(key, || {
-                    stats.segtree_builds.fetch_add(1, Relaxed);
-                    let inputs: Vec<f64> = (0..m)
-                        .map(|i| if mask.keep[i] { values[i].as_f64().unwrap_or(0.0) } else { 0.0 })
-                        .collect();
-                    Ok(SegmentTree::<SumF64Monoid>::build(&inputs, ctx.parallel))
+                // Float addition is order-sensitive: a naive call folds the
+                // very tree the cache would hold (uncached), so the combine
+                // order — hence every bit — agrees.
+                let data = seg_tree::<SumF64Monoid>(ctx, keys.seg(SegFlavor::SumF64), || {
+                    inputs(&mask.keep, 0.0, |i| values[i].as_f64())
                 })?;
-                ctx.probe(move |i| {
-                    let rs = ctx.frames.range_set(i);
-                    let cnt = count_tree.query_multi(rs.iter());
-                    if cnt == 0 {
-                        return Ok(Value::Null);
-                    }
-                    let s = tree.query_multi(rs.iter());
+                probe_fold(ctx, &*count, &*data, |s, cnt| {
                     Ok(Value::Float(if avg { s / cnt as f64 } else { s }))
                 })
             } else {
-                let key = cp.keys.seg(SegFlavor::SumI64);
-                let tree: Arc<SegmentTree<SumMonoid>> = ctx.cache.get_or_build(key, || {
-                    stats.segtree_builds.fetch_add(1, Relaxed);
-                    let inputs: Vec<i64> = (0..m)
-                        .map(|i| if mask.keep[i] { values[i].as_i64().unwrap_or(0) } else { 0 })
-                        .collect();
-                    Ok(SegmentTree::<SumMonoid>::build(&inputs, ctx.parallel))
-                })?;
-                ctx.probe(move |i| {
-                    let rs = ctx.frames.range_set(i);
-                    if count_tree.query_multi(rs.iter()) == 0 {
-                        return Ok(Value::Null);
-                    }
-                    let s = tree.query_multi(rs.iter());
+                let data = data_index::<SumMonoid>(
+                    ctx,
+                    naive,
+                    keys.seg(SegFlavor::SumI64),
+                    || inputs(&mask.keep, 0, |i| values[i].as_i64()),
+                    |v| Arc::new(PrefixSums::build(&v)),
+                )?;
+                probe_fold(ctx, &*count, &*data, |s, _| {
                     i64::try_from(s).map(Value::Int).map_err(|_| Error::Overflow("SUM"))
                 })
             }
         }
         FuncKind::Min | FuncKind::Max => {
-            let is_min = call.kind == FuncKind::Min;
-            let enc: Arc<OrdEnc> = ctx.cache.get_or_build(cp.keys.ordinal_enc(), || {
+            let enc: Arc<OrdEnc> = ctx.artifact(keys.ordinal_enc(), || {
                 encode_ordinals(&values).map(|(ords, decode)| OrdEnc { ords, decode })
             })?;
-            if is_min {
-                let key = cp.keys.seg(SegFlavor::Min);
-                let enc2 = Arc::clone(&enc);
-                let tree: Arc<SegmentTree<MinMonoid>> = ctx.cache.get_or_build(key, || {
-                    stats.segtree_builds.fetch_add(1, Relaxed);
-                    let inputs: Vec<i64> =
-                        (0..m)
-                            .map(|i| {
-                                if mask.keep[i] {
-                                    enc2.ords[i].unwrap_or(i64::MAX)
-                                } else {
-                                    i64::MAX
-                                }
-                            })
-                            .collect();
-                    Ok(SegmentTree::<MinMonoid>::build(&inputs, ctx.parallel))
-                })?;
-                ctx.probe(move |i| {
-                    let rs = ctx.frames.range_set(i);
-                    if count_tree.query_multi(rs.iter()) == 0 {
-                        return Ok(Value::Null);
-                    }
-                    Ok(decode_ordinal(tree.query_multi(rs.iter()), &enc.decode))
-                })
+            let ords = |neutral: i64| inputs(&mask.keep, neutral, |i| enc.ords[i]);
+            let data = if call.kind == FuncKind::Min {
+                let key = keys.seg(SegFlavor::Min);
+                let scan = |v| Arc::new(ScanFold::<MinMonoid>(v)) as _;
+                data_index::<MinMonoid>(ctx, naive, key, || ords(i64::MAX), scan)?
             } else {
-                let key = cp.keys.seg(SegFlavor::Max);
-                let enc2 = Arc::clone(&enc);
-                let tree: Arc<SegmentTree<MaxMonoid>> = ctx.cache.get_or_build(key, || {
-                    stats.segtree_builds.fetch_add(1, Relaxed);
-                    let inputs: Vec<i64> =
-                        (0..m)
-                            .map(|i| {
-                                if mask.keep[i] {
-                                    enc2.ords[i].unwrap_or(i64::MIN)
-                                } else {
-                                    i64::MIN
-                                }
-                            })
-                            .collect();
-                    Ok(SegmentTree::<MaxMonoid>::build(&inputs, ctx.parallel))
-                })?;
-                ctx.probe(move |i| {
-                    let rs = ctx.frames.range_set(i);
-                    if count_tree.query_multi(rs.iter()) == 0 {
-                        return Ok(Value::Null);
-                    }
-                    Ok(decode_ordinal(tree.query_multi(rs.iter()), &enc.decode))
-                })
-            }
+                let key = keys.seg(SegFlavor::Max);
+                let scan = |v| Arc::new(ScanFold::<MaxMonoid>(v)) as _;
+                data_index::<MaxMonoid>(ctx, naive, key, || ords(i64::MIN), scan)?
+            };
+            probe_fold(ctx, &*count, &*data, |o, _| Ok(decode_ordinal(o, &enc.decode)))
         }
         _ => unreachable!("dispatch guarantees aggregate kind"),
     }
 }
 
-/// Exposed for tests: the expected output type of MIN/MAX given inputs.
-#[allow(dead_code)]
-pub(crate) fn minmax_probe_type(values: &[Value]) -> Result<DataType> {
-    let (_, d) = encode_ordinals(values)?;
-    Ok(match d {
-        OrdinalDecode::Int => DataType::Int,
-        OrdinalDecode::Date => DataType::Date,
-        OrdinalDecode::Float => DataType::Float,
-        OrdinalDecode::Bool => DataType::Bool,
-        OrdinalDecode::Str(_) => DataType::Str,
+/// The segment tree over `inputs()` under `key`.
+fn seg_tree<M: Monoid>(
+    ctx: &Ctx<'_>,
+    key: &ArtifactKey,
+    inputs: impl FnOnce() -> Vec<M::Input>,
+) -> Result<Arc<SegmentTree<M>>> {
+    ctx.artifact(key, || {
+        ctx.count_build(|s| &s.segtree_builds);
+        Ok(SegmentTree::<M>::build(&inputs(), ctx.parallel))
+    })
+}
+
+/// The fold index over `inputs()`: the segment tree under `key`, or for a
+/// naive call what `scan` makes of them.
+fn data_index<M: Monoid>(
+    ctx: &Ctx<'_>,
+    naive: bool,
+    key: &ArtifactKey,
+    inputs: impl FnOnce() -> Vec<M::Input>,
+    scan: impl FnOnce(Vec<M::Input>) -> Arc<dyn Fold<M::State>>,
+) -> Result<Arc<dyn Fold<M::State>>> {
+    Ok(if naive { scan(inputs()) } else { seg_tree::<M>(ctx, key, inputs)? })
+}
+
+/// NULL over a frame without participating rows, otherwise what `emit`
+/// makes of the frame's fold and its participating-row count.
+fn probe_fold<T>(
+    ctx: &Ctx<'_>,
+    count: &dyn Fold<u64>,
+    data: &dyn Fold<T>,
+    emit: impl Fn(T, u64) -> Result<Value> + Send + Sync,
+) -> Result<Vec<Value>> {
+    ctx.probe(|i| {
+        let pieces = ctx.frames.range_set(i);
+        match count.fold(&pieces) {
+            0 => Ok(Value::Null),
+            cnt => emit(data.fold(&pieces), cnt),
+        }
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::value::DataType;
+
+    /// The expected output type of MIN/MAX given inputs.
+    fn minmax_probe_type(values: &[Value]) -> Result<DataType> {
+        let (_, d) = encode_ordinals(values)?;
+        Ok(match d {
+            OrdinalDecode::Int => DataType::Int,
+            OrdinalDecode::Date => DataType::Date,
+            OrdinalDecode::Float => DataType::Float,
+            OrdinalDecode::Bool => DataType::Bool,
+            OrdinalDecode::Str(_) => DataType::Str,
+        })
+    }
 
     #[test]
     fn f64_ordinal_roundtrip_and_order() {

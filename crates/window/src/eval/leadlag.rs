@@ -1,56 +1,99 @@
 //! LEAD and LAG — classic partition-positional semantics and the paper's
 //! framed extension with an independent ORDER BY (§4.6).
 //!
-//! Framed evaluation composes the two tree queries of §4.4 and §4.5:
-//! (1) the row's ROW_NUMBER within the frame by the inner order (merge sort
-//! tree over unique codes), (2) offset adjustment, (3) selection of the row
-//! at the adjusted position (merge sort tree over the permutation array).
-//! Both trees come from the same preprocessing sort — and, through the
-//! artifact cache, that sort and both trees are shared with any rank or
-//! selection call over the same (criterion, mask) pair.
+//! Framed evaluation composes the two queries of §4.4 and §4.5: (1) the
+//! row's ROW_NUMBER within the frame by the inner order — the rank family's
+//! own routine, over the unique codes — (2) offset adjustment, (3) selection
+//! of the row at the adjusted position, over the permutation array. Both
+//! indexes come from the same preprocessing sort — and, through the artifact
+//! cache, that sort and both trees are shared with any rank or selection
+//! call over the same (criterion, mask) pair.
 
-use super::Ctx;
+use super::primitive::{CountBelow, Scan, Select, SelectBuf};
+use super::{rank, Ctx};
 use crate::error::{Error, Result};
+use crate::expr::BoundExpr;
 use crate::plan::CallPlan;
 use crate::spec::{FuncKind, FunctionCall};
+use crate::strategy::Strategy;
 use crate::value::Value;
-use holistic_core::index::fits_u32;
-use holistic_core::TreeIndex;
 
-pub(crate) fn evaluate(ctx: &Ctx<'_>, call: &FunctionCall, cp: &CallPlan) -> Result<Vec<Value>> {
+pub(crate) fn evaluate(
+    ctx: &Ctx<'_>,
+    call: &FunctionCall,
+    cp: &CallPlan,
+    strategy: Strategy,
+) -> Result<Vec<Value>> {
+    let args = Args {
+        ctx,
+        call,
+        offset: call.args.get(1).map(|e| e.bind(ctx.table)).transpose()?,
+        default: call.args.get(2).map(|e| e.bind(ctx.table)).transpose()?,
+    };
     if call.inner_order.is_empty() {
-        evaluate_classic(ctx, call, cp)
-    } else if fits_u32(ctx.m() + 1) {
-        evaluate_framed::<u32>(ctx, call, cp)
-    } else {
-        evaluate_framed::<u64>(ctx, call, cp)
+        return evaluate_classic(&args, cp);
+    }
+    let prep = rank::prepare(ctx, cp)?;
+    let kept_out = ctx.kept_values_art(&cp.keys)?;
+    let codes = Scan(&prep.dc.code);
+    match strategy {
+        Strategy::Naive => evaluate_framed(&args, &prep, &kept_out, &codes, &codes),
+        _ if ctx.u32_trees() => evaluate_framed(
+            &args,
+            &prep,
+            &kept_out,
+            &*ctx.code_mst::<u32>(&cp.keys)?,
+            &*ctx.perm_mst::<u32>(&cp.keys)?,
+        ),
+        _ => evaluate_framed(
+            &args,
+            &prep,
+            &kept_out,
+            &*ctx.code_mst::<u64>(&cp.keys)?,
+            &*ctx.perm_mst::<u64>(&cp.keys)?,
+        ),
     }
 }
 
-/// The per-row signed offset (LEAD positive, LAG negative).
-fn offset_for(
-    ctx: &Ctx<'_>,
-    call: &FunctionCall,
-    offset_expr: &Option<crate::expr::BoundExpr>,
-    i: usize,
-) -> Result<Option<i64>> {
-    let raw = match offset_expr {
-        None => 1,
-        Some(e) => match e.eval(ctx.table, ctx.rows[i])? {
-            Value::Int(x) => x,
-            Value::Null => return Ok(None),
-            v => {
-                return Err(Error::InvalidArgument(format!(
-                    "{}: offset must be an integer, got {v}",
-                    call.kind.name()
-                )))
-            }
-        },
-    };
-    // LAG negates; `-i64::MIN` overflows, and an offset of magnitude 2^63
-    // is out of range for every representable partition anyway, so
-    // saturating to i64::MAX is exact (target arithmetic below is checked).
-    Ok(Some(if call.kind == FuncKind::Lag { raw.checked_neg().unwrap_or(i64::MAX) } else { raw }))
+/// The call's per-row offset and default arguments.
+struct Args<'a> {
+    ctx: &'a Ctx<'a>,
+    call: &'a FunctionCall,
+    offset: Option<BoundExpr>,
+    default: Option<BoundExpr>,
+}
+
+impl Args<'_> {
+    /// Row `i`'s signed offset (LEAD positive, LAG negative); `None` for a
+    /// NULL offset, whose row is NULL.
+    fn offset_for(&self, i: usize) -> Result<Option<i64>> {
+        let raw = match &self.offset {
+            None => 1,
+            Some(e) => match e.eval(self.ctx.table, self.ctx.rows[i])? {
+                Value::Int(x) => x,
+                Value::Null => return Ok(None),
+                v => {
+                    return Err(Error::InvalidArgument(format!(
+                        "{}: offset must be an integer, got {v}",
+                        self.call.kind.name()
+                    )))
+                }
+            },
+        };
+        // LAG negates; `-i64::MIN` overflows, and an offset of magnitude 2^63
+        // is out of range for every representable partition anyway, so
+        // saturating to i64::MAX is exact (target arithmetic is checked).
+        let lag = self.call.kind == FuncKind::Lag;
+        Ok(Some(if lag { raw.checked_neg().unwrap_or(i64::MAX) } else { raw }))
+    }
+
+    /// Row `i`'s value when its target falls outside the rows.
+    fn default_for(&self, i: usize) -> Result<Value> {
+        match &self.default {
+            Some(d) => d.eval(self.ctx.table, self.ctx.rows[i]),
+            None => Ok(Value::Null),
+        }
+    }
 }
 
 /// `base + off` as a bounds-checked position: `None` when the target falls
@@ -61,12 +104,12 @@ pub(crate) fn target_position(base: usize, off: i64, len: usize) -> Option<usize
 }
 
 /// Classic LEAD/LAG: positional within the partition, frame ignored — this is
-/// the SQL:2011 behaviour when no function-level ORDER BY is given.
-fn evaluate_classic(ctx: &Ctx<'_>, call: &FunctionCall, cp: &CallPlan) -> Result<Vec<Value>> {
+/// the SQL:2011 behaviour when no function-level ORDER BY is given. It probes
+/// no index, so no strategy has anything to choose.
+fn evaluate_classic(args: &Args<'_>, cp: &CallPlan) -> Result<Vec<Value>> {
+    let Args { ctx, call, .. } = *args;
     let m = ctx.m();
-    let values = ctx.values_art(cp.keys.values())?;
-    let offset_expr = call.args.get(1).map(|e| e.bind(ctx.table)).transpose()?;
-    let default_expr = call.args.get(2).map(|e| e.bind(ctx.table)).transpose()?;
+    let values = ctx.values_art(&cp.keys)?;
     // IGNORE NULLS: the n-th non-null value before/after the current row.
     let non_null: Vec<usize> = if call.ignore_nulls {
         (0..m).filter(|&i| !values[i].is_null()).collect()
@@ -74,13 +117,7 @@ fn evaluate_classic(ctx: &Ctx<'_>, call: &FunctionCall, cp: &CallPlan) -> Result
         Vec::new()
     };
     ctx.probe(|i| {
-        let default = || -> Result<Value> {
-            Ok(match &default_expr {
-                Some(d) => d.eval(ctx.table, ctx.rows[i])?,
-                None => Value::Null,
-            })
-        };
-        let Some(off) = offset_for(ctx, call, &offset_expr, i)? else {
+        let Some(off) = args.offset_for(i)? else {
             return Ok(Value::Null);
         };
         // Offset 0 is the current row itself, per SQL — even under IGNORE
@@ -89,7 +126,7 @@ fn evaluate_classic(ctx: &Ctx<'_>, call: &FunctionCall, cp: &CallPlan) -> Result
         if off == 0 {
             return Ok(values[i].clone());
         }
-        if call.ignore_nulls {
+        let target = if call.ignore_nulls {
             // Position among non-null rows strictly after/before i. All
             // arithmetic is checked: `off` can be anything up to ±i64::MAX.
             let idx = non_null.partition_point(|&p| p <= i);
@@ -99,93 +136,40 @@ fn evaluate_classic(ctx: &Ctx<'_>, call: &FunctionCall, cp: &CallPlan) -> Result
                 let before = non_null.partition_point(|&p| p < i);
                 usize::try_from(off.unsigned_abs()).ok().and_then(|o| before.checked_sub(o))
             };
-            return Ok(match target.and_then(|t| non_null.get(t)) {
-                Some(&p) => values[p].clone(),
-                None => default()?,
-            });
-        }
-        match target_position(i, off, m) {
+            target.and_then(|t| non_null.get(t)).copied()
+        } else {
+            target_position(i, off, m)
+        };
+        match target {
             Some(t) => Ok(values[t].clone()),
-            None => default(),
+            None => args.default_for(i),
         }
     })
 }
 
-/// Framed LEAD/LAG with an independent ORDER BY (§4.6).
-fn evaluate_framed<I: TreeIndex>(
-    ctx: &Ctx<'_>,
-    call: &FunctionCall,
-    cp: &CallPlan,
+/// Framed LEAD/LAG with an independent ORDER BY (§4.6): the row's number in
+/// its frame by the inner order (`codes`), the offset, and the selection of
+/// the row at the adjusted number (`order`) — one row at a time, the second
+/// query depending on the first.
+fn evaluate_framed(
+    args: &Args<'_>,
+    prep: &rank::RankPrep,
+    kept_out: &[Value],
+    codes: &impl CountBelow,
+    order: &impl Select,
 ) -> Result<Vec<Value>> {
-    let mask = ctx.mask_art(cp.keys.mask())?;
-    let kept_out = ctx.kept_values_art(cp.keys.kept_values())?;
-    let keys = ctx.inner_keys_art(cp.keys.inner_keys())?;
-    let dc = ctx.dense_codes_art(cp.keys.dense_codes())?;
-    let code_tree = ctx.code_mst::<I>(cp.keys.code_mst())?;
-    let select_tree = ctx.perm_mst::<I>(cp.keys.perm_mst())?;
-
-    let offset_expr = call.args.get(1).map(|e| e.bind(ctx.table)).transpose()?;
-    let default_expr = call.args.get(2).map(|e| e.bind(ctx.table)).transpose()?;
-    let kept_rows = mask.kept_rows(ctx.rows);
-
-    ctx.probe(|i| {
-        let default = || -> Result<Value> {
-            Ok(match &default_expr {
-                Some(d) => d.eval(ctx.table, ctx.rows[i])?,
-                None => Value::Null,
-            })
-        };
-        let Some(off) = offset_for(ctx, call, &offset_expr, i)? else {
+    let ctx = args.ctx;
+    ctx.probe_with(|buf: &mut SelectBuf, i| {
+        let Some(off) = args.offset_for(i)? else {
             return Ok(Value::Null);
         };
-        let pieces = mask.remap.range_set(&ctx.frames.range_set(i));
-        let s = pieces.count();
-        // Step 1: own row number within the frame by the inner order. For
-        // rows not in the tree (filtered/ignored) rank virtually against the
-        // kept rows, matching the rank-family convention.
-        let rn0 = if mask.remap.is_kept(i) {
-            let k = mask.remap.kept_index(i);
-            code_tree.count_below_multi(&pieces, I::from_usize(dc.code[k]))
-        } else {
-            // Rows absent from the tree rank virtually: key-smaller kept rows
-            // plus equal-key kept rows at earlier positions (the positional
-            // tie-break of unique codes).
-            let row = ctx.rows[i];
-            let search = |upper: bool| {
-                let mut lo = 0;
-                let mut hi = dc.perm.len();
-                while lo < hi {
-                    let mid = lo + (hi - lo) / 2;
-                    let o = keys.cmp_rows(kept_rows[dc.perm[mid]], row);
-                    let go_right =
-                        o == std::cmp::Ordering::Less || (upper && o == std::cmp::Ordering::Equal);
-                    if go_right {
-                        lo = mid + 1;
-                    } else {
-                        hi = mid;
-                    }
-                }
-                lo
-            };
-            let (gmin, gend) = (search(false), search(true));
-            let smaller = code_tree.count_below_multi(&pieces, I::from_usize(gmin));
-            let ki = mask.remap.range(0, i).1;
-            let mut earlier = holistic_core::RangeSet::empty();
-            for (a, b) in pieces.iter() {
-                let b2 = b.min(ki);
-                if a < b2 {
-                    earlier.push(a, b2);
-                }
-            }
-            let eq_before = code_tree.count_below_multi(&earlier, I::from_usize(gend))
-                - code_tree.count_below_multi(&earlier, I::from_usize(gmin));
-            smaller + eq_before
+        let pieces = prep.kept_pieces(ctx, i);
+        let rn0 = prep.rows_before(ctx, codes, i, &pieces);
+        // Checked: `off` is unbounded.
+        let Some(target) = target_position(rn0, off, pieces.count()) else {
+            return args.default_for(i);
         };
-        // Steps 2+3: adjust and select (checked: `off` is unbounded).
-        let Some(target) = target_position(rn0, off, s) else {
-            return default();
-        };
-        let rank = select_tree.select(&pieces, target).expect("target < s");
-        Ok(kept_out[dc.perm[rank]].clone())
+        let rank = order.select(&pieces, target, buf).expect("target < frame size");
+        Ok(kept_out[prep.dc.perm[rank]].clone())
     })
 }

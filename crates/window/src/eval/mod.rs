@@ -7,28 +7,34 @@
 //! [`crate::artifacts::ArtifactCache`] so structurally equal requests from
 //! different calls coincide — then probed once per row, embarrassingly
 //! parallel (§4.1). Evaluators receive their call's [`CallPlan`] carrying
-//! the canonical artifact keys the plan phase derived.
+//! the canonical artifact keys the plan phase derived, and the
+//! [`Strategy`] chosen for it: each family is written once over the range
+//! [`primitive`]s, and the strategy names the index that answers them.
 
 pub(crate) mod alt;
-pub(crate) mod direct;
 pub(crate) mod distinct;
 pub(crate) mod distributive;
 pub(crate) mod leadlag;
 pub(crate) mod mode;
 pub(crate) mod pipeline;
+pub(crate) mod primitive;
 pub(crate) mod rank;
 pub(crate) mod select_based;
 
-use crate::artifacts::ArtifactCache;
+use crate::artifacts::{ArtifactCache, MaskArtifact};
 use crate::error::{Error, Result};
 use crate::executor::AtomicProbeKernel;
 use crate::frame::ResolvedFrames;
 use crate::plan::CallPlan;
 use crate::spec::{FuncKind, FunctionCall};
+use crate::strategy::Strategy;
 use crate::table::Table;
 use crate::value::Value;
 use crate::vm;
-use holistic_core::{BlockScratch, MergeSortTree, MstParams, ProbeCursor, RangeSet, TreeIndex};
+use holistic_core::{MstParams, ProbeCursor, RangeSet};
+use pipeline::HoistedKeys;
+use primitive::{CountBelow, Select};
+use std::sync::Arc;
 
 /// Rows per block handed to the MST block kernels. Large enough to keep
 /// dozens of independent cascade searches in flight per level, small enough
@@ -47,8 +53,18 @@ pub(crate) struct Ctx<'a> {
     pub parallel: bool,
     /// Merge sort tree parameters.
     pub params: MstParams,
-    /// The partition's preprocessing-artifact cache.
-    pub cache: &'a ArtifactCache,
+    /// The partition's preprocessing-artifact cache. `None` evaluates one
+    /// call cacheless: every artifact recipe builds into a plain `Arc` that
+    /// dies with the call — no slot, key hash, footprint or governor charge.
+    pub cache: Option<&'a ArtifactCache>,
+    /// Query-level key columns, which a cacheless call reads directly (a
+    /// cache is seeded with them).
+    pub hoisted: &'a HoistedKeys,
+    /// A cacheless call's values and mask, built before it is dispatched
+    /// ([`Ctx::hold_own`]).
+    pub own_values: Option<Arc<Vec<Value>>>,
+    /// See [`Self::own_values`].
+    pub own_mask: Option<Arc<MaskArtifact>>,
     /// Query-level probe-kernel counters; cursors and block scratches flush
     /// into it when their probe loop (or chunk) finishes.
     pub kernel: &'a AtomicProbeKernel,
@@ -70,9 +86,7 @@ impl<'a> Ctx<'a> {
         self.rows.len()
     }
 
-    /// Evaluates an expression for every position (in window order): one
-    /// compiled-program run over the whole partition, falling back to the
-    /// per-row interpreter for the canonical first error.
+    /// Evaluates an expression for every position (in window order).
     pub fn eval_positions(&self, expr: &crate::expr::Expr) -> Result<Vec<Value>> {
         vm::eval_rows(&expr.bind(self.table)?, self.table, self.rows)
     }
@@ -98,117 +112,56 @@ impl<'a> Ctx<'a> {
         })
     }
 
-    /// Runs `f` for every position, in parallel when allowed (probe loops
-    /// that never touch an annotated tree leave the cursor unused).
+    /// Runs `f(scratch, i)` for every position `i`, in parallel when
+    /// allowed, with one `T::default()` scratch per chunk.
+    pub fn probe_with<T: Default, F>(&self, f: F) -> Result<Vec<Value>>
+    where
+        F: Fn(&mut T, usize) -> Result<Value> + Send + Sync,
+    {
+        self.run_chunked(|base, slots| {
+            let mut scratch = T::default();
+            for (off, slot) in slots.iter_mut().enumerate() {
+                *slot = f(&mut scratch, base + off)?;
+            }
+            Ok(())
+        })
+    }
+
+    /// Runs `f` for every position, in parallel when allowed.
     pub fn probe<F>(&self, f: F) -> Result<Vec<Value>>
     where
         F: Fn(usize) -> Result<Value> + Send + Sync,
     {
-        self.probe_with_cursor(|_, i| f(i))
+        self.probe_with(|(), i| f(i))
     }
 
-    /// Count-probe driver: per row, `plan(i, push)` pushes `(ranges,
-    /// threshold)` count queries (or resolves the row directly) and `finish(i,
-    /// state, sum)` turns the summed counts into the row's value.
-    ///
-    /// Rows are planned [`PROBE_BLOCK`] at a time and their flattened
-    /// per-piece queries answered by one
-    /// [`MergeSortTree::count_below_block`] call.
-    pub fn probe_counts<I, S, P, F>(
-        &self,
-        tree: &MergeSortTree<I>,
-        plan: P,
-        finish: F,
-    ) -> Result<Vec<Value>>
+    /// Count-probe driver: per row, `plan(i, push)` pushes `(pieces,
+    /// threshold)` count queries against `index` (or resolves the row
+    /// directly) and `finish(i, state, sum)` turns the summed counts into the
+    /// row's value. How the queries are answered is the index's business
+    /// ([`CountBelow::probe_chunk`]).
+    pub fn probe_counts<C, S, P, F>(&self, index: &C, plan: P, finish: F) -> Result<Vec<Value>>
     where
-        I: TreeIndex,
+        C: CountBelow,
         S: Send,
-        P: Fn(usize, &mut dyn FnMut(&RangeSet, I)) -> Result<Planned<S>> + Send + Sync,
+        P: Fn(usize, &mut dyn FnMut(&RangeSet, usize)) -> Result<Planned<S>> + Send + Sync,
         F: Fn(usize, S, usize) -> Result<Value> + Send + Sync,
     {
-        self.run_chunked(|base, slots| {
-            let mut scratch = BlockScratch::new();
-            let mut queries: Vec<(usize, usize, I)> = Vec::new();
-            let mut counts: Vec<usize> = Vec::new();
-            // (slot index, query span start/end, row state)
-            let mut pending: Vec<(usize, usize, usize, S)> = Vec::new();
-            for bs in (0..slots.len()).step_by(PROBE_BLOCK) {
-                let be = (bs + PROBE_BLOCK).min(slots.len());
-                queries.clear();
-                pending.clear();
-                for (off, slot) in slots[bs..be].iter_mut().enumerate() {
-                    let li = bs + off;
-                    let i = base + li;
-                    let start = queries.len();
-                    let planned = plan(i, &mut |rs: &RangeSet, t: I| {
-                        for (a, b) in rs.iter() {
-                            queries.push((a, b, t));
-                        }
-                    })?;
-                    match planned {
-                        Planned::Done(v) => *slot = v,
-                        Planned::Counted(s) => pending.push((li, start, queries.len(), s)),
-                    }
-                }
-                counts.resize(queries.len(), 0);
-                tree.count_below_block(&queries, &mut counts[..queries.len()], &mut scratch);
-                for (li, qs, qe, s) in pending.drain(..) {
-                    let sum = counts[qs..qe].iter().sum();
-                    slots[li] = finish(base + li, s, sum)?;
-                }
-            }
-            self.kernel.absorb_block(&scratch.stats);
-            Ok(())
-        })
+        self.run_chunked(|base, slots| index.probe_chunk(self, base, slots, &plan, &finish))
     }
 
-    /// Select-probe driver: per row, `plan(i, push)` pushes `(ranges, j)`
-    /// selection queries and `finish(i, state, results)` receives the row's
-    /// selected positions in push order (at most two per row:
-    /// PERCENTILE_CONT's interpolation endpoints), answered in blocks by
-    /// [`MergeSortTree::select_block`] like [`Self::probe_counts`].
-    pub fn probe_selects<I, S, P, F>(
-        &self,
-        tree: &MergeSortTree<I>,
-        plan: P,
-        finish: F,
-    ) -> Result<Vec<Value>>
+    /// Select-probe driver: per row, `plan(i, push)` pushes `(pieces, j)`
+    /// selection queries against `index` and `finish(i, state, results)`
+    /// receives the row's selected ranks in push order (at most two per row:
+    /// PERCENTILE_CONT's interpolation endpoints).
+    pub fn probe_selects<X, S, P, F>(&self, index: &X, plan: P, finish: F) -> Result<Vec<Value>>
     where
-        I: TreeIndex,
+        X: Select,
         S: Send,
         P: Fn(usize, &mut dyn FnMut(RangeSet, usize)) -> Result<Planned<S>> + Send + Sync,
         F: Fn(usize, S, &[Option<usize>]) -> Result<Value> + Send + Sync,
     {
-        self.run_chunked(|base, slots| {
-            let mut scratch = BlockScratch::new();
-            let mut queries: Vec<(RangeSet, usize)> = Vec::new();
-            let mut results: Vec<Option<usize>> = Vec::new();
-            let mut pending: Vec<(usize, usize, usize, S)> = Vec::new();
-            for bs in (0..slots.len()).step_by(PROBE_BLOCK) {
-                let be = (bs + PROBE_BLOCK).min(slots.len());
-                queries.clear();
-                pending.clear();
-                for (off, slot) in slots[bs..be].iter_mut().enumerate() {
-                    let li = bs + off;
-                    let i = base + li;
-                    let start = queries.len();
-                    let planned = plan(i, &mut |rs: RangeSet, j: usize| {
-                        queries.push((rs, j));
-                    })?;
-                    match planned {
-                        Planned::Done(v) => *slot = v,
-                        Planned::Counted(s) => pending.push((li, start, queries.len(), s)),
-                    }
-                }
-                results.resize(queries.len(), None);
-                tree.select_block(&queries, &mut results[..queries.len()], &mut scratch);
-                for (li, qs, qe, s) in pending.drain(..) {
-                    slots[li] = finish(base + li, s, &results[qs..qe])?;
-                }
-            }
-            self.kernel.absorb_block(&scratch.stats);
-            Ok(())
-        })
+        self.run_chunked(|base, slots| index.probe_chunk(self, base, slots, &plan, &finish))
     }
 
     /// Shared chunking of every probe driver: contiguous chunks of positions,
@@ -234,28 +187,33 @@ impl<'a> Ctx<'a> {
     }
 }
 
-/// Dispatches a call to its family evaluator. Returns per-position values.
+/// Dispatches a call to its family evaluator — the one place a call's kind
+/// picks a family. The family picks the index `strategy` names
+/// ([`primitive`]). Returns per-position values.
 pub(crate) fn evaluate_call(
     ctx: &Ctx<'_>,
     call: &FunctionCall,
     cp: &CallPlan,
+    strategy: Strategy,
 ) -> Result<Vec<Value>> {
     use FuncKind::*;
     match call.kind {
+        // MIN / MAX (DISTINCT) are their plain forms.
+        CountStar | Count | Sum | Avg if call.distinct => {
+            distinct::evaluate(ctx, call, cp, strategy)
+        }
         CountStar | Count | Sum | Avg | Min | Max => {
-            if call.distinct {
-                distinct::evaluate(ctx, call, cp)
-            } else {
-                distributive::evaluate(ctx, call, cp)
-            }
+            distributive::evaluate(ctx, call, cp, strategy)
         }
-        RowNumber | Rank | PercentRank | CumeDist | Ntile => rank::evaluate(ctx, call, cp),
-        DenseRank => rank::evaluate_dense_rank(ctx, call, cp),
+        RowNumber | Rank | PercentRank | CumeDist | Ntile => {
+            rank::evaluate(ctx, call, cp, strategy)
+        }
+        DenseRank => rank::evaluate_dense_rank(ctx, cp, strategy),
         PercentileDisc | PercentileCont | Median | FirstValue | LastValue | NthValue => {
-            select_based::evaluate(ctx, call, cp)
+            select_based::evaluate(ctx, call, cp, strategy)
         }
-        Lead | Lag => leadlag::evaluate(ctx, call, cp),
-        Mode => mode::evaluate(ctx, call, cp),
+        Lead | Lag => leadlag::evaluate(ctx, call, cp, strategy),
+        Mode => mode::evaluate(ctx, cp, strategy),
     }
 }
 

@@ -4,37 +4,36 @@
 //! Pipeline mirrors the other holistic families: FILTER/NULL rows are never
 //! inserted and frame bounds are remapped; values are compressed to dense
 //! ids *in value order*, so the index's smallest-id tie-break implements
-//! "smallest value among the most frequent" deterministically. Plain frames
-//! probe in O(√n log n); frames with exclusion holes fall back to exact
+//! "smallest value among the most frequent" deterministically. One-piece
+//! frames probe in O(√n log n); frames with exclusion holes fall back to exact
 //! union counting (mode does not decompose over unions). The decode table
-//! and index come from the artifact cache, keyed on (argument, mask).
+//! and index come from the artifact cache, keyed on (argument, mask); a
+//! [`Strategy::Naive`] call counts the same ids per frame instead.
 
+use super::primitive::{RangeMode, ScanIds};
 use super::Ctx;
+use crate::artifacts::{MaskArtifact, ModeArt};
 use crate::error::Result;
 use crate::plan::CallPlan;
-use crate::spec::FunctionCall;
+use crate::strategy::Strategy;
 use crate::value::Value;
 
-pub(crate) fn evaluate(ctx: &Ctx<'_>, _call: &FunctionCall, cp: &CallPlan) -> Result<Vec<Value>> {
-    let mask = ctx.mask_art(cp.keys.mask())?;
-    let art = ctx.mode_art(cp.keys.mode_index())?;
+pub(crate) fn evaluate(ctx: &Ctx<'_>, cp: &CallPlan, strategy: Strategy) -> Result<Vec<Value>> {
+    let mask = ctx.mask_art(&cp.keys)?;
+    match strategy {
+        Strategy::Naive => {
+            let scan = |ids, distinct| ScanIds { ids, distinct };
+            probe(ctx, &mask, &ctx.mode_parts(&cp.keys, scan)?)
+        }
+        _ => probe(ctx, &mask, &*ctx.mode_art(&cp.keys)?),
+    }
+}
 
-    ctx.probe(|i| {
-        let answer = if ctx.frames.has_exclusion() {
-            let pieces = mask.remap.range_set(&ctx.frames.range_set(i));
-            // Fixed scratch: this runs per output row.
-            let mut ranges = [(0usize, 0usize); holistic_core::range_set::MAX_RANGES];
-            for (ri, r) in pieces.iter().enumerate() {
-                ranges[ri] = r;
-            }
-            art.index.query_multi(&ranges[..pieces.len()])
-        } else {
-            let (a, b) = ctx.frames.bounds[i];
-            let (ka, kb) = mask.remap.range(a, b);
-            art.index.query(ka, kb)
-        };
-        Ok(match answer {
-            Some((id, _count)) => art.decode[id as usize].clone(),
+fn probe<X: RangeMode>(ctx: &Ctx<'_>, mask: &MaskArtifact, art: &ModeArt<X>) -> Result<Vec<Value>> {
+    ctx.probe_with(|counts: &mut Vec<u32>, i| {
+        let pieces = mask.remap.range_set(&ctx.frames.range_set(i));
+        Ok(match art.index.mode(&pieces, counts) {
+            Some(id) => art.decode[id as usize].clone(),
             None => Value::Null,
         })
     })

@@ -9,8 +9,7 @@
 
 use crate::artifacts::{self, ArtifactCache, BudgetGovernor};
 use crate::error::Result;
-use crate::eval::direct::{self, DirectCtx};
-use crate::eval::{alt, evaluate_call, Ctx};
+use crate::eval::{evaluate_call, Ctx};
 use crate::executor::{AtomicProbeKernel, CacheStats, ExecOptions, WindowQuery};
 use crate::frame::{resolve_frames, ResolvedFrames};
 use crate::order::{sort_permutation, KeyColumns};
@@ -26,7 +25,7 @@ use std::time::{Duration, Instant};
 /// Query-level ORDER BY key columns by canonical criteria list: the window
 /// order plus every planned inner order. Key columns cover the full table
 /// and are mask-independent, so one evaluation serves all partitions — and
-/// the direct path, which has no cache to share through.
+/// a cacheless call, which has no cache to share through.
 pub(crate) type HoistedKeys = FxHashMap<Vec<CanonicalSortKey>, Arc<KeyColumns>>;
 
 /// Evaluates the window ORDER BY and, unless the table is empty (no work, no
@@ -149,7 +148,7 @@ impl PartitionEval<'_> {
         &'c self,
         rows: &'c [usize],
         frames: &'c ResolvedFrames,
-        cache: &'c ArtifactCache,
+        cache: Option<&'c ArtifactCache>,
     ) -> Ctx<'c> {
         Ctx {
             table: self.table,
@@ -158,6 +157,9 @@ impl PartitionEval<'_> {
             parallel: self.within,
             params: if self.within { self.opts.params } else { self.opts.params.serial() },
             cache,
+            hoisted: self.hoisted,
+            own_values: None,
+            own_mask: None,
             kernel: &self.kernel,
         }
     }
@@ -169,8 +171,8 @@ impl PartitionEval<'_> {
     /// (which must hold nothing position-dependent, and keeps the hoisted
     /// key seeds afterwards) or, when `None`, a fresh one dropped on return.
     /// Without sharing every non-naive call gets a private cache. A
-    /// partition whose calls all chose [`Strategy::Naive`] touches no cache
-    /// at all.
+    /// [`Strategy::Naive`] call is evaluated cacheless, so a partition whose
+    /// calls all chose it touches no cache at all.
     pub fn evaluate(
         &self,
         mut rows: Vec<usize>,
@@ -199,13 +201,13 @@ impl PartitionEval<'_> {
         if let Some(cache) = shared {
             self.seed(cache);
             // Eager prebuild only for calls the MST actually serves;
-            // alternates build lazily from the shared cache and the direct
-            // path needs nothing.
-            let ctx = self.ctx(&rows, &frames, cache);
+            // alternates build lazily from the shared cache and a naive
+            // call caches nothing.
+            let ctx = self.ctx(&rows, &frames, Some(cache));
             for (cp, &s) in self.plan.calls.iter().zip(&choices) {
                 if s == Strategy::Mst {
                     for key in cp.keys.eager() {
-                        artifacts::force(&ctx, key)?;
+                        artifacts::force(&ctx, &cp.keys, key)?;
                     }
                 }
             }
@@ -213,32 +215,21 @@ impl PartitionEval<'_> {
         report.build = build_start.elapsed();
 
         let probe_start = Instant::now();
-        let dctx =
-            DirectCtx { table: self.table, rows: &rows, frames: &frames, inner_keys: self.hoisted };
         let mut outs: Vec<Vec<Value>> = Vec::with_capacity(self.query.calls.len());
         for ((call, cp), &s) in self.query.calls.iter().zip(&self.plan.calls).zip(&choices) {
-            if s == Strategy::Naive {
-                outs.push(direct::evaluate(&dctx, call, cp)?);
-                continue;
-            }
             // Without sharing, artifacts are still shared *within* the
             // call, never across calls.
-            let private;
-            let cache = match shared {
-                Some(cache) => cache,
-                None => {
-                    private = ArtifactCache::new(Arc::clone(self.gov));
-                    self.seed(&private);
-                    &private
-                }
-            };
-            let ctx = self.ctx(&rows, &frames, cache);
-            outs.push(match s {
-                Strategy::Mst => evaluate_call(&ctx, call, cp)?,
-                other => alt::evaluate(&ctx, call, cp, other)?,
+            let private = (s != Strategy::Naive && shared.is_none()).then(|| {
+                let private = ArtifactCache::new(Arc::clone(self.gov));
+                self.seed(&private);
+                private
             });
-            if shared.is_none() {
-                report.absorb(cache);
+            let cache = if s == Strategy::Naive { None } else { shared.or(private.as_ref()) };
+            let mut ctx = self.ctx(&rows, &frames, cache);
+            ctx.hold_own(&cp.keys)?;
+            outs.push(evaluate_call(&ctx, call, cp, s)?);
+            if let Some(private) = &private {
+                report.absorb(private);
             }
         }
         report.probe = probe_start.elapsed();

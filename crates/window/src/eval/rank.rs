@@ -13,164 +13,165 @@
 //! count (§4.4), answered by the range tree with the previous-occurrence
 //! trick applied to tie-group ids.
 //!
-//! All preprocessing products come from the partition's artifact cache; the
-//! whole family over one (criterion, mask) pair shares a single sort and a
-//! single code tree.
+//! The preprocessing products come from the call's artifact recipes — shared
+//! through the partition's cache, so the whole family over one (criterion,
+//! mask) pair shares a single sort and a single code tree — and the counts
+//! from whichever [`CountBelow`] / [`Count3d`] index the strategy names: the
+//! trees, or a scan of the codes they would have been built from.
 
+use super::primitive::{Count3d, CountBelow, Scan, ScanPoints};
 use super::{cume_dist, percent_rank, Ctx, Planned};
-use crate::artifacts::MaskArtifact;
+use crate::artifacts::{DenseRankArt, MaskArtifact};
 use crate::error::{Error, Result};
 use crate::order::KeyColumns;
 use crate::plan::CallPlan;
 use crate::spec::{FuncKind, FunctionCall};
+use crate::strategy::Strategy;
 use crate::value::Value;
 use holistic_core::codes::DenseCodes;
-use holistic_core::index::fits_u32;
-use holistic_core::{RangeSet, TreeIndex};
+use holistic_core::RangeSet;
 use rustc_hash::FxHashSet;
 use std::cmp::Ordering;
 use std::sync::Arc;
 
-/// Shared preprocessing for the rank family (all cache-resident).
-struct RankPrep {
+/// Shared preprocessing of everything that ranks rows by an inner order:
+/// the rank family, DENSE_RANK and framed LEAD/LAG.
+pub(super) struct RankPrep {
     keys: Arc<KeyColumns>,
-    mask: Arc<MaskArtifact>,
-    dc: Arc<DenseCodes>,
+    pub mask: Arc<MaskArtifact>,
+    pub dc: Arc<DenseCodes>,
 }
 
-fn prepare(ctx: &Ctx<'_>, cp: &CallPlan) -> Result<RankPrep> {
-    let keys = ctx.inner_keys_art(cp.keys.inner_keys())?;
-    let mask = ctx.mask_art(cp.keys.mask())?;
-    let dc = ctx.dense_codes_art(cp.keys.dense_codes())?;
+pub(super) fn prepare(ctx: &Ctx<'_>, cp: &CallPlan) -> Result<RankPrep> {
+    let keys = ctx.inner_keys_art(&cp.keys)?;
+    let mask = ctx.mask_art(&cp.keys)?;
+    let dc = ctx.dense_codes_art(&cp.keys)?;
     Ok(RankPrep { keys, mask, dc })
 }
 
 impl RankPrep {
+    /// `(group_min, group_end, unique_code_or_none)` of partition position
+    /// `i` in *kept sorted-code* space. Rows dropped by FILTER still rank
+    /// against the kept rows; their virtual code bounds come from binary
+    /// search.
     fn code_bounds(&self, ctx: &Ctx<'_>, i: usize) -> (usize, usize, Option<usize>) {
-        code_bounds(ctx.rows, &self.keys, &self.mask, &self.dc, i)
+        let (mask, dc) = (&self.mask, &self.dc);
+        if mask.remap.is_kept(i) {
+            let k = mask.remap.kept_index(i);
+            return (dc.group_min[k], dc.group_end[k], Some(dc.code[k]));
+        }
+        let row = ctx.rows[i];
+        let kept_rows = mask.kept_rows(ctx.rows);
+        let kept_row = |&p: &usize| kept_rows[p];
+        let gmin =
+            dc.perm.partition_point(|p| self.keys.cmp_rows(kept_row(p), row) == Ordering::Less);
+        let gend =
+            gmin + dc.perm[gmin..].partition_point(|p| self.keys.rows_equal(kept_row(p), row));
+        (gmin, gend, None)
     }
 
     /// Frame pieces remapped to kept space.
-    fn kept_pieces(&self, ctx: &Ctx<'_>, i: usize) -> RangeSet {
+    pub fn kept_pieces(&self, ctx: &Ctx<'_>, i: usize) -> RangeSet {
         self.mask.remap.range_set(&ctx.frames.range_set(i))
     }
-}
 
-/// `(group_min, group_end, unique_code_or_none)` of partition position `i`
-/// in *kept sorted-code* space. Rows dropped by FILTER still rank against the
-/// kept rows; their virtual code bounds come from binary search.
-pub(super) fn code_bounds(
-    rows: &[usize],
-    keys: &KeyColumns,
-    mask: &MaskArtifact,
-    dc: &DenseCodes,
-    i: usize,
-) -> (usize, usize, Option<usize>) {
-    if mask.remap.is_kept(i) {
-        let k = mask.remap.kept_index(i);
-        return (dc.group_min[k], dc.group_end[k], Some(dc.code[k]));
-    }
-    let row = rows[i];
-    let kept_rows = mask.kept_rows(rows);
-    let kept_row = |&p: &usize| kept_rows[p];
-    let gmin = dc.perm.partition_point(|p| keys.cmp_rows(kept_row(p), row) == Ordering::Less);
-    let gend = gmin + dc.perm[gmin..].partition_point(|p| keys.rows_equal(kept_row(p), row));
-    (gmin, gend, None)
-}
-
-/// `pieces` clipped to kept positions strictly before partition position `i`
-/// (the positional tie-break of dropped-row ranking).
-pub(super) fn earlier_pieces(mask: &MaskArtifact, pieces: &RangeSet, i: usize) -> RangeSet {
-    let ki = mask.remap.range(0, i).1;
-    let mut earlier = RangeSet::empty();
-    for (a, b) in pieces.iter() {
-        let b2 = b.min(ki);
-        if a < b2 {
-            earlier.push(a, b2);
+    /// How many kept rows of `pieces` order before position `i` — its
+    /// 0-based ROW_NUMBER. A FILTER-dropped row has no code of its own and
+    /// ranks virtually: key-smaller rows plus equal-key rows that precede it
+    /// positionally.
+    pub fn rows_before(
+        &self,
+        ctx: &Ctx<'_>,
+        index: &impl CountBelow,
+        i: usize,
+        pieces: &RangeSet,
+    ) -> usize {
+        let (gmin, gend, code) = self.code_bounds(ctx, i);
+        if let Some(c) = code {
+            return index.count_below(pieces, c);
         }
+        let ki = self.mask.remap.range(0, i).1;
+        let mut earlier = RangeSet::empty();
+        for (a, b) in pieces.iter() {
+            earlier.push(a, b.min(ki));
+        }
+        index.count_below(pieces, gmin) + index.count_below(&earlier, gend)
+            - index.count_below(&earlier, gmin)
     }
-    earlier
 }
 
 /// RANK / ROW_NUMBER / PERCENT_RANK / CUME_DIST / NTILE.
-pub(crate) fn evaluate(ctx: &Ctx<'_>, call: &FunctionCall, cp: &CallPlan) -> Result<Vec<Value>> {
-    if fits_u32(ctx.m() + 1) {
-        evaluate_impl::<u32>(ctx, call, cp)
-    } else {
-        evaluate_impl::<u64>(ctx, call, cp)
-    }
-}
-
-fn evaluate_impl<I: TreeIndex>(
+pub(crate) fn evaluate(
     ctx: &Ctx<'_>,
     call: &FunctionCall,
     cp: &CallPlan,
+    strategy: Strategy,
 ) -> Result<Vec<Value>> {
     let prep = prepare(ctx, cp)?;
-    let tree = ctx.code_mst::<I>(cp.keys.code_mst())?;
+    match strategy {
+        Strategy::Naive => probe(ctx, call, &prep, &Scan(&prep.dc.code)),
+        _ if ctx.u32_trees() => probe(ctx, call, &prep, &*ctx.code_mst::<u32>(&cp.keys)?),
+        _ => probe(ctx, call, &prep, &*ctx.code_mst::<u64>(&cp.keys)?),
+    }
+}
 
-    // ROW_NUMBER of a FILTER-dropped row (1-based): key-smaller rows plus
-    // equal-key rows that precede the current row positionally. Dropped rows
-    // interleave several thresholds and clipped piece sets, so their probes
-    // stay stateless and unblocked — they are the cold path.
-    let row_number_dropped = |i: usize, pieces: &RangeSet| -> usize {
-        let (gmin, gend, _) = prep.code_bounds(ctx, i);
-        let smaller = tree.count_below_multi(pieces, I::from_usize(gmin));
-        let earlier = earlier_pieces(&prep.mask, pieces, i);
-        let eq_before = tree.count_below_multi(&earlier, I::from_usize(gend))
-            - tree.count_below_multi(&earlier, I::from_usize(gmin));
-        smaller + eq_before + 1
-    };
-
+fn probe<C: CountBelow>(
+    ctx: &Ctx<'_>,
+    call: &FunctionCall,
+    prep: &RankPrep,
+    index: &C,
+) -> Result<Vec<Value>> {
     match call.kind {
+        // A dropped row interleaves several thresholds and clipped piece
+        // sets, so it resolves at once instead of joining the block — the
+        // cold path.
         FuncKind::RowNumber => ctx.probe_counts(
-            &tree,
+            index,
             |i, push| {
                 let pieces = prep.kept_pieces(ctx, i);
                 match prep.code_bounds(ctx, i).2 {
                     Some(c) => {
-                        push(&pieces, I::from_usize(c));
+                        push(&pieces, c);
                         Ok(Planned::Counted(()))
                     }
-                    None => Ok(Planned::Done(Value::Int(row_number_dropped(i, &pieces) as i64))),
+                    None => {
+                        let rn = prep.rows_before(ctx, index, i, &pieces) + 1;
+                        Ok(Planned::Done(Value::Int(rn as i64)))
+                    }
                 }
             },
             |_, (), below| Ok(Value::Int((below + 1) as i64)),
         ),
         FuncKind::Rank => ctx.probe_counts(
-            &tree,
+            index,
             |i, push| {
-                let pieces = prep.kept_pieces(ctx, i);
-                let (gmin, _, _) = prep.code_bounds(ctx, i);
-                push(&pieces, I::from_usize(gmin));
+                push(&prep.kept_pieces(ctx, i), prep.code_bounds(ctx, i).0);
                 Ok(Planned::Counted(()))
             },
             |_, (), below| Ok(Value::Int((below + 1) as i64)),
         ),
         FuncKind::PercentRank => ctx.probe_counts(
-            &tree,
+            index,
             |i, push| {
                 let pieces = prep.kept_pieces(ctx, i);
                 let size = pieces.count();
                 if size == 0 {
                     return Ok(Planned::Done(Value::Null));
                 }
-                let (gmin, _, _) = prep.code_bounds(ctx, i);
-                push(&pieces, I::from_usize(gmin));
+                push(&pieces, prep.code_bounds(ctx, i).0);
                 Ok(Planned::Counted(size))
             },
             |_, size, below| Ok(Value::Float(percent_rank(below, size))),
         ),
         FuncKind::CumeDist => ctx.probe_counts(
-            &tree,
+            index,
             |i, push| {
                 let pieces = prep.kept_pieces(ctx, i);
                 let size = pieces.count();
                 if size == 0 {
                     return Ok(Planned::Done(Value::Null));
                 }
-                let (_, gend, _) = prep.code_bounds(ctx, i);
-                push(&pieces, I::from_usize(gend));
+                push(&pieces, prep.code_bounds(ctx, i).1);
                 Ok(Planned::Counted(size))
             },
             |_, size, le| Ok(Value::Float(cume_dist(le, size))),
@@ -178,7 +179,7 @@ fn evaluate_impl<I: TreeIndex>(
         FuncKind::Ntile => {
             let buckets_expr = call.args[0].bind(ctx.table)?;
             ctx.probe_counts(
-                &tree,
+                index,
                 |i, push| {
                     let b = match buckets_expr.eval(ctx.table, ctx.rows[i])? {
                         Value::Int(x) if x >= 1 => x as usize,
@@ -196,11 +197,11 @@ fn evaluate_impl<I: TreeIndex>(
                     }
                     match prep.code_bounds(ctx, i).2 {
                         Some(c) => {
-                            push(&pieces, I::from_usize(c));
+                            push(&pieces, c);
                             Ok(Planned::Counted((size, b)))
                         }
                         None => {
-                            let rn = row_number_dropped(i, &pieces);
+                            let rn = prep.rows_before(ctx, index, i, &pieces) + 1;
                             Ok(Planned::Done(Value::Int(ntile_of(rn, size, b) as i64)))
                         }
                     }
@@ -232,18 +233,29 @@ pub(crate) fn ntile_of(rn: usize, size: usize, b: usize) -> usize {
     }
 }
 
-/// Framed DENSE_RANK via the 3-d range tree (§4.4).
+/// Framed DENSE_RANK via the 3-d count (§4.4).
 pub(crate) fn evaluate_dense_rank(
     ctx: &Ctx<'_>,
-    _call: &FunctionCall,
     cp: &CallPlan,
+    strategy: Strategy,
 ) -> Result<Vec<Value>> {
-    if !fits_u32(ctx.m() + 1) {
+    if !ctx.u32_trees() {
         return Err(Error::Unsupported("DENSE_RANK partitions beyond u32 positions".into()));
     }
     let prep = prepare(ctx, cp)?;
-    let rt_art = ctx.range_tree_art(cp.keys.range_tree())?;
+    match strategy {
+        Strategy::Naive => {
+            probe_dense_rank(ctx, &prep, &ctx.dense_rank_parts(&prep.dc, ScanPoints))
+        }
+        _ => probe_dense_rank(ctx, &prep, &*ctx.range_tree_art(&cp.keys)?),
+    }
+}
 
+fn probe_dense_rank<C: Count3d>(
+    ctx: &Ctx<'_>,
+    prep: &RankPrep,
+    art: &DenseRankArt<C>,
+) -> Result<Vec<Value>> {
     ctx.probe(|i| {
         let (a, b) = ctx.frames.bounds[i];
         let (ka, kb) = prep.mask.remap.range(a, b);
@@ -251,13 +263,13 @@ pub(crate) fn evaluate_dense_rank(
         // the group id right below the row's group_min boundary.
         let (gmin, _, _) = prep.code_bounds(ctx, i);
         let gcount = if gmin == 0 { 0 } else { prep.dc.group_id[prep.dc.perm[gmin - 1]] + 1 };
-        let base = rt_art.rt.count(ka, kb, gcount as u32, ka as u32 + 1);
+        let base = art.counter.count(ka, kb, gcount as u32, ka as u32 + 1);
         if !ctx.frames.has_exclusion() {
             return Ok(Value::Int((base + 1) as i64));
         }
         // Correct for smaller-key groups whose only frame occurrences sit in
         // the exclusion hole.
-        let pieces = prep.mask.remap.range_set(&ctx.frames.range_set(i));
+        let pieces = prep.kept_pieces(ctx, i);
         let mut holes = [(0usize, 0usize); 2];
         let mut nh = 0usize;
         for (h1, h2) in ctx.frames.holes(i).iter() {
@@ -276,7 +288,7 @@ pub(crate) fn evaluate_dense_rank(
                 if g >= gcount || !seen.insert(g) {
                     continue;
                 }
-                let occ = &rt_art.occurrences[g];
+                let occ = &art.occurrences[g];
                 let in_pieces = pieces.iter().any(|(lo, hi)| {
                     let idx = occ.partition_point(|&q| q < lo);
                     idx < occ.len() && occ[idx] < hi

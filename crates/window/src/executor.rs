@@ -607,8 +607,8 @@ mod tests {
         )
         .call(FunctionCall::median(col("x")).named("med"))
         .call(FunctionCall::sum(col("x")).named("s"));
-        // Force the MST so the tiny partition doesn't take the cacheless
-        // direct path (this test pins the cache counters).
+        // Force the MST so the tiny partition isn't evaluated cacheless
+        // (this test pins the cache counters).
         let opts = ExecOptions::serial().force_strategy(Strategy::Mst);
         let (out, profile) = q.execute_profiled(&t, opts).unwrap();
         assert_eq!(out.column("med").unwrap().len(), 5);

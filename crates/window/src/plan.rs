@@ -588,6 +588,7 @@ fn derive_keys(
         Mode => {
             let arg = args[0].clone();
             keys.values = Some(K::Values(arg.clone()));
+            keys.kept_values = Some(K::KeptValues(arg.clone(), mask.clone()));
             keys.mode_index = Some(K::ModeIndex(arg, mask.clone()));
         }
     }
@@ -685,6 +686,92 @@ mod tests {
             .prebuild
             .iter()
             .any(|k| matches!(k, ArtifactKey::SegTree(None, _, SegFlavor::Count))));
+    }
+
+    /// The artifact getters read a recipe's ingredient keys from the
+    /// requesting call's own [`CallKeys`] instead of deriving (and cloning)
+    /// them from the artifact's key: every key must name the same
+    /// expression, mask and order as the keys of what it is built from.
+    #[test]
+    fn a_calls_keys_agree_with_their_ingredients() {
+        use ArtifactKey as K;
+        let spec = WindowSpec::new().order_by(vec![SortKey::asc(col("t"))]);
+        let by = || vec![SortKey::desc(col("y")), SortKey::asc(col("t"))];
+        let live = || col("y").gt(lit(0i64));
+        let calls = [
+            FunctionCall::count_star().filter(live()),
+            FunctionCall::count(col("x")),
+            FunctionCall::avg(col("x")).filter(live()),
+            FunctionCall::max(col("x")).distinct(),
+            FunctionCall::count_distinct(col("x")).filter(live()),
+            FunctionCall::sum_distinct(col("x")),
+            FunctionCall::avg(col("x")).distinct(),
+            FunctionCall::rank(vec![]),
+            FunctionCall::dense_rank(by()).filter(live()),
+            FunctionCall::ntile(lit(3i64), by()),
+            FunctionCall::median(col("y")).filter(live()),
+            FunctionCall::percentile_cont(0.3, SortKey::desc(col("y"))),
+            FunctionCall::first_value(col("x")).ignore_nulls(),
+            FunctionCall::last_value(col("x")),
+            FunctionCall::nth_value(col("x"), lit(2i64)).order_by(by()).ignore_nulls(),
+            FunctionCall::lag(col("x"), 1, lit(0i64)).ignore_nulls(),
+            FunctionCall::lead(col("x"), 1, lit(0i64)).order_by(by()).filter(live()),
+            FunctionCall::lead(col("x"), 1, lit(0i64)).order_by(by()).ignore_nulls(),
+            FunctionCall::mode(col("y")).filter(live()),
+        ];
+        for call in &calls {
+            let k = plan_call(&spec, call).keys;
+            let some = |key: K| Some(key);
+            if let Some(K::Mask(MaskKey { screen: Some(e), .. })) = &k.mask {
+                assert_eq!(k.values, some(K::Values(e.clone())), "{call:?}");
+            }
+            if let Some(K::KeptValues(e, mk)) = &k.kept_values {
+                assert_eq!(k.values, some(K::Values(e.clone())), "{call:?}");
+                assert_eq!(k.mask, some(K::Mask(mk.clone())), "{call:?}");
+            }
+            if let Some(K::DenseCodes(order, mk)) = &k.dense_codes {
+                let OrderKey::Keys(ks) = order else { panic!("dense codes by keys: {call:?}") };
+                assert_eq!(k.inner_keys, some(K::InnerKeys(ks.clone())), "{call:?}");
+                assert_eq!(k.mask, some(K::Mask(mk.clone())), "{call:?}");
+            }
+            for tree in [&k.code_mst, &k.perm_mst, &k.range_tree] {
+                match tree {
+                    Some(K::PermMst(OrderKey::Identity, mk)) => {
+                        assert_eq!(k.mask, some(K::Mask(mk.clone())), "{call:?}")
+                    }
+                    Some(K::CodeMst(o, mk) | K::PermMst(o, mk) | K::RangeTree(o, mk)) => {
+                        assert_eq!(k.dense_codes, some(K::DenseCodes(o.clone(), mk.clone())))
+                    }
+                    _ => {}
+                }
+            }
+            if let Some(K::DistinctPrep(e, mk)) = &k.distinct_prep {
+                assert_eq!(k.kept_values, some(K::KeptValues(e.clone(), mk.clone())), "{call:?}");
+                assert_eq!(k.prev_idcs, some(K::PrevIdcs(e.clone(), mk.clone())), "{call:?}");
+            }
+            let distinct_trees = [
+                &k.distinct_count_mst,
+                &k.distinct_agg_sum_i64,
+                &k.distinct_agg_sum_f64,
+                &k.distinct_agg_avg,
+            ];
+            for tree in distinct_trees {
+                if let Some(K::DistinctCountMst(e, mk) | K::DistinctAggMst(e, mk, _)) = tree {
+                    assert_eq!(k.prev_idcs, some(K::PrevIdcs(e.clone(), mk.clone())), "{call:?}");
+                    assert_eq!(
+                        k.distinct_prep,
+                        some(K::DistinctPrep(e.clone(), mk.clone())),
+                        "{call:?}"
+                    );
+                }
+            }
+            if let Some(K::SegTree(None, mk, SegFlavor::Count)) = &k.count_segtree {
+                assert_eq!(k.mask, some(K::Mask(mk.clone())), "{call:?}");
+            }
+            if let Some(K::ModeIndex(e, mk)) = &k.mode_index {
+                assert_eq!(k.kept_values, some(K::KeptValues(e.clone(), mk.clone())), "{call:?}");
+            }
+        }
     }
 
     #[test]

@@ -18,8 +18,8 @@
 //!   stays bit-identical.
 //! * Every strategy is bit-identical to the merge-sort-tree path by
 //!   construction: alternates slide/select *dense codes* (exact integer
-//!   ranks) and the direct path re-derives each family from the same
-//!   formulas over exact counts.
+//!   ranks), and naive is the merge-sort-tree path's own evaluator with each
+//!   range primitive answered by a scan (`eval::primitive`).
 //! * [`Strategy::Mst`] is applicable to everything; a forced strategy that
 //!   does not apply to a call falls back to it.
 
@@ -29,9 +29,10 @@ use crate::spec::{FuncKind, FunctionCall};
 /// One per-partition evaluation algorithm.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Strategy {
-    /// Per-row re-evaluation with plain scans; no preprocessing artifacts at
-    /// all. The winner on tiny partitions, where building *anything* costs
-    /// more than scanning every frame.
+    /// Per-row re-evaluation with plain scans of the arrays a tree would
+    /// have been built from; no index is built and nothing is cached. The
+    /// winner on tiny partitions, where building *anything* costs more than
+    /// scanning every frame.
     Naive,
     /// Wesley & Xu sliding state (PVLDB 2016): an ordered multiset of codes
     /// (percentiles) or a hash multiset (COUNT DISTINCT) slid along the

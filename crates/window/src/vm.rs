@@ -193,6 +193,14 @@ impl Block {
         }
     }
 
+    /// The block of `n` positions as per-position values.
+    fn into_values(self, n: usize) -> Vec<Value> {
+        match self {
+            Block::Vals(vs) => vs,
+            b => (0..n).map(|i| b.value_at(i)).collect(),
+        }
+    }
+
     /// The value at block position `i` (not a table row index).
     pub(crate) fn value_at(&self, i: usize) -> Value {
         match self {
@@ -665,11 +673,7 @@ impl ExprVm {
         table: &Table,
         rows: &[usize],
     ) -> Result<Vec<Value>> {
-        let block = self.run_block(prog, table, RowSel::Rows(rows))?;
-        Ok(match block {
-            Block::Vals(vs) => vs,
-            b => (0..rows.len()).map(|i| b.value_at(i)).collect(),
-        })
+        Ok(self.run_block(prog, table, RowSel::Rows(rows))?.into_values(rows.len()))
     }
 
     /// Evaluates `prog` as a predicate for every table row: `true` exactly
@@ -681,30 +685,46 @@ impl ExprVm {
     }
 }
 
-/// Evaluates a bound expression for an explicit row selection through the
-/// VM, falling back to the per-row interpreter on a VM error so the caller
-/// sees the canonical first error. Central helper for `Ctx::eval_positions`.
+/// Selections shorter than this are interpreted row by row. Compiling a
+/// program and running its block ops has a fixed cost (150–350 ns measured)
+/// that a computed expression repays from about 7 rows on (a bare column
+/// reference only past 100, within 1.2× from 32) — and a query over 50 000
+/// partitions of 1–7 rows pays it 50 000 times. Both evaluators agree bit
+/// for bit (`proptest_vm.rs`), so the rule moves time only.
+const INTERPRET_BELOW: usize = 8;
+
+/// The block `bound` evaluates to over `rows`, through the VM. `None` sends
+/// the caller to the per-row interpreter: the selection is short
+/// ([`INTERPRET_BELOW`]), or the VM failed and the interpreter is asked for
+/// the canonical first error.
+fn run_rows(bound: &BoundExpr, table: &Table, rows: &[usize]) -> Option<Block> {
+    if rows.len() < INTERPRET_BELOW {
+        return None;
+    }
+    ExprVm::new().run_block(&Program::compile(bound), table, RowSel::Rows(rows)).ok()
+}
+
+/// Evaluates a bound expression for an explicit row selection (a partition
+/// in window order), returning per-position values. Central helper for
+/// `Ctx::eval_positions`.
 pub(crate) fn eval_rows(bound: &BoundExpr, table: &Table, rows: &[usize]) -> Result<Vec<Value>> {
-    let prog = Program::compile(bound);
-    match ExprVm::new().run_values(&prog, table, rows) {
-        Ok(vals) => Ok(vals),
-        Err(_) => rows.iter().map(|&r| bound.eval(table, r)).collect(),
+    match run_rows(bound, table, rows) {
+        Some(block) => Ok(block.into_values(rows.len())),
+        None => rows.iter().map(|&r| bound.eval(table, r)).collect(),
     }
 }
 
 /// Evaluates a bound predicate for an explicit row selection into a kept-row
-/// mask (`is_truthy` per row — NULL and non-bool are falsy) through the VM,
-/// with the same interpreter fallback as [`eval_rows`]. The FILTER half of
-/// the mask artifact builds through this.
+/// mask (`is_truthy` per row — NULL and non-bool are falsy). The FILTER half
+/// of the mask artifact builds through this.
 pub(crate) fn eval_filter_rows(
     bound: &BoundExpr,
     table: &Table,
     rows: &[usize],
 ) -> Result<Vec<bool>> {
-    let prog = Program::compile(bound);
-    match ExprVm::new().run_block(&prog, table, RowSel::Rows(rows)) {
-        Ok(block) => Ok(block.truthy_mask(rows.len())),
-        Err(_) => rows.iter().map(|&r| Ok(bound.eval(table, r)?.is_truthy())).collect(),
+    match run_rows(bound, table, rows) {
+        Some(block) => Ok(block.truthy_mask(rows.len())),
+        None => rows.iter().map(|&r| Ok(bound.eval(table, r)?.is_truthy())).collect(),
     }
 }
 

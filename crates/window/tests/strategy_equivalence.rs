@@ -3,8 +3,10 @@
 //! mixes, adaptive execution must be bit-identical to forced-MST execution,
 //! serial or parallel — the cost model may only change *how* a result is
 //! computed, never the result. The `ExecProfile` assertions pin down that
-//! the adaptive path really is adaptive: tiny partitions take the cacheless
-//! direct path, forced MST never does.
+//! the adaptive path really is adaptive: tiny partitions are evaluated
+//! cacheless over the scan primitives, forced MST never is — and forced
+//! naive puts the 70–140-row partition on the scans too, which no adaptive
+//! choice does.
 
 use holistic_window::frame::{FrameBound, FrameExclusion, FrameSpec};
 use holistic_window::{
@@ -14,7 +16,10 @@ use proptest::prelude::*;
 
 /// Candidate calls spanning every evaluator family the strategy layer
 /// dispatches: distributive, distinct, rank, percentile, value, lead/lag and
-/// mode. No `SUM(DISTINCT)` — that family is MST-only and would keep tiny
+/// mode — and the shapes only forcing puts on a scan at this size: NTILE,
+/// NTH_VALUE by an inner order, framed LEAD whose FILTER drops the current
+/// row (the virtual ranking of `rank::RankPrep::rows_before`), MIN over
+/// strings. No `SUM(DISTINCT)` — that family is MST-only and would keep tiny
 /// partitions off the cacheless path this test asserts on.
 fn battery(mask: u16) -> Vec<FunctionCall> {
     let all = vec![
@@ -28,6 +33,15 @@ fn battery(mask: u16) -> Vec<FunctionCall> {
         FunctionCall::first_value(col("x")).ignore_nulls().named("c7"),
         FunctionCall::lag(col("x"), 2, lit(-1i64)).named("c8"),
         FunctionCall::mode(col("y")).named("c9"),
+        FunctionCall::ntile(lit(3i64), vec![SortKey::asc(col("y"))]).named("c10"),
+        FunctionCall::nth_value(col("x"), lit(2i64))
+            .order_by(vec![SortKey::desc(col("y"))])
+            .named("c11"),
+        FunctionCall::lead(col("x"), 1, lit(-1i64))
+            .order_by(vec![SortKey::asc(col("y"))])
+            .filter(col("y").gt(lit(0i64)))
+            .named("c12"),
+        FunctionCall::min(col("s")).named("c13"),
     ];
     let picked: Vec<FunctionCall> =
         all.into_iter().enumerate().filter(|(i, _)| mask & (1 << i) != 0).map(|(_, c)| c).collect();
@@ -62,7 +76,7 @@ proptest! {
         hi in 0i64..5,
         excl in 0usize..4,
         groups_mode in any::<bool>(),
-        mask in 1u16..1024,
+        mask in 1u16..16384,
     ) {
         // Skewed layout: partition p holds sizes[p] consecutive rows.
         let mut sizes = tiny_sizes.clone();
@@ -77,6 +91,7 @@ proptest! {
         let table = Table::new(vec![
             ("x", Column::ints_opt((0..n).map(|i| xs_seed[i % xs_seed.len()]).collect())),
             ("y", Column::ints((0..n).map(|i| ys_seed[i % ys_seed.len()]).collect())),
+            ("s", Column::strs((0..n).map(|i| format!("k{}", ys_seed[i % ys_seed.len()])).collect())),
             ("g", Column::ints(g)),
             ("pos", Column::ints((0..n as i64).collect())),
         ])
@@ -124,9 +139,19 @@ proptest! {
             ("adaptive/parallel", ExecOptions::default()),
             ("mst/serial", ExecOptions::serial().force_strategy(Strategy::Mst)),
             ("mst/parallel", ExecOptions::default().force_strategy(Strategy::Mst)),
+            ("naive/serial", ExecOptions::serial().force_strategy(Strategy::Naive)),
         ] {
             let (out, profile) = q.execute_profiled(&table, opts).unwrap();
-            if label.starts_with("mst") {
+            if label.starts_with("naive") {
+                // Every battery call is naive-capable: the large partition
+                // runs on the scans as well, and nothing is built anywhere.
+                prop_assert_eq!(
+                    profile.strategy.decisions[Strategy::Naive.index()],
+                    partitions * calls.len() as u64
+                );
+                prop_assert_eq!(profile.strategy.cacheless_partitions, partitions);
+                prop_assert_eq!(profile.cache.misses, 0);
+            } else if label.starts_with("mst") {
                 prop_assert_eq!(
                     profile.strategy.decisions[Strategy::Mst.index()],
                     partitions * calls.len() as u64,
