@@ -1,7 +1,7 @@
 //! Annotated merge sort trees for arbitrary framed DISTINCT aggregates (§4.3).
 //!
 //! Each tree element carries, besides its merge key (the shifted previous-
-//! occurrence index), the aggregation payload of its row. After every merge
+//! occurrence index), the aggregation payload of its row. On every level
 //! the per-run payloads are folded into *prefix* aggregation states (Figure 5):
 //! `prefix[i]` combines the payloads of run elements `0..=i`. A framed
 //! distinct aggregate then (1) covers the frame with sorted runs, (2) locates
@@ -11,7 +11,7 @@
 use crate::aggregate::DistinctAggregate;
 use crate::cursor::ProbeCursor;
 use crate::index::TreeIndex;
-use crate::mst::{fill_levels, level_geometry, MergeSortTree};
+use crate::mst::{build_levels, level_geometry, MergeSortTree};
 use crate::params::MstParams;
 use crate::range_set::RangeSet;
 use rayon::prelude::*;
@@ -34,10 +34,13 @@ impl<I: TreeIndex, A: DistinctAggregate> AnnotatedMst<I, A> {
     /// Builds an annotated tree over the merge keys `values` (shifted
     /// prevIdcs) and per-row aggregation `payloads`.
     ///
-    /// The merge runs over `(key, payload)` pairs in a scratch arena; keys
-    /// are then extracted into the tree's final single allocation and the
+    /// The build runs over `(key, payload)` pairs in a scratch arena, the
+    /// payloads riding along with their keys through every level; keys are
+    /// then extracted into the tree's final single allocation and the
     /// payloads folded into the prefix slab (Figure 5), so the scratch pairs
-    /// never survive the build.
+    /// never survive the build. Equal keys sit in position order in every
+    /// run, so the fold order — and a float state's bits — is fixed by the
+    /// input alone.
     pub fn build(values: &[I], payloads: &[A::Payload], params: MstParams) -> Self {
         assert_eq!(values.len(), payloads.len());
         let n = values.len();
@@ -45,13 +48,10 @@ impl<I: TreeIndex, A: DistinctAggregate> AnnotatedMst<I, A> {
         let h = meta.len();
         let ptrs_len = meta.last().unwrap().ptrs.end();
 
-        // Scratch pair arena for the merge; same geometry as the key arena.
+        // Scratch pair arena for the build; same geometry as the key arena.
         let mut pairs: Vec<(I, A::Payload)> = vec![Default::default(); h * n];
-        for (slot, (&v, &p)) in pairs.iter_mut().zip(values.iter().zip(payloads)) {
-            *slot = (v, p);
-        }
         let mut ptrs = vec![I::ZERO; ptrs_len];
-        fill_levels::<I, (I, A::Payload)>(n, params, &meta, &mut pairs, &mut ptrs);
+        build_levels(values, params, &meta, |p| (values[p], payloads[p]), &mut pairs, &mut ptrs);
 
         // Final key arena: extracted keys followed by the pointer slabs.
         let mut arena = vec![I::ZERO; h * n + ptrs_len];

@@ -14,9 +14,9 @@
 //! than 2× front to back, so there are at most ⌈log₂ n⌉ runs and every
 //! element participates in O(log n) rebuilds over its lifetime — amortized
 //! O(b log n) per append. Each rebuild goes through
-//! [`MergeSortTree::build`], which internally performs the parallel multiway
-//! merge of [`crate::merge`] (§5.2): the forest *reuses* the existing merge
-//! machinery rather than re-implementing it.
+//! [`MergeSortTree::build`] over the collapsed span — one sort and one
+//! scatter per level, like any other tree: the forest has no build code of
+//! its own.
 //!
 //! Probes decompose across runs:
 //!

@@ -24,10 +24,11 @@
 //!   whose value lies in the given ranges?" — used by percentiles, value
 //!   functions and `LEAD`/`LAG` (§4.5, §4.6).
 //!
-//! All build phases are parallelized with rayon: lower levels merge runs
-//! independently, upper levels split a single merge across threads via
-//! multisequence selection (§5.2). Queries are read-only and embarrassingly
-//! parallel.
+//! The tree is *built* the other way round: one sort of the keys gives the
+//! top run, and each lower level is a stable scatter of its parent's runs
+//! into their children, whose write cursors are the cascading pointers (see
+//! [`mst`]). The sort and every level of several runs are parallelized with
+//! rayon. Queries are read-only and embarrassingly parallel.
 //!
 //! ```
 //! use holistic_core::{MergeSortTree, MstParams};

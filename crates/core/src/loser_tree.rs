@@ -1,15 +1,15 @@
 //! A loser tree (tournament tree) for k-way merging of sorted runs.
 //!
-//! Multiway merges are the inner loop of merge sort tree construction: with
-//! fanout *f* every produced element costs O(log f) comparisons instead of the
-//! O(f) of a naive head scan. Ties are broken towards the lower run index so
-//! merges are deterministic.
+//! Multiway merges are the inner loop of the parallel sort's run merge
+//! ([`crate::sort::merge_runs`]): with *f* runs every produced element costs
+//! O(log f) comparisons instead of the O(f) of a naive head scan. Ties are
+//! broken towards the lower run index so merges are deterministic.
 
 /// K-way merge iterator over sorted slices.
 ///
 /// `T` is the element type, `F` the strict-weak-order "less" predicate. Ties
 /// always break towards the lower run index, making the merge deterministic
-/// and stable across serial/parallel builds.
+/// and stable across serial/parallel sorts.
 pub struct LoserTree<'a, T, F> {
     runs: Vec<&'a [T]>,
     /// Next unconsumed position per run.

@@ -1,24 +1,15 @@
-//! Multiway merging with cascading-pointer snapshots and parallel merge
-//! splitting via multisequence selection (§5.2 of the paper).
+//! Keyed elements and multisequence selection (§5.2 of the paper): what the
+//! parallel sort's run merge ([`crate::sort::merge_runs`]) is split with.
 //!
-//! A merge sort tree level is produced by merging groups of `fanout` child
-//! runs. While merging, the consumed input-iterator positions are persisted
-//! every `sampling`-th output element — these snapshots *are* the sampled
-//! fractional-cascading pointers of §4.2: snapshot `s` of a run records, for
-//! every child run `c`, how many elements of `c` appear among the first
-//! `s·k` merged outputs.
-//!
-//! Parallel merging follows the paper: split points are found by selecting
-//! global ranks across all sorted input runs (multisequence selection), then
-//! the chunks between consecutive split points are merged independently.
+//! To merge sorted runs on several threads, split points are found by
+//! selecting global ranks across all runs at once, then the chunks between
+//! consecutive split points are merged independently.
 
 use crate::index::TreeIndex;
-use crate::loser_tree::LoserTree;
-use rayon::prelude::*;
 
-/// Element types that carry a sortable integer key (the merge order of the
-/// tree). Plain indices are their own key; annotated trees merge
-/// `(key, payload)` pairs.
+/// Element types that carry a sortable integer key (the order runs are
+/// merged in). Plain indices are their own key; a `(key, payload)` pair is
+/// ordered by its key alone.
 pub trait Keyed<I: TreeIndex>: Copy + Default + Send + Sync {
     /// The merge key.
     fn key(&self) -> I;
@@ -83,156 +74,10 @@ pub fn multisequence_split<I: TreeIndex, T: Keyed<I>>(inputs: &[&[T]], rank: usi
     splits
 }
 
-/// Serially merges `parts` (per-child sub-slices plus their base offsets
-/// within the full child runs) into `out`, recording iterator snapshots.
-///
-/// `chunk_rank` is the global output rank of `out[0]` within the full parent
-/// run and must be a multiple of `k`. Snapshot slot `s` (with `s·k` inside
-/// this chunk) receives, for each of the `fanout` children, the absolute
-/// consumed position of that child after `s·k` outputs. `snaps` must hold
-/// exactly the slots owned by this chunk, laid out `[s][child]`.
-pub(crate) fn merge_chunk<I: TreeIndex, T: Keyed<I>>(
-    parts: &[(&[T], usize)],
-    fanout: usize,
-    k: usize,
-    chunk_rank: usize,
-    out: &mut [T],
-    snaps: &mut [I],
-) {
-    debug_assert!(chunk_rank.is_multiple_of(k));
-    debug_assert_eq!(out.len(), parts.iter().map(|(p, _)| p.len()).sum::<usize>());
-    let slices: Vec<&[T]> = parts.iter().map(|(p, _)| *p).collect();
-    let mut lt = LoserTree::new(slices, |a: &T, b: &T| a.key() < b.key());
-    let mut snap_slot = 0usize;
-    for (local, out_elem) in out.iter_mut().enumerate() {
-        if (chunk_rank + local).is_multiple_of(k) {
-            let base = snap_slot * fanout;
-            for (c, (_, off)) in parts.iter().enumerate() {
-                snaps[base + c] = I::from_usize(off + lt.position(c));
-            }
-            // Children beyond the present ones stay at zero (empty runs).
-            for c in parts.len()..fanout {
-                snaps[base + c] = I::ZERO;
-            }
-            snap_slot += 1;
-        }
-        let (item, _) = lt.pop().expect("merge underflow");
-        *out_elem = item;
-    }
-    debug_assert_eq!(snap_slot * fanout, snaps.len());
-    debug_assert!(lt.pop().is_none(), "merge overflow");
-    let _ = lt.num_runs();
-}
-
-/// Description of one parent run's children: sub-slices of the child level.
-pub(crate) struct RunChildren<'a, T> {
-    /// Child runs, in order (may be fewer than `fanout` for the last run).
-    pub children: Vec<&'a [T]>,
-}
-
-/// Merges one parent run from its children, writing the merged data and all
-/// of the run's snapshot slots (including the trailing "after everything"
-/// sentinel slots). Splits the work across rayon threads when `parallel` and
-/// the run is large.
-pub(crate) fn merge_run<I: TreeIndex, T: Keyed<I>>(
-    rc: &RunChildren<'_, T>,
-    fanout: usize,
-    k: usize,
-    out: &mut [T],
-    snaps: &mut [I],
-    parallel: bool,
-) {
-    let len = out.len();
-    let samples = len / k + 2;
-    debug_assert_eq!(snaps.len(), samples * fanout);
-    // Slots written by the merge loop: s with s·k < len, i.e. s in
-    // [0, ceil(len/k)). The remaining trailing slots record final positions.
-    let merge_slots = len.div_ceil(k);
-
-    let threads = rayon::current_num_threads();
-    if !parallel || threads <= 1 || len < 4 * k.max(1024) {
-        let parts: Vec<(&[T], usize)> = rc.children.iter().map(|c| (*c, 0)).collect();
-        merge_chunk(&parts, fanout, k, 0, out, &mut snaps[..merge_slots * fanout]);
-    } else {
-        // Chunk boundaries at multiples of k so snapshot slots partition.
-        let chunk = (len.div_ceil(threads)).div_ceil(k).max(1) * k;
-        let bounds: Vec<usize> = (0..)
-            .map(|i| (i * chunk).min(len))
-            .take_while(|&b| b < len)
-            .chain(std::iter::once(len))
-            .collect();
-        let splits: Vec<Vec<usize>> =
-            bounds.iter().map(|&b| multisequence_split(&rc.children, b)).collect();
-        // Carve `out` and the merge-loop snapshot region into per-chunk parts.
-        let mut out_parts: Vec<&mut [T]> = Vec::with_capacity(bounds.len() - 1);
-        let mut snap_parts: Vec<&mut [I]> = Vec::with_capacity(bounds.len() - 1);
-        {
-            let mut out_rest = &mut *out;
-            let mut snap_rest = &mut snaps[..merge_slots * fanout];
-            for w in bounds.windows(2) {
-                let (g0, g1) = (w[0], w[1]);
-                let (head, tail) = out_rest.split_at_mut(g1 - g0);
-                out_parts.push(head);
-                out_rest = tail;
-                let slots = (g1.div_ceil(k)).min(merge_slots) - g0 / k;
-                let (shead, stail) = snap_rest.split_at_mut(slots * fanout);
-                snap_parts.push(shead);
-                snap_rest = stail;
-            }
-            debug_assert!(out_rest.is_empty() && snap_rest.is_empty());
-        }
-        out_parts.into_par_iter().zip(snap_parts).enumerate().for_each(|(i, (out_c, snap_c))| {
-            let parts: Vec<(&[T], usize)> = rc
-                .children
-                .iter()
-                .enumerate()
-                .map(|(c, child)| (&child[splits[i][c]..splits[i + 1][c]], splits[i][c]))
-                .collect();
-            merge_chunk(&parts, fanout, k, bounds[i], out_c, snap_c);
-        });
-    }
-    // Trailing sentinel slots: final consumed positions = child lengths.
-    for s in merge_slots..samples {
-        let base = s * fanout;
-        for c in 0..fanout {
-            snaps[base + c] = I::from_usize(rc.children.get(c).map(|ch| ch.len()).unwrap_or(0));
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use rand::{rngs::StdRng, Rng, SeedableRng};
-
-    fn brute_snapshot(children: &[Vec<u32>], merged: &[u32], upto: usize) -> Vec<usize> {
-        // Count, per child, how many of its elements appear among merged[..upto].
-        // Valid because all elements < merged[upto] are consumed and ties are
-        // consumed in run order by the loser tree.
-        let mut counts = vec![0usize; children.len()];
-        // Reconstruct by replaying a stable merge.
-        let mut pos = vec![0usize; children.len()];
-        for _ in 0..upto {
-            let mut best: Option<usize> = None;
-            for (c, child) in children.iter().enumerate() {
-                if pos[c] < child.len() {
-                    match best {
-                        None => best = Some(c),
-                        Some(b) => {
-                            if child[pos[c]] < children[b][pos[b]] {
-                                best = Some(c);
-                            }
-                        }
-                    }
-                }
-            }
-            let b = best.unwrap();
-            pos[b] += 1;
-            counts[b] += 1;
-        }
-        let _ = merged;
-        counts
-    }
 
     #[test]
     fn multisequence_split_basic() {
@@ -283,77 +128,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn merge_run_serial_matches_sorted_and_snapshots() {
-        let children: Vec<Vec<u32>> = vec![vec![2, 4, 9], vec![1, 4, 7], vec![0, 5]];
-        let slices: Vec<&[u32]> = children.iter().map(|c| c.as_slice()).collect();
-        let rc = RunChildren { children: slices };
-        let len = 8;
-        let k = 3;
-        let fanout = 4;
-        let samples = len / k + 2;
-        let mut out = vec![0u32; len];
-        let mut snaps = vec![0u32; samples * fanout];
-        merge_run::<u32, u32>(&rc, fanout, k, &mut out, &mut snaps, false);
-        assert_eq!(out, vec![0, 1, 2, 4, 4, 5, 7, 9]);
-        // Snapshot s: consumed positions after s*k outputs.
-        for s in 0..samples {
-            let upto = (s * k).min(len);
-            let expect = brute_snapshot(&children, &out, upto);
-            for (c, &e) in expect.iter().enumerate() {
-                assert_eq!(snaps[s * fanout + c] as usize, e, "sample {s} child {c}");
-            }
-            assert_eq!(snaps[s * fanout + 3], 0, "missing child stays zero");
-        }
-    }
-
-    #[test]
-    fn merge_run_parallel_matches_serial() {
-        let mut rng = StdRng::seed_from_u64(23);
-        for _ in 0..20 {
-            let fanout = rng.gen_range(2..6);
-            let nchildren = rng.gen_range(1..=fanout);
-            let k = rng.gen_range(1..6);
-            let children: Vec<Vec<u64>> = (0..nchildren)
-                .map(|_| {
-                    let len = rng.gen_range(0..500);
-                    let mut v: Vec<u64> = (0..len).map(|_| rng.gen_range(0..100)).collect();
-                    v.sort_unstable();
-                    v
-                })
-                .collect();
-            let slices: Vec<&[u64]> = children.iter().map(|c| c.as_slice()).collect();
-            let len: usize = children.iter().map(|c| c.len()).sum();
-            let samples = len / k + 2;
-
-            let rc = RunChildren { children: slices.clone() };
-            let mut out_s = vec![0u64; len];
-            let mut snaps_s = vec![0u64; samples * fanout];
-            merge_run::<u64, u64>(&rc, fanout, k, &mut out_s, &mut snaps_s, false);
-
-            let rc = RunChildren { children: slices };
-            let mut out_p = vec![0u64; len];
-            let mut snaps_p = vec![0u64; samples * fanout];
-            merge_run::<u64, u64>(&rc, fanout, k, &mut out_p, &mut snaps_p, true);
-
-            assert_eq!(out_s, out_p);
-            // Snapshots may differ on tie placement across chunk boundaries in
-            // theory, but our tie rule (run order) matches the greedy split, so
-            // they must agree exactly.
-            assert_eq!(snaps_s, snaps_p);
-        }
-    }
-
-    #[test]
-    fn merge_chunk_pairs_carry_payloads() {
-        let a: Vec<(u32, i64)> = vec![(1, 10), (5, 50)];
-        let b: Vec<(u32, i64)> = vec![(3, 30)];
-        let parts: Vec<(&[(u32, i64)], usize)> = vec![(&a, 0), (&b, 0)];
-        let mut out = vec![(0u32, 0i64); 3];
-        let mut snaps = vec![0u32; 2 * 2];
-        merge_chunk(&parts, 2, 2, 0, &mut out, &mut snaps);
-        assert_eq!(out, vec![(1, 10), (3, 30), (5, 50)]);
     }
 }

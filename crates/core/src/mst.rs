@@ -4,7 +4,15 @@
 //! levels' keys live in one allocation, followed by the sampled
 //! cascading-pointer slabs, with a small per-level metadata table. Run
 //! boundaries are `(offset, len)` arithmetic — no per-run or per-level owned
-//! vectors. The probe descent batches software prefetches (safe cache-warming
+//! vectors.
+//!
+//! The build is top-down: one sort of the keys (ties by base position)
+//! yields the top run, and every lower level is a stable scatter of its
+//! parent's runs into their children (`scatter_level`) — the scatter's
+//! write cursors, sampled, are the cascading pointers. Levels of several runs
+//! scatter one task per run; nothing is merged.
+//!
+//! The probe descent batches software prefetches (safe cache-warming
 //! reads) for every overlapped child's cascaded landing window before the
 //! cascade loop of each partial node, so the scattered key-line misses
 //! overlap in the memory system, and short-circuits partial level-1 runs by
@@ -14,9 +22,9 @@
 use crate::arena::{prefetch_read, Span, SpillableArena};
 use crate::cursor::{gallop_partition_point, ProbeCursor, Side};
 use crate::index::TreeIndex;
-use crate::merge::{merge_run, Keyed, RunChildren};
 use crate::params::MstParams;
 use crate::range_set::{RangeSet, MAX_RANGES};
+use crate::sort::sort_pairs;
 use rayon::prelude::*;
 
 /// Per-level metadata of an arena-backed merge sort tree.
@@ -68,101 +76,145 @@ pub(crate) fn level_geometry(n: usize, params: MstParams) -> Vec<LevelMeta> {
     meta
 }
 
-/// Merges level upon level into preallocated storage.
-///
-/// `data` holds `meta.len() · n` elements with `data[0..n]` prefilled with
-/// the base level (input order); `ptrs` holds the concatenated pointer slabs
-/// (`meta.last().ptrs.end()` elements). Returns the wall time spent merging
-/// each level — the "build tree layer" phases of Figure 14.
-///
-/// Lower levels parallelize across runs, upper levels inside a single merge
-/// via multisequence selection (§5.2), exactly as the per-level-vector build
-/// did — outputs are bit-identical, only the backing storage changed.
-pub(crate) fn fill_levels<I: TreeIndex, T: Keyed<I>>(
-    n: usize,
-    params: MstParams,
-    meta: &[LevelMeta],
-    data: &mut [T],
-    ptrs: &mut [I],
-) -> Vec<std::time::Duration> {
-    debug_assert_eq!(data.len(), meta.len() * n);
-    let mut times = Vec::with_capacity(meta.len().saturating_sub(1));
-    for lvl in 1..meta.len() {
-        let t0 = std::time::Instant::now();
-        // The child level is read-only while the current level is written:
-        // disjoint regions of the single keys buffer.
-        let (lower, upper) = data.split_at_mut(lvl * n);
-        let child_data = &lower[(lvl - 1) * n..];
-        let out_level = &mut upper[..n];
-        let ptr_level = meta[lvl].ptrs.slice_mut(ptrs);
-        fill_one_level(n, params, meta, lvl, child_data, out_level, ptr_level);
-        times.push(t0.elapsed());
-    }
-    times
+/// Base positions `0..n` ordered by `(values[p], p)`: the order of the top run,
+/// and — ties going to the earlier position — the order a stable merge of the
+/// level below would have produced. One call of the engine's one sort
+/// ([`sort_pairs`]) over range-compressed keys, so narrow key domains (prevIdcs,
+/// dense codes, permutations: all `≤ n`) take its radix passes.
+fn sort_positions<I: TreeIndex>(values: &[I], parallel: bool) -> Vec<I> {
+    let keys = || values.iter().map(|v| v.to_usize());
+    let (min, max) = (keys().min().unwrap_or(0), keys().max().unwrap_or(0));
+    let key_bits = usize::BITS - (max - min).leading_zeros();
+    let pairs = keys().enumerate().map(|(p, key)| ((key - min) as u64, p)).collect();
+    sort_pairs(pairs, key_bits, parallel).into_iter().map(|(_, p)| I::from_usize(p)).collect()
 }
 
-/// Merges level `lvl - 1` into level `lvl`'s preallocated key and pointer
-/// storage — the per-level body shared by the in-memory build (which walks
-/// one big arena) and the out-of-core build (which ping-pongs two `n`-sized
-/// buffers, spilling each completed level). Merging is identical either way,
-/// so the two builds are bit-identical by construction.
-pub(crate) fn fill_one_level<I: TreeIndex, T: Keyed<I>>(
-    n: usize,
+/// Derives level `lvl - 1` from level `lvl` by a stable `fanout`-way scatter
+/// of every run into its children — the one level routine of every build
+/// (in-memory, out-of-core, annotated).
+///
+/// `src` is level `lvl`: the base position of every element, and beside it
+/// whatever rides along (`T`: keys, `(key, payload)` pairs, or `()` when the
+/// caller only wants the order). An element of run `r` belongs to the child
+/// covering its base position; scattering a sorted run in order leaves every
+/// child sorted by `(key, position)` too, which is what the child *is*. The
+/// per-child write cursors, snapshotted every `sampling`-th element, are the
+/// sampled cascading pointers of §4.2 (how many elements of each child
+/// precede the sample), and go to `ptrs`, level `lvl`'s slab.
+///
+/// Levels of several runs scatter one task per run under `params.parallel`.
+fn scatter_level<I: TreeIndex, T: Copy + Send + Sync>(
     params: MstParams,
     meta: &[LevelMeta],
     lvl: usize,
-    child_data: &[T],
-    out_level: &mut [T],
-    ptr_level: &mut [I],
+    (src_pos, src): (&[I], &[T]),
+    (dst_pos, dst): (&mut [I], &mut [T]),
+    ptrs: &mut [I],
 ) {
     let (f, k) = (params.fanout, params.sampling);
-    let m = meta[lvl];
-    let child_run_len = meta[lvl - 1].run_len;
-    let run_len = m.run_len;
-    let num_runs = n.div_ceil(run_len);
-
-    // Carve output and pointer storage into per-run slices.
-    let mut out_parts: Vec<&mut [T]> = Vec::with_capacity(num_runs);
-    let mut ptr_parts: Vec<&mut [I]> = Vec::with_capacity(num_runs);
-    {
-        let mut data_rest = out_level;
-        let mut ptr_rest = ptr_level;
-        for r in 0..num_runs {
-            let start = r * run_len;
-            let len = (start + run_len).min(n) - start;
-            let (h, t) = data_rest.split_at_mut(len);
-            out_parts.push(h);
-            data_rest = t;
-            let (ph, pt) = ptr_rest.split_at_mut((len / k + 2) * f);
-            ptr_parts.push(ph);
-            ptr_rest = pt;
-        }
-    }
-
-    let make_children = |r: usize| -> RunChildren<'_, T> {
-        let start = r * run_len;
-        let end = (start + run_len).min(n);
-        let mut children = Vec::with_capacity(f);
-        let mut cs = start;
-        while cs < end {
-            let ce = (cs + child_run_len).min(end);
-            children.push(&child_data[cs..ce]);
-            cs = ce;
-        }
-        RunChildren { children }
+    let run_len = meta[lvl].run_len;
+    let child_len = meta[lvl - 1].run_len;
+    // Every run before the last is full-length, so equal chunks carve the
+    // slab per run; the last run's chunk is as short as its sample count.
+    let slab = meta[lvl].samples_per_run * f;
+    let runs = src_pos
+        .chunks(run_len)
+        .zip(src.chunks(run_len))
+        .zip(dst_pos.chunks_mut(run_len))
+        .zip(dst.chunks_mut(run_len))
+        .zip(ptrs.chunks_mut(slab))
+        .enumerate();
+    let scatter = |(r, ((((sp, s), dp), d), snaps))| {
+        scatter_run(f, k, child_len, r * run_len, (sp, s), (dp, d), snaps)
     };
-
-    if params.parallel && num_runs > 1 {
-        // Lower levels: one merge task per run (§5.2).
-        out_parts.into_par_iter().zip(ptr_parts).enumerate().for_each(|(r, (out, snaps))| {
-            merge_run(&make_children(r), f, k, out, snaps, false);
-        });
+    if params.parallel && src_pos.len() > run_len {
+        runs.collect::<Vec<_>>().into_par_iter().for_each(scatter);
     } else {
-        // Upper levels (single run): parallelize inside the merge.
-        for (r, (out, snaps)) in out_parts.into_iter().zip(ptr_parts).enumerate() {
-            merge_run(&make_children(r), f, k, out, snaps, params.parallel);
+        runs.for_each(scatter);
+    }
+}
+
+/// Scatters one run (starting at base position `run_start`) into its
+/// children and fills the run's pointer slots `snaps`, laid out
+/// `[sample][child]`: slot `s` holds, per child, how many of its elements are
+/// among the run's first `s · k`. The trailing slots (two when `k` divides the
+/// run length, else one) hold the child lengths.
+fn scatter_run<I: TreeIndex, T: Copy>(
+    f: usize,
+    k: usize,
+    child_len: usize,
+    run_start: usize,
+    (src_pos, src): (&[I], &[T]),
+    (dst_pos, dst): (&mut [I], &mut [T]),
+    snaps: &mut [I],
+) {
+    let len = src_pos.len();
+    debug_assert_eq!(snaps.len(), (len / k + 2) * f);
+    // The cursors live in the run's last slot, which must end up holding
+    // their final values anyway.
+    let (slots, cursors) = snaps.split_at_mut((len / k + 1) * f);
+    cursors.fill(I::ZERO);
+    let shift = child_len.is_power_of_two().then(|| child_len.trailing_zeros());
+    let mut slots = slots.chunks_mut(f);
+    for (sp, s) in src_pos.chunks(k).zip(src.chunks(k)) {
+        slots.next().expect("one slot per k elements").copy_from_slice(cursors);
+        for (&p, &elem) in sp.iter().zip(s) {
+            let off = p.to_usize() - run_start;
+            let c = shift.map_or_else(|| off / child_len, |sh| off >> sh);
+            let taken = cursors[c].to_usize();
+            dst_pos[c * child_len + taken] = p;
+            dst[c * child_len + taken] = elem;
+            cursors[c] = I::from_usize(taken + 1);
         }
     }
+    for slot in slots {
+        slot.copy_from_slice(cursors);
+    }
+}
+
+/// Builds every level into preallocated storage, top-down: one sort for the
+/// top run, then one [`scatter_level`] per level below it.
+///
+/// `data` holds `meta.len() · n` elements, level-major, and `ptrs` the
+/// concatenated pointer slabs (`meta.last().ptrs.end()` elements); both are
+/// overwritten entirely. `elem(p)` is what the tree stores for base position
+/// `p`. Returns the wall time of the sort (with the top level's gather), then
+/// of each scatter from the top level down.
+pub(crate) fn build_levels<I: TreeIndex, T: Copy + Send + Sync>(
+    values: &[I],
+    params: MstParams,
+    meta: &[LevelMeta],
+    elem: impl Fn(usize) -> T,
+    data: &mut [T],
+    ptrs: &mut [I],
+) -> Vec<std::time::Duration> {
+    let n = values.len();
+    debug_assert_eq!(data.len(), meta.len() * n);
+    let mut times = Vec::with_capacity(meta.len());
+    let t0 = std::time::Instant::now();
+    let mut pos = sort_positions(values, params.parallel);
+    for (slot, p) in data[(meta.len() - 1) * n..].iter_mut().zip(&pos) {
+        *slot = elem(p.to_usize());
+    }
+    times.push(t0.elapsed());
+    let mut child_pos = vec![I::ZERO; n];
+    for lvl in (1..meta.len()).rev() {
+        let t0 = std::time::Instant::now();
+        // The parent level is read-only while the child level is written:
+        // disjoint regions of the single level-major buffer.
+        let (lower, upper) = data.split_at_mut(lvl * n);
+        scatter_level(
+            params,
+            meta,
+            lvl,
+            (&pos, &upper[..n]),
+            (&mut child_pos, &mut lower[(lvl - 1) * n..]),
+            meta[lvl].ptrs.slice_mut(ptrs),
+        );
+        std::mem::swap(&mut pos, &mut child_pos);
+        times.push(t0.elapsed());
+    }
+    times
 }
 
 /// Total arena length (keys + pointer slabs, in elements) of a tree over `n`
@@ -173,13 +225,16 @@ pub fn mst_arena_len(n: usize, params: MstParams) -> usize {
     meta.len() * n + meta.last().expect("geometry has at least one level").ptrs.end()
 }
 
-/// Peak resident element count of [`MergeSortTree::build_spilled`]: the two
-/// ping-pong key buffers plus the largest single pointer slab — what an
+/// Peak resident element count of [`MergeSortTree::build_spilled`]: two
+/// position vectors (the base positions in one level's order and in the next
+/// level's) plus one segment buffer, which holds in turn every level's keys
+/// and every pointer slab on their way to the spill file — what an
 /// out-of-core build keeps in memory instead of the full
-/// [`mst_arena_len`]-element arena.
+/// [`mst_arena_len`]-element arena. (The largest segment is a pointer slab
+/// whenever there is one: level 1's has at least two slots per key.)
 pub fn mst_spill_build_len(n: usize, params: MstParams) -> usize {
     let meta = level_geometry(n, params);
-    2 * n + meta.iter().map(|m| m.ptrs.len).max().unwrap_or(0)
+    2 * n + meta.iter().map(|m| m.ptrs.len).max().unwrap_or(0).max(n)
 }
 
 /// The cumulative segment boundaries of an arena slab in layout order: one
@@ -274,9 +329,10 @@ impl<I: TreeIndex> MergeSortTree<I> {
         Self::build_profiled(values, params).0
     }
 
-    /// Like [`Self::build`], but also reports the wall time spent merging
-    /// each level — the "build tree layer" phases of the paper's cost
-    /// breakdown (Figure 14).
+    /// Like [`Self::build`], but also reports the wall time of each build
+    /// phase (Figure 14): first the one sort of the tree's keys, which yields
+    /// the top level, then one scatter per level below it, from the top
+    /// level's children down to level 0 — `height()` durations in all.
     pub fn build_profiled(values: &[I], params: MstParams) -> (Self, Vec<std::time::Duration>) {
         let n = values.len();
         let meta = level_geometry(n, params);
@@ -284,16 +340,12 @@ impl<I: TreeIndex> MergeSortTree<I> {
         let ptrs_len = meta.last().unwrap().ptrs.end();
         let mut arena = vec![I::ZERO; keys_len + ptrs_len];
         let (keys, ptrs) = arena.split_at_mut(keys_len);
-        keys[..n].copy_from_slice(values);
-        let times = fill_levels(n, params, &meta, keys, ptrs);
-        let top_keys = &keys[(meta.len() - 1) * n..];
-        let identity_top = top_is_identity(top_keys, n);
-        let top_samples = sample_top(top_keys, identity_top);
-        (MergeSortTree { arena, levels: meta, params, n, identity_top, top_samples }, times)
+        let times = build_levels(values, params, &meta, |p| values[p], keys, ptrs);
+        (Self::from_parts(arena, meta, params, n), times)
     }
 
-    /// Wraps storage produced elsewhere (the annotated build fills a pair
-    /// arena first, then extracts the keys into a fresh key arena).
+    /// Wraps a filled arena (the annotated build fills a pair arena first,
+    /// then extracts the keys into a fresh key arena).
     pub(crate) fn from_parts(
         arena: Vec<I>,
         levels: Vec<LevelMeta>,
@@ -308,44 +360,73 @@ impl<I: TreeIndex> MergeSortTree<I> {
     }
 
     /// Builds a tree over `values` without ever materializing the full
-    /// arena: levels are merged into two ping-pong buffers through the same
-    /// loser-tree merge as [`Self::build`] and each completed level (keys,
-    /// then its cascading-pointer slab) is streamed straight into a spill
-    /// file. The result is *born parked*: re-fault the returned arena and
-    /// wrap it with [`Self::from_shell`] to probe it.
+    /// arena: only the *order* of each level is held in memory (the base
+    /// positions, scattered level by level through the same
+    /// `scatter_level` as [`Self::build`]), a level's keys are gathered as
+    /// `values[position]` into one segment buffer, and each completed
+    /// segment (keys, then the cascading-pointer slab the scatter produced)
+    /// is streamed straight into a spill file. The result is *born parked*:
+    /// re-fault the returned arena and wrap it with [`Self::from_shell`] to
+    /// probe it.
     ///
-    /// Peak resident memory is [`mst_spill_build_len`] elements (two key
-    /// buffers plus one pointer slab) instead of the full
-    /// [`mst_arena_len`]-element arena — the out-of-core path for partitions
-    /// whose tree exceeds the memory budget.
+    /// Peak resident memory is [`mst_spill_build_len`] elements instead of
+    /// the full [`mst_arena_len`]-element arena — the out-of-core path for
+    /// partitions whose tree exceeds the memory budget. To stay below the
+    /// arena it is avoiding, the positions are sorted in place rather than
+    /// through [`sort_pairs`], whose pairs and scratch alone are 32 B per row.
     ///
-    /// Bit-identical to [`Self::build`]: both run `fill_one_level` per
-    /// level; only the backing storage differs.
+    /// Bit-identical to [`Self::build`]: the same total order on top, the
+    /// same scatter below; only the backing storage differs.
     pub fn build_spilled(
         values: &[I],
         params: MstParams,
     ) -> std::io::Result<(MstShell<I>, SpillableArena<I>)> {
+        Self::build_spilled_measured(values, params).map(|(shell, arena, _)| (shell, arena))
+    }
+
+    /// [`Self::build_spilled`], and the element count of every buffer it
+    /// held (all of them live until it returns, so their sum is its peak).
+    fn build_spilled_measured(
+        values: &[I],
+        params: MstParams,
+    ) -> std::io::Result<(MstShell<I>, SpillableArena<I>, usize)> {
         let n = values.len();
         let meta = level_geometry(n, params);
         let h = meta.len();
         let mut arena = SpillableArena::new(arena_segments(&meta, n));
-        arena.write_segment(0, values)?;
-        let mut prev: Vec<I> = values.to_vec();
-        let mut cur: Vec<I> = vec![I::ZERO; n];
-        let mut ptr_buf: Vec<I> = Vec::new();
-        for lvl in 1..h {
-            ptr_buf.clear();
-            ptr_buf.resize(meta[lvl].ptrs.len, I::ZERO);
-            fill_one_level(n, params, &meta, lvl, &prev, &mut cur, &mut ptr_buf);
-            arena.write_segment(lvl, &cur)?;
-            arena.write_segment(h + lvl - 1, &ptr_buf)?;
-            std::mem::swap(&mut prev, &mut cur);
+        let mut pos: Vec<I> = (0..n).map(I::from_usize).collect();
+        pos.sort_unstable_by_key(|&p| (values[p.to_usize()], p));
+        let mut child_pos = vec![I::ZERO; n];
+        let mut seg: Vec<I> = Vec::with_capacity(mst_spill_build_len(n, params) - 2 * n);
+        let gather = |seg: &mut Vec<I>, pos: &[I]| {
+            seg.clear();
+            seg.extend(pos.iter().map(|&p| values[p.to_usize()]));
+        };
+        gather(&mut seg, &pos);
+        arena.write_segment(h - 1, &seg)?;
+        let identity_top = top_is_identity(&seg, n);
+        let top_samples = sample_top(&seg, identity_top);
+        // Nothing rides along with the positions.
+        let (unit, mut child_unit) = (vec![(); n], vec![(); n]);
+        for lvl in (1..h).rev() {
+            seg.clear();
+            seg.resize(meta[lvl].ptrs.len, I::ZERO);
+            scatter_level(
+                params,
+                &meta,
+                lvl,
+                (&pos, &unit),
+                (&mut child_pos, &mut child_unit),
+                &mut seg,
+            );
+            arena.write_segment(h + lvl - 1, &seg)?;
+            std::mem::swap(&mut pos, &mut child_pos);
+            gather(&mut seg, &pos);
+            arena.write_segment(lvl - 1, &seg)?;
         }
         arena.mark_written();
-        // `prev` now holds the top level's keys.
-        let identity_top = top_is_identity(&prev, n);
-        let top_samples = sample_top(&prev, identity_top);
-        Ok((MstShell { levels: meta, params, n, identity_top, top_samples }, arena))
+        let resident = pos.capacity() + child_pos.capacity() + seg.capacity();
+        Ok((MstShell { levels: meta, params, n, identity_top, top_samples }, arena, resident))
     }
 
     /// Splits the tree into its metadata shell and its arena slab — the
@@ -2247,6 +2328,25 @@ mod tests {
         let params = MstParams::default();
         for &n in &[1000usize, 50_000] {
             assert!(mst_spill_build_len(n, params) < mst_arena_len(n, params));
+        }
+    }
+
+    #[test]
+    fn spilled_build_holds_no_more_than_its_stated_footprint() {
+        // The governor charges `mst_spill_build_len` for the build, so every
+        // buffer the build allocates has to fit in it.
+        for &(f, k) in &[(2, 1), (5, 7), (32, 32), (4, 64)] {
+            for &n in &[0usize, 1, 2, 33, 1000, 50_000] {
+                let params = MstParams::new(f, k);
+                let vals: Vec<u32> =
+                    (0..n as u32).map(|i| i.wrapping_mul(2654435761) % 1000).collect();
+                let (_, _, resident) =
+                    MergeSortTree::<u32>::build_spilled_measured(&vals, params).unwrap();
+                assert!(
+                    resident <= mst_spill_build_len(n, params),
+                    "f={f} k={k} n={n}: held {resident} elements"
+                );
+            }
         }
     }
 }

@@ -20,7 +20,8 @@ pub struct MstParams {
     pub fanout: usize,
     /// Cascading pointer sampling stride *k* (≥ 1).
     pub sampling: usize,
-    /// Build levels in parallel with rayon. Queries are unaffected.
+    /// Build in parallel with rayon: the sort of the keys, and one scatter
+    /// task per run on every level of several runs. Queries are unaffected.
     pub parallel: bool,
     /// Use fractional cascading pointers during queries. Disabling re-runs a
     /// full binary search on every tree level — the O((log n)²) query of

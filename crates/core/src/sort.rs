@@ -9,7 +9,8 @@
 //!
 //! [`sort_pairs`] is the engine's one sort entry point: the window ORDER BY
 //! and the SQL session's final ORDER BY (through [`sort_rows`]) and every
-//! inner ORDER BY hand it `(normalized key, row)` pairs. Runs are formed with
+//! inner ORDER BY hand it `(normalized key, row)` pairs, and the merge sort
+//! tree build its `(key, base position)` pairs. Runs are formed with
 //! LSD radix passes when the key's bit width makes that cheaper than
 //! comparing, and merged with the same stable multiway merge as everything
 //! else here.

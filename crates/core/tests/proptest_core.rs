@@ -1,10 +1,11 @@
 //! Property-based tests for the merge sort tree core.
 
-use holistic_core::aggregate::{DistinctAggregate, SumI64};
+use holistic_core::aggregate::{AvgF64, DistinctAggregate, SumI64};
 use holistic_core::{
-    dense_codes, prev_idcs_by_key, AnnotatedMst, MergeSortTree, MstParams, RangeSet,
+    dense_codes, prev_idcs_by_key, AnnotatedMst, MergeSortTree, MstParams, RangeSet, TreeIndex,
 };
 use proptest::prelude::*;
+use rand::{rngs::StdRng, Rng, SeedableRng};
 
 fn params_strategy() -> impl Strategy<Value = MstParams> {
     (2usize..=33, 1usize..=33, any::<bool>()).prop_map(|(f, k, par)| {
@@ -17,8 +18,151 @@ fn params_strategy() -> impl Strategy<Value = MstParams> {
     })
 }
 
+/// A length next to a run boundary: `m · f^e + d`, with `f^e` scaled down
+/// until the tree stays small enough to check exhaustively.
+fn boundary_len(f: usize, e: u32, m: usize, d: isize) -> usize {
+    let mut unit = f.pow(e);
+    while unit * m > 3000 {
+        unit /= f;
+    }
+    (unit * m).saturating_add_signed(d)
+}
+
+/// `n` keys from one of four domains: few distinct values, all equal
+/// (`key_bits = 0`), the top of `I`'s range, and spread over all of it.
+fn keys_from<I: TreeIndex>(seed: u64, n: usize, domain: u8) -> Vec<I> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let max = I::MAX.to_usize();
+    (0..n)
+        .map(|_| {
+            let raw: usize = rng.gen();
+            I::from_usize(match domain {
+                0 => raw % 7,
+                1 => 42,
+                2 => max - raw % 3,
+                _ => raw & max,
+            })
+        })
+        .collect()
+}
+
+/// The base positions `rs..re` in the order their run stores them: by key,
+/// equal keys in position order.
+fn run_order<I: TreeIndex>(vals: &[I], rs: usize, re: usize) -> Vec<usize> {
+    let mut order: Vec<usize> = (rs..re).collect();
+    order.sort_by_key(|&p| vals[p]); // stable
+    order
+}
+
+/// Checks a tree's whole arena against the definition of the structure,
+/// and that every build produces that same arena.
+///
+/// Level `l` is cut into runs of `f^l` base positions; a run holds the keys
+/// of its positions, stably sorted. Its pointer slots are laid out
+/// `[sample][child]`, `len / k + 2` samples: sample `s`, child `c` is how
+/// many of the run's first `min(s · k, len)` elements sit in child `c`, so
+/// the trailing slots hold the child lengths.
+fn check_against_definition<I: TreeIndex>(vals: &[I], f: usize, k: usize) {
+    let n = vals.len();
+    let serial = MergeSortTree::<I>::build(vals, MstParams::new(f, k).serial());
+    let h = serial.height();
+    let (shell, arena) = serial.into_shell();
+    let segs = shell.segments();
+
+    let parallel = MergeSortTree::<I>::build(vals, MstParams::new(f, k));
+    assert_eq!(parallel.into_shell().1, arena, "serial vs parallel, n={n} f={f} k={k}");
+    let (_, mut spilled) = MergeSortTree::<I>::build_spilled(vals, MstParams::new(f, k)).unwrap();
+    assert_eq!(spilled.fault().unwrap(), arena, "in-memory vs spilled, n={n} f={f} k={k}");
+
+    let mut run_len = 1usize;
+    for lvl in 0..h {
+        let keys = &arena[segs[lvl]..segs[lvl + 1]];
+        let ptrs = if lvl == 0 { &[][..] } else { &arena[segs[h + lvl - 1]..segs[h + lvl]] };
+        let mut slot = 0;
+        for rs in (0..n).step_by(run_len) {
+            let re = (rs + run_len).min(n);
+            let order = run_order(vals, rs, re);
+            let expect: Vec<I> = order.iter().map(|&p| vals[p]).collect();
+            assert_eq!(&keys[rs..re], &expect[..], "keys of level {lvl} run at {rs}");
+            if lvl == 0 {
+                continue;
+            }
+            let (len, child_len) = (re - rs, run_len / f);
+            let mut in_child = vec![0usize; f];
+            for s in 0..len / k + 2 {
+                for &p in &order[(s.max(1) - 1) * k..(s * k).min(len)] {
+                    in_child[(p - rs) / child_len] += 1;
+                }
+                let got: Vec<usize> = ptrs[slot..slot + f].iter().map(|x| x.to_usize()).collect();
+                assert_eq!(got, in_child, "level {lvl} run at {rs} sample {s}, n={n} f={f} k={k}");
+                slot += f;
+            }
+        }
+        assert_eq!(slot, ptrs.len(), "level {lvl} slab length");
+        run_len *= f;
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The arena is what the definition of a merge sort tree says it is —
+    /// for both index widths, fanouts whose run lengths are not powers of
+    /// two, and lengths on both sides of a run boundary — whichever build
+    /// produced it.
+    #[test]
+    fn arena_matches_the_definition(
+        f in 2usize..=9,
+        k in 1usize..=9,
+        shape in (1u32..=3, 1usize..=9, -1isize..=1),
+        domain in 0u8..4,
+        seed in any::<u64>(),
+    ) {
+        let n = boundary_len(f, shape.0, shape.1.min(f), shape.2);
+        check_against_definition::<u32>(&keys_from(seed, n, domain), f, k);
+        check_against_definition::<u64>(&keys_from(seed, n, domain), f, k);
+    }
+
+    /// Prefix states are the fold of a run's payloads in (key, position)
+    /// order, bit for bit: with duplicate keys and float payloads, any other
+    /// order among equal keys would round differently. A frame that is
+    /// exactly one run reads that run's prefix state and nothing else.
+    #[test]
+    fn annotated_prefix_states_fold_in_key_then_position_order(
+        f in 2usize..=6,
+        k in 1usize..=5,
+        parallel in any::<bool>(),
+        n in 1usize..400,
+        seed in any::<u64>(),
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let keys: Vec<u32> = (0..n).map(|_| rng.gen_range(0..5)).collect();
+        let payloads: Vec<f64> = (0..n).map(|_| rng.gen_range(1..1000) as f64 / 7.0).collect();
+        let params = if parallel { MstParams::new(f, k) } else { MstParams::new(f, k).serial() };
+        let tree = AnnotatedMst::<u32, AvgF64>::build(&keys, &payloads, params);
+        let mut run_len = 1usize;
+        for _ in 0..tree.tree().height() {
+            for rs in (0..n).step_by(run_len) {
+                let re = (rs + run_len).min(n);
+                let order = run_order(&keys, rs, re);
+                for t in 0..=5u32 {
+                    let below = order.iter().take_while(|&&p| keys[p] < t);
+                    let fold = below.fold(AvgF64::identity(), |acc, &p| {
+                        AvgF64::combine(acc, AvgF64::lift(payloads[p]))
+                    });
+                    let expect = if fold.1 == 0 {
+                        fold
+                    } else {
+                        AvgF64::combine(AvgF64::identity(), fold)
+                    };
+                    let (got, cnt) = tree.aggregate_below(rs, re, t);
+                    prop_assert_eq!(cnt as u64, expect.1);
+                    prop_assert_eq!((got.0.to_bits(), got.1), (expect.0.to_bits(), expect.1));
+                }
+            }
+            run_len *= f;
+        }
+    }
 
     /// count_below agrees with a linear scan for arbitrary inputs, ranges and
     /// thresholds, across fanout/sampling parameters.

@@ -360,7 +360,7 @@ impl<I: TreeIndex> SpillableMst<I> {
                 arena: None,
             }
         } else {
-            // Out-of-core: charge the transient ping-pong buffers, stream
+            // Out-of-core: charge the build's transient buffers, stream
             // the arena to disk, release the transient charge. The tree is
             // born parked; the first checkout faults it in (and only then
             // charges the full arena).
