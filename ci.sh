@@ -121,6 +121,11 @@ $OFUZZ --cases 500 --seed 0xB4D6E7 --max-n 40 --budget 8192 --time-budget-secs 1
 $OFUZZ --cases 60 --seed 0xB4D6EF --max-n 4000 --budget 100000 --time-budget-secs 120
 $OFUZZ --sql-roundtrip --cases 500 --seed 0xC0FFEE --max-n 40 --time-budget-secs 120
 
+step "block-vs-scalar kernel micro-timer (ignored by default; run once so it cannot rot)"
+# The only timer of the block kernels against the scalar descent outside
+# perfbench; it asserts equal answers before it prints.
+cargo test --release -q -p holistic-core --test microbench_block -- --ignored
+
 step "bench smoke (every bin once at tiny n: a figure bin that panics at run time fails here)"
 # Each bin reads only its own variables (fig10 steps through fixed sizes from
 # 20 000 up, N_MAX keeps the first). The bins cross-check their algorithms

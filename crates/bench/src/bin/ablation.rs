@@ -1,8 +1,8 @@
 //! Ablation study of the design choices DESIGN.md calls out (not a paper
 //! figure — supplementary evidence for §4.2/§5.1's claims):
 //!
-//! * **fractional cascading**: with pointers (O(log n) per query) vs a full
-//!   binary search on every level (O((log n)²), Figure 2's strawman);
+//! * **(f, k)**: scalar `count_below` probes at three fanout / sampling
+//!   settings;
 //! * **integer width**: u32 vs u64 trees (§5.1 claims narrower integers help
 //!   via memory bandwidth);
 //! * **task-based parallelization penalty**: the redundant warm-up work a
@@ -25,18 +25,12 @@ fn main() {
 
     println!("# Ablation study, n={n}, frame = 5% of n, count_below probes");
 
-    // --- fractional cascading ---
-    println!("\n## fractional cascading (query phase only; identical trees)");
-    println!("   note: with k = 32 the cascaded refinement window (~k) is as wide as");
-    println!("   the lower levels' runs, so cascading only pays on the upper levels —");
-    println!("   k = 4 shows the full effect (cf. Figure 13's preference for small k).");
+    // --- fanout and sampling ---
+    println!("\n## fanout and sampling (query phase only; cf. Figure 13)");
     for (label, params) in [
-        ("f=32 k=32, cascading", MstParams::default().serial()),
-        ("f=32 k=32, no cascading", MstParams::default().serial().no_cascading()),
-        ("f=32 k=4,  cascading", MstParams::new(32, 4).serial()),
-        ("f=32 k=4,  no cascading", MstParams::new(32, 4).serial().no_cascading()),
-        ("f=4  k=4,  cascading", MstParams::new(4, 4).serial()),
-        ("f=4  k=4,  no cascading", MstParams::new(4, 4).serial().no_cascading()),
+        ("f=32 k=32", MstParams::default().serial()),
+        ("f=32 k=4", MstParams::new(32, 4).serial()),
+        ("f=4  k=4", MstParams::new(4, 4).serial()),
     ] {
         let tree = MergeSortTree::<u32>::build(&vals_u32, params);
         let (_, d) = time_once(|| {
@@ -51,7 +45,7 @@ fn main() {
             d.as_secs_f64() * 1e3,
             mtps(n, d)
         );
-        records.push(BenchRecord::new("cascading", n, label, d.as_nanos() as f64 / n as f64));
+        records.push(BenchRecord::new("fanout_sampling", n, label, d.as_nanos() as f64 / n as f64));
     }
 
     // --- integer width ---

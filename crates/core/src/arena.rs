@@ -19,16 +19,6 @@
 //! table at all (`level * n`); pointer slabs carry explicit [`Span`]s. Run
 //! boundaries inside a level are `(offset, len)` arithmetic on `run_len`
 //! rather than owned vectors.
-//!
-//! This module also hosts the safe software-prefetch helper used by the probe
-//! descent. The crate forbids `unsafe`, so instead of a prefetch intrinsic we
-//! issue a plain *cache-warming read*: the load has no data dependency on the
-//! searches that follow, so out-of-order execution overlaps the miss with
-//! real work. The descent batches these reads for all of a partial node's
-//! children up front ([`prefetch_read`] returns the value, the caller folds
-//! it into a sink and [`std::hint::black_box`]es the sink once per query), so
-//! the scattered child-window misses are all in flight together rather than
-//! each hiding behind the previous child's binary search.
 
 use crate::index::TreeIndex;
 use std::fs::File;
@@ -71,29 +61,6 @@ impl Span {
     #[inline]
     pub fn end(&self) -> usize {
         self.off + self.len
-    }
-}
-
-/// Software prefetch via a safe cache-warming read.
-///
-/// Touches `buf[idx]` (if in bounds) and returns the value so the caller can
-/// fold it into a sink that is [`std::hint::black_box`]ed *once per query* —
-/// a per-read `black_box` would insert a compiler memory barrier into the
-/// descent's hot loop, which costs more than the warmed line saves. Out of
-/// bounds indices are ignored — prefetching is advisory, never a correctness
-/// concern. Results of any computation are unaffected: this is a pure read.
-///
-/// ```
-/// let data = vec![3u32, 1, 4, 1, 5];
-/// assert_eq!(holistic_core::arena::prefetch_read(&data, 2), 4); // warms data[2]
-/// assert_eq!(holistic_core::arena::prefetch_read(&data, 99), 0); // oob: no-op
-/// ```
-#[inline(always)]
-#[must_use = "fold the warmed value into a black_box'd sink or the read is elided"]
-pub fn prefetch_read<I: crate::index::TreeIndex>(buf: &[I], idx: usize) -> usize {
-    match buf.get(idx) {
-        Some(&v) => v.to_usize(),
-        None => 0,
     }
 }
 
@@ -332,15 +299,6 @@ mod tests {
         let buf: Vec<u32> = vec![1, 2];
         let s = Span::new(2, 0);
         assert_eq!(s.slice(&buf), &[] as &[u32]);
-    }
-
-    #[test]
-    fn prefetch_never_panics() {
-        let buf: Vec<u64> = vec![7; 8];
-        assert_eq!(prefetch_read(&buf, 0), 7);
-        assert_eq!(prefetch_read(&buf, 7), 7);
-        assert_eq!(prefetch_read(&buf, 8), 0); // out of bounds: ignored
-        assert_eq!(prefetch_read::<u64>(&[], 0), 0);
     }
 
     #[test]

@@ -12,14 +12,11 @@
 //! write cursors, sampled, are the cascading pointers. Levels of several runs
 //! scatter one task per run; nothing is merged.
 //!
-//! The probe descent batches software prefetches (safe cache-warming
-//! reads) for every overlapped child's cascaded landing window before the
-//! cascade loop of each partial node, so the scattered key-line misses
-//! overlap in the memory system, and short-circuits partial level-1 runs by
-//! scanning the contiguous base keys directly instead of cascading into
-//! singleton children.
+//! The probe descent short-circuits partial level-1 runs by scanning the
+//! contiguous base keys directly instead of cascading into singleton
+//! children.
 
-use crate::arena::{prefetch_read, Span, SpillableArena};
+use crate::arena::{Span, SpillableArena};
 use crate::cursor::{gallop_partition_point, ProbeCursor, Side};
 use crate::index::TreeIndex;
 use crate::params::MstParams;
@@ -280,8 +277,8 @@ pub struct MergeSortTree<I: TreeIndex> {
     /// Every [`TOP_SAMPLE_STRIDE`]-th top-run key (empty for identity tops).
     /// The sample vector is `n / 64` keys — cache-resident at any realistic
     /// `n` — so the block kernels' top searches binary-search the samples
-    /// without missing, then finish inside one warmed `≤ stride` window
-    /// instead of chasing `log n` scattered lines.
+    /// without missing, then finish inside one `≤ stride` window (at most
+    /// five lines) instead of chasing `log n` scattered lines.
     top_samples: Vec<I>,
 }
 
@@ -504,7 +501,6 @@ impl<I: TreeIndex> MergeSortTree<I> {
     /// Cascaded refinement: given the lower-bound position `pos` of threshold
     /// `t` within run `r` of `level`, returns the lower-bound position of `t`
     /// within child run `c`.
-    ///
     #[inline]
     pub(crate) fn cascade(&self, level: usize, run: usize, pos: usize, c: usize, t: I) -> usize {
         let lvl = &self.levels[level];
@@ -513,11 +509,6 @@ impl<I: TreeIndex> MergeSortTree<I> {
         let (cs, ce) = child.run_bounds(child_run, self.n);
         let clen = ce - cs;
         let child_keys = self.keys(level - 1);
-        if !self.params.cascading {
-            // Ablation mode: full binary search on every level (Figure 2's
-            // O((log n)²) query instead of Figure 3's O(log n)).
-            return child_keys[cs..ce].partition_point(|&x| x < t);
-        }
         let f = self.params.fanout;
         let k = self.params.sampling;
         let s = pos / k;
@@ -527,42 +518,6 @@ impl<I: TreeIndex> MergeSortTree<I> {
         let hi = ptrs[base + f].to_usize().min(clen);
         debug_assert!(lo <= hi);
         lo + child_keys[cs + lo..cs + hi].partition_point(|&x| x < t)
-    }
-
-    /// Batched landing-window warm-up for children `c_from..c_to` of `(level,
-    /// run)`: reads each child's sampled cascading pointer (the bundle for
-    /// all children shares a cache line) and touches the child key it lands
-    /// on. Issued *before* the cascade loop so the scattered key-line misses
-    /// overlap in the memory system instead of serializing behind each
-    /// child's binary search. Pure reads folded into `warm` — results are
-    /// unaffected (see [`prefetch_read`]).
-    #[inline]
-    fn warm_children(
-        &self,
-        level: usize,
-        run: usize,
-        pos: usize,
-        c_from: usize,
-        c_to: usize,
-        warm: &mut usize,
-    ) {
-        if !self.params.prefetch || !self.params.cascading || c_to <= c_from {
-            return;
-        }
-        let lvl = &self.levels[level];
-        let child = &self.levels[level - 1];
-        let f = self.params.fanout;
-        let base = (run * lvl.samples_per_run + pos / self.params.sampling) * f + c_from;
-        let ptrs = &self.ptr_slab(level)[base..base + (c_to - c_from)];
-        let child_keys = self.keys(level - 1);
-        for (i, p) in ptrs.iter().enumerate() {
-            let (cs, ce) =
-                child.run_bounds(run * (lvl.run_len / child.run_len) + c_from + i, self.n);
-            if cs >= ce {
-                break;
-            }
-            *warm ^= prefetch_read(child_keys, cs + p.to_usize().min(ce - cs - 1));
-        }
     }
 
     /// Counts the elements at positions `[a, b)` whose value is smaller than
@@ -609,11 +564,7 @@ impl<I: TreeIndex> MergeSortTree<I> {
         }
         let top = self.levels.len() - 1;
         let top_pos = self.keys(top).partition_point(|&x| x < t);
-        let mut warm = 0usize;
-        self.descend_below(top, 0, a, b, t, top_pos, &mut warm, &mut visit);
-        // One opaque use per query keeps every prefetch read alive without
-        // putting a compiler barrier inside the descent loops.
-        std::hint::black_box(warm);
+        self.descend_below(top, 0, a, b, t, top_pos, &mut visit);
     }
 
     /// Visits the covered positions of a *partial* level-1 run by scanning the
@@ -639,7 +590,6 @@ impl<I: TreeIndex> MergeSortTree<I> {
         b: usize,
         t: I,
         pos: usize,
-        warm: &mut usize,
         visit: &mut impl FnMut(usize, usize, usize),
     ) {
         let lvl = &self.levels[level];
@@ -657,17 +607,6 @@ impl<I: TreeIndex> MergeSortTree<I> {
         let child_len = self.levels[level - 1].run_len;
         let ratio = lvl.run_len / child_len;
         let nc = self.params.fanout.min(ratio);
-        // Issue every overlapped child's landing-window load up front so the
-        // scattered misses overlap; the cascade loop then hits in-flight
-        // lines instead of paying each miss behind the previous search.
-        self.warm_children(
-            level,
-            run,
-            pos,
-            (a - rs) / child_len,
-            ((b - 1 - rs) / child_len + 1).min(nc),
-            warm,
-        );
         for c in 0..nc {
             let cs = rs + c * child_len;
             if cs >= re {
@@ -683,7 +622,7 @@ impl<I: TreeIndex> MergeSortTree<I> {
             if lo == cs && hi == ce {
                 visit(level - 1, cs, cpos);
             } else {
-                self.descend_below(level - 1, cs / child_len, lo, hi, t, cpos, warm, visit);
+                self.descend_below(level - 1, cs / child_len, lo, hi, t, cpos, visit);
             }
         }
     }
@@ -711,7 +650,6 @@ impl<I: TreeIndex> MergeSortTree<I> {
         cur.stats.cursor_probes += 1;
         let top = self.levels.len() - 1;
         cur.ensure_levels(top);
-        let mut warm = 0usize;
         let mut pos = cur.top_position(self.keys(top), |&x| x < t);
         // Joint phase: walk down while [a, b) fits within one child, sharing
         // the left-side memo between both boundaries.
@@ -743,35 +681,15 @@ impl<I: TreeIndex> MergeSortTree<I> {
             }
             // The paths split: descend the left boundary, emit fully-covered
             // middle children, then descend the right boundary.
-            self.warm_children(level, run, pos, ca + 1, cb, &mut warm);
             let ca_pos = self.child_pos(level, run, pos, ca, t, Side::Left, cur);
-            self.left_descend(
-                level - 1,
-                rs / child_len + ca,
-                a,
-                t,
-                ca_pos,
-                cur,
-                &mut warm,
-                &mut visit,
-            );
+            self.left_descend(level - 1, rs / child_len + ca, a, t, ca_pos, cur, &mut visit);
             for c in ca + 1..cb {
                 visit(level - 1, rs + c * child_len, self.cascade(level, run, pos, c, t));
             }
             let cb_pos = self.child_pos(level, run, pos, cb, t, Side::Right, cur);
-            self.right_descend(
-                level - 1,
-                rs / child_len + cb,
-                b,
-                t,
-                cb_pos,
-                cur,
-                &mut warm,
-                &mut visit,
-            );
+            self.right_descend(level - 1, rs / child_len + cb, b, t, cb_pos, cur, &mut visit);
             break;
         }
-        std::hint::black_box(warm);
     }
 
     /// Lower bound of `t` in child `c` of `(level, run)`: gallops from the
@@ -823,7 +741,6 @@ impl<I: TreeIndex> MergeSortTree<I> {
         t: I,
         pos: usize,
         cur: &mut ProbeCursor,
-        warm: &mut usize,
         visit: &mut impl FnMut(usize, usize, usize),
     ) {
         let lvl = &self.levels[level];
@@ -841,9 +758,8 @@ impl<I: TreeIndex> MergeSortTree<I> {
         let child_len = self.levels[level - 1].run_len;
         let ca = (a - rs) / child_len;
         let ratio = lvl.run_len / child_len;
-        self.warm_children(level, run, pos, ca + 1, self.params.fanout.min(ratio), warm);
         let ca_pos = self.child_pos(level, run, pos, ca, t, Side::Left, cur);
-        self.left_descend(level - 1, rs / child_len + ca, a, t, ca_pos, cur, warm, visit);
+        self.left_descend(level - 1, rs / child_len + ca, a, t, ca_pos, cur, visit);
         for c in ca + 1..self.params.fanout.min(ratio) {
             let cs = rs + c * child_len;
             if cs >= re {
@@ -865,7 +781,6 @@ impl<I: TreeIndex> MergeSortTree<I> {
         t: I,
         pos: usize,
         cur: &mut ProbeCursor,
-        warm: &mut usize,
         visit: &mut impl FnMut(usize, usize, usize),
     ) {
         let lvl = &self.levels[level];
@@ -882,12 +797,11 @@ impl<I: TreeIndex> MergeSortTree<I> {
         }
         let child_len = self.levels[level - 1].run_len;
         let cb = (b - 1 - rs) / child_len;
-        self.warm_children(level, run, pos, 0, cb, warm);
         for c in 0..cb {
             visit(level - 1, rs + c * child_len, self.cascade(level, run, pos, c, t));
         }
         let cb_pos = self.child_pos(level, run, pos, cb, t, Side::Right, cur);
-        self.right_descend(level - 1, rs / child_len + cb, b, t, cb_pos, cur, warm, visit);
+        self.right_descend(level - 1, rs / child_len + cb, b, t, cb_pos, cur, visit);
     }
 
     /// Finds the level-0 position of the `j`-th element (0-based) whose
@@ -935,7 +849,6 @@ impl<I: TreeIndex> MergeSortTree<I> {
         if j >= total {
             return None;
         }
-        let mut warm = 0usize;
         let mut j = j;
         let mut level = self.levels.len() - 1;
         let mut run = 0usize;
@@ -947,7 +860,6 @@ impl<I: TreeIndex> MergeSortTree<I> {
                 // value range, so the cascaded per-range counts degenerate to
                 // direct membership tests on the contiguous base keys. Same
                 // enumeration order, no sampled-pointer loads.
-                std::hint::black_box(warm);
                 let keys0 = self.keys(0);
                 for (p, &k) in keys0.iter().enumerate().take(re).skip(rs) {
                     let v = k.to_usize();
@@ -965,10 +877,6 @@ impl<I: TreeIndex> MergeSortTree<I> {
                 return None;
             }
             let child_len = self.levels[level - 1].run_len;
-            // Warm every child's landing window for the first range's lower
-            // bound before the count loop, overlapping the scattered misses.
-            let nc = (re - rs).div_ceil(child_len).min(self.params.fanout);
-            self.warm_children(level, run, bounds[0].0, 0, nc, &mut warm);
             let mut found = false;
             let mut scratch = [(0usize, 0usize); MAX_RANGES];
             for c in 0..self.params.fanout {
@@ -999,7 +907,6 @@ impl<I: TreeIndex> MergeSortTree<I> {
                 return None;
             }
         }
-        std::hint::black_box(warm);
         // Level 0: singleton run.
         Some(run)
     }
@@ -1011,10 +918,10 @@ impl<I: TreeIndex> MergeSortTree<I> {
 
     /// Level-invariant cascade state for the block kernels. The scalar
     /// descent re-derives level metadata and re-slices the arena inside every
-    /// [`Self::cascade`]/[`Self::warm_children`] call — unavoidable when each
-    /// query walks its own recursion — but a level-synchronous sweep touches
-    /// one level at a time, so the block kernels hoist all of it here once
-    /// per level and run the cascades against pre-resolved slices.
+    /// [`Self::cascade`] call — unavoidable when each query walks its own
+    /// recursion — but a level-synchronous sweep touches one level at a time,
+    /// so the block kernels hoist all of it here once per level and run the
+    /// cascades against pre-resolved slices.
     fn cascade_ctx(&self, level: usize) -> CascadeCtx<'_, I> {
         let lvl = &self.levels[level];
         let child = &self.levels[level - 1];
@@ -1030,67 +937,45 @@ impl<I: TreeIndex> MergeSortTree<I> {
             sampling: k,
             samp_shift: if k.is_power_of_two() { Some(k.trailing_zeros()) } else { None },
             n: self.n,
-            cascading: self.params.cascading,
-            prefetch: self.params.prefetch,
         }
     }
 
-    /// Lockstep top searches for a block: rank of every threshold in the top
-    /// run. The identity fast path computes the rank arithmetically; the
-    /// general path runs the batched (load-before-compare) binary searches.
-    /// Both produce `partition_point(|&x| x < thr)` exactly.
-    fn top_ranks(&self, scratch: &mut BlockScratch<I>, warm: &mut usize) {
+    /// Top searches for a block: rank of every threshold in the top run. The
+    /// identity fast path computes the rank arithmetically; sampled tops
+    /// search the cache-resident samples, then one `≤ stride` window; tops too
+    /// small to sample run the lockstep binary searches. All three produce
+    /// `partition_point(|&x| x < thr)` exactly.
+    fn top_ranks(&self, scratch: &mut BlockScratch<I>) {
         scratch.tops.resize(scratch.thr.len(), 0);
         if self.identity_top {
             for (o, &t) in scratch.tops.iter_mut().zip(scratch.thr.iter()) {
                 *o = t.to_usize().min(self.n);
             }
-        } else {
-            let top = self.levels.len() - 1;
-            let keys = self.keys(top);
-            if self.top_samples.is_empty() {
-                batched_partition_points(
-                    keys,
-                    &scratch.thr,
-                    &mut scratch.tops,
-                    self.params.prefetch,
-                    warm,
-                );
-                return;
-            }
-            // Two passes: the sample searches never miss, and every window's
-            // lines are warmed before any window search consumes them.
-            let stride = TOP_SAMPLE_STRIDE;
-            scratch.win_lo.resize(scratch.thr.len(), 0);
-            for (w, &t) in scratch.win_lo.iter_mut().zip(scratch.thr.iter()) {
-                let si = self.top_samples.partition_point(|&x| x < t);
-                // `samples[si-1] = keys[(si-1)·stride] < t ≤ keys[si·stride]`,
-                // so the rank lies in `((si-1)·stride, si·stride]`.
-                let lo = if si > 0 { (si - 1) * stride + 1 } else { 0 };
-                let hi = (si * stride).min(self.n);
-                if self.params.prefetch && lo < hi {
-                    *warm ^= prefetch_read(keys, lo);
-                    *warm ^= prefetch_read(keys, hi - 1);
-                }
-                *w = lo;
-            }
-            for ((o, &lo), &t) in
-                scratch.tops.iter_mut().zip(scratch.win_lo.iter()).zip(scratch.thr.iter())
-            {
-                let hi = (lo + stride - usize::from(lo > 0)).min(self.n);
-                *o = lo + keys[lo..hi].partition_point(|&x| x < t);
-            }
+            return;
+        }
+        let keys = self.keys(self.levels.len() - 1);
+        if self.top_samples.is_empty() {
+            batched_partition_points(keys, &scratch.thr, &mut scratch.tops);
+            return;
+        }
+        let stride = TOP_SAMPLE_STRIDE;
+        for (o, &t) in scratch.tops.iter_mut().zip(scratch.thr.iter()) {
+            let si = self.top_samples.partition_point(|&x| x < t);
+            // `samples[si-1] = keys[(si-1)·stride] < t ≤ keys[si·stride]`,
+            // so the rank lies in `((si-1)·stride, si·stride]`.
+            let lo = if si > 0 { (si - 1) * stride + 1 } else { 0 };
+            let hi = (si * stride).min(self.n);
+            *o = lo + keys[lo..hi].partition_point(|&x| x < t);
         }
     }
 
     /// Block-batched [`Self::count_below`]: answers a whole block of `(a, b,
-    /// t)` queries level-synchronously. Per level, every pending query's
-    /// landing windows are warmed a group ahead of the cascade searches that
-    /// consume them, so the scattered key-line misses of *different queries*
-    /// overlap in the memory system — the scalar path can only overlap misses
-    /// within one query's siblings. The top-level binary searches run in
-    /// lockstep over the shared sorted top run (all loads of a probe depth
-    /// issued before any comparison consumes them).
+    /// t)` queries level-synchronously. Per level, the pending queries'
+    /// cascades run back to back against one set of pre-resolved slices and
+    /// are independent of each other, so their key-line misses overlap; a
+    /// fragment wider than half its run is counted through its complement,
+    /// and runs of at most `SCAN_WIDTH` elements are scanned instead of
+    /// descended.
     ///
     /// Each query performs the exact decomposition and cascade sequence of
     /// [`Self::count_below`]; per-query counts are order-independent integer
@@ -1109,11 +994,10 @@ impl<I: TreeIndex> MergeSortTree<I> {
             return;
         }
         let top = self.levels.len() - 1;
-        let mut warm = 0usize;
 
         scratch.thr.clear();
         scratch.thr.extend(queries.iter().map(|&(_, _, t)| t));
-        self.top_ranks(scratch, &mut warm);
+        self.top_ranks(scratch);
 
         // Seed one task per clamped non-empty query; whole-tree queries are
         // answered by the top search alone.
@@ -1158,42 +1042,13 @@ impl<I: TreeIndex> MergeSortTree<I> {
                     }
                     c
                 };
-                // A fragment's count is also `t.pos` (the rank of the
-                // threshold in the *whole* run) minus the complement's count,
-                // so only the shorter side is ever scanned.
-                let sides = |t: &CountTask| {
-                    let (rs, re) = lvl.run_bounds(t.run, self.n);
-                    (t.b - t.a <= (t.a - rs) + (re - t.b), rs, re)
-                };
-                // One-task lookahead: the next task's region streams in while
-                // this one's (sequential, prefetcher-friendly) compares run.
-                let line = (64 / std::mem::size_of::<I>()).max(1);
-                let warm_span = |a: usize, b: usize, warm: &mut usize| {
-                    let mut p = a;
-                    while p < b.min(a + SCAN_WARM) {
-                        *warm ^= prefetch_read(keys0, p);
-                        p += line;
-                    }
-                };
-                let warm_scan = |t: &CountTask, warm: &mut usize| {
-                    let (frag, rs, re) = sides(t);
-                    if frag {
-                        warm_span(t.a, t.b, warm);
-                    } else {
-                        warm_span(rs, t.a, warm);
-                        warm_span(t.b, re, warm);
-                    }
-                };
-                if let Some(t) = tasks.first() {
-                    warm_scan(t, &mut warm);
-                }
-                for (ti, t) in tasks.iter().enumerate() {
-                    if let Some(nt) = tasks.get(ti + 1) {
-                        warm_scan(nt, &mut warm);
-                    }
+                for t in tasks.iter() {
                     let thr = queries[t.q as usize].2;
-                    let (frag, rs, re) = sides(t);
-                    let c = if frag {
+                    let (rs, re) = lvl.run_bounds(t.run, self.n);
+                    // A fragment's count is also `t.pos` (the rank of the
+                    // threshold in the *whole* run) minus the complement's
+                    // count, so only the shorter side is ever scanned.
+                    let c = if t.b - t.a <= (t.a - rs) + (re - t.b) {
                         below(t.a, t.b, thr)
                     } else {
                         t.pos - below(rs, t.a, thr) - below(t.b, re, thr)
@@ -1206,80 +1061,44 @@ impl<I: TreeIndex> MergeSortTree<I> {
             next.clear();
             let ctx = self.cascade_ctx(level);
             let child_len = ctx.child_run_len;
-            let nc_full = ctx.fanout.min(ctx.ratio);
-            // A fragment spanning more than half its run flips to its
-            // complement — `count(frag) = t.pos − count(complement)` with
-            // `t.pos` (the threshold's whole-run rank) already in hand — so
-            // the cascades walk whichever side overlaps fewer children.
-            let split = |t: &CountTask| -> (bool, [(usize, usize); 2]) {
+            for t in tasks.iter() {
                 let rs = t.run * ctx.run_len;
                 let re = (rs + ctx.run_len).min(self.n);
-                if 2 * (t.b - t.a) <= re - rs {
-                    (false, [(t.a, t.b), (0, 0)])
-                } else {
-                    (true, [(rs, t.a), (t.b, re)])
+                let thr = queries[t.q as usize].2;
+                // A fragment spanning more than half its run flips to its
+                // complement — `count(frag) = t.pos − count(complement)`
+                // with `t.pos` (the threshold's whole-run rank) already in
+                // hand — so the cascades walk whichever side overlaps
+                // fewer children.
+                let flip = 2 * (t.b - t.a) > re - rs;
+                let pieces = if flip { [(rs, t.a), (t.b, re)] } else { [(t.a, t.b), (0, 0)] };
+                let neg = t.neg ^ flip;
+                if flip {
+                    let o = &mut out[t.q as usize];
+                    *o = if t.neg { o.wrapping_sub(t.pos) } else { o.wrapping_add(t.pos) };
                 }
-            };
-            let nchunks = tasks.len().div_ceil(BLOCK_GROUP);
-            for g in 0..nchunks {
-                // One-group lookahead: warm the next group's landing windows
-                // while this group's cascades consume lines already in flight.
-                let warm_group = |grp: usize, warm: &mut usize| {
-                    for t in &tasks[grp * BLOCK_GROUP..((grp + 1) * BLOCK_GROUP).min(tasks.len())] {
-                        let rs = t.run * ctx.run_len;
-                        let (_, pieces) = split(t);
-                        for &(pa, pb) in &pieces {
-                            if pa < pb {
-                                ctx.warm(
-                                    t.run,
-                                    t.pos,
-                                    (pa - rs) / child_len,
-                                    ((pb - 1 - rs) / child_len + 1).min(nc_full),
-                                    warm,
-                                );
-                            }
-                        }
+                for &(pa, pb) in &pieces {
+                    if pa >= pb {
+                        continue;
                     }
-                };
-                if g == 0 {
-                    warm_group(0, &mut warm);
-                }
-                if g + 1 < nchunks {
-                    warm_group(g + 1, &mut warm);
-                }
-                for t in &tasks[g * BLOCK_GROUP..((g + 1) * BLOCK_GROUP).min(tasks.len())] {
-                    let rs = t.run * ctx.run_len;
-                    let re = (rs + ctx.run_len).min(self.n);
-                    let thr = queries[t.q as usize].2;
-                    let (flip, pieces) = split(t);
-                    let neg = t.neg ^ flip;
-                    if flip {
-                        let o = &mut out[t.q as usize];
-                        *o = if t.neg { o.wrapping_sub(t.pos) } else { o.wrapping_add(t.pos) };
-                    }
-                    for &(pa, pb) in &pieces {
-                        if pa >= pb {
-                            continue;
-                        }
-                        for c in (pa - rs) / child_len..=(pb - 1 - rs) / child_len {
-                            let cs = rs + c * child_len;
-                            let ce = (cs + child_len).min(re);
-                            let lo = pa.max(cs);
-                            let hi = pb.min(ce);
-                            let cpos = ctx.cascade_linear(t.run, t.pos, c, thr);
-                            if lo == cs && hi == ce {
-                                let o = &mut out[t.q as usize];
-                                *o = if neg { o.wrapping_sub(cpos) } else { o.wrapping_add(cpos) };
-                            } else {
-                                next.push(CountTask {
-                                    run: cs / child_len,
-                                    a: lo,
-                                    b: hi,
-                                    pos: cpos,
-                                    q: t.q,
-                                    neg,
-                                });
-                            }
+                    for c in (pa - rs) / child_len..=(pb - 1 - rs) / child_len {
+                        let cs = rs + c * child_len;
+                        let ce = (cs + child_len).min(re);
+                        let lo = pa.max(cs);
+                        let hi = pb.min(ce);
+                        let cpos = ctx.cascade_linear(t.run, t.pos, c, thr);
+                        if lo == cs && hi == ce {
+                            let o = &mut out[t.q as usize];
+                            *o = if neg { o.wrapping_sub(cpos) } else { o.wrapping_add(cpos) };
+                        } else {
+                            next.push(CountTask {
+                                run: cs / child_len,
+                                a: lo,
+                                b: hi,
+                                pos: cpos,
+                                q: t.q,
+                                neg,
+                            });
                         }
                     }
                 }
@@ -1287,14 +1106,15 @@ impl<I: TreeIndex> MergeSortTree<I> {
             std::mem::swap(tasks, next);
             level -= 1;
         }
-        std::hint::black_box(warm);
     }
 
     /// Block-batched [`Self::select`]: answers a block of `(ranges, j)`
-    /// queries level-synchronously with the same lockstep top searches and
-    /// group-ahead warm-up as [`Self::count_below_block`]. Every query walks
-    /// the exact cascade-and-count sequence of the scalar descent, so the
-    /// selected positions are bit-identical.
+    /// queries level-synchronously with the same top searches as
+    /// [`Self::count_below_block`], then one walk over the children per query
+    /// and level, and a member countdown over the base keys once runs are at
+    /// most `SCAN_WIDTH` wide. Every query walks the exact cascade-and-count
+    /// sequence of the scalar descent, so the selected positions are
+    /// bit-identical.
     pub fn select_block(
         &self,
         queries: &[(RangeSet, usize)],
@@ -1309,10 +1129,9 @@ impl<I: TreeIndex> MergeSortTree<I> {
             return;
         }
         let top = self.levels.len() - 1;
-        let mut warm = 0usize;
 
-        // Lockstep top searches: two value-bound probes per frame piece,
-        // flattened across the block (pieces per query vary).
+        // Top searches: two value-bound probes per frame piece, flattened
+        // across the block (pieces per query vary).
         scratch.thr.clear();
         for (ranges, _) in queries {
             for (lo, hi) in ranges.iter() {
@@ -1320,7 +1139,7 @@ impl<I: TreeIndex> MergeSortTree<I> {
                 scratch.thr.push(I::from_usize(hi));
             }
         }
-        self.top_ranks(scratch, &mut warm);
+        self.top_ranks(scratch);
 
         let tasks = &mut scratch.sel_cur;
         let next = &mut scratch.sel_next;
@@ -1345,82 +1164,45 @@ impl<I: TreeIndex> MergeSortTree<I> {
             next.clear();
             let ctx = self.cascade_ctx(level);
             let child_len = ctx.child_run_len;
-            let nchunks = tasks.len().div_ceil(BLOCK_GROUP);
-            for g in 0..nchunks {
-                let warm_group = |grp: usize, warm: &mut usize| {
-                    for t in &tasks[grp * BLOCK_GROUP..((grp + 1) * BLOCK_GROUP).min(tasks.len())] {
-                        let rs = t.run * ctx.run_len;
-                        let re = (rs + ctx.run_len).min(self.n);
-                        let nc = (re - rs).div_ceil(child_len).min(ctx.fanout);
-                        // Both bounds cascade below, so both landing windows
-                        // need their lines in flight — but only up to the
-                        // walk's exit child. Members spread roughly uniformly
-                        // across children, so the expected exit is
-                        // `j·nc/total`; warming a small slack past it covers
-                        // the variance while skipping the (on average) half of
-                        // the run the walk never reaches.
-                        let total: usize = t.bounds.iter().map(|b| b.1 - b.0).sum();
-                        let wc = (t.j * nc)
-                            .checked_div(total)
-                            .map_or(nc, |e| (e + SEL_WARM_SLACK).min(nc));
-                        ctx.warm(t.run, t.bounds[0].0, 0, wc, warm);
-                        ctx.warm(t.run, t.bounds[0].1, 0, wc, warm);
+            for t in tasks.iter() {
+                let rs = t.run * ctx.run_len;
+                let re = (rs + ctx.run_len).min(self.n);
+                let nc = (re - rs).div_ceil(child_len).min(ctx.fanout);
+                let (ranges, _) = &queries[t.q as usize];
+                let nr = ranges.len();
+                let mut vb = [(0usize, 0usize); MAX_RANGES];
+                for (ri, b) in vb.iter_mut().enumerate().take(nr) {
+                    *b = ranges.nth(ri);
+                }
+                // Walk the children left to right, counting each one's
+                // members through both bounds' cascades, down to the child
+                // that holds the `j`-th member.
+                let mut j = t.j;
+                let mut found = false;
+                let child_cnt = |c: usize, refs: &mut [(usize, usize); MAX_RANGES]| {
+                    let mut cnt = 0usize;
+                    for ri in 0..nr {
+                        let (blo, bhi) = t.bounds[ri];
+                        let (lo_v, hi_v) = vb[ri];
+                        let pl = ctx.cascade(t.run, blo, c, I::from_usize(lo_v));
+                        let ph = ctx.cascade(t.run, bhi, c, I::from_usize(hi_v));
+                        cnt += ph - pl;
+                        refs[ri] = (pl, ph);
                     }
+                    cnt
                 };
-                if g == 0 {
-                    warm_group(0, &mut warm);
-                }
-                if g + 1 < nchunks {
-                    warm_group(g + 1, &mut warm);
-                }
-                for t in &tasks[g * BLOCK_GROUP..((g + 1) * BLOCK_GROUP).min(tasks.len())] {
-                    let rs = t.run * ctx.run_len;
-                    let re = (rs + ctx.run_len).min(self.n);
-                    let nc = (re - rs).div_ceil(child_len).min(ctx.fanout);
-                    let (ranges, _) = &queries[t.q as usize];
-                    let nr = ranges.len();
-                    let mut vb = [(0usize, 0usize); MAX_RANGES];
-                    for (ri, b) in vb.iter_mut().enumerate().take(nr) {
-                        *b = ranges.nth(ri);
+                let mut refs = [(0usize, 0usize); MAX_RANGES];
+                for c in 0..nc {
+                    let cnt = child_cnt(c, &mut refs);
+                    if j < cnt {
+                        next.push(SelTask { run: t.run * ctx.ratio + c, bounds: refs, j, q: t.q });
+                        found = true;
+                        break;
                     }
-                    // Walk toward the exit child from whichever end of the
-                    // run is nearer: the `j`-th member from the left is the
-                    // `total-1-j`-th from the right, and a right-to-left walk
-                    // finds the same exit child with the complementary local
-                    // index `cnt-1-jr` — identical integers, half the
-                    // expected cascades.
-                    let mut j = t.j;
-                    let mut found = false;
-                    let child_cnt = |c: usize, refs: &mut [(usize, usize); MAX_RANGES]| {
-                        let mut cnt = 0usize;
-                        for ri in 0..nr {
-                            let (blo, bhi) = t.bounds[ri];
-                            let (lo_v, hi_v) = vb[ri];
-                            let pl = ctx.cascade(t.run, blo, c, I::from_usize(lo_v));
-                            let ph = ctx.cascade(t.run, bhi, c, I::from_usize(hi_v));
-                            cnt += ph - pl;
-                            refs[ri] = (pl, ph);
-                        }
-                        cnt
-                    };
-                    let mut refs = [(0usize, 0usize); MAX_RANGES];
-                    for c in 0..nc {
-                        let cnt = child_cnt(c, &mut refs);
-                        if j < cnt {
-                            next.push(SelTask {
-                                run: t.run * ctx.ratio + c,
-                                bounds: refs,
-                                j,
-                                q: t.q,
-                            });
-                            found = true;
-                            break;
-                        }
-                        j -= cnt;
-                    }
-                    debug_assert!(found, "select descent lost the target");
-                    let _ = found; // lost targets leave `out[q]` at None
+                    j -= cnt;
                 }
+                debug_assert!(found, "select descent lost the target");
+                let _ = found; // lost targets leave `out[q]` at None
             }
             std::mem::swap(tasks, next);
             level -= 1;
@@ -1440,34 +1222,10 @@ impl<I: TreeIndex> MergeSortTree<I> {
             // The `j`-th member from the left is the `total-1-j`-th from the
             // right (`total` = this run's member count, from the refined
             // bounds) — the countdown starts from whichever end is nearer,
-            // halving the expected scan. One-task lookahead streams the next
-            // task's region in while this task's scan runs.
-            let line = (64 / std::mem::size_of::<I>()).max(1);
-            let total_of = |t: &SelTask| t.bounds.iter().map(|b| b.1 - b.0).sum::<usize>();
-            let warm_scan = |t: &SelTask, warm: &mut usize| {
+            // halving the expected scan.
+            for t in tasks.iter() {
                 let (rs, re) = lvl.run_bounds(t.run, self.n);
-                if 2 * t.j < total_of(t) {
-                    let mut p = rs;
-                    while p < re.min(rs + SCAN_WARM) {
-                        *warm ^= prefetch_read(keys0, p);
-                        p += line;
-                    }
-                } else {
-                    let mut p = re.saturating_sub(SCAN_WARM).max(rs);
-                    while p < re {
-                        *warm ^= prefetch_read(keys0, p);
-                        p += line;
-                    }
-                }
-            };
-            if let Some(t) = tasks.first() {
-                warm_scan(t, &mut warm);
-            }
-            for (ti, t) in tasks.iter().enumerate() {
-                if let Some(nt) = tasks.get(ti + 1) {
-                    warm_scan(nt, &mut warm);
-                }
-                let (rs, re) = lvl.run_bounds(t.run, self.n);
+                let total: usize = t.bounds.iter().map(|b| b.1 - b.0).sum();
                 let (ranges, _) = &queries[t.q as usize];
                 let nr = ranges.len();
                 let mut vb = [(0usize, 0usize); MAX_RANGES];
@@ -1482,11 +1240,11 @@ impl<I: TreeIndex> MergeSortTree<I> {
                     // Compare in the key's native width: u32 keys pack twice
                     // the SIMD lanes of a usize-widened compare.
                     let (lo_i, hi_i) = (I::from_usize(vb[0].0), I::from_usize(vb[0].1));
-                    select_scan(keys0, rs, re, t.j, total_of(t), |k: I| {
+                    select_scan(keys0, rs, re, t.j, total, |k: I| {
                         usize::from(k >= lo_i && k < hi_i)
                     })
                 } else {
-                    select_scan(keys0, rs, re, t.j, total_of(t), |k: I| {
+                    select_scan(keys0, rs, re, t.j, total, |k: I| {
                         let v = k.to_usize();
                         let mut m = 0usize;
                         for &(lo_v, hi_v) in vb.iter().take(nr) {
@@ -1506,7 +1264,6 @@ impl<I: TreeIndex> MergeSortTree<I> {
                 out[t.q as usize] = Some(0);
             }
         }
-        std::hint::black_box(warm);
     }
 
     /// Total number of stored elements across all levels (memory accounting,
@@ -1537,11 +1294,6 @@ impl<I: TreeIndex> MergeSortTree<I> {
         &self.levels
     }
 }
-
-/// Task group size of the block kernels: landing windows are warmed one group
-/// ahead of the cascades that consume them, so up to `2 · BLOCK_GROUP` warm
-/// reads are in flight while a group's searches run.
-const BLOCK_GROUP: usize = 8;
 
 /// Run-width cutoff below which the block kernels answer residual tasks by a
 /// contiguous scan of the base keys instead of further cascade descents. A
@@ -1614,14 +1366,6 @@ fn select_scan<I: TreeIndex>(
     }
 }
 
-/// Elements of the *next* task's scan region streamed in ahead of its scan.
-const SCAN_WARM: usize = 256;
-
-/// Children warmed past the select walk's expected exit child. The kernels
-/// sit near the memory-parallelism ceiling, so wasted warm reads cost real
-/// throughput; a cold cascade past the slack merely costs latency.
-const SEL_WARM_SLACK: usize = 1;
-
 /// One level's pre-resolved cascade state (see [`MergeSortTree::cascade_ctx`]).
 struct CascadeCtx<'a, I> {
     child_keys: &'a [I],
@@ -1637,8 +1381,6 @@ struct CascadeCtx<'a, I> {
     /// per-cascade integer division with a shift.
     samp_shift: Option<u32>,
     n: usize,
-    cascading: bool,
-    prefetch: bool,
 }
 
 impl<I: TreeIndex> CascadeCtx<'_, I> {
@@ -1657,9 +1399,6 @@ impl<I: TreeIndex> CascadeCtx<'_, I> {
     fn cascade(&self, run: usize, pos: usize, c: usize, t: I) -> usize {
         let cs = (run * self.ratio + c) * self.child_run_len;
         let ce = (cs + self.child_run_len).min(self.n);
-        if !self.cascading {
-            return self.child_keys[cs..ce].partition_point(|&x| x < t);
-        }
         let base = (run * self.samples_per_run + self.slot(pos)) * self.fanout + c;
         let lo = self.ptrs[base].to_usize();
         let hi = self.ptrs[base + self.fanout].to_usize().min(ce - cs);
@@ -1669,17 +1408,15 @@ impl<I: TreeIndex> CascadeCtx<'_, I> {
 
     /// [`Self::cascade`] with the landing-window search replaced by a
     /// branchless linear count — bit-identical on the sorted window (the
-    /// count of keys `< t` *is* the partition point). The count kernel's
-    /// windows are warm when read, so trading the dependent-probe binary
-    /// search for vectorizable compares wins there; the select walk's mixed
-    /// reuse pattern prefers the probe version.
+    /// count of keys `< t` *is* the partition point). The window is at most
+    /// `sampling + 1` contiguous keys, so the count kernel trades the
+    /// dependent-probe binary search for vectorizable compares; the select
+    /// walk, which cascades two bounds per child and stops at its exit child,
+    /// measured faster on the probe version.
     #[inline(always)]
     fn cascade_linear(&self, run: usize, pos: usize, c: usize, t: I) -> usize {
         let cs = (run * self.ratio + c) * self.child_run_len;
         let ce = (cs + self.child_run_len).min(self.n);
-        if !self.cascading {
-            return self.child_keys[cs..ce].partition_point(|&x| x < t);
-        }
         let base = (run * self.samples_per_run + self.slot(pos)) * self.fanout + c;
         let lo = self.ptrs[base].to_usize();
         let hi = self.ptrs[base + self.fanout].to_usize().min(ce - cs);
@@ -1689,25 +1426,6 @@ impl<I: TreeIndex> CascadeCtx<'_, I> {
             cnt += usize::from(x < t);
         }
         lo + cnt
-    }
-
-    /// Exactly [`MergeSortTree::warm_children`] with the level state
-    /// pre-resolved (pure reads folded into `warm`).
-    #[inline]
-    fn warm(&self, run: usize, pos: usize, c_from: usize, c_to: usize, warm: &mut usize) {
-        if !self.prefetch || !self.cascading || c_to <= c_from {
-            return;
-        }
-        let base = (run * self.samples_per_run + self.slot(pos)) * self.fanout + c_from;
-        let ptrs = &self.ptrs[base..base + (c_to - c_from)];
-        for (i, p) in ptrs.iter().enumerate() {
-            let cs = (run * self.ratio + c_from + i) * self.child_run_len;
-            let ce = (cs + self.child_run_len).min(self.n);
-            if cs >= ce {
-                break;
-            }
-            *warm ^= prefetch_read(self.child_keys, cs + p.to_usize().min(ce - cs - 1));
-        }
     }
 }
 
@@ -1765,7 +1483,6 @@ pub struct BlockScratch<I: TreeIndex> {
     pub stats: BlockStats,
     thr: Vec<I>,
     tops: Vec<usize>,
-    win_lo: Vec<usize>,
     cnt_cur: Vec<CountTask>,
     cnt_next: Vec<CountTask>,
     sel_cur: Vec<SelTask>,
@@ -1779,7 +1496,6 @@ impl<I: TreeIndex> BlockScratch<I> {
             stats: BlockStats::default(),
             thr: Vec::new(),
             tops: Vec::new(),
-            win_lo: Vec::new(),
             cnt_cur: Vec::new(),
             cnt_next: Vec::new(),
             sel_cur: Vec::new(),
@@ -1794,11 +1510,6 @@ impl<I: TreeIndex> Default for BlockScratch<I> {
     }
 }
 
-/// Lockstep batched `partition_point(|&x| x < thr[i])` over one shared sorted
-/// slice: all searches share the same probe-depth schedule (the interval
-/// length shrinks identically regardless of comparison outcomes), so each
-/// depth issues every query's load before any comparison consumes one —
-/// software pipelining of the block's top-level searches.
 /// Stride of the top-run sample vector (see `MergeSortTree::top_samples`).
 const TOP_SAMPLE_STRIDE: usize = 64;
 
@@ -1816,13 +1527,11 @@ fn top_is_identity<I: TreeIndex>(top_keys: &[I], n: usize) -> bool {
     top_keys.len() == n && top_keys.iter().enumerate().all(|(i, &k)| k.to_usize() == i)
 }
 
-fn batched_partition_points<I: TreeIndex>(
-    keys: &[I],
-    thr: &[I],
-    out: &mut [usize],
-    prefetch: bool,
-    warm: &mut usize,
-) {
+/// Lockstep batched `partition_point(|&x| x < thr[i])` over one shared sorted
+/// slice: all searches share the same probe-depth schedule (the interval
+/// length shrinks identically regardless of comparison outcomes), and the
+/// searches of one depth are independent of each other.
+fn batched_partition_points<I: TreeIndex>(keys: &[I], thr: &[I], out: &mut [usize]) {
     debug_assert_eq!(thr.len(), out.len());
     out.fill(0);
     let n = keys.len();
@@ -1833,11 +1542,6 @@ fn batched_partition_points<I: TreeIndex>(
     let mut len = n;
     while len > 1 {
         let half = len / 2;
-        if prefetch {
-            for &base in out.iter() {
-                *warm ^= prefetch_read(keys, base + half - 1);
-            }
-        }
         for (base, &t) in out.iter_mut().zip(thr) {
             if keys[*base + half - 1] < t {
                 *base += half;
@@ -2066,42 +1770,6 @@ mod tests {
     }
 
     #[test]
-    fn no_cascading_gives_identical_answers() {
-        let mut rng = StdRng::seed_from_u64(48);
-        let n = 400;
-        let vals: Vec<u32> = (0..n).map(|_| rng.gen_range(0..120)).collect();
-        let with = MergeSortTree::<u32>::build(&vals, MstParams::new(8, 16));
-        let without = MergeSortTree::<u32>::build(&vals, MstParams::new(8, 16).no_cascading());
-        for _ in 0..200 {
-            let a = rng.gen_range(0..=n as usize);
-            let b = rng.gen_range(a..=n as usize);
-            let t = rng.gen_range(0..130);
-            assert_eq!(with.count_below(a, b, t), without.count_below(a, b, t));
-            let (lo, hi) = (rng.gen_range(0..60), rng.gen_range(60..130));
-            let j = rng.gen_range(0..n as usize);
-            assert_eq!(with.select_in_range(lo, hi, j), without.select_in_range(lo, hi, j));
-        }
-    }
-
-    #[test]
-    fn no_prefetch_gives_identical_answers() {
-        let mut rng = StdRng::seed_from_u64(52);
-        let n = 500;
-        let vals: Vec<u32> = (0..n).map(|_| rng.gen_range(0..140)).collect();
-        let with = MergeSortTree::<u32>::build(&vals, MstParams::new(8, 4));
-        let without = MergeSortTree::<u32>::build(&vals, MstParams::new(8, 4).no_prefetch());
-        for _ in 0..200 {
-            let a = rng.gen_range(0..=n as usize);
-            let b = rng.gen_range(a..=n as usize);
-            let t = rng.gen_range(0..150);
-            assert_eq!(with.count_below(a, b, t), without.count_below(a, b, t));
-            let (lo, hi) = (rng.gen_range(0..70), rng.gen_range(70..150));
-            let j = rng.gen_range(0..40);
-            assert_eq!(with.select_in_range(lo, hi, j), without.select_in_range(lo, hi, j));
-        }
-    }
-
-    #[test]
     fn cursor_visit_order_matches_stateless() {
         // Order-sensitive downstream combines (float aggregates) require the
         // cursor descent to emit the exact visit sequence of the recursion;
@@ -2142,8 +1810,6 @@ mod tests {
             MstParams::new(8, 32),
             MstParams::new(32, 32),
             MstParams::new(5, 7),
-            MstParams::new(8, 16).no_cascading(),
-            MstParams::new(8, 16).no_prefetch(),
         ];
         for params in param_set {
             for _ in 0..4 {
@@ -2184,7 +1850,6 @@ mod tests {
             MstParams::new(3, 2),
             MstParams::new(8, 32),
             MstParams::new(32, 32),
-            MstParams::new(8, 16).no_cascading(),
         ];
         for params in param_set {
             for _ in 0..4 {

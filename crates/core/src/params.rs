@@ -23,21 +23,11 @@ pub struct MstParams {
     /// Build in parallel with rayon: the sort of the keys, and one scatter
     /// task per run on every level of several runs. Queries are unaffected.
     pub parallel: bool,
-    /// Use fractional cascading pointers during queries. Disabling re-runs a
-    /// full binary search on every tree level — the O((log n)²) query of
-    /// Figure 2 instead of Figure 3's O(log n) — and exists for the ablation
-    /// benchmark; production use keeps it on.
-    pub cascading: bool,
-    /// Issue software prefetches (safe cache-warming reads, see
-    /// [`crate::arena`]) for the next level's cascaded landing run during
-    /// probe descents. Pure reads: query results are bit-identical either
-    /// way. Requires `cascading`; a no-op in the ablation mode.
-    pub prefetch: bool,
 }
 
 impl Default for MstParams {
     fn default() -> Self {
-        MstParams { fanout: 32, sampling: 32, parallel: true, cascading: true, prefetch: true }
+        MstParams { fanout: 32, sampling: 32, parallel: true }
     }
 }
 
@@ -56,22 +46,24 @@ impl MstParams {
         self
     }
 
-    /// Disables fractional cascading during queries (ablation only).
-    pub fn no_cascading(mut self) -> Self {
-        self.cascading = false;
-        self
-    }
-
-    /// Disables probe-descent software prefetching (ablation / measurement).
-    pub fn no_prefetch(mut self) -> Self {
-        self.prefetch = false;
-        self
+    /// Names the documented domain the parameters are out of, if any. The
+    /// fields are public, so a literal can bypass [`Self::new`]: callers that
+    /// take parameters from outside check here and report a typed error.
+    pub fn check(&self) -> Result<(), &'static str> {
+        if self.fanout < 2 {
+            return Err("merge sort tree fanout must be at least 2");
+        }
+        if self.sampling < 1 {
+            return Err("cascading pointer sampling stride must be at least 1");
+        }
+        Ok(())
     }
 
     /// Panics if the parameters are out of their documented domains.
     pub fn validate(&self) {
-        assert!(self.fanout >= 2, "merge sort tree fanout must be at least 2");
-        assert!(self.sampling >= 1, "cascading pointer sampling stride must be at least 1");
+        if let Err(domain) = self.check() {
+            panic!("{domain}");
+        }
     }
 }
 
@@ -84,16 +76,6 @@ mod tests {
         let p = MstParams::default();
         assert_eq!(p.fanout, 32);
         assert_eq!(p.sampling, 32);
-        assert!(p.parallel);
-        assert!(p.cascading);
-        assert!(p.prefetch);
-    }
-
-    #[test]
-    fn no_prefetch_toggles_prefetch_only() {
-        let p = MstParams::new(8, 4).no_prefetch();
-        assert!(!p.prefetch);
-        assert!(p.cascading);
         assert!(p.parallel);
     }
 

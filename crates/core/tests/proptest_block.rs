@@ -1,23 +1,15 @@
 //! Property tests for the level-synchronous block probe kernels:
 //! `count_below_block` / `select_block` must be bit-identical to the scalar
 //! `count_below_multi` / `select` over arbitrary data, arbitrary tree
-//! parameters (fanout, sampling, cascading and prefetch ablations), u32 and
-//! u64 indices, single- and multi-piece range sets, and arbitrary block
-//! sizes (the drivers chop query streams at arbitrary boundaries).
+//! parameters (fanout, sampling), u32 and u64 indices, single- and
+//! multi-piece range sets, and arbitrary block sizes (the drivers chop query
+//! streams at arbitrary boundaries).
 
 use holistic_core::{BlockScratch, MergeSortTree, MstParams, RangeSet, TreeIndex};
 use proptest::prelude::*;
 
 fn params_strategy() -> impl Strategy<Value = MstParams> {
-    (2usize..=33, 1usize..=33, 0u8..4).prop_map(|(f, k, abl)| {
-        let p = MstParams::new(f, k).serial();
-        match abl {
-            0 => p,
-            1 => p.no_cascading(),
-            2 => p.no_prefetch(),
-            _ => p.no_cascading().no_prefetch(),
-        }
-    })
+    (2usize..=33, 1usize..=33).prop_map(|(f, k)| MstParams::new(f, k).serial())
 }
 
 /// Raw generator material for one select query: a hull, a hole, and `j`.

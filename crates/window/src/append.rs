@@ -290,6 +290,7 @@ impl IncrementalEngine {
     /// Builds the engine and runs the initial evaluation (equivalent to one
     /// [`WindowQuery::execute_with`] pass, plus forest construction).
     pub fn new(query: WindowQuery, table: Table, opts: ExecOptions) -> Result<IncrementalEngine> {
+        opts.validate()?;
         for call in &query.calls {
             call.validate()?;
         }

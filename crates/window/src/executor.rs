@@ -12,7 +12,7 @@
 
 use crate::artifacts::BudgetGovernor;
 use crate::column::ColumnScatter;
-use crate::error::Result;
+use crate::error::{Error, Result};
 use crate::eval::pipeline::{hoist_keys, HoistedKeys, PartitionEval, PartitionOutput};
 use crate::partition::partition_rows;
 use crate::plan::{plan_query, QueryPlan};
@@ -92,6 +92,13 @@ impl ExecOptions {
     pub fn no_sharing(mut self) -> Self {
         self.share_artifacts = false;
         self
+    }
+
+    /// Rejects tree parameters outside their documented domains. Every
+    /// entry point that takes options calls this before anything is built:
+    /// the fields are public, so `MstParams::new`'s assert can be bypassed.
+    pub(crate) fn validate(&self) -> Result<()> {
+        self.params.check().map_err(|domain| Error::InvalidArgument(domain.into()))
     }
 
     /// Every engine configuration the result must be invariant under:
@@ -395,6 +402,7 @@ impl WindowQuery {
         // Plan phase: validate every call, then derive canonical artifact
         // keys and the per-partition prebuild worklist.
         let plan_start = Instant::now();
+        opts.validate()?;
         for call in &self.calls {
             call.validate()?;
         }
