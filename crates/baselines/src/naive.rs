@@ -279,7 +279,9 @@ fn eval_row(ctx: &NaiveCtx<'_>, call: &FunctionCall, i: usize) -> Result<Value> 
                 return Ok(Value::Null);
             }
             Ok(if call.kind == Avg {
-                Value::Float(sum_f / cnt as f64)
+                // All-integer frames divide the exact sum: one rounding.
+                let sum = if any_float || call.distinct { sum_f } else { sum_i as f64 };
+                Value::Float(sum / cnt as f64)
             } else if any_float {
                 Value::Float(sum_f)
             } else {

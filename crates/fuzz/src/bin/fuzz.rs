@@ -18,17 +18,19 @@
 //! execution under every configuration. `--budget BYTES` runs the
 //! budget-constrained mode instead: every case runs under a memory budget
 //! and must be bit-identical to the unbudgeted serial reference or fail
-//! with the typed `BudgetExceeded` (never panic). `--sql-roundtrip` runs the
-//! frontend loop instead: each case's query is printed as SQL, re-parsed and
-//! re-planned (must reproduce the spec structurally), and executed through
-//! the `holistic-sql` session path (must be bit-identical to the builder
-//! path).
+//! with the typed `BudgetExceeded` (never panic); its summary line counts the
+//! cases that compared a re-faulted tree and those that ended in
+//! `BudgetExceeded`. `--sql-roundtrip` runs the frontend loop instead: each
+//! case's query is printed as SQL, re-parsed and re-planned (must reproduce
+//! the spec structurally), and executed through the `holistic-sql` session
+//! path (must be bit-identical to the builder path).
 
 use holistic_fuzz::gen::{case_seed, generate, GenConfig};
 use holistic_fuzz::{
     check_append_case, check_budget_case, check_case, check_sql_roundtrip, dump_table, panic_sweep,
     shrink, with_quiet_panics,
 };
+use std::cell::Cell;
 use std::time::Instant;
 
 struct Args {
@@ -134,7 +136,7 @@ fn report_failure(
         if args.sql_roundtrip {
             check_sql_roundtrip(t, q)
         } else if let Some(b) = args.budget {
-            check_budget_case(t, q, b)
+            check_budget_case(t, q, b).map(drop)
         } else if args.append {
             check_append_case(t, q, cs)
         } else {
@@ -184,11 +186,17 @@ fn main() {
 
     let cfg = GenConfig { max_n: args.max_n, max_calls: args.max_calls };
 
+    // Budget mode's summary: cases where a compared config re-faulted a
+    // tree, and cases where a config ended in `BudgetExceeded`.
+    let (refaulted, exceeded) = (Cell::new(0u64), Cell::new(0u64));
     let check = |t: &holistic_window::Table, q: &holistic_window::WindowQuery, cs: u64| {
         if args.sql_roundtrip {
             check_sql_roundtrip(t, q)
         } else if let Some(b) = args.budget {
-            check_budget_case(t, q, b)
+            check_budget_case(t, q, b).map(|probe| {
+                refaulted.set(refaulted.get() + probe.compared_refaulted as u64);
+                exceeded.set(exceeded.get() + probe.exceeded as u64);
+            })
         } else if args.append {
             check_append_case(t, q, cs)
         } else {
@@ -248,9 +256,12 @@ fn main() {
     } else if let Some(b) = args.budget {
         println!(
             "fuzz OK (budget mode): {ran} cases, seed {:#x}, max-n {}, budget {b} B — \
-             budgeted configs bit-identical or typed BudgetExceeded ({:.1}s)",
+             budgeted configs bit-identical or typed BudgetExceeded; {} cases compared a \
+             re-faulted tree, {} ended in BudgetExceeded ({:.1}s)",
             args.seed,
             args.max_n,
+            refaulted.get(),
+            exceeded.get(),
             start.elapsed().as_secs_f64()
         );
     } else if args.append {

@@ -119,6 +119,18 @@ pub(crate) fn compare_tables(
     Ok(())
 }
 
+/// What a budget case that held probed: the `--budget` summary counts these,
+/// so a leg picked for the cases that compare a tree built out of core says
+/// when a smaller governed footprint has made them vanish.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct BudgetProbe {
+    /// At least one budgeted configuration ran to completion — its output
+    /// compared with the reference — having re-faulted a parked tree.
+    pub compared_refaulted: bool,
+    /// At least one budgeted configuration ended in `BudgetExceeded`.
+    pub exceeded: bool,
+}
+
 /// Checks one case under a memory budget: budgeted configurations must be
 /// **bit-identical** to an unbudgeted serial reference whenever they
 /// complete, and may otherwise fail only with the typed
@@ -129,7 +141,7 @@ pub fn check_budget_case(
     table: &Table,
     query: &WindowQuery,
     budget: u64,
-) -> Result<(), Divergence> {
+) -> Result<BudgetProbe, Divergence> {
     let reference =
         run_protected("serial-reference", || query.execute_with(table, ExecOptions::serial()))?;
     let configs = [
@@ -137,13 +149,14 @@ pub fn check_budget_case(
         ExecOptions::default().memory_budget(budget),
         ExecOptions::serial().force_strategy(Strategy::Mst).memory_budget(budget),
     ];
+    let mut probe = BudgetProbe::default();
     for opts in configs {
         let label = opts.label();
-        let res = run_protected(&label, || query.execute_with(table, opts))?;
+        let res = run_protected(&label, || query.execute_profiled(table, opts))?;
         match (&reference, res) {
             // Running out of budget is always a legitimate outcome — but
             // only through the typed error, never a panic (caught above).
-            (_, Err(holistic_window::Error::BudgetExceeded { .. })) => {}
+            (_, Err(holistic_window::Error::BudgetExceeded { .. })) => probe.exceeded = true,
             (Err(_), Err(_)) => {}
             (Err(e), Ok(_)) => {
                 return Err(Divergence {
@@ -160,12 +173,13 @@ pub fn check_budget_case(
                     ),
                 })
             }
-            (Ok(expect), Ok(got)) => {
-                compare_tables(&label, "serial-reference", query, expect, &got, values_identical)?
+            (Ok(expect), Ok((got, profile))) => {
+                compare_tables(&label, "serial-reference", query, expect, &got, values_identical)?;
+                probe.compared_refaulted |= profile.spill.refaults > 0;
             }
         }
     }
-    Ok(())
+    Ok(probe)
 }
 
 /// The bit-identical group of [`check_case`]: every adaptive configuration

@@ -39,7 +39,7 @@ pub mod shrink;
 pub mod sql_roundtrip;
 
 pub use append::{append_plan, check_append_case, AppendPlan};
-pub use diff::{check_budget_case, check_case, Divergence};
+pub use diff::{check_budget_case, check_case, BudgetProbe, Divergence};
 pub use gen::{case_seed, generate, FuzzCase, GenConfig};
 pub use panic_sweep::{panic_sweep, SweepReport};
 pub use shrink::shrink;

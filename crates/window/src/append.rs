@@ -325,7 +325,8 @@ impl IncrementalEngine {
     }
 
     /// True once an error mid-append left derived state unusable; every
-    /// subsequent call errors. Rebuild with [`WindowQuery::begin_incremental`].
+    /// subsequent call errors and the cached artifacts are released. Rebuild
+    /// with [`WindowQuery::begin_incremental`].
     pub fn is_poisoned(&self) -> bool {
         self.poisoned
     }
@@ -374,7 +375,12 @@ impl IncrementalEngine {
         match self.ingest(from_row, true) {
             Ok(res) => Ok(res),
             Err(e) => {
+                // Nothing will read the derived state again: give the
+                // governed bytes back now, not when the engine is dropped.
                 self.poisoned = true;
+                for ps in &self.parts {
+                    ps.cache.invalidate_all();
+                }
                 Err(e)
             }
         }

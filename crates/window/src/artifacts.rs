@@ -35,19 +35,19 @@ use crate::eval::Ctx;
 use crate::executor::{CacheStats, SpillStats};
 use crate::hash::hash_value;
 use crate::order::{dense_codes_for, KeyColumns};
-use crate::plan::{sort_keys_of, ArtifactKey, CallKeys, OrderKey, SegFlavor};
+use crate::plan::{sort_keys_of, ArtifactKey, CallKeys};
 use crate::remap::Remap;
 use crate::value::Value;
 use holistic_core::aggregate::DistinctAggregate;
 use holistic_core::codes::DenseCodes;
 use holistic_core::index::fits_u32;
 use holistic_core::{
-    mst_arena_len, mst_spill_build_len, AnnotatedMst, MergeSortTree, MstParams, MstShell,
+    mst_arena_len, mst_spill_build_len, AnnotatedMst, MergeSortTree, MstParams, MstShell, RangeSet,
     SpillableArena, TreeIndex,
 };
 use holistic_rangemode::RangeModeIndex;
 use holistic_rangetree::RangeTree3;
-use holistic_segtree::{CountMonoid, Monoid, SegmentTree};
+use holistic_segtree::{Monoid, SegmentTree};
 use rustc_hash::FxHashMap;
 use std::any::Any;
 use std::mem::size_of;
@@ -702,6 +702,12 @@ impl MaskArtifact {
         self.remap.kept_len()
     }
 
+    /// How many of the positions `pieces` are kept — a frame's participating
+    /// rows, in O(1) per piece.
+    pub fn kept_in(&self, pieces: &RangeSet) -> usize {
+        self.remap.range_set(pieces).count()
+    }
+
     /// Kept index → table row. `rows` is the row list the mask was built
     /// over (the artifact outlives any borrow of it inside the cache, so
     /// readers pass it back in).
@@ -927,20 +933,11 @@ impl Ctx<'_> {
         })
     }
 
-    /// Merge sort tree over the permutation array (selection family),
-    /// [`ArtifactKey::PermMst`]. The `Identity` order is the identity
-    /// permutation over the kept rows.
+    /// Merge sort tree over the inner sort's permutation array (selection
+    /// family), [`ArtifactKey::PermMst`].
     pub(crate) fn perm_mst<I: TreeIndex>(&self, keys: &CallKeys) -> Result<Arc<MergeSortTree<I>>> {
-        let ArtifactKey::PermMst(order, _) = keys.perm_mst() else { unreachable!("perm-MST key") };
         self.mst(keys.perm_mst(), || {
-            Ok(match order {
-                OrderKey::Identity => {
-                    (0..self.mask_art(keys)?.kept_len()).map(I::from_usize).collect()
-                }
-                OrderKey::Keys(_) => {
-                    self.dense_codes_art(keys)?.perm.iter().map(|&p| I::from_usize(p)).collect()
-                }
-            })
+            Ok(self.dense_codes_art(keys)?.perm.iter().map(|&p| I::from_usize(p)).collect())
         })
     }
 
@@ -978,17 +975,6 @@ impl Ctx<'_> {
     ) -> Result<Arc<MergeSortTree<I>>> {
         self.mst(keys.distinct_count_mst(), || {
             Ok(self.prev_idcs_art(keys)?.iter().map(|&p| I::from_usize(p)).collect())
-        })
-    }
-
-    /// The kept-row count segment tree shared by a mask's aggregates, the
-    /// [`ArtifactKey::SegTree`] `(None, _, Count)` key.
-    pub(crate) fn count_segtree(&self, keys: &CallKeys) -> Result<Arc<SegmentTree<CountMonoid>>> {
-        self.artifact(keys.count_segtree(), || {
-            let mask = self.mask_art(keys)?;
-            self.count_build(|s| &s.segtree_builds);
-            let counts: Vec<u64> = mask.keep.iter().map(|&k| k as u64).collect();
-            Ok(SegmentTree::<CountMonoid>::build(&counts, self.parallel))
         })
     }
 
@@ -1093,7 +1079,6 @@ pub(crate) fn force(ctx: &Ctx<'_>, keys: &CallKeys, key: &ArtifactKey) -> Result
                 drop(ctx.distinct_count_mst::<u64>(keys)?);
             }
         }
-        K::SegTree(None, _, SegFlavor::Count) => drop(ctx.count_segtree(keys)?),
         K::RangeTree(..) => {
             // Wide partitions error at probe time (DENSE_RANK is u32-only);
             // skipping here keeps the error message on the evaluator's path.
@@ -1102,7 +1087,7 @@ pub(crate) fn force(ctx: &Ctx<'_>, keys: &CallKeys, key: &ArtifactKey) -> Result
             }
         }
         K::ModeIndex(..) => drop(ctx.mode_art(keys)?),
-        // Data-dependent artifacts (SUM flavor, MIN/MAX ordinal trees,
+        // Data-dependent artifacts (SUM / AVG flavor, MIN/MAX ordinal trees,
         // annotated distinct trees) are never planned eagerly; they build
         // lazily through the same cache during the probe phase.
         K::DistinctAggMst(..) | K::OrdinalEnc(..) | K::SegTree(..) => {}

@@ -7,24 +7,25 @@
 //! against. Non-monotonic frames are free: segment trees never rely on frame
 //! overlap.
 //!
-//! The trees come from the artifact cache: the kept-row count tree is shared
-//! by every aggregate over the same mask, and the data trees (whose monoid
-//! depends on the observed value types) build lazily under data-dependent
-//! keys during the probe phase. A [`Strategy::Naive`] call folds the same
-//! inputs without them ([`super::primitive::Fold`]'s scan column).
+//! A tree is built only where the fold needs one. A frame's participating
+//! rows are counted by the mask's remap and an integer SUM / AVG subtracts
+//! exact prefix sums — one implementation each, whatever the strategy. Float
+//! SUM / AVG (the combine order is the result) fold one segment tree on both
+//! arms; MIN / MAX (no inverse) fold a segment tree, or for a
+//! [`Strategy::Naive`] call scan the same inputs ([`ScanFold`]). The data
+//! indexes (whose kind depends on the observed value types) build lazily
+//! under data-dependent keys during the probe phase.
 
 use super::primitive::{Fold, ScanFold};
 use super::Ctx;
-use crate::artifacts::ArtifactBytes;
+use crate::artifacts::{ArtifactBytes, MaskArtifact};
 use crate::error::{Error, Result};
 use crate::order::{float_from_ordinal, float_ordinal};
 use crate::plan::{ArtifactKey, CallPlan, SegFlavor};
 use crate::spec::{FuncKind, FunctionCall};
 use crate::strategy::Strategy;
 use crate::value::Value;
-use holistic_segtree::{
-    MaxMonoid, MinMonoid, Monoid, PrefixSums, SegmentTree, SumF64Monoid, SumMonoid,
-};
+use holistic_segtree::{MaxMonoid, MinMonoid, Monoid, PrefixSums, SegmentTree, SumF64Monoid};
 use std::sync::Arc;
 
 /// Order-preserving i64 encoding of an f64 (total order, NaN greatest).
@@ -127,6 +128,19 @@ fn decode_ordinal(o: i64, d: &OrdinalDecode) -> Value {
     }
 }
 
+/// The cached exact prefix sums of an integer argument (0 where the mask
+/// drops the row): the one fold index of integer SUM and AVG, on both arms.
+struct IntSums {
+    sums: PrefixSums,
+    rows: usize,
+}
+
+impl ArtifactBytes for IntSums {
+    fn bytes_built(&self) -> usize {
+        (self.rows + 1) * std::mem::size_of::<i128>()
+    }
+}
+
 /// Evaluates a non-DISTINCT framed aggregate.
 pub(crate) fn evaluate(
     ctx: &Ctx<'_>,
@@ -135,23 +149,14 @@ pub(crate) fn evaluate(
     strategy: Strategy,
 ) -> Result<Vec<Value>> {
     let (keys, naive) = (&cp.keys, strategy == Strategy::Naive);
-    // A frame's participating rows — those passing FILTER with a non-NULL
-    // argument, exactly the mask the plan derived — counted by the mask's
-    // count tree or, for a naive call, by its remap.
-    let count_index = || -> Result<Arc<dyn Fold<u64>>> {
-        Ok(if naive { ctx.mask_art(keys)? } else { ctx.count_segtree(keys)? })
-    };
-    let counted = |count: Arc<dyn Fold<u64>>| {
-        ctx.probe(move |i| Ok(Value::Int(count.fold(&ctx.frames.range_set(i)) as i64)))
-    };
-    if call.kind == FuncKind::CountStar {
-        // No argument: only the FILTER mask participates.
-        return counted(count_index()?);
+    // A frame's participating rows are those passing FILTER with a non-NULL
+    // argument — exactly the mask the plan derived, so its remap counts them.
+    let mask = ctx.mask_art(keys)?;
+    if matches!(call.kind, FuncKind::CountStar | FuncKind::Count) {
+        return ctx.probe(|i| Ok(Value::Int(mask.kept_in(&ctx.frames.range_set(i)) as i64)));
     }
 
     let values = ctx.values_art(keys)?;
-    let mask = ctx.mask_art(keys)?;
-    let count = count_index()?;
     // A data index's input per position: `of(i)` for a participating row,
     // the monoid's neutral element elsewhere.
     fn inputs<T: Copy>(keep: &[bool], neutral: T, of: impl Fn(usize) -> Option<T>) -> Vec<T> {
@@ -159,7 +164,6 @@ pub(crate) fn evaluate(
     }
 
     match call.kind {
-        FuncKind::Count => counted(count),
         FuncKind::Sum | FuncKind::Avg => {
             let avg = call.kind == FuncKind::Avg;
             let is_float = values.iter().any(|v| matches!(v, Value::Float(_)));
@@ -172,26 +176,29 @@ pub(crate) fn evaluate(
                     context: "SUM/AVG",
                 });
             }
-            if is_float || avg {
+            if is_float {
                 // Float addition is order-sensitive: a naive call folds the
                 // very tree the cache would hold (uncached), so the combine
                 // order — hence every bit — agrees.
                 let data = seg_tree::<SumF64Monoid>(ctx, keys.seg(SegFlavor::SumF64), || {
                     inputs(&mask.keep, 0.0, |i| values[i].as_f64())
                 })?;
-                probe_fold(ctx, &*count, &*data, |s, cnt| {
+                probe_fold(ctx, &mask, &*data, |s, cnt| {
                     Ok(Value::Float(if avg { s / cnt as f64 } else { s }))
                 })
             } else {
-                let data = data_index::<SumMonoid>(
-                    ctx,
-                    naive,
-                    keys.seg(SegFlavor::SumI64),
-                    || inputs(&mask.keep, 0, |i| values[i].as_i64()),
-                    |v| Arc::new(PrefixSums::build(&v)),
-                )?;
-                probe_fold(ctx, &*count, &*data, |s, _| {
-                    i64::try_from(s).map(Value::Int).map_err(|_| Error::Overflow("SUM"))
+                // Integer addition has an inverse: no tree on either arm, and
+                // AVG divides the exact sum (one rounding).
+                let data: Arc<IntSums> = ctx.artifact(keys.seg(SegFlavor::SumI64), || {
+                    let ints = inputs(&mask.keep, 0, |i| values[i].as_i64());
+                    Ok(IntSums { sums: PrefixSums::build(&ints), rows: ints.len() })
+                })?;
+                probe_fold(ctx, &mask, &data.sums, |s, cnt| {
+                    if avg {
+                        Ok(Value::Float(s as f64 / cnt as f64))
+                    } else {
+                        i64::try_from(s).map(Value::Int).map_err(|_| Error::Overflow("SUM"))
+                    }
                 })
             }
         }
@@ -201,15 +208,11 @@ pub(crate) fn evaluate(
             })?;
             let ords = |neutral: i64| inputs(&mask.keep, neutral, |i| enc.ords[i]);
             let data = if call.kind == FuncKind::Min {
-                let key = keys.seg(SegFlavor::Min);
-                let scan = |v| Arc::new(ScanFold::<MinMonoid>(v)) as _;
-                data_index::<MinMonoid>(ctx, naive, key, || ords(i64::MAX), scan)?
+                data_index::<MinMonoid>(ctx, naive, keys.seg(SegFlavor::Min), || ords(i64::MAX))?
             } else {
-                let key = keys.seg(SegFlavor::Max);
-                let scan = |v| Arc::new(ScanFold::<MaxMonoid>(v)) as _;
-                data_index::<MaxMonoid>(ctx, naive, key, || ords(i64::MIN), scan)?
+                data_index::<MaxMonoid>(ctx, naive, keys.seg(SegFlavor::Max), || ords(i64::MIN))?
             };
-            probe_fold(ctx, &*count, &*data, |o, _| Ok(decode_ordinal(o, &enc.decode)))
+            probe_fold(ctx, &mask, &*data, |o, _| Ok(decode_ordinal(o, &enc.decode)))
         }
         _ => unreachable!("dispatch guarantees aggregate kind"),
     }
@@ -227,29 +230,28 @@ fn seg_tree<M: Monoid>(
     })
 }
 
-/// The fold index over `inputs()`: the segment tree under `key`, or for a
-/// naive call what `scan` makes of them.
+/// MIN / MAX's fold index over `inputs()`: the segment tree under `key`, or
+/// for a naive call a scan of them.
 fn data_index<M: Monoid>(
     ctx: &Ctx<'_>,
     naive: bool,
     key: &ArtifactKey,
     inputs: impl FnOnce() -> Vec<M::Input>,
-    scan: impl FnOnce(Vec<M::Input>) -> Arc<dyn Fold<M::State>>,
 ) -> Result<Arc<dyn Fold<M::State>>> {
-    Ok(if naive { scan(inputs()) } else { seg_tree::<M>(ctx, key, inputs)? })
+    Ok(if naive { Arc::new(ScanFold::<M>(inputs())) } else { seg_tree::<M>(ctx, key, inputs)? })
 }
 
 /// NULL over a frame without participating rows, otherwise what `emit`
 /// makes of the frame's fold and its participating-row count.
 fn probe_fold<T>(
     ctx: &Ctx<'_>,
-    count: &dyn Fold<u64>,
+    mask: &MaskArtifact,
     data: &dyn Fold<T>,
-    emit: impl Fn(T, u64) -> Result<Value> + Send + Sync,
+    emit: impl Fn(T, usize) -> Result<Value> + Send + Sync,
 ) -> Result<Vec<Value>> {
     ctx.probe(|i| {
         let pieces = ctx.frames.range_set(i);
-        match count.fold(&pieces) {
+        match mask.kept_in(&pieces) {
             0 => Ok(Value::Null),
             cnt => emit(data.fold(&pieces), cnt),
         }

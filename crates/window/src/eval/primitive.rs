@@ -8,16 +8,20 @@
 //! | primitive | tree | scan |
 //! |---|---|---|
 //! | [`CountBelow`] | [`MergeSortTree`], block kernel | [`Scan`] of the codes / prevIdcs |
-//! | [`Select`] | [`MergeSortTree`] over the permutation | [`Scan`]: gather + sort; [`FrameOrder`]: arithmetic |
+//! | [`Select`] by an inner ORDER BY | [`MergeSortTree`] over the permutation | [`Scan`]: gather + sort |
 //! | [`Count3d`] | [`RangeTree3`] | [`ScanPoints`] |
-//! | [`Fold`] | [`SegmentTree`] | [`PrefixSums`] (exact integer SUM), [`ScanFold`] (MIN/MAX), [`MaskArtifact`] (kept-row count) |
+//! | [`Fold`], MIN / MAX | [`SegmentTree`] | [`ScanFold`] |
 //! | [`RangeMode`] | [`RangeModeIndex`] | [`ScanIds`] |
 //!
-//! Float SUM/AVG has no scan: the result is the combine order, so both arms
+//! Three questions have one implementation, whatever the strategy, because
+//! what the partition already holds answers them: [`Select`] in frame-position
+//! order is [`FrameOrder`]'s arithmetic, an integer SUM / AVG is a [`Fold`] of
+//! [`PrefixSums`] (addition has an inverse), and a frame's kept-row count is
+//! [`crate::artifacts::MaskArtifact::kept_in`]. Float SUM / AVG has one too,
+//! for the opposite reason: the result is the combine order, so both arms
 //! fold the same segment tree.
 
 use super::{Ctx, Planned, PROBE_BLOCK};
-use crate::artifacts::MaskArtifact;
 use crate::error::Result;
 use crate::value::Value;
 use holistic_core::{BlockScratch, MergeSortTree, RangeSet, TreeIndex};
@@ -238,9 +242,9 @@ impl Select for Scan<'_> {
     }
 }
 
-/// Selection in frame-position order ([`crate::plan::OrderKey::Identity`]):
-/// the permutation is the identity, so the `j`-th row of at most three
-/// ascending pieces is found by subtraction.
+/// Selection in frame-position order ([`crate::plan::OrderKey::Identity`]),
+/// on both arms: the permutation is the identity, so the `j`-th row of at
+/// most three ascending pieces is found by subtraction.
 pub(crate) struct FrameOrder;
 
 impl Select for FrameOrder {
@@ -287,17 +291,8 @@ impl<M: Monoid> Fold<M::State> for SegmentTree<M> {
     }
 }
 
-/// The kept rows among `pieces`: what the mask's count segment tree answers,
-/// in O(1) per piece.
-impl Fold<u64> for MaskArtifact {
-    fn fold(&self, pieces: &RangeSet) -> u64 {
-        self.remap.range_set(pieces).count() as u64
-    }
-}
-
-/// Integer SUM in O(1) per piece; equal to the
-/// [`holistic_segtree::SumMonoid`] tree's answer, overflow past `i64`
-/// included.
+/// Integer SUM in O(1) per piece, on both arms; equal to what a segment tree
+/// with a 128-bit accumulator folds, a sum past `i64` included.
 impl Fold<i128> for PrefixSums {
     fn fold(&self, pieces: &RangeSet) -> i128 {
         pieces.iter().map(|(a, b)| self.query(a, b)).sum()
@@ -381,6 +376,7 @@ impl RangeMode for ScanIds {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::artifacts::MaskArtifact;
     use holistic_core::{dense_codes, prev_idcs_by_key, MstParams};
     use holistic_segtree::{CountMonoid, MaxMonoid, MinMonoid, SumMonoid};
     use proptest::prelude::*;
@@ -475,8 +471,9 @@ mod tests {
 
         #[test]
         fn fold_scans_match_trees(
-            // Sums reach past `i64`: the prefix array and the tree must agree
-            // there too, so SUM's overflow error is the same on both arms.
+            // The prefix array and the remap have no tree beside them in the
+            // engine; the segment trees here are their definition. Sums reach
+            // past `i64`, where SUM's overflow error must be the tree's too.
             picks in prop::collection::vec(0usize..6, 0..60),
             keep in prop::collection::vec(any::<bool>(), 60),
             cuts in cuts(),
@@ -501,7 +498,7 @@ mod tests {
                     SegmentTree::<MaxMonoid>::build(&inputs, false).fold(&p)
                 );
                 prop_assert_eq!(
-                    mask.fold(&p),
+                    mask.kept_in(&p) as u64,
                     SegmentTree::<CountMonoid>::build(&flags, false).fold(&p)
                 );
             }

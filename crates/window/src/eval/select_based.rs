@@ -4,16 +4,16 @@
 //! One sort by the function-level ORDER BY produces the permutation array;
 //! the merge sort tree built over it finds "the j-th index pointing into the
 //! frame" in O(log n). Value functions without an inner ORDER BY select by
-//! frame position (classic SQL semantics) — the identity permutation.
+//! frame position (classic SQL semantics) — the identity permutation, which
+//! needs no index: [`FrameOrder`] subtracts, whatever the strategy.
 //!
 //! NULL handling follows the paper: percentiles always skip NULL keys; value
 //! functions skip NULL arguments only under IGNORE NULLS. Skipped rows are
 //! never inserted into the tree; frame bounds are remapped (§4.5's index
 //! remapping). The planner encodes exactly this rule in the call's mask key,
 //! so the sort and both trees come from the shared artifact cache. Which
-//! [`Select`] index answers — the tree, a scan of the codes, arithmetic on
-//! the frame pieces, or one of the sliding alternates — is the strategy's
-//! choice.
+//! [`Select`] index answers an inner ORDER BY — the tree, a scan of the
+//! codes, or one of the sliding alternates — is the strategy's choice.
 
 use super::primitive::{FrameOrder, Scan, Select};
 use super::{alt, cont_rank, disc_rank, fraction_arg, Ctx, Planned};
@@ -45,11 +45,11 @@ pub(crate) fn evaluate(
     };
     let sel = Selection { ctx, call, mask: &mask, kept_out: &kept_out, dc: dc.as_deref() };
     match (strategy, sel.dc) {
-        (Strategy::Naive, None) => sel.probe(&FrameOrder),
+        (_, None) => sel.probe(&FrameOrder),
         (Strategy::Naive, Some(dc)) => sel.probe(&Scan(&dc.code)),
         (Strategy::Mst, _) if ctx.u32_trees() => sel.probe(&*ctx.perm_mst::<u32>(&cp.keys)?),
         (Strategy::Mst, _) => sel.probe(&*ctx.perm_mst::<u64>(&cp.keys)?),
-        (sliding, dc) => alt::percentile(&sel, dc.expect("percentiles order by keys"), sliding),
+        (sliding, Some(dc)) => alt::percentile(&sel, dc, sliding),
     }
 }
 

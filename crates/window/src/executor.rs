@@ -153,7 +153,8 @@ pub struct CacheStats {
     pub inner_sorts: u64,
     /// Merge sort tree builds (code, permutation and distinct trees).
     pub mst_builds: u64,
-    /// Segment tree builds (distributive aggregates).
+    /// Segment tree builds (float SUM / AVG, MIN, MAX; COUNT and integer
+    /// SUM / AVG build none).
     pub segtree_builds: u64,
     /// Range tree builds (DENSE_RANK).
     pub rangetree_builds: u64,
@@ -291,8 +292,9 @@ pub struct StrategyProfile {
 ///
 /// `build` covers the partition sort, frame resolution and the eager
 /// prebuild of statically-planned artifacts; data-dependent artifacts (e.g.
-/// the SUM segment tree, whose element type depends on the data) are built
-/// lazily through the same cache and attributed to `probe`. The eager
+/// SUM's fold index: prefix sums over integers, a segment tree over floats,
+/// and only the data tells which) are built lazily through the same cache
+/// and attributed to `probe`. The eager
 /// prebuild runs only for calls the merge sort tree serves: a call on an
 /// alternate strategy builds what it reads (values, mask, hashes, dense
 /// codes) inside `probe` and nothing it does not read — no `prev-idcs`,
@@ -626,7 +628,10 @@ mod tests {
         assert_eq!(profile.strategy.cacheless_partitions, 0);
         // The median needs exactly one inner sort; the sum needs none.
         assert_eq!(profile.cache.inner_sorts, 1);
-        assert_eq!(profile.cache.segtree_builds, 2); // count + sum trees
+        // An integer sum folds prefix sums and counts through the mask: the
+        // artifact is there, no segment tree is.
+        assert_eq!(profile.cache.segtree_builds, 0);
+        assert!(profile.artifacts.iter().any(|a| a.label == "prefix-sums"));
     }
 
     #[test]

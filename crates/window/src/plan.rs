@@ -177,10 +177,10 @@ pub(crate) enum AggFlavor {
     Avg,
 }
 
-/// Which segment-tree monoid a distributive aggregate needs.
+/// Which fold index a distributive aggregate needs: exact prefix sums for an
+/// integer SUM / AVG (addition has an inverse), a segment tree for the rest.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub(crate) enum SegFlavor {
-    Count,
     SumI64,
     SumF64,
     Min,
@@ -218,9 +218,10 @@ pub(crate) enum ArtifactKey {
     DistinctAggMst(CanonicalExpr, MaskKey, AggFlavor),
     /// MIN/MAX ordinal encoding of the values (all positions).
     OrdinalEnc(CanonicalExpr),
-    /// Segment tree (distributive aggregates). The expression is `None` for
-    /// the kept-row count tree shared by the whole mask.
-    SegTree(Option<CanonicalExpr>, MaskKey, SegFlavor),
+    /// Fold index of a distributive aggregate's argument: a segment tree, or
+    /// the prefix sums of [`SegFlavor::SumI64`]. (A frame's kept-row count
+    /// has no key: the mask's remap answers it.)
+    SegTree(CanonicalExpr, MaskKey, SegFlavor),
     /// 3-d range tree over tie-group ids (DENSE_RANK, §4.4).
     RangeTree(OrderKey, MaskKey),
     /// √-decomposition range mode index.
@@ -246,8 +247,7 @@ impl ArtifactKey {
             K::DistinctCountMst(..) => "distinct-count-mst",
             K::DistinctAggMst(..) => "distinct-agg-mst",
             K::OrdinalEnc(_) => "ordinal-enc",
-            K::SegTree(_, _, SegFlavor::Count) => "segtree-count",
-            K::SegTree(_, _, SegFlavor::SumI64) => "segtree-sum-i64",
+            K::SegTree(_, _, SegFlavor::SumI64) => "prefix-sums",
             K::SegTree(_, _, SegFlavor::SumF64) => "segtree-sum-f64",
             K::SegTree(_, _, SegFlavor::Min) => "segtree-min",
             K::SegTree(_, _, SegFlavor::Max) => "segtree-max",
@@ -279,7 +279,8 @@ pub(crate) struct CallKeys {
     pub dense_codes: Option<ArtifactKey>,
     /// Merge sort tree over unique codes.
     pub code_mst: Option<ArtifactKey>,
-    /// Merge sort tree over the permutation array.
+    /// Merge sort tree over the permutation array (absent in frame-position
+    /// order, where selection is arithmetic on the frame's pieces).
     pub perm_mst: Option<ArtifactKey>,
     /// Distinct preprocessing (value hashes).
     pub distinct_prep: Option<ArtifactKey>,
@@ -287,8 +288,6 @@ pub(crate) struct CallKeys {
     pub prev_idcs: Option<ArtifactKey>,
     /// COUNT DISTINCT tree.
     pub distinct_count_mst: Option<ArtifactKey>,
-    /// Kept-row count segment tree.
-    pub count_segtree: Option<ArtifactKey>,
     /// DENSE_RANK 3-d range tree.
     pub range_tree: Option<ArtifactKey>,
     /// MODE √-decomposition index.
@@ -299,7 +298,7 @@ pub(crate) struct CallKeys {
     pub distinct_agg_sum_f64: Option<ArtifactKey>,
     /// See [`CallKeys::distinct_agg_sum_i64`].
     pub distinct_agg_avg: Option<ArtifactKey>,
-    /// Lazy SUM segment tree (integer flavor; chosen by the observed data).
+    /// Lazy SUM/AVG prefix sums (integer flavor; chosen by the observed data).
     pub seg_sum_i64: Option<ArtifactKey>,
     /// Lazy SUM/AVG segment tree (float flavor).
     pub seg_sum_f64: Option<ArtifactKey>,
@@ -344,9 +343,6 @@ impl CallKeys {
     pub fn distinct_count_mst(&self) -> &ArtifactKey {
         self.distinct_count_mst.as_ref().expect("plan derives a COUNT DISTINCT tree key")
     }
-    pub fn count_segtree(&self) -> &ArtifactKey {
-        self.count_segtree.as_ref().expect("plan derives a count segment tree key")
-    }
     pub fn range_tree(&self) -> &ArtifactKey {
         self.range_tree.as_ref().expect("plan derives a range-tree key")
     }
@@ -367,9 +363,8 @@ impl CallKeys {
             SegFlavor::SumF64 => &self.seg_sum_f64,
             SegFlavor::Min => &self.seg_min,
             SegFlavor::Max => &self.seg_max,
-            SegFlavor::Count => &self.count_segtree,
         };
-        k.as_ref().expect("plan derives every reachable segment-tree flavor")
+        k.as_ref().expect("plan derives every reachable fold-index flavor")
     }
     pub fn ordinal_enc(&self) -> &ArtifactKey {
         self.ordinal_enc.as_ref().expect("plan derives an ordinal-encoding key")
@@ -391,7 +386,6 @@ impl CallKeys {
             self.distinct_prep.as_ref(),
             self.prev_idcs.as_ref(),
             self.distinct_count_mst.as_ref(),
-            self.count_segtree.as_ref(),
             self.range_tree.as_ref(),
             self.mode_index.as_ref(),
         ]
@@ -417,8 +411,9 @@ pub(crate) struct CallPlan {
 pub(crate) struct QueryPlan {
     pub calls: Vec<CallPlan>,
     /// Distinct artifacts to build eagerly, in dependency-compatible order.
-    /// Data-dependent artifacts (SUM's integer-vs-float segment tree, MIN/MAX
-    /// ordinal trees) are resolved lazily through the same cache instead.
+    /// Data-dependent artifacts (SUM's prefix sums or float segment tree,
+    /// MIN/MAX ordinal trees) are resolved lazily through the same cache
+    /// instead.
     pub prebuild: Vec<ArtifactKey>,
 }
 
@@ -486,9 +481,8 @@ fn derive_keys(
     use FuncKind::*;
     let mut keys = CallKeys { mask: Some(K::Mask(mask.clone())), ..CallKeys::default() };
     match call.kind {
-        CountStar => {
-            keys.count_segtree = Some(K::SegTree(None, mask.clone(), SegFlavor::Count));
-        }
+        // No argument: the FILTER mask is all the call reads.
+        CountStar => {}
         Count | Sum | Avg | Min | Max => {
             let arg = args[0].clone();
             keys.values = Some(K::Values(arg.clone()));
@@ -514,25 +508,21 @@ fn derive_keys(
                     _ => unreachable!("distinct aggregate kinds"),
                 }
             } else {
-                keys.count_segtree = Some(K::SegTree(None, mask.clone(), SegFlavor::Count));
                 match call.kind {
-                    Sum => {
+                    // One pair of keys for both: `sum(x), avg(x)` over one
+                    // mask share whichever flavor the data picks.
+                    Sum | Avg => {
                         keys.seg_sum_i64 =
-                            Some(K::SegTree(Some(arg.clone()), mask.clone(), SegFlavor::SumI64));
-                        keys.seg_sum_f64 =
-                            Some(K::SegTree(Some(arg), mask.clone(), SegFlavor::SumF64));
-                    }
-                    Avg => {
-                        keys.seg_sum_f64 =
-                            Some(K::SegTree(Some(arg), mask.clone(), SegFlavor::SumF64));
+                            Some(K::SegTree(arg.clone(), mask.clone(), SegFlavor::SumI64));
+                        keys.seg_sum_f64 = Some(K::SegTree(arg, mask.clone(), SegFlavor::SumF64));
                     }
                     Min => {
                         keys.ordinal_enc = Some(K::OrdinalEnc(arg.clone()));
-                        keys.seg_min = Some(K::SegTree(Some(arg), mask.clone(), SegFlavor::Min));
+                        keys.seg_min = Some(K::SegTree(arg, mask.clone(), SegFlavor::Min));
                     }
                     Max => {
                         keys.ordinal_enc = Some(K::OrdinalEnc(arg.clone()));
-                        keys.seg_max = Some(K::SegTree(Some(arg), mask.clone(), SegFlavor::Max));
+                        keys.seg_max = Some(K::SegTree(arg, mask.clone(), SegFlavor::Max));
                     }
                     _ => {}
                 }
@@ -561,14 +551,14 @@ fn derive_keys(
         }
         FirstValue | LastValue | NthValue => {
             let arg = args[0].clone();
-            let order = order.clone().expect("value functions always have an order key");
             keys.values = Some(K::Values(arg.clone()));
             keys.kept_values = Some(K::KeptValues(arg, mask.clone()));
-            if let OrderKey::Keys(ks) = &order {
+            // Frame-position order sorts nothing and needs no tree.
+            if let Some(order @ OrderKey::Keys(ks)) = order {
                 keys.inner_keys = Some(K::InnerKeys(ks.clone()));
                 keys.dense_codes = Some(K::DenseCodes(order.clone(), mask.clone()));
+                keys.perm_mst = Some(K::PermMst(order.clone(), mask.clone()));
             }
-            keys.perm_mst = Some(K::PermMst(order, mask.clone()));
         }
         Lead | Lag => {
             let arg = args[0].clone();
@@ -652,20 +642,24 @@ mod tests {
 
     #[test]
     fn lazy_flavors_are_planned_but_not_prebuilt() {
-        // Data-dependent artifacts (SUM's integer-vs-float tree, MIN/MAX
-        // ordinal trees, annotated distinct trees) must have plan-derived
-        // keys — the probe path borrows them — yet stay off the eager
-        // prebuild worklist, whose flavor choice needs the data.
+        // Data-dependent artifacts (SUM / AVG's prefix sums or float tree,
+        // MIN/MAX ordinal trees, annotated distinct trees) must have
+        // plan-derived keys — the probe path borrows them — yet stay off the
+        // eager prebuild worklist, whose flavor choice needs the data.
         let spec = WindowSpec::new();
         let calls = vec![
             FunctionCall::sum(col("v")),
             FunctionCall::min(col("v")),
             FunctionCall::sum_distinct(col("v")),
+            FunctionCall::avg(col("v")),
         ];
         let plan = plan_query(&spec, &calls);
-        let sum = &plan.calls[0].keys;
-        assert!(matches!(sum.seg(SegFlavor::SumI64), ArtifactKey::SegTree(..)));
-        assert!(matches!(sum.seg(SegFlavor::SumF64), ArtifactKey::SegTree(..)));
+        let (sum, avg) = (&plan.calls[0].keys, &plan.calls[3].keys);
+        for flavor in [SegFlavor::SumI64, SegFlavor::SumF64] {
+            assert!(matches!(sum.seg(flavor), ArtifactKey::SegTree(..)));
+            // `sum(v), avg(v)` read one index, whichever the data picks.
+            assert_eq!(sum.seg(flavor), avg.seg(flavor));
+        }
         let min = &plan.calls[1].keys;
         assert!(matches!(min.ordinal_enc(), ArtifactKey::OrdinalEnc(..)));
         assert!(matches!(min.seg(SegFlavor::Min), ArtifactKey::SegTree(..)));
@@ -676,16 +670,30 @@ mod tests {
             k,
             ArtifactKey::OrdinalEnc(..)
                 | ArtifactKey::DistinctAggMst(..)
-                | ArtifactKey::SegTree(_, _, SegFlavor::SumI64)
-                | ArtifactKey::SegTree(_, _, SegFlavor::SumF64)
-                | ArtifactKey::SegTree(_, _, SegFlavor::Min)
-                | ArtifactKey::SegTree(_, _, SegFlavor::Max)
+                | ArtifactKey::SegTree(..)
         )));
-        // The count tree, shared by all three masks' aggregates, is eager.
-        assert!(plan
-            .prebuild
-            .iter()
-            .any(|k| matches!(k, ArtifactKey::SegTree(None, _, SegFlavor::Count))));
+    }
+
+    #[test]
+    fn what_the_partition_already_answers_plans_no_index() {
+        // A frame's kept-row count is the mask's remap and frame-position
+        // selection is arithmetic on the frame's pieces: COUNT and value
+        // functions without an inner ORDER BY plan a mask (and the values
+        // they read), nothing to sort and no tree.
+        let spec = WindowSpec::new().order_by(vec![SortKey::asc(col("t"))]);
+        let calls = vec![
+            FunctionCall::count_star().filter(col("v").gt(lit(0i64))),
+            FunctionCall::count(col("v")),
+            FunctionCall::first_value(col("v")).ignore_nulls(),
+            FunctionCall::nth_value(col("v"), lit(2i64)),
+        ];
+        let plan = plan_query(&spec, &calls);
+        assert!(plan.calls[2..].iter().all(|cp| cp.order == Some(OrderKey::Identity)));
+        assert!(plan.calls.iter().all(|cp| cp.keys.perm_mst.is_none()));
+        assert!(plan.prebuild.iter().all(|k| matches!(
+            k,
+            ArtifactKey::Values(_) | ArtifactKey::Mask(_) | ArtifactKey::KeptValues(..)
+        )));
     }
 
     /// The artifact getters read a recipe's ingredient keys from the
@@ -735,14 +743,8 @@ mod tests {
                 assert_eq!(k.mask, some(K::Mask(mk.clone())), "{call:?}");
             }
             for tree in [&k.code_mst, &k.perm_mst, &k.range_tree] {
-                match tree {
-                    Some(K::PermMst(OrderKey::Identity, mk)) => {
-                        assert_eq!(k.mask, some(K::Mask(mk.clone())), "{call:?}")
-                    }
-                    Some(K::CodeMst(o, mk) | K::PermMst(o, mk) | K::RangeTree(o, mk)) => {
-                        assert_eq!(k.dense_codes, some(K::DenseCodes(o.clone(), mk.clone())))
-                    }
-                    _ => {}
+                if let Some(K::CodeMst(o, mk) | K::PermMst(o, mk) | K::RangeTree(o, mk)) = tree {
+                    assert_eq!(k.dense_codes, some(K::DenseCodes(o.clone(), mk.clone())))
                 }
             }
             if let Some(K::DistinctPrep(e, mk)) = &k.distinct_prep {
@@ -765,8 +767,11 @@ mod tests {
                     );
                 }
             }
-            if let Some(K::SegTree(None, mk, SegFlavor::Count)) = &k.count_segtree {
-                assert_eq!(k.mask, some(K::Mask(mk.clone())), "{call:?}");
+            for index in [&k.seg_sum_i64, &k.seg_sum_f64, &k.seg_min, &k.seg_max] {
+                if let Some(K::SegTree(e, mk, _)) = index {
+                    assert_eq!(k.values, some(K::Values(e.clone())), "{call:?}");
+                    assert_eq!(k.mask, some(K::Mask(mk.clone())), "{call:?}");
+                }
             }
             if let Some(K::ModeIndex(e, mk)) = &k.mode_index {
                 assert_eq!(k.kept_values, some(K::KeptValues(e.clone(), mk.clone())), "{call:?}");

@@ -100,9 +100,10 @@ pub enum StrategyMode {
 /// never needs the full call, only its class.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CallClass {
-    /// `COUNT(*)` — frame-size arithmetic.
+    /// `COUNT(*)` — frame-size arithmetic on the FILTER mask's remap, under
+    /// every strategy.
     CountStar,
-    /// `COUNT(expr)` — kept-row counting.
+    /// `COUNT(expr)` — the same arithmetic, NULL arguments masked out too.
     Count,
     /// `SUM`/`AVG` without DISTINCT.
     SumAvg,

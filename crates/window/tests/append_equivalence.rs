@@ -7,8 +7,8 @@
 use holistic_window::frame::{FrameBound, FrameExclusion, FrameSpec};
 use holistic_window::strategy::StatsAcc;
 use holistic_window::{
-    col, lit, Column, ExecOptions, FunctionCall, IncrementalEngine, SortKey, Table, Value,
-    WindowQuery, WindowSpec,
+    col, lit, Column, Error, ExecOptions, FunctionCall, IncrementalEngine, SortKey, Strategy,
+    Table, Value, WindowQuery, WindowSpec,
 };
 use proptest::prelude::*;
 
@@ -345,6 +345,44 @@ fn rejected_batches_leave_the_engine_usable() {
     engine.append(&batches[0]).unwrap();
     let expected = q.execute(engine.table()).unwrap();
     tables_bit_identical(&engine.output_table().unwrap(), &expected);
+}
+
+/// A query error the new rows surface (here SUM past `i64`, the same typed
+/// error on the scan arm and the tree arm, which fold one prefix-sum array)
+/// poisons the engine: it says so, refuses every later call with a typed
+/// error, and holds no more governed bytes than before the append.
+#[test]
+fn a_query_error_mid_append_poisons_the_engine() {
+    let rows = |d: Vec<i64>, x: Vec<i64>| {
+        Table::new(vec![("d", Column::ints(d)), ("x", Column::ints(x))]).unwrap()
+    };
+    let q = WindowQuery::over(
+        WindowSpec::new()
+            .order_by(vec![SortKey::asc(col("d"))])
+            .frame(FrameSpec::rows(FrameBound::UnboundedPreceding, FrameBound::CurrentRow)),
+    )
+    .call(FunctionCall::sum(col("x")).named("s"));
+    for opts in ExecOptions::all_configs() {
+        for opts in [opts, opts.force_strategy(Strategy::Mst), opts.force_strategy(Strategy::Naive)]
+        {
+            let label = opts.label();
+            let mut engine =
+                q.begin_incremental(&rows(vec![0, 1], vec![i64::MAX - 1, 0]), opts).unwrap();
+            let resident = engine.spill_stats().resident;
+
+            let overflowing = rows(vec![2], vec![5]);
+            assert_eq!(engine.append(&overflowing).unwrap_err(), Error::Overflow("SUM"), "{label}");
+            assert!(engine.is_poisoned(), "{label}");
+            let refused = |e: Error| matches!(e, Error::Unsupported(m) if m.contains("poisoned"));
+            assert!(refused(engine.append(&rows(vec![3], vec![-5])).unwrap_err()), "{label}");
+            assert!(refused(engine.output_table().unwrap_err()), "{label}");
+            assert!(
+                engine.spill_stats().resident <= resident,
+                "{label}: {:?}",
+                engine.spill_stats()
+            );
+        }
+    }
 }
 
 proptest! {

@@ -121,3 +121,33 @@ fn percentile_fraction_reading_a_column_is_rejected() {
         }
     }
 }
+
+/// Found by reading `eval::distributive` (ISSUE 22), not by a seed: the
+/// fuzzer's arguments never leave ±15. `avg(x)` over integers summed in
+/// `f64`, so 2^53 + 1 rounded to 2^53 before the division and the second
+/// frame's mean read 2^52 although the exact mean, 2^52 + 1, is a float.
+/// Integer AVG divides the exact sum — under every strategy alike, and
+/// without SUM's overflow: a sum past `i64` still has a mean.
+#[test]
+fn integer_avg_divides_the_exact_sum() {
+    let spec = WindowSpec::new()
+        .order_by(vec![SortKey::asc(col("d"))])
+        .frame(FrameSpec::rows(FrameBound::Preceding(lit(1i64)), FrameBound::CurrentRow));
+    let cases = [
+        (vec![9007199254740993, 1], vec![9007199254740992.0, 4503599627370497.0]),
+        (vec![i64::MAX, i64::MAX], vec![i64::MAX as f64, i64::MAX as f64]),
+    ];
+    for (x, means) in cases {
+        let t = Table::new(vec![("d", Column::ints(vec![0, 1])), ("x", Column::ints(x))]).unwrap();
+        let q = WindowQuery::over(spec.clone()).call(FunctionCall::avg(col("x")).named("a"));
+        let expected: Vec<Value> = means.into_iter().map(Value::Float).collect();
+        for opts in ExecOptions::all_configs() {
+            for opts in std::iter::once(opts).chain(Strategy::ALL.map(|s| opts.force_strategy(s))) {
+                let out = q.execute_with(&t, opts).unwrap();
+                assert_eq!(out.column("a").unwrap().to_values(), expected, "{}", opts.label());
+            }
+        }
+        let oracle = holistic_baselines::naive::execute(&q, &t).unwrap();
+        assert_eq!(oracle.column("a").unwrap().to_values(), expected, "naive oracle");
+    }
+}

@@ -10,7 +10,8 @@
 
 use holistic_window::frame::{FrameBound, FrameExclusion, FrameSpec};
 use holistic_window::{
-    col, lit, Column, ExecOptions, FunctionCall, SortKey, Strategy, Table, WindowQuery, WindowSpec,
+    col, lit, Column, ExecOptions, FunctionCall, SortKey, Strategy, Table, Value, WindowQuery,
+    WindowSpec,
 };
 use proptest::prelude::*;
 
@@ -174,26 +175,118 @@ proptest! {
                     (b.mst_builds, b.segtree_builds, b.rangetree_builds, b.modeindex_builds)
                 );
             }
-            for call in &calls {
-                let name = call.output_name.as_str();
-                let (b, o) =
-                    (base.column(name).unwrap().to_values(), out.column(name).unwrap().to_values());
-                for (row, (bv, ov)) in b.iter().zip(o.iter()).enumerate() {
-                    let same = match (bv, ov) {
-                        (
-                            holistic_window::Value::Float(x),
-                            holistic_window::Value::Float(y),
-                        ) => x.to_bits() == y.to_bits(),
-                        _ => bv == ov,
-                    };
-                    prop_assert!(
-                        same,
-                        "column {} row {} differs under {}: {} vs {}",
-                        name, row, label, bv, ov
-                    );
+            let names: Vec<&str> = calls.iter().map(|c| c.output_name.as_str()).collect();
+            assert_same_columns(&base, &out, &names, label);
+        }
+    }
+}
+
+/// Bit-for-bit equality of the named output columns (floats by bit pattern).
+fn assert_same_columns(base: &Table, out: &Table, names: &[&str], label: &str) {
+    for name in names {
+        let (b, o) =
+            (base.column(name).unwrap().to_values(), out.column(name).unwrap().to_values());
+        assert_eq!(b.len(), o.len(), "column {name} under {label}");
+        for (row, (bv, ov)) in b.iter().zip(&o).enumerate() {
+            let same = match (bv, ov) {
+                (Value::Float(x), Value::Float(y)) => x.to_bits() == y.to_bits(),
+                _ => bv == ov,
+            };
+            assert!(same, "column {name} row {row} differs under {label}: {bv} vs {ov}");
+        }
+    }
+}
+
+/// The tree arm under masks that *drop* rows, at a size where Adaptive itself
+/// picks `mst` for every call: COUNT, integer SUM / AVG and value functions in
+/// frame order probe what the partition already holds (the mask's remap,
+/// prefix sums, the frame's pieces), so the merge-sort-tree arm builds no
+/// index for them — and answers bit for bit like the scan arm and the naive
+/// oracle, over one-piece frames and under `EXCLUDE GROUP`. A float SUM and a
+/// MIN still build their one segment tree each.
+#[test]
+fn the_tree_arm_builds_no_index_for_what_the_partition_answers() {
+    let n = 5000i64;
+    let x = |i: i64| (i * 7919) % 1000;
+    let table = Table::new(vec![
+        // Peer groups of three rows: EXCLUDE GROUP cuts a hole wider than
+        // the current row.
+        ("d", Column::ints((0..n).map(|i| i / 3).collect())),
+        ("x", Column::ints((0..n).map(x).collect())),
+        ("xn", Column::ints_opt((0..n).map(|i| (i % 7 != 3).then(|| x(i))).collect())),
+        ("f", Column::floats((0..n).map(|i| x(i) as f64 * 0.1).collect())),
+    ])
+    .unwrap();
+    let low = || col("x").lt(lit(500i64));
+    // The first six are ROADMAP item 3 (d)'s sizing query.
+    let calls = vec![
+        FunctionCall::count_star().named("c0"),
+        FunctionCall::count_star().filter(low()).named("c1"),
+        FunctionCall::sum(col("x")).named("c2"),
+        FunctionCall::sum(col("x")).filter(low()).named("c3"),
+        FunctionCall::first_value(col("x")).named("c4"),
+        FunctionCall::nth_value(col("x"), lit(3i64)).filter(low()).named("c5"),
+        FunctionCall::count(col("xn")).named("c6"),
+        FunctionCall::last_value(col("xn")).ignore_nulls().named("c7"),
+        FunctionCall::avg(col("x")).filter(low()).named("c8"),
+    ];
+    let names: Vec<&str> = calls.iter().map(|c| c.output_name.as_str()).collect();
+    let frame =
+        || FrameSpec::rows(FrameBound::Preceding(lit(2000i64)), FrameBound::Following(lit(10i64)));
+    let over = |frame: FrameSpec, calls: &[FunctionCall]| WindowQuery {
+        spec: WindowSpec::new().order_by(vec![SortKey::asc(col("d"))]).frame(frame),
+        calls: calls.to_vec(),
+    };
+    let mst = ExecOptions::serial().force_strategy(Strategy::Mst);
+
+    for (shape, frame) in
+        [("plain", frame()), ("exclude group", frame().exclude(FrameExclusion::Group))]
+    {
+        let q = over(frame, &calls);
+        let (base, profile) = q.execute_profiled(&table, ExecOptions::serial()).unwrap();
+        assert_eq!(
+            profile.strategy.decisions[Strategy::Mst.index()],
+            calls.len() as u64,
+            "{shape}: adaptive left the tree arm: {:?}",
+            profile.strategy
+        );
+        let oracle = holistic_baselines::naive::execute(&q, &table).unwrap();
+        assert_same_columns(&base, &oracle, &names, &format!("{shape}, naive oracle"));
+        for (label, opts) in [
+            ("adaptive/parallel", ExecOptions::default()),
+            ("mst/serial", mst),
+            ("mst/parallel", ExecOptions::default().force_strategy(Strategy::Mst)),
+            ("naive/serial", ExecOptions::serial().force_strategy(Strategy::Naive)),
+            ("naive/parallel", ExecOptions::default().force_strategy(Strategy::Naive)),
+        ] {
+            let (out, profile) = q.execute_profiled(&table, opts).unwrap();
+            assert_same_columns(&base, &out, &names, &format!("{shape}, {label}"));
+            if label.starts_with("mst") {
+                let cache = profile.cache;
+                assert_eq!((cache.segtree_builds, cache.mst_builds), (0, 0), "{shape}, {label}");
+                for gone in ["segtree-count", "segtree-sum-i64", "perm-mst"] {
+                    assert!(profile.artifacts.iter().all(|a| a.label != gone), "{shape}: {gone}");
                 }
+                // `sum(x) FILTER` and `avg(x) FILTER` read one array.
+                let sums = profile.artifacts.iter().find(|a| a.label == "prefix-sums").unwrap();
+                assert_eq!((sums.builds, sums.bytes), (2, 2 * 16 * (n as u64 + 1)), "{shape}");
             }
         }
+    }
+
+    // The sizing query itself builds values, masks, kept values and two
+    // prefix-sum arrays (520 048 B); any tree on top of them breaks the bound.
+    let (_, profile) = over(frame(), &calls[..6]).execute_profiled(&table, mst).unwrap();
+    assert!(profile.cache.bytes_built <= 530_000, "{:?}", profile.artifacts);
+
+    // Where the fold has no inverse, or its order is the result, the tree
+    // stays: exactly one each.
+    let trees = [FunctionCall::sum(col("f")).named("sf"), FunctionCall::min(col("x")).named("lo")];
+    let (_, profile) = over(frame(), &trees).execute_profiled(&table, mst).unwrap();
+    assert_eq!((profile.cache.segtree_builds, profile.cache.mst_builds), (2, 0));
+    for kept in ["segtree-sum-f64", "segtree-min"] {
+        let built = profile.artifacts.iter().find(|a| a.label == kept).map(|a| a.builds);
+        assert_eq!(built, Some(1), "{kept}");
     }
 }
 
