@@ -115,7 +115,7 @@ step "fuzz smoke (sql-roundtrip: print → parse → plan structural + session b
 cargo run --release -q -p holistic-fuzz --bin fuzz -- \
   --sql-roundtrip --cases 500 --seed 0xC0FFEE --max-n 40 --time-budget-secs 120
 
-step "fuzz legs again through an overflow-checked release build (arithmetic at the edges)"
+step "fuzz legs and the frame properties again through an overflow-checked release build (arithmetic at the edges)"
 # Release builds wrap on integer overflow; this build panics instead, and a
 # panic is a fuzz failure. Own target dir, so the flags never touch ./target.
 CARGO_TARGET_DIR=target/overflow-checks RUSTFLAGS="-C overflow-checks=on" \
@@ -128,6 +128,15 @@ $OFUZZ --panic-sweep --cases 400 --seed 0x5EED
 $OFUZZ --cases 500 --seed 0xB4D6E7 --max-n 40 --budget 8192 --time-budget-secs 120
 budget_leg $OFUZZ
 $OFUZZ --sql-roundtrip --cases 500 --seed 0xC0FFEE --max-n 40 --time-budget-secs 120
+# The fuzz oracle resolves frames with the engine's own resolver, so a wrapped
+# `i + off`, `key ± off` or group index agrees with itself in the legs above.
+# The frame property of proptest_window holds the resolver against its
+# definition instead (keys at the i64 edges, offsets up to i64::MAX), and in
+# this build a wrap panics where that can see it. `cargo test` above checks
+# overflow too, as every debug build does; this is the optimized code the
+# fuzz legs ran. Under a minute, nearly all of it compiling the two harnesses.
+CARGO_TARGET_DIR=target/overflow-checks RUSTFLAGS="-C overflow-checks=on" \
+  cargo test --release -q -p holistic-window --lib --test proptest_window
 
 step "block-vs-scalar kernel micro-timer (ignored by default; run once so it cannot rot)"
 # The only timer of the block kernels against the scalar descent outside

@@ -50,8 +50,9 @@ pub struct CursorStats {
 /// `below(x)` must be monotone over `data` (true-prefix), exactly like the
 /// predicate of `slice::partition_point`; the return value is identical to
 /// `data.partition_point(below)` for every `seed`. Cost is O(log Δ) where
-/// `Δ = |result - seed|`.
-pub(crate) fn gallop_partition_point<T>(
+/// `Δ = |result - seed|`. Public for the window crate's RANGE frame
+/// resolver, which seeds each bound's key search with the previous row's.
+pub fn gallop_partition_point<T>(
     data: &[T],
     seed: usize,
     below: impl Fn(&T) -> bool,

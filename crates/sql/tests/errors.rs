@@ -6,7 +6,7 @@
 //! change to the error surface and must be called out in SQL.md.
 
 use holistic_sql::SqlSession;
-use holistic_window::{Column, Table};
+use holistic_window::{Column, Table, Value};
 
 /// Renders the error a query produces against a session holding table `t`
 /// with columns `a` (int), `b` (float), `s` (string).
@@ -321,6 +321,51 @@ case!(
     "SELECT a FROM t ORDER BY nosuch",
     "execution error: unknown column: nosuch"
 );
+
+// ---- frame offsets (SQL.md §4.2) ----
+
+// Offsets are checked when the frame is resolved, so these are engine errors
+// without a position. A negative offset does not reverse direction (that is
+// LEAD/LAG's rule) and a NULL one does not empty the frame.
+case!(
+    negative_frame_offset,
+    "SELECT sum(a) OVER (ORDER BY a ROWS BETWEEN -1 PRECEDING AND 2 FOLLOWING) FROM t",
+    "execution error: invalid frame bound: offset must be non-negative"
+);
+
+case!(
+    null_frame_offset,
+    "SELECT sum(a) OVER (ORDER BY a RANGE NULL PRECEDING) FROM t",
+    "execution error: invalid frame bound: offset must not be NULL"
+);
+
+case!(
+    non_numeric_frame_offset,
+    "SELECT sum(a) OVER (ORDER BY a GROUPS s PRECEDING) FROM t",
+    "execution error: invalid frame bound: offset must be numeric, got str"
+);
+
+// Without an offset bound RANGE took a path of its own that had no arm for
+// this and panicked.
+case!(
+    range_frame_starting_at_unbounded_following,
+    "SELECT sum(a) OVER (ORDER BY a RANGE BETWEEN UNBOUNDED FOLLOWING AND CURRENT ROW) FROM t",
+    "execution error: invalid frame bound: UNBOUNDED FOLLOWING cannot start a frame"
+);
+
+/// ROWS and GROUPS count whole units: a fractional offset is truncated.
+#[test]
+fn fractional_frame_offset_counts_whole_rows() {
+    let table = Table::new(vec![("a", Column::ints(vec![1, 2, 3]))]).unwrap();
+    let mut session = SqlSession::new();
+    session.register("t", table);
+    for mode in ["ROWS", "GROUPS"] {
+        let sql = format!("SELECT sum(a) OVER (ORDER BY a {mode} 1.5 PRECEDING) AS x FROM t");
+        let out = session.query(&sql).unwrap();
+        let want: Vec<Value> = [1, 3, 5].map(Value::Int).into();
+        assert_eq!(out.column("x").unwrap().to_values(), want, "{mode}");
+    }
+}
 
 /// Multi-line sources render the excerpt of the offending line only, with
 /// the right line number and gutter width.

@@ -10,15 +10,24 @@
 //! * frame exclusion (EXCLUDE NO OTHERS / CURRENT ROW / GROUP / TIES), which
 //!   turns a frame into at most three contiguous pieces (§4.7).
 //!
-//! Resolution happens once per window, yielding per-row `[start, end)` bounds
-//! in *partition position* space plus exclusion holes.
+//! Resolution happens once per partition ([`resolve_frames`]), yielding
+//! per-row `[start, end)` bounds in *partition position* space plus exclusion
+//! holes. One loop serves all three modes: the bound match, offset evaluation
+//! and the error arms are written once, and a mode says only where
+//! `CURRENT ROW` and "`off` units before / after row `i`" lie — ROWS by the
+//! row index, GROUPS by the group table, RANGE by a search over the typed
+//! ORDER BY keys that gallops out from the previous row's answer. A
+//! non-literal offset expression is compiled once per partition; compiling it
+//! once per query would change `resolve_frames`' signature, which the
+//! benchmark calls.
 
 use crate::error::{Error, Result};
-use crate::expr::Expr;
-use crate::order::{peer_bounds, KeyColumns};
+use crate::expr::{BoundExpr, Expr};
+use crate::order::{peer_bounds, KeyColumns, RangeKey, RangeKeys};
 use crate::table::Table;
 use crate::value::Value;
 use crate::vm;
+use holistic_core::cursor::gallop_partition_point;
 use holistic_core::RangeSet;
 use std::cmp::Ordering;
 
@@ -182,25 +191,6 @@ impl ResolvedFrames {
     }
 }
 
-/// A frame bound with its offset expression pre-bound to the table.
-enum PreBound {
-    UnboundedPreceding,
-    Preceding(crate::expr::BoundExpr),
-    CurrentRow,
-    Following(crate::expr::BoundExpr),
-    UnboundedFollowing,
-}
-
-fn pre_bind(b: &FrameBound, table: &Table) -> Result<PreBound> {
-    Ok(match b {
-        FrameBound::UnboundedPreceding => PreBound::UnboundedPreceding,
-        FrameBound::Preceding(e) => PreBound::Preceding(e.bind(table)?),
-        FrameBound::CurrentRow => PreBound::CurrentRow,
-        FrameBound::Following(e) => PreBound::Following(e.bind(table)?),
-        FrameBound::UnboundedFollowing => PreBound::UnboundedFollowing,
-    })
-}
-
 /// A validated, non-negative frame offset. The integer representation is
 /// kept exact: converting to f64 would silently collapse offsets beyond
 /// 2^53, and casting to usize would saturate huge values into overflow
@@ -214,10 +204,27 @@ enum Offset {
 }
 
 impl Offset {
-    /// The offset as a row/group count, clamped to `m`. Anything past the
-    /// partition (or group table) behaves like UNBOUNDED, so clamping is
-    /// semantically exact and keeps all downstream index arithmetic in
-    /// `[0, 2m]`.
+    /// Validates one evaluated offset: the one definition of what a frame
+    /// offset may be, for literals, VM blocks and the per-row interpreter.
+    fn new(v: &Value) -> Result<Offset> {
+        match v {
+            Value::Int(x) if *x >= 0 => Ok(Offset::Int(*x)),
+            Value::Float(x) if *x >= 0.0 && x.is_finite() => Ok(Offset::Float(*x)),
+            Value::Int(_) | Value::Float(_) => {
+                Err(Error::InvalidFrameBound("offset must be non-negative".into()))
+            }
+            Value::Null => Err(Error::InvalidFrameBound("offset must not be NULL".into())),
+            other => Err(Error::InvalidFrameBound(format!(
+                "offset must be numeric, got {}",
+                other.type_name()
+            ))),
+        }
+    }
+
+    /// The offset as a row/group count, clamped to `m`; a fraction counts
+    /// whole units (`1.5` is one row). Anything past the partition (or
+    /// group table) behaves like UNBOUNDED, so clamping is semantically
+    /// exact and keeps all downstream index arithmetic in `[0, 2m]`.
     fn count(self, m: usize) -> usize {
         match self {
             Offset::Int(x) => usize::try_from(x).map_or(m, |c| c.min(m)),
@@ -240,102 +247,280 @@ impl Offset {
     }
 }
 
-/// Evaluates a pre-bound offset expression for a table row.
-fn eval_offset(expr: &crate::expr::BoundExpr, table: &Table, row: usize) -> Result<Offset> {
-    let v = expr.eval(table, row)?;
-    match v {
-        Value::Int(x) if x >= 0 => Ok(Offset::Int(x)),
-        Value::Float(x) if x >= 0.0 && x.is_finite() => Ok(Offset::Float(x)),
-        Value::Int(_) | Value::Float(_) => {
-            Err(Error::InvalidFrameBound("offset must be non-negative".into()))
-        }
-        Value::Null => Err(Error::InvalidFrameBound("offset must not be NULL".into())),
-        other => Err(Error::InvalidFrameBound(format!(
-            "offset must be numeric, got {}",
-            other.type_name()
-        ))),
-    }
+/// Where a bound's per-row offsets come from.
+enum Offsets {
+    /// The same offset at every row: a literal, or an expression the VM
+    /// folded to a constant.
+    Const(Offset),
+    /// A VM batch, every row of it validated: the typed block itself, one
+    /// offset per partition position.
+    Ints(Vec<i64>),
+    Floats(Vec<f64>),
+    /// A batch the VM returned as dynamic values (dates, mixed types).
+    Mixed(Vec<Offset>),
+    /// The interpreter, row by row: until (and unless) a batch succeeds, so
+    /// that an invalid offset is reported for the first row that has it.
+    Interp(BoundExpr),
 }
 
-/// Converts a VM result block into validated offsets — the columnar twin of
-/// [`eval_offset`]: every row must be a non-negative Int or a non-negative
-/// finite Float. `None` on any violation (the per-row path then reports the
-/// canonical error for the canonical row).
-fn offsets_from_block(block: &vm::Block, n: usize) -> Option<Vec<Offset>> {
-    fn one(v: &Value) -> Option<Offset> {
-        match v {
-            Value::Int(x) if *x >= 0 => Some(Offset::Int(*x)),
-            Value::Float(x) if *x >= 0.0 && x.is_finite() => Some(Offset::Float(*x)),
+impl Offsets {
+    /// Binds an offset expression. A literal is validated here, once, and
+    /// never reaches the VM; an invalid one stays an expression, for the
+    /// first row to report.
+    fn bind(expr: &Expr, table: &Table) -> Result<Offsets> {
+        let bound = expr.bind(table)?;
+        Ok(match &bound {
+            BoundExpr::Lit(v) => Offset::new(v).map_or(Offsets::Interp(bound), Offsets::Const),
+            _ => Offsets::Interp(bound),
+        })
+    }
+
+    /// Evaluates an expression over the whole partition through the compiled
+    /// VM. It stays with the interpreter when any row fails evaluation or
+    /// validation, which reproduces the canonical first error.
+    fn precompute(&mut self, table: &Table, rows: &[usize]) {
+        let Offsets::Interp(expr) = self else { return };
+        let prog = vm::Program::compile(expr);
+        let Ok(block) = vm::ExprVm::new().run_block(&prog, table, vm::RowSel::Rows(rows)) else {
+            return;
+        };
+        let no_null = |valid: &[bool]| valid.iter().all(|&ok| ok);
+        let batched = match block {
+            vm::Block::Const(v) => Offset::new(&v).ok().map(Offsets::Const),
+            vm::Block::Int(d, valid) if no_null(&valid) && d.iter().all(|&x| x >= 0) => {
+                Some(Offsets::Ints(d))
+            }
+            vm::Block::Float(d, valid)
+                if no_null(&valid) && d.iter().all(|&x| x >= 0.0 && x.is_finite()) =>
+            {
+                Some(Offsets::Floats(d))
+            }
+            vm::Block::Vals(vs) => {
+                vs.iter().map(|v| Offset::new(v).ok()).collect::<Option<_>>().map(Offsets::Mixed)
+            }
             _ => None,
+        };
+        if let Some(offsets) = batched {
+            *self = offsets;
         }
     }
-    match block {
-        vm::Block::Const(v) => one(v).map(|o| vec![o; n]),
-        vm::Block::Int(d, valid) => {
-            let mut out = Vec::with_capacity(n);
-            for (i, &x) in d.iter().enumerate() {
-                if !vm::vld(valid, i) || x < 0 {
-                    return None;
-                }
-                out.push(Offset::Int(x));
-            }
-            Some(out)
-        }
-        vm::Block::Float(d, valid) => {
-            let mut out = Vec::with_capacity(n);
-            for (i, &x) in d.iter().enumerate() {
-                if !(vm::vld(valid, i) && x >= 0.0 && x.is_finite()) {
-                    return None;
-                }
-                out.push(Offset::Float(x));
-            }
-            Some(out)
-        }
-        vm::Block::Bool(..) => None,
-        vm::Block::Vals(vs) => {
-            let mut out = Vec::with_capacity(n);
-            for v in vs {
-                out.push(one(v)?);
-            }
-            Some(out)
+
+    /// The offset of partition position `i`. Inlined into the per-row loop:
+    /// as a call it costs the ROWS workloads 2 ns a row and bound.
+    #[inline(always)]
+    fn at(&self, table: &Table, rows: &[usize], i: usize) -> Result<Offset> {
+        match self {
+            Offsets::Const(o) => Ok(*o),
+            Offsets::Ints(v) => Ok(Offset::Int(v[i])),
+            Offsets::Floats(v) => Ok(Offset::Float(v[i])),
+            Offsets::Mixed(v) => Ok(v[i]),
+            Offsets::Interp(e) => Offset::new(&e.eval(table, rows[i])?),
         }
     }
 }
 
-/// Batch-evaluates one bound's offset expression over the whole partition
-/// through the compiled VM. Returns `None` when the bound carries no offset
-/// expression, `batch` is off (see [`resolve_frames`]) or any row
-/// fails evaluation or validation — callers then evaluate that bound per
-/// row, which reproduces the interpreter's canonical first error.
-fn precompute_offsets(
-    b: &PreBound,
+/// A frame bound bound to the table.
+enum Bound {
+    UnboundedPreceding,
+    /// `offsets PRECEDING`, or FOLLOWING when the flag is set.
+    Offset(Offsets, bool),
+    CurrentRow,
+    UnboundedFollowing,
+}
+
+impl Bound {
+    fn bind(b: &FrameBound, table: &Table) -> Result<Bound> {
+        Ok(match b {
+            FrameBound::UnboundedPreceding => Bound::UnboundedPreceding,
+            FrameBound::Preceding(e) => Bound::Offset(Offsets::bind(e, table)?, false),
+            FrameBound::CurrentRow => Bound::CurrentRow,
+            FrameBound::Following(e) => Bound::Offset(Offsets::bind(e, table)?, true),
+            FrameBound::UnboundedFollowing => Bound::UnboundedFollowing,
+        })
+    }
+}
+
+/// What a frame mode contributes to [`walk`]: where `CURRENT ROW` and "`off`
+/// units before / after row `i`" lie, in partition positions `<= m`.
+trait Mode {
+    /// `CURRENT ROW` as a frame start and a frame end.
+    fn current(&self, i: usize) -> (usize, usize);
+
+    /// An offset bound: where the rows no further than `off` units before
+    /// row `i` (after it, when `following`) start or, for `end`, end.
+    fn offset(&mut self, i: usize, off: Offset, following: bool, end: bool) -> usize;
+}
+
+/// `p` moved by `off <= n` along an axis of `n` units, stopping at its ends.
+fn shift(p: usize, off: usize, following: bool, n: usize) -> usize {
+    if following {
+        (p + off).min(n)
+    } else {
+        p.saturating_sub(off)
+    }
+}
+
+/// ROWS: the unit is the row, so row `i` spans positions `i..i + 1`.
+struct Rows {
+    m: usize,
+}
+
+impl Mode for Rows {
+    fn current(&self, i: usize) -> (usize, usize) {
+        (i, i + 1)
+    }
+
+    fn offset(&mut self, i: usize, off: Offset, following: bool, end: bool) -> usize {
+        shift(i + usize::from(end), off.count(self.m), following, self.m)
+    }
+}
+
+/// GROUPS: ROWS arithmetic over peer-group indices, mapped back through the
+/// groups' start positions.
+struct Groups<'a> {
+    peer_start: &'a [usize],
+    peer_end: &'a [usize],
+    /// Group index per position.
+    group_of: Vec<usize>,
+    /// Start position per group, then `m`: group `g` spans
+    /// `starts[g]..starts[g + 1]`.
+    starts: Vec<usize>,
+}
+
+impl<'a> Groups<'a> {
+    fn new(peer_start: &'a [usize], peer_end: &'a [usize]) -> Self {
+        let m = peer_end.len();
+        let mut group_of = vec![0usize; m];
+        let mut starts = Vec::new();
+        let mut p = 0usize;
+        while p < m {
+            group_of[p..peer_end[p]].fill(starts.len());
+            starts.push(p);
+            p = peer_end[p];
+        }
+        starts.push(m);
+        Groups { peer_start, peer_end, group_of, starts }
+    }
+}
+
+impl Mode for Groups<'_> {
+    fn current(&self, i: usize) -> (usize, usize) {
+        (self.peer_start[i], self.peer_end[i])
+    }
+
+    fn offset(&mut self, i: usize, off: Offset, following: bool, end: bool) -> usize {
+        let groups = self.starts.len() - 1;
+        let g = self.group_of[i] + usize::from(end);
+        self.starts[shift(g, off.count(groups), following, groups)]
+    }
+}
+
+/// RANGE: the unit is the ORDER BY key's value, so an offset bound is a
+/// search for `key(i) ± off` among the partition's sorted keys. Each bound's
+/// search gallops out from its answer for the previous row, so a frame that
+/// slides costs O(1) per row and one that jumps O(log distance), on one path.
+struct Range<'a> {
+    peer_start: &'a [usize],
+    peer_end: &'a [usize],
+    /// The typed keys; empty when no bound has an offset (nothing reads them).
+    key: RangeKey,
+    /// The previous answers of the start and the end bound, inside `key.keys`.
+    seeds: [usize; 2],
+}
+
+impl Mode for Range<'_> {
+    fn current(&self, i: usize) -> (usize, usize) {
+        (self.peer_start[i], self.peer_end[i])
+    }
+
+    fn offset(&mut self, i: usize, off: Offset, following: bool, end: bool) -> usize {
+        let RangeKey { keys, first, desc } = &self.key;
+        let Some(p) = i.checked_sub(*first).filter(|&p| p < keys.len()) else {
+            // SQL: a NULL key row's offset frame is its peer group of NULLs.
+            return if end { self.peer_end[i] } else { self.peer_start[i] };
+        };
+        // In key space: PRECEDING subtracts under ASC and adds under DESC.
+        let add = following != *desc;
+        // True for the keys a bound at threshold `t` leaves behind it, `ord`
+        // being `key.cmp(t)`: those before `t` in frame order, and for a frame
+        // end those equal to it too.
+        let below = |ord: Ordering| {
+            let ord = if *desc { ord.reverse() } else { ord };
+            ord == Ordering::Less || (end && ord == Ordering::Equal)
+        };
+        let moved = |k: f64| if add { k + off.as_f64() } else { k - off.as_f64() };
+        let seed = &mut self.seeds[usize::from(end)];
+        *seed = match (keys, off) {
+            // Integral keys (Int / Date) stay exact — as f64 distinct keys
+            // beyond 2^53 would merge — and i64 ± i64 always fits in i128.
+            (RangeKeys::Int(ks), Offset::Int(o)) => {
+                let t = ks[p] as i128 + if add { o as i128 } else { -(o as i128) };
+                gallop_partition_point(ks, *seed, |&k| below((k as i128).cmp(&t)), &mut 0)
+            }
+            // A float on either side: f64 under its total order.
+            (RangeKeys::Int(ks), _) => {
+                let t = moved(ks[p] as f64);
+                gallop_partition_point(ks, *seed, |&k| below((k as f64).total_cmp(&t)), &mut 0)
+            }
+            (RangeKeys::Float(ks), _) => {
+                let t = moved(ks[p]);
+                gallop_partition_point(ks, *seed, |k| below(k.total_cmp(&t)), &mut 0)
+            }
+        };
+        first + *seed
+    }
+}
+
+/// The one loop of [`resolve_frames`]: every row's bounds under `mode`.
+fn walk(
+    mut mode: impl Mode,
     table: &Table,
     rows: &[usize],
-    batch: bool,
-) -> Option<Vec<Offset>> {
-    let e = match b {
-        PreBound::Preceding(e) | PreBound::Following(e) => e,
-        _ => return None,
-    };
-    let n = rows.len();
-    if n == 0 || !batch {
-        return None;
+    start: &Bound,
+    end: &Bound,
+) -> Result<Vec<(usize, usize)>> {
+    let m = rows.len();
+    let mut bounds = Vec::with_capacity(m);
+    for i in 0..m {
+        let s = match start {
+            Bound::UnboundedPreceding => 0,
+            Bound::Offset(offsets, following) => {
+                mode.offset(i, offsets.at(table, rows, i)?, *following, false)
+            }
+            Bound::CurrentRow => mode.current(i).0,
+            Bound::UnboundedFollowing => {
+                return Err(Error::InvalidFrameBound(
+                    "UNBOUNDED FOLLOWING cannot start a frame".into(),
+                ))
+            }
+        };
+        let e = match end {
+            Bound::UnboundedFollowing => m,
+            Bound::Offset(offsets, following) => {
+                mode.offset(i, offsets.at(table, rows, i)?, *following, true)
+            }
+            Bound::CurrentRow => mode.current(i).1,
+            Bound::UnboundedPreceding => {
+                return Err(Error::InvalidFrameBound(
+                    "UNBOUNDED PRECEDING cannot end a frame".into(),
+                ))
+            }
+        };
+        bounds.push((s, e.max(s)));
     }
-    let prog = vm::Program::compile(e);
-    vm::ExprVm::new()
-        .run_block(&prog, table, vm::RowSel::Rows(rows))
-        .ok()
-        .and_then(|block| offsets_from_block(&block, n))
+    Ok(bounds)
 }
 
 /// Resolves all frames of a sorted partition.
 ///
 /// `rows` maps partition positions to table rows *in window order*; `keys`
-/// are the window ORDER BY keys (used for peers and RANGE arithmetic).
-/// Per-row offset expressions run through the compiled VM in whole-partition
-/// batches (interpreter-identical results), falling back to the per-row
-/// interpreter when a bound's batch fails so errors keep the canonical row
-/// order.
+/// are the window ORDER BY keys: every mode reads them for peers, and only a
+/// RANGE offset bound reads their values, which is where SQL's restriction to
+/// one numeric key applies. A literal offset is validated once per call;
+/// any other offset expression runs through the compiled VM in one
+/// whole-partition batch (interpreter-identical results), falling back to
+/// the per-row interpreter when the batch fails so errors keep the canonical
+/// row order. An empty partition has no row to fail at.
 pub fn resolve_frames(
     table: &Table,
     rows: &[usize],
@@ -344,399 +529,40 @@ pub fn resolve_frames(
 ) -> Result<ResolvedFrames> {
     let m = rows.len();
     let (peer_start, peer_end) = peer_bounds(keys, rows);
-    let mut bounds = Vec::with_capacity(m);
+    let mut start = Bound::bind(&spec.start, table)?;
+    let mut end = Bound::bind(&spec.end, table)?;
 
-    let pstart = pre_bind(&spec.start, table)?;
-    let pend = pre_bind(&spec.end, table)?;
-    // When a statically invalid bound is present, the per-row loop errors at
-    // its first row *before* touching the other bound's expression; skip
-    // batching entirely so no expression is evaluated on rows the canonical
-    // path never reaches.
-    let batch = !(matches!(pstart, PreBound::UnboundedFollowing)
-        || matches!(pend, PreBound::UnboundedPreceding));
-
-    match spec.mode {
-        FrameMode::Rows => {
-            let pre_s = precompute_offsets(&pstart, table, rows, batch);
-            let pre_e = precompute_offsets(&pend, table, rows, batch);
-            let offset_at =
-                |pre: &Option<Vec<Offset>>, e: &crate::expr::BoundExpr, i: usize| match pre {
-                    Some(v) => Ok(v[i]),
-                    None => eval_offset(e, table, rows[i]),
-                };
-            #[allow(clippy::needless_range_loop)] // i is simultaneously position and index
-            for i in 0..m {
-                let start = match &pstart {
-                    PreBound::UnboundedPreceding => 0,
-                    PreBound::Preceding(e) => {
-                        let off = offset_at(&pre_s, e, i)?.count(m);
-                        i.saturating_sub(off)
-                    }
-                    PreBound::CurrentRow => i,
-                    PreBound::Following(e) => {
-                        let off = offset_at(&pre_s, e, i)?.count(m);
-                        i.saturating_add(off).min(m)
-                    }
-                    PreBound::UnboundedFollowing => {
-                        return Err(Error::InvalidFrameBound(
-                            "UNBOUNDED FOLLOWING cannot start a frame".into(),
-                        ))
-                    }
-                };
-                let end = match &pend {
-                    PreBound::UnboundedFollowing => m,
-                    PreBound::Following(e) => {
-                        let off = offset_at(&pre_e, e, i)?.count(m);
-                        i.saturating_add(off).saturating_add(1).min(m)
-                    }
-                    PreBound::CurrentRow => i + 1,
-                    PreBound::Preceding(e) => {
-                        let off = offset_at(&pre_e, e, i)?.count(m);
-                        (i + 1).saturating_sub(off)
-                    }
-                    PreBound::UnboundedPreceding => {
-                        return Err(Error::InvalidFrameBound(
-                            "UNBOUNDED PRECEDING cannot end a frame".into(),
-                        ))
-                    }
-                };
-                bounds.push((start, end.max(start).min(m)));
-            }
-        }
-        FrameMode::Range => {
-            resolve_range_frames(
-                table,
-                rows,
-                keys,
-                &pstart,
-                &pend,
-                &peer_start,
-                &peer_end,
-                &mut bounds,
-                batch,
-            )?;
-        }
-        FrameMode::Groups => {
-            // Group index per position + group start/end tables.
-            let mut group_of = vec![0usize; m];
-            let mut starts = Vec::new();
-            let mut ends = Vec::new();
-            let mut g = 0usize;
-            let mut p = 0usize;
-            while p < m {
-                let e = peer_end[p];
-                starts.push(p);
-                ends.push(e);
-                group_of[p..e].fill(g);
-                g += 1;
-                p = e;
-            }
-            let num_groups = starts.len();
-            let pre_s = precompute_offsets(&pstart, table, rows, batch);
-            let pre_e = precompute_offsets(&pend, table, rows, batch);
-            let offset_at =
-                |pre: &Option<Vec<Offset>>, e: &crate::expr::BoundExpr, i: usize| match pre {
-                    Some(v) => Ok(v[i]),
-                    None => eval_offset(e, table, rows[i]),
-                };
-            for i in 0..m {
-                let gi = group_of[i];
-                let start = match &pstart {
-                    PreBound::UnboundedPreceding => 0,
-                    PreBound::Preceding(e) => {
-                        let off = offset_at(&pre_s, e, i)?.count(num_groups);
-                        starts[gi.saturating_sub(off)]
-                    }
-                    PreBound::CurrentRow => peer_start[i],
-                    PreBound::Following(e) => {
-                        let off = offset_at(&pre_s, e, i)?.count(num_groups);
-                        match gi.checked_add(off) {
-                            Some(g) if g < num_groups => starts[g],
-                            _ => m,
-                        }
-                    }
-                    PreBound::UnboundedFollowing => {
-                        return Err(Error::InvalidFrameBound(
-                            "UNBOUNDED FOLLOWING cannot start a frame".into(),
-                        ))
-                    }
-                };
-                let end = match &pend {
-                    PreBound::UnboundedFollowing => m,
-                    PreBound::Following(e) => {
-                        let off = offset_at(&pre_e, e, i)?.count(num_groups);
-                        match gi.checked_add(off) {
-                            Some(g) if g < num_groups => ends[g],
-                            _ => m,
-                        }
-                    }
-                    PreBound::CurrentRow => peer_end[i],
-                    PreBound::Preceding(e) => {
-                        let off = offset_at(&pre_e, e, i)?.count(num_groups);
-                        if off > gi {
-                            0
-                        } else {
-                            ends[gi - off]
-                        }
-                    }
-                    PreBound::UnboundedPreceding => {
-                        return Err(Error::InvalidFrameBound(
-                            "UNBOUNDED PRECEDING cannot end a frame".into(),
-                        ))
-                    }
-                };
-                bounds.push((start, end.max(start)));
+    // An unsupported ORDER BY is reported before any offset is evaluated.
+    let has_offset = matches!(start, Bound::Offset(..)) || matches!(end, Bound::Offset(..));
+    let key = if spec.mode == FrameMode::Range && has_offset && m > 0 {
+        keys.range_key(rows)?
+    } else {
+        RangeKey::default()
+    };
+    // A statically invalid bound fails at the first row *before* the other
+    // bound's expression is touched: batch nothing then, so no expression is
+    // evaluated on rows the canonical path never reaches.
+    if !matches!(start, Bound::UnboundedFollowing) && !matches!(end, Bound::UnboundedPreceding) {
+        for bound in [&mut start, &mut end] {
+            if let Bound::Offset(offsets, _) = bound {
+                offsets.precompute(table, rows);
             }
         }
     }
 
+    let bounds = match spec.mode {
+        FrameMode::Rows => walk(Rows { m }, table, rows, &start, &end),
+        FrameMode::Groups => walk(Groups::new(&peer_start, &peer_end), table, rows, &start, &end),
+        FrameMode::Range => {
+            let mode = Range { peer_start: &peer_start, peer_end: &peer_end, key, seeds: [0; 2] };
+            walk(mode, table, rows, &start, &end)
+        }
+    }?;
     debug_assert!(
         bounds.len() == m && bounds.iter().all(|&(a, b)| a <= b && b <= m),
         "resolved frames must satisfy start <= end <= m"
     );
     Ok(ResolvedFrames { bounds, exclusion: spec.exclusion, peer_start, peer_end })
-}
-
-/// RANGE mode: logical offsets over the single numeric ORDER BY key.
-#[allow(clippy::too_many_arguments)]
-fn resolve_range_frames(
-    table: &Table,
-    rows: &[usize],
-    keys: &KeyColumns,
-    pstart: &PreBound,
-    pend: &PreBound,
-    peer_start: &[usize],
-    peer_end: &[usize],
-    bounds: &mut Vec<(usize, usize)>,
-    batch: bool,
-) -> Result<()> {
-    let m = rows.len();
-    let needs_key = |b: &PreBound| matches!(b, PreBound::Preceding(_) | PreBound::Following(_));
-    let offsets_used = needs_key(pstart) || needs_key(pend);
-
-    // Without offset bounds, RANGE only needs peers — any ORDER BY is fine.
-    if !offsets_used {
-        for i in 0..m {
-            let start = match pstart {
-                PreBound::UnboundedPreceding => 0,
-                PreBound::CurrentRow => peer_start[i],
-                _ => unreachable!(),
-            };
-            let end = match pend {
-                PreBound::UnboundedFollowing => m,
-                PreBound::CurrentRow => peer_end[i],
-                PreBound::UnboundedPreceding => {
-                    return Err(Error::InvalidFrameBound(
-                        "UNBOUNDED PRECEDING cannot end a frame".into(),
-                    ))
-                }
-                _ => unreachable!(),
-            };
-            bounds.push((start, end.max(start)));
-        }
-        return Ok(());
-    }
-
-    // Offset bounds: single numeric key required (the SQL restriction).
-    // Integral keys (Int / Date) stay in exact i64 arithmetic — converting
-    // them to f64 silently merges distinct keys beyond 2^53. Float keys, or
-    // integral keys combined with a float offset, use f64.
-    let mut raw: Vec<Option<Value>> = Vec::with_capacity(m);
-    let mut desc = false;
-    let mut all_int = true;
-    for &row in rows.iter() {
-        let Some((v, d)) = keys.single_key(row) else {
-            return Err(Error::Unsupported(
-                "RANGE frames with offsets require exactly one ORDER BY key".into(),
-            ));
-        };
-        desc = d;
-        match v {
-            Value::Null => raw.push(None),
-            other => {
-                if other.as_f64().is_none() {
-                    return Err(Error::Unsupported(
-                        "RANGE frames with offsets require a numeric ORDER BY key".into(),
-                    ));
-                }
-                all_int &= other.as_i64().is_some();
-                raw.push(Some(other));
-            }
-        }
-    }
-    let key_vals: KeyRep = if all_int {
-        KeyRep::Int(raw.iter().map(|o| o.as_ref().and_then(Value::as_i64)).collect())
-    } else {
-        KeyRep::Float(raw.iter().map(|o| o.as_ref().and_then(Value::as_f64)).collect())
-    };
-    // NULL rows are contiguous at one end; compute the non-null span.
-    let nn_lo = (0..m).take_while(|&p| key_vals.is_null(p)).count();
-    let nn_hi = m - (0..m).rev().take_while(|&p| key_vals.is_null(p)).count();
-
-    // The threshold `key(i) ± off` for the current row. `add` is in key
-    // space: the caller has already folded the PRECEDING/FOLLOWING direction
-    // and ASC/DESC together.
-    let thresh = |p: usize, off: Offset, add: bool| -> Thresh {
-        match (&key_vals, off) {
-            // i64 ± i64 always fits in i128: the exact path.
-            (KeyRep::Int(ks), Offset::Int(o)) => {
-                let k = ks[p].expect("non-null span") as i128;
-                Thresh::Int(if add { k + o as i128 } else { k - o as i128 })
-            }
-            _ => {
-                let k = key_vals.as_f64(p);
-                let o = off.as_f64();
-                Thresh::Float(if add { k + o } else { k - o })
-            }
-        }
-    };
-    // First position in [nn_lo, nn_hi) whose key is "at or past" v coming
-    // from the frame start direction (ASC: key >= v; DESC: key <= v).
-    let search_start = |v: &Thresh| -> usize {
-        let mut lo = nn_lo;
-        let mut hi = nn_hi;
-        while lo < hi {
-            let mid = lo + (hi - lo) / 2;
-            let ord = key_vals.cmp_thresh(mid, v);
-            let past = if desc { ord != Ordering::Greater } else { ord != Ordering::Less };
-            if past {
-                hi = mid;
-            } else {
-                lo = mid + 1;
-            }
-        }
-        lo
-    };
-    // One past the last position whose key is "at or before" v
-    // (ASC: key <= v; DESC: key >= v).
-    let search_end = |v: &Thresh| -> usize {
-        let mut lo = nn_lo;
-        let mut hi = nn_hi;
-        while lo < hi {
-            let mid = lo + (hi - lo) / 2;
-            let ord = key_vals.cmp_thresh(mid, v);
-            let within = if desc { ord != Ordering::Less } else { ord != Ordering::Greater };
-            if within {
-                lo = mid + 1;
-            } else {
-                hi = mid;
-            }
-        }
-        lo
-    };
-
-    // Offsets batch only after the key checks above: the canonical error
-    // order reports an unsupported ORDER BY before any offset evaluation.
-    let pre_s = precompute_offsets(pstart, table, rows, batch);
-    let pre_e = precompute_offsets(pend, table, rows, batch);
-    let offset_at = |pre: &Option<Vec<Offset>>, e: &crate::expr::BoundExpr, i: usize| match pre {
-        Some(v) => Ok(v[i]),
-        None => eval_offset(e, table, rows[i]),
-    };
-
-    for i in 0..m {
-        // SQL: a NULL key row's offset frame is its peer group of NULLs.
-        let is_null = key_vals.is_null(i);
-        let start = match pstart {
-            PreBound::UnboundedPreceding => 0,
-            PreBound::CurrentRow => peer_start[i],
-            PreBound::Preceding(e) => {
-                let off = offset_at(&pre_s, e, i)?;
-                if is_null {
-                    peer_start[i]
-                } else {
-                    search_start(&thresh(i, off, desc))
-                }
-            }
-            PreBound::Following(e) => {
-                let off = offset_at(&pre_s, e, i)?;
-                if is_null {
-                    peer_start[i]
-                } else {
-                    search_start(&thresh(i, off, !desc))
-                }
-            }
-            PreBound::UnboundedFollowing => {
-                return Err(Error::InvalidFrameBound(
-                    "UNBOUNDED FOLLOWING cannot start a frame".into(),
-                ))
-            }
-        };
-        let end = match pend {
-            PreBound::UnboundedFollowing => m,
-            PreBound::CurrentRow => peer_end[i],
-            PreBound::Following(e) => {
-                let off = offset_at(&pre_e, e, i)?;
-                if is_null {
-                    peer_end[i]
-                } else {
-                    search_end(&thresh(i, off, !desc))
-                }
-            }
-            PreBound::Preceding(e) => {
-                let off = offset_at(&pre_e, e, i)?;
-                if is_null {
-                    peer_end[i]
-                } else {
-                    search_end(&thresh(i, off, desc))
-                }
-            }
-            PreBound::UnboundedPreceding => {
-                return Err(Error::InvalidFrameBound(
-                    "UNBOUNDED PRECEDING cannot end a frame".into(),
-                ))
-            }
-        };
-        bounds.push((start, end.max(start)));
-    }
-    Ok(())
-}
-
-/// RANGE key columns: exact integers or floats.
-enum KeyRep {
-    /// All non-null keys are integral (Int / Date columns).
-    Int(Vec<Option<i64>>),
-    /// At least one float key: everything compares through f64.
-    Float(Vec<Option<f64>>),
-}
-
-/// A `key ± offset` bound value: i128 holds any i64 ± i64 exactly.
-enum Thresh {
-    /// Exact integer threshold.
-    Int(i128),
-    /// Float threshold (total order via `total_cmp`).
-    Float(f64),
-}
-
-impl KeyRep {
-    fn is_null(&self, p: usize) -> bool {
-        match self {
-            KeyRep::Int(ks) => ks[p].is_none(),
-            KeyRep::Float(ks) => ks[p].is_none(),
-        }
-    }
-
-    fn as_f64(&self, p: usize) -> f64 {
-        match self {
-            KeyRep::Int(ks) => ks[p].expect("non-null span") as f64,
-            KeyRep::Float(ks) => ks[p].expect("non-null span"),
-        }
-    }
-
-    /// Compares the key at `p` with a threshold. Exact when both sides are
-    /// integers; otherwise falls back to f64 (matching the threshold's own
-    /// precision).
-    fn cmp_thresh(&self, p: usize, t: &Thresh) -> Ordering {
-        match (self, t) {
-            (KeyRep::Int(ks), Thresh::Int(v)) => (ks[p].expect("non-null span") as i128).cmp(v),
-            (_, Thresh::Float(v)) => self.as_f64(p).total_cmp(v),
-            (KeyRep::Float(_), Thresh::Int(v)) => {
-                // Unreachable through `thresh` (float keys always produce
-                // float thresholds), but kept total for safety.
-                self.as_f64(p).total_cmp(&(*v as f64))
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -880,6 +706,46 @@ mod tests {
         let (t, rows, keys) = setup(vec![1, 2]);
         let spec = FrameSpec::rows(FrameBound::Preceding(lit(-1i64)), FrameBound::CurrentRow);
         assert!(resolve_frames(&t, &rows, &keys, &spec).is_err());
+    }
+
+    #[test]
+    fn a_literal_offset_is_one_offset() {
+        let (t, _, _) = setup(vec![1]);
+        assert!(matches!(Offsets::bind(&lit(2i64), &t), Ok(Offsets::Const(Offset::Int(2)))));
+        // An invalid literal stays an expression, for the first row to report.
+        assert!(matches!(Offsets::bind(&lit(-1i64), &t), Ok(Offsets::Interp(_))));
+        // Anything else may batch, and a batch that folds is one offset too.
+        let mut folded = Offsets::bind(&lit(1i64).add(lit(1i64)), &t).unwrap();
+        assert!(matches!(folded, Offsets::Interp(_)));
+        folded.precompute(&t, &[0]);
+        assert!(matches!(folded, Offsets::Const(Offset::Int(2))));
+    }
+
+    #[test]
+    fn a_batch_is_the_vm_block_when_every_row_is_valid() {
+        let t = Table::new(vec![
+            ("k", Column::ints(vec![1, 2])),
+            ("f", Column::floats(vec![0.5, 1.0])),
+            ("d", Column::dates(vec![3, 5])),
+            ("n", Column::ints_opt(vec![Some(1), None])),
+        ])
+        .unwrap();
+        let batched = |e: Expr| {
+            let mut offsets = Offsets::bind(&e, &t).unwrap();
+            offsets.precompute(&t, &[1, 0]);
+            offsets
+        };
+        assert!(matches!(batched(col("k")), Offsets::Ints(v) if v == [2, 1]));
+        assert!(matches!(batched(col("f")), Offsets::Floats(v) if v == [1.0, 0.5]));
+        // Date arithmetic comes back as dynamic values.
+        let days = batched(col("d").sub(lit(Value::Date(3))));
+        assert!(
+            matches!(days, Offsets::Mixed(v) if matches!(v[..], [Offset::Int(2), Offset::Int(0)]))
+        );
+        // One invalid row, and the interpreter reports it when it gets there.
+        for invalid in [col("k").sub(lit(2i64)), col("f").sub(lit(0.75)), col("n"), col("d")] {
+            assert!(matches!(batched(invalid), Offsets::Interp(_)));
+        }
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //! which is also the definition the normalized key is tested against.
 
 use crate::column::Column;
-use crate::error::Result;
+use crate::error::{Error, Result};
 use crate::expr::{BoundExpr, Expr};
 use crate::table::Table;
 use crate::value::{DataType, Value};
@@ -56,6 +56,11 @@ pub(crate) fn int_ordinal(x: i64) -> u64 {
     (x as u64) ^ (1 << 63)
 }
 
+/// Inverts [`int_ordinal`].
+fn int_from_ordinal(o: u64) -> i64 {
+    (o ^ (1 << 63)) as i64
+}
+
 /// Order-preserving `u64` image of a float under `f64::total_cmp` (which
 /// `sql_cmp` uses): negatives flip every bit, non-negatives set the sign
 /// bit, so `-0.0` stays below `+0.0` and NaNs keep their payload order.
@@ -86,7 +91,7 @@ fn ordinal(v: &Value) -> Option<(DataType, u64)> {
 
 /// Inverts [`ordinal`].
 fn value_of(ty: DataType, o: u64) -> Value {
-    let int = (o ^ (1 << 63)) as i64;
+    let int = int_from_ordinal(o);
     match ty {
         DataType::Int => Value::Int(int),
         DataType::Date => Value::Date(int as i32),
@@ -268,6 +273,40 @@ fn encode(fields: &[Field], cols: &[Ordinals]) -> Option<Vec<u64>> {
     Some(norm)
 }
 
+/// The single ORDER BY key of one sorted partition as a RANGE offset bound
+/// searches it: typed, NULLs set aside.
+#[derive(Default)]
+pub(crate) struct RangeKey {
+    /// The non-NULL rows' keys in partition order.
+    pub(crate) keys: RangeKeys,
+    /// Partition position of `keys[0]`: NULLs sort to one end, so the
+    /// non-NULL rows are the one span `first..first + keys.len()`.
+    pub(crate) first: usize,
+    /// The criterion is DESC (`keys` descends).
+    pub(crate) desc: bool,
+}
+
+/// Exact integers for Int / Date keys, floats once any key is one.
+pub(crate) enum RangeKeys {
+    Int(Vec<i64>),
+    Float(Vec<f64>),
+}
+
+impl Default for RangeKeys {
+    fn default() -> Self {
+        RangeKeys::Int(Vec::new())
+    }
+}
+
+impl RangeKeys {
+    pub(crate) fn len(&self) -> usize {
+        match self {
+            RangeKeys::Int(ks) => ks.len(),
+            RangeKeys::Float(ks) => ks.len(),
+        }
+    }
+}
+
 /// Materialized sort keys for every row of a table.
 #[derive(Clone)]
 pub struct KeyColumns {
@@ -443,9 +482,55 @@ impl KeyColumns {
         self.cmp_rows(a, b) == Ordering::Equal
     }
 
+    /// The keys of `rows` — a partition sorted by these criteria — for RANGE
+    /// offset bounds, which SQL restricts to exactly one numeric criterion.
+    /// Normalized keys decode straight from the field's ordinals into the
+    /// typed vector; no `Value` is built.
+    pub(crate) fn range_key(&self, rows: &[usize]) -> Result<RangeKey> {
+        let unsupported = |what| {
+            Error::Unsupported(format!("RANGE frames with offsets require {what} ORDER BY key"))
+        };
+        match &self.repr {
+            Repr::Packed { norm, fields } => {
+                let [f] = fields[..] else { return Err(unsupported("exactly one")) };
+                let ords = rows.iter().map(|&row| f.ordinal_in(norm[row]));
+                let first = ords.clone().take_while(Option::is_none).count();
+                let mut ords = ords.flatten();
+                let keys = match f.ty {
+                    Some(DataType::Float) => {
+                        RangeKeys::Float(ords.map(float_from_ordinal).collect())
+                    }
+                    // A NULL has no type to object to.
+                    Some(DataType::Bool | DataType::Str) if ords.next().is_some() => {
+                        return Err(unsupported("a numeric"))
+                    }
+                    // Int and Date; nothing is left to decode in the other cases.
+                    _ => RangeKeys::Int(ords.map(int_from_ordinal).collect()),
+                };
+                Ok(RangeKey { keys, first, desc: f.desc })
+            }
+            Repr::Values(keys) => {
+                let [(vals, desc, _)] = &keys[..] else { return Err(unsupported("exactly one")) };
+                let first = rows.iter().take_while(|&&row| vals[row].is_null()).count();
+                let vals = || rows.iter().map(|&row| &vals[row]).filter(|v| !v.is_null());
+                let keys = match vals().map(Value::as_i64).collect() {
+                    Some(ints) => RangeKeys::Int(ints),
+                    None => RangeKeys::Float(
+                        vals()
+                            .map(Value::as_f64)
+                            .collect::<Option<_>>()
+                            .ok_or_else(|| unsupported("a numeric"))?,
+                    ),
+                };
+                Ok(RangeKey { keys, first, desc: *desc })
+            }
+        }
+    }
+
     /// The key value of the single criterion for row `i` and whether the
-    /// criterion is DESC (used by RANGE frames, which SQL restricts to
-    /// exactly one numeric key).
+    /// criterion is DESC: what the append path encodes a forest call's
+    /// inner ORDER BY key from, row by row. (RANGE frames read the key
+    /// typed and once per partition, through the crate-private `range_key`.)
     pub fn single_key(&self, i: usize) -> Option<(Value, bool)> {
         match &self.repr {
             Repr::Packed { norm, fields } => match fields[..] {

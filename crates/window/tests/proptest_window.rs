@@ -158,6 +158,96 @@ fn invariant_offset(code: usize, m: usize) -> Value {
     }
 }
 
+/// Offset `code` of the frame-definition property: small, equal and
+/// fractional offsets, and two that leave `i64` when added to a key at its
+/// edge (an exact `i128` threshold) or exceed every partition.
+fn definition_offset(code: usize, float: bool) -> Value {
+    if float {
+        Value::Float([0.0, 0.5, 1.0, 2.5, 7.0, 19.75, 4.7e18, 1e300][code])
+    } else {
+        Value::Int([0, 1, 2, 3, 7, 19, 1 << 62, i64::MAX][code])
+    }
+}
+
+/// A sorted partition's keys and what the frame clause says about them: the
+/// definition [`resolve_frames`] is held against, as a scan per position.
+struct SortedKeys {
+    keys: Vec<Value>,
+    /// What ROWS and GROUPS offsets count, per position: the row number, or
+    /// the number of key changes before it.
+    unit: Vec<i128>,
+    mode: FrameMode,
+    desc: bool,
+    nulls_first: bool,
+}
+
+impl SortedKeys {
+    fn new(keys: Vec<Value>, mode: FrameMode, desc: bool, nulls_first: bool) -> Self {
+        let mut unit = vec![0; keys.len()];
+        for p in 1..keys.len() {
+            let step = mode == FrameMode::Rows || !keys[p].sql_eq(&keys[p - 1]);
+            unit[p] = unit[p - 1] + i128::from(step);
+        }
+        SortedKeys { keys, unit, mode, desc, nulls_first }
+    }
+
+    /// Whether position `j` satisfies `bound` of row `i`'s frame, `off` being
+    /// the bound's offset at row `i`: for a frame start, `j` lies at or after
+    /// the bound; for an `end`, at or before it.
+    fn at_or_past(&self, j: usize, i: usize, bound: &FrameBound, off: &Value, end: bool) -> bool {
+        use std::cmp::Ordering::{Equal, Greater, Less};
+        // Where `j` lies relative to the bound, in frame order.
+        let side = match bound {
+            FrameBound::UnboundedPreceding => Greater,
+            FrameBound::UnboundedFollowing => Less,
+            FrameBound::CurrentRow if self.mode == FrameMode::Rows => j.cmp(&i),
+            FrameBound::Preceding(_) | FrameBound::Following(_)
+                if !(self.mode == FrameMode::Range && self.keys[i].is_null()) =>
+            {
+                let following = matches!(bound, FrameBound::Following(_));
+                match (&self.keys[j], &self.keys[i], off) {
+                    _ if self.mode != FrameMode::Range => {
+                        // A fraction counts whole rows / groups.
+                        let count = off
+                            .as_i64()
+                            .map_or_else(|| off.as_f64().unwrap().trunc() as i128, i128::from);
+                        let distance = self.unit[j] - self.unit[i];
+                        distance.cmp(&if following { count } else { -count })
+                    }
+                    // An offset bound reaches no NULL: they lie beyond one end.
+                    (Value::Null, ..) if self.nulls_first => Less,
+                    (Value::Null, ..) => Greater,
+                    (kj, ki, off) => {
+                        // `k_j` against `k_i ± off`: exact when all three are
+                        // integers, in `f64` under its total order otherwise.
+                        let add = following != self.desc;
+                        let ord = match (kj, ki, off) {
+                            (Value::Int(kj), Value::Int(ki), Value::Int(o)) => {
+                                let o = i128::from(*o);
+                                i128::from(*kj).cmp(&(i128::from(*ki) + if add { o } else { -o }))
+                            }
+                            _ => {
+                                let f = |v: &Value| v.as_f64().unwrap();
+                                let t = if add { f(ki) + f(off) } else { f(ki) - f(off) };
+                                f(kj).total_cmp(&t)
+                            }
+                        };
+                        if self.desc {
+                            ord.reverse()
+                        } else {
+                            ord
+                        }
+                    }
+                }
+            }
+            // CURRENT ROW, and what a NULL key makes of a RANGE offset: peers.
+            _ if self.keys[j].sql_eq(&self.keys[i]) => Equal,
+            _ => j.cmp(&i),
+        };
+        side == Equal || side == if end { Less } else { Greater }
+    }
+}
+
 /// `Remap` from its definition: counts over the flags, nothing precomputed.
 struct RemapModel<'a>(&'a [bool]);
 
@@ -199,6 +289,55 @@ fn sized<T>(mut words: Vec<T>, class: usize) -> Vec<T> {
     words
 }
 
+/// Which error a frame reports: the first row's, the start bound's before the
+/// end bound's, whether a bound is invalid as written, by its literal or by
+/// one row's value — and none over an empty partition.
+#[test]
+fn invalid_bounds_fail_at_the_first_row_in_bound_order() {
+    let msg = |spec: &FrameSpec, keys: Vec<i64>| {
+        let n = keys.len();
+        let t = table_from(keys.into_iter().map(Some).collect());
+        let kc = KeyColumns::evaluate(&t, &[SortKey::asc(col("k"))]).unwrap();
+        let mut rows: Vec<usize> = (0..n).collect();
+        sort_permutation(&kc, &mut rows, false);
+        match resolve_frames(&t, &rows, &kc, spec) {
+            Err(holistic_window::Error::InvalidFrameBound(m)) => m,
+            other => panic!("{:?} under {spec:?}", other.map(|rf| rf.bounds)),
+        }
+    };
+    let neg = || lit(-1i64);
+    // 0 at the first row of keys 1, 2 and negative at the second.
+    let late = || lit(1i64).sub(col("k"));
+    for mode in [FrameMode::Rows, FrameMode::Range, FrameMode::Groups] {
+        let spec = |start, end| FrameSpec { mode, start, end, exclusion: FrameExclusion::NoOthers };
+        // Without an offset bound RANGE once ran a loop of its own, which had
+        // no arm for a frame that starts at UNBOUNDED FOLLOWING and panicked.
+        let s = spec(FrameBound::UnboundedFollowing, FrameBound::CurrentRow);
+        assert_eq!(msg(&s, vec![1, 2]), "UNBOUNDED FOLLOWING cannot start a frame");
+        let s = spec(FrameBound::CurrentRow, FrameBound::UnboundedPreceding);
+        assert_eq!(msg(&s, vec![1, 2]), "UNBOUNDED PRECEDING cannot end a frame");
+        // The start bound speaks first, literal or not.
+        let s = spec(FrameBound::UnboundedFollowing, FrameBound::Following(neg()));
+        assert_eq!(msg(&s, vec![1, 2]), "UNBOUNDED FOLLOWING cannot start a frame");
+        let s = spec(FrameBound::Preceding(neg()), FrameBound::UnboundedPreceding);
+        assert_eq!(msg(&s, vec![1, 2]), "offset must be non-negative");
+        let s = spec(FrameBound::Preceding(col("k")), FrameBound::UnboundedPreceding);
+        assert_eq!(msg(&s, vec![1, 2]), "UNBOUNDED PRECEDING cannot end a frame");
+        assert_eq!(msg(&s, vec![-1, 2]), "offset must be non-negative");
+        // The end's invalid literal at the first row comes before the
+        // start's invalid value at the second.
+        let s = spec(FrameBound::Preceding(late()), FrameBound::Following(lit("x")));
+        assert_eq!(msg(&s, vec![1, 2]), "offset must be numeric, got str");
+        let s = spec(FrameBound::Preceding(late()), FrameBound::CurrentRow);
+        assert_eq!(msg(&s, vec![1, 2]), "offset must be non-negative");
+        // An empty partition has no row to fail at.
+        let t = table_from(vec![Some(1)]);
+        let kc = KeyColumns::evaluate(&t, &[SortKey::asc(col("k"))]).unwrap();
+        let s = spec(FrameBound::UnboundedFollowing, FrameBound::Following(neg()));
+        assert!(resolve_frames(&t, &[], &kc, &s).unwrap().bounds.is_empty());
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
@@ -224,45 +363,6 @@ proptest! {
             prop_assert_eq!(b, (i + fol as usize + 1).min(n));
             if i > 0 {
                 prop_assert!(rf.bounds[i - 1].0 <= a && rf.bounds[i - 1].1 <= b);
-            }
-        }
-    }
-
-    /// RANGE frames: every key inside the frame lies within [k_i - pre,
-    /// k_i + fol]; every non-null key outside does not.
-    #[test]
-    fn range_frames_cover_exactly_the_value_window(
-        keys in prop::collection::vec(prop::option::of(-30i64..30), 1..80),
-        pre in 0i64..20,
-        fol in 0i64..20,
-    ) {
-        let n = keys.len();
-        let t = table_from(keys.clone());
-        let kc = KeyColumns::evaluate(&t, &[SortKey::asc(col("k"))]).unwrap();
-        let mut rows: Vec<usize> = (0..n).collect();
-        sort_permutation(&kc, &mut rows, false);
-        let spec = FrameSpec::range(FrameBound::Preceding(lit(pre)), FrameBound::Following(lit(fol)));
-        let rf = resolve_frames(&t, &rows, &kc, &spec).unwrap();
-        for i in 0..n {
-            let ki = keys[rows[i]];
-            let (a, b) = rf.bounds[i];
-            prop_assert!(a <= b && b <= n);
-            if let Some(ki) = ki {
-                for (j, &row) in rows.iter().enumerate() {
-                    if let Some(kj) = keys[row] {
-                        let inside = kj >= ki - pre && kj <= ki + fol;
-                        prop_assert_eq!(
-                            a <= j && j < b,
-                            inside,
-                            "i={} j={} ki={} kj={} frame=({},{})", i, j, ki, kj, a, b
-                        );
-                    } else {
-                        prop_assert!(!(a <= j && j < b), "null keys outside numeric frames");
-                    }
-                }
-            } else {
-                // NULL rows: frame = their peer group of NULLs.
-                prop_assert_eq!((a, b), (rf.peer_start[i], rf.peer_end[i]));
             }
         }
     }
@@ -449,6 +549,97 @@ proptest! {
 proptest! {
     // 3 modes × 16 bound shapes × 64 offset pairs: more cases than the rest.
     #![proptest_config(ProptestConfig::with_cases(2048))]
+
+    /// Frames against their definition, in every mode and under both key
+    /// representations: position `j` is in row `i`'s frame exactly when a
+    /// scan over the keys says it lies at or after the start bound and at or
+    /// before the end bound (`SortedKeys::at_or_past`). RANGE: `k_j` within
+    /// `k_i ± off`, NULL keys framing their peers; ROWS / GROUPS: the same
+    /// over row and peer-group numbers. ASC and DESC, NULLS FIRST and LAST,
+    /// float keys with `-0.0`, keys at the `i64` edges under offsets that
+    /// leave `i64`, constant and per-row non-monotone offsets (Int and
+    /// Float), FOLLOWING starts and PRECEDING ends.
+    #[test]
+    fn range_frames_cover_exactly_the_value_window(
+        keys in prop::collection::vec(prop::option::of(-30i64..30), 1..80),
+        mode in 0usize..3,
+        key_kind in 0usize..3,
+        desc in any::<bool>(),
+        nulls_first in any::<bool>(),
+        start_kind in 0usize..4,
+        end_kind in 0usize..4,
+        // `None`: the per-row columns `s` / `e`; `Some(c)`: the constant of code `c`.
+        start_off in prop::option::of(0usize..8),
+        end_off in prop::option::of(0usize..8),
+        row_offs in prop::collection::vec((0usize..8, 0usize..8), 80),
+        float_offsets in any::<bool>(),
+    ) {
+        let n = keys.len();
+        let mode = [FrameMode::Range, FrameMode::Rows, FrameMode::Groups][mode];
+        let key = |(row, k): (usize, i64)| match key_kind {
+            0 => Value::Int(k),
+            // Halves, and both zeros: `-0.0` sorts before `0.0`, not as its peer.
+            1 if k == 0 && row % 2 == 0 => Value::Float(-0.0),
+            1 => Value::Float(k as f64 * 0.5),
+            // Within 8 of either end of `i64`.
+            _ if k < 0 => Value::Int(i64::MIN + (k + 30) % 9),
+            _ => Value::Int(i64::MAX - k % 9),
+        };
+        let keys: Vec<Value> = keys
+            .iter()
+            .enumerate()
+            .map(|(row, k)| k.map_or(Value::Null, |k| key((row, k))))
+            .collect();
+        let offset = |code: usize| definition_offset(code, float_offsets);
+        let per_row = |side: fn(&(usize, usize)) -> usize| -> Vec<Value> {
+            row_offs[..n].iter().map(|codes| offset(side(codes))).collect()
+        };
+        let (s, e) = (per_row(|c| c.0), per_row(|c| c.1));
+        let t = Table::new(vec![
+            ("k", Column::from_values(&keys).unwrap()),
+            ("s", Column::from_values(&s).unwrap()),
+            ("e", Column::from_values(&e).unwrap()),
+        ])
+        .unwrap();
+        let sk = SortKey { expr: col("k"), desc, nulls_first };
+        let packed = KeyColumns::evaluate(&t, std::slice::from_ref(&sk)).unwrap();
+        let values = KeyColumns::evaluate_comparator(&t, std::slice::from_ref(&sk)).unwrap();
+        let mut rows: Vec<usize> = (0..n).collect();
+        sort_permutation(&packed, &mut rows, false);
+        let bound = |kind, is_start, off: Option<usize>, column| {
+            invariant_bound(kind, is_start, off.map_or(col(column), |c| lit(offset(c))))
+        };
+        let spec = FrameSpec {
+            mode,
+            start: bound(start_kind, true, start_off, "s"),
+            end: bound(end_kind, false, end_off, "e"),
+            exclusion: FrameExclusion::NoOthers,
+        };
+        let rf = resolve_frames(&t, &rows, &packed, &spec).unwrap();
+        let by_values = resolve_frames(&t, &rows, &values, &spec).unwrap();
+        prop_assert_eq!(&rf.bounds, &by_values.bounds, "packed and `Value` keys under {:?}", spec);
+        prop_assert_eq!(&rf.peer_start, &by_values.peer_start);
+        prop_assert_eq!(&rf.peer_end, &by_values.peer_end);
+
+        let sorted_keys = rows.iter().map(|&r| keys[r].clone()).collect();
+        let sorted = SortedKeys::new(sorted_keys, mode, desc, nulls_first);
+        for i in 0..n {
+            let (a, b) = rf.bounds[i];
+            prop_assert!(a <= b && b <= n);
+            let off = |c: Option<usize>, per_row: &[Value]| c.map_or(per_row[rows[i]].clone(), offset);
+            let (so, eo) = (off(start_off, &s), off(end_off, &e));
+            for j in 0..n {
+                let inside = sorted.at_or_past(j, i, &spec.start, &so, false)
+                    && sorted.at_or_past(j, i, &spec.end, &eo, true);
+                prop_assert_eq!(
+                    a <= j && j < b,
+                    inside,
+                    "i={} j={} frame=({},{}) offsets=({:?},{:?}) keys={:?} under {:?}",
+                    i, j, a, b, so, eo, sorted.keys, spec
+                );
+            }
+        }
+    }
 
     /// Every mode of the resolver keeps `start <= end <= m` — what readers
     /// that use the bounds unclamped lean on — or refuses the frame with an
