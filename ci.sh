@@ -67,6 +67,18 @@ cargo run --release -q --example sql_quickstart > /dev/null
 step "strategy equivalence (adaptive vs forced-MST, serial vs parallel)"
 cargo test --release -q -p holistic-window --test strategy_equivalence
 
+step "thread counts (strategy equivalence and the 600-case fuzz smoke under 1, 3 and 7 threads)"
+# The vendored pool reads RAYON_NUM_THREADS once per process; unset, it is the
+# core count. Probe chunks (the naive batch's included), parallel builds and
+# the partition fold must give bit-identical output for every count: both
+# checks compare the parallel configurations bit for bit with the serial ones.
+# Adds about 4 s once both are built.
+for threads in 1 3 7; do
+  RAYON_NUM_THREADS=$threads cargo test --release -q -p holistic-window --test strategy_equivalence
+  RAYON_NUM_THREADS=$threads cargo run --release -q -p holistic-fuzz --bin fuzz -- \
+    --cases 600 --seed 0xC0FFEE --max-n 40 --time-budget-secs 120
+done
+
 step "fuzz smoke (differential: naive vs adaptive/forced configs, fixed seed)"
 # Deterministic and time-budgeted; failures print a --replay command.
 cargo run --release -q -p holistic-fuzz --bin fuzz -- \

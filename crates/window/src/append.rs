@@ -43,7 +43,7 @@
 use crate::artifacts::{ArtifactCache, BudgetGovernor};
 use crate::column::ColumnScatter;
 use crate::error::{Error, Result};
-use crate::eval::pipeline::{hoist_keys, HoistedKeys, PartitionEval, PartitionOutput};
+use crate::eval::pipeline::{hoist_keys, HoistedKeys, PartitionEval, PartitionOutput, Prepared};
 use crate::eval::{cont_rank, cume_dist, disc_rank, percent_rank};
 use crate::executor::{AtomicProbeKernel, ExecOptions, SpillStats, WindowQuery};
 use crate::expr::Expr;
@@ -674,7 +674,7 @@ impl IncrementalEngine {
         // partition's persistent cache is stale: invalidate up front.
         let cache = &self.parts[pid].cache;
         profile.evicted_artifacts += cache.invalidate_all();
-        let PartitionOutput { rows, frames, acc, choices, outs, report } =
+        let PartitionOutput { part: Prepared { rows, frames, acc, choices, report }, outs } =
             self.evaluator(wk).evaluate(rows, Some(cache))?;
         // Release the key seeds so the engine's hoisted Arcs stay uniquely
         // owned and extend in place on the next append.

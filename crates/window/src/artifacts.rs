@@ -31,6 +31,7 @@
 //! one cache agree on the width and the `downcast` below cannot fail.
 
 use crate::error::{Error, Result};
+use crate::eval::primitive::SegTrees;
 use crate::eval::Ctx;
 use crate::executor::{CacheStats, SpillStats};
 use crate::hash::hash_value;
@@ -47,7 +48,7 @@ use holistic_core::{
 };
 use holistic_rangemode::RangeModeIndex;
 use holistic_rangetree::RangeTree3;
-use holistic_segtree::{Monoid, SegmentTree};
+use holistic_segtree::Monoid;
 use rustc_hash::FxHashMap;
 use std::any::Any;
 use std::mem::size_of;
@@ -120,7 +121,7 @@ impl<I: TreeIndex, A: DistinctAggregate> ArtifactBytes for AnnotatedMst<I, A> {
     }
 }
 
-impl<M: Monoid> ArtifactBytes for SegmentTree<M> {
+impl<M: Monoid> ArtifactBytes for SegTrees<M> {
     fn bytes_built(&self) -> usize {
         self.bytes()
     }
@@ -784,14 +785,15 @@ impl ArtifactBytes for ModeArt<RangeModeIndex> {
 /// derived (or cloned) per request.
 impl Ctx<'_> {
     /// True when this partition's trees index with u32 (uniform per
-    /// partition, hence absent from artifact keys).
+    /// partition, hence absent from artifact keys). Over a batch: when every
+    /// segment's would.
     pub(crate) fn u32_trees(&self) -> bool {
-        fits_u32(self.m() + 1)
+        fits_u32(self.largest_segment() + 1)
     }
 
     /// The artifact under `key`: the cache's, built on first request — or,
-    /// for a cacheless call, `own` if the call holds it already, else built
-    /// now and handed over.
+    /// for a naive call, `own` if the call holds it already, else built now
+    /// and handed over.
     fn artifact_in<T, F>(&self, key: &ArtifactKey, own: Option<&Arc<T>>, build: F) -> Result<Arc<T>>
     where
         T: Any + Send + Sync + ArtifactBytes,
@@ -807,15 +809,14 @@ impl Ctx<'_> {
         }
     }
 
-    /// Builds a cacheless call's values and mask up front and holds them:
-    /// its recipes ask for these two again (kept values need the mask the
+    /// Builds a naive call's values and mask up front and holds them: its
+    /// recipes ask for these two again (kept values need the mask the
     /// evaluator already holds), and without a cache nothing else would
     /// remember them.
     pub(crate) fn hold_own(&mut self, keys: &CallKeys) -> Result<()> {
-        if self.cache.is_none() {
-            self.own_values = keys.values.as_ref().map(|_| self.values_art(keys)).transpose()?;
-            self.own_mask = keys.mask.as_ref().map(|_| self.mask_art(keys)).transpose()?;
-        }
+        debug_assert!(self.cache.is_none(), "a cache remembers what it built");
+        self.own_values = keys.values.as_ref().map(|_| self.values_art(keys)).transpose()?;
+        self.own_mask = keys.mask.as_ref().map(|_| self.mask_art(keys)).transpose()?;
         Ok(())
     }
 
@@ -828,7 +829,7 @@ impl Ctx<'_> {
         self.artifact_in(key, None, || build().map(Built::New))
     }
 
-    /// Counts one build of a cached artifact kind (a cacheless call keeps no
+    /// Counts one build of a cached artifact kind (a naive call keeps no
     /// statistics).
     pub(crate) fn count_build(&self, counter: impl FnOnce(&AtomicStats) -> &AtomicU64) {
         if let Some(cache) = self.cache {
@@ -978,19 +979,15 @@ impl Ctx<'_> {
         })
     }
 
-    /// DENSE_RANK's counter over tie-group ids (u32 partitions only):
-    /// `index` makes it from each kept position's tie group and that
-    /// group's shifted previous occurrence.
-    pub(crate) fn dense_rank_parts<C>(
+    /// DENSE_RANK's counter over tie-group ids: `index` makes it from each
+    /// kept position's tie group and that group's shifted previous
+    /// occurrence.
+    pub(crate) fn dense_rank_parts<'d, C>(
         &self,
-        dc: &DenseCodes,
-        index: impl FnOnce(Vec<u32>, Vec<u32>) -> C,
+        dc: &'d DenseCodes,
+        index: impl FnOnce(&'d [usize], Vec<usize>) -> C,
     ) -> DenseRankArt<C> {
-        let gids: Vec<u32> = dc.group_id.iter().map(|&g| g as u32).collect();
-        let prev: Vec<u32> = holistic_core::prev_idcs_by_key(&gids, self.parallel)
-            .iter()
-            .map(|&p| p as u32)
-            .collect();
+        let prev = holistic_core::prev_idcs_by_key(&dc.group_id, self.parallel);
         let mut occurrences: Vec<Vec<usize>> = Vec::new();
         if self.frames.has_exclusion() {
             occurrences = vec![Vec::new(); dc.num_groups];
@@ -998,16 +995,19 @@ impl Ctx<'_> {
                 occurrences[g].push(k);
             }
         }
-        DenseRankArt { counter: index(gids, prev), occurrences }
+        DenseRankArt { counter: index(&dc.group_id, prev), occurrences }
     }
 
-    /// DENSE_RANK's 3-d range tree, [`ArtifactKey::RangeTree`].
+    /// DENSE_RANK's 3-d range tree, [`ArtifactKey::RangeTree`] (u32
+    /// partitions only).
     pub(crate) fn range_tree_art(&self, keys: &CallKeys) -> Result<Arc<DenseRankArt<RangeTree3>>> {
         self.artifact(keys.range_tree(), || {
             let dc = self.dense_codes_art(keys)?;
             self.count_build(|s| &s.rangetree_builds);
-            Ok(self
-                .dense_rank_parts(&dc, |gids, prev| RangeTree3::build(&gids, &prev, self.parallel)))
+            let narrow = |v: &[usize]| v.iter().map(|&x| x as u32).collect::<Vec<u32>>();
+            Ok(self.dense_rank_parts(&dc, |gids, prev| {
+                RangeTree3::build(&narrow(gids), &narrow(&prev), self.parallel)
+            }))
         })
     }
 

@@ -10,13 +10,14 @@
 //! A tree is built only where the fold needs one. A frame's participating
 //! rows are counted by the mask's remap and an integer SUM / AVG subtracts
 //! exact prefix sums — one implementation each, whatever the strategy. Float
-//! SUM / AVG (the combine order is the result) fold one segment tree on both
-//! arms; MIN / MAX (no inverse) fold a segment tree, or for a
+//! SUM / AVG (the combine order is the result) fold one segment tree per
+//! partition on both arms — per segment of a naive call's batch; MIN / MAX
+//! (no inverse) fold a segment tree, or for a
 //! [`Strategy::Naive`] call scan the same inputs ([`ScanFold`]). The data
 //! indexes (whose kind depends on the observed value types) build lazily
 //! under data-dependent keys during the probe phase.
 
-use super::primitive::{Fold, ScanFold};
+use super::primitive::{Fold, ScanFold, SegTrees};
 use super::Ctx;
 use crate::artifacts::{ArtifactBytes, MaskArtifact};
 use crate::error::{Error, Result};
@@ -25,7 +26,7 @@ use crate::plan::{ArtifactKey, CallPlan, SegFlavor};
 use crate::spec::{FuncKind, FunctionCall};
 use crate::strategy::Strategy;
 use crate::value::Value;
-use holistic_segtree::{MaxMonoid, MinMonoid, Monoid, PrefixSums, SegmentTree, SumF64Monoid};
+use holistic_segtree::{MaxMonoid, MinMonoid, Monoid, PrefixSums, SumF64Monoid};
 use std::sync::Arc;
 
 /// Order-preserving i64 encoding of an f64 (total order, NaN greatest).
@@ -177,10 +178,11 @@ pub(crate) fn evaluate(
                 });
             }
             if is_float {
-                // Float addition is order-sensitive: a naive call folds the
-                // very tree the cache would hold (uncached), so the combine
-                // order — hence every bit — agrees.
-                let data = seg_tree::<SumF64Monoid>(ctx, keys.seg(SegFlavor::SumF64), || {
+                // Float addition is order-sensitive: a naive call folds, per
+                // segment, the very tree the cache would hold for its
+                // partition (uncached), so the combine order — hence every
+                // bit — agrees.
+                let data = seg_trees::<SumF64Monoid>(ctx, keys.seg(SegFlavor::SumF64), || {
                     inputs(&mask.keep, 0.0, |i| values[i].as_f64())
                 })?;
                 probe_fold(ctx, &mask, &*data, |s, cnt| {
@@ -218,15 +220,15 @@ pub(crate) fn evaluate(
     }
 }
 
-/// The segment tree over `inputs()` under `key`.
-fn seg_tree<M: Monoid>(
+/// The segment trees over `inputs()` under `key`, one per segment.
+fn seg_trees<M: Monoid>(
     ctx: &Ctx<'_>,
     key: &ArtifactKey,
     inputs: impl FnOnce() -> Vec<M::Input>,
-) -> Result<Arc<SegmentTree<M>>> {
+) -> Result<Arc<SegTrees<M>>> {
     ctx.artifact(key, || {
         ctx.count_build(|s| &s.segtree_builds);
-        Ok(SegmentTree::<M>::build(&inputs(), ctx.parallel))
+        Ok(SegTrees::<M>::build(&inputs(), ctx.starts, ctx.parallel))
     })
 }
 
@@ -238,7 +240,7 @@ fn data_index<M: Monoid>(
     key: &ArtifactKey,
     inputs: impl FnOnce() -> Vec<M::Input>,
 ) -> Result<Arc<dyn Fold<M::State>>> {
-    Ok(if naive { Arc::new(ScanFold::<M>(inputs())) } else { seg_tree::<M>(ctx, key, inputs)? })
+    Ok(if naive { Arc::new(ScanFold::<M>(inputs())) } else { seg_trees::<M>(ctx, key, inputs)? })
 }
 
 /// NULL over a frame without participating rows, otherwise what `emit`

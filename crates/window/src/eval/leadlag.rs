@@ -105,14 +105,14 @@ pub(crate) fn target_position(base: usize, off: i64, len: usize) -> Option<usize
 
 /// Classic LEAD/LAG: positional within the partition, frame ignored — this is
 /// the SQL:2011 behaviour when no function-level ORDER BY is given. It probes
-/// no index, so no strategy has anything to choose.
+/// no index, so no strategy has anything to choose; it is the one family
+/// whose target leaves the frame, so it reads the row's segment instead.
 fn evaluate_classic(args: &Args<'_>, cp: &CallPlan) -> Result<Vec<Value>> {
     let Args { ctx, call, .. } = *args;
-    let m = ctx.m();
     let values = ctx.values_art(&cp.keys)?;
     // IGNORE NULLS: the n-th non-null value before/after the current row.
     let non_null: Vec<usize> = if call.ignore_nulls {
-        (0..m).filter(|&i| !values[i].is_null()).collect()
+        (0..ctx.m()).filter(|&i| !values[i].is_null()).collect()
     } else {
         Vec::new()
     };
@@ -126,9 +126,14 @@ fn evaluate_classic(args: &Args<'_>, cp: &CallPlan) -> Result<Vec<Value>> {
         if off == 0 {
             return Ok(values[i].clone());
         }
+        // The target stays inside the row's partition: its segment.
+        let (start, end) = ctx.segment(i);
         let target = if call.ignore_nulls {
-            // Position among non-null rows strictly after/before i. All
-            // arithmetic is checked: `off` can be anything up to ±i64::MAX.
+            // Position among non-null rows strictly after/before i, within
+            // the segment's run `lo..hi` of them. All arithmetic is checked:
+            // `off` can be anything up to ±i64::MAX.
+            let lo = non_null.partition_point(|&p| p < start);
+            let hi = lo + non_null[lo..].partition_point(|&p| p < end);
             let idx = non_null.partition_point(|&p| p <= i);
             let target = if off > 0 {
                 idx.checked_add(off as usize).and_then(|t| t.checked_sub(1))
@@ -136,9 +141,9 @@ fn evaluate_classic(args: &Args<'_>, cp: &CallPlan) -> Result<Vec<Value>> {
                 let before = non_null.partition_point(|&p| p < i);
                 usize::try_from(off.unsigned_abs()).ok().and_then(|o| before.checked_sub(o))
             };
-            target.and_then(|t| non_null.get(t)).copied()
+            target.filter(|t| (lo..hi).contains(t)).map(|t| non_null[t])
         } else {
-            target_position(i, off, m)
+            target_position(i - start, off, end - start).map(|t| start + t)
         };
         match target {
             Some(t) => Ok(values[t].clone()),

@@ -1,5 +1,5 @@
-//! Window function evaluation over one sorted partition — the *probe* phase
-//! of the plan → build → probe pipeline.
+//! Window function evaluation over sorted partitions — the *probe* phase of
+//! the plan → build → probe pipeline.
 //!
 //! Every family follows the paper's two-phase pattern: preprocessing
 //! products (merge sort trees / segment trees / range trees) are built once
@@ -10,6 +10,11 @@
 //! the canonical artifact keys the plan phase derived, and the
 //! [`Strategy`] chosen for it: each family is written once over the range
 //! [`primitive`]s, and the strategy names the index that answers them.
+//!
+//! The positions an evaluator sees are a [`pipeline::SegmentBatch`]'s: one
+//! partition for the tree and alternate arms, every partition of a naive
+//! call at once for the scan arm. Frames never cross a segment, so only an
+//! evaluator that reads beyond a frame asks where its segment is.
 
 pub(crate) mod alt;
 pub(crate) mod distinct;
@@ -41,26 +46,30 @@ use std::sync::Arc;
 /// that the per-block query/count buffers stay cache-resident.
 const PROBE_BLOCK: usize = 256;
 
-/// Evaluation context of one sorted partition.
+/// Evaluation context of one segment batch: a sorted partition, or several
+/// concatenated (a naive call's).
 pub(crate) struct Ctx<'a> {
     /// The full table.
     pub table: &'a Table,
-    /// Partition positions → table rows, in window order.
+    /// Batch positions → table rows, each segment in window order.
     pub rows: &'a [usize],
-    /// Resolved frames (per position).
+    /// Resolved frames (per position), each inside its row's segment.
     pub frames: &'a ResolvedFrames,
+    /// Segment boundaries: `0`, then the end of every segment.
+    pub starts: &'a [usize],
     /// Parallel probing allowed.
     pub parallel: bool,
     /// Merge sort tree parameters.
     pub params: MstParams,
     /// The partition's preprocessing-artifact cache. `None` evaluates one
-    /// call cacheless: every artifact recipe builds into a plain `Arc` that
-    /// dies with the call — no slot, key hash, footprint or governor charge.
+    /// naive call cacheless: every artifact recipe builds into a plain `Arc`
+    /// that dies with the call — no slot, key hash, footprint or governor
+    /// charge.
     pub cache: Option<&'a ArtifactCache>,
-    /// Query-level key columns, which a cacheless call reads directly (a
-    /// cache is seeded with them).
+    /// Query-level key columns, which a naive call reads directly (a cache
+    /// is seeded with them).
     pub hoisted: &'a HoistedKeys,
-    /// A cacheless call's values and mask, built before it is dispatched
+    /// A naive call's values and mask, built before it is dispatched
     /// ([`Ctx::hold_own`]).
     pub own_values: Option<Arc<Vec<Value>>>,
     /// See [`Self::own_values`].
@@ -81,9 +90,20 @@ pub(crate) enum Planned<S> {
 }
 
 impl<'a> Ctx<'a> {
-    /// Partition size.
+    /// Batch size (the partition's, for one segment).
     pub fn m(&self) -> usize {
         self.rows.len()
+    }
+
+    /// `[start, end)` of the segment holding position `i`: its partition.
+    pub fn segment(&self, i: usize) -> (usize, usize) {
+        let s = segment_of(self.starts, i);
+        (self.starts[s], self.starts[s + 1])
+    }
+
+    /// The largest segment's size: what a guard on a partition's size reads.
+    pub fn largest_segment(&self) -> usize {
+        self.starts.windows(2).map(|w| w[1] - w[0]).max().unwrap_or(0)
     }
 
     /// Evaluates an expression for every position (in window order).
@@ -215,6 +235,12 @@ pub(crate) fn evaluate_call(
         Lead | Lag => leadlag::evaluate(ctx, call, cp, strategy),
         Mode => mode::evaluate(ctx, cp, strategy),
     }
+}
+
+/// The index of the segment holding position `pos`, given the segment
+/// boundaries `starts` (`0`, then every segment's end).
+pub(crate) fn segment_of(starts: &[usize], pos: usize) -> usize {
+    starts.partition_point(|&s| s <= pos) - 1
 }
 
 /// `PERCENTILE_DISC`'s 0-based rank among the `s >= 1` kept rows of a frame:

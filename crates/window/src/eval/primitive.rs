@@ -10,7 +10,7 @@
 //! | [`CountBelow`] | [`MergeSortTree`], block kernel | [`Scan`] of the codes / prevIdcs |
 //! | [`Select`] by an inner ORDER BY | [`MergeSortTree`] over the permutation | [`Scan`]: gather + sort |
 //! | [`Count3d`] | [`RangeTree3`] | [`ScanPoints`] |
-//! | [`Fold`], MIN / MAX | [`SegmentTree`] | [`ScanFold`] |
+//! | [`Fold`], MIN / MAX | [`SegTrees`] | [`ScanFold`] |
 //! | [`RangeMode`] | [`RangeModeIndex`] | [`ScanIds`] |
 //!
 //! Three questions have one implementation, whatever the strategy, because
@@ -19,9 +19,13 @@
 //! [`PrefixSums`] (addition has an inverse), and a frame's kept-row count is
 //! [`crate::artifacts::MaskArtifact::kept_in`]. Float SUM / AVG has one too,
 //! for the opposite reason: the result is the combine order, so both arms
-//! fold the same segment tree.
+//! fold the same segment tree — one per partition, also where a scan's batch
+//! holds many ([`SegTrees`]).
+//!
+//! Every scan reads one array over all of a batch's segments: a frame stays
+//! inside its segment, and so do the positions a scan reads for it.
 
-use super::{Ctx, Planned, PROBE_BLOCK};
+use super::{segment_of, Ctx, Planned, PROBE_BLOCK};
 use crate::error::Result;
 use crate::value::Value;
 use holistic_core::{BlockScratch, MergeSortTree, RangeSet, TreeIndex};
@@ -262,20 +266,21 @@ impl Select for FrameOrder {
 /// DENSE_RANK's 3-d count (§4.4): rows at positions `[a, b)` with first
 /// coordinate `< x` and second `< y`.
 pub(crate) trait Count3d: Send + Sync {
-    fn count(&self, a: usize, b: usize, x: u32, y: u32) -> usize;
+    fn count(&self, a: usize, b: usize, x: usize, y: usize) -> usize;
 }
 
+/// Built for u32 partitions only, so the coordinates narrow exactly.
 impl Count3d for RangeTree3 {
-    fn count(&self, a: usize, b: usize, x: u32, y: u32) -> usize {
-        RangeTree3::count(self, a, b, x, y)
+    fn count(&self, a: usize, b: usize, x: usize, y: usize) -> usize {
+        RangeTree3::count(self, a, b, x as u32, y as u32)
     }
 }
 
 /// The two coordinate arrays a [`RangeTree3`] would have been built from.
-pub(crate) struct ScanPoints(pub Vec<u32>, pub Vec<u32>);
+pub(crate) struct ScanPoints<'a>(pub &'a [usize], pub Vec<usize>);
 
-impl Count3d for ScanPoints {
-    fn count(&self, a: usize, b: usize, x: u32, y: u32) -> usize {
+impl Count3d for ScanPoints<'_> {
+    fn count(&self, a: usize, b: usize, x: usize, y: usize) -> usize {
         self.0[a..b].iter().zip(&self.1[a..b]).filter(|&(&px, &py)| px < x && py < y).count()
     }
 }
@@ -288,6 +293,44 @@ pub(crate) trait Fold<T>: Send + Sync {
 impl<M: Monoid> Fold<M::State> for SegmentTree<M> {
     fn fold(&self, pieces: &RangeSet) -> M::State {
         self.query_multi(pieces.iter())
+    }
+}
+
+/// One segment tree per segment of a batch, each over its segment's inputs:
+/// a frame folds its own segment's tree, so the combine order — every bit of
+/// a float sum — is that of the tree its partition would build alone.
+pub(crate) struct SegTrees<M: Monoid> {
+    starts: Vec<usize>,
+    trees: Vec<SegmentTree<M>>,
+}
+
+impl<M: Monoid> SegTrees<M> {
+    /// The trees over `inputs` cut at the segment boundaries `starts`.
+    pub fn build(inputs: &[M::Input], starts: &[usize], parallel: bool) -> Self {
+        let trees =
+            starts.windows(2).map(|w| SegmentTree::build(&inputs[w[0]..w[1]], parallel)).collect();
+        SegTrees { starts: starts.to_vec(), trees }
+    }
+
+    /// The trees' bytes (the boundaries are the batch's).
+    pub fn bytes(&self) -> usize {
+        self.trees.iter().map(SegmentTree::bytes).sum()
+    }
+}
+
+/// `pieces` lie in one segment, as a frame's do.
+impl<M: Monoid> Fold<M::State> for SegTrees<M> {
+    fn fold(&self, pieces: &RangeSet) -> M::State {
+        if pieces.is_empty() {
+            return M::identity();
+        }
+        let s = segment_of(&self.starts, pieces.nth(0).0);
+        let base = self.starts[s];
+        let mut local = RangeSet::empty();
+        for (a, b) in pieces.iter() {
+            local.push(a - base, b - base);
+        }
+        self.trees[s].fold(&local)
     }
 }
 
@@ -451,15 +494,16 @@ mod tests {
             cuts in cuts(),
         ) {
             let n = groups.len();
-            let prev: Vec<u32> =
-                prev_idcs_by_key(&groups, false).iter().map(|&p| p as u32).collect();
-            let tree = RangeTree3::build(&groups, &prev, false);
-            let scan = ScanPoints(groups, prev);
+            let wide: Vec<usize> = groups.iter().map(|&g| g as usize).collect();
+            let prev = prev_idcs_by_key(&wide, false);
+            let narrow: Vec<u32> = prev.iter().map(|&p| p as u32).collect();
+            let tree = RangeTree3::build(&groups, &narrow, false);
+            let scan = ScanPoints(&wide, prev);
             for cut in &cuts {
                 let (a, b) = (cut[0] % (n + 1), cut[1] % (n + 1));
                 let (a, b) = (a.min(b), a.max(b));
                 for x in [0, 1, 3, 7, 8] {
-                    for y in [0, 1, a as u32 + 1, n as u32, n as u32 + 2] {
+                    for y in [0, 1, a + 1, n, n + 2] {
                         prop_assert_eq!(
                             scan.count(a, b, x, y), Count3d::count(&tree, a, b, x, y),
                             "[{}, {}) x {} y {}", a, b, x, y

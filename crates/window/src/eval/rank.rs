@@ -263,7 +263,7 @@ fn probe_dense_rank<C: Count3d>(
         // the group id right below the row's group_min boundary.
         let (gmin, _, _) = prep.code_bounds(ctx, i);
         let gcount = if gmin == 0 { 0 } else { prep.dc.group_id[prep.dc.perm[gmin - 1]] + 1 };
-        let base = art.counter.count(ka, kb, gcount as u32, ka as u32 + 1);
+        let base = art.counter.count(ka, kb, gcount, ka + 1);
         if !ctx.frames.has_exclusion() {
             return Ok(Value::Int((base + 1) as i64));
         }
