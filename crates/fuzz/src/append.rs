@@ -77,6 +77,9 @@ pub fn check_append_case(table: &Table, query: &WindowQuery, seed: u64) -> Resul
                     );
                 }
             }
+            if let Some(diff) = table_difference(engine.table(), table) {
+                panic!("the grown table differs from the case's table: {diff}");
+            }
             engine.output_table()
         })?;
         match (&full_res, engine_res) {
@@ -124,4 +127,34 @@ pub fn check_append_case(table: &Table, query: &WindowQuery, seed: u64) -> Resul
         }
     }
     Ok(())
+}
+
+/// The first difference between two tables, column by column: name, type,
+/// then each row's validity and value (bit-identical).
+fn table_difference(got: &Table, want: &Table) -> Option<String> {
+    if (got.num_columns(), got.num_rows()) != (want.num_columns(), want.num_rows()) {
+        return Some(format!(
+            "{} columns × {} rows, want {} × {}",
+            got.num_columns(),
+            got.num_rows(),
+            want.num_columns(),
+            want.num_rows()
+        ));
+    }
+    for ((name, g), (want_name, w)) in got.iter().zip(want.iter()) {
+        if name != want_name || g.data_type() != w.data_type() {
+            return Some(format!(
+                "column {name}: {:?}, want {want_name}: {:?}",
+                g.data_type(),
+                w.data_type()
+            ));
+        }
+        for row in 0..want.num_rows() {
+            let (gv, wv) = (g.get(row), w.get(row));
+            if g.is_valid(row) != w.is_valid(row) || !values_identical(&gv, &wv) {
+                return Some(format!("column {name} row {row}: {gv}, want {wv}"));
+            }
+        }
+    }
+    None
 }

@@ -155,16 +155,81 @@ impl Column {
         }
     }
 
-    /// True when row `i` is valid (non-NULL).
+    /// The NULL mask (empty when no row is NULL).
     #[inline]
-    pub fn is_valid(&self, i: usize) -> bool {
-        let v = match self {
+    fn validity(&self) -> &Validity {
+        match self {
             Column::Int(_, v) | Column::Date(_, v) => v,
             Column::Float(_, v) => v,
             Column::Str(_, v) => v,
             Column::Bool(_, v) => v,
-        };
+        }
+    }
+
+    /// True when row `i` is valid (non-NULL).
+    #[inline]
+    pub fn is_valid(&self, i: usize) -> bool {
+        let v = self.validity();
         v.is_empty() || v[i]
+    }
+
+    /// Whether [`Column::extend_from`] takes `src`: the error `push` raises
+    /// on the first row of `src` it refuses, checked once per column rather
+    /// than per value. `src` fits when it has this column's type, is `Int`
+    /// going into `Float`, or holds no non-NULL row; otherwise the first row
+    /// `push` refuses is the first non-NULL one, whose type is `src`'s.
+    pub(crate) fn check_extend(&self, src: &Column) -> Result<()> {
+        let (to, from) = (self.data_type(), src.data_type());
+        if to == from
+            || (to == DataType::Float && from == DataType::Int)
+            || (0..src.len()).all(|i| !src.is_valid(i))
+        {
+            return Ok(());
+        }
+        Err(push_type_error(from.name()))
+    }
+
+    /// Appends every row of `src` in place, with the values and validity
+    /// pushing each row in turn would give, at a cost in the rows of `src`
+    /// alone. [`Column::check_extend`] must have passed. The data under
+    /// `src`'s NULL rows is copied as it is.
+    pub(crate) fn extend_from(&mut self, src: &Column) {
+        fn ext<T>(
+            data: &mut Vec<T>,
+            valid: &mut Validity,
+            src: impl Iterator<Item = T>,
+            sv: &Validity,
+        ) {
+            // `push` materializes the validity at the first NULL; an empty
+            // column's validity is empty either way, so test the NULL.
+            let materialized = !valid.is_empty() || sv.contains(&false);
+            if materialized {
+                valid.resize(data.len(), true);
+            }
+            data.extend(src);
+            if materialized {
+                if sv.is_empty() {
+                    valid.resize(data.len(), true);
+                } else {
+                    valid.extend_from_slice(sv);
+                }
+            }
+        }
+        debug_assert!(self.check_extend(src).is_ok());
+        match (&mut *self, src) {
+            (Column::Int(d, v), Column::Int(s, sv)) => ext(d, v, s.iter().copied(), sv),
+            (Column::Float(d, v), Column::Float(s, sv)) => ext(d, v, s.iter().copied(), sv),
+            (Column::Float(d, v), Column::Int(s, sv)) => ext(d, v, s.iter().map(|&x| x as f64), sv),
+            (Column::Str(d, v), Column::Str(s, sv)) => ext(d, v, s.iter().cloned(), sv),
+            (Column::Date(d, v), Column::Date(s, sv)) => ext(d, v, s.iter().copied(), sv),
+            (Column::Bool(d, v), Column::Bool(s, sv)) => ext(d, v, s.iter().copied(), sv),
+            // All NULL, of another type: a NULL fits every column.
+            (dst, src) => {
+                for _ in 0..src.len() {
+                    dst.push(Value::Null).expect("a NULL fits every column");
+                }
+            }
+        }
     }
 
     /// Row `i` as a [`Value`].

@@ -80,7 +80,9 @@ impl Table {
 
     /// Appends the rows of `batch` (the delta-API ingest path): `batch` must
     /// carry exactly this table's columns, by name and order, with
-    /// push-compatible types. On error the table is left unchanged.
+    /// push-compatible types. Every column is checked before any grows, so
+    /// on error the table is left unchanged; then each column grows in
+    /// place, at a cost in the batch's rows, not the table's.
     pub fn append_rows(&mut self, batch: &Table) -> Result<()> {
         if batch.num_columns() != self.num_columns() {
             return Err(Error::LengthMismatch {
@@ -93,16 +95,11 @@ impl Table {
                 return Err(Error::UnknownColumn(bname.clone()));
             }
         }
-        // Validate all pushes against clones first so a mid-batch type error
-        // cannot leave the table ragged.
-        let mut grown: Vec<Column> = self.columns.iter().map(|(_, c)| c.clone()).collect();
-        for (col, (_, src)) in grown.iter_mut().zip(batch.columns.iter()) {
-            for i in 0..batch.rows {
-                col.push(src.get(i))?;
-            }
+        for ((_, dst), (_, src)) in self.columns.iter().zip(&batch.columns) {
+            dst.check_extend(src)?;
         }
-        for ((_, dst), col) in self.columns.iter_mut().zip(grown) {
-            *dst = col;
+        for ((_, dst), (_, src)) in self.columns.iter_mut().zip(&batch.columns) {
+            dst.extend_from(src);
         }
         self.rows += batch.rows;
         Ok(())
@@ -122,7 +119,7 @@ impl Table {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::value::Value;
+    use crate::value::{DataType, Value};
 
     #[test]
     fn build_and_lookup() {
@@ -149,5 +146,124 @@ mod tests {
         let t = Table::empty();
         assert_eq!(t.num_rows(), 0);
         assert_eq!(t.num_columns(), 0);
+    }
+
+    /// Every column's type, values, data and validity, in order.
+    fn snapshot(t: &Table) -> (usize, String) {
+        (t.num_rows(), format!("{:?}", t.columns))
+    }
+
+    fn abc() -> Table {
+        Table::new(vec![
+            ("a", Column::ints(vec![1, 2])),
+            ("b", Column::floats_opt(vec![Some(0.5), None])),
+            ("c", Column::strs(vec!["x", "y"])),
+        ])
+        .unwrap()
+    }
+
+    #[test]
+    fn append_mismatch_in_the_last_column_leaves_the_table_unchanged() {
+        let mut t = abc();
+        let before = snapshot(&t);
+        let batch = Table::new(vec![
+            ("a", Column::ints(vec![3])),
+            ("b", Column::floats(vec![1.5])),
+            ("c", Column::ints_opt(vec![Some(7)])),
+        ])
+        .unwrap();
+        let err = t.append_rows(&batch).unwrap_err();
+        assert_eq!(
+            err,
+            Error::TypeMismatch { expected: "column element", got: "int", context: "Column::push" }
+        );
+        assert_eq!(snapshot(&t), before);
+    }
+
+    #[test]
+    fn append_reports_the_first_failing_column_and_its_first_non_null_type() {
+        let mut t = abc();
+        let batch = Table::new(vec![
+            ("a", Column::ints(vec![3, 4])),
+            ("b", Column::dates(vec![1, 2])),
+            ("c", Column::ints_opt(vec![None, Some(7)])),
+        ])
+        .unwrap();
+        assert!(matches!(t.append_rows(&batch), Err(Error::TypeMismatch { got: "date", .. })));
+    }
+
+    #[test]
+    fn append_takes_an_all_null_column_of_another_type() {
+        let mut t = abc();
+        let batch = Table::new(vec![
+            ("a", Column::ints(vec![3, 4])),
+            ("b", Column::floats(vec![1.5, 2.5])),
+            ("c", Column::ints_opt(vec![None, None])),
+        ])
+        .unwrap();
+        t.append_rows(&batch).unwrap();
+        let c = t.column("c").unwrap();
+        assert_eq!(c.data_type(), DataType::Str);
+        assert_eq!(c.to_values(), vec![Value::str("x"), Value::str("y"), Value::Null, Value::Null]);
+    }
+
+    #[test]
+    fn append_widens_int_into_float() {
+        let mut t = abc();
+        let batch = Table::new(vec![
+            ("a", Column::ints(vec![3])),
+            ("b", Column::ints(vec![-4])),
+            ("c", Column::strs(vec!["z"])),
+        ])
+        .unwrap();
+        t.append_rows(&batch).unwrap();
+        let b = t.column("b").unwrap();
+        assert_eq!(b.data_type(), DataType::Float);
+        assert_eq!(b.to_values(), vec![Value::Float(0.5), Value::Null, Value::Float(-4.0)]);
+        assert!(matches!(b, Column::Float(_, v) if v == &vec![true, false, true]));
+    }
+
+    #[test]
+    fn append_materializes_validity_only_when_a_null_arrives() {
+        let mut t = Table::new(vec![("a", Column::ints(vec![1, 2]))]).unwrap();
+        t.append_rows(&Table::new(vec![("a", Column::ints(vec![3]))]).unwrap()).unwrap();
+        assert!(matches!(t.column_at(0), Column::Int(_, v) if v.is_empty()));
+        let nulls = Table::new(vec![("a", Column::ints_opt(vec![None, Some(5)]))]).unwrap();
+        t.append_rows(&nulls).unwrap();
+        assert!(matches!(t.column_at(0), Column::Int(d, v) if d[..3] == [1, 2, 3] && d[4] == 5
+                && v == &vec![true, true, true, false, true]));
+        assert_eq!(t.num_rows(), 5);
+
+        // A column with no rows yet takes its first NULL too.
+        let mut empty = t.slice_rows(0, 0);
+        empty.append_rows(&nulls).unwrap();
+        assert!(matches!(empty.column_at(0), Column::Int(_, v) if v == &vec![false, true]));
+        assert_eq!(empty.column_at(0).get(0), Value::Null);
+    }
+
+    #[test]
+    fn append_of_an_empty_batch_is_a_no_op() {
+        let mut t = abc();
+        let before = snapshot(&t);
+        t.append_rows(&t.slice_rows(0, 0)).unwrap();
+        assert_eq!(snapshot(&t), before);
+    }
+
+    /// The append copies no existing row: with room reserved, the column's
+    /// buffer stays where it was.
+    #[test]
+    fn append_grows_columns_in_place() {
+        let mut data = Vec::with_capacity(1024);
+        data.extend(0..100i64);
+        let mut t = Table::new(vec![("a", Column::ints(data))]).unwrap();
+        let ptr = |t: &Table| match t.column_at(0) {
+            Column::Int(d, _) => d.as_ptr(),
+            _ => unreachable!(),
+        };
+        let before = ptr(&t);
+        t.append_rows(&Table::new(vec![("a", Column::ints((100..200).collect()))]).unwrap())
+            .unwrap();
+        assert_eq!(ptr(&t), before);
+        assert_eq!(t.column_at(0).get(150), Value::Int(150));
     }
 }

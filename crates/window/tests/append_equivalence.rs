@@ -342,8 +342,21 @@ fn rejected_batches_leave_the_engine_usable() {
     assert!(engine.append(&bad).is_err());
     assert!(!engine.is_poisoned(), "a rejected batch must not poison the engine");
 
+    // Right names, a wrong type in the last column: rejected before any
+    // column grows, engine and table untouched.
+    let mistyped = Table::new(vec![
+        ("g", Column::ints(vec![0])),
+        ("t", Column::ints(vec![100])),
+        ("v", Column::strs(vec!["seven"])),
+    ])
+    .unwrap();
+    assert!(engine.append(&mistyped).is_err());
+    assert!(!engine.is_poisoned(), "a mistyped batch must not poison the engine");
+    tables_bit_identical(engine.table(), &base);
+
     engine.append(&batches[0]).unwrap();
-    let expected = q.execute(engine.table()).unwrap();
+    tables_bit_identical(engine.table(), &full);
+    let expected = q.execute(&full).unwrap();
     tables_bit_identical(&engine.output_table().unwrap(), &expected);
 }
 
