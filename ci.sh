@@ -97,6 +97,12 @@ step "fuzz smoke (append delta API: bit-identity vs from-scratch, fixed seed)"
 cargo run --release -q -p holistic-fuzz --bin fuzz -- \
   --append --cases 600 --seed 0xC0FFEE --max-n 40 --time-budget-secs 120
 
+step "fuzz (append delta API at a size where forests hold thousands of values, fixed seed)"
+# At --max-n 40 no forest holds more than 40 values, so a select's value
+# gallop and its per-run position gallop never travel far. About 1.5 s.
+cargo run --release -q -p holistic-fuzz --bin fuzz -- \
+  --append --cases 100 --seed 0xA99E4D --max-n 2000 --time-budget-secs 120
+
 step "fuzz panic sweep (invalid specs must Error, never panic; incl. tiny-budget configs)"
 cargo run --release -q -p holistic-fuzz --bin fuzz -- --panic-sweep --cases 400 --seed 0x5EED
 
@@ -127,7 +133,7 @@ step "fuzz smoke (sql-roundtrip: print → parse → plan structural + session b
 cargo run --release -q -p holistic-fuzz --bin fuzz -- \
   --sql-roundtrip --cases 500 --seed 0xC0FFEE --max-n 40 --time-budget-secs 120
 
-step "fuzz legs and the frame properties again through an overflow-checked release build (arithmetic at the edges)"
+step "fuzz legs, the frame properties and the forest property again through an overflow-checked release build (arithmetic at the edges)"
 # Release builds wrap on integer overflow; this build panics instead, and a
 # panic is a fuzz failure. Own target dir, so the flags never touch ./target.
 CARGO_TARGET_DIR=target/overflow-checks RUSTFLAGS="-C overflow-checks=on" \
@@ -136,6 +142,7 @@ OFUZZ=target/overflow-checks/release/fuzz
 $OFUZZ --cases 600 --seed 0xC0FFEE --max-n 40 --time-budget-secs 120
 $OFUZZ --cases 100 --seed 0xD15C0 --max-n 4000 --time-budget-secs 180
 $OFUZZ --append --cases 600 --seed 0xC0FFEE --max-n 40 --time-budget-secs 120
+$OFUZZ --append --cases 100 --seed 0xA99E4D --max-n 2000 --time-budget-secs 120
 $OFUZZ --panic-sweep --cases 400 --seed 0x5EED
 $OFUZZ --cases 500 --seed 0xB4D6E7 --max-n 40 --budget 8192 --time-budget-secs 120
 budget_leg $OFUZZ
@@ -149,6 +156,11 @@ $OFUZZ --sql-roundtrip --cases 500 --seed 0xC0FFEE --max-n 40 --time-budget-secs
 # fuzz legs ran. Under a minute, nearly all of it compiling the two harnesses.
 CARGO_TARGET_DIR=target/overflow-checks RUSTFLAGS="-C overflow-checks=on" \
   cargo test --release -q -p holistic-window --lib --test proptest_window
+# The forest's select gallops in the value domain next to the reserved
+# u64::MAX (`v + 1`, `seed ± off`, the doubling step): its property draws
+# values and hints up to u64::MAX − 1, and here a wrap panics.
+CARGO_TARGET_DIR=target/overflow-checks RUSTFLAGS="-C overflow-checks=on" \
+  cargo test --release -q -p holistic-core --lib --test proptest_forest
 
 step "block-vs-scalar kernel micro-timer (ignored by default; run once so it cannot rot)"
 # The only timer of the block kernels against the scalar descent outside

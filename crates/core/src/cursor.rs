@@ -29,6 +29,8 @@
 //! preserved, so even non-associative-rounding aggregates (`SUM(DISTINCT)`
 //! over floats) stay bit-identical.
 
+use std::ops::Range;
+
 /// Probe-kernel counters accumulated by a cursor over its lifetime.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CursorStats {
@@ -58,37 +60,78 @@ pub fn gallop_partition_point<T>(
     below: impl Fn(&T) -> bool,
     steps: &mut u64,
 ) -> usize {
-    let n = data.len();
-    let seed = seed.min(n);
-    let (lo, hi);
-    if seed < n && below(&data[seed]) {
-        // The boundary lies strictly right of the seed: probe seed + 1, 2, 4…
-        let mut off = 1usize;
-        loop {
-            let idx = seed + off;
-            if idx >= n || !below(&data[idx]) {
+    // `usize` is at most 64 bits wide, so the casts are lossless.
+    let p = gallop_partition_point_in(
+        0..data.len() as u64,
+        seed as u64,
+        |i| below(&data[i as usize]),
+        steps,
+    );
+    p as usize
+}
+
+/// [`gallop_partition_point`] over an index range instead of a slice: the
+/// first index of `range` at which the monotone (true-prefix) predicate
+/// `below` is false, or `range.end` when it holds everywhere.
+///
+/// Probes `seed ± 1, 2, 4, …` until the predicate flips, then bisects
+/// inside that bracket only; a seed outside `range` is clamped into it.
+/// Every seed gives the same answer, and the cost is O(log Δ) predicate
+/// calls with `Δ` the distance from the seed to the answer. The value
+/// domain of [`crate::MstForest`]'s select is such a range, whence `u64`.
+pub(crate) fn gallop_partition_point_in(
+    range: Range<u64>,
+    seed: u64,
+    mut below: impl FnMut(u64) -> bool,
+    steps: &mut u64,
+) -> u64 {
+    let Range { start, end } = range;
+    let seed = seed.clamp(start, end);
+    // The answer lies in [lo, hi]; the probed indices stay inside `range`
+    // and the doubling saturates, so nothing overflows near `u64::MAX`.
+    let (mut lo, mut hi);
+    let mut off = 1u64;
+    if seed < end && below(seed) {
+        // Strictly right of the seed: probe seed + 1, 2, 4…
+        (lo, hi) = (seed + 1, end);
+        while off < end - seed {
+            if !below(seed + off) {
+                hi = seed + off;
                 break;
             }
+            lo = seed + off + 1;
             *steps += 1;
-            off <<= 1;
+            off = off.saturating_mul(2);
         }
-        lo = seed + (off >> 1) + 1;
-        hi = (seed + off).min(n);
     } else {
-        // The boundary lies at or left of the seed: probe seed − 1, 2, 4…
-        let mut off = 1usize;
-        loop {
-            if off > seed || below(&data[seed - off]) {
+        // At or left of the seed: probe seed − 1, 2, 4…
+        (lo, hi) = (start, seed);
+        while off <= seed - start {
+            if below(seed - off) {
+                lo = seed - off + 1;
                 break;
             }
+            hi = seed - off;
             *steps += 1;
-            off <<= 1;
+            off = off.saturating_mul(2);
         }
-        lo = if off > seed { 0 } else { seed - off + 1 };
-        hi = seed - (off >> 1);
     }
-    debug_assert!(lo <= hi && hi <= n);
-    lo + data[lo..hi].partition_point(below)
+    partition_point_in(lo..hi, below)
+}
+
+/// Plain bisection for the first index of `range` at which the monotone
+/// predicate `below` is false (`range.end` when it never is).
+pub(crate) fn partition_point_in(range: Range<u64>, mut below: impl FnMut(u64) -> bool) -> u64 {
+    let Range { start: mut lo, end: mut hi } = range;
+    while lo < hi {
+        let mid = lo + (hi - lo) / 2;
+        if below(mid) {
+            lo = mid + 1;
+        } else {
+            hi = mid;
+        }
+    }
+    lo
 }
 
 /// One memoized per-level position: the lower bound of the last threshold
@@ -221,6 +264,29 @@ mod tests {
                 let got = gallop_partition_point(&data, seed, |&x| x < t, &mut steps);
                 assert_eq!(got, data.partition_point(|&x| x < t), "n={n} t={t} seed={seed}");
             }
+        }
+    }
+
+    #[test]
+    fn gallop_in_matches_bisection_at_the_u64_edges() {
+        let mut rng = StdRng::seed_from_u64(11);
+        let edges = [0, 1, u64::MAX / 2, u64::MAX - 2, u64::MAX - 1, u64::MAX];
+        for _ in 0..2_000 {
+            let pick = |rng: &mut StdRng| {
+                if rng.gen_bool(0.5) {
+                    edges[rng.gen_range(0..edges.len())]
+                } else {
+                    rng.gen()
+                }
+            };
+            let (a, b) = (pick(&mut rng), pick(&mut rng));
+            let range = a.min(b)..a.max(b);
+            let t = pick(&mut rng);
+            let seed = pick(&mut rng);
+            let want = partition_point_in(range.clone(), |x| x < t);
+            assert_eq!(want, t.clamp(range.start, range.end));
+            let got = gallop_partition_point_in(range.clone(), seed, |x| x < t, &mut 0);
+            assert_eq!(got, want, "range={range:?} t={t} seed={seed}");
         }
     }
 

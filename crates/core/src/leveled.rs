@@ -24,8 +24,18 @@
 //!   the query ranges to its own position span and delegates to its tree's
 //!   `count_below`);
 //! * [`MstForest::select`] — a cross-run rank search over the shared value
-//!   domain: bisect for the smallest value `v` whose cumulative
-//!   `count_leq(v)` across all runs exceeds the requested rank.
+//!   domain for the smallest value `v` whose cumulative `count_leq(v)`
+//!   across all runs exceeds the requested rank. A hinted probe brackets
+//!   that value by doubling steps outward from the hint and bisects inside
+//!   the bracket only; just a probe without a hint bisects the forest's
+//!   whole `[min, max]`.
+//!
+//! A caller-owned [`ForestCursor`] makes a stream of probes over sliding
+//! frames gallop in both dimensions: in the value domain from the previous
+//! answer, and in position from each run's previous top-level lower bound.
+//! Galloping returns exactly what the plain search returns for any seed, so
+//! a stale cursor (after a collapse renumbers the runs, say) costs time but
+//! never changes an answer.
 //!
 //! Values are order-preserving `u64` encodings (the window layer encodes
 //! `i64`/`f64` sort keys bijectively); `u64::MAX` is reserved so that
@@ -34,6 +44,7 @@
 //! back to a full rebuild for those, which the window layer's append engine
 //! does automatically.
 
+use crate::cursor::{gallop_partition_point, gallop_partition_point_in, partition_point_in};
 use crate::mst::MergeSortTree;
 use crate::params::MstParams;
 use crate::range_set::RangeSet;
@@ -72,6 +83,36 @@ pub struct MstForest {
     runs: Vec<Run>,
     merges: u64,
     rebuilt: u64,
+}
+
+/// Probe state a caller keeps across [`MstForest::select_with`] calls whose
+/// frames move a little at a time (the append engine's per-row probes).
+///
+/// It holds the previous answer, from which a select gallops outward in the
+/// value domain, and one top-level position per run, from which a count
+/// pass over a fully covered run gallops instead of bisecting the run. Any
+/// cursor is valid against any forest: a seed only decides where a search
+/// starts, never what it returns.
+///
+/// ```
+/// use holistic_core::{ForestCursor, MstForest, MstParams, RangeSet};
+///
+/// let mut f = MstForest::new(MstParams::default().serial());
+/// f.append(&[5, 1, 4, 2, 8]);
+/// let mut cur = ForestCursor::default();
+/// for end in 1..=5 {
+///     let frame = RangeSet::single(0, end);
+///     let median = f.select_with(&frame, (end - 1) / 2, &mut cur);
+///     assert_eq!(median, f.select(&frame, (end - 1) / 2));
+/// }
+/// ```
+#[derive(Debug, Clone, Default)]
+pub struct ForestCursor {
+    /// The previous select's answer.
+    hint: Option<u64>,
+    /// Per run index, the lower bound of the last threshold in that run's
+    /// top level.
+    tops: Vec<usize>,
 }
 
 impl MstForest {
@@ -167,8 +208,15 @@ impl MstForest {
     /// How many values at positions in `ranges` are strictly below `t` —
     /// the per-run counts sum across runs.
     pub fn count_below(&self, ranges: &RangeSet, t: u64) -> usize {
+        self.count_pass(ranges, t, &mut [])
+    }
+
+    /// [`Self::count_below`], where a fully covered run `r` with an entry in
+    /// `tops` gallops to its top-level lower bound from `tops[r]` and stores
+    /// it there; every other run and piece takes the tree's own probe.
+    fn count_pass(&self, ranges: &RangeSet, t: u64, tops: &mut [usize]) -> usize {
         let mut total = 0usize;
-        for run in &self.runs {
+        for (r, run) in self.runs.iter().enumerate() {
             if t <= run.min_val {
                 continue;
             }
@@ -176,13 +224,17 @@ impl MstForest {
             let end = run.start + run.tree.len();
             for (a, b) in ranges.iter() {
                 let (la, lb) = (a.max(run.start), b.min(end));
-                if la < lb {
-                    total += if saturated {
-                        lb - la
-                    } else {
-                        run.tree.count_below(la - run.start, lb - run.start, t)
-                    };
+                if la >= lb {
+                    continue;
                 }
+                total += if saturated {
+                    lb - la
+                } else if let Some(top) = tops.get_mut(r).filter(|_| (la, lb) == (run.start, end)) {
+                    *top = gallop_partition_point(run.tree.top_keys(), *top, |&x| x < t, &mut 0);
+                    *top
+                } else {
+                    run.tree.count_below(la - run.start, lb - run.start, t)
+                };
             }
         }
         total
@@ -206,40 +258,53 @@ impl MstForest {
 
     /// [`Self::select`] seeded with a guess (typically the previous probe's
     /// answer when frames slide by one row). A correct guess costs two
-    /// `count_below` probes; a miss still halves the bisection domain.
+    /// count passes; a miss brackets the answer by doubling steps outward
+    /// from the guess in the value domain and bisects only inside that
+    /// bracket. Without a guess, the forest's whole `[min, max]` is bisected.
+    /// Every count pass binary-searches each run it probes; for a stream of
+    /// probes, [`Self::select_with`] also gallops there.
     pub fn select_from(&self, ranges: &RangeSet, j: usize, hint: Option<u64>) -> Option<u64> {
+        self.select_seeded(ranges, j, hint, &mut [])
+    }
+
+    /// [`Self::select_from`] seeded from `cur`: the value search starts at
+    /// the cursor's previous answer, and a fully covered run's count starts
+    /// at its previous top-level position. The answer becomes the next
+    /// hint. Returns exactly what [`Self::select`] returns.
+    pub fn select_with(&self, ranges: &RangeSet, j: usize, cur: &mut ForestCursor) -> Option<u64> {
+        if cur.tops.len() < self.runs.len() {
+            cur.tops.resize(self.runs.len(), 0);
+        }
+        let v = self.select_seeded(ranges, j, cur.hint, &mut cur.tops)?;
+        cur.hint = Some(v);
+        Some(v)
+    }
+
+    fn select_seeded(
+        &self,
+        ranges: &RangeSet,
+        j: usize,
+        hint: Option<u64>,
+        tops: &mut [usize],
+    ) -> Option<u64> {
         if j >= self.positions(ranges) {
             return None;
         }
-        // Invariant: the answer lies in [lo, hi]. Starting from the
-        // observed per-run value bounds (rather than the full `u64` domain)
-        // makes the bisection O(log of the live value spread) — for typical
-        // integer domains a handful of iterations instead of 64.
+        // The answer lies in [min, max] of the observed per-run bounds, so
+        // the bisection is O(log of the live value spread), not 64 steps.
         let (mut lo, mut hi) = (u64::MAX, 0u64);
         for run in &self.runs {
             lo = lo.min(run.min_val);
             hi = hi.max(run.max_val);
         }
-        if let Some(h) = hint.filter(|&h| lo <= h && h <= hi) {
-            let below = self.count_below(ranges, h);
-            if below > j {
-                // At least j + 1 values sit strictly below the hint.
-                hi = h - 1;
-            } else if self.count_below(ranges, h + 1) > j {
-                return Some(h);
-            } else {
-                lo = h + 1;
-            }
-        }
-        while lo < hi {
-            let mid = lo + (hi - lo) / 2;
-            if self.count_below(ranges, mid + 1) > j {
-                hi = mid;
-            } else {
-                lo = mid + 1;
-            }
-        }
-        Some(lo)
+        // `v` lies below the answer iff at most `j` values are ≤ `v`; `hi`
+        // itself never does, so searching `[lo, hi)` returns `hi` at most.
+        // `v < hi < u64::MAX` (reserved), so `v + 1` never wraps.
+        let below = |v: u64| self.count_pass(ranges, v + 1, tops) <= j;
+        Some(match hint {
+            Some(h) => gallop_partition_point_in(lo..hi, h, below, &mut 0),
+            None => partition_point_in(lo..hi, below),
+        })
     }
 }
 

@@ -66,7 +66,7 @@ pub use arena::SpillableArena;
 pub use codes::{dense_codes, DenseCodes};
 pub use cursor::{CursorStats, ProbeCursor};
 pub use index::TreeIndex;
-pub use leveled::MstForest;
+pub use leveled::{ForestCursor, MstForest};
 pub use mst::{
     mst_arena_len, mst_spill_build_len, BlockScratch, BlockStats, MergeSortTree, MstShell,
 };

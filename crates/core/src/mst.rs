@@ -483,6 +483,13 @@ impl<I: TreeIndex> MergeSortTree<I> {
         &self.arena[level * self.n..(level + 1) * self.n]
     }
 
+    /// The top level: every key in one sorted run, so the lower bound of `t`
+    /// here is `count_below(0, len, t)`.
+    #[inline]
+    pub(crate) fn top_keys(&self) -> &[I] {
+        self.keys(self.levels.len() - 1)
+    }
+
     /// The cascading-pointer slab of `level`, laid out `[run][sample][child]`.
     #[inline]
     pub(crate) fn ptr_slab(&self, level: usize) -> &[I] {
@@ -562,9 +569,8 @@ impl<I: TreeIndex> MergeSortTree<I> {
         if a >= b {
             return;
         }
-        let top = self.levels.len() - 1;
-        let top_pos = self.keys(top).partition_point(|&x| x < t);
-        self.descend_below(top, 0, a, b, t, top_pos, &mut visit);
+        let top_pos = self.top_keys().partition_point(|&x| x < t);
+        self.descend_below(self.levels.len() - 1, 0, a, b, t, top_pos, &mut visit);
     }
 
     /// Visits the covered positions of a *partial* level-1 run by scanning the

@@ -57,7 +57,7 @@ use crate::spec::{FuncKind, FunctionCall};
 use crate::strategy::{PartitionStats, StatsAcc, Strategy};
 use crate::table::Table;
 use crate::value::Value;
-use holistic_core::{MstForest, RangeSet};
+use holistic_core::{ForestCursor, MstForest, RangeSet};
 use rustc_hash::FxHashMap;
 use std::cmp::Ordering;
 use std::sync::Arc;
@@ -204,6 +204,9 @@ struct CallForest {
     enc: Vec<u64>,
     /// Key domain; pinned by the first encoded value.
     ty: Option<KeyTy>,
+    /// Where the previous row's select ended, kept across appends: the
+    /// next row's frame differs by one row, so its answer is near.
+    cursor: ForestCursor,
 }
 
 /// Everything the engine holds per partition.
@@ -427,6 +430,7 @@ impl IncrementalEngine {
                 forest: MstForest::new(self.opts.params),
                 enc: Vec::new(),
                 ty: None,
+                cursor: ForestCursor::default(),
             }),
             _ => None,
         };
@@ -629,12 +633,9 @@ impl IncrementalEngine {
                     cf.enc.extend_from_slice(encs);
                     cf.forest.append(encs);
                     cf.ty = Some(*ty);
-                    let mut hint = None;
                     for pos in m_old..m {
                         let pieces = ps.frames.range_set(pos);
-                        ps.outs[ci].push(probe_value(
-                            *kind, *p, &cf.forest, &cf.enc, &pieces, pos, *desc, *ty, &mut hint,
-                        ));
+                        ps.outs[ci].push(probe_value(*kind, *p, cf, &pieces, pos, *desc, *ty));
                     }
                 }
                 None => unreachable!("all_fast requires a plan per call"),
@@ -730,7 +731,7 @@ impl IncrementalEngine {
                 }
                 let mut forest = MstForest::new(self.opts.params);
                 forest.append(&enc);
-                forests[ci] = Some(CallForest { forest, enc, ty });
+                forests[ci] = Some(CallForest { forest, enc, ty, cursor: ForestCursor::default() });
             }
         }
 
@@ -831,19 +832,17 @@ fn clip_below(rs: &RangeSet, hi: usize) -> RangeSet {
 /// One forest probe: computes a forest-eligible call's output for new
 /// position `pos` over its frame `pieces`, with the SQL arithmetic of the
 /// batch evaluators (`eval/rank.rs`, `eval/select_based.rs`).
-#[allow(clippy::too_many_arguments)] // a per-row probe kernel, not an API
 fn probe_value(
     kind: FuncKind,
     p: f64,
-    forest: &MstForest,
-    enc: &[u64],
+    cf: &mut CallForest,
     pieces: &RangeSet,
     pos: usize,
     desc: bool,
     ty: KeyTy,
-    hint: &mut Option<u64>,
 ) -> Value {
     use FuncKind::*;
+    let CallForest { forest, enc, cursor: cur, .. } = cf;
     let e = enc[pos];
     match kind {
         RowNumber => {
@@ -877,10 +876,10 @@ fn probe_value(
             }
             // Frames slide by one row between consecutive probes, so the
             // previous answer is almost always still (near) the percentile:
-            // seed the forest's rank bisection with it.
+            // the cursor gallops from it in value and from each run's last
+            // position, where a cold select would bisect the value domain.
             let v =
-                forest.select_from(pieces, disc_rank(p, s), *hint).expect("rank within frame size");
-            *hint = Some(v);
+                forest.select_with(pieces, disc_rank(p, s), cur).expect("rank within frame size");
             decode_key(v, desc, ty)
         }
         PercentileCont => {
@@ -889,8 +888,7 @@ fn probe_value(
                 return Value::Null;
             }
             let mut at = |j: usize| -> f64 {
-                let v = forest.select_from(pieces, j, *hint).expect("rank within frame size");
-                *hint = Some(v);
+                let v = forest.select_with(pieces, j, cur).expect("rank within frame size");
                 decode_key(v, desc, ty).as_f64().expect("numeric forest key")
             };
             let cr = cont_rank(p, s);
