@@ -94,13 +94,34 @@ cargo run --release -q -p holistic-fuzz --bin fuzz -- \
   --cases 100 --seed 0xD15C0 --max-n 4000 --time-budget-secs 180
 
 step "fuzz smoke (append delta API: bit-identity vs from-scratch, fixed seed)"
-cargo run --release -q -p holistic-fuzz --bin fuzz -- \
+# An append leg exists to hold the splice path against from-scratch
+# execution, so it fails when fewer than a quarter of its cases spliced, or
+# when no case read a rank off the peer groups or probed a forest two calls
+# share. Half of --append's cases are shaped to splice (gen::splice_case);
+# at the seeds below 222 of 600 and 35 of 100 do.
+append_leg() {
+  local out
+  out=$("$@")
+  echo "$out"
+  local re='([0-9]+) cases, seed .*; ([0-9]+) cases spliced, ([0-9]+) read a rank off the peer groups, ([0-9]+) probed a shared forest'
+  if ! [[ $out =~ $re ]]; then
+    echo "the append leg printed no summary line" >&2
+    exit 1
+  fi
+  local ran=${BASH_REMATCH[1]} spliced=${BASH_REMATCH[2]} peer=${BASH_REMATCH[3]} shared=${BASH_REMATCH[4]}
+  if ((spliced * 4 < ran || peer == 0 || shared == 0)); then
+    echo "append leg: $spliced of $ran cases spliced (want at least 25 %), $peer read a" \
+      "peer-group rank and $shared probed a shared forest (want both above 0)" >&2
+    exit 1
+  fi
+}
+append_leg cargo run --release -q -p holistic-fuzz --bin fuzz -- \
   --append --cases 600 --seed 0xC0FFEE --max-n 40 --time-budget-secs 120
 
 step "fuzz (append delta API at a size where forests hold thousands of values, fixed seed)"
 # At --max-n 40 no forest holds more than 40 values, so a select's value
 # gallop and its per-run position gallop never travel far. About 1.5 s.
-cargo run --release -q -p holistic-fuzz --bin fuzz -- \
+append_leg cargo run --release -q -p holistic-fuzz --bin fuzz -- \
   --append --cases 100 --seed 0xA99E4D --max-n 2000 --time-budget-secs 120
 
 step "fuzz panic sweep (invalid specs must Error, never panic; incl. tiny-budget configs)"
@@ -141,8 +162,8 @@ CARGO_TARGET_DIR=target/overflow-checks RUSTFLAGS="-C overflow-checks=on" \
 OFUZZ=target/overflow-checks/release/fuzz
 $OFUZZ --cases 600 --seed 0xC0FFEE --max-n 40 --time-budget-secs 120
 $OFUZZ --cases 100 --seed 0xD15C0 --max-n 4000 --time-budget-secs 180
-$OFUZZ --append --cases 600 --seed 0xC0FFEE --max-n 40 --time-budget-secs 120
-$OFUZZ --append --cases 100 --seed 0xA99E4D --max-n 2000 --time-budget-secs 120
+append_leg $OFUZZ --append --cases 600 --seed 0xC0FFEE --max-n 40 --time-budget-secs 120
+append_leg $OFUZZ --append --cases 100 --seed 0xA99E4D --max-n 2000 --time-budget-secs 120
 $OFUZZ --panic-sweep --cases 400 --seed 0x5EED
 $OFUZZ --cases 500 --seed 0xB4D6E7 --max-n 40 --budget 8192 --time-budget-secs 120
 budget_leg $OFUZZ

@@ -9,6 +9,12 @@
 //! recompute) each batch takes; unlike the naive-vs-engine comparison there
 //! is no float tolerance here.
 //!
+//! Cases come from [`crate::gen::generate_append`]: half of them are the
+//! default mode's cases, which almost never end-append, and half are shaped
+//! so the engine's splice path takes their batches. [`AppendProbe`] reports
+//! whether a case spliced, read a rank off the peer groups and probed a
+//! shared forest.
+//!
 //! Error agreement follows the differential check's rule: both sides
 //! erroring is agreement (the engine may surface the error at whichever
 //! batch first contains the offending data), one side erroring alone is a
@@ -50,9 +56,26 @@ pub fn append_plan(seed: u64, n: usize) -> AppendPlan {
     AppendPlan { base_n, cuts }
 }
 
-/// Runs one case through the append-sequence check. `Ok(())` means every
-/// configuration agreed bit-for-bit with its own from-scratch execution.
-pub fn check_append_case(table: &Table, query: &WindowQuery, seed: u64) -> Result<(), Divergence> {
+/// What an append case that held exercised: the `--append` summary counts
+/// these, so a leg says when its cases stop reaching the splice path.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct AppendProbe {
+    /// Some configuration refreshed a partition through the splice path.
+    pub spliced: bool,
+    /// Some splice read a rank-family output off the peer groups.
+    pub peer_rank: bool,
+    /// Some splice probed a forest that another call probes too.
+    pub shared_forest: bool,
+}
+
+/// Runs one case through the append-sequence check. `Ok` means every
+/// configuration agreed bit-for-bit with its own from-scratch execution; it
+/// carries what the appends exercised.
+pub fn check_append_case(
+    table: &Table,
+    query: &WindowQuery,
+    seed: u64,
+) -> Result<AppendProbe, Divergence> {
     let n = table.num_rows();
     let plan = append_plan(seed, n);
     let base = table.slice_rows(0, plan.base_n);
@@ -63,6 +86,7 @@ pub fn check_append_case(table: &Table, query: &WindowQuery, seed: u64) -> Resul
         at = cut;
     }
 
+    let mut probe = AppendProbe::default();
     for opts in ExecOptions::all_configs() {
         let label = format!("append/{}", opts.label());
         let full_res = run_protected(&label, || query.execute_with(table, opts))?;
@@ -76,6 +100,9 @@ pub fn check_append_case(table: &Table, query: &WindowQuery, seed: u64) -> Resul
                         "changed_outputs must contain appended row {row}"
                     );
                 }
+                probe.spliced |= res.profile.spliced_partitions > 0;
+                probe.peer_rank |= res.profile.peer_rank_outputs > 0;
+                probe.shared_forest |= res.profile.shared_forest_outputs > 0;
             }
             if let Some(diff) = table_difference(engine.table(), table) {
                 panic!("the grown table differs from the case's table: {diff}");
@@ -126,7 +153,7 @@ pub fn check_append_case(table: &Table, query: &WindowQuery, seed: u64) -> Resul
             }
         }
     }
-    Ok(())
+    Ok(probe)
 }
 
 /// The first difference between two tables, column by column: name, type,

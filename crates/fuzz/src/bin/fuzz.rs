@@ -15,7 +15,10 @@
 //! nothing may panic. `--append` runs the append-sequence mode instead: each
 //! case's table is carved into a base plus seeded batches, fed through the
 //! incremental delta API, and compared bit-identically against from-scratch
-//! execution under every configuration. `--budget BYTES` runs the
+//! execution under every configuration. Half its cases are shaped for the
+//! splice path (`gen::generate_append`); its summary line counts the cases
+//! that spliced, those that read a rank off the peer groups and those that
+//! probed a forest shared by two calls. `--budget BYTES` runs the
 //! budget-constrained mode instead: every case runs under a memory budget
 //! and must be bit-identical to the unbudgeted serial reference or fail
 //! with the typed `BudgetExceeded` (never panic); its summary line counts the
@@ -25,7 +28,7 @@
 //! the spec structurally), and executed through the `holistic-sql` session
 //! path (must be bit-identical to the builder path).
 
-use holistic_fuzz::gen::{case_seed, generate, GenConfig};
+use holistic_fuzz::gen::{case_seed, generate, generate_append, GenConfig};
 use holistic_fuzz::{
     check_append_case, check_budget_case, check_case, check_sql_roundtrip, dump_table, panic_sweep,
     shrink, with_quiet_panics,
@@ -138,7 +141,7 @@ fn report_failure(
         } else if let Some(b) = args.budget {
             check_budget_case(t, q, b).map(drop)
         } else if args.append {
-            check_append_case(t, q, cs)
+            check_append_case(t, q, cs).map(drop)
         } else {
             check_case(t, q)
         }
@@ -189,23 +192,33 @@ fn main() {
     // Budget mode's summary: cases where a compared config re-faulted a
     // tree, and cases where a config ended in `BudgetExceeded`.
     let (refaulted, exceeded) = (Cell::new(0u64), Cell::new(0u64));
+    // Append mode's: cases that spliced, read a rank off the peer groups,
+    // and probed a forest shared by two calls.
+    let (spliced, peer_rank, shared_forest) = (Cell::new(0u64), Cell::new(0u64), Cell::new(0u64));
+    let count = |c: &Cell<u64>, yes: bool| c.set(c.get() + yes as u64);
     let check = |t: &holistic_window::Table, q: &holistic_window::WindowQuery, cs: u64| {
         if args.sql_roundtrip {
             check_sql_roundtrip(t, q)
         } else if let Some(b) = args.budget {
             check_budget_case(t, q, b).map(|probe| {
-                refaulted.set(refaulted.get() + probe.compared_refaulted as u64);
-                exceeded.set(exceeded.get() + probe.exceeded as u64);
+                count(&refaulted, probe.compared_refaulted);
+                count(&exceeded, probe.exceeded);
             })
         } else if args.append {
-            check_append_case(t, q, cs)
+            check_append_case(t, q, cs).map(|probe| {
+                count(&spliced, probe.spliced);
+                count(&peer_rank, probe.peer_rank);
+                count(&shared_forest, probe.shared_forest);
+            })
         } else {
             check_case(t, q)
         }
     };
+    let generate =
+        |cs: u64| if args.append { generate_append(cs, &cfg) } else { generate(cs, &cfg) };
 
     if let Some(cs) = args.replay {
-        let case = generate(cs, &cfg);
+        let case = generate(cs);
         println!("replaying case seed {cs:#x}:");
         print!("{}", dump_table(&case.table));
         println!("  query: {:#?}", case.query);
@@ -230,7 +243,7 @@ fn main() {
                 }
             }
             let cs = case_seed(args.seed, i);
-            let case = generate(cs, &cfg);
+            let case = generate(cs);
             if let Err(d) = check(&case.table, &case.query, cs) {
                 report_failure(Some(i), cs, &case, &d, &args);
                 return true;
@@ -267,10 +280,14 @@ fn main() {
     } else if args.append {
         println!(
             "fuzz OK (append mode): {ran} cases, seed {:#x}, max-n {}, delta API vs \
-             from-scratch bit-identical over {} configs ({:.1}s)",
+             from-scratch bit-identical over {} configs; {} cases spliced, {} read a rank \
+             off the peer groups, {} probed a shared forest ({:.1}s)",
             args.seed,
             args.max_n,
             holistic_window::ExecOptions::all_configs().len(),
+            spliced.get(),
+            peer_rank.get(),
+            shared_forest.get(),
             start.elapsed().as_secs_f64()
         );
     } else {

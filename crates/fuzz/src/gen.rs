@@ -65,6 +65,137 @@ pub fn generate(seed: u64, cfg: &GenConfig) -> FuzzCase {
     FuzzCase { seed, table, query }
 }
 
+/// Generates the `--append` case identified by `seed`: for half the seeds
+/// it is [`generate`]'s case, for the other half a case shaped for the
+/// append engine's splice path (see `splice_case`).
+pub fn generate_append(seed: u64, cfg: &GenConfig) -> FuzzCase {
+    // A stream of its own, so the coin does not pick [`generate`]'s cases
+    // by their first draw (the row count).
+    let mut rng = StdRng::seed_from_u64(seed ^ 0x5911_CE5E_ED00_0000);
+    if rng.gen_bool(0.5) {
+        return generate(seed, cfg);
+    }
+    let (table, query) = splice_case(&mut rng, cfg);
+    FuzzCase { seed, table, query }
+}
+
+/// A case whose appends the engine can splice: rows sorted by the window
+/// ORDER BY, so every batch is an end-append in every partition; a
+/// spliceable ROWS frame (constant bounds that look backwards); and calls
+/// from the splice-eligible family without FILTER — `COUNT(*)`, the rank
+/// family with and without an inner ORDER BY, and percentiles with literal
+/// fractions. Most forest-planned calls order by one key drawn per case, so
+/// forests are shared; NULL-free tables are likelier, so forest keys encode.
+fn splice_case(rng: &mut StdRng, cfg: &GenConfig) -> (Table, WindowQuery) {
+    let n = rng.gen_range(0..=cfg.max_n);
+    let null_p = [0.0, 0.0, 0.1, 0.45][rng.gen_range(0usize..4)];
+    let table = table_with_nulls(rng, n, null_p);
+    let order = match rng.gen_range(0u32..9) {
+        0 => vec![SortKey::asc(col("k"))],
+        1 => vec![SortKey::desc(col("k"))],
+        2 => vec![SortKey::asc(col("k")).nulls_first(true)],
+        3 => vec![SortKey::desc(col("f")).nulls_first(false)],
+        4 => vec![SortKey::asc(col("d"))],
+        5 => vec![SortKey::asc(col("k")), SortKey::desc(col("g"))],
+        6 => vec![SortKey::desc(col("g")), SortKey::asc(col("d"))],
+        7 => vec![SortKey::asc(col("v"))],
+        _ => vec![],
+    };
+    let table = sorted_by(&table, &order);
+    let start = match rng.gen_range(0u32..3) {
+        0 => FrameBound::UnboundedPreceding,
+        1 => FrameBound::CurrentRow,
+        _ => FrameBound::Preceding(lit(rng.gen_range(0..30i64))),
+    };
+    let end = if rng.gen_bool(0.6) {
+        FrameBound::CurrentRow
+    } else {
+        FrameBound::Preceding(lit(rng.gen_range(0..5i64)))
+    };
+    let frame = FrameSpec::rows(start, end).exclude(gen_exclusion(rng));
+    let spec =
+        WindowSpec::new().partition_by(gen_partition_by(rng)).order_by(order.clone()).frame(frame);
+
+    let shared = numeric_key(rng);
+    let forest_key = |rng: &mut StdRng| {
+        if rng.gen_bool(0.7) {
+            shared.clone()
+        } else {
+            numeric_key(rng)
+        }
+    };
+    let mut query = WindowQuery::over(spec);
+    for i in 0..rng.gen_range(1..=cfg.max_calls.max(1)) {
+        let call = match rng.gen_range(0u32..10) {
+            0 => FunctionCall::count_star(),
+            1..=5 => {
+                let inner = match rng.gen_range(0u32..4) {
+                    0 => vec![],
+                    1 => order.clone(),
+                    _ => vec![forest_key(rng)],
+                };
+                match rng.gen_range(0u32..4) {
+                    0 => FunctionCall::row_number(inner),
+                    1 => FunctionCall::rank(inner),
+                    2 => FunctionCall::percent_rank(inner),
+                    _ => FunctionCall::cume_dist(inner),
+                }
+            }
+            kind => {
+                let frac =
+                    [0.0, 0.25, 0.5, 0.9, 1.0, rng.gen_range(0.0..=1.0)][rng.gen_range(0usize..6)];
+                let key = forest_key(rng);
+                match kind {
+                    6 if !key.desc => FunctionCall::median(key.expr),
+                    6 | 7 => FunctionCall::percentile_disc(frac, key),
+                    _ => FunctionCall::percentile_cont(frac, key),
+                }
+            }
+        };
+        let name = format!("c{i}_{}", call.kind.name().replace(['(', ')', '*'], ""));
+        query = query.call(call.named(name));
+    }
+    (table, query)
+}
+
+/// `table`'s rows reordered by `order`, whose keys are plain columns: SQL
+/// order with NULL placement, floats by their total order (a refinement of
+/// SQL's, so the result is sorted under the engine's order too), ties in
+/// row order.
+fn sorted_by(table: &Table, order: &[SortKey]) -> Table {
+    let keys: Vec<(&Column, &SortKey)> = order
+        .iter()
+        .map(|k| match &k.expr {
+            Expr::Col(name) => (table.column(name).expect("a generated column"), k),
+            other => unreachable!("splice orders are plain columns, not {other:?}"),
+        })
+        .collect();
+    let cmp_row = |a: usize, b: usize| {
+        keys.iter()
+            .map(|(c, k)| match (c.get(a), c.get(b)) {
+                (x, y) if x.is_null() || y.is_null() => {
+                    let nulls_low = x.is_null().cmp(&y.is_null());
+                    if k.nulls_first {
+                        nulls_low.reverse()
+                    } else {
+                        nulls_low
+                    }
+                }
+                (x, y) if k.desc => y.sql_cmp(&x),
+                (x, y) => x.sql_cmp(&y),
+            })
+            .find(|o| o.is_ne())
+            .unwrap_or(std::cmp::Ordering::Equal)
+    };
+    let mut perm: Vec<usize> = (0..table.num_rows()).collect();
+    perm.sort_by(|&a, &b| cmp_row(a, b));
+    let mut sorted = table.slice_rows(0, 0);
+    for r in perm {
+        sorted.append_rows(&table.slice_rows(r, r + 1)).expect("rows of the same table");
+    }
+    sorted
+}
+
 /// A random table over the fixed column profile the spec generator targets:
 /// `g` (strings, partition/tie column), `k` (nullable ints, the window order
 /// key), `v` (nullable ints: small, or huddled around 2^53 or below
@@ -74,6 +205,11 @@ pub fn gen_table(rng: &mut StdRng, n: usize) -> Table {
     // NULLS and exclusion semantics earn their keep; the huge-key profiles
     // put RANGE arithmetic beyond f64's 2^53 exact-integer range.
     let null_p = [0.0, 0.1, 0.45][rng.gen_range(0usize..3)];
+    table_with_nulls(rng, n, null_p)
+}
+
+/// [`gen_table`] with the NULL share of the nullable columns given.
+fn table_with_nulls(rng: &mut StdRng, n: usize, null_p: f64) -> Table {
     let key_profile = rng.gen_range(0u32..7);
     // Arguments too: distinct aggregates decide equality on a value hash,
     // which must not round neighbouring integers into one f64.
@@ -198,13 +334,18 @@ pub fn gen_frame(rng: &mut StdRng, range_ok: bool) -> FrameSpec {
         4..=6 if range_ok => FrameSpec::range(start, end),
         _ => FrameSpec::groups(start, end),
     };
-    spec.exclusion = [
+    spec.exclusion = gen_exclusion(rng);
+    spec
+}
+
+/// One of the four frame exclusions, uniformly.
+fn gen_exclusion(rng: &mut StdRng) -> FrameExclusion {
+    [
         FrameExclusion::NoOthers,
         FrameExclusion::CurrentRow,
         FrameExclusion::Group,
         FrameExclusion::Ties,
-    ][rng.gen_range(0usize..4)];
-    spec
+    ][rng.gen_range(0usize..4)]
 }
 
 /// A random PARTITION BY list: none, the string column `g` (alone or with a

@@ -38,9 +38,9 @@ pub mod panic_sweep;
 pub mod shrink;
 pub mod sql_roundtrip;
 
-pub use append::{append_plan, check_append_case, AppendPlan};
+pub use append::{append_plan, check_append_case, AppendPlan, AppendProbe};
 pub use diff::{check_budget_case, check_case, BudgetProbe, Divergence};
-pub use gen::{case_seed, generate, FuzzCase, GenConfig};
+pub use gen::{case_seed, generate, generate_append, FuzzCase, GenConfig};
 pub use panic_sweep::{panic_sweep, SweepReport};
 pub use shrink::shrink;
 pub use sql_roundtrip::check_sql_roundtrip;

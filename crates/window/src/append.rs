@@ -5,30 +5,40 @@
 //! refreshes the query's outputs without re-running the full operator:
 //!
 //! * **Fast path** (splice): when the frame is a monotonic ROWS frame with
-//!   constant bounds, every function call is forest-eligible (see below) and
+//!   constant bounds, every function call is splice-eligible (see below) and
 //!   the batch sorts entirely *after* the existing partition rows (an
 //!   end-append — the common time-series shape), the engine splices the new
 //!   rows onto the sorted partition, extends the resolved frames and peer
-//!   groups in O(b), appends the new ORDER BY keys to a per-call
-//!   [`MstForest`] — the LSM-style logarithmic forest of arena-flat merge
-//!   sort trees from `holistic-core` — and probes outputs for the new rows
-//!   only. Old outputs are provably unchanged (old ROWS bounds never reach
-//!   the new positions), so the refresh is O(b log² n) amortized instead of
-//!   O(n log n).
+//!   groups in O(b), appends the new keys of every forest ORDER BY key to
+//!   that key's [`MstForest`] — the LSM-style logarithmic forest of
+//!   arena-flat merge sort trees from `holistic-core` — and probes outputs
+//!   for the new rows only. Old outputs are provably unchanged (old ROWS
+//!   bounds never reach the new positions), so the refresh is O(b log² n)
+//!   amortized instead of O(n log n).
 //! * **Recompute path**: anything else (mid-stream inserts, RANGE/GROUPS
-//!   frames, per-row bounds, FILTER, non-forest functions, NULL or mixed-type
-//!   keys) falls back to a per-partition re-sort + re-evaluation that is
-//!   bit-identical to [`WindowQuery::execute_with`], then diffs the outputs
-//!   to report exactly which rows changed. Untouched partitions are never
-//!   revisited.
+//!   frames, per-row bounds, FILTER, ineligible functions, NULL or
+//!   mixed-type forest keys) falls back to a per-partition re-sort +
+//!   re-evaluation that is bit-identical to [`WindowQuery::execute_with`],
+//!   then diffs the outputs to report exactly which rows changed. Untouched
+//!   partitions are never revisited.
 //!
-//! Forest-eligible calls are the single-key order-statistic family —
-//! `COUNT(*)`, `ROW_NUMBER`, `RANK`, `PERCENT_RANK`, `CUME_DIST`,
-//! `PERCENTILE_DISC`/`CONT` and `MEDIAN` with literal fractions — whose
-//! outputs reduce to `count_below` / `count_leq` / `select` probes against
-//! the mergeable forest. Their ORDER BY keys must encode into the forest's
-//! `u64` value domain (non-NULL homogeneous integers or finite floats,
-//! order-isomorphically; see `encode_key`).
+//! Splice-eligible calls are `COUNT(*)` (frame arithmetic) and the
+//! order-statistic family without FILTER — `ROW_NUMBER`, `RANK`,
+//! `PERCENT_RANK`, `CUME_DIST`, and `PERCENTILE_DISC`/`CONT` and `MEDIAN`
+//! with literal fractions:
+//!
+//! * A rank-family call that ranks by the window's own ORDER BY (an empty
+//!   function-level ORDER BY, or the same criteria spelled out) reads its
+//!   output off the peer groups the splice maintains anyway: no forest and no
+//!   key encoding, so any window ORDER BY — multi-key, strings, NULLs —
+//!   splices.
+//! * Every other eligible call orders by a single key and probes a forest
+//!   with `count_below` / `count_leq` / `select`. Forests are kept per
+//!   partition and per canonical ORDER BY key (direction included, since the
+//!   encoding bakes it in), so a median and a p90 over one key share one
+//!   forest; each call keeps its own [`ForestCursor`]. The keys must encode
+//!   into the forest's `u64` value domain (non-NULL homogeneous integers or
+//!   finite floats, order-isomorphically; see `encode_key`).
 //!
 //! Per partition the engine also maintains [`StatsAcc`] — the O(b)
 //! incrementally-updated [`PartitionStats`] — and re-runs the cost-based
@@ -83,12 +93,22 @@ pub struct AppendProfile {
     pub strategy_replans: usize,
     /// Stale artifacts evicted from partition caches by this append.
     pub evicted_artifacts: usize,
-    /// Total sorted runs across all call forests after this append (gauge).
+    /// New-row outputs of rank-family calls read off the peer groups (fast
+    /// path; these calls rank by the window's ORDER BY and hold no forest).
+    pub peer_rank_outputs: usize,
+    /// New-row outputs probed from a forest that at least one other call of
+    /// the query probes too (fast path).
+    pub shared_forest_outputs: usize,
+    /// Total sorted runs across all forests after this append (gauge; one
+    /// forest per partition and forest ORDER BY key, however many calls
+    /// probe it).
     pub forest_runs: usize,
-    /// Cumulative run merges performed by all call forests (gauge).
+    /// Cumulative run merges performed by all forests (gauge, each forest
+    /// counted once).
     pub forest_merges: u64,
-    /// Cumulative elements rewritten by forest run merges (gauge; divide by
-    /// total appended elements for the amortization factor).
+    /// Cumulative elements rewritten by forest run merges (gauge, each
+    /// forest counted once; divide by total appended elements for the
+    /// amortization factor).
     pub forest_rebuilt_elements: u64,
     /// Artifact bytes built by this append's recomputes (the per-build
     /// footprints the caches record — previously discarded, leaving the
@@ -98,8 +118,9 @@ pub struct AppendProfile {
     pub resident_artifact_bytes: u64,
     /// High-water mark of budget-governed resident bytes so far (gauge).
     pub peak_resident_artifact_bytes: u64,
-    /// Arena bytes held by the fast path's per-call forests (gauge;
-    /// observation only — forests are not budget-governed).
+    /// Bytes held by the fast path's forests: each forest's run arenas plus
+    /// its encoded keys in position order, 8 B per row (gauge, each forest
+    /// counted once; observation only — forests are not budget-governed).
     pub forest_resident_bytes: u64,
 }
 
@@ -165,10 +186,17 @@ fn value_bits_eq(a: &Value, b: &Value) -> bool {
 enum FastPlan {
     /// `COUNT(*)`: pure frame arithmetic, no forest.
     CountStar,
-    /// Order-statistic probe against a per-partition [`MstForest`].
+    /// A rank-family call ranking by the window's own ORDER BY: the
+    /// partition is sorted by that key, so the peer groups answer it (see
+    /// [`peer_rank`]). No forest.
+    PeerRank(FuncKind),
+    /// Order-statistic probe against the partition's forest in slot `slot`,
+    /// shared by every call whose canonical ORDER BY key is
+    /// `IncrementalEngine::forest_keys[slot]`.
     Forest {
-        /// Canonical single ORDER BY criterion (the forest's key).
-        keys: Vec<CanonicalSortKey>,
+        /// Index into `IncrementalEngine::forest_keys` and
+        /// `PartState::forests`.
+        slot: usize,
         /// Sort direction baked into the key encoding.
         desc: bool,
         /// Percentile fraction (0.5 for MEDIAN; unused by the rank family).
@@ -197,16 +225,22 @@ struct SpliceFrame {
     end: SpliceBound,
 }
 
-/// Per-(partition × call) mergeable forest over encoded ORDER BY keys.
-struct CallForest {
+/// One forest slot of the query: a canonical single-criterion ORDER BY key
+/// (direction included, since [`encode_key`] bakes it in) and how many calls
+/// probe the forests kept for it.
+struct ForestKey {
+    keys: Vec<CanonicalSortKey>,
+    calls: usize,
+}
+
+/// Per-(partition × forest ORDER BY key) mergeable forest over the encoded
+/// keys, shared by every call that orders by that key. Its values in
+/// position order (`forest.values()`) are the encoded key per partition
+/// position.
+struct KeyForest {
     forest: MstForest,
-    /// Encoded key per partition position (sorted order).
-    enc: Vec<u64>,
     /// Key domain; pinned by the first encoded value.
     ty: Option<KeyTy>,
-    /// Where the previous row's select ended, kept across appends: the
-    /// next row's frame differs by one row, so its answer is near.
-    cursor: ForestCursor,
 }
 
 /// Everything the engine holds per partition.
@@ -223,8 +257,13 @@ struct PartState {
     outs: Vec<Vec<Value>>,
     /// Whether this partition's data has stayed forest-eligible.
     fast_ok: bool,
-    /// One forest per forest-planned call (None once ineligible).
-    forests: Vec<Option<CallForest>>,
+    /// One forest per forest key slot (empty once ineligible).
+    forests: Vec<KeyForest>,
+    /// One select cursor per call, kept across appends: where the call's
+    /// previous row's select ended, since the next row's frame differs by
+    /// one row. Per call, not per forest — a median and a p90 over one
+    /// forest have different previous answers.
+    cursors: Vec<ForestCursor>,
     /// Persistent artifact cache, kept sound via the invalidation hooks.
     cache: ArtifactCache,
 }
@@ -262,6 +301,9 @@ pub struct IncrementalEngine {
     opts: ExecOptions,
     plan: QueryPlan,
     fast_plans: Vec<Option<FastPlan>>,
+    /// The forest slots: one per distinct canonical ORDER BY key that a
+    /// forest-planned call orders by.
+    forest_keys: Vec<ForestKey>,
     splice: Option<SpliceFrame>,
     /// True when every call has a fast plan *and* the frame is spliceable.
     all_fast: bool,
@@ -298,14 +340,16 @@ impl IncrementalEngine {
             call.validate()?;
         }
         let plan = plan_query(&query.spec, &query.calls);
+        let mut forest_keys = Vec::new();
         let fast_plans: Vec<Option<FastPlan>> =
-            query.calls.iter().map(|c| fast_plan(&query, c)).collect();
+            query.calls.iter().map(|c| fast_plan(&query, c, &mut forest_keys)).collect();
         let splice = splice_frame(&query.spec);
         let all_fast = splice.is_some() && fast_plans.iter().all(|p| p.is_some());
         let mut engine = IncrementalEngine {
             opts,
             plan,
             fast_plans,
+            forest_keys,
             splice,
             all_fast,
             partitioner: Partitioner::new(&table, &query.spec.partition_by)?,
@@ -425,15 +469,7 @@ impl IncrementalEngine {
     }
 
     fn new_part(&self) -> PartState {
-        let forest = |fp: &Option<FastPlan>| match fp {
-            Some(FastPlan::Forest { .. }) => Some(CallForest {
-                forest: MstForest::new(self.opts.params),
-                enc: Vec::new(),
-                ty: None,
-                cursor: ForestCursor::default(),
-            }),
-            _ => None,
-        };
+        let empty = |_| KeyForest { forest: MstForest::new(self.opts.params), ty: None };
         PartState {
             rows: Vec::new(),
             frames: ResolvedFrames {
@@ -446,7 +482,8 @@ impl IncrementalEngine {
             choices: Vec::new(),
             outs: vec![Vec::new(); self.query.calls.len()],
             fast_ok: true,
-            forests: self.fast_plans.iter().map(forest).collect(),
+            forests: self.forest_keys.iter().map(empty).collect(),
+            cursors: vec![ForestCursor::default(); self.query.calls.len()],
             cache: ArtifactCache::new(Arc::clone(&self.gov)),
         }
     }
@@ -507,13 +544,12 @@ impl IncrementalEngine {
                 }
             }
         }
-        for ps in &self.parts {
-            for cf in ps.forests.iter().flatten() {
-                profile.forest_runs += cf.forest.num_runs();
-                profile.forest_merges += cf.forest.merges();
-                profile.forest_rebuilt_elements += cf.forest.rebuilt_elements();
-                profile.forest_resident_bytes += cf.forest.arena_bytes() as u64;
-            }
+        for KeyForest { forest, .. } in self.parts.iter().flat_map(|ps| &ps.forests) {
+            profile.forest_runs += forest.num_runs();
+            profile.forest_merges += forest.merges();
+            profile.forest_rebuilt_elements += forest.rebuilt_elements();
+            profile.forest_resident_bytes +=
+                (forest.arena_bytes() + std::mem::size_of_val(forest.values())) as u64;
         }
         let spill = self.gov.snapshot();
         profile.resident_artifact_bytes = spill.resident;
@@ -523,8 +559,8 @@ impl IncrementalEngine {
         Ok(AppendResult { changed_outputs: changed, profile })
     }
 
-    /// The O(b) splice refresh. Returns `Ok(false)` when the batch's data is
-    /// forest-ineligible (NULL / mixed-type / extreme keys) — the partition
+    /// The O(b) splice refresh. Returns `Ok(false)` when a forest key of the
+    /// batch does not encode (NULL / mixed-type / extreme keys) — the partition
     /// is then permanently demoted to the recompute path, which the caller
     /// runs next (safe: recompute rebuilds all derived state from `rows`,
     /// and the extended `rows` equal their from-scratch sort for an
@@ -538,34 +574,14 @@ impl IncrementalEngine {
     ) -> Result<bool> {
         let m = self.parts[pid].rows.len();
 
-        // Phase 1 (read-only): encode the batch's keys for every forest call.
-        let mut new_encs: Vec<Option<(Vec<u64>, KeyTy)>> =
-            Vec::with_capacity(self.fast_plans.len());
-        for (ci, fp) in self.fast_plans.iter().enumerate() {
-            let Some(FastPlan::Forest { keys, desc, .. }) = fp else {
-                new_encs.push(None);
-                continue;
-            };
-            let kc = Arc::clone(&self.hoisted[keys]);
-            let ps = &self.parts[pid];
-            let mut ty = ps.forests[ci].as_ref().and_then(|cf| cf.ty);
-            let mut encs = Vec::with_capacity(m - m_old);
-            for pos in m_old..m {
-                let row = ps.rows[pos];
-                let Some((v, kdesc)) = kc.single_key(row) else {
-                    return Ok(self.demote(pid));
-                };
-                debug_assert_eq!(kdesc, *desc);
-                let Some((enc, vty)) = encode_key(&v, *desc) else {
-                    return Ok(self.demote(pid));
-                };
-                if *ty.get_or_insert(vty) != vty {
-                    return Ok(self.demote(pid));
-                }
-                encs.push(enc);
-            }
-            new_encs.push(Some((encs, ty.expect("batch is non-empty"))));
-        }
+        // Phase 1 (read-only): encode the batch's keys once per forest key.
+        let ps = &self.parts[pid];
+        let new_encs: Option<Vec<_>> = (self.forest_keys.iter().zip(&ps.forests))
+            .map(|(fk, kf)| self.encode_rows(fk, &ps.rows[m_old..], kf.ty))
+            .collect();
+        let Some(new_encs) = new_encs else {
+            return Ok(self.demote(pid));
+        };
 
         // Phase 2: splice frames and peer groups.
         let sp = self.splice.expect("fast path requires a spliceable frame");
@@ -617,31 +633,63 @@ impl IncrementalEngine {
             self.parts[pid].choices = choices;
         }
 
-        // Phase 4: grow the forests and probe outputs for the new rows.
+        // Phase 4: grow each forest once, then probe outputs for the new rows.
+        let ps = &mut self.parts[pid];
+        for (kf, (encs, ty)) in ps.forests.iter_mut().zip(new_encs) {
+            kf.forest.append(&encs);
+            kf.ty = ty;
+        }
         for (ci, fp) in self.fast_plans.iter().enumerate() {
-            let ps = &mut self.parts[pid];
+            let fp = fp.as_ref().expect("all_fast requires a plan per call");
+            let out = &mut ps.outs[ci];
             match fp {
-                Some(FastPlan::CountStar) => {
+                FastPlan::CountStar => {
                     for pos in m_old..m {
-                        ps.outs[ci].push(Value::Int(ps.frames.range_set(pos).count() as i64));
+                        out.push(Value::Int(ps.frames.range_set(pos).count() as i64));
                     }
                 }
-                Some(FastPlan::Forest { desc, p, kind, .. }) => {
-                    let (encs, ty) =
-                        new_encs[ci].as_ref().expect("phase 1 encoded every forest call");
-                    let cf = ps.forests[ci].as_mut().expect("fast_ok partitions keep forests");
-                    cf.enc.extend_from_slice(encs);
-                    cf.forest.append(encs);
-                    cf.ty = Some(*ty);
+                FastPlan::PeerRank(kind) => {
+                    for pos in m_old..m {
+                        out.push(peer_rank(*kind, &ps.frames, pos));
+                    }
+                    profile.peer_rank_outputs += m - m_old;
+                }
+                &FastPlan::Forest { slot, desc, p, kind } => {
+                    let kf = &ps.forests[slot];
+                    let cur = &mut ps.cursors[ci];
                     for pos in m_old..m {
                         let pieces = ps.frames.range_set(pos);
-                        ps.outs[ci].push(probe_value(*kind, *p, cf, &pieces, pos, *desc, *ty));
+                        out.push(probe_value(kind, p, desc, kf, cur, &pieces, pos));
+                    }
+                    if self.forest_keys[slot].calls > 1 {
+                        profile.shared_forest_outputs += m - m_old;
                     }
                 }
-                None => unreachable!("all_fast requires a plan per call"),
             }
         }
         Ok(true)
+    }
+
+    /// Encodes the forest key `fk` of `rows` (partition rows, in order),
+    /// continuing the key domain `ty` that earlier rows pinned. `None` when a
+    /// key does not encode (NULL, non-numeric, reserved) or switches type.
+    fn encode_rows(
+        &self,
+        fk: &ForestKey,
+        rows: &[usize],
+        mut ty: Option<KeyTy>,
+    ) -> Option<(Vec<u64>, Option<KeyTy>)> {
+        let kc = &self.hoisted[&fk.keys];
+        let mut enc = Vec::with_capacity(rows.len());
+        for &row in rows {
+            let (v, desc) = kc.single_key(row)?;
+            let (e, vty) = encode_key(&v, desc)?;
+            if *ty.get_or_insert(vty) != vty {
+                return None;
+            }
+            enc.push(e);
+        }
+        Some((enc, ty))
     }
 
     /// Demotes a partition off the fast path permanently (data became
@@ -649,9 +697,7 @@ impl IncrementalEngine {
     fn demote(&mut self, pid: usize) -> bool {
         let ps = &mut self.parts[pid];
         ps.fast_ok = false;
-        for f in ps.forests.iter_mut() {
-            *f = None;
-        }
+        ps.forests.clear();
         false
     }
 
@@ -705,33 +751,20 @@ impl IncrementalEngine {
             }
         }
 
-        // Rebuild forests from the fresh sort (batch build: one run), unless
-        // the query can never splice or the partition is demoted.
-        let mut forests: Vec<Option<CallForest>> =
-            (0..self.query.calls.len()).map(|_| None).collect();
+        // Rebuild each key's forest from the fresh sort (batch build: one
+        // run), unless the query can never splice or the partition is
+        // demoted.
+        let mut forests = Vec::new();
         if self.all_fast && self.parts[pid].fast_ok {
-            'calls: for (ci, fp) in self.fast_plans.iter().enumerate() {
-                let Some(FastPlan::Forest { keys, desc, .. }) = fp else { continue };
-                let kc = &self.hoisted[keys];
-                let mut ty: Option<KeyTy> = None;
-                let mut enc = Vec::with_capacity(rows.len());
-                for &row in &rows {
-                    let eligible = kc
-                        .single_key(row)
-                        .and_then(|(v, _)| encode_key(&v, *desc))
-                        .filter(|(_, vty)| *ty.get_or_insert(*vty) == *vty);
-                    match eligible {
-                        Some((e, _)) => enc.push(e),
-                        None => {
-                            self.parts[pid].fast_ok = false;
-                            forests.iter_mut().for_each(|f| *f = None);
-                            break 'calls;
-                        }
-                    }
-                }
+            for fk in &self.forest_keys {
+                let Some((enc, ty)) = self.encode_rows(fk, &rows, None) else {
+                    self.parts[pid].fast_ok = false;
+                    forests.clear();
+                    break;
+                };
                 let mut forest = MstForest::new(self.opts.params);
                 forest.append(&enc);
-                forests[ci] = Some(CallForest { forest, enc, ty, cursor: ForestCursor::default() });
+                forests.push(KeyForest { forest, ty });
             }
         }
 
@@ -744,49 +777,56 @@ impl IncrementalEngine {
         ps.choices = choices;
         ps.outs = outs;
         ps.forests = forests;
+        ps.cursors.fill(ForestCursor::default());
         Ok(changed)
     }
 }
 
 /// Derives a call's static fast plan, or `None` when only the recompute
-/// path can serve it. Mirrors the probe formulas in `eval/rank.rs` and
-/// `eval/select_based.rs` — any situation those handle specially (FILTER,
-/// multi-key orders, data-dependent fractions) is declared ineligible here.
-fn fast_plan(query: &WindowQuery, call: &FunctionCall) -> Option<FastPlan> {
+/// path can serve it. A forest-planned call takes the slot of its ORDER BY
+/// key in `forest_keys`, adding the key when no earlier call orders by it.
+/// Mirrors the probe formulas in `eval/rank.rs` and `eval/select_based.rs` —
+/// any situation those handle specially (FILTER, multi-key orders other than
+/// the window's, data-dependent fractions) is declared ineligible here.
+fn fast_plan(
+    query: &WindowQuery,
+    call: &FunctionCall,
+    forest_keys: &mut Vec<ForestKey>,
+) -> Option<FastPlan> {
     use FuncKind::*;
     if call.filter.is_some() {
         return None;
     }
-    match call.kind {
-        CountStar => Some(FastPlan::CountStar),
+    let (keys, p) = match call.kind {
+        CountStar => return Some(FastPlan::CountStar),
         RowNumber | Rank | PercentRank | CumeDist => {
             let keys = canonical_order(call.rank_order(&query.spec));
-            forest_plan(keys, 0.0, call.kind)
+            if keys == canonical_order(&query.spec.order_by) {
+                return Some(FastPlan::PeerRank(call.kind));
+            }
+            (keys, 0.0)
         }
-        PercentileDisc | PercentileCont | Median => {
-            let p = if call.kind == Median {
-                0.5
-            } else {
-                match call.args.first() {
-                    Some(Expr::Lit(v)) => match v.as_f64() {
-                        Some(p) if (0.0..=1.0).contains(&p) => p,
-                        _ => return None,
-                    },
-                    _ => return None,
-                }
-            };
-            forest_plan(canonical_order(&call.inner_order), p, call.kind)
+        Median => (canonical_order(&call.inner_order), 0.5),
+        PercentileDisc | PercentileCont => match call.args.first() {
+            Some(Expr::Lit(v)) => match v.as_f64() {
+                Some(p) if (0.0..=1.0).contains(&p) => (canonical_order(&call.inner_order), p),
+                _ => return None,
+            },
+            _ => return None,
+        },
+        _ => return None,
+    };
+    let [key] = &keys[..] else { return None };
+    let desc = key.desc;
+    let slot = match forest_keys.iter().position(|fk| fk.keys == keys) {
+        Some(slot) => slot,
+        None => {
+            forest_keys.push(ForestKey { keys, calls: 0 });
+            forest_keys.len() - 1
         }
-        _ => None,
-    }
-}
-
-fn forest_plan(keys: Vec<CanonicalSortKey>, p: f64, kind: FuncKind) -> Option<FastPlan> {
-    if keys.len() != 1 {
-        return None;
-    }
-    let desc = sort_keys_of(&keys)[0].desc;
-    Some(FastPlan::Forest { keys, desc, p, kind })
+    };
+    forest_keys[slot].calls += 1;
+    Some(FastPlan::Forest { slot, desc, p, kind: call.kind })
 }
 
 /// Derives the splice plan when the frame is a constant monotonic ROWS
@@ -829,21 +869,48 @@ fn clip_below(rs: &RangeSet, hi: usize) -> RangeSet {
     out
 }
 
-/// One forest probe: computes a forest-eligible call's output for new
+/// A rank-family output for position `pos` of a call that ranks by the
+/// window's own ORDER BY, read off the peer groups with the SQL arithmetic
+/// of `eval/rank.rs`. The partition is sorted by that key with ties in
+/// table-row order, which is also how the batch path's dense codes break
+/// ties. So the frame rows ranking below `pos` are the ones before `pos`
+/// (ROW_NUMBER), the rows with a smaller key are the ones before
+/// `peer_start[pos]` (RANK, PERCENT_RANK), and those with a key at most
+/// `pos`'s are the ones before `peer_end[pos]` (CUME_DIST).
+fn peer_rank(kind: FuncKind, frames: &ResolvedFrames, pos: usize) -> Value {
+    use FuncKind::*;
+    let pieces = frames.range_set(pos);
+    let before = |hi: usize| clip_below(&pieces, hi).count();
+    match kind {
+        RowNumber => Value::Int((before(pos) + 1) as i64),
+        Rank => Value::Int((before(frames.peer_start[pos]) + 1) as i64),
+        PercentRank | CumeDist => match pieces.count() {
+            0 => Value::Null,
+            s if kind == PercentRank => {
+                Value::Float(percent_rank(before(frames.peer_start[pos]), s))
+            }
+            s => Value::Float(cume_dist(before(frames.peer_end[pos]), s)),
+        },
+        _ => unreachable!("not a rank-family call"),
+    }
+}
+
+/// One forest probe: computes a forest-planned call's output for new
 /// position `pos` over its frame `pieces`, with the SQL arithmetic of the
 /// batch evaluators (`eval/rank.rs`, `eval/select_based.rs`).
 fn probe_value(
     kind: FuncKind,
     p: f64,
-    cf: &mut CallForest,
+    desc: bool,
+    kf: &KeyForest,
+    cur: &mut ForestCursor,
     pieces: &RangeSet,
     pos: usize,
-    desc: bool,
-    ty: KeyTy,
 ) -> Value {
     use FuncKind::*;
-    let CallForest { forest, enc, cursor: cur, .. } = cf;
-    let e = enc[pos];
+    let KeyForest { forest, ty } = kf;
+    let ty = ty.expect("a forest with rows has a key domain");
+    let e = forest.values()[pos];
     match kind {
         RowNumber => {
             // Position `pos`'s dense code orders by (key, position); rows

@@ -48,20 +48,15 @@ fn check_equivalence(query: &WindowQuery, base: &Table, batches: &[Table]) {
 /// A query where every call is forest-eligible and the frame splices.
 fn all_fast_query() -> WindowQuery {
     let order = || vec![SortKey::asc(col("v"))];
-    WindowQuery::over(
-        WindowSpec::new()
-            .partition_by(vec![col("g")])
-            .order_by(vec![SortKey::asc(col("t"))])
-            .frame(FrameSpec::rows(FrameBound::Preceding(lit(5i64)), FrameBound::CurrentRow)),
-    )
-    .call(FunctionCall::count_star().named("c"))
-    .call(FunctionCall::row_number(order()).named("rn"))
-    .call(FunctionCall::rank(order()).named("r"))
-    .call(FunctionCall::percent_rank(order()).named("pr"))
-    .call(FunctionCall::cume_dist(order()).named("cd"))
-    .call(FunctionCall::percentile_disc(0.25, SortKey::asc(col("v"))).named("pd"))
-    .call(FunctionCall::percentile_cont(0.75, SortKey::asc(col("v"))).named("pc"))
-    .call(FunctionCall::median(col("v")).named("med"))
+    WindowQuery::over(rows5_window())
+        .call(FunctionCall::count_star().named("c"))
+        .call(FunctionCall::row_number(order()).named("rn"))
+        .call(FunctionCall::rank(order()).named("r"))
+        .call(FunctionCall::percent_rank(order()).named("pr"))
+        .call(FunctionCall::cume_dist(order()).named("cd"))
+        .call(FunctionCall::percentile_disc(0.25, SortKey::asc(col("v"))).named("pd"))
+        .call(FunctionCall::percentile_cont(0.75, SortKey::asc(col("v"))).named("pc"))
+        .call(FunctionCall::median(col("v")).named("med"))
 }
 
 /// `n` rows of (g, t, v) with `t` globally increasing — appending suffix
@@ -97,7 +92,10 @@ fn fast_path_matches_batch_execution_under_all_configs() {
 
     // And the refreshes really took the fast path: every touched partition
     // spliced, outputs for exactly the new rows were reported changed.
+    // The seven forest-planned calls all order by `v ASC`, so each partition
+    // keeps one forest: exactly the forest a median alone keeps.
     let mut engine = q.begin_incremental(&base, ExecOptions::default()).unwrap();
+    let mut median_only = median_query().begin_incremental(&base, ExecOptions::default()).unwrap();
     let mut at = 120;
     for batch in &batches {
         let res = engine.append(batch).unwrap();
@@ -107,6 +105,157 @@ fn fast_path_matches_batch_execution_under_all_configs() {
         let expect: Vec<usize> = (at..at + batch.num_rows()).collect();
         assert_eq!(res.changed_outputs, expect);
         at += batch.num_rows();
+
+        let one = median_only.append(batch).unwrap().profile;
+        assert_eq!(res.profile.forest_runs, one.forest_runs, "one forest per partition");
+        assert_eq!(res.profile.forest_merges, one.forest_merges);
+        assert_eq!(res.profile.forest_rebuilt_elements, one.forest_rebuilt_elements);
+        assert_eq!(res.profile.forest_resident_bytes, one.forest_resident_bytes);
+        assert_eq!(res.profile.shared_forest_outputs, 7 * batch.num_rows());
+        assert_eq!(res.profile.peer_rank_outputs, 0);
+    }
+}
+
+/// Partitions of `g` ordered by `t`, `ROWS 5 PRECEDING`.
+fn rows5_window() -> WindowSpec {
+    WindowSpec::new()
+        .partition_by(vec![col("g")])
+        .order_by(vec![SortKey::asc(col("t"))])
+        .frame(FrameSpec::rows(FrameBound::Preceding(lit(5i64)), FrameBound::CurrentRow))
+}
+
+/// `median(v)` alone over [`rows5_window`]: one forest per partition,
+/// probed by one call.
+fn median_query() -> WindowQuery {
+    WindowQuery::over(rows5_window()).call(FunctionCall::median(col("v")).named("med"))
+}
+
+/// The rank family over the window's own ORDER BY reads the peer groups the
+/// splice maintains, so no forest is built and any window ORDER BY splices:
+/// ties, DESC, NULL keys at either end and a two-key order with a string.
+#[test]
+fn window_order_ranks_splice_without_a_forest() {
+    let n = 240usize;
+    let (base_n, k) = (100, 5);
+    let nulls = |t: Vec<i64>, null_rows: std::ops::Range<usize>| -> Vec<Option<i64>> {
+        t.into_iter().enumerate().map(|(i, t)| (!null_rows.contains(&i)).then_some(t)).collect()
+    };
+    let ties: Vec<i64> = (0..n as i64).map(|i| i / 3).collect();
+    let falling: Vec<i64> = (0..n as i64).map(|i| (n as i64 - i) / 3).collect();
+    let pairs: Vec<i64> = (0..n as i64).map(|i| i / 6).collect();
+    let letters: Vec<&str> = (0..n).map(|i| ["a", "a", "b", "b", "c", "c"][i % 6]).collect();
+    let t = || col("t");
+    // (window ORDER BY, `t` column): every suffix of rows sorts at or after
+    // its prefix under the order, so every batch is an end-append.
+    let cases = [
+        (vec![SortKey::asc(t())], nulls(ties.clone(), 0..0)),
+        // DESC puts NULLs first by default: they lead the base.
+        (vec![SortKey::desc(t())], nulls(falling, 0..10)),
+        (vec![SortKey::asc(t()).nulls_first(true)], nulls(ties.clone(), 0..10)),
+        // ASC puts NULLs last by default: they close the last batch.
+        (vec![SortKey::asc(t())], nulls(ties, n - 10..n)),
+        (vec![SortKey::asc(t()), SortKey::asc(col("s"))], nulls(pairs, 0..0)),
+    ];
+    let frames = [
+        FrameSpec::rows(FrameBound::Preceding(lit(4i64)), FrameBound::CurrentRow)
+            .exclude(FrameExclusion::Ties),
+        FrameSpec::rows(FrameBound::UnboundedPreceding, FrameBound::Preceding(lit(1i64))),
+    ];
+    for (order, t_col) in cases {
+        let full = Table::new(vec![
+            ("p", Column::ints((0..n as i64).map(|i| i % 2).collect())),
+            ("t", Column::ints_opt(t_col)),
+            ("s", Column::strs(letters.clone())),
+        ])
+        .unwrap();
+        let (base, batches) = suffix_batches(&full, base_n, k);
+        for frame in frames.clone() {
+            let spec =
+                WindowSpec::new().partition_by(vec![col("p")]).order_by(order.clone()).frame(frame);
+            let mut q = WindowQuery::over(spec);
+            // Each function with an empty inner ORDER BY and with the
+            // window's spelled out.
+            for (tag, inner) in [("", vec![]), ("_t", order.clone())] {
+                q = q
+                    .call(FunctionCall::row_number(inner.clone()).named(format!("rn{tag}")))
+                    .call(FunctionCall::rank(inner.clone()).named(format!("r{tag}")))
+                    .call(FunctionCall::percent_rank(inner.clone()).named(format!("pr{tag}")))
+                    .call(FunctionCall::cume_dist(inner).named(format!("cd{tag}")));
+            }
+            check_equivalence(&q, &base, &batches);
+
+            let mut engine = q.begin_incremental(&base, ExecOptions::default()).unwrap();
+            for batch in &batches {
+                let p = engine.append(batch).unwrap().profile;
+                assert_eq!(p.recomputed_partitions, 0, "{order:?}: end-appends must splice");
+                assert_eq!(p.spliced_partitions, p.touched_partitions);
+                assert_eq!(p.peer_rank_outputs, 8 * batch.num_rows());
+                assert_eq!((p.forest_runs, p.forest_resident_bytes), (0, 0), "no forest");
+            }
+        }
+    }
+}
+
+/// Calls share a partition's forest exactly when their canonical ORDER BY
+/// keys are equal: the three over `v ASC` probe one forest, the one over
+/// `v DESC` (whose encoding is reversed) gets its own.
+#[test]
+fn forests_are_shared_per_order_by_key_and_direction() {
+    let full = timeseries(300);
+    let (base, batches) = suffix_batches(&full, 120, 6);
+    let q = WindowQuery::over(rows5_window())
+        .call(FunctionCall::median(col("v")).named("med"))
+        .call(FunctionCall::percentile_disc(0.9, SortKey::asc(col("v"))).named("p90"))
+        .call(FunctionCall::percentile_cont(0.3, SortKey::asc(col("v"))).named("pc"))
+        .call(FunctionCall::percentile_disc(0.9, SortKey::desc(col("v"))).named("p90d"));
+    check_equivalence(&q, &base, &batches);
+
+    let opts = ExecOptions::default();
+    let mut engine = q.begin_incremental(&base, opts).unwrap();
+    let mut median_only = median_query().begin_incremental(&base, opts).unwrap();
+    for batch in &batches {
+        let p = engine.append(batch).unwrap().profile;
+        let one = median_only.append(batch).unwrap().profile;
+        assert_eq!(p.recomputed_partitions, 0, "end-appends must splice");
+        // Both forests of a partition see the same appends, so they have
+        // the same shape as the median's one.
+        assert_eq!(p.forest_runs, 2 * one.forest_runs, "two forests per partition");
+        assert_eq!(p.forest_merges, 2 * one.forest_merges);
+        assert_eq!(p.forest_resident_bytes, 2 * one.forest_resident_bytes);
+        assert_eq!(p.shared_forest_outputs, 3 * batch.num_rows());
+    }
+}
+
+/// `forest_resident_bytes` counts a forest's run arenas and its encoded
+/// keys, 8 B per row. One partition, one forest: the arenas are those of a
+/// forest fed the same batch sizes (a tree's arena depends on its length
+/// only).
+#[test]
+fn forest_bytes_count_the_arenas_and_the_encoded_keys() {
+    use holistic_core::MstForest;
+    let full = timeseries(300);
+    let (base, batches) = suffix_batches(&full, 120, 6);
+    let q = WindowQuery::over(
+        WindowSpec::new()
+            .order_by(vec![SortKey::asc(col("t"))])
+            .frame(FrameSpec::rows(FrameBound::Preceding(lit(5i64)), FrameBound::CurrentRow)),
+    )
+    .call(FunctionCall::median(col("v")).named("med"));
+    let opts = ExecOptions::default();
+    let mut engine = q.begin_incremental(&base, opts).unwrap();
+    let mut forest = MstForest::new(opts.params);
+    forest.append(&vec![0; base.num_rows()]);
+    for batch in &batches {
+        let p = engine.append(batch).unwrap().profile;
+        forest.append(&vec![0; batch.num_rows()]);
+        assert_eq!(p.forest_runs, forest.num_runs());
+        let rows = engine.table().num_rows();
+        assert!(
+            p.forest_resident_bytes >= (forest.arena_bytes() + 8 * rows) as u64,
+            "{} < {} + 8 · {rows}",
+            p.forest_resident_bytes,
+            forest.arena_bytes()
+        );
     }
 }
 
