@@ -46,6 +46,17 @@ if grep -rnE "holistic_window::(partition|hash)\b|\b(partition|hash)::|partition
   exit 1
 fi
 
+step "typed probe path (no Vec<Value> in the evaluators, the artifact cache, the executor or the append engine)"
+# A call's arguments and outputs are typed columns between the VM and the
+# result table; `Value` stays in the per-row interpreter, the naive oracle,
+# `Column::get` and literals. The count may only go down.
+vec_values=$(cat crates/window/src/eval/*.rs crates/window/src/artifacts.rs \
+  crates/window/src/executor.rs crates/window/src/append.rs | grep -c 'Vec<Value>' || true)
+if ((vec_values > 0)); then
+  echo "Vec<Value> appears $vec_values times on the probe path (at most 0)" >&2
+  exit 1
+fi
+
 step "cargo clippy (workspace, all targets, deny warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
 
@@ -80,8 +91,26 @@ for threads in 1 3 7; do
 done
 
 step "fuzz smoke (differential: naive vs adaptive/forced configs, fixed seed)"
-# Deterministic and time-budgeted; failures print a --replay command.
-cargo run --release -q -p holistic-fuzz --bin fuzz -- \
+# Deterministic and time-budgeted; failures print a --replay command. One
+# LEAD/LAG in five takes a default of the other numeric type, so some output
+# columns mix Int and Float and the result column's typing rules (widen, or
+# TypeMismatch, by the first non-NULL row) are checked against the oracle:
+# the leg fails when no case's reference output mixed them (5 of 600 here).
+differential_leg() {
+  local out
+  out=$("$@")
+  echo "$out"
+  local re='fuzz OK: ([0-9]+) cases, .*; ([0-9]+) cases mixed Int and Float in a reference output'
+  if ! [[ $out =~ $re ]]; then
+    echo "the differential leg printed no summary line" >&2
+    exit 1
+  fi
+  if ((BASH_REMATCH[2] == 0)); then
+    echo "no case of the differential leg mixed Int and Float in an output column" >&2
+    exit 1
+  fi
+}
+differential_leg cargo run --release -q -p holistic-fuzz --bin fuzz -- \
   --cases 600 --seed 0xC0FFEE --max-n 40 --time-budget-secs 120
 
 step "fuzz (differential at a size where Adaptive itself picks alternates, fixed seed)"
@@ -136,9 +165,10 @@ step "fuzz (budget mode at a size where trees have four levels and some build ou
 # MergeSortTree::build_spilled; a tree born parked is only probed if its
 # checkout then fits. Seed and budget are picked for the cases where one
 # does, and the summary line says how many there are: 1 of 60 cases compared
-# a re-faulted tree, 27 ended in BudgetExceeded (EXPERIMENTS.md, "An index
-# only where its ingredients cannot answer"). A change to what the governor
-# is charged can make that case vanish: the leg fails at 0, re-pick then.
+# a re-faulted tree, 23 ended in BudgetExceeded (27 before a call's argument
+# values became typed columns, 8 B per integer row instead of 24;
+# EXPERIMENTS.md). A change to what the governor is charged can make that
+# case vanish: the leg fails at 0, re-pick then.
 budget_leg() {
   local out
   out=$("$@" --cases 60 --seed 0xB4D6EF --max-n 4000 --budget 100000 --time-budget-secs 120)

@@ -21,6 +21,12 @@ use std::cmp::Ordering;
 /// Executes a window query with the naive algorithm; output matches
 /// [`WindowQuery::execute`] row for row.
 pub fn execute(query: &WindowQuery, table: &Table) -> Result<Table> {
+    assemble(query, &outputs(query, table)?)
+}
+
+/// The query's outputs before they become columns: one value per table row
+/// per call, in table-row order.
+pub fn outputs(query: &WindowQuery, table: &Table) -> Result<Vec<Vec<Value>>> {
     let n = table.num_rows();
     for call in &query.calls {
         call.validate()?;
@@ -42,9 +48,16 @@ pub fn execute(query: &WindowQuery, table: &Table) -> Result<Table> {
             }
         }
     }
+    Ok(out_values)
+}
+
+/// The output table of [`outputs`]: each call's values as one column, typed
+/// by [`Column::from_values`] — the type of the first non-NULL row, Ints
+/// widened into a Float column, and a `TypeMismatch` for any other mix.
+pub fn assemble(query: &WindowQuery, outputs: &[Vec<Value>]) -> Result<Table> {
     let mut out = Table::empty();
-    for (ci, call) in query.calls.iter().enumerate() {
-        out.add_column(call.output_name.clone(), Column::from_values(&out_values[ci])?)?;
+    for (call, values) in query.calls.iter().zip(outputs) {
+        out.add_column(call.output_name.clone(), Column::from_values(values)?)?;
     }
     Ok(out)
 }

@@ -8,8 +8,9 @@
 //!
 //! Default mode generates `--cases` cases from `--seed` and runs each
 //! through the differential check (naive baseline + every engine
-//! configuration of `diff::check_case`). On the first divergence it shrinks the case, prints a
-//! replayable report and exits non-zero. `--replay` re-runs exactly one case
+//! configuration of `diff::check_case`); its summary line counts the cases
+//! whose reference output mixed Int and Float. On the first divergence it
+//! shrinks the case, prints a replayable report and exits non-zero. `--replay` re-runs exactly one case
 //! by its per-case seed (printed in every failure report). `--panic-sweep`
 //! runs the invalid-spec corpus instead: everything must return `Error`,
 //! nothing may panic. `--append` runs the append-sequence mode instead: each
@@ -143,7 +144,7 @@ fn report_failure(
         } else if args.append {
             check_append_case(t, q, cs).map(drop)
         } else {
-            check_case(t, q)
+            check_case(t, q).map(drop)
         }
     };
     let fails = |t: &holistic_window::Table, q: &holistic_window::WindowQuery| check(t, q).is_err();
@@ -195,6 +196,8 @@ fn main() {
     // Append mode's: cases that spliced, read a rank off the peer groups,
     // and probed a forest shared by two calls.
     let (spliced, peer_rank, shared_forest) = (Cell::new(0u64), Cell::new(0u64), Cell::new(0u64));
+    // Default mode's: cases whose reference output mixed Int and Float.
+    let mixed = Cell::new(0u64);
     let count = |c: &Cell<u64>, yes: bool| c.set(c.get() + yes as u64);
     let check = |t: &holistic_window::Table, q: &holistic_window::WindowQuery, cs: u64| {
         if args.sql_roundtrip {
@@ -211,7 +214,7 @@ fn main() {
                 count(&shared_forest, probe.shared_forest);
             })
         } else {
-            check_case(t, q)
+            check_case(t, q).map(|probe| count(&mixed, probe.mixed_numeric))
         }
     };
     let generate =
@@ -293,11 +296,12 @@ fn main() {
     } else {
         println!(
             "fuzz OK: {ran} cases, seed {:#x}, max-n {}, {} exact configs + {} forced strategies \
-             vs naive ({:.1}s)",
+             vs naive; {} cases mixed Int and Float in a reference output ({:.1}s)",
             args.seed,
             args.max_n,
             holistic_fuzz::diff::exact_configs().len(),
             holistic_fuzz::diff::FORCED_ALTERNATES.len(),
+            mixed.get(),
             start.elapsed().as_secs_f64()
         );
     }

@@ -195,10 +195,21 @@ pub fn exact_configs() -> Vec<ExecOptions> {
 pub const FORCED_ALTERNATES: [Strategy; 4] =
     [Strategy::Naive, Strategy::Incremental, Strategy::OsTree, Strategy::SegTree];
 
+/// What a case that held exercised: the default mode's summary counts
+/// these, so a change to the generator that loses a shape says so.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct CaseProbe {
+    /// The reference output of some call mixed Int and Float values (a
+    /// LEAD/LAG default of the other numeric type): the output column's
+    /// typing rules decided between a Float column and a `TypeMismatch`.
+    pub mixed_numeric: bool,
+}
+
 /// Checks one case: the naive baseline, all four adaptive engine
 /// configurations, forced-MST, and every forced alternate strategy must
-/// agree (per the module-level comparison regimes). `Ok(())` means full
-/// agreement; `Err` carries the first divergence found.
+/// agree (per the module-level comparison regimes). `Ok` means full
+/// agreement and says what the case exercised; `Err` carries the first
+/// divergence found.
 ///
 /// Comparison groups:
 ///
@@ -211,8 +222,16 @@ pub const FORCED_ALTERNATES: [Strategy; 4] =
 ///   paths derive aggregates with genuinely different arithmetic (e.g. a
 ///   sliding order-statistic tree vs. a per-row scan) — and its `Err`-ness
 ///   must match the baseline's.
-pub fn check_case(table: &Table, query: &WindowQuery) -> Result<(), Divergence> {
-    let naive_res = run_protected("naive", || naive::execute(query, table))?;
+pub fn check_case(table: &Table, query: &WindowQuery) -> Result<CaseProbe, Divergence> {
+    let naive_outputs = run_protected("naive", || naive::outputs(query, table))?;
+    let mixes = |values: &Vec<Value>| {
+        values.iter().any(|v| matches!(v, Value::Int(_)))
+            && values.iter().any(|v| matches!(v, Value::Float(_)))
+    };
+    let probe = CaseProbe {
+        mixed_numeric: naive_outputs.as_ref().is_ok_and(|calls| calls.iter().any(mixes)),
+    };
+    let naive_res = naive_outputs.and_then(|calls| naive::assemble(query, &calls));
     let mut reference: Option<(String, Table)> = None;
     for opts in exact_configs() {
         let label = opts.label();
@@ -269,5 +288,5 @@ pub fn check_case(table: &Table, query: &WindowQuery) -> Result<(), Divergence> 
             }
         }
     }
-    Ok(())
+    Ok(probe)
 }

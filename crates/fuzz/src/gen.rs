@@ -451,8 +451,7 @@ fn numeric_key(rng: &mut StdRng) -> SortKey {
     }
 }
 
-/// An argument column together with a default literal of the same type
-/// (LEAD/LAG defaults must not mix types in one output column).
+/// An argument column together with a default literal of the same type.
 fn arg_and_default(rng: &mut StdRng) -> (Expr, Expr) {
     match rng.gen_range(0u32..4) {
         0 => (col("v"), lit(-99i64)),
@@ -565,7 +564,19 @@ pub fn gen_call(rng: &mut StdRng) -> FunctionCall {
             c
         }
         19 => {
-            let (arg, default) = arg_and_default(rng);
+            // One default in five is of the other numeric type, so the output
+            // mixes Int and Float: the first non-NULL row in table order
+            // types the column, Ints widen into a Float column, and a Float
+            // under an Int column is a `TypeMismatch`.
+            let (arg, default) = if rng.gen_bool(0.2) {
+                if rng.gen_bool(0.5) {
+                    (col("v"), lit(-0.5))
+                } else {
+                    (col("f"), lit(-99i64))
+                }
+            } else {
+                arg_and_default(rng)
+            };
             let kind = if rng.gen_bool(0.5) { FuncKind::Lead } else { FuncKind::Lag };
             // Offsets: zero (the current row, per SQL), small constants,
             // per-row expressions, and the extremes of the i64 range.

@@ -39,7 +39,7 @@ pub mod shrink;
 pub mod sql_roundtrip;
 
 pub use append::{append_plan, check_append_case, AppendPlan, AppendProbe};
-pub use diff::{check_budget_case, check_case, BudgetProbe, Divergence};
+pub use diff::{check_budget_case, check_case, BudgetProbe, CaseProbe, Divergence};
 pub use gen::{case_seed, generate, generate_append, FuzzCase, GenConfig};
 pub use panic_sweep::{panic_sweep, SweepReport};
 pub use shrink::shrink;

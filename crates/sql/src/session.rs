@@ -202,18 +202,19 @@ pub fn execute_plan(
 }
 
 /// Keeps the rows where `pred` evaluates to TRUE (NULL is falsy, matching
-/// the engine's `FILTER` semantics).
+/// the engine's `FILTER` semantics). The mask is computed once; each column
+/// is filtered in its own type.
 fn filter_table(table: &Table, pred: &Expr) -> Result<Table, SqlError> {
-    let mask = pred.bind(table)?.eval_column(table)?;
+    let keep: Vec<bool> = match pred.bind(table)?.eval_column(table)? {
+        Column::Bool(d, v) => {
+            d.iter().enumerate().map(|(i, &b)| b && (v.is_empty() || v[i])).collect()
+        }
+        // Only TRUE is truthy.
+        _ => vec![false; table.num_rows()],
+    };
     let mut out = Table::empty();
     for (name, col) in table.iter() {
-        let mut kept = Column::new_empty(col.data_type());
-        for i in 0..table.num_rows() {
-            if mask.get(i).is_truthy() {
-                kept.push(col.get(i))?;
-            }
-        }
-        out.add_column(name, kept)?;
+        out.add_column(name, col.filter(&keep))?;
     }
     Ok(out)
 }

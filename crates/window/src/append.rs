@@ -51,7 +51,7 @@
 //! extend in place.
 
 use crate::artifacts::{ArtifactCache, BudgetGovernor};
-use crate::column::ColumnScatter;
+use crate::column::{Column, ColumnScatter, Outputs};
 use crate::error::{Error, Result};
 use crate::eval::pipeline::{hoist_keys, HoistedKeys, PartitionEval, PartitionOutput, Prepared};
 use crate::eval::{cont_rank, cume_dist, disc_rank, percent_rank};
@@ -70,6 +70,7 @@ use crate::value::Value;
 use holistic_core::{ForestCursor, MstForest, RangeSet};
 use rustc_hash::FxHashMap;
 use std::cmp::Ordering;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Counters describing what one [`IncrementalEngine::append`] did.
@@ -163,22 +164,26 @@ fn encode_key(v: &Value, desc: bool) -> Option<(u64, KeyTy)> {
     }
 }
 
-/// Inverts [`encode_key`] exactly (bit-faithful, including `-0.0`).
-fn decode_key(enc: u64, desc: bool, ty: KeyTy) -> Value {
-    let raw = if desc { !enc } else { enc };
-    match ty {
-        KeyTy::Int => Value::Int((raw ^ (1 << 63)) as i64),
-        KeyTy::Float => Value::Float(float_from_ordinal(raw)),
+impl KeyTy {
+    /// Inverts [`encode_key`] exactly (bit-faithful, including `-0.0`): the
+    /// encoded keys `encs`, NULL where `None`, as a column of this type.
+    fn decode(self, encs: impl Iterator<Item = Option<u64>>, desc: bool) -> Column {
+        let raw = move |enc: u64| if desc { !enc } else { enc };
+        match self {
+            KeyTy::Int => Column::from_ints(encs.map(|e| e.map(|e| (raw(e) ^ (1 << 63)) as i64))),
+            KeyTy::Float => {
+                Column::from_floats(encs.map(|e| e.map(|e| float_from_ordinal(raw(e)))))
+            }
+        }
     }
-}
 
-/// Bit-faithful output equality for the recompute diff: floats compare by
-/// bits (so `-0.0` vs `0.0` or differing NaN payloads count as changes),
-/// everything else structurally.
-fn value_bits_eq(a: &Value, b: &Value) -> bool {
-    match (a, b) {
-        (Value::Float(x), Value::Float(y)) => x.to_bits() == y.to_bits(),
-        _ => a == b,
+    /// One encoded key as the float PERCENTILE_CONT interpolates.
+    fn decode_f64(self, enc: u64, desc: bool) -> f64 {
+        let raw = if desc { !enc } else { enc };
+        match self {
+            KeyTy::Int => ((raw ^ (1 << 63)) as i64) as f64,
+            KeyTy::Float => float_from_ordinal(raw),
+        }
     }
 }
 
@@ -253,8 +258,8 @@ struct PartState {
     acc: StatsAcc,
     /// Current per-call strategy choices.
     choices: Vec<Strategy>,
-    /// Current outputs, one vector per call, indexed by position.
-    outs: Vec<Vec<Value>>,
+    /// Current outputs, one per call, indexed by position.
+    outs: Vec<Outputs>,
     /// Whether this partition's data has stayed forest-eligible.
     fast_ok: bool,
     /// One forest per forest key slot (empty once ineligible).
@@ -480,7 +485,7 @@ impl IncrementalEngine {
             },
             acc: StatsAcc::new(),
             choices: Vec::new(),
-            outs: vec![Vec::new(); self.query.calls.len()],
+            outs: vec![Outputs::default(); self.query.calls.len()],
             fast_ok: true,
             forests: self.forest_keys.iter().map(empty).collect(),
             cursors: vec![ForestCursor::default(); self.query.calls.len()],
@@ -639,28 +644,32 @@ impl IncrementalEngine {
             kf.forest.append(&encs);
             kf.ty = ty;
         }
-        for (ci, fp) in self.fast_plans.iter().enumerate() {
-            let fp = fp.as_ref().expect("all_fast requires a plan per call");
-            let out = &mut ps.outs[ci];
-            match fp {
-                FastPlan::CountStar => {
-                    for pos in m_old..m {
-                        out.push(Value::Int(ps.frames.range_set(pos).count() as i64));
-                    }
-                }
-                FastPlan::PeerRank(kind) => {
-                    for pos in m_old..m {
-                        out.push(peer_rank(*kind, &ps.frames, pos));
-                    }
-                    profile.peer_rank_outputs += m - m_old;
-                }
+        let new = m_old..m;
+        let tails: Vec<Column> = (self.fast_plans.iter().enumerate())
+            .map(|(ci, fp)| match fp.as_ref().expect("all_fast requires a plan per call") {
+                FastPlan::CountStar => Column::ints(
+                    new.clone().map(|pos| ps.frames.range_set(pos).count() as i64).collect(),
+                ),
+                &FastPlan::PeerRank(kind) => peer_ranks(kind, &ps.frames, new.clone()),
                 &FastPlan::Forest { slot, desc, p, kind } => {
-                    let kf = &ps.forests[slot];
-                    let cur = &mut ps.cursors[ci];
-                    for pos in m_old..m {
-                        let pieces = ps.frames.range_set(pos);
-                        out.push(probe_value(kind, p, desc, kf, cur, &pieces, pos));
-                    }
+                    let probe = ForestProbe { kind, p, desc, kf: &ps.forests[slot] };
+                    probe.outputs(&mut ps.cursors[ci], &ps.frames, new.clone())
+                }
+            })
+            .collect();
+        // Outputs never change type on this path (the key type is the one
+        // the batch evaluators saw); should they, the recompute types them.
+        if !ps.outs.iter().zip(&tails).all(|(out, tail)| out.takes(tail.data_type())) {
+            return Ok(self.demote(pid));
+        }
+        for (out, tail) in ps.outs.iter_mut().zip(tails) {
+            out.extend(tail);
+        }
+        for fp in self.fast_plans.iter().flatten() {
+            match *fp {
+                FastPlan::CountStar => {}
+                FastPlan::PeerRank(_) => profile.peer_rank_outputs += m - m_old,
+                FastPlan::Forest { slot, .. } => {
                     if self.forest_keys[slot].calls > 1 {
                         profile.shared_forest_outputs += m - m_old;
                     }
@@ -739,11 +748,7 @@ impl IncrementalEngine {
                 match old_index.get(&row) {
                     None => changed.push(row),
                     Some(&op) => {
-                        if outs
-                            .iter()
-                            .zip(old_outs)
-                            .any(|(nc, oc)| !value_bits_eq(&nc[pos], &oc[op]))
-                        {
+                        if outs.iter().zip(old_outs).any(|(nc, oc)| !nc.same(pos, oc, op)) {
                             changed.push(row);
                         }
                     }
@@ -869,7 +874,7 @@ fn clip_below(rs: &RangeSet, hi: usize) -> RangeSet {
     out
 }
 
-/// A rank-family output for position `pos` of a call that ranks by the
+/// The rank-family outputs for positions `new` of a call that ranks by the
 /// window's own ORDER BY, read off the peer groups with the SQL arithmetic
 /// of `eval/rank.rs`. The partition is sorted by that key with ties in
 /// table-row order, which is also how the batch path's dense codes break
@@ -877,98 +882,124 @@ fn clip_below(rs: &RangeSet, hi: usize) -> RangeSet {
 /// (ROW_NUMBER), the rows with a smaller key are the ones before
 /// `peer_start[pos]` (RANK, PERCENT_RANK), and those with a key at most
 /// `pos`'s are the ones before `peer_end[pos]` (CUME_DIST).
-fn peer_rank(kind: FuncKind, frames: &ResolvedFrames, pos: usize) -> Value {
+fn peer_ranks(kind: FuncKind, frames: &ResolvedFrames, new: Range<usize>) -> Column {
     use FuncKind::*;
-    let pieces = frames.range_set(pos);
-    let before = |hi: usize| clip_below(&pieces, hi).count();
-    match kind {
-        RowNumber => Value::Int((before(pos) + 1) as i64),
-        Rank => Value::Int((before(frames.peer_start[pos]) + 1) as i64),
-        PercentRank | CumeDist => match pieces.count() {
-            0 => Value::Null,
-            s if kind == PercentRank => {
-                Value::Float(percent_rank(before(frames.peer_start[pos]), s))
-            }
-            s => Value::Float(cume_dist(before(frames.peer_end[pos]), s)),
-        },
-        _ => unreachable!("not a rank-family call"),
+    let below = |pos: usize| {
+        let hi = match kind {
+            RowNumber => pos,
+            Rank | PercentRank => frames.peer_start[pos],
+            CumeDist => frames.peer_end[pos],
+            _ => unreachable!("not a rank-family call"),
+        };
+        clip_below(&frames.range_set(pos), hi).count()
+    };
+    if matches!(kind, RowNumber | Rank) {
+        return Column::ints(new.map(|pos| (below(pos) + 1) as i64).collect());
     }
+    Column::from_floats(new.map(|pos| match frames.range_set(pos).count() {
+        0 => None,
+        s if kind == PercentRank => Some(percent_rank(below(pos), s)),
+        s => Some(cume_dist(below(pos), s)),
+    }))
 }
 
-/// One forest probe: computes a forest-planned call's output for new
-/// position `pos` over its frame `pieces`, with the SQL arithmetic of the
-/// batch evaluators (`eval/rank.rs`, `eval/select_based.rs`).
-fn probe_value(
+/// A forest-planned call's probe over its partition's forest, with the SQL
+/// arithmetic of the batch evaluators (`eval/rank.rs`,
+/// `eval/select_based.rs`).
+struct ForestProbe<'a> {
     kind: FuncKind,
+    /// Percentile fraction (0.5 for MEDIAN; unused by the rank family).
     p: f64,
+    /// Sort direction baked into the key encoding.
     desc: bool,
-    kf: &KeyForest,
-    cur: &mut ForestCursor,
-    pieces: &RangeSet,
-    pos: usize,
-) -> Value {
-    use FuncKind::*;
-    let KeyForest { forest, ty } = kf;
-    let ty = ty.expect("a forest with rows has a key domain");
-    let e = forest.values()[pos];
-    match kind {
-        RowNumber => {
-            // Position `pos`'s dense code orders by (key, position); rows
-            // below it are the strictly-smaller keys plus equal keys at
-            // earlier positions.
-            let below = forest.count_below(pieces, e);
-            let before = clip_below(pieces, pos);
-            let eq_before = forest.count_leq(&before, e) - forest.count_below(&before, e);
-            Value::Int((below + eq_before + 1) as i64)
-        }
-        Rank => Value::Int((forest.count_below(pieces, e) + 1) as i64),
-        PercentRank => {
-            let s = pieces.count();
-            if s == 0 {
-                return Value::Null;
-            }
-            Value::Float(percent_rank(forest.count_below(pieces, e), s))
-        }
-        CumeDist => {
-            let s = pieces.count();
-            if s == 0 {
-                return Value::Null;
-            }
-            Value::Float(cume_dist(forest.count_leq(pieces, e), s))
-        }
-        PercentileDisc | Median => {
-            let s = pieces.count();
-            if s == 0 {
-                return Value::Null;
-            }
+    kf: &'a KeyForest,
+}
+
+impl ForestProbe<'_> {
+    /// The outputs of positions `new`, each over its frame.
+    fn outputs(
+        &self,
+        cur: &mut ForestCursor,
+        frames: &ResolvedFrames,
+        new: Range<usize>,
+    ) -> Column {
+        use FuncKind::*;
+        let KeyForest { forest, ty } = self.kf;
+        let ty = ty.expect("a forest with rows has a key domain");
+        let (p, desc) = (self.p, self.desc);
+        let at = |pos: usize| (frames.range_set(pos), forest.values()[pos]);
+        match self.kind {
+            RowNumber => Column::ints(
+                new.map(|pos| {
+                    // Position `pos`'s dense code orders by (key, position);
+                    // rows below it are the strictly-smaller keys plus equal
+                    // keys at earlier positions.
+                    let (pieces, e) = at(pos);
+                    let before = clip_below(&pieces, pos);
+                    let eq_before = forest.count_leq(&before, e) - forest.count_below(&before, e);
+                    (forest.count_below(&pieces, e) + eq_before + 1) as i64
+                })
+                .collect(),
+            ),
+            Rank => Column::ints(
+                new.map(|pos| {
+                    let (pieces, e) = at(pos);
+                    (forest.count_below(&pieces, e) + 1) as i64
+                })
+                .collect(),
+            ),
+            PercentRank | CumeDist => Column::from_floats(new.map(|pos| {
+                let (pieces, e) = at(pos);
+                match pieces.count() {
+                    0 => None,
+                    s if self.kind == PercentRank => {
+                        Some(percent_rank(forest.count_below(&pieces, e), s))
+                    }
+                    s => Some(cume_dist(forest.count_leq(&pieces, e), s)),
+                }
+            })),
             // Frames slide by one row between consecutive probes, so the
             // previous answer is almost always still (near) the percentile:
             // the cursor gallops from it in value and from each run's last
             // position, where a cold select would bisect the value domain.
-            let v =
-                forest.select_with(pieces, disc_rank(p, s), cur).expect("rank within frame size");
-            decode_key(v, desc, ty)
-        }
-        PercentileCont => {
-            let s = pieces.count();
-            if s == 0 {
-                return Value::Null;
+            PercentileDisc | Median => {
+                let encs = new.map(|pos| {
+                    let pieces = frames.range_set(pos);
+                    let s = pieces.count();
+                    (s > 0).then(|| {
+                        forest
+                            .select_with(&pieces, disc_rank(p, s), cur)
+                            .expect("rank within frame size")
+                    })
+                });
+                ty.decode(encs, desc)
             }
-            let mut at = |j: usize| -> f64 {
-                let v = forest.select_with(pieces, j, cur).expect("rank within frame size");
-                decode_key(v, desc, ty).as_f64().expect("numeric forest key")
-            };
-            let cr = cont_rank(p, s);
-            let x = at(cr.lo);
-            Value::Float(cr.interpolate(x, || at(cr.hi)))
+            PercentileCont => Column::from_floats(new.map(|pos| {
+                let pieces = frames.range_set(pos);
+                let s = pieces.count();
+                if s == 0 {
+                    return None;
+                }
+                let mut at = |j: usize| {
+                    let v = forest.select_with(&pieces, j, cur).expect("rank within frame size");
+                    ty.decode_f64(v, desc)
+                };
+                let cr = cont_rank(p, s);
+                let x = at(cr.lo);
+                Some(cr.interpolate(x, || at(cr.hi)))
+            })),
+            _ => unreachable!("not a forest-planned call"),
         }
-        _ => unreachable!("not a forest-planned call"),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn decode_key(enc: u64, desc: bool, ty: KeyTy) -> Value {
+        ty.decode(std::iter::once(Some(enc)), desc).get(0)
+    }
 
     #[test]
     fn int_keys_encode_order_isomorphically() {

@@ -30,15 +30,15 @@
 //! function of the partition size ([`fits_u32`]), so all requests against
 //! one cache agree on the width and the `downcast` below cannot fail.
 
+use crate::column::Column;
 use crate::error::{Error, Result};
 use crate::eval::primitive::SegTrees;
 use crate::eval::Ctx;
 use crate::executor::{CacheStats, SpillStats};
-use crate::hash::hash_value;
+use crate::hash::hash_column;
 use crate::order::{dense_codes_for, KeyColumns};
 use crate::plan::{sort_keys_of, ArtifactKey, CallKeys};
 use crate::remap::Remap;
-use crate::value::Value;
 use holistic_core::aggregate::DistinctAggregate;
 use holistic_core::codes::DenseCodes;
 use holistic_core::index::fits_u32;
@@ -64,8 +64,8 @@ type Slot = Arc<OnceLock<std::result::Result<(Payload, usize), Error>>>;
 /// Heap footprint of a cached artifact, recorded at build time and charged
 /// against the memory budget.
 ///
-/// String heap data behind `Arc<str>` values is counted once per owned
-/// reference (see [`Value::heap_bytes`]) — an upper bound that prices what
+/// String heap data behind `Arc<str>` rows is counted once per owned
+/// reference (see [`Column::bytes`]) — an upper bound that prices what
 /// keeping the artifact alive keeps alive. `Arc`-shared ingredients are
 /// attributed to the artifact that owns them.
 pub(crate) trait ArtifactBytes {
@@ -80,9 +80,9 @@ pub(crate) trait ArtifactBytes {
     }
 }
 
-impl ArtifactBytes for Vec<Value> {
+impl ArtifactBytes for Column {
     fn bytes_built(&self) -> usize {
-        self.len() * size_of::<Value>() + self.iter().map(Value::heap_bytes).sum::<usize>()
+        self.bytes()
     }
 }
 
@@ -736,7 +736,7 @@ pub(crate) struct DistinctPrepArt {
     pub hashes: Vec<u64>,
     /// Kept values (payloads / exclusion corrections). `Arc`-shared with the
     /// kept-values artifact, which is the one charged for them.
-    pub values: Arc<Vec<Value>>,
+    pub values: Arc<Column>,
     /// hash → ascending kept positions; built only under frame exclusion.
     pub occurrences: FxHashMap<u64, Vec<usize>>,
 }
@@ -768,15 +768,13 @@ impl ArtifactBytes for DenseRankArt<RangeTree3> {
 /// — the √-decomposition, or the ids themselves for a scan.
 pub(crate) struct ModeArt<X> {
     /// id → value (ascending by `sql_cmp`).
-    pub decode: Vec<Value>,
+    pub decode: Column,
     pub index: X,
 }
 
 impl ArtifactBytes for ModeArt<RangeModeIndex> {
     fn bytes_built(&self) -> usize {
-        self.decode.len() * size_of::<Value>()
-            + self.decode.iter().map(Value::heap_bytes).sum::<usize>()
-            + self.index.bytes()
+        self.decode.bytes() + self.index.bytes()
     }
 }
 
@@ -837,8 +835,9 @@ impl Ctx<'_> {
         }
     }
 
-    /// Expression values per partition position ([`ArtifactKey::Values`]).
-    pub(crate) fn values_art(&self, keys: &CallKeys) -> Result<Arc<Vec<Value>>> {
+    /// Expression values per partition position ([`ArtifactKey::Values`]), a
+    /// typed column.
+    pub(crate) fn values_art(&self, keys: &CallKeys) -> Result<Arc<Column>> {
         let ArtifactKey::Values(e) = keys.values() else { unreachable!("values key") };
         self.artifact_in(keys.values(), self.own_values.as_ref(), || {
             self.eval_positions(&e.to_expr()).map(Built::New)
@@ -860,9 +859,10 @@ impl Ctx<'_> {
             if let Some(screen) = &mk.screen {
                 // What a call screens for NULLs is what it evaluates.
                 debug_assert!(matches!(keys.values(), ArtifactKey::Values(e) if e == screen));
+                // An empty validity drops nothing.
                 let vals = self.values_art(keys)?;
-                for (i, k) in keep.iter_mut().enumerate() {
-                    *k = *k && !vals[i].is_null();
+                for (k, &ok) in keep.iter_mut().zip(vals.validity()) {
+                    *k &= ok;
                 }
             }
             Ok(Built::New(MaskArtifact::build(keep, self.rows)))
@@ -871,16 +871,15 @@ impl Ctx<'_> {
 
     /// Expression values per *kept* position ([`ArtifactKey::KeptValues`]).
     /// Under a mask that drops nothing this is the values artifact itself.
-    pub(crate) fn kept_values_art(&self, keys: &CallKeys) -> Result<Arc<Vec<Value>>> {
+    pub(crate) fn kept_values_art(&self, keys: &CallKeys) -> Result<Arc<Column>> {
         self.artifact_in(keys.kept_values(), None, || {
             let values = self.values_art(keys)?;
             let mask = self.mask_art(keys)?;
             if mask.kept_len() == values.len() {
                 return Ok(Built::Shared(values));
             }
-            Ok(Built::New(
-                (0..mask.kept_len()).map(|k| values[mask.remap.to_position(k)].clone()).collect(),
-            ))
+            let kept = (0..mask.kept_len()).map(|k| Some(mask.remap.to_position(k)));
+            Ok(Built::New(values.gather(kept)))
         })
     }
 
@@ -947,7 +946,7 @@ impl Ctx<'_> {
     pub(crate) fn distinct_prep_art(&self, keys: &CallKeys) -> Result<Arc<DistinctPrepArt>> {
         self.artifact(keys.distinct_prep(), || {
             let values = self.kept_values_art(keys)?;
-            let hashes: Vec<u64> = values.iter().map(hash_value).collect();
+            let hashes = hash_column(&values);
             let mut occurrences: FxHashMap<u64, Vec<usize>> = FxHashMap::default();
             if self.frames.has_exclusion() {
                 for (k, &h) in hashes.iter().enumerate() {
@@ -1020,19 +1019,20 @@ impl Ctx<'_> {
     ) -> Result<ModeArt<X>> {
         let values = self.kept_values_art(keys)?;
         // Dense ids in value order (ids ascend with sql_cmp) so the
-        // smallest-id tie-break picks the smallest value.
-        let mut sorted: Vec<&Value> = values.iter().collect();
-        sorted.sort_by(|a, b| a.sql_cmp(b));
-        sorted.dedup_by(|a, b| a.sql_eq(b));
-        let decode: Vec<Value> = sorted.iter().map(|v| (*v).clone()).collect();
-        let ids: Vec<u32> = values
-            .iter()
-            .map(|v| {
-                decode.binary_search_by(|probe| probe.sql_cmp(v)).expect("value interned") as u32
-            })
-            .collect();
-        let index = index(ids, decode.len());
-        Ok(ModeArt { decode, index })
+        // smallest-id tie-break picks the smallest value: one sort of the
+        // positions, a new id wherever the value changes.
+        let mut order: Vec<usize> = (0..values.len()).collect();
+        order.sort_by(|&a, &b| values.cmp_rows(a, b));
+        let mut ids = vec![0u32; values.len()];
+        let mut firsts: Vec<usize> = Vec::new();
+        for (k, &p) in order.iter().enumerate() {
+            if k == 0 || values.cmp_rows(order[k - 1], p).is_ne() {
+                firsts.push(p);
+            }
+            ids[p] = (firsts.len() - 1) as u32;
+        }
+        let index = index(ids, firsts.len());
+        Ok(ModeArt { decode: values.gather(firsts.into_iter().map(Some)), index })
     }
 
     /// The MODE decode table and √-decomposition index,

@@ -2,6 +2,7 @@
 
 use crate::error::{Error, Result};
 use crate::value::{DataType, Value};
+use std::cmp::Ordering;
 use std::sync::Arc;
 
 /// A typed column with a validity mask.
@@ -28,6 +29,41 @@ pub type Validity = Vec<bool>;
 /// The error of offering a column a value its type does not accept.
 fn push_type_error(got: &'static str) -> Error {
     Error::TypeMismatch { expected: "column element", got, context: "Column::push" }
+}
+
+/// Appends one row, `None` for NULL, with `null()` as the data under a NULL
+/// and the validity left empty until the first NULL: how [`Column::push`]
+/// stores a row.
+fn push_opt<T>(data: &mut Vec<T>, valid: &mut Validity, item: Option<T>, null: impl FnOnce() -> T) {
+    match item {
+        Some(x) => {
+            if !valid.is_empty() {
+                valid.push(true);
+            }
+            data.push(x);
+        }
+        None => {
+            if valid.is_empty() {
+                valid.resize(data.len(), true);
+            }
+            valid.push(false);
+            data.push(null());
+        }
+    }
+}
+
+/// Data and validity from one item per row, `None` for NULL, as pushing
+/// them one by one stores them.
+fn unzip_opts<T>(
+    items: impl Iterator<Item = Option<T>>,
+    null: impl Fn() -> T,
+) -> (Vec<T>, Validity) {
+    let mut data = Vec::with_capacity(items.size_hint().0);
+    let mut valid = Vec::new();
+    for item in items {
+        push_opt(&mut data, &mut valid, item, &null);
+    }
+    (data, valid)
 }
 
 impl Column {
@@ -58,16 +94,36 @@ impl Column {
 
     /// Builds an integer column from options.
     pub fn ints_opt(v: Vec<Option<i64>>) -> Self {
-        let valid: Vec<bool> = v.iter().map(|o| o.is_some()).collect();
-        let data = v.into_iter().map(|o| o.unwrap_or(0)).collect();
-        Column::Int(data, if valid.iter().all(|&b| b) { Vec::new() } else { valid })
+        Column::from_ints(v)
     }
 
     /// Builds a float column from options.
     pub fn floats_opt(v: Vec<Option<f64>>) -> Self {
-        let valid: Vec<bool> = v.iter().map(|o| o.is_some()).collect();
-        let data = v.into_iter().map(|o| o.unwrap_or(0.0)).collect();
-        Column::Float(data, if valid.iter().all(|&b| b) { Vec::new() } else { valid })
+        Column::from_floats(v)
+    }
+
+    /// An integer column from one option per row, `None` for NULL.
+    pub(crate) fn from_ints(v: impl IntoIterator<Item = Option<i64>>) -> Self {
+        let (d, valid) = unzip_opts(v.into_iter(), || 0);
+        Column::Int(d, valid)
+    }
+
+    /// A float column from one option per row, `None` for NULL.
+    pub(crate) fn from_floats(v: impl IntoIterator<Item = Option<f64>>) -> Self {
+        let (d, valid) = unzip_opts(v.into_iter(), || 0.0);
+        Column::Float(d, valid)
+    }
+
+    /// A date column from one option per row, `None` for NULL.
+    pub(crate) fn from_dates(v: impl IntoIterator<Item = Option<i32>>) -> Self {
+        let (d, valid) = unzip_opts(v.into_iter(), || 0);
+        Column::Date(d, valid)
+    }
+
+    /// A bool column from one option per row, `None` for NULL.
+    pub(crate) fn from_bools(v: impl IntoIterator<Item = Option<bool>>) -> Self {
+        let (d, valid) = unzip_opts(v.into_iter(), || false);
+        Column::Bool(d, valid)
     }
 
     /// Builds a column from dynamically typed values (type inferred from the
@@ -92,37 +148,31 @@ impl Column {
         }
     }
 
+    /// `n` rows of `push`'s NULL data, all valid.
+    fn zeroed(dt: DataType, n: usize) -> Self {
+        match dt {
+            DataType::Int => Column::Int(vec![0; n], Vec::new()),
+            DataType::Float => Column::Float(vec![0.0; n], Vec::new()),
+            DataType::Str => Column::Str(vec![Arc::from(""); n], Vec::new()),
+            DataType::Date => Column::Date(vec![0; n], Vec::new()),
+            DataType::Bool => Column::Bool(vec![false; n], Vec::new()),
+        }
+    }
+
     /// Appends a value (NULL or matching type).
     pub fn push(&mut self, v: Value) -> Result<()> {
-        fn put<T>(data: &mut Vec<T>, valid: &mut Validity, item: Option<T>, default: T) {
-            match item {
-                Some(x) => {
-                    if !valid.is_empty() {
-                        valid.push(true);
-                    }
-                    data.push(x);
-                }
-                None => {
-                    if valid.is_empty() {
-                        valid.extend(std::iter::repeat_n(true, data.len()));
-                    }
-                    valid.push(false);
-                    data.push(default);
-                }
-            }
-        }
         match (self, v) {
-            (Column::Int(d, va), Value::Int(x)) => put(d, va, Some(x), 0),
-            (Column::Int(d, va), Value::Null) => put(d, va, None, 0),
-            (Column::Float(d, va), Value::Float(x)) => put(d, va, Some(x), 0.0),
-            (Column::Float(d, va), Value::Int(x)) => put(d, va, Some(x as f64), 0.0),
-            (Column::Float(d, va), Value::Null) => put(d, va, None, 0.0),
-            (Column::Str(d, va), Value::Str(x)) => put(d, va, Some(x), Arc::from("")),
-            (Column::Str(d, va), Value::Null) => put(d, va, None, Arc::from("")),
-            (Column::Date(d, va), Value::Date(x)) => put(d, va, Some(x), 0),
-            (Column::Date(d, va), Value::Null) => put(d, va, None, 0),
-            (Column::Bool(d, va), Value::Bool(x)) => put(d, va, Some(x), false),
-            (Column::Bool(d, va), Value::Null) => put(d, va, None, false),
+            (Column::Int(d, va), Value::Int(x)) => push_opt(d, va, Some(x), || 0),
+            (Column::Int(d, va), Value::Null) => push_opt(d, va, None, || 0),
+            (Column::Float(d, va), Value::Float(x)) => push_opt(d, va, Some(x), || 0.0),
+            (Column::Float(d, va), Value::Int(x)) => push_opt(d, va, Some(x as f64), || 0.0),
+            (Column::Float(d, va), Value::Null) => push_opt(d, va, None, || 0.0),
+            (Column::Str(d, va), Value::Str(x)) => push_opt(d, va, Some(x), || Arc::from("")),
+            (Column::Str(d, va), Value::Null) => push_opt(d, va, None, || Arc::from("")),
+            (Column::Date(d, va), Value::Date(x)) => push_opt(d, va, Some(x), || 0),
+            (Column::Date(d, va), Value::Null) => push_opt(d, va, None, || 0),
+            (Column::Bool(d, va), Value::Bool(x)) => push_opt(d, va, Some(x), || false),
+            (Column::Bool(d, va), Value::Null) => push_opt(d, va, None, || false),
             (_, v) => return Err(push_type_error(v.type_name())),
         }
         Ok(())
@@ -157,7 +207,7 @@ impl Column {
 
     /// The NULL mask (empty when no row is NULL).
     #[inline]
-    fn validity(&self) -> &Validity {
+    pub(crate) fn validity(&self) -> &Validity {
         match self {
             Column::Int(_, v) | Column::Date(_, v) => v,
             Column::Float(_, v) => v,
@@ -173,6 +223,89 @@ impl Column {
         v.is_empty() || v[i]
     }
 
+    /// True when some row holds a value.
+    pub(crate) fn any_valid(&self) -> bool {
+        let v = self.validity();
+        !self.is_empty() && (v.is_empty() || v.contains(&true))
+    }
+
+    /// Heap bytes: the data, the validity and every string's payload (each
+    /// row's own reference counted, as [`Value::heap_bytes`] counts it).
+    pub(crate) fn bytes(&self) -> usize {
+        let data = match self {
+            Column::Int(d, _) => std::mem::size_of_val(d.as_slice()),
+            Column::Float(d, _) => std::mem::size_of_val(d.as_slice()),
+            Column::Str(d, _) => {
+                std::mem::size_of_val(d.as_slice()) + d.iter().map(|s| s.len()).sum::<usize>()
+            }
+            Column::Date(d, _) => std::mem::size_of_val(d.as_slice()),
+            Column::Bool(d, _) => std::mem::size_of_val(d.as_slice()),
+        };
+        data + self.validity().len()
+    }
+
+    /// Row `i` as [`Value::as_f64`] reads it: ints, floats and dates.
+    #[inline]
+    pub(crate) fn f64_at(&self, i: usize) -> Option<f64> {
+        if !self.is_valid(i) {
+            return None;
+        }
+        match self {
+            Column::Int(d, _) => Some(d[i] as f64),
+            Column::Float(d, _) => Some(d[i]),
+            Column::Date(d, _) => Some(d[i] as f64),
+            Column::Str(..) | Column::Bool(..) => None,
+        }
+    }
+
+    /// Row `i` as [`Value::as_i64`] reads it: ints and dates.
+    #[inline]
+    pub(crate) fn i64_at(&self, i: usize) -> Option<i64> {
+        if !self.is_valid(i) {
+            return None;
+        }
+        match self {
+            Column::Int(d, _) => Some(d[i]),
+            Column::Date(d, _) => Some(d[i] as i64),
+            _ => None,
+        }
+    }
+
+    /// The type name (`"null"` for NULL) of the first row whose type — `None`
+    /// for NULL — `fits` rejects: what a type check over the rows' values
+    /// reports first.
+    pub(crate) fn first_misfit(
+        &self,
+        fits: impl Fn(Option<DataType>) -> bool,
+    ) -> Option<&'static str> {
+        let dt = self.data_type();
+        if self.validity().is_empty() {
+            return (!self.is_empty() && !fits(Some(dt))).then(|| dt.name());
+        }
+        (0..self.len())
+            .map(|i| self.is_valid(i).then_some(dt))
+            .find(|t| !fits(*t))
+            .map(|t| t.map_or("null", DataType::name))
+    }
+
+    /// Rows `i` and `j` in [`Value::sql_cmp`]'s order: NULLs equal to each
+    /// other and after every value, floats by `total_cmp`.
+    pub(crate) fn cmp_rows(&self, i: usize, j: usize) -> Ordering {
+        match (self.is_valid(i), self.is_valid(j)) {
+            (false, false) => return Ordering::Equal,
+            (false, true) => return Ordering::Greater,
+            (true, false) => return Ordering::Less,
+            (true, true) => {}
+        }
+        match self {
+            Column::Int(d, _) => d[i].cmp(&d[j]),
+            Column::Float(d, _) => d[i].total_cmp(&d[j]),
+            Column::Str(d, _) => d[i].cmp(&d[j]),
+            Column::Date(d, _) => d[i].cmp(&d[j]),
+            Column::Bool(d, _) => d[i].cmp(&d[j]),
+        }
+    }
+
     /// Whether [`Column::extend_from`] takes `src`: the error `push` raises
     /// on the first row of `src` it refuses, checked once per column rather
     /// than per value. `src` fits when it has this column's type, is `Int`
@@ -180,10 +313,7 @@ impl Column {
     /// `push` refuses is the first non-NULL one, whose type is `src`'s.
     pub(crate) fn check_extend(&self, src: &Column) -> Result<()> {
         let (to, from) = (self.data_type(), src.data_type());
-        if to == from
-            || (to == DataType::Float && from == DataType::Int)
-            || (0..src.len()).all(|i| !src.is_valid(i))
-        {
+        if to == from || (to == DataType::Float && from == DataType::Int) || !src.any_valid() {
             return Ok(());
         }
         Err(push_type_error(from.name()))
@@ -278,19 +408,154 @@ impl Column {
             Column::Bool(d, v) => Column::Bool(d[a..b].to_vec(), vslice(v, a, b)),
         }
     }
+
+    /// The rows where `keep` is true, in order, as a column of the same type:
+    /// exactly what pushing each kept row's value into an empty column of
+    /// this type builds — its validity empty unless a kept row is NULL, and
+    /// `push`'s data under every NULL.
+    pub fn filter(&self, keep: &[bool]) -> Column {
+        debug_assert_eq!(keep.len(), self.len());
+        self.gather(keep.iter().enumerate().filter(|&(_, &k)| k).map(|(i, _)| Some(i)))
+    }
+
+    /// The column whose row `k` is row `picks[k]` of this one, or NULL for a
+    /// `None` pick: the same type, its validity empty unless a picked row is
+    /// NULL, and `push`'s data under every NULL — what pushing the picked
+    /// rows' values into an empty column of this type builds.
+    pub(crate) fn gather(&self, picks: impl Iterator<Item = Option<usize>>) -> Column {
+        fn pick<T: Clone>(
+            d: &[T],
+            v: &Validity,
+            picks: impl Iterator<Item = Option<usize>>,
+            null: impl Fn() -> T,
+        ) -> (Vec<T>, Validity) {
+            let cell = |r: usize| (v.is_empty() || v[r]).then(|| d[r].clone());
+            unzip_opts(picks.map(|p| p.and_then(cell)), null)
+        }
+        match self {
+            Column::Int(d, v) => {
+                let (d, v) = pick(d, v, picks, || 0);
+                Column::Int(d, v)
+            }
+            Column::Float(d, v) => {
+                let (d, v) = pick(d, v, picks, || 0.0);
+                Column::Float(d, v)
+            }
+            Column::Str(d, v) => {
+                let empty: Arc<str> = Arc::from("");
+                let (d, v) = pick(d, v, picks, || Arc::clone(&empty));
+                Column::Str(d, v)
+            }
+            Column::Date(d, v) => {
+                let (d, v) = pick(d, v, picks, || 0);
+                Column::Date(d, v)
+            }
+            Column::Bool(d, v) => {
+                let (d, v) = pick(d, v, picks, || false);
+                Column::Bool(d, v)
+            }
+        }
+    }
 }
 
-/// Assembles one output column of `n` rows from values that arrive keyed by
-/// table row, in any order — the window operator's scatter back to input
-/// order. Every value is written once, straight into pre-sized typed storage,
-/// and [`ColumnScatter::finish`] yields exactly what [`Column::from_values`]
-/// yields on the same values laid out in row order: the type of the first
-/// non-NULL row, `Int` widened into a `Float` column, an all-NULL column as
-/// `Int`, and the `TypeMismatch` of the first row that type does not accept.
+/// Row `i` of `a` and row `j` of `b` are the same output: both NULL, floats
+/// with equal bits, an int and a float equal under `total_cmp`, or equal
+/// values of one other type — [`Value::sql_eq`], floats compared by bits.
+fn same_cell(a: &Column, i: usize, b: &Column, j: usize) -> bool {
+    match (a.is_valid(i), b.is_valid(j)) {
+        (false, false) => return true,
+        (true, true) => {}
+        _ => return false,
+    }
+    match (a, b) {
+        (Column::Int(x, _), Column::Int(y, _)) => x[i] == y[j],
+        (Column::Float(x, _), Column::Float(y, _)) => x[i].to_bits() == y[j].to_bits(),
+        (Column::Int(x, _), Column::Float(y, _)) => (x[i] as f64).total_cmp(&y[j]).is_eq(),
+        (Column::Float(x, _), Column::Int(y, _)) => x[i].total_cmp(&(y[j] as f64)).is_eq(),
+        (Column::Str(x, _), Column::Str(y, _)) => x[i] == y[j],
+        (Column::Date(x, _), Column::Date(y, _)) => x[i] == y[j],
+        (Column::Bool(x, _), Column::Bool(y, _)) => x[i] == y[j],
+        _ => false,
+    }
+}
+
+/// One call's outputs over a partition or segment batch, in position order.
+/// A call's outputs share one type, except where SQL lets them mix two: a
+/// LEAD/LAG default of another type than its argument, or an integer
+/// `SUM(DISTINCT)` that degrades to a float past `i64`. Those keep the
+/// second type in a lane of their own, so that [`ColumnScatter`] can apply
+/// the result column's typing rules in table-row order.
+#[derive(Debug, Clone)]
+pub(crate) struct Outputs {
+    /// The outputs of the call's own type; NULL where `other` holds one.
+    pub main: Column,
+    /// The outputs of the second type, NULL elsewhere.
+    pub other: Option<Column>,
+}
+
+impl Default for Outputs {
+    fn default() -> Self {
+        Column::new_empty(DataType::Int).into()
+    }
+}
+
+impl From<Column> for Outputs {
+    fn from(main: Column) -> Self {
+        Outputs { main, other: None }
+    }
+}
+
+impl Outputs {
+    /// `main`, overlaid by the values of `other` (of the same length); the
+    /// second lane is dropped when it holds none.
+    pub(crate) fn lanes(main: Column, other: Column) -> Self {
+        debug_assert_eq!(main.len(), other.len());
+        Outputs { main, other: other.any_valid().then_some(other) }
+    }
+
+    /// The lane holding position `i`'s output.
+    fn lane(&self, i: usize) -> &Column {
+        match &self.other {
+            Some(o) if o.is_valid(i) => o,
+            _ => &self.main,
+        }
+    }
+
+    /// Whether position `i`'s output equals position `j`'s of `b`, floats bit
+    /// for bit (the append engine's diff).
+    pub(crate) fn same(&self, i: usize, b: &Outputs, j: usize) -> bool {
+        same_cell(self.lane(i), i, b.lane(j), j)
+    }
+
+    /// Whether [`Outputs::extend`] takes a tail of type `dt`: outputs of one
+    /// lane, of that type or none yet.
+    pub(crate) fn takes(&self, dt: DataType) -> bool {
+        self.other.is_none() && (self.main.is_empty() || self.main.data_type() == dt)
+    }
+
+    /// Appends `tail`'s outputs; [`Outputs::takes`] must accept its type.
+    pub(crate) fn extend(&mut self, tail: Column) {
+        debug_assert!(self.takes(tail.data_type()));
+        if self.main.is_empty() {
+            self.main = tail;
+        } else {
+            self.main.extend_from(&tail);
+        }
+    }
+}
+
+/// Assembles one output column of `n` rows from [`Outputs`] that arrive keyed
+/// by table row, in any order — the window operator's scatter back to input
+/// order. Every value is copied once from typed storage into pre-sized typed
+/// storage, and [`ColumnScatter::finish`] yields exactly what
+/// [`Column::from_values`] yields on the same values laid out in row order:
+/// the type of the first non-NULL row, `Int` widened into a `Float` column, an
+/// all-NULL column as `Int`, and the `TypeMismatch` of the first row that
+/// type does not accept.
 pub(crate) struct ColumnScatter {
     n: usize,
     /// Typed storage, allocated at the first non-NULL value. Its own validity
-    /// stays empty until `finish`.
+    /// stays empty until `finish`; NULL rows keep `push`'s NULL data.
     data: Option<Column>,
     /// Row validity, allocated (all true) at the first NULL.
     valid: Validity,
@@ -302,57 +567,84 @@ pub(crate) struct ColumnScatter {
 
 impl ColumnScatter {
     /// A scatter target for `n` rows; rows never written read as NULL-free
-    /// defaults, so callers write every row exactly once.
+    /// defaults, so callers write every row.
     pub(crate) fn new(n: usize) -> Self {
         ColumnScatter { n, data: None, valid: Vec::new(), first_row: [usize::MAX; 5] }
     }
 
-    /// Writes `values[i]` to row `rows[i]`.
-    pub(crate) fn write(&mut self, rows: &[usize], values: &[Value]) {
-        debug_assert_eq!(rows.len(), values.len());
-        for (&row, v) in rows.iter().zip(values) {
-            let Some(ty) = v.data_type() else {
-                if self.valid.is_empty() {
-                    self.valid = vec![true; self.n];
+    /// Writes output `k` of `outs` to row `rows[k]`.
+    pub(crate) fn write(&mut self, rows: &[usize], outs: &Outputs) {
+        self.put(rows, &outs.main, true);
+        if let Some(other) = &outs.other {
+            self.put(rows, other, false);
+        }
+    }
+
+    /// Writes row `k` of `src` to row `rows[k]`: a value sets the row, a NULL
+    /// clears it when `nulls` (and is skipped otherwise).
+    fn put(&mut self, rows: &[usize], src: &Column, nulls: bool) {
+        fn copy<S, T>(dst: &mut [T], src: &[S], rows: &[usize], sv: &[bool], f: impl Fn(&S) -> T) {
+            if sv.is_empty() {
+                for (&row, x) in rows.iter().zip(src) {
+                    dst[row] = f(x);
                 }
-                self.valid[row] = false;
-                continue;
-            };
-            let first = &mut self.first_row[ty as usize];
-            *first = (*first).min(row);
-            let n = self.n;
-            let col = self.data.get_or_insert_with(|| match ty {
-                DataType::Int => Column::Int(vec![0; n], Vec::new()),
-                DataType::Float => Column::Float(vec![0.0; n], Vec::new()),
-                DataType::Str => Column::Str(vec![Arc::from(""); n], Vec::new()),
-                DataType::Date => Column::Date(vec![0; n], Vec::new()),
-                DataType::Bool => Column::Bool(vec![false; n], Vec::new()),
-            });
-            match (col, v) {
-                (Column::Int(d, _), Value::Int(x)) => d[row] = *x,
-                (Column::Float(d, _), Value::Float(x)) => d[row] = *x,
-                (Column::Float(d, _), Value::Int(x)) => d[row] = *x as f64,
-                (Column::Str(d, _), Value::Str(x)) => d[row] = x.clone(),
-                (Column::Date(d, _), Value::Date(x)) => d[row] = *x,
-                (Column::Bool(d, _), Value::Bool(x)) => d[row] = *x,
-                (col @ Column::Int(..), Value::Float(x)) => {
-                    // Row order decides between a widened Float column and a
-                    // mismatch, and only `finish` knows it: widen what is
-                    // here and keep going as Float.
-                    let Column::Int(ints, _) = &*col else { unreachable!("matched Int") };
-                    let mut floats: Vec<f64> = ints.iter().map(|&i| i as f64).collect();
-                    floats[row] = *x;
-                    *col = Column::Float(floats, Vec::new());
+            } else {
+                for ((&row, x), _) in rows.iter().zip(src).zip(sv).filter(|(_, &ok)| ok) {
+                    dst[row] = f(x);
                 }
-                // A pair no row order reconciles: `finish` reports it.
-                _ => {}
             }
+        }
+        debug_assert_eq!(rows.len(), src.len());
+        let sv = src.validity().as_slice();
+        if !sv.is_empty() {
+            let n = self.n;
+            for (&row, &ok) in rows.iter().zip(sv) {
+                if !ok && nulls {
+                    if self.valid.is_empty() {
+                        self.valid = vec![true; n];
+                    }
+                    self.valid[row] = false;
+                } else if ok && !self.valid.is_empty() {
+                    self.valid[row] = true;
+                }
+            }
+        } else if !self.valid.is_empty() {
+            for &row in rows {
+                self.valid[row] = true;
+            }
+        }
+        let valid_rows = rows.iter().enumerate().filter(|&(k, _)| sv.is_empty() || sv[k]);
+        let Some(first) = valid_rows.map(|(_, &row)| row).min() else { return };
+        let ty = src.data_type();
+        let seen = &mut self.first_row[ty as usize];
+        *seen = (*seen).min(first);
+        let n = self.n;
+        let col = self.data.get_or_insert_with(|| Column::zeroed(ty, n));
+        if let (Column::Int(ints, _), DataType::Float) = (&*col, ty) {
+            // Row order decides between a widened Float column and a
+            // mismatch, and only `finish` knows it: widen what is here and
+            // keep going as Float.
+            *col = Column::Float(ints.iter().map(|&i| i as f64).collect(), Vec::new());
+        }
+        match (col, src) {
+            (Column::Int(d, _), Column::Int(s, _)) => copy(d, s, rows, sv, |&x| x),
+            (Column::Float(d, _), Column::Float(s, _)) => copy(d, s, rows, sv, |&x| x),
+            (Column::Float(d, _), Column::Int(s, _)) => copy(d, s, rows, sv, |&x| x as f64),
+            (Column::Str(d, _), Column::Str(s, _)) => copy(d, s, rows, sv, Arc::clone),
+            (Column::Date(d, _), Column::Date(s, _)) => copy(d, s, rows, sv, |&x| x),
+            (Column::Bool(d, _), Column::Bool(s, _)) => copy(d, s, rows, sv, |&x| x),
+            // A pair no row order reconciles: `finish` reports it.
+            _ => {}
         }
     }
 
     /// The assembled column, or the error `Column::from_values` raises on the
     /// same values in row order.
-    pub(crate) fn finish(self) -> Result<Column> {
+    pub(crate) fn finish(mut self) -> Result<Column> {
+        if self.valid.iter().all(|&ok| ok) {
+            // Every NULL a lane wrote was overlaid by a value.
+            self.valid = Vec::new();
+        }
         let first_row = |t: &DataType| self.first_row[*t as usize];
         let seen = || DataType::ALL.into_iter().filter(|t| first_row(t) != usize::MAX);
         let Some(ty) = seen().min_by_key(first_row) else {
@@ -427,19 +719,9 @@ mod tests {
         let c = Column::floats_opt(vec![Some(1.0), Some(2.0)]);
         assert!(matches!(c, Column::Float(_, ref v) if v.is_empty()));
     }
-    /// Scatters `values` (in row order) as `parts` does: each part lists its
-    /// rows in its own order, as a sorted partition would.
-    fn scatter(values: &[Value], parts: &[Vec<usize>]) -> Result<Column> {
-        let mut sc = ColumnScatter::new(values.len());
-        for rows in parts {
-            let outs: Vec<Value> = rows.iter().map(|&r| values[r].clone()).collect();
-            sc.write(rows, &outs);
-        }
-        sc.finish()
-    }
 
-    /// Same column or same error, down to validity representation and the
-    /// bits of every float.
+    /// Same column or same error, down to validity representation, the data
+    /// under NULLs and the bits of every float.
     fn assert_same(got: Result<Column>, want: Result<Column>, what: &str) {
         let bits = |c: &Column| match c {
             Column::Float(d, _) => d.iter().map(|x| x.to_bits()).collect(),
@@ -454,15 +736,61 @@ mod tests {
         }
     }
 
+    /// One column of type `dt` holding `values` where they have that type,
+    /// NULL elsewhere.
+    fn lane(values: &[&Value], dt: DataType) -> Column {
+        let mut col = Column::new_empty(dt);
+        for v in values {
+            let v = if v.data_type() == Some(dt) { (*v).clone() } else { Value::Null };
+            col.push(v).unwrap();
+        }
+        col
+    }
+
+    /// Scatters `values` (in row order) as `parts` does: each part lists its
+    /// rows in its own order, as a sorted partition would, and writes its
+    /// outputs as an evaluator types them — a main lane of the first type it
+    /// meets, a second lane of the next, and (beyond what one call yields)
+    /// every further type as its rows' own write.
+    fn scatter(values: &[Value], parts: &[Vec<usize>]) -> Result<Column> {
+        let mut sc = ColumnScatter::new(values.len());
+        for rows in parts {
+            let vals: Vec<&Value> = rows.iter().map(|&r| &values[r]).collect();
+            let mut types: Vec<DataType> = Vec::new();
+            for t in vals.iter().filter_map(|v| v.data_type()) {
+                if !types.contains(&t) {
+                    types.push(t);
+                }
+            }
+            let main = lane(&vals, types.first().copied().unwrap_or(DataType::Int));
+            match types.get(1) {
+                Some(&t) => sc.write(rows, &Outputs::lanes(main, lane(&vals, t))),
+                None => sc.write(rows, &main.into()),
+            }
+            for &t in types.iter().skip(2) {
+                let (sub, own): (Vec<usize>, Vec<&Value>) = rows
+                    .iter()
+                    .zip(&vals)
+                    .filter(|(_, v)| v.data_type() == Some(t))
+                    .map(|(&r, &v)| (r, v))
+                    .unzip();
+                sc.write(&sub, &lane(&own, t).into());
+            }
+        }
+        sc.finish()
+    }
+
     #[test]
     fn scatter_matches_from_values_on_the_named_cases() {
         let d = |x| Value::Date(x);
+        let nan = f64::from_bits(0x7ff8_0000_0000_beef);
         let cases: Vec<(&str, Vec<Value>)> = vec![
             ("empty", vec![]),
             ("all null", vec![Value::Null, Value::Null, Value::Null]),
             ("ints", vec![Value::Int(3), Value::Int(-1), Value::Int(i64::MAX)]),
             ("ints with nulls", vec![Value::Null, Value::Int(3), Value::Null, Value::Int(4)]),
             ("floats", vec![Value::Float(-0.0), Value::Null, Value::Float(f64::NAN)]),
+            ("float bits", vec![Value::Float(nan), Value::Float(-0.0), Value::Int(0)]),
             ("strs", vec![Value::str("b"), Value::Null, Value::str(""), Value::str("a")]),
             ("dates", vec![d(3), d(-1), Value::Null]),
             ("bools", vec![Value::Null, Value::Bool(true), Value::Bool(false)]),
@@ -474,13 +802,35 @@ mod tests {
         for (what, values) in cases {
             let n = values.len();
             let want = Column::from_values(&values);
-            // One partition in row order, one reversed, and one row each.
+            // One partition in row order, one reversed, one row each, and
+            // halves arriving back to front (a type one partition meets
+            // first may come later in row order).
             let forward: Vec<usize> = (0..n).collect();
             let reversed: Vec<usize> = (0..n).rev().collect();
             let singles: Vec<Vec<usize>> = reversed.iter().map(|&r| vec![r]).collect();
+            let halves = vec![(n / 2..n).collect(), (0..n / 2).collect()];
             assert_same(scatter(&values, &[forward]), want.clone(), what);
             assert_same(scatter(&values, &[reversed]), want.clone(), what);
-            assert_same(scatter(&values, &singles), want, what);
+            assert_same(scatter(&values, &singles), want.clone(), what);
+            assert_same(scatter(&values, &halves), want, what);
+        }
+    }
+
+    /// A partition of Ints and one of Floats, in either order and either
+    /// arrival: a Float column when the first row is a Float, else the
+    /// mismatch — whichever partition the scatter hears from first.
+    #[test]
+    fn scatter_types_across_partitions_by_row_order() {
+        let ints = vec![Value::Int(7), Value::Null, Value::Int(-2)];
+        let floats = vec![Value::Float(-0.0), Value::Float(2.5), Value::Null];
+        for (what, values) in [
+            ("ints then floats", [ints.clone(), floats.clone()].concat()),
+            ("floats then ints", [floats, ints].concat()),
+        ] {
+            let want = Column::from_values(&values);
+            let (a, b): (Vec<usize>, Vec<usize>) = ((0..3).collect(), (3..6).collect());
+            assert_same(scatter(&values, &[a.clone(), b.clone()]), want.clone(), what);
+            assert_same(scatter(&values, &[b, a]), want, what);
         }
     }
 
@@ -502,7 +852,8 @@ mod tests {
             use rand::{rngs::StdRng, Rng, SeedableRng};
             let value = |ty: u8, x: i64| match ty {
                 0 => Value::Int(x),
-                1 => Value::Float(x as f64 / 2.0),
+                // Halves, signed zeros and a NaN.
+                1 => Value::Float(if x == 4 { f64::NAN } else { x as f64 / 2.0 * if x == 0 { -1.0 } else { 1.0 } }),
                 2 => Value::str(["a", "b", ""][x.rem_euclid(3) as usize]),
                 3 => Value::Date(x as i32),
                 _ => Value::Bool(x > 0),
@@ -528,6 +879,39 @@ mod tests {
                 }
             }
             assert_same(scatter(&values, &dealt), Column::from_values(&values), "proptest");
+        }
+    }
+
+    /// `filter` is the push loop it replaces, for every type with and
+    /// without NULLs, under masks that keep everything, nothing and some:
+    /// the same type, the same validity representation, `push`'s data under
+    /// every NULL and the same float bits.
+    #[test]
+    fn filter_matches_the_push_loop() {
+        let columns = [
+            Column::ints(vec![4, -1, 7, 0]),
+            Column::Int(vec![4, 99, 7, 0], vec![true, false, true, true]),
+            Column::floats(vec![-0.0, f64::NAN, 1.5, 2.0]),
+            Column::Float(vec![-0.0, 9.5, 1.5, f64::NAN], vec![true, false, false, true]),
+            Column::strs(vec!["a", "", "c", "d"]),
+            Column::Str(
+                ["a", "x", "c", "d"].map(Arc::from).to_vec(),
+                vec![false, false, true, true],
+            ),
+            Column::dates(vec![3, 1, 4, 1]),
+            Column::Date(vec![3, 5, 4, 1], vec![true, true, true, false]),
+            Column::bools(vec![true, false, true, true]),
+            Column::Bool(vec![true, true, false, true], vec![false, true, true, false]),
+        ];
+        let masks = [[true; 4], [false; 4], [true, false, true, false], [false, true, true, false]];
+        for col in &columns {
+            for keep in &masks {
+                let mut want = Column::new_empty(col.data_type());
+                for i in (0..col.len()).filter(|&i| keep[i]) {
+                    want.push(col.get(i)).unwrap();
+                }
+                assert_same(Ok(col.filter(keep)), Ok(want), &format!("{col:?} under {keep:?}"));
+            }
         }
     }
 }

@@ -14,16 +14,16 @@
 //! CONT / MEDIAN) on all three engines, COUNT(DISTINCT) on the incremental
 //! multiset — and only for frames without exclusion, so every frame is a
 //! contiguous hull in kept space. Selection operates on unique dense codes
-//! (exact integers); outputs are clones of the same kept values the MST
-//! path returns, so results are bit-identical by construction.
+//! (exact integers); outputs are gathered from the same kept values the MST
+//! path reads, so results are bit-identical by construction.
 
 use super::select_based::Selection;
 use super::{cont_rank, disc_rank, Ctx};
 use crate::artifacts::{DistinctPrepArt, MaskArtifact};
+use crate::column::Column;
 use crate::error::Result;
 use crate::spec::FuncKind;
 use crate::strategy::Strategy;
-use crate::value::Value;
 use holistic_core::codes::DenseCodes;
 use holistic_segtree::SortedListSegTree;
 use holistic_strategies::incremental;
@@ -47,10 +47,10 @@ pub(super) fn count_distinct_incremental(
     ctx: &Ctx<'_>,
     mask: &MaskArtifact,
     prep: &DistinctPrepArt,
-) -> Result<Vec<Value>> {
+) -> Vec<i64> {
     let frames = kept_frames(ctx, mask);
     let counts = incremental::distinct_count(&prep.hashes, &frames);
-    Ok(counts.into_iter().map(|c| Value::Int(c as i64)).collect())
+    counts.into_iter().map(|c| c as i64).collect()
 }
 
 /// Percentiles by sliding / selecting over unique dense codes.
@@ -58,14 +58,17 @@ pub(super) fn percentile(
     sel: &Selection<'_>,
     dc: &DenseCodes,
     strategy: Strategy,
-) -> Result<Vec<Value>> {
+) -> Result<Column> {
     let Selection { ctx, kept_out, .. } = *sel;
     let m = ctx.m();
     let frames = kept_frames(ctx, sel.mask);
     let cont = sel.call.kind == FuncKind::PercentileCont;
     let p = sel.fraction()?;
 
-    let mut out = vec![Value::Null; m];
+    // Per row: CONT's interpolated float, DISC's kept position (gathered
+    // below); `None` over an empty frame.
+    let mut floats: Vec<Option<f64>> = vec![None; if cont { m } else { 0 }];
+    let mut picks: Vec<Option<usize>> = vec![None; if cont { 0 } else { m }];
     {
         // Fills row `i` given the frame size and a 0-based rank → code
         // accessor. DISC picks one code; CONT interpolates between two.
@@ -74,14 +77,13 @@ pub(super) fn percentile(
                 return;
             }
             if cont {
-                let mut at = |j: usize| {
-                    kept_out[dc.perm[select(j)]].as_f64().expect("checked numeric above")
-                };
+                let mut at =
+                    |j: usize| kept_out.f64_at(dc.perm[select(j)]).expect("checked numeric above");
                 let cr = cont_rank(p, s);
                 let x = at(cr.lo);
-                out[i] = Value::Float(cr.interpolate(x, || at(cr.hi)));
+                floats[i] = Some(cr.interpolate(x, || at(cr.hi)));
             } else {
-                out[i] = kept_out[dc.perm[select(disc_rank(p, s))]].clone();
+                picks[i] = Some(dc.perm[select(disc_rank(p, s))]);
             }
         };
 
@@ -130,5 +132,5 @@ pub(super) fn percentile(
             }
         }
     }
-    Ok(out)
+    Ok(if cont { Column::from_floats(floats) } else { kept_out.gather(picks.into_iter()) })
 }

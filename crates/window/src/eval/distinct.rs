@@ -28,11 +28,12 @@
 use super::primitive::{CountBelow, Scan};
 use super::{alt, Ctx, Planned};
 use crate::artifacts::{DistinctPrepArt, MaskArtifact};
+use crate::column::{Column, Outputs};
 use crate::error::{Error, Result};
 use crate::plan::{AggFlavor, CallPlan};
 use crate::spec::{FuncKind, FunctionCall};
 use crate::strategy::Strategy;
-use crate::value::Value;
+use crate::value::DataType;
 use holistic_core::aggregate::{AvgF64, SumF64, SumI64};
 use holistic_core::{AnnotatedMst, DistinctAggregate, RangeSet, TreeIndex};
 use rustc_hash::FxHashSet;
@@ -44,7 +45,7 @@ pub(crate) fn evaluate(
     call: &FunctionCall,
     cp: &CallPlan,
     strategy: Strategy,
-) -> Result<Vec<Value>> {
+) -> Result<Outputs> {
     if call.kind == FuncKind::CountStar {
         return Err(Error::InvalidArgument("COUNT(DISTINCT *) is not valid SQL".into()));
     }
@@ -58,17 +59,18 @@ pub(crate) fn evaluate(
             sum_or_avg::<u64>(ctx, call, cp, &mask, &prep)
         };
     }
-    match strategy {
+    let counts = match strategy {
         Strategy::Incremental => alt::count_distinct_incremental(ctx, &mask, &prep),
         Strategy::Naive => {
             let prev = holistic_core::prev_idcs_u64(&prep.hashes, ctx.parallel);
-            count(ctx, &mask, &prep, &Scan(&prev))
+            count(ctx, &mask, &prep, &Scan(&prev))?
         }
         _ if ctx.u32_trees() => {
-            count(ctx, &mask, &prep, &*ctx.distinct_count_mst::<u32>(&cp.keys)?)
+            count(ctx, &mask, &prep, &*ctx.distinct_count_mst::<u32>(&cp.keys)?)?
         }
-        _ => count(ctx, &mask, &prep, &*ctx.distinct_count_mst::<u64>(&cp.keys)?),
-    }
+        _ => count(ctx, &mask, &prep, &*ctx.distinct_count_mst::<u64>(&cp.keys)?)?,
+    };
+    Ok(Column::ints(counts).into())
 }
 
 /// The exclusion hole(s) of row `i`, remapped to kept space and clipped to
@@ -122,7 +124,7 @@ fn count(
     mask: &MaskArtifact,
     prep: &DistinctPrepArt,
     prev_idcs: &impl CountBelow,
-) -> Result<Vec<Value>> {
+) -> Result<Vec<i64>> {
     ctx.probe_counts(
         prev_idcs,
         |i, push| {
@@ -133,16 +135,26 @@ fn count(
         },
         |i, (), base| {
             if !ctx.frames.has_exclusion() {
-                return Ok(Value::Int(base as i64));
+                return Ok(base as i64);
             }
             // Hole-only corrections never touch the index.
             let pieces = mask.remap.range_set(&ctx.frames.range_set(i));
             let (holes, nh) = kept_holes(ctx, mask, i);
             let mut correction = 0usize;
             hole_only_values(prep, &pieces, &holes[..nh], |_| correction += 1);
-            Ok(Value::Int((base - correction) as i64))
+            Ok((base - correction) as i64)
         },
     )
+}
+
+/// An integer `SUM(DISTINCT)`'s output: exact, or past `i64` degraded to a
+/// float rather than an error mid-probe.
+#[derive(Debug, Clone, Copy, Default)]
+enum IntSum {
+    #[default]
+    Null,
+    Exact(i64),
+    Wide(f64),
 }
 
 fn sum_or_avg<I: TreeIndex>(
@@ -151,101 +163,91 @@ fn sum_or_avg<I: TreeIndex>(
     cp: &CallPlan,
     mask: &Arc<MaskArtifact>,
     prep: &Arc<DistinctPrepArt>,
-) -> Result<Vec<Value>> {
-    let is_float = prep.values.iter().any(|v| matches!(v, Value::Float(_)));
-    if let Some(v) = prep.values.iter().find(|v| !matches!(v, Value::Int(_) | Value::Float(_))) {
-        return Err(Error::TypeMismatch {
-            expected: "numeric",
-            got: v.type_name(),
-            context: "SUM/AVG DISTINCT",
-        });
+) -> Result<Outputs> {
+    let values = &prep.values;
+    let is_float = values.data_type() == DataType::Float && values.any_valid();
+    if let Some(got) = values.first_misfit(|t| matches!(t, Some(DataType::Int | DataType::Float))) {
+        return Err(Error::TypeMismatch { expected: "numeric", got, context: "SUM/AVG DISTINCT" });
     }
+    let as_f64 = |k: usize| values.f64_at(k).unwrap_or(0.0);
     if call.kind == FuncKind::Avg {
-        distinct_aggregate::<I, AvgF64>(
+        let avgs = distinct_aggregate::<I, AvgF64, _>(
             ctx,
             cp,
             mask,
             prep,
             AggFlavor::Avg,
-            |v| v.as_f64().unwrap_or(0.0),
+            as_f64,
             |state, (corr, _)| {
                 let (s, c) = (state.0 - corr.0, state.1 - corr.1);
-                if c == 0 {
-                    Value::Null
-                } else {
-                    Value::Float(s / c as f64)
-                }
+                (c != 0).then(|| s / c as f64)
             },
-        )
+        )?;
+        Ok(Column::from_floats(avgs).into())
     } else if is_float {
-        distinct_aggregate::<I, SumF64>(
+        let sums = distinct_aggregate::<I, SumF64, _>(
             ctx,
             cp,
             mask,
             prep,
             AggFlavor::SumF64,
-            |v| v.as_f64().unwrap_or(0.0),
-            |s, c| {
-                // `c` carries (correction, counted) packed below.
-                let (corr, cnt) = c;
-                if cnt == 0 {
-                    Value::Null
-                } else {
-                    Value::Float(s - corr)
-                }
-            },
-        )
+            as_f64,
+            |s, (corr, cnt)| (cnt != 0).then_some(s - corr),
+        )?;
+        Ok(Column::from_floats(sums).into())
     } else {
-        distinct_aggregate::<I, SumI64>(
+        let sums = distinct_aggregate::<I, SumI64, _>(
             ctx,
             cp,
             mask,
             prep,
             AggFlavor::SumI64,
-            |v| v.as_i64().unwrap_or(0),
-            |s, c| {
-                let (corr, cnt) = c;
-                if cnt == 0 {
-                    Value::Null
-                } else {
-                    match i64::try_from(s - corr) {
-                        Ok(x) => Value::Int(x),
-                        // Sums exceeding i64 degrade to float rather
-                        // than erroring mid-probe.
-                        Err(_) => Value::Float((s - corr) as f64),
-                    }
-                }
+            |k| values.i64_at(k).unwrap_or(0),
+            |s, (corr, cnt)| match (cnt, i64::try_from(s - corr)) {
+                (0, _) => IntSum::Null,
+                (_, Ok(x)) => IntSum::Exact(x),
+                (_, Err(_)) => IntSum::Wide((s - corr) as f64),
             },
-        )
+        )?;
+        let exact = sums.iter().map(|s| match *s {
+            IntSum::Exact(x) => Some(x),
+            _ => None,
+        });
+        let wide = sums.iter().map(|s| match *s {
+            IntSum::Wide(x) => Some(x),
+            _ => None,
+        });
+        Ok(Outputs::lanes(Column::from_ints(exact), Column::from_floats(wide)))
     }
 }
 
 /// Generic distinct-aggregate evaluation: fetch (or build) the annotated
 /// tree, probe the hull, correct for hole-only values.
 ///
-/// `finish` receives the hull state and `(correction_state, corrected_count)`
-/// and produces the output value — the correction state has the same type as
-/// the aggregation state for SUM-like monoids and is a parallel (sum, count)
-/// pair for AVG.
+/// `payload_of(k)` is kept position `k`'s payload. `finish` receives the
+/// hull state and `(correction_state, corrected_count)` and produces the
+/// row's output — the correction state has the same type as the aggregation
+/// state for SUM-like monoids and is a parallel (sum, count) pair for AVG.
 #[allow(clippy::too_many_arguments)]
-fn distinct_aggregate<I, A>(
+fn distinct_aggregate<I, A, T>(
     ctx: &Ctx<'_>,
     cp: &CallPlan,
     mask: &Arc<MaskArtifact>,
     prep: &Arc<DistinctPrepArt>,
     flavor: AggFlavor,
-    payload_of: impl Fn(&Value) -> A::Payload + Sync,
-    finish: impl Fn(A::State, (A::State, usize)) -> Value + Sync,
-) -> Result<Vec<Value>>
+    payload_of: impl Fn(usize) -> A::Payload + Sync,
+    finish: impl Fn(A::State, (A::State, usize)) -> T + Sync,
+) -> Result<Vec<T>>
 where
     I: TreeIndex,
     A: DistinctAggregate + 'static,
+    T: Clone + Default + Send,
 {
     let tree: Arc<AnnotatedMst<I, A>> = ctx.artifact(cp.keys.distinct_agg(flavor), || {
         let prev = ctx.prev_idcs_art(&cp.keys)?;
         ctx.count_build(|s| &s.mst_builds);
         let prev: Vec<I> = prev.iter().map(|&p| I::from_usize(p)).collect();
-        let payloads: Vec<A::Payload> = prep.values.iter().map(&payload_of).collect();
+        let payloads: Vec<A::Payload> = (0..prep.values.len()).map(&payload_of).collect();
         Ok(AnnotatedMst::<I, A>::build(&prev, &payloads, ctx.params))
     })?;
     ctx.probe_with_cursor(|cur, i| {
@@ -260,7 +262,7 @@ where
         let mut corr = A::identity();
         let mut removed = 0usize;
         hole_only_values(prep, &pieces, &holes[..nh], |p| {
-            corr = A::combine(corr, A::lift(payload_of(&prep.values[p])));
+            corr = A::combine(corr, A::lift(payload_of(p)));
             removed += 1;
         });
         Ok(finish(state, (corr, counted - removed)))

@@ -20,12 +20,13 @@
 use super::primitive::{Fold, ScanFold, SegTrees};
 use super::Ctx;
 use crate::artifacts::{ArtifactBytes, MaskArtifact};
+use crate::column::Column;
 use crate::error::{Error, Result};
 use crate::order::{float_from_ordinal, float_ordinal};
 use crate::plan::{ArtifactKey, CallPlan, SegFlavor};
 use crate::spec::{FuncKind, FunctionCall};
 use crate::strategy::Strategy;
-use crate::value::Value;
+use crate::value::DataType;
 use holistic_segtree::{MaxMonoid, MinMonoid, Monoid, PrefixSums, SumF64Monoid};
 use std::sync::Arc;
 
@@ -65,67 +66,43 @@ impl ArtifactBytes for OrdEnc {
     }
 }
 
-/// Encodes comparable values as i64 ordinals for MIN/MAX segment trees.
-fn encode_ordinals(values: &[Value]) -> Result<(Vec<Option<i64>>, OrdinalDecode)> {
-    // Establish the column type from the first non-null value.
-    let first = values.iter().find(|v| !v.is_null());
-    let decode = match first {
-        None | Some(Value::Int(_)) => OrdinalDecode::Int,
-        Some(Value::Date(_)) => OrdinalDecode::Date,
-        Some(Value::Float(_)) => OrdinalDecode::Float,
-        Some(Value::Bool(_)) => OrdinalDecode::Bool,
-        Some(Value::Str(_)) => {
-            let mut uniq: Vec<Arc<str>> = values
+/// Encodes a column's values as i64 ordinals for MIN/MAX segment trees, in
+/// its type's order (`None` for NULL).
+fn encode_ordinals(values: &Column) -> (Vec<Option<i64>>, OrdinalDecode) {
+    fn ords<T>(d: &[T], v: &[bool], f: impl Fn(&T) -> i64) -> Vec<Option<i64>> {
+        d.iter().enumerate().map(|(i, x)| (v.is_empty() || v[i]).then(|| f(x))).collect()
+    }
+    match values {
+        Column::Int(d, v) => (ords(d, v, |&x| x), OrdinalDecode::Int),
+        Column::Date(d, v) => (ords(d, v, |&x| x as i64), OrdinalDecode::Date),
+        Column::Float(d, v) => (ords(d, v, |&x| f64_to_ordinal(x)), OrdinalDecode::Float),
+        Column::Bool(d, v) => (ords(d, v, |&x| x as i64), OrdinalDecode::Bool),
+        Column::Str(d, v) => {
+            let mut uniq: Vec<Arc<str>> = d
                 .iter()
-                .filter_map(|v| match v {
-                    Value::Str(s) => Some(s.clone()),
-                    _ => None,
-                })
+                .enumerate()
+                .filter(|&(i, _)| v.is_empty() || v[i])
+                .map(|(_, s)| s.clone())
                 .collect();
             uniq.sort_unstable();
             uniq.dedup();
-            OrdinalDecode::Str(uniq)
+            let ords = ords(d, v, |s| uniq.binary_search(s).expect("string interned") as i64);
+            (ords, OrdinalDecode::Str(uniq))
         }
-        Some(Value::Null) => unreachable!(),
-    };
-    let mut ords = Vec::with_capacity(values.len());
-    for v in values {
-        let o = match (v, &decode) {
-            (Value::Null, _) => None,
-            (Value::Int(x), OrdinalDecode::Int) => Some(*x),
-            (Value::Int(x), OrdinalDecode::Float) => Some(f64_to_ordinal(*x as f64)),
-            (Value::Float(x), OrdinalDecode::Float) => Some(f64_to_ordinal(*x)),
-            (Value::Float(x), OrdinalDecode::Int) => Some(f64_to_ordinal(*x)), // promoted below
-            (Value::Date(x), OrdinalDecode::Date) => Some(*x as i64),
-            (Value::Bool(x), OrdinalDecode::Bool) => Some(*x as i64),
-            (Value::Str(s), OrdinalDecode::Str(uniq)) => {
-                Some(uniq.binary_search(s).expect("string interned") as i64)
-            }
-            (v, _) => {
-                return Err(Error::TypeMismatch {
-                    expected: "homogeneous comparable column",
-                    got: v.type_name(),
-                    context: "MIN/MAX",
-                })
-            }
-        };
-        ords.push(o);
     }
-    // Mixed int/float columns: re-encode everything through the float path.
-    if matches!(decode, OrdinalDecode::Int) && values.iter().any(|v| matches!(v, Value::Float(_))) {
-        let ords = values.iter().map(|v| v.as_f64().map(f64_to_ordinal)).collect();
-        return Ok((ords, OrdinalDecode::Float));
-    }
-    Ok((ords, decode))
 }
 
-fn decode_ordinal(o: i64, d: &OrdinalDecode) -> Value {
+/// The values `ords` encode (NULL for `None`), as a column of their type.
+fn decode_ordinals(ords: Vec<Option<i64>>, d: &OrdinalDecode) -> Column {
+    let ords = ords.into_iter();
     match d {
-        OrdinalDecode::Int => Value::Int(o),
-        OrdinalDecode::Date => Value::Date(o as i32),
-        OrdinalDecode::Float => Value::Float(ordinal_to_f64(o)),
-        OrdinalDecode::Bool => Value::Bool(o != 0),
-        OrdinalDecode::Str(uniq) => Value::Str(uniq[o as usize].clone()),
+        OrdinalDecode::Int => Column::from_ints(ords),
+        OrdinalDecode::Float => Column::from_floats(ords.map(|o| o.map(ordinal_to_f64))),
+        OrdinalDecode::Date => Column::from_dates(ords.map(|o| o.map(|x| x as i32))),
+        OrdinalDecode::Bool => Column::from_bools(ords.map(|o| o.map(|x| x != 0))),
+        OrdinalDecode::Str(uniq) => {
+            Column::Str(uniq.clone(), Vec::new()).gather(ords.map(|o| o.map(|x| x as usize)))
+        }
     }
 }
 
@@ -148,13 +125,14 @@ pub(crate) fn evaluate(
     call: &FunctionCall,
     cp: &CallPlan,
     strategy: Strategy,
-) -> Result<Vec<Value>> {
+) -> Result<Column> {
     let (keys, naive) = (&cp.keys, strategy == Strategy::Naive);
     // A frame's participating rows are those passing FILTER with a non-NULL
     // argument — exactly the mask the plan derived, so its remap counts them.
     let mask = ctx.mask_art(keys)?;
     if matches!(call.kind, FuncKind::CountStar | FuncKind::Count) {
-        return ctx.probe(|i| Ok(Value::Int(mask.kept_in(&ctx.frames.range_set(i)) as i64)));
+        let counts = ctx.probe(|i| Ok(mask.kept_in(&ctx.frames.range_set(i)) as i64))?;
+        return Ok(Column::ints(counts));
     }
 
     let values = ctx.values_art(keys)?;
@@ -167,46 +145,45 @@ pub(crate) fn evaluate(
     match call.kind {
         FuncKind::Sum | FuncKind::Avg => {
             let avg = call.kind == FuncKind::Avg;
-            let is_float = values.iter().any(|v| matches!(v, Value::Float(_)));
-            let bad =
-                values.iter().find(|v| !matches!(v, Value::Null | Value::Int(_) | Value::Float(_)));
-            if let Some(v) = bad {
-                return Err(Error::TypeMismatch {
-                    expected: "numeric",
-                    got: v.type_name(),
-                    context: "SUM/AVG",
-                });
+            let numeric = |t| matches!(t, None | Some(DataType::Int | DataType::Float));
+            if let Some(got) = values.first_misfit(numeric) {
+                return Err(Error::TypeMismatch { expected: "numeric", got, context: "SUM/AVG" });
             }
-            if is_float {
+            if values.data_type() == DataType::Float && values.any_valid() {
                 // Float addition is order-sensitive: a naive call folds, per
                 // segment, the very tree the cache would hold for its
                 // partition (uncached), so the combine order — hence every
                 // bit — agrees.
                 let data = seg_trees::<SumF64Monoid>(ctx, keys.seg(SegFlavor::SumF64), || {
-                    inputs(&mask.keep, 0.0, |i| values[i].as_f64())
+                    inputs(&mask.keep, 0.0, |i| values.f64_at(i))
                 })?;
-                probe_fold(ctx, &mask, &*data, |s, cnt| {
-                    Ok(Value::Float(if avg { s / cnt as f64 } else { s }))
-                })
+                let sums = probe_fold(ctx, &mask, &*data, |s, cnt| {
+                    Ok(if avg { s / cnt as f64 } else { s })
+                })?;
+                Ok(Column::from_floats(sums))
             } else {
                 // Integer addition has an inverse: no tree on either arm, and
                 // AVG divides the exact sum (one rounding).
                 let data: Arc<IntSums> = ctx.artifact(keys.seg(SegFlavor::SumI64), || {
-                    let ints = inputs(&mask.keep, 0, |i| values[i].as_i64());
+                    let ints = inputs(&mask.keep, 0, |i| values.i64_at(i));
                     Ok(IntSums { sums: PrefixSums::build(&ints), rows: ints.len() })
                 })?;
-                probe_fold(ctx, &mask, &data.sums, |s, cnt| {
-                    if avg {
-                        Ok(Value::Float(s as f64 / cnt as f64))
-                    } else {
-                        i64::try_from(s).map(Value::Int).map_err(|_| Error::Overflow("SUM"))
-                    }
-                })
+                if avg {
+                    let avgs =
+                        probe_fold(ctx, &mask, &data.sums, |s, cnt| Ok(s as f64 / cnt as f64))?;
+                    Ok(Column::from_floats(avgs))
+                } else {
+                    let sums = probe_fold(ctx, &mask, &data.sums, |s, _| {
+                        i64::try_from(s).map_err(|_| Error::Overflow("SUM"))
+                    })?;
+                    Ok(Column::from_ints(sums))
+                }
             }
         }
         FuncKind::Min | FuncKind::Max => {
             let enc: Arc<OrdEnc> = ctx.artifact(keys.ordinal_enc(), || {
-                encode_ordinals(&values).map(|(ords, decode)| OrdEnc { ords, decode })
+                let (ords, decode) = encode_ordinals(&values);
+                Ok(OrdEnc { ords, decode })
             })?;
             let ords = |neutral: i64| inputs(&mask.keep, neutral, |i| enc.ords[i]);
             let data = if call.kind == FuncKind::Min {
@@ -214,7 +191,8 @@ pub(crate) fn evaluate(
             } else {
                 data_index::<MaxMonoid>(ctx, naive, keys.seg(SegFlavor::Max), || ords(i64::MIN))?
             };
-            probe_fold(ctx, &mask, &*data, |o, _| Ok(decode_ordinal(o, &enc.decode)))
+            let folded = probe_fold(ctx, &mask, &*data, |o, _| Ok(o))?;
+            Ok(decode_ordinals(folded, &enc.decode))
         }
         _ => unreachable!("dispatch guarantees aggregate kind"),
     }
@@ -245,17 +223,17 @@ fn data_index<M: Monoid>(
 
 /// NULL over a frame without participating rows, otherwise what `emit`
 /// makes of the frame's fold and its participating-row count.
-fn probe_fold<T>(
+fn probe_fold<T, O: Clone + Send>(
     ctx: &Ctx<'_>,
     mask: &MaskArtifact,
     data: &dyn Fold<T>,
-    emit: impl Fn(T, usize) -> Result<Value> + Send + Sync,
-) -> Result<Vec<Value>> {
+    emit: impl Fn(T, usize) -> Result<O> + Send + Sync,
+) -> Result<Vec<Option<O>>> {
     ctx.probe(|i| {
         let pieces = ctx.frames.range_set(i);
         match mask.kept_in(&pieces) {
-            0 => Ok(Value::Null),
-            cnt => emit(data.fold(&pieces), cnt),
+            0 => Ok(None),
+            cnt => emit(data.fold(&pieces), cnt).map(Some),
         }
     })
 }
@@ -263,19 +241,7 @@ fn probe_fold<T>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::value::DataType;
-
-    /// The expected output type of MIN/MAX given inputs.
-    fn minmax_probe_type(values: &[Value]) -> Result<DataType> {
-        let (_, d) = encode_ordinals(values)?;
-        Ok(match d {
-            OrdinalDecode::Int => DataType::Int,
-            OrdinalDecode::Date => DataType::Date,
-            OrdinalDecode::Float => DataType::Float,
-            OrdinalDecode::Bool => DataType::Bool,
-            OrdinalDecode::Str(_) => DataType::Str,
-        })
-    }
+    use crate::value::Value;
 
     #[test]
     fn f64_ordinal_roundtrip_and_order() {
@@ -294,23 +260,35 @@ mod tests {
     #[test]
     fn encode_strings_densely() {
         let vals = vec![Value::str("b"), Value::Null, Value::str("a"), Value::str("b")];
-        let (ords, d) = encode_ordinals(&vals).unwrap();
+        let (ords, d) = encode_ordinals(&Column::from_values(&vals).unwrap());
         assert_eq!(ords, vec![Some(1), None, Some(0), Some(1)]);
-        assert_eq!(decode_ordinal(0, &d), Value::str("a"));
-        assert_eq!(decode_ordinal(1, &d), Value::str("b"));
+        let decoded = decode_ordinals(vec![Some(0), Some(1), None], &d);
+        assert_eq!(decoded.to_values(), vec![Value::str("a"), Value::str("b"), Value::Null]);
     }
 
+    /// Every type's ordinals keep its order and decode to its values, bit
+    /// for bit, in a column of its type.
     #[test]
-    fn mixed_int_float_promotes() {
-        let vals = vec![Value::Int(2), Value::Float(1.5)];
-        let (ords, _) = encode_ordinals(&vals).unwrap();
-        assert!(ords[0] > ords[1]);
-        assert_eq!(minmax_probe_type(&vals).unwrap(), DataType::Float);
-    }
-
-    #[test]
-    fn incomparable_mix_errors() {
-        let vals = vec![Value::Int(2), Value::str("x")];
-        assert!(encode_ordinals(&vals).is_err());
+    fn ordinals_roundtrip_every_type() {
+        let columns = [
+            Column::ints_opt(vec![Some(3), None, Some(i64::MIN), Some(i64::MAX)]),
+            Column::floats_opt(vec![Some(-0.0), Some(0.0), None, Some(-1.5), Some(f64::NAN)]),
+            Column::strs(vec!["b", "", "a"]),
+            Column::Date(vec![9, 0, -3], vec![true, false, true]),
+            Column::bools(vec![true, false]),
+        ];
+        for col in &columns {
+            let (ords, d) = encode_ordinals(col);
+            for i in 0..col.len() {
+                for j in 0..col.len() {
+                    if col.is_valid(i) && col.is_valid(j) {
+                        assert_eq!(ords[i].cmp(&ords[j]), col.cmp_rows(i, j), "{col:?}");
+                    }
+                }
+            }
+            let back = decode_ordinals(ords, &d);
+            assert_eq!(back.data_type(), col.data_type());
+            assert_eq!(format!("{:?}", back.to_values()), format!("{:?}", col.to_values()));
+        }
     }
 }

@@ -11,6 +11,7 @@
 
 use super::primitive::{CountBelow, Scan, Select, SelectBuf};
 use super::{rank, Ctx};
+use crate::column::{Column, Outputs};
 use crate::error::{Error, Result};
 use crate::expr::BoundExpr;
 use crate::plan::CallPlan;
@@ -23,7 +24,7 @@ pub(crate) fn evaluate(
     call: &FunctionCall,
     cp: &CallPlan,
     strategy: Strategy,
-) -> Result<Vec<Value>> {
+) -> Result<Outputs> {
     let args = Args {
         ctx,
         call,
@@ -36,23 +37,22 @@ pub(crate) fn evaluate(
     let prep = rank::prepare(ctx, cp)?;
     let kept_out = ctx.kept_values_art(&cp.keys)?;
     let codes = Scan(&prep.dc.code);
-    match strategy {
-        Strategy::Naive => evaluate_framed(&args, &prep, &kept_out, &codes, &codes),
+    let lagged = match strategy {
+        Strategy::Naive => evaluate_framed(&args, &prep, &codes, &codes),
         _ if ctx.u32_trees() => evaluate_framed(
             &args,
             &prep,
-            &kept_out,
             &*ctx.code_mst::<u32>(&cp.keys)?,
             &*ctx.perm_mst::<u32>(&cp.keys)?,
         ),
         _ => evaluate_framed(
             &args,
             &prep,
-            &kept_out,
             &*ctx.code_mst::<u64>(&cp.keys)?,
             &*ctx.perm_mst::<u64>(&cp.keys)?,
         ),
-    }
+    }?;
+    lagged_outputs(&kept_out, lagged)
 }
 
 /// The call's per-row offset and default arguments.
@@ -87,13 +87,49 @@ impl Args<'_> {
         Ok(Some(if lag { raw.checked_neg().unwrap_or(i64::MAX) } else { raw }))
     }
 
-    /// Row `i`'s value when its target falls outside the rows.
-    fn default_for(&self, i: usize) -> Result<Value> {
+    /// Row `i`'s output when its target falls outside the rows: the default
+    /// argument's value, which the interpreter evaluates for that row alone.
+    fn default_for(&self, i: usize) -> Result<Lagged> {
         match &self.default {
-            Some(d) => d.eval(self.ctx.table, self.ctx.rows[i]),
-            None => Ok(Value::Null),
+            Some(d) => d.eval(self.ctx.table, self.ctx.rows[i]).map(Lagged::Default),
+            None => Ok(Lagged::Null),
         }
     }
+}
+
+/// One row's LEAD/LAG output before the outputs are typed: NULL, the
+/// argument at a position, or the row's default.
+#[derive(Debug, Clone, Default)]
+enum Lagged {
+    #[default]
+    Null,
+    At(usize),
+    Default(Value),
+}
+
+/// The typed outputs of `lagged`, gathering `At` positions from `values`.
+/// The defaults of one call share a type, since an expression's type does
+/// not depend on the row; when it is not the argument's, they form the
+/// outputs' second lane.
+fn lagged_outputs(values: &Column, lagged: Vec<Lagged>) -> Result<Outputs> {
+    let at = |l: &Lagged| match l {
+        Lagged::At(p) => Some(*p),
+        _ => None,
+    };
+    let main = values.gather(lagged.iter().map(at));
+    let first = lagged.iter().find_map(|l| match l {
+        Lagged::Default(v) => v.data_type(),
+        _ => None,
+    });
+    let Some(dt) = first else { return Ok(main.into()) };
+    let mut defaults = Column::new_empty(dt);
+    for l in lagged {
+        defaults.push(match l {
+            Lagged::Default(v) => v,
+            _ => Value::Null,
+        })?;
+    }
+    Ok(Outputs::lanes(main, defaults))
 }
 
 /// `base + off` as a bounds-checked position: `None` when the target falls
@@ -107,24 +143,24 @@ pub(crate) fn target_position(base: usize, off: i64, len: usize) -> Option<usize
 /// the SQL:2011 behaviour when no function-level ORDER BY is given. It probes
 /// no index, so no strategy has anything to choose; it is the one family
 /// whose target leaves the frame, so it reads the row's segment instead.
-fn evaluate_classic(args: &Args<'_>, cp: &CallPlan) -> Result<Vec<Value>> {
+fn evaluate_classic(args: &Args<'_>, cp: &CallPlan) -> Result<Outputs> {
     let Args { ctx, call, .. } = *args;
     let values = ctx.values_art(&cp.keys)?;
     // IGNORE NULLS: the n-th non-null value before/after the current row.
     let non_null: Vec<usize> = if call.ignore_nulls {
-        (0..ctx.m()).filter(|&i| !values[i].is_null()).collect()
+        (0..ctx.m()).filter(|&i| values.is_valid(i)).collect()
     } else {
         Vec::new()
     };
-    ctx.probe(|i| {
+    let lagged = ctx.probe(|i| {
         let Some(off) = args.offset_for(i)? else {
-            return Ok(Value::Null);
+            return Ok(Lagged::Null);
         };
         // Offset 0 is the current row itself, per SQL — even under IGNORE
         // NULLS (an offset of zero never skips anywhere). Handling it up
         // front also keeps the `off - 1` below strictly positive.
         if off == 0 {
-            return Ok(values[i].clone());
+            return Ok(Lagged::At(i));
         }
         // The target stays inside the row's partition: its segment.
         let (start, end) = ctx.segment(i);
@@ -146,27 +182,28 @@ fn evaluate_classic(args: &Args<'_>, cp: &CallPlan) -> Result<Vec<Value>> {
             target_position(i - start, off, end - start).map(|t| start + t)
         };
         match target {
-            Some(t) => Ok(values[t].clone()),
+            Some(t) => Ok(Lagged::At(t)),
             None => args.default_for(i),
         }
-    })
+    })?;
+    lagged_outputs(&values, lagged)
 }
 
 /// Framed LEAD/LAG with an independent ORDER BY (§4.6): the row's number in
 /// its frame by the inner order (`codes`), the offset, and the selection of
 /// the row at the adjusted number (`order`) — one row at a time, the second
-/// query depending on the first.
+/// query depending on the first. A row's output is a kept position (into the
+/// kept values) or its default.
 fn evaluate_framed(
     args: &Args<'_>,
     prep: &rank::RankPrep,
-    kept_out: &[Value],
     codes: &impl CountBelow,
     order: &impl Select,
-) -> Result<Vec<Value>> {
+) -> Result<Vec<Lagged>> {
     let ctx = args.ctx;
     ctx.probe_with(|buf: &mut SelectBuf, i| {
         let Some(off) = args.offset_for(i)? else {
-            return Ok(Value::Null);
+            return Ok(Lagged::Null);
         };
         let pieces = prep.kept_pieces(ctx, i);
         let rn0 = prep.rows_before(ctx, codes, i, &pieces);
@@ -175,6 +212,6 @@ fn evaluate_framed(
             return args.default_for(i);
         };
         let rank = order.select(&pieces, target, buf).expect("target < frame size");
-        Ok(kept_out[prep.dc.perm[rank]].clone())
+        Ok(Lagged::At(prep.dc.perm[rank]))
     })
 }

@@ -27,6 +27,7 @@ pub(crate) mod rank;
 pub(crate) mod select_based;
 
 use crate::artifacts::{ArtifactCache, MaskArtifact};
+use crate::column::{Column, Outputs};
 use crate::error::{Error, Result};
 use crate::executor::AtomicProbeKernel;
 use crate::frame::ResolvedFrames;
@@ -34,7 +35,6 @@ use crate::plan::CallPlan;
 use crate::spec::{FuncKind, FunctionCall};
 use crate::strategy::Strategy;
 use crate::table::Table;
-use crate::value::Value;
 use crate::vm;
 use holistic_core::{MstParams, ProbeCursor, RangeSet};
 use pipeline::HoistedKeys;
@@ -71,7 +71,7 @@ pub(crate) struct Ctx<'a> {
     pub hoisted: &'a HoistedKeys,
     /// A naive call's values and mask, built before it is dispatched
     /// ([`Ctx::hold_own`]).
-    pub own_values: Option<Arc<Vec<Value>>>,
+    pub own_values: Option<Arc<Column>>,
     /// See [`Self::own_values`].
     pub own_mask: Option<Arc<MaskArtifact>>,
     /// Query-level probe-kernel counters; cursors and block scratches flush
@@ -80,13 +80,13 @@ pub(crate) struct Ctx<'a> {
 }
 
 /// Outcome of planning one row's block queries: either the row pushed
-/// queries and `finish` computes its value from their results, or the row
+/// queries and `finish` computes its output from their results, or the row
 /// resolved immediately (empty frame, dropped row, NULL argument).
-pub(crate) enum Planned<S> {
+pub(crate) enum Planned<S, T> {
     /// Queries pushed; carry per-row state to `finish`.
     Counted(S),
     /// Row resolved without consuming block-kernel results.
-    Done(Value),
+    Done(T),
 }
 
 impl<'a> Ctx<'a> {
@@ -106,8 +106,9 @@ impl<'a> Ctx<'a> {
         self.starts.windows(2).map(|w| w[1] - w[0]).max().unwrap_or(0)
     }
 
-    /// Evaluates an expression for every position (in window order).
-    pub fn eval_positions(&self, expr: &crate::expr::Expr) -> Result<Vec<Value>> {
+    /// Evaluates an expression for every position (in window order) into a
+    /// typed column.
+    pub fn eval_positions(&self, expr: &crate::expr::Expr) -> Result<Column> {
         vm::eval_rows(&expr.bind(self.table)?, self.table, self.rows)
     }
 
@@ -118,9 +119,10 @@ impl<'a> Ctx<'a> {
     /// chunk. Cursor probes are bit-identical to the stateless recursion,
     /// hence serial ≡ parallel output is untouched. The cursor's counters
     /// flush into the query-level kernel when its loop (or chunk) finishes.
-    pub fn probe_with_cursor<F>(&self, f: F) -> Result<Vec<Value>>
+    pub fn probe_with_cursor<T, F>(&self, f: F) -> Result<Vec<T>>
     where
-        F: Fn(&mut ProbeCursor, usize) -> Result<Value> + Send + Sync,
+        T: Clone + Default + Send,
+        F: Fn(&mut ProbeCursor, usize) -> Result<T> + Send + Sync,
     {
         self.run_chunked(|base, slots| {
             let mut cur = ProbeCursor::new();
@@ -133,13 +135,14 @@ impl<'a> Ctx<'a> {
     }
 
     /// Runs `f(scratch, i)` for every position `i`, in parallel when
-    /// allowed, with one `T::default()` scratch per chunk.
-    pub fn probe_with<T: Default, F>(&self, f: F) -> Result<Vec<Value>>
+    /// allowed, with one `S::default()` scratch per chunk.
+    pub fn probe_with<S: Default, T, F>(&self, f: F) -> Result<Vec<T>>
     where
-        F: Fn(&mut T, usize) -> Result<Value> + Send + Sync,
+        T: Clone + Default + Send,
+        F: Fn(&mut S, usize) -> Result<T> + Send + Sync,
     {
         self.run_chunked(|base, slots| {
-            let mut scratch = T::default();
+            let mut scratch = S::default();
             for (off, slot) in slots.iter_mut().enumerate() {
                 *slot = f(&mut scratch, base + off)?;
             }
@@ -148,9 +151,10 @@ impl<'a> Ctx<'a> {
     }
 
     /// Runs `f` for every position, in parallel when allowed.
-    pub fn probe<F>(&self, f: F) -> Result<Vec<Value>>
+    pub fn probe<T, F>(&self, f: F) -> Result<Vec<T>>
     where
-        F: Fn(usize) -> Result<Value> + Send + Sync,
+        T: Clone + Default + Send,
+        F: Fn(usize) -> Result<T> + Send + Sync,
     {
         self.probe_with(|(), i| f(i))
     }
@@ -158,14 +162,15 @@ impl<'a> Ctx<'a> {
     /// Count-probe driver: per row, `plan(i, push)` pushes `(pieces,
     /// threshold)` count queries against `index` (or resolves the row
     /// directly) and `finish(i, state, sum)` turns the summed counts into the
-    /// row's value. How the queries are answered is the index's business
+    /// row's output. How the queries are answered is the index's business
     /// ([`CountBelow::probe_chunk`]).
-    pub fn probe_counts<C, S, P, F>(&self, index: &C, plan: P, finish: F) -> Result<Vec<Value>>
+    pub fn probe_counts<C, S, T, P, F>(&self, index: &C, plan: P, finish: F) -> Result<Vec<T>>
     where
         C: CountBelow,
         S: Send,
-        P: Fn(usize, &mut dyn FnMut(&RangeSet, usize)) -> Result<Planned<S>> + Send + Sync,
-        F: Fn(usize, S, usize) -> Result<Value> + Send + Sync,
+        T: Clone + Default + Send,
+        P: Fn(usize, &mut dyn FnMut(&RangeSet, usize)) -> Result<Planned<S, T>> + Send + Sync,
+        F: Fn(usize, S, usize) -> Result<T> + Send + Sync,
     {
         self.run_chunked(|base, slots| index.probe_chunk(self, base, slots, &plan, &finish))
     }
@@ -174,12 +179,13 @@ impl<'a> Ctx<'a> {
     /// selection queries against `index` and `finish(i, state, results)`
     /// receives the row's selected ranks in push order (at most two per row:
     /// PERCENTILE_CONT's interpolation endpoints).
-    pub fn probe_selects<X, S, P, F>(&self, index: &X, plan: P, finish: F) -> Result<Vec<Value>>
+    pub fn probe_selects<X, S, T, P, F>(&self, index: &X, plan: P, finish: F) -> Result<Vec<T>>
     where
         X: Select,
         S: Send,
-        P: Fn(usize, &mut dyn FnMut(RangeSet, usize)) -> Result<Planned<S>> + Send + Sync,
-        F: Fn(usize, S, &[Option<usize>]) -> Result<Value> + Send + Sync,
+        T: Clone + Default + Send,
+        P: Fn(usize, &mut dyn FnMut(RangeSet, usize)) -> Result<Planned<S, T>> + Send + Sync,
+        F: Fn(usize, S, &[Option<usize>]) -> Result<T> + Send + Sync,
     {
         self.run_chunked(|base, slots| index.probe_chunk(self, base, slots, &plan, &finish))
     }
@@ -187,13 +193,16 @@ impl<'a> Ctx<'a> {
     /// Shared chunking of every probe driver: contiguous chunks of positions,
     /// one task per chunk when parallel probing is allowed, one chunk
     /// otherwise, with `body(chunk_base, chunk_slots)` filling each chunk.
-    fn run_chunked<B>(&self, body: B) -> Result<Vec<Value>>
+    /// The slots are the call's typed per-position outputs (or what they are
+    /// gathered from).
+    fn run_chunked<T, B>(&self, body: B) -> Result<Vec<T>>
     where
-        B: Fn(usize, &mut [Value]) -> Result<()> + Send + Sync,
+        T: Clone + Default + Send,
+        B: Fn(usize, &mut [T]) -> Result<()> + Send + Sync,
     {
         use rayon::prelude::*;
         let m = self.m();
-        let mut out = vec![Value::Null; m];
+        let mut out = vec![T::default(); m];
         if self.parallel && m >= 2048 {
             let chunk = m.div_ceil(rayon::current_num_threads()).max(2048);
             out.par_chunks_mut(chunk)
@@ -209,13 +218,13 @@ impl<'a> Ctx<'a> {
 
 /// Dispatches a call to its family evaluator — the one place a call's kind
 /// picks a family. The family picks the index `strategy` names
-/// ([`primitive`]). Returns per-position values.
+/// ([`primitive`]). Returns the typed per-position outputs.
 pub(crate) fn evaluate_call(
     ctx: &Ctx<'_>,
     call: &FunctionCall,
     cp: &CallPlan,
     strategy: Strategy,
-) -> Result<Vec<Value>> {
+) -> Result<Outputs> {
     use FuncKind::*;
     match call.kind {
         // MIN / MAX (DISTINCT) are their plain forms.
@@ -223,17 +232,17 @@ pub(crate) fn evaluate_call(
             distinct::evaluate(ctx, call, cp, strategy)
         }
         CountStar | Count | Sum | Avg | Min | Max => {
-            distributive::evaluate(ctx, call, cp, strategy)
+            distributive::evaluate(ctx, call, cp, strategy).map(Outputs::from)
         }
         RowNumber | Rank | PercentRank | CumeDist | Ntile => {
-            rank::evaluate(ctx, call, cp, strategy)
+            rank::evaluate(ctx, call, cp, strategy).map(Outputs::from)
         }
-        DenseRank => rank::evaluate_dense_rank(ctx, cp, strategy),
+        DenseRank => rank::evaluate_dense_rank(ctx, cp, strategy).map(Outputs::from),
         PercentileDisc | PercentileCont | Median | FirstValue | LastValue | NthValue => {
-            select_based::evaluate(ctx, call, cp, strategy)
+            select_based::evaluate(ctx, call, cp, strategy).map(Outputs::from)
         }
         Lead | Lag => leadlag::evaluate(ctx, call, cp, strategy),
-        Mode => mode::evaluate(ctx, cp, strategy),
+        Mode => mode::evaluate(ctx, cp, strategy).map(Outputs::from),
     }
 }
 

@@ -13,12 +13,12 @@
 use super::primitive::{RangeMode, ScanIds};
 use super::Ctx;
 use crate::artifacts::{MaskArtifact, ModeArt};
+use crate::column::Column;
 use crate::error::Result;
 use crate::plan::CallPlan;
 use crate::strategy::Strategy;
-use crate::value::Value;
 
-pub(crate) fn evaluate(ctx: &Ctx<'_>, cp: &CallPlan, strategy: Strategy) -> Result<Vec<Value>> {
+pub(crate) fn evaluate(ctx: &Ctx<'_>, cp: &CallPlan, strategy: Strategy) -> Result<Column> {
     let mask = ctx.mask_art(&cp.keys)?;
     match strategy {
         Strategy::Naive => {
@@ -29,12 +29,10 @@ pub(crate) fn evaluate(ctx: &Ctx<'_>, cp: &CallPlan, strategy: Strategy) -> Resu
     }
 }
 
-fn probe<X: RangeMode>(ctx: &Ctx<'_>, mask: &MaskArtifact, art: &ModeArt<X>) -> Result<Vec<Value>> {
-    ctx.probe_with(|counts: &mut Vec<u32>, i| {
+fn probe<X: RangeMode>(ctx: &Ctx<'_>, mask: &MaskArtifact, art: &ModeArt<X>) -> Result<Column> {
+    let ids = ctx.probe_with(|counts: &mut Vec<u32>, i| {
         let pieces = mask.remap.range_set(&ctx.frames.range_set(i));
-        Ok(match art.index.mode(&pieces, counts) {
-            Some(id) => art.decode[id as usize].clone(),
-            None => Value::Null,
-        })
-    })
+        Ok(art.index.mode(&pieces, counts))
+    })?;
+    Ok(art.decode.gather(ids.into_iter().map(|id| id.map(|id| id as usize))))
 }

@@ -14,6 +14,7 @@
 //! is [`hoist_keys`].
 
 use crate::artifacts::{self, ArtifactCache, BudgetGovernor};
+use crate::column::Outputs;
 use crate::error::Result;
 use crate::eval::{evaluate_call, Ctx};
 use crate::executor::{AtomicProbeKernel, CacheStats, ExecOptions, WindowQuery};
@@ -23,7 +24,6 @@ use crate::plan::{canonical_order, sort_keys_of, ArtifactKey, CanonicalSortKey, 
 use crate::spec::WindowSpec;
 use crate::strategy::{choose, CostModel, PartitionStats, StatsAcc, Strategy};
 use crate::table::Table;
-use crate::value::Value;
 use rustc_hash::FxHashMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -180,8 +180,8 @@ impl Prepared {
 /// One evaluated partition.
 pub(crate) struct PartitionOutput {
     pub part: Prepared,
-    /// One output vector per call, indexed by position.
-    pub outs: Vec<Vec<Value>>,
+    /// Each call's typed outputs, indexed by position.
+    pub outs: Vec<Outputs>,
 }
 
 /// The query-level inputs of the per-partition pipeline.
@@ -311,7 +311,7 @@ impl PartitionEval<'_> {
         report.build += build_start.elapsed();
 
         let probe_start = Instant::now();
-        let mut outs: Vec<Vec<Value>> = Vec::with_capacity(self.query.calls.len());
+        let mut outs: Vec<Outputs> = Vec::with_capacity(self.query.calls.len());
         for (ci, ((call, cp), &s)) in
             self.query.calls.iter().zip(&self.plan.calls).zip(&choices).enumerate()
         {
@@ -350,7 +350,7 @@ impl PartitionEval<'_> {
         batch: &SegmentBatch,
         ci: usize,
         parallel: bool,
-    ) -> Result<Vec<Value>> {
+    ) -> Result<Outputs> {
         let (call, cp) = (&self.query.calls[ci], &self.plan.calls[ci]);
         let mut ctx = self.ctx(batch, None, parallel);
         ctx.hold_own(&cp.keys)?;

@@ -27,7 +27,6 @@
 
 use super::{segment_of, Ctx, Planned, PROBE_BLOCK};
 use crate::error::Result;
-use crate::value::Value;
 use holistic_core::{BlockScratch, MergeSortTree, RangeSet, TreeIndex};
 use holistic_rangemode::RangeModeIndex;
 use holistic_rangetree::RangeTree3;
@@ -41,17 +40,17 @@ pub(crate) trait CountBelow: Sync {
     /// Fills one chunk of [`Ctx::probe_counts`]: `slots[k]` is position
     /// `base + k`. A scan answers inside `push`, so there is nothing to
     /// batch and nothing to allocate.
-    fn probe_chunk<S, P, F>(
+    fn probe_chunk<S, T, P, F>(
         &self,
         _ctx: &Ctx<'_>,
         base: usize,
-        slots: &mut [Value],
+        slots: &mut [T],
         plan: &P,
         finish: &F,
     ) -> Result<()>
     where
-        P: Fn(usize, &mut dyn FnMut(&RangeSet, usize)) -> Result<Planned<S>>,
-        F: Fn(usize, S, usize) -> Result<Value>,
+        P: Fn(usize, &mut dyn FnMut(&RangeSet, usize)) -> Result<Planned<S, T>>,
+        F: Fn(usize, S, usize) -> Result<T>,
     {
         for (off, slot) in slots.iter_mut().enumerate() {
             let mut sum = 0;
@@ -74,17 +73,17 @@ pub(crate) trait Select: Sync {
     /// Fills one chunk of [`Ctx::probe_selects`]; see
     /// [`CountBelow::probe_chunk`]. A row pushes at most two queries
     /// (PERCENTILE_CONT's interpolation endpoints).
-    fn probe_chunk<S, P, F>(
+    fn probe_chunk<S, T, P, F>(
         &self,
         _ctx: &Ctx<'_>,
         base: usize,
-        slots: &mut [Value],
+        slots: &mut [T],
         plan: &P,
         finish: &F,
     ) -> Result<()>
     where
-        P: Fn(usize, &mut dyn FnMut(RangeSet, usize)) -> Result<Planned<S>>,
-        F: Fn(usize, S, &[Option<usize>]) -> Result<Value>,
+        P: Fn(usize, &mut dyn FnMut(RangeSet, usize)) -> Result<Planned<S, T>>,
+        F: Fn(usize, S, &[Option<usize>]) -> Result<T>,
     {
         let mut buf = SelectBuf::default();
         for (off, slot) in slots.iter_mut().enumerate() {
@@ -106,13 +105,13 @@ pub(crate) trait Select: Sync {
 /// [`PROBE_BLOCK`] at a time into one flat query list, `answer` fills in a
 /// result per query, and every planned row finishes from its own span of
 /// the results.
-fn probe_blocks<Q, R: Copy, S>(
+fn probe_blocks<Q, R: Copy, S, T>(
     base: usize,
-    slots: &mut [Value],
+    slots: &mut [T],
     unanswered: R,
-    plan: impl Fn(usize, &mut Vec<Q>) -> Result<Planned<S>>,
+    plan: impl Fn(usize, &mut Vec<Q>) -> Result<Planned<S, T>>,
     mut answer: impl FnMut(&[Q], &mut [R]),
-    finish: impl Fn(usize, S, &[R]) -> Result<Value>,
+    finish: impl Fn(usize, S, &[R]) -> Result<T>,
 ) -> Result<()> {
     let mut queries: Vec<Q> = Vec::new();
     let mut results: Vec<R> = Vec::new();
@@ -145,17 +144,17 @@ impl<I: TreeIndex> CountBelow for MergeSortTree<I> {
 
     /// The rows' flattened per-piece queries are answered in blocks by
     /// [`MergeSortTree::count_below_block`].
-    fn probe_chunk<S, P, F>(
+    fn probe_chunk<S, T, P, F>(
         &self,
         ctx: &Ctx<'_>,
         base: usize,
-        slots: &mut [Value],
+        slots: &mut [T],
         plan: &P,
         finish: &F,
     ) -> Result<()>
     where
-        P: Fn(usize, &mut dyn FnMut(&RangeSet, usize)) -> Result<Planned<S>>,
-        F: Fn(usize, S, usize) -> Result<Value>,
+        P: Fn(usize, &mut dyn FnMut(&RangeSet, usize)) -> Result<Planned<S, T>>,
+        F: Fn(usize, S, usize) -> Result<T>,
     {
         let mut scratch = BlockScratch::new();
         probe_blocks(
@@ -181,17 +180,17 @@ impl<I: TreeIndex> Select for MergeSortTree<I> {
     }
 
     /// Answered in blocks by [`MergeSortTree::select_block`].
-    fn probe_chunk<S, P, F>(
+    fn probe_chunk<S, T, P, F>(
         &self,
         ctx: &Ctx<'_>,
         base: usize,
-        slots: &mut [Value],
+        slots: &mut [T],
         plan: &P,
         finish: &F,
     ) -> Result<()>
     where
-        P: Fn(usize, &mut dyn FnMut(RangeSet, usize)) -> Result<Planned<S>>,
-        F: Fn(usize, S, &[Option<usize>]) -> Result<Value>,
+        P: Fn(usize, &mut dyn FnMut(RangeSet, usize)) -> Result<Planned<S, T>>,
+        F: Fn(usize, S, &[Option<usize>]) -> Result<T>,
     {
         let mut scratch = BlockScratch::new();
         probe_blocks(

@@ -22,6 +22,7 @@
 use super::primitive::{Count3d, CountBelow, Scan, ScanPoints};
 use super::{cume_dist, percent_rank, Ctx, Planned};
 use crate::artifacts::{DenseRankArt, MaskArtifact};
+use crate::column::Column;
 use crate::error::{Error, Result};
 use crate::order::KeyColumns;
 use crate::plan::CallPlan;
@@ -106,7 +107,7 @@ pub(crate) fn evaluate(
     call: &FunctionCall,
     cp: &CallPlan,
     strategy: Strategy,
-) -> Result<Vec<Value>> {
+) -> Result<Column> {
     let prep = prepare(ctx, cp)?;
     match strategy {
         Strategy::Naive => probe(ctx, call, &prep, &Scan(&prep.dc.code)),
@@ -120,12 +121,12 @@ fn probe<C: CountBelow>(
     call: &FunctionCall,
     prep: &RankPrep,
     index: &C,
-) -> Result<Vec<Value>> {
-    match call.kind {
+) -> Result<Column> {
+    Ok(match call.kind {
         // A dropped row interleaves several thresholds and clipped piece
         // sets, so it resolves at once instead of joining the block — the
         // cold path.
-        FuncKind::RowNumber => ctx.probe_counts(
+        FuncKind::RowNumber => Column::ints(ctx.probe_counts(
             index,
             |i, push| {
                 let pieces = prep.kept_pieces(ctx, i);
@@ -136,54 +137,54 @@ fn probe<C: CountBelow>(
                     }
                     None => {
                         let rn = prep.rows_before(ctx, index, i, &pieces) + 1;
-                        Ok(Planned::Done(Value::Int(rn as i64)))
+                        Ok(Planned::Done(rn as i64))
                     }
                 }
             },
-            |_, (), below| Ok(Value::Int((below + 1) as i64)),
-        ),
-        FuncKind::Rank => ctx.probe_counts(
+            |_, (), below| Ok((below + 1) as i64),
+        )?),
+        FuncKind::Rank => Column::ints(ctx.probe_counts(
             index,
             |i, push| {
                 push(&prep.kept_pieces(ctx, i), prep.code_bounds(ctx, i).0);
                 Ok(Planned::Counted(()))
             },
-            |_, (), below| Ok(Value::Int((below + 1) as i64)),
-        ),
-        FuncKind::PercentRank => ctx.probe_counts(
+            |_, (), below| Ok((below + 1) as i64),
+        )?),
+        FuncKind::PercentRank => Column::from_floats(ctx.probe_counts(
             index,
             |i, push| {
                 let pieces = prep.kept_pieces(ctx, i);
                 let size = pieces.count();
                 if size == 0 {
-                    return Ok(Planned::Done(Value::Null));
+                    return Ok(Planned::Done(None));
                 }
                 push(&pieces, prep.code_bounds(ctx, i).0);
                 Ok(Planned::Counted(size))
             },
-            |_, size, below| Ok(Value::Float(percent_rank(below, size))),
-        ),
-        FuncKind::CumeDist => ctx.probe_counts(
+            |_, size, below| Ok(Some(percent_rank(below, size))),
+        )?),
+        FuncKind::CumeDist => Column::from_floats(ctx.probe_counts(
             index,
             |i, push| {
                 let pieces = prep.kept_pieces(ctx, i);
                 let size = pieces.count();
                 if size == 0 {
-                    return Ok(Planned::Done(Value::Null));
+                    return Ok(Planned::Done(None));
                 }
                 push(&pieces, prep.code_bounds(ctx, i).1);
                 Ok(Planned::Counted(size))
             },
-            |_, size, le| Ok(Value::Float(cume_dist(le, size))),
-        ),
+            |_, size, le| Ok(Some(cume_dist(le, size))),
+        )?),
         FuncKind::Ntile => {
             let buckets_expr = call.args[0].bind(ctx.table)?;
-            ctx.probe_counts(
+            Column::from_ints(ctx.probe_counts(
                 index,
                 |i, push| {
                     let b = match buckets_expr.eval(ctx.table, ctx.rows[i])? {
                         Value::Int(x) if x >= 1 => x as usize,
-                        Value::Null => return Ok(Planned::Done(Value::Null)),
+                        Value::Null => return Ok(Planned::Done(None)),
                         v => {
                             return Err(Error::InvalidArgument(format!(
                                 "ntile: bucket count must be a positive integer, got {v}"
@@ -193,7 +194,7 @@ fn probe<C: CountBelow>(
                     let pieces = prep.kept_pieces(ctx, i);
                     let size = pieces.count();
                     if size == 0 {
-                        return Ok(Planned::Done(Value::Null));
+                        return Ok(Planned::Done(None));
                     }
                     match prep.code_bounds(ctx, i).2 {
                         Some(c) => {
@@ -202,15 +203,15 @@ fn probe<C: CountBelow>(
                         }
                         None => {
                             let rn = prep.rows_before(ctx, index, i, &pieces) + 1;
-                            Ok(Planned::Done(Value::Int(ntile_of(rn, size, b) as i64)))
+                            Ok(Planned::Done(Some(ntile_of(rn, size, b) as i64)))
                         }
                     }
                 },
-                |_, (size, b), below| Ok(Value::Int(ntile_of(below + 1, size, b) as i64)),
-            )
+                |_, (size, b), below| Ok(Some(ntile_of(below + 1, size, b) as i64)),
+            )?)
         }
         _ => unreachable!("rank dispatch"),
-    }
+    })
 }
 
 /// SQL NTILE: `size` rows into `b` buckets; the first `size % b` buckets get
@@ -238,7 +239,7 @@ pub(crate) fn evaluate_dense_rank(
     ctx: &Ctx<'_>,
     cp: &CallPlan,
     strategy: Strategy,
-) -> Result<Vec<Value>> {
+) -> Result<Column> {
     if !ctx.u32_trees() {
         return Err(Error::Unsupported("DENSE_RANK partitions beyond u32 positions".into()));
     }
@@ -255,8 +256,8 @@ fn probe_dense_rank<C: Count3d>(
     ctx: &Ctx<'_>,
     prep: &RankPrep,
     art: &DenseRankArt<C>,
-) -> Result<Vec<Value>> {
-    ctx.probe(|i| {
+) -> Result<Column> {
+    let ranks = ctx.probe(|i| {
         let (a, b) = ctx.frames.bounds[i];
         let (ka, kb) = prep.mask.remap.range(a, b);
         // Number of tie groups with keys smaller than the current row's key:
@@ -265,7 +266,7 @@ fn probe_dense_rank<C: Count3d>(
         let gcount = if gmin == 0 { 0 } else { prep.dc.group_id[prep.dc.perm[gmin - 1]] + 1 };
         let base = art.counter.count(ka, kb, gcount, ka + 1);
         if !ctx.frames.has_exclusion() {
-            return Ok(Value::Int((base + 1) as i64));
+            return Ok((base + 1) as i64);
         }
         // Correct for smaller-key groups whose only frame occurrences sit in
         // the exclusion hole.
@@ -298,8 +299,9 @@ fn probe_dense_rank<C: Count3d>(
                 }
             }
         }
-        Ok(Value::Int((base - correction + 1) as i64))
-    })
+        Ok((base - correction + 1) as i64)
+    })?;
+    Ok(Column::ints(ranks))
 }
 
 #[cfg(test)]

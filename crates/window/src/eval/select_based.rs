@@ -18,11 +18,12 @@
 use super::primitive::{FrameOrder, Scan, Select};
 use super::{alt, cont_rank, disc_rank, fraction_arg, Ctx, Planned};
 use crate::artifacts::MaskArtifact;
+use crate::column::Column;
 use crate::error::{Error, Result};
 use crate::plan::{CallPlan, OrderKey};
 use crate::spec::{FuncKind, FunctionCall};
 use crate::strategy::Strategy;
-use crate::value::Value;
+use crate::value::{DataType, Value};
 use holistic_core::codes::DenseCodes;
 
 pub(crate) fn evaluate(
@@ -30,7 +31,7 @@ pub(crate) fn evaluate(
     call: &FunctionCall,
     cp: &CallPlan,
     strategy: Strategy,
-) -> Result<Vec<Value>> {
+) -> Result<Column> {
     let order = cp.order.as_ref().expect("selection plans always carry an order");
 
     let mask = ctx.mask_art(&cp.keys)?;
@@ -58,7 +59,7 @@ pub(super) struct Selection<'a> {
     pub ctx: &'a Ctx<'a>,
     pub call: &'a FunctionCall,
     pub mask: &'a MaskArtifact,
-    pub kept_out: &'a [Value],
+    pub kept_out: &'a Column,
     dc: Option<&'a DenseCodes>,
 }
 
@@ -68,10 +69,11 @@ impl Selection<'_> {
     pub fn fraction(&self) -> Result<f64> {
         let p = fraction_arg(self.ctx.table, self.ctx.rows, self.call)?;
         if self.call.kind == FuncKind::PercentileCont {
-            if let Some(v) = self.kept_out.iter().find(|v| v.as_f64().is_none()) {
+            let numeric = |t| matches!(t, Some(DataType::Int | DataType::Float | DataType::Date));
+            if let Some(got) = self.kept_out.first_misfit(numeric) {
                 return Err(Error::TypeMismatch {
                     expected: "numeric",
-                    got: v.type_name(),
+                    got,
                     context: "percentile_cont",
                 });
             }
@@ -79,14 +81,14 @@ impl Selection<'_> {
         Ok(p)
     }
 
-    fn probe<X: Select>(&self, index: &X) -> Result<Vec<Value>> {
+    fn probe<X: Select>(&self, index: &X) -> Result<Column> {
         let Selection { ctx, call, mask, kept_out, dc } = *self;
         let pieces_of = |i: usize| mask.remap.range_set(&ctx.frames.range_set(i));
-        // A selected rank → the value of the kept position it points at.
-        let at = |rank: usize| &kept_out[dc.map_or(rank, |dc| dc.perm[rank])];
-        let at_or_null = |rank: Option<usize>| rank.map_or(Value::Null, |r| at(r).clone());
+        // A selected rank → the kept position it points at, whose value is
+        // the row's output (gathered once every row has picked).
+        let at = |rank: usize| dc.map_or(rank, |dc| dc.perm[rank]);
 
-        match call.kind {
+        let picks = match call.kind {
             FuncKind::PercentileDisc | FuncKind::Median => {
                 let p = self.fraction()?;
                 ctx.probe_selects(
@@ -95,23 +97,23 @@ impl Selection<'_> {
                         let pieces = pieces_of(i);
                         let s = pieces.count();
                         if s == 0 {
-                            return Ok(Planned::Done(Value::Null));
+                            return Ok(Planned::Done(None));
                         }
                         push(pieces, disc_rank(p, s));
                         Ok(Planned::Counted(()))
                     },
-                    |_, (), res| Ok(at(res[0].expect("j < s")).clone()),
-                )
+                    |_, (), res| Ok(Some(at(res[0].expect("j < s")))),
+                )?
             }
             FuncKind::PercentileCont => {
                 let p = self.fraction()?;
-                ctx.probe_selects(
+                let conts = ctx.probe_selects(
                     index,
                     |i, push| {
                         let pieces = pieces_of(i);
                         let s = pieces.count();
                         if s == 0 {
-                            return Ok(Planned::Done(Value::Null));
+                            return Ok(Planned::Done(None));
                         }
                         let cr = cont_rank(p, s);
                         push(pieces, cr.lo);
@@ -122,11 +124,14 @@ impl Selection<'_> {
                     },
                     |_, cr, res| {
                         let num = |r: Option<usize>| {
-                            at(r.expect("rank < s")).as_f64().expect("checked numeric above")
+                            kept_out
+                                .f64_at(at(r.expect("rank < s")))
+                                .expect("checked numeric above")
                         };
-                        Ok(Value::Float(cr.interpolate(num(res[0]), || num(res[1]))))
+                        Ok(Some(cr.interpolate(num(res[0]), || num(res[1]))))
                     },
-                )
+                )?;
+                return Ok(Column::from_floats(conts));
             }
             FuncKind::FirstValue => ctx.probe_selects(
                 index,
@@ -134,21 +139,21 @@ impl Selection<'_> {
                     push(pieces_of(i), 0);
                     Ok(Planned::Counted(()))
                 },
-                |_, (), res| Ok(at_or_null(res[0])),
-            ),
+                |_, (), res| Ok(res[0].map(at)),
+            )?,
             FuncKind::LastValue => ctx.probe_selects(
                 index,
                 |i, push| {
                     let pieces = pieces_of(i);
                     let s = pieces.count();
                     if s == 0 {
-                        return Ok(Planned::Done(Value::Null));
+                        return Ok(Planned::Done(None));
                     }
                     push(pieces, s - 1);
                     Ok(Planned::Counted(()))
                 },
-                |_, (), res| Ok(at_or_null(res[0])),
-            ),
+                |_, (), res| Ok(res[0].map(at)),
+            )?,
             FuncKind::NthValue => {
                 let n_expr = call.args[1].bind(ctx.table)?;
                 ctx.probe_selects(
@@ -156,7 +161,7 @@ impl Selection<'_> {
                     |i, push| {
                         let n = match n_expr.eval(ctx.table, ctx.rows[i])? {
                             Value::Int(x) if x >= 1 => x as usize,
-                            Value::Null => return Ok(Planned::Done(Value::Null)),
+                            Value::Null => return Ok(Planned::Done(None)),
                             v => {
                                 return Err(Error::InvalidArgument(format!(
                                     "nth_value: n must be a positive integer, got {v}"
@@ -166,10 +171,11 @@ impl Selection<'_> {
                         push(pieces_of(i), n - 1);
                         Ok(Planned::Counted(()))
                     },
-                    |_, (), res| Ok(at_or_null(res[0])),
-                )
+                    |_, (), res| Ok(res[0].map(at)),
+                )?
             }
             _ => unreachable!("selection dispatch"),
-        }
+        };
+        Ok(kept_out.gather(picks.into_iter()))
     }
 }

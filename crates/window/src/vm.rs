@@ -193,12 +193,22 @@ impl Block {
         }
     }
 
-    /// The block of `n` positions as per-position values.
-    fn into_values(self, n: usize) -> Vec<Value> {
-        match self {
-            Block::Vals(vs) => vs,
-            b => (0..n).map(|i| b.value_at(i)).collect(),
-        }
+    /// The block of `n` positions as a typed column: a typed block keeps its
+    /// type, a constant broadcasts (NULL as an all-NULL `Int`), and per-row
+    /// values take [`Column::from_values`]' rules.
+    fn into_column(self, n: usize) -> Result<Column> {
+        Ok(match self {
+            Block::Const(Value::Null) => Column::Int(vec![0; n], vec![false; n]),
+            Block::Const(Value::Int(x)) => Column::Int(vec![x; n], Vec::new()),
+            Block::Const(Value::Float(x)) => Column::Float(vec![x; n], Vec::new()),
+            Block::Const(Value::Bool(x)) => Column::Bool(vec![x; n], Vec::new()),
+            Block::Const(Value::Date(x)) => Column::Date(vec![x; n], Vec::new()),
+            Block::Const(Value::Str(s)) => Column::Str(vec![s; n], Vec::new()),
+            Block::Int(d, v) => Column::Int(d, v),
+            Block::Float(d, v) => Column::Float(d, v),
+            Block::Bool(d, v) => Column::Bool(d, v),
+            Block::Vals(vs) => Column::from_values(&vs)?,
+        })
     }
 
     /// The value at block position `i` (not a table row index).
@@ -650,30 +660,14 @@ impl ExprVm {
     /// per-row Ints under a Float result widen).
     pub fn run_column(&mut self, prog: &Program, table: &Table) -> Result<Column> {
         let n = table.num_rows();
-        let block = self.run_block(prog, table, RowSel::All(n))?;
-        Ok(match block {
-            Block::Const(Value::Null) => Column::Int(vec![0; n], vec![false; n]),
-            Block::Const(Value::Int(x)) => Column::Int(vec![x; n], Vec::new()),
-            Block::Const(Value::Float(x)) => Column::Float(vec![x; n], Vec::new()),
-            Block::Const(Value::Bool(x)) => Column::Bool(vec![x; n], Vec::new()),
-            Block::Const(Value::Date(x)) => Column::Date(vec![x; n], Vec::new()),
-            Block::Const(Value::Str(s)) => Column::Str(vec![s; n], Vec::new()),
-            Block::Int(d, v) => Column::Int(d, v),
-            Block::Float(d, v) => Column::Float(d, v),
-            Block::Bool(d, v) => Column::Bool(d, v),
-            Block::Vals(vs) => Column::from_values(&vs)?,
-        })
+        self.run_block(prog, table, RowSel::All(n))?.into_column(n)
     }
 
     /// Evaluates `prog` for an explicit row selection (a partition in window
-    /// order), returning per-position values.
-    pub fn run_values(
-        &mut self,
-        prog: &Program,
-        table: &Table,
-        rows: &[usize],
-    ) -> Result<Vec<Value>> {
-        Ok(self.run_block(prog, table, RowSel::Rows(rows))?.into_values(rows.len()))
+    /// order) into a typed column, one row per position, with
+    /// [`ExprVm::run_column`]'s rules.
+    pub fn run_rows(&mut self, prog: &Program, table: &Table, rows: &[usize]) -> Result<Column> {
+        self.run_block(prog, table, RowSel::Rows(rows))?.into_column(rows.len())
     }
 
     /// Evaluates `prog` as a predicate for every table row: `true` exactly
@@ -705,12 +699,18 @@ fn run_rows(bound: &BoundExpr, table: &Table, rows: &[usize]) -> Option<Block> {
 }
 
 /// Evaluates a bound expression for an explicit row selection (a partition
-/// in window order), returning per-position values. Central helper for
-/// `Ctx::eval_positions`.
-pub(crate) fn eval_rows(bound: &BoundExpr, table: &Table, rows: &[usize]) -> Result<Vec<Value>> {
+/// in window order) into a typed column, one row per position — a call's
+/// argument values. The VM's column ([`ExprVm::run_rows`]), or on the per-row
+/// path the interpreter's values under [`Column::from_values`]' rules, which
+/// the VM's agree with.
+pub fn eval_rows(bound: &BoundExpr, table: &Table, rows: &[usize]) -> Result<Column> {
     match run_rows(bound, table, rows) {
-        Some(block) => Ok(block.into_values(rows.len())),
-        None => rows.iter().map(|&r| bound.eval(table, r)).collect(),
+        Some(block) => block.into_column(rows.len()),
+        None => {
+            let values: Vec<Value> =
+                rows.iter().map(|&r| bound.eval(table, r)).collect::<Result<_>>()?;
+            Column::from_values(&values)
+        }
     }
 }
 
@@ -753,7 +753,7 @@ mod tests {
         let mut vm = ExprVm::new();
         let interp: Result<Vec<Value>> = (0..t.num_rows()).map(|i| bound.eval(&t, i)).collect();
         let rows: Vec<usize> = (0..t.num_rows()).collect();
-        match (interp, vm.run_values(&prog, &t, &rows)) {
+        match (interp, vm.run_rows(&prog, &t, &rows).map(|c| c.to_values())) {
             (Ok(want), Ok(got)) => {
                 for (i, (w, g)) in want.iter().zip(&got).enumerate() {
                     assert!(bitwise_eq(w, g), "row {i}: interpreter {w:?} != vm {g:?} for {e:?}");
@@ -842,8 +842,8 @@ mod tests {
         let bound = col("a").add(col("b")).bind(&t).unwrap();
         let prog = Program::compile(&bound);
         let mut vm = ExprVm::new();
-        let got = vm.run_values(&prog, &t, &[2, 0, 1]).unwrap();
-        assert_eq!(got, vec![Value::Int(37), Value::Int(13), Value::Null]);
+        let got = vm.run_rows(&prog, &t, &[2, 0, 1]).unwrap();
+        assert_eq!(got.to_values(), vec![Value::Int(37), Value::Int(13), Value::Null]);
     }
 
     #[test]
@@ -861,8 +861,8 @@ mod tests {
         let t = Table::new(vec![("x", Column::ints(vec![i64::MAX, i64::MIN, 1]))]).unwrap();
         let bound = col("x").add(lit(1)).bind(&t).unwrap();
         let mut vm = ExprVm::new();
-        let got = vm.run_values(&Program::compile(&bound), &t, &[0, 1, 2]).unwrap();
+        let got = vm.run_rows(&Program::compile(&bound), &t, &[0, 1, 2]).unwrap();
         let want: Vec<Value> = (0..3).map(|i| bound.eval(&t, i).unwrap()).collect();
-        assert_eq!(got, want);
+        assert_eq!(got.to_values(), want);
     }
 }

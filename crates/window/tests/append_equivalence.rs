@@ -547,6 +547,40 @@ fn a_query_error_mid_append_poisons_the_engine() {
     }
 }
 
+/// The recompute diff compares float outputs by their bits: a `0.0` that
+/// becomes `-0.0` changed (though SQL calls them equal), a NaN that stays
+/// the same NaN did not, and a NaN that becomes another NaN did.
+#[test]
+fn float_outputs_diff_by_bits() {
+    let nan_b = f64::from_bits(0x7ff8_0000_0000_0001);
+    let base = Table::new(vec![
+        ("t", Column::ints(vec![0, 10, 20, 30, 40, 50])),
+        ("f", Column::floats(vec![1.0, 0.0, f64::NAN, 2.0, nan_b, -0.0])),
+    ])
+    .unwrap();
+    // Each new row lands in the middle, so the previous row of the rows at
+    // t = 20, 30 and 50 changes: 0.0 → -0.0, NaN → the same NaN, NaN → NaN.
+    let batch = Table::new(vec![
+        ("t", Column::ints(vec![15, 25, 45])),
+        ("f", Column::floats(vec![-0.0, f64::NAN, f64::NAN])),
+    ])
+    .unwrap();
+    let q = WindowQuery::over(
+        WindowSpec::new()
+            .order_by(vec![SortKey::asc(col("t"))])
+            .frame(FrameSpec::rows(FrameBound::Preceding(lit(1i64)), FrameBound::CurrentRow)),
+    )
+    .call(FunctionCall::first_value(col("f")).named("prev"));
+    for opts in ExecOptions::all_configs() {
+        let mut engine = q.begin_incremental(&base, opts).unwrap();
+        let res = engine.append(&batch).unwrap();
+        assert_eq!(res.changed_outputs, vec![2, 5, 6, 7, 8], "{}", opts.label());
+        assert_eq!(res.profile.recomputed_partitions, 1, "{}", opts.label());
+        let expected = q.execute_with(engine.table(), opts).unwrap();
+        tables_bit_identical(&engine.output_table().unwrap(), &expected);
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 

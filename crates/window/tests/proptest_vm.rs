@@ -3,9 +3,12 @@
 //! three-valued logic, dates, strings (type errors) and division by zero —
 //! the stack VM must be bit-identical to the recursive interpreter, both on
 //! values and on the error contract (a VM error falls back to the
-//! interpreter, whose first-row error is canonical).
+//! interpreter, whose first-row error is canonical). The typed column a
+//! call's argument becomes (`vm::eval_rows`) must hold the interpreter's
+//! values, bit for bit, in a column of their type.
 
 use holistic_window::expr::{BoundExpr, Expr};
+use holistic_window::vm::eval_rows;
 use holistic_window::{col, lit, Column, ExprVm, Program, Table, Value};
 use proptest::prelude::*;
 
@@ -89,9 +92,39 @@ fn vm_with_fallback(
     rows: &[usize],
 ) -> Result<Vec<Value>, holistic_window::Error> {
     let prog = Program::compile(bound);
-    match ExprVm::new().run_values(&prog, t, rows) {
-        Ok(vals) => Ok(vals),
+    match ExprVm::new().run_rows(&prog, t, rows) {
+        Ok(col) => Ok(col.to_values()),
         Err(_) => rows.iter().map(|&r| bound.eval(t, r)).collect(),
+    }
+}
+
+/// The typed values of `bound` over `rows` against the interpreter's: both
+/// error, or the column holds the interpreter's values — floats bit for bit —
+/// and every non-NULL one has the column's type.
+fn check_typed_values(bound: &BoundExpr, t: &Table, rows: &[usize]) -> Result<(), String> {
+    let interp: Result<Vec<Value>, _> = rows.iter().map(|&r| bound.eval(t, r)).collect();
+    match (interp, eval_rows(bound, t, rows)) {
+        (Err(_), Err(_)) => Ok(()),
+        (Ok(want), Ok(got)) => {
+            if got.len() != want.len() {
+                return Err(format!("{} rows, want {}", got.len(), want.len()));
+            }
+            for (i, w) in want.iter().enumerate() {
+                let g = got.get(i);
+                let same = match (w, &g) {
+                    (Value::Float(x), Value::Float(y)) => x.to_bits() == y.to_bits(),
+                    _ => format!("{w:?}") == format!("{g:?}"),
+                };
+                if !same || w.data_type().is_some_and(|dt| dt != got.data_type()) {
+                    return Err(format!(
+                        "row {i}: {g:?} in a {:?} column, want {w:?}",
+                        got.data_type()
+                    ));
+                }
+            }
+            Ok(())
+        }
+        (want, got) => Err(format!("interpreter {want:?}, typed {got:?}")),
     }
 }
 
@@ -117,6 +150,14 @@ proptest! {
         let interp_odd: Result<Vec<Value>, _> = odd.iter().map(|&r| bound.eval(&t, r)).collect();
         let vm_odd = vm_with_fallback(&bound, &t, &odd);
         prop_assert_eq!(&vm_odd, &interp_odd, "expr: {:?}", expr);
+
+        // The typed artifact, through the VM and (short selections) the
+        // interpreter.
+        let short: Vec<usize> = all.iter().copied().rev().take(5).collect();
+        for rows in [&all, &odd, &short] {
+            let res = check_typed_values(&bound, &t, rows);
+            prop_assert!(res.is_ok(), "expr {:?} over {:?}: {:?}", expr, rows, res);
+        }
     }
 
     #[test]
@@ -179,5 +220,41 @@ fn vm_edge_cases_match_interpreter() {
         let interp: Result<Vec<Value>, _> = all.iter().map(|&r| bound.eval(&t, r)).collect();
         let vm = vm_with_fallback(&bound, &t, &all);
         assert_eq!(vm, interp, "expr: {expr:?}");
+    }
+}
+
+/// One expression per block kind the VM hands a call — a constant (value
+/// and NULL), typed Int, Float and Bool blocks, and per-row values holding
+/// strings or dates — over every row, a strided selection and a selection
+/// short enough for the per-row interpreter.
+#[test]
+fn typed_values_match_the_interpreter_for_every_block_kind() {
+    let t = table(&[-6, -1, 0, 1, 2, 3, 60, 9, 15, -30, 7]);
+    let n = t.num_rows();
+    let all: Vec<usize> = (0..n).collect();
+    let odd: Vec<usize> = (0..n).filter(|i| i % 2 == 1).collect();
+    let short: Vec<usize> = vec![4, 0, 2];
+    let cases: Vec<(Expr, &str)> = vec![
+        (lit(7i64).add(lit(1i64)), "Const int"),
+        (lit(2.5).mul(lit(-0.0)), "Const float"),
+        (Expr::Lit(Value::Null).add(lit(1i64)), "Const NULL"),
+        (lit(Value::str("k")), "Const str"),
+        (col("a"), "Int"),
+        (col("b").mul(lit(3i64)), "Int with NULLs"),
+        (col("f").neg(), "Float"),
+        (col("g").div(col("a")), "Float with NULLs"),
+        (col("a").gt(lit(1i64)), "Bool"),
+        (col("b").lt(lit(0i64)).not(), "Bool with NULLs"),
+        (col("s"), "Vals of Str"),
+        (col("d"), "Vals of Date"),
+        (col("d").add(lit(7i64)), "Vals of Date arithmetic"),
+    ];
+    for (expr, kind) in cases {
+        let bound = expr.bind(&t).unwrap();
+        for rows in [&all, &odd, &short] {
+            if let Err(e) = check_typed_values(&bound, &t, rows) {
+                panic!("{kind} ({expr:?}) over {rows:?}: {e}");
+            }
+        }
     }
 }

@@ -89,7 +89,7 @@ fn tree_free_partition_builds_no_prev_and_copies_no_values() {
     assert_eq!(p.cache.mst_builds, 0);
     assert_eq!(footprint(&p, "prev-idcs"), (0, 0), "nothing reads prev on the incremental path");
     assert_eq!(footprint(&p, "distinct-prep"), (1, 8 * n as u64), "hashes only");
-    assert_eq!(footprint(&p, "values"), (1, 24 * n as u64));
+    assert_eq!(footprint(&p, "values"), (1, 8 * n as u64), "an i64 column without NULLs");
     assert_eq!(footprint(&p, "kept-values"), (1, 0), "shared with the values entry");
     // A mask that drops nothing is its keep flags (1 B/row): no remap arrays,
     // no kept-row list.
