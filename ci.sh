@@ -78,14 +78,16 @@ cargo run --release -q --example sql_quickstart > /dev/null
 step "strategy equivalence (adaptive vs forced-MST, serial vs parallel)"
 cargo test --release -q -p holistic-window --test strategy_equivalence
 
-step "thread counts (strategy equivalence and the 600-case fuzz smoke under 1, 3 and 7 threads)"
+step "thread counts (strategy equivalence, worker panics and the 600-case fuzz smoke under 1, 3 and 7 threads)"
 # The vendored pool reads RAYON_NUM_THREADS once per process; unset, it is the
 # core count. Probe chunks (the naive batch's included), parallel builds and
 # the partition fold must give bit-identical output for every count: both
 # checks compare the parallel configurations bit for bit with the serial ones.
-# Adds about 4 s once both are built.
+# A worker's panic must reach the caller with its own message at every count.
+# Adds about 4 s once all are built.
 for threads in 1 3 7; do
   RAYON_NUM_THREADS=$threads cargo test --release -q -p holistic-window --test strategy_equivalence
+  RAYON_NUM_THREADS=$threads cargo test --release -q -p holistic-window --test worker_panic
   RAYON_NUM_THREADS=$threads cargo run --release -q -p holistic-fuzz --bin fuzz -- \
     --cases 600 --seed 0xC0FFEE --max-n 40 --time-budget-secs 120
 done
@@ -184,7 +186,7 @@ step "fuzz smoke (sql-roundtrip: print → parse → plan structural + session b
 cargo run --release -q -p holistic-fuzz --bin fuzz -- \
   --sql-roundtrip --cases 500 --seed 0xC0FFEE --max-n 40 --time-budget-secs 120
 
-step "fuzz legs, the frame properties and the forest property again through an overflow-checked release build (arithmetic at the edges)"
+step "fuzz legs, the frame properties and the forest and seeded-aggregate properties again through an overflow-checked release build (arithmetic at the edges)"
 # Release builds wrap on integer overflow; this build panics instead, and a
 # panic is a fuzz failure. Own target dir, so the flags never touch ./target.
 CARGO_TARGET_DIR=target/overflow-checks RUSTFLAGS="-C overflow-checks=on" \
@@ -209,9 +211,11 @@ CARGO_TARGET_DIR=target/overflow-checks RUSTFLAGS="-C overflow-checks=on" \
   cargo test --release -q -p holistic-window --lib --test proptest_window
 # The forest's select gallops in the value domain next to the reserved
 # u64::MAX (`v + 1`, `seed ± off`, the doubling step): its property draws
-# values and hints up to u64::MAX − 1, and here a wrap panics.
+# values and hints up to u64::MAX − 1, and here a wrap panics. The annotated
+# tree's seeded probe gallops from seeds up to usize::MAX (`seed as u64`, the
+# clamp into the run): its property draws those too.
 CARGO_TARGET_DIR=target/overflow-checks RUSTFLAGS="-C overflow-checks=on" \
-  cargo test --release -q -p holistic-core --lib --test proptest_forest
+  cargo test --release -q -p holistic-core --lib --test proptest_forest --test proptest_cursor
 
 step "block-vs-scalar kernel micro-timer (ignored by default; run once so it cannot rot)"
 # The only timer of the block kernels against the scalar descent outside

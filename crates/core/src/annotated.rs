@@ -9,9 +9,8 @@
 //! states — O(log n) per output row.
 
 use crate::aggregate::DistinctAggregate;
-use crate::cursor::ProbeCursor;
 use crate::index::TreeIndex;
-use crate::mst::{build_levels, level_geometry, MergeSortTree};
+use crate::mst::{build_levels, level_geometry, MergeSortTree, ProbeSeed};
 use crate::params::MstParams;
 use crate::range_set::RangeSet;
 use rayon::prelude::*;
@@ -120,10 +119,24 @@ impl<I: TreeIndex, A: DistinctAggregate> AnnotatedMst<I, A> {
     /// is smaller than `t`, returning the state and the number of combined
     /// rows. For shifted prevIdcs keys with `t = a + 1` this is exactly
     /// "aggregate each distinct value of the frame once" (§4.3).
-    pub fn aggregate_below(&self, a: usize, b: usize, t: I) -> (A::State, usize) {
+    ///
+    /// `seed` carries the search positions from one probe to the next: a
+    /// probe loop passes the same [`ProbeSeed`] every time, and the searches
+    /// gallop from the previous probe's positions instead of bisecting all
+    /// `n` keys and cascading down both frame edges. The seed changes only
+    /// the cost: the covered runs are visited in the unseeded order, so the
+    /// combine order — and a float state's bits — is the same with or
+    /// without one.
+    pub fn aggregate_below(
+        &self,
+        a: usize,
+        b: usize,
+        t: I,
+        seed: Option<&mut ProbeSeed>,
+    ) -> (A::State, usize) {
         let mut state = A::identity();
         let mut count = 0usize;
-        self.tree.decompose_below(a, b, t, |level, run_start, pos| {
+        self.tree.decompose_below(a, b, t, seed, |level, run_start, pos| {
             if pos > 0 {
                 state = A::combine(state, self.pf(level, run_start + pos - 1));
                 count += pos;
@@ -142,33 +155,10 @@ impl<I: TreeIndex, A: DistinctAggregate> AnnotatedMst<I, A> {
         let mut state = A::identity();
         let mut count = 0usize;
         for (a, b) in ranges.iter() {
-            let (s, c) = self.aggregate_below(a, b, t);
+            let (s, c) = self.aggregate_below(a, b, t, None);
             state = A::combine(state, s);
             count += c;
         }
-        (state, count)
-    }
-
-    /// Cursor-seeded [`Self::aggregate_below`] — the product probe path of
-    /// `SUM(DISTINCT)`/`AVG(DISTINCT)`. The decomposition's visit order is
-    /// preserved, so the combine order — and therefore the result, even for
-    /// floating-point states — is bit-identical to the stateless recursion,
-    /// which stays as the reference this is proptested against.
-    pub fn aggregate_below_with_cursor(
-        &self,
-        a: usize,
-        b: usize,
-        t: I,
-        cur: &mut ProbeCursor,
-    ) -> (A::State, usize) {
-        let mut state = A::identity();
-        let mut count = 0usize;
-        self.tree.decompose_below_cursor(a, b, t, cur, |level, run_start, pos| {
-            if pos > 0 {
-                state = A::combine(state, self.pf(level, run_start + pos - 1));
-                count += pos;
-            }
-        });
         (state, count)
     }
 
@@ -201,14 +191,14 @@ mod tests {
         let values: Vec<i64> = vec![10, 20, 20, 10, 30, 20];
         let prev = shifted_prev(&values);
         let t = AnnotatedMst::<u32, SumI64>::build(&prev, &values, MstParams::new(2, 1));
-        let (s, cnt) = t.aggregate_below(0, 6, 1);
+        let (s, cnt) = t.aggregate_below(0, 6, 1, None);
         assert_eq!(SumI64::finish(s), 60);
         assert_eq!(cnt, 3);
         // Frame [2, 6): distinct values 20, 10, 30.
-        let (s, _) = t.aggregate_below(2, 6, 3);
+        let (s, _) = t.aggregate_below(2, 6, 3, None);
         assert_eq!(SumI64::finish(s), 60);
         // Frame [3, 5): distinct 10, 30.
-        let (s, _) = t.aggregate_below(3, 5, 4);
+        let (s, _) = t.aggregate_below(3, 5, 4, None);
         assert_eq!(SumI64::finish(s), 40);
     }
 
@@ -224,7 +214,7 @@ mod tests {
                 for _ in 0..30 {
                     let a = rng.gen_range(0..=n);
                     let b = rng.gen_range(a..=n);
-                    let (s, _) = tree.aggregate_below(a, b, a as u32 + 1);
+                    let (s, _) = tree.aggregate_below(a, b, a as u32 + 1, None);
                     assert_eq!(
                         SumI64::finish(s),
                         brute_distinct_sum(&values, a, b),
@@ -244,7 +234,7 @@ mod tests {
         let tree = AnnotatedMst::<u32, CountAgg>::build(&prev, &values, MstParams::default());
         for a in (0..n as usize).step_by(7) {
             for b in (a..=n as usize).step_by(13) {
-                let (s, cnt) = tree.aggregate_below(a, b, a as u32 + 1);
+                let (s, cnt) = tree.aggregate_below(a, b, a as u32 + 1, None);
                 let plain = tree.tree().count_below(a, b, a as u32 + 1);
                 assert_eq!(CountAgg::finish(s) as usize, plain);
                 assert_eq!(cnt, plain);
@@ -262,8 +252,8 @@ mod tests {
         let tmax = AnnotatedMst::<u32, MaxI64>::build(&prev, &values, MstParams::new(4, 4));
         for a in (0..n).step_by(11) {
             for b in ((a + 1)..=n).step_by(17) {
-                let (smin, _) = tmin.aggregate_below(a, b, a as u32 + 1);
-                let (smax, _) = tmax.aggregate_below(a, b, a as u32 + 1);
+                let (smin, _) = tmin.aggregate_below(a, b, a as u32 + 1, None);
+                let (smax, _) = tmax.aggregate_below(a, b, a as u32 + 1, None);
                 assert_eq!(MinI64::finish(smin), *values[a..b].iter().min().unwrap());
                 assert_eq!(MaxI64::finish(smax), *values[a..b].iter().max().unwrap());
             }
@@ -277,10 +267,10 @@ mod tests {
         let keys: Vec<i64> = values.iter().map(|v| v.to_bits() as i64).collect();
         let prev = shifted_prev(&keys);
         let tree = AnnotatedMst::<u32, AvgF64>::build(&prev, &values, MstParams::new(2, 2));
-        let (s, _) = tree.aggregate_below(0, 4, 1);
+        let (s, _) = tree.aggregate_below(0, 4, 1, None);
         // Distinct values 1.0, 2.0, 4.0 → avg 7/3.
         assert!((AvgF64::finish(s).unwrap() - 7.0 / 3.0).abs() < 1e-12);
-        let (s, _) = tree.aggregate_below(2, 2, 3);
+        let (s, _) = tree.aggregate_below(2, 2, 3, None);
         assert_eq!(AvgF64::finish(s), None);
     }
 
@@ -296,41 +286,10 @@ mod tests {
     }
 
     #[test]
-    fn cursor_aggregate_bit_identical_including_floats() {
-        let mut rng = StdRng::seed_from_u64(102);
-        let n = 257usize;
-        let values: Vec<f64> = (0..n).map(|_| rng.gen_range(-8..8) as f64 / 3.0).collect();
-        let keys: Vec<i64> = values.iter().map(|v| v.to_bits() as i64).collect();
-        let prev = shifted_prev(&keys);
-        let tree = AnnotatedMst::<u32, AvgF64>::build(&prev, &values, MstParams::new(4, 4));
-        let mut cur = ProbeCursor::new();
-        for i in 0..n {
-            let a = i.saturating_sub(13);
-            let b = (i + 9).min(n);
-            let (s0, c0) = tree.aggregate_below(a, b, a as u32 + 1);
-            let (s1, c1) = tree.aggregate_below_with_cursor(a, b, a as u32 + 1, &mut cur);
-            // Exact equality of the float state proves combine-order
-            // preservation, not just numeric closeness.
-            assert_eq!(AvgF64::finish(s0).map(f64::to_bits), AvgF64::finish(s1).map(f64::to_bits));
-            assert_eq!(c0, c1);
-        }
-        // Non-monotonic jumps stay bit-identical too.
-        for _ in 0..200 {
-            let (x, y) = (rng.gen_range(0..=n), rng.gen_range(0..=n));
-            let (a, b) = (x.min(y), x.max(y));
-            let (s0, c0) = tree.aggregate_below(a, b, a as u32 + 1);
-            let (s1, c1) = tree.aggregate_below_with_cursor(a, b, a as u32 + 1, &mut cur);
-            assert_eq!(AvgF64::finish(s0).map(f64::to_bits), AvgF64::finish(s1).map(f64::to_bits));
-            assert_eq!(c0, c1);
-        }
-        assert!(cur.stats.gallop_seeded > 0);
-    }
-
-    #[test]
     fn empty_tree() {
         let tree = AnnotatedMst::<u32, SumI64>::build(&[], &[], MstParams::default());
         assert!(tree.is_empty());
-        let (s, cnt) = tree.aggregate_below(0, 0, 1);
+        let (s, cnt) = tree.aggregate_below(0, 0, 1, None);
         assert_eq!(SumI64::finish(s), 0);
         assert_eq!(cnt, 0);
     }

@@ -230,7 +230,7 @@ impl MstForest {
                 total += if saturated {
                     lb - la
                 } else if let Some(top) = tops.get_mut(r).filter(|_| (la, lb) == (run.start, end)) {
-                    *top = gallop_partition_point(run.tree.top_keys(), *top, |&x| x < t, &mut 0);
+                    *top = gallop_partition_point(run.tree.top_keys(), *top, |&x| x < t);
                     *top
                 } else {
                     run.tree.count_below(la - run.start, lb - run.start, t)
@@ -302,7 +302,7 @@ impl MstForest {
         // `v < hi < u64::MAX` (reserved), so `v + 1` never wraps.
         let below = |v: u64| self.count_pass(ranges, v + 1, tops) <= j;
         Some(match hint {
-            Some(h) => gallop_partition_point_in(lo..hi, h, below, &mut 0),
+            Some(h) => gallop_partition_point_in(lo..hi, h, below),
             None => partition_point_in(lo..hi, below),
         })
     }

@@ -64,11 +64,11 @@ pub use aggregate::{AvgF64, CountAgg, DistinctAggregate, MaxI64, MinI64, SumF64,
 pub use annotated::AnnotatedMst;
 pub use arena::SpillableArena;
 pub use codes::{dense_codes, DenseCodes};
-pub use cursor::{CursorStats, ProbeCursor};
 pub use index::TreeIndex;
 pub use leveled::{ForestCursor, MstForest};
 pub use mst::{
     mst_arena_len, mst_spill_build_len, BlockScratch, BlockStats, MergeSortTree, MstShell,
+    ProbeSeed,
 };
 pub use params::MstParams;
 pub use prev_idcs::{prev_idcs_by_key, prev_idcs_u64};

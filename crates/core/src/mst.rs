@@ -17,7 +17,7 @@
 //! children.
 
 use crate::arena::{Span, SpillableArena};
-use crate::cursor::{gallop_partition_point, ProbeCursor, Side};
+use crate::cursor::gallop_partition_point;
 use crate::index::TreeIndex;
 use crate::params::MstParams;
 use crate::range_set::{RangeSet, MAX_RANGES};
@@ -71,6 +71,27 @@ pub(crate) fn level_geometry(n: usize, params: MstParams) -> Vec<LevelMeta> {
         meta.push(LevelMeta { run_len, ptrs: Span::new(off, total_samples * f), samples_per_run });
     }
     meta
+}
+
+/// What one probe of a stream leaves for the next: where its searches in a
+/// tree ended. A probe loop passes the same seed to every probe (see
+/// [`crate::AnnotatedMst::aggregate_below`]), and each search gallops from
+/// the previous probe's position instead of starting over — amortized O(1)
+/// per level when frames slide.
+///
+/// Galloping returns exactly what a full search returns from any start, so
+/// a fresh seed, one left by another tree, or any `top` gives the same
+/// answers; a seed changes only the cost.
+#[derive(Debug, Clone, Default)]
+pub struct ProbeSeed {
+    /// The top-level lower bound of the previous threshold: where the next
+    /// top-level search starts. Any value is valid.
+    pub top: usize,
+    /// Per level below the top, per frame edge (the child holding the frame
+    /// start, the child holding its last row): the absolute child run
+    /// searched there and the lower bound found in it. A search in another
+    /// run cascades from its parent instead.
+    edges: Vec<[(usize, usize); 2]>,
 }
 
 /// Base positions `0..n` ordered by `(values[p], p)`: the order of the top run,
@@ -194,7 +215,7 @@ pub(crate) fn build_levels<I: TreeIndex, T: Copy + Send + Sync>(
         *slot = elem(p.to_usize());
     }
     times.push(t0.elapsed());
-    let mut child_pos = vec![I::ZERO; n];
+    let mut lower_pos = vec![I::ZERO; n];
     for lvl in (1..meta.len()).rev() {
         let t0 = std::time::Instant::now();
         // The parent level is read-only while the child level is written:
@@ -205,10 +226,10 @@ pub(crate) fn build_levels<I: TreeIndex, T: Copy + Send + Sync>(
             meta,
             lvl,
             (&pos, &upper[..n]),
-            (&mut child_pos, &mut lower[(lvl - 1) * n..]),
+            (&mut lower_pos, &mut lower[(lvl - 1) * n..]),
             meta[lvl].ptrs.slice_mut(ptrs),
         );
-        std::mem::swap(&mut pos, &mut child_pos);
+        std::mem::swap(&mut pos, &mut lower_pos);
         times.push(t0.elapsed());
     }
     times
@@ -393,7 +414,7 @@ impl<I: TreeIndex> MergeSortTree<I> {
         let mut arena = SpillableArena::new(arena_segments(&meta, n));
         let mut pos: Vec<I> = (0..n).map(I::from_usize).collect();
         pos.sort_unstable_by_key(|&p| (values[p.to_usize()], p));
-        let mut child_pos = vec![I::ZERO; n];
+        let mut lower_pos = vec![I::ZERO; n];
         let mut seg: Vec<I> = Vec::with_capacity(mst_spill_build_len(n, params) - 2 * n);
         let gather = |seg: &mut Vec<I>, pos: &[I]| {
             seg.clear();
@@ -413,16 +434,16 @@ impl<I: TreeIndex> MergeSortTree<I> {
                 &meta,
                 lvl,
                 (&pos, &unit),
-                (&mut child_pos, &mut child_unit),
+                (&mut lower_pos, &mut child_unit),
                 &mut seg,
             );
             arena.write_segment(h + lvl - 1, &seg)?;
-            std::mem::swap(&mut pos, &mut child_pos);
+            std::mem::swap(&mut pos, &mut lower_pos);
             gather(&mut seg, &pos);
             arena.write_segment(lvl - 1, &seg)?;
         }
         arena.mark_written();
-        let resident = pos.capacity() + child_pos.capacity() + seg.capacity();
+        let resident = pos.capacity() + lower_pos.capacity() + seg.capacity();
         Ok((MstShell { levels: meta, params, n, identity_top, top_samples }, arena, resident))
     }
 
@@ -544,7 +565,7 @@ impl<I: TreeIndex> MergeSortTree<I> {
     /// ```
     pub fn count_below(&self, a: usize, b: usize, t: I) -> usize {
         let mut total = 0usize;
-        self.decompose_below(a, b, t, |_, _, pos| total += pos);
+        self.decompose_below(a, b, t, None, |_, _, pos| total += pos);
         total
     }
 
@@ -558,19 +579,35 @@ impl<I: TreeIndex> MergeSortTree<I> {
     /// `visit(level, run_start, pos_of_t_in_run)` for every run that is fully
     /// contained in the query range. The visited `pos` values are the per-run
     /// lower bounds of `t`; their sum is `count_below`.
+    ///
+    /// With a `seed` (see [`ProbeSeed`]) the top-level search and the search
+    /// in each partial child (one the frame cuts into) gallop from where the
+    /// previous probe's ended. Every search returns the same position for
+    /// every seed, so the visit sequence is the unseeded one.
     pub(crate) fn decompose_below(
         &self,
         a: usize,
         b: usize,
         t: I,
+        mut seed: Option<&mut ProbeSeed>,
         mut visit: impl FnMut(usize, usize, usize),
     ) {
         let b = b.min(self.n);
         if a >= b {
             return;
         }
-        let top_pos = self.top_keys().partition_point(|&x| x < t);
-        self.descend_below(self.levels.len() - 1, 0, a, b, t, top_pos, &mut visit);
+        let top = self.levels.len() - 1;
+        let top_pos = match seed.as_deref_mut() {
+            Some(s) => {
+                if s.edges.len() < top {
+                    s.edges = vec![[(usize::MAX, 0); 2]; top];
+                }
+                s.top = gallop_partition_point(self.top_keys(), s.top, |&x| x < t);
+                s.top
+            }
+            None => self.top_keys().partition_point(|&x| x < t),
+        };
+        self.descend_below(top, 0, a, b, t, top_pos, seed, &mut visit);
     }
 
     /// Visits the covered positions of a *partial* level-1 run by scanning the
@@ -588,7 +625,7 @@ impl<I: TreeIndex> MergeSortTree<I> {
     }
 
     #[allow(clippy::too_many_arguments)]
-    fn descend_below(
+    fn descend_below<V: FnMut(usize, usize, usize)>(
         &self,
         level: usize,
         run: usize,
@@ -596,10 +633,10 @@ impl<I: TreeIndex> MergeSortTree<I> {
         b: usize,
         t: I,
         pos: usize,
-        visit: &mut impl FnMut(usize, usize, usize),
+        mut seed: Option<&mut ProbeSeed>,
+        visit: &mut V,
     ) {
-        let lvl = &self.levels[level];
-        let (rs, re) = lvl.run_bounds(run, self.n);
+        let (rs, re) = self.levels[level].run_bounds(run, self.n);
         debug_assert!(rs <= a && b <= re);
         if a == rs && b == re {
             visit(level, rs, pos);
@@ -611,203 +648,43 @@ impl<I: TreeIndex> MergeSortTree<I> {
             return;
         }
         let child_len = self.levels[level - 1].run_len;
-        let ratio = lvl.run_len / child_len;
-        let nc = self.params.fanout.min(ratio);
-        for c in 0..nc {
+        // The children holding `a` and `b - 1` may be partial; every child
+        // between them is covered.
+        let (ca, cb) = ((a - rs) / child_len, (b - 1 - rs) / child_len);
+        let edge = |c: usize, mut seed: Option<&mut ProbeSeed>, visit: &mut V| {
             let cs = rs + c * child_len;
-            if cs >= re {
-                break;
-            }
             let ce = (cs + child_len).min(re);
-            let lo = a.max(cs);
-            let hi = b.min(ce);
-            if lo >= hi {
-                continue;
-            }
-            let cpos = self.cascade(level, run, pos, c, t);
+            let (lo, hi) = (a.max(cs), b.min(ce));
             if lo == cs && hi == ce {
-                visit(level - 1, cs, cpos);
+                visit(level - 1, cs, self.cascade(level, run, pos, c, t));
+            } else if level == 2 {
+                // A partial level-1 child is scanned: it needs no position.
+                self.scan_leaves(lo, hi, t, visit);
             } else {
-                self.descend_below(level - 1, cs / child_len, lo, hi, t, cpos, visit);
+                // A partial child holds a frame edge: the start when the
+                // frame cuts into it from the left, else its last row.
+                let run_c = cs / child_len;
+                let memo =
+                    seed.as_deref_mut().map(|s| &mut s.edges[level - 1][usize::from(lo == cs)]);
+                let cpos = match memo.as_deref() {
+                    Some(&(r, p)) if r == run_c => {
+                        gallop_partition_point(&self.keys(level - 1)[cs..ce], p, |&x| x < t)
+                    }
+                    _ => self.cascade(level, run, pos, c, t),
+                };
+                if let Some(m) = memo {
+                    *m = (run_c, cpos);
+                }
+                self.descend_below(level - 1, run_c, lo, hi, t, cpos, seed, visit);
             }
-        }
-    }
-
-    /// Cursor-seeded [`Self::decompose_below`]: same decomposition, same
-    /// visit order, same `pos` values — only the per-level searches are
-    /// seeded from `cur`'s memos instead of running from scratch.
-    ///
-    /// Visit order is preserved exactly (deepest-left first, each level's
-    /// trailing siblings ascending, middles ascending, right path top-down),
-    /// so even order-sensitive floating-point combines over the visited runs
-    /// stay bit-identical.
-    pub(crate) fn decompose_below_cursor(
-        &self,
-        a: usize,
-        b: usize,
-        t: I,
-        cur: &mut ProbeCursor,
-        mut visit: impl FnMut(usize, usize, usize),
-    ) {
-        let b = b.min(self.n);
-        if a >= b {
-            return;
-        }
-        cur.stats.cursor_probes += 1;
-        let top = self.levels.len() - 1;
-        cur.ensure_levels(top);
-        let mut pos = cur.top_position(self.keys(top), |&x| x < t);
-        // Joint phase: walk down while [a, b) fits within one child, sharing
-        // the left-side memo between both boundaries.
-        let mut level = top;
-        let mut run = 0usize;
-        loop {
-            let lvl = &self.levels[level];
-            let (rs, re) = lvl.run_bounds(run, self.n);
-            debug_assert!(rs <= a && b <= re);
-            if a == rs && b == re {
-                visit(level, rs, pos);
-                break;
-            }
-            debug_assert!(level > 0, "partial overlap impossible on singleton runs");
-            if level == 1 {
-                // Same leaf fast path as the stateless descent: identical
-                // visits, no per-singleton cascades, no memo traffic.
-                self.scan_leaves(a, b, t, &mut visit);
-                break;
-            }
-            let child_len = self.levels[level - 1].run_len;
-            let ca = (a - rs) / child_len;
-            let cb = (b - 1 - rs) / child_len;
-            if ca == cb {
-                pos = self.child_pos(level, run, pos, ca, t, Side::Left, cur);
-                run = rs / child_len + ca;
-                level -= 1;
-                continue;
-            }
-            // The paths split: descend the left boundary, emit fully-covered
-            // middle children, then descend the right boundary.
-            let ca_pos = self.child_pos(level, run, pos, ca, t, Side::Left, cur);
-            self.left_descend(level - 1, rs / child_len + ca, a, t, ca_pos, cur, &mut visit);
-            for c in ca + 1..cb {
-                visit(level - 1, rs + c * child_len, self.cascade(level, run, pos, c, t));
-            }
-            let cb_pos = self.child_pos(level, run, pos, cb, t, Side::Right, cur);
-            self.right_descend(level - 1, rs / child_len + cb, b, t, cb_pos, cur, &mut visit);
-            break;
-        }
-    }
-
-    /// Lower bound of `t` in child `c` of `(level, run)`: gallops from the
-    /// memoized position when the memo still points at that child run,
-    /// otherwise falls back to the standard cascaded refinement (a reset).
-    /// Either way the memo is updated for the next probe.
-    #[allow(clippy::too_many_arguments)]
-    fn child_pos(
-        &self,
-        level: usize,
-        run: usize,
-        pos: usize,
-        c: usize,
-        t: I,
-        side: Side,
-        cur: &mut ProbeCursor,
-    ) -> usize {
-        let lvl = &self.levels[level];
-        let child = &self.levels[level - 1];
-        let child_run = run * (lvl.run_len / child.run_len) + c;
-        let idx = cur.memo_index(side, level - 1);
-        let m = cur.memo(idx);
-        let new_pos = if m.run == child_run {
-            let (cs, ce) = child.run_bounds(child_run, self.n);
-            cur.stats.gallop_seeded += 1;
-            gallop_partition_point(
-                &self.keys(level - 1)[cs..ce],
-                m.pos,
-                |&x| x < t,
-                &mut cur.stats.gallop_steps,
-            )
-        } else {
-            cur.stats.level_resets += 1;
-            self.cascade(level, run, pos, c, t)
         };
-        cur.set_memo(idx, child_run, new_pos);
-        new_pos
-    }
-
-    /// Descends the left boundary path: covers `[a, run_end)` of `(level,
-    /// run)`. Emits the deeper subtree first, then the fully-covered trailing
-    /// siblings in ascending order — the recursion's exact emission order.
-    #[allow(clippy::too_many_arguments)]
-    fn left_descend(
-        &self,
-        level: usize,
-        run: usize,
-        a: usize,
-        t: I,
-        pos: usize,
-        cur: &mut ProbeCursor,
-        visit: &mut impl FnMut(usize, usize, usize),
-    ) {
-        let lvl = &self.levels[level];
-        let (rs, re) = lvl.run_bounds(run, self.n);
-        debug_assert!(rs <= a && a < re);
-        if a == rs {
-            visit(level, rs, pos);
-            return;
-        }
-        debug_assert!(level > 0);
-        if level == 1 {
-            self.scan_leaves(a, re, t, visit);
-            return;
-        }
-        let child_len = self.levels[level - 1].run_len;
-        let ca = (a - rs) / child_len;
-        let ratio = lvl.run_len / child_len;
-        let ca_pos = self.child_pos(level, run, pos, ca, t, Side::Left, cur);
-        self.left_descend(level - 1, rs / child_len + ca, a, t, ca_pos, cur, visit);
-        for c in ca + 1..self.params.fanout.min(ratio) {
-            let cs = rs + c * child_len;
-            if cs >= re {
-                break;
-            }
-            visit(level - 1, cs, self.cascade(level, run, pos, c, t));
-        }
-    }
-
-    /// Descends the right boundary path: covers `[run_start, b)` of `(level,
-    /// run)`. Emits the fully-covered leading siblings in ascending order,
-    /// then the deeper subtree — the recursion's exact emission order.
-    #[allow(clippy::too_many_arguments)]
-    fn right_descend(
-        &self,
-        level: usize,
-        run: usize,
-        b: usize,
-        t: I,
-        pos: usize,
-        cur: &mut ProbeCursor,
-        visit: &mut impl FnMut(usize, usize, usize),
-    ) {
-        let lvl = &self.levels[level];
-        let (rs, re) = lvl.run_bounds(run, self.n);
-        debug_assert!(rs < b && b <= re);
-        if b == re {
-            visit(level, rs, pos);
-            return;
-        }
-        debug_assert!(level > 0);
-        if level == 1 {
-            self.scan_leaves(rs, b, t, visit);
-            return;
-        }
-        let child_len = self.levels[level - 1].run_len;
-        let cb = (b - 1 - rs) / child_len;
-        for c in 0..cb {
+        edge(ca, seed.as_deref_mut(), visit);
+        for c in ca + 1..cb {
             visit(level - 1, rs + c * child_len, self.cascade(level, run, pos, c, t));
         }
-        let cb_pos = self.child_pos(level, run, pos, cb, t, Side::Right, cur);
-        self.right_descend(level - 1, rs / child_len + cb, b, t, cb_pos, cur, visit);
+        if cb > ca {
+            edge(cb, seed, visit);
+        }
     }
 
     /// Finds the level-0 position of the `j`-th element (0-based) whose
@@ -1776,34 +1653,43 @@ mod tests {
     }
 
     #[test]
-    fn cursor_visit_order_matches_stateless() {
+    fn seeded_visit_order_matches_unseeded() {
         // Order-sensitive downstream combines (float aggregates) require the
-        // cursor descent to emit the exact visit sequence of the recursion;
-        // equal sequences also mean equal counts (the sum of the positions).
+        // seeded descent to emit the exact visit sequence of the unseeded
+        // one; equal sequences also mean equal counts (the sum of the
+        // positions). The seed must come back as the top-level lower bound.
         let mut rng = StdRng::seed_from_u64(51);
         for &(f, k) in &[(2, 1), (3, 2), (4, 2), (8, 8), (8, 32), (32, 32), (5, 7)] {
             let n = rng.gen_range(1..400usize);
             let vals: Vec<u32> = (0..n).map(|_| rng.gen_range(0..64)).collect();
             let tree = MergeSortTree::<u32>::build(&vals, MstParams::new(f, k));
-            let mut cur = ProbeCursor::new();
-            let mut check = |a: usize, b: usize, t: u32| {
-                let mut stateless = Vec::new();
-                tree.decompose_below(a, b, t, |l, s, p| stateless.push((l, s, p)));
-                let mut cursored = Vec::new();
-                tree.decompose_below_cursor(a, b, t, &mut cur, |l, s, p| cursored.push((l, s, p)));
-                assert_eq!(cursored, stateless, "f={f} k={k} a={a} b={b} t={t}");
+            let mut seed = ProbeSeed::default();
+            let check = |a: usize, b: usize, t: u32, seed: &mut ProbeSeed| {
+                let mut unseeded = Vec::new();
+                tree.decompose_below(a, b, t, None, |l, s, p| unseeded.push((l, s, p)));
+                let mut seeded = Vec::new();
+                tree.decompose_below(a, b, t, Some(&mut *seed), |l, s, p| seeded.push((l, s, p)));
+                assert_eq!(seeded, unseeded, "f={f} k={k} a={a} b={b} t={t}");
+                if a < b.min(n) {
+                    assert_eq!(seed.top, tree.top_keys().partition_point(|&x| x < t));
+                }
             };
-            // A monotonic sweep (the galloping case), then random jumps.
+            // A monotonic sweep (the galloping case), then random jumps,
+            // some from a seed past the end.
             let (mut a, mut b) = (0usize, 0usize);
             for i in 0..n {
                 a = a.max(i.saturating_sub(7));
                 b = b.max(i + 1).min(n);
-                check(a, b, rng.gen_range(0..70));
+                check(a, b, a as u32 + 1, &mut seed);
             }
             for _ in 0..200 {
-                check(rng.gen_range(0..=n), rng.gen_range(0..=n + 2), rng.gen_range(0..70));
+                if rng.gen_bool(0.1) {
+                    seed.top = usize::MAX;
+                }
+                let (a, b, t) =
+                    (rng.gen_range(0..=n), rng.gen_range(0..=n + 2), rng.gen_range(0..70));
+                check(a, b, t, &mut seed);
             }
-            assert!(cur.stats.cursor_probes > 0 && cur.stats.gallop_seeded > 0);
         }
     }
 

@@ -155,7 +155,7 @@ proptest! {
                     } else {
                         AvgF64::combine(AvgF64::identity(), fold)
                     };
-                    let (got, cnt) = tree.aggregate_below(rs, re, t);
+                    let (got, cnt) = tree.aggregate_below(rs, re, t, None);
                     prop_assert_eq!(cnt as u64, expect.1);
                     prop_assert_eq!((got.0.to_bits(), got.1), (expect.0.to_bits(), expect.1));
                 }
@@ -266,7 +266,7 @@ proptest! {
                 .filter(|v| seen.insert(**v))
                 .map(|&v| v as i128)
                 .sum();
-            let (s, _) = tree.aggregate_below(a, b, a as u32 + 1);
+            let (s, _) = tree.aggregate_below(a, b, a as u32 + 1, None);
             prop_assert_eq!(SumI64::finish(s), expect);
         }
     }

@@ -70,8 +70,9 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 }
 
 /// Runs `f`, converting a panic into a [`Divergence`] attributed to `config`.
-/// The vendored rayon re-panics worker panics on the calling thread, so this
-/// boundary catches parallel-mode panics too.
+/// The vendored rayon resumes a worker's panic on the calling thread with
+/// the worker's own payload, so this boundary catches parallel-mode panics
+/// too, and reports their cause.
 pub(crate) fn run_protected<T>(
     config: &str,
     f: impl FnOnce() -> holistic_window::Result<T>,

@@ -35,7 +35,7 @@ use crate::spec::{FuncKind, FunctionCall};
 use crate::strategy::Strategy;
 use crate::value::DataType;
 use holistic_core::aggregate::{AvgF64, SumF64, SumI64};
-use holistic_core::{AnnotatedMst, DistinctAggregate, RangeSet, TreeIndex};
+use holistic_core::{AnnotatedMst, DistinctAggregate, ProbeSeed, RangeSet, TreeIndex};
 use rustc_hash::FxHashSet;
 use std::sync::Arc;
 
@@ -250,10 +250,12 @@ where
         let payloads: Vec<A::Payload> = (0..prep.values.len()).map(&payload_of).collect();
         Ok(AnnotatedMst::<I, A>::build(&prev, &payloads, ctx.params))
     })?;
-    ctx.probe_with_cursor(|cur, i| {
+    // One seed per probe chunk: consecutive frames move the threshold and
+    // the edges a little, so each search gallops from the previous row's.
+    ctx.probe_with(|seed: &mut ProbeSeed, i| {
         let (a, b) = ctx.frames.bounds[i];
         let (ka, kb) = mask.remap.range(a, b);
-        let (state, counted) = tree.aggregate_below_with_cursor(ka, kb, I::from_usize(ka + 1), cur);
+        let (state, counted) = tree.aggregate_below(ka, kb, I::from_usize(ka + 1), Some(seed));
         if !ctx.frames.has_exclusion() {
             return Ok(finish(state, (A::identity(), counted)));
         }

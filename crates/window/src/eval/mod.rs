@@ -36,7 +36,7 @@ use crate::spec::{FuncKind, FunctionCall};
 use crate::strategy::Strategy;
 use crate::table::Table;
 use crate::vm;
-use holistic_core::{MstParams, ProbeCursor, RangeSet};
+use holistic_core::{MstParams, RangeSet};
 use pipeline::HoistedKeys;
 use primitive::{CountBelow, Select};
 use std::sync::Arc;
@@ -74,8 +74,8 @@ pub(crate) struct Ctx<'a> {
     pub own_values: Option<Arc<Column>>,
     /// See [`Self::own_values`].
     pub own_mask: Option<Arc<MaskArtifact>>,
-    /// Query-level probe-kernel counters; cursors and block scratches flush
-    /// into it when their probe loop (or chunk) finishes.
+    /// Query-level probe-kernel counters; block scratches flush into it when
+    /// their probe loop (or chunk) finishes.
     pub kernel: &'a AtomicProbeKernel,
 }
 
@@ -110,28 +110,6 @@ impl<'a> Ctx<'a> {
     /// typed column.
     pub fn eval_positions(&self, expr: &crate::expr::Expr) -> Result<Column> {
         vm::eval_rows(&expr.bind(self.table)?, self.table, self.rows)
-    }
-
-    /// Runs `f(cursor, i)` for every position `i`. Serially, one cursor walks
-    /// the whole partition (maximal probe locality); in parallel, positions
-    /// are split into contiguous chunks with a fresh cursor per chunk, so
-    /// every probe still sees monotonically advancing bounds within its
-    /// chunk. Cursor probes are bit-identical to the stateless recursion,
-    /// hence serial ≡ parallel output is untouched. The cursor's counters
-    /// flush into the query-level kernel when its loop (or chunk) finishes.
-    pub fn probe_with_cursor<T, F>(&self, f: F) -> Result<Vec<T>>
-    where
-        T: Clone + Default + Send,
-        F: Fn(&mut ProbeCursor, usize) -> Result<T> + Send + Sync,
-    {
-        self.run_chunked(|base, slots| {
-            let mut cur = ProbeCursor::new();
-            for (off, slot) in slots.iter_mut().enumerate() {
-                *slot = f(&mut cur, base + off)?;
-            }
-            self.kernel.absorb(&cur.stats);
-            Ok(())
-        })
     }
 
     /// Runs `f(scratch, i)` for every position `i`, in parallel when

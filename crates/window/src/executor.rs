@@ -180,20 +180,10 @@ impl CacheStats {
     }
 }
 
-/// Probe-kernel counters, accumulated over every cursor and block scratch
-/// of one execution (serial loops and parallel probe chunks alike).
+/// Probe-kernel counters, accumulated over every block scratch of one
+/// execution (serial loops and parallel probe chunks alike).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ProbeKernelStats {
-    /// Annotated-tree probes (SUM/AVG DISTINCT), all cursor-seeded.
-    pub cursor_probes: u64,
-    /// Searches answered by galloping from a memoized position.
-    pub gallop_seeded: u64,
-    /// Total galloping steps across all seeded searches.
-    pub gallop_steps: u64,
-    /// Full binary searches (no usable memo).
-    pub full_searches: u64,
-    /// Per-level memo misses that fell back to cascaded refinement.
-    pub level_resets: u64,
     /// Block-kernel invocations (one per probe block per tree).
     pub block_calls: u64,
     /// Queries answered by the block kernels.
@@ -204,25 +194,11 @@ pub struct ProbeKernelStats {
 /// across partitions and probe chunks.
 #[derive(Debug, Default)]
 pub(crate) struct AtomicProbeKernel {
-    cursor_probes: AtomicU64,
-    gallop_seeded: AtomicU64,
-    gallop_steps: AtomicU64,
-    full_searches: AtomicU64,
-    level_resets: AtomicU64,
     block_calls: AtomicU64,
     block_queries: AtomicU64,
 }
 
 impl AtomicProbeKernel {
-    /// Folds one cursor's counters into the query-level totals.
-    pub(crate) fn absorb(&self, s: &holistic_core::CursorStats) {
-        self.cursor_probes.fetch_add(s.cursor_probes, Relaxed);
-        self.gallop_seeded.fetch_add(s.gallop_seeded, Relaxed);
-        self.gallop_steps.fetch_add(s.gallop_steps, Relaxed);
-        self.full_searches.fetch_add(s.full_searches, Relaxed);
-        self.level_resets.fetch_add(s.level_resets, Relaxed);
-    }
-
     /// Folds one block-scratch's counters into the query-level totals.
     pub(crate) fn absorb_block(&self, s: &holistic_core::BlockStats) {
         self.block_calls.fetch_add(s.block_calls, Relaxed);
@@ -231,11 +207,6 @@ impl AtomicProbeKernel {
 
     fn snapshot(&self) -> ProbeKernelStats {
         ProbeKernelStats {
-            cursor_probes: self.cursor_probes.load(Relaxed),
-            gallop_seeded: self.gallop_seeded.load(Relaxed),
-            gallop_steps: self.gallop_steps.load(Relaxed),
-            full_searches: self.full_searches.load(Relaxed),
-            level_resets: self.level_resets.load(Relaxed),
             block_calls: self.block_calls.load(Relaxed),
             block_queries: self.block_queries.load(Relaxed),
         }
@@ -326,8 +297,8 @@ pub struct ExecProfile {
     pub partitions: usize,
     /// Accumulated artifact-cache counters.
     pub cache: CacheStats,
-    /// Accumulated probe-kernel counters (cursor galloping vs. full
-    /// searches).
+    /// Accumulated probe-kernel counters (the block kernels' calls and
+    /// queries).
     pub probe_kernel: ProbeKernelStats,
     /// Per-kind artifact memory footprints, largest first.
     pub artifacts: Vec<ArtifactFootprint>,

@@ -455,16 +455,16 @@ impl Mode for Range<'_> {
             // beyond 2^53 would merge — and i64 ± i64 always fits in i128.
             (RangeKeys::Int(ks), Offset::Int(o)) => {
                 let t = ks[p] as i128 + if add { o as i128 } else { -(o as i128) };
-                gallop_partition_point(ks, *seed, |&k| below((k as i128).cmp(&t)), &mut 0)
+                gallop_partition_point(ks, *seed, |&k| below((k as i128).cmp(&t)))
             }
             // A float on either side: f64 under its total order.
             (RangeKeys::Int(ks), _) => {
                 let t = moved(ks[p] as f64);
-                gallop_partition_point(ks, *seed, |&k| below((k as f64).total_cmp(&t)), &mut 0)
+                gallop_partition_point(ks, *seed, |&k| below((k as f64).total_cmp(&t)))
             }
             (RangeKeys::Float(ks), _) => {
                 let t = moved(ks[p]);
-                gallop_partition_point(ks, *seed, |k| below(k.total_cmp(&t)), &mut 0)
+                gallop_partition_point(ks, *seed, |k| below(k.total_cmp(&t)))
             }
         };
         first + *seed

@@ -30,7 +30,7 @@ fn battery() -> Vec<FunctionCall> {
             .named("c6"),
         FunctionCall::lag(col("x"), 1, lit(-1i64)).named("c7"),
         FunctionCall::mode(col("y")).named("c8"),
-        // SUM/AVG(DISTINCT) are MST-only: the annotated tree's cursor
+        // SUM/AVG(DISTINCT) are MST-only: the annotated tree's seeded
         // descent runs on every partition, however small.
         FunctionCall::sum_distinct(col("x")).named("c9"),
         FunctionCall::sum_distinct(col("x")).filter(y_above_three()).named("c10"),
