@@ -4,7 +4,8 @@
 //! (split points derived from the case seed, so every run is replayable),
 //! feeds them through [`IncrementalEngine`], and
 //! demands the refreshed outputs be **bit-identical** to executing the query
-//! from scratch on the full table — under every engine configuration. The
+//! from scratch on the full table — under every engine configuration, adaptive
+//! and forced to the merge sort tree ([`append_configs`]). The
 //! incremental engine promises exact equivalence whichever path (splice or
 //! recompute) each batch takes; unlike the naive-vs-engine comparison there
 //! is no float tolerance here.
@@ -68,9 +69,18 @@ pub struct AppendProbe {
     pub shared_forest: bool,
 }
 
+/// The configurations an append case runs under: every engine configuration,
+/// adaptive and forced to the merge sort tree. At small sizes Adaptive
+/// chooses naive everywhere, so only the forced half recomputes a partition
+/// through an artifact cache.
+pub fn append_configs() -> Vec<ExecOptions> {
+    let all = ExecOptions::all_configs();
+    all.into_iter().chain(all.map(|o| o.force_strategy(Strategy::Mst))).collect()
+}
+
 /// Runs one case through the append-sequence check. `Ok` means every
-/// configuration agreed bit-for-bit with its own from-scratch execution; it
-/// carries what the appends exercised.
+/// configuration of [`append_configs`] agreed bit-for-bit with its own
+/// from-scratch execution; it carries what the appends exercised.
 pub fn check_append_case(
     table: &Table,
     query: &WindowQuery,
@@ -87,7 +97,7 @@ pub fn check_append_case(
     }
 
     let mut probe = AppendProbe::default();
-    for opts in ExecOptions::all_configs() {
+    for opts in append_configs() {
         let label = format!("append/{}", opts.label());
         let full_res = run_protected(&label, || query.execute_with(table, opts))?;
         let engine_res = run_protected(&label, || {

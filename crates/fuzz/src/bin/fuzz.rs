@@ -287,7 +287,7 @@ fn main() {
              off the peer groups, {} probed a shared forest ({:.1}s)",
             args.seed,
             args.max_n,
-            holistic_window::ExecOptions::all_configs().len(),
+            holistic_fuzz::append_configs().len(),
             spliced.get(),
             peer_rank.get(),
             shared_forest.get(),

@@ -38,7 +38,7 @@ pub mod panic_sweep;
 pub mod shrink;
 pub mod sql_roundtrip;
 
-pub use append::{append_plan, check_append_case, AppendPlan, AppendProbe};
+pub use append::{append_configs, append_plan, check_append_case, AppendPlan, AppendProbe};
 pub use diff::{check_budget_case, check_case, BudgetProbe, CaseProbe, Divergence};
 pub use gen::{case_seed, generate, generate_append, FuzzCase, GenConfig};
 pub use panic_sweep::{panic_sweep, SweepReport};

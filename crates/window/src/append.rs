@@ -40,17 +40,16 @@
 //!   into the forest's `u64` value domain (non-NULL homogeneous integers or
 //!   finite floats, order-isomorphically; see `encode_key`).
 //!
-//! Per partition the engine also maintains [`StatsAcc`] — the O(b)
-//! incrementally-updated [`PartitionStats`] — and re-runs the cost-based
-//! strategy choice after every batch, so a partition whose frame profile
-//! drifts (say, from narrow sliding frames to wide ones) re-plans without a
-//! from-scratch scan. Artifact caches persist per partition and are kept
-//! sound through the `ArtifactCache` invalidation hooks: every recompute
-//! invalidates all position-space artifacts up front and releases its hoisted
-//! key seeds afterwards so the engine's key columns stay uniquely owned and
-//! extend in place.
+//! Per partition the engine keeps what the splice reads and nothing else:
+//! the sorted rows, their frames, the outputs, the forests and the cursors.
+//! A recompute evaluates through caches that are dropped before it returns,
+//! as the batch executor's are, so no governed byte outlives it and the
+//! hoisted key columns stay uniquely owned and extend in place.
+//! [`IncrementalEngine::partition_stats`] and
+//! [`IncrementalEngine::strategy_decisions`] are views computed on demand
+//! from the kept frames.
 
-use crate::artifacts::{ArtifactCache, BudgetGovernor};
+use crate::artifacts::BudgetGovernor;
 use crate::column::{Column, ColumnScatter, Outputs};
 use crate::error::{Error, Result};
 use crate::eval::pipeline::{hoist_keys, HoistedKeys, PartitionEval, PartitionOutput, Prepared};
@@ -58,13 +57,13 @@ use crate::eval::{cont_rank, cume_dist, disc_rank, percent_rank};
 use crate::executor::{AtomicProbeKernel, ExecOptions, SpillStats, WindowQuery};
 use crate::expr::Expr;
 use crate::frame::{FrameBound, FrameMode, ResolvedFrames};
-use crate::order::{float_from_ordinal, float_ordinal, int_ordinal, sort_permutation, KeyColumns};
-use crate::partition::Partitioner;
-use crate::plan::{
-    canonical_order, plan_query, sort_keys_of, ArtifactKey, CanonicalSortKey, QueryPlan,
+use crate::order::{
+    float_from_ordinal, float_ordinal, int_ordinal, peer_bounds, sort_permutation, KeyColumns,
 };
+use crate::partition::Partitioner;
+use crate::plan::{canonical_order, plan_query, sort_keys_of, CanonicalSortKey, QueryPlan};
 use crate::spec::{FuncKind, FunctionCall};
-use crate::strategy::{PartitionStats, StatsAcc, Strategy};
+use crate::strategy::PartitionStats;
 use crate::table::Table;
 use crate::value::Value;
 use holistic_core::{ForestCursor, MstForest, RangeSet};
@@ -90,10 +89,6 @@ pub struct AppendProfile {
     pub fast_path_rows: usize,
     /// Partition rows re-evaluated by the recompute path.
     pub fallback_rows: usize,
-    /// Strategy re-plans whose choices differ from the previous batch.
-    pub strategy_replans: usize,
-    /// Stale artifacts evicted from partition caches by this append.
-    pub evicted_artifacts: usize,
     /// New-row outputs of rank-family calls read off the peer groups (fast
     /// path; these calls rank by the window's ORDER BY and hold no forest).
     pub peer_rank_outputs: usize,
@@ -112,13 +107,9 @@ pub struct AppendProfile {
     /// amortization factor).
     pub forest_rebuilt_elements: u64,
     /// Artifact bytes built by this append's recomputes (the per-build
-    /// footprints the caches record — previously discarded, leaving the
-    /// profile blind to artifact memory after the first append).
+    /// footprints their caches record; the caches themselves die with each
+    /// recompute).
     pub artifact_bytes_built: u64,
-    /// Budget-governed artifact bytes resident after this append (gauge).
-    pub resident_artifact_bytes: u64,
-    /// High-water mark of budget-governed resident bytes so far (gauge).
-    pub peak_resident_artifact_bytes: u64,
     /// Bytes held by the fast path's forests: each forest's run arenas plus
     /// its encoded keys in position order, 8 B per row (gauge, each forest
     /// counted once; observation only — forests are not budget-governed).
@@ -248,16 +239,12 @@ struct KeyForest {
     ty: Option<KeyTy>,
 }
 
-/// Everything the engine holds per partition.
+/// Everything the engine holds per partition: what the splice reads.
 struct PartState {
     /// Sorted row indices (window ORDER BY, ties by table index).
     rows: Vec<usize>,
     /// Resolved frames over `rows`.
     frames: ResolvedFrames,
-    /// Incrementally-maintained frame statistics.
-    acc: StatsAcc,
-    /// Current per-call strategy choices.
-    choices: Vec<Strategy>,
     /// Current outputs, one per call, indexed by position.
     outs: Vec<Outputs>,
     /// Whether this partition's data has stayed forest-eligible.
@@ -269,8 +256,6 @@ struct PartState {
     /// one row. Per call, not per forest — a median and a p90 over one
     /// forest have different previous answers.
     cursors: Vec<ForestCursor>,
-    /// Persistent artifact cache, kept sound via the invalidation hooks.
-    cache: ArtifactCache,
 }
 
 /// A window query held open against a growing table (the delta API).
@@ -317,12 +302,11 @@ pub struct IncrementalEngine {
     partitioner: Partitioner,
     parts: Vec<PartState>,
     /// Hoisted key columns (window ORDER BY + every planned inner ORDER BY),
-    /// extended in place on append. Must stay uniquely owned between appends
-    /// — see the seed release in `recompute_partition`.
+    /// extended in place on append. Uniquely owned between appends: the
+    /// caches a recompute seeds with them are dropped before it returns.
     hoisted: HoistedKeys,
-    /// Budget governor shared by every partition's persistent cache (and by
-    /// the per-call caches of private mode), so resident artifact bytes are
-    /// bounded across the engine's whole lifetime, not per recompute.
+    /// Budget governor every recompute's caches charge, so the spill
+    /// telemetry covers the engine's whole lifetime.
     gov: Arc<BudgetGovernor>,
     poisoned: bool,
 }
@@ -377,8 +361,8 @@ impl IncrementalEngine {
     }
 
     /// True once an error mid-append left derived state unusable; every
-    /// subsequent call errors and the cached artifacts are released. Rebuild
-    /// with [`WindowQuery::begin_incremental`].
+    /// subsequent call errors. Rebuild with
+    /// [`WindowQuery::begin_incremental`].
     pub fn is_poisoned(&self) -> bool {
         self.poisoned
     }
@@ -390,19 +374,20 @@ impl IncrementalEngine {
         self.gov.snapshot()
     }
 
-    /// Current per-partition frame statistics (first-appearance order),
-    /// maintained incrementally by [`StatsAcc`].
+    /// Per-partition frame statistics (first-appearance order), computed
+    /// from the current frames.
     pub fn partition_stats(&self) -> Vec<PartitionStats> {
-        self.parts.iter().map(|p| p.acc.stats()).collect()
+        self.parts.iter().map(|ps| PartitionStats::from_frames(&ps.frames)).collect()
     }
 
-    /// Histogram of current per-(partition × call) strategy choices, indexed
-    /// by [`Strategy::index`]. Comparable against the `decisions` histogram
-    /// of a from-scratch profiled execution.
+    /// Histogram of the per-(partition × call) strategy choices over the
+    /// current frames, indexed by [`crate::Strategy::index`]: the
+    /// `decisions` histogram of a from-scratch profiled execution on the
+    /// grown table.
     pub fn strategy_decisions(&self) -> [u64; 5] {
         let mut h = [0u64; 5];
-        for ps in &self.parts {
-            for s in &ps.choices {
+        for stats in self.partition_stats() {
+            for s in PartitionEval::choose(&self.plan, self.opts, &stats) {
                 h[s.index()] += 1;
             }
         }
@@ -424,18 +409,9 @@ impl IncrementalEngine {
         }
         let from_row = self.table.num_rows();
         self.table.append_rows(batch)?;
-        match self.ingest(from_row, true) {
-            Ok(res) => Ok(res),
-            Err(e) => {
-                // Nothing will read the derived state again: give the
-                // governed bytes back now, not when the engine is dropped.
-                self.poisoned = true;
-                for ps in &self.parts {
-                    ps.cache.invalidate_all();
-                }
-                Err(e)
-            }
-        }
+        let res = self.ingest(from_row, true);
+        self.poisoned = res.is_err();
+        res
     }
 
     /// The refreshed output table: one column per call, in the original row
@@ -483,13 +459,10 @@ impl IncrementalEngine {
                 peer_start: Vec::new(),
                 peer_end: Vec::new(),
             },
-            acc: StatsAcc::new(),
-            choices: Vec::new(),
             outs: vec![Outputs::default(); self.query.calls.len()],
             fast_ok: true,
             forests: self.forest_keys.iter().map(empty).collect(),
             cursors: vec![ForestCursor::default(); self.query.calls.len()],
-            cache: ArtifactCache::new(Arc::clone(&self.gov)),
         }
     }
 
@@ -498,8 +471,8 @@ impl IncrementalEngine {
     /// the window ORDER BY key columns (a cloned handle).
     fn refresh_hoisted(&mut self, from_row: usize) -> Result<Arc<KeyColumns>> {
         for (ks, kc) in self.hoisted.iter_mut() {
-            // Uniquely owned between appends (seeds are released after
-            // every recompute), so this extends in place, O(b).
+            // Uniquely owned between appends (no cache outlives a
+            // recompute), so this extends in place, O(b).
             Arc::make_mut(kc).extend(&self.table, &sort_keys_of(ks), from_row)?;
         }
         hoist_keys(&self.table, &self.query.spec, &self.plan, &mut self.hoisted)
@@ -556,9 +529,6 @@ impl IncrementalEngine {
             profile.forest_resident_bytes +=
                 (forest.arena_bytes() + std::mem::size_of_val(forest.values())) as u64;
         }
-        let spill = self.gov.snapshot();
-        profile.resident_artifact_bytes = spill.resident;
-        profile.peak_resident_artifact_bytes = spill.peak_resident;
         changed.sort_unstable();
         changed.dedup();
         Ok(AppendResult { changed_outputs: changed, profile })
@@ -590,56 +560,33 @@ impl IncrementalEngine {
 
         // Phase 2: splice frames and peer groups.
         let sp = self.splice.expect("fast path requires a spliceable frame");
-        {
-            let ps = &mut self.parts[pid];
-            for i in m_old..m {
-                let start = match sp.start {
-                    SpliceBound::Unbounded => 0,
-                    SpliceBound::Current => i,
-                    SpliceBound::Prec(off) => i.saturating_sub(off.min(m)),
-                };
-                let end = match sp.end {
-                    SpliceBound::Current => i + 1,
-                    SpliceBound::Prec(off) => (i + 1).saturating_sub(off.min(m)),
-                    SpliceBound::Unbounded => unreachable!("no UNBOUNDED frame end splice"),
-                };
-                ps.frames.bounds.push((start, end.max(start).min(m)));
-            }
-            // Peer groups: the batch may extend the last old group.
-            let g0 = if m_old > 0 && wk.rows_equal(ps.rows[m_old], ps.rows[m_old - 1]) {
-                ps.frames.peer_start[m_old - 1]
-            } else {
-                m_old
-            };
-            ps.frames.peer_start.truncate(g0);
-            ps.frames.peer_end.truncate(g0);
-            let mut g = g0;
-            while g < m {
-                let mut e = g + 1;
-                while e < m && wk.rows_equal(ps.rows[e], ps.rows[g]) {
-                    e += 1;
-                }
-                for _ in g..e {
-                    ps.frames.peer_start.push(g);
-                    ps.frames.peer_end.push(e);
-                }
-                g = e;
-            }
-            ps.acc.extend(&ps.frames, m_old);
-        }
-
-        // Phase 3: re-plan strategies from the updated statistics. The fast
-        // path's own probes don't consult the choices (outputs are invariant
-        // under strategy), but the next recompute — and the engine's
-        // decision telemetry — must see current ones.
-        let choices = self.evaluator(wk).choose(&self.parts[pid].acc.stats());
-        if choices != self.parts[pid].choices {
-            profile.strategy_replans += 1;
-            self.parts[pid].choices = choices;
-        }
-
-        // Phase 4: grow each forest once, then probe outputs for the new rows.
         let ps = &mut self.parts[pid];
+        for i in m_old..m {
+            let start = match sp.start {
+                SpliceBound::Unbounded => 0,
+                SpliceBound::Current => i,
+                SpliceBound::Prec(off) => i.saturating_sub(off.min(m)),
+            };
+            let end = match sp.end {
+                SpliceBound::Current => i + 1,
+                SpliceBound::Prec(off) => (i + 1).saturating_sub(off.min(m)),
+                SpliceBound::Unbounded => unreachable!("no UNBOUNDED frame end splice"),
+            };
+            ps.frames.bounds.push((start, end.max(start).min(m)));
+        }
+        // Peer groups: the batch may extend the last old group.
+        let g0 = if m_old > 0 && wk.rows_equal(ps.rows[m_old], ps.rows[m_old - 1]) {
+            ps.frames.peer_start[m_old - 1]
+        } else {
+            m_old
+        };
+        let (start, end) = peer_bounds(wk, &ps.rows[g0..m]);
+        ps.frames.peer_start.truncate(g0);
+        ps.frames.peer_end.truncate(g0);
+        ps.frames.peer_start.extend(start.into_iter().map(|p| p + g0));
+        ps.frames.peer_end.extend(end.into_iter().map(|p| p + g0));
+
+        // Phase 3: grow each forest once, then probe outputs for the new rows.
         for (kf, (encs, ty)) in ps.forests.iter_mut().zip(new_encs) {
             kf.forest.append(&encs);
             kf.ty = ty;
@@ -726,20 +673,10 @@ impl IncrementalEngine {
         let old_index: FxHashMap<usize, usize> =
             self.parts[pid].rows[..m_old].iter().enumerate().map(|(pos, &r)| (r, pos)).collect();
         let rows = std::mem::take(&mut self.parts[pid].rows);
-        // Positions shift, so every position-space artifact of the
-        // partition's persistent cache is stale: invalidate up front.
-        let cache = &self.parts[pid].cache;
-        profile.evicted_artifacts += cache.invalidate_all();
-        let PartitionOutput { part: Prepared { rows, frames, acc, choices, report }, outs } =
-            self.evaluator(wk).evaluate(rows, Some(cache))?;
-        // Release the key seeds so the engine's hoisted Arcs stay uniquely
-        // owned and extend in place on the next append.
-        cache.invalidate_where(|k| matches!(k, ArtifactKey::InnerKeys(_)));
+        let PartitionOutput { part: Prepared { rows, frames, report, .. }, outs } =
+            self.evaluator(wk).evaluate(rows)?;
         profile.artifact_bytes_built +=
             report.footprints.iter().map(|&(_, b)| b as u64).sum::<u64>();
-        if choices != self.parts[pid].choices {
-            profile.strategy_replans += 1;
-        }
 
         let mut changed: Vec<usize> = Vec::new();
         {
@@ -778,8 +715,6 @@ impl IncrementalEngine {
         profile.fallback_rows += rows.len();
         ps.rows = rows;
         ps.frames = frames;
-        ps.acc = acc;
-        ps.choices = choices;
         ps.outs = outs;
         ps.forests = forests;
         ps.cursors.fill(ForestCursor::default());

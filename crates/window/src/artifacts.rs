@@ -58,7 +58,7 @@ use std::sync::{Arc, Mutex, OnceLock, Weak};
 type Payload = Arc<dyn Any + Send + Sync>;
 /// A built artifact plus the bytes the cache charged to the budget governor
 /// on its behalf (0 for seeded and self-governed artifacts) — released when
-/// the slot is invalidated or the cache dropped.
+/// the cache is dropped.
 type Slot = Arc<OnceLock<std::result::Result<(Payload, usize), Error>>>;
 
 /// Heap footprint of a cached artifact, recorded at build time and charged
@@ -532,49 +532,6 @@ impl ArtifactCache {
         self.partition
     }
 
-    /// Releases the governor charges of `slots` (drop/invalidate paths).
-    fn release_charges<'s>(&self, slots: impl Iterator<Item = &'s Slot>) {
-        for slot in slots {
-            if let Some(Ok((_, charged))) = slot.get() {
-                if *charged > 0 {
-                    self.gov.release(*charged as u64);
-                }
-            }
-        }
-    }
-
-    /// Drops every cached artifact. Footprints and hit/miss statistics are
-    /// retained: they describe build work actually performed, which
-    /// invalidation cannot undo. Returns the number of slots dropped.
-    pub fn invalidate_all(&self) -> usize {
-        let mut slots = self.slots.lock().expect("artifact cache poisoned");
-        let n = slots.len();
-        self.release_charges(slots.values());
-        slots.clear();
-        n
-    }
-
-    /// Drops the cached artifacts whose key matches `pred` — the append
-    /// engine's targeted hook: a delta that only grows the partition keeps
-    /// order-independent artifacts and evicts the positional ones. Returns
-    /// the number of slots dropped.
-    pub fn invalidate_where(&self, mut pred: impl FnMut(&ArtifactKey) -> bool) -> usize {
-        let mut slots = self.slots.lock().expect("artifact cache poisoned");
-        let before = slots.len();
-        slots.retain(|k, slot| {
-            let drop_it = pred(k);
-            if drop_it {
-                if let Some(Ok((_, charged))) = slot.get() {
-                    if *charged > 0 {
-                        self.gov.release(*charged as u64);
-                    }
-                }
-            }
-            !drop_it
-        });
-        before - slots.len()
-    }
-
     /// Drains the per-slot build footprints recorded so far.
     pub fn take_footprints(&self) -> Vec<(&'static str, usize)> {
         std::mem::take(&mut *self.footprints.lock().expect("artifact cache poisoned"))
@@ -657,17 +614,16 @@ impl ArtifactCache {
     }
 }
 
+/// The one place a cache's charges are released: every cache lives for one
+/// partition's evaluation and is dropped with it.
 impl Drop for ArtifactCache {
     fn drop(&mut self) {
         // Never panic in drop (we may already be unwinding): a poisoned
         // map simply forfeits its releases.
         let Ok(slots) = self.slots.get_mut() else { return };
-        let gov = Arc::clone(&self.gov);
         for slot in slots.values() {
             if let Some(Ok((_, charged))) = slot.get() {
-                if *charged > 0 {
-                    gov.release(*charged as u64);
-                }
+                self.gov.release(*charged as u64);
             }
         }
     }

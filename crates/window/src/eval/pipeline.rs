@@ -9,9 +9,9 @@
 //! evaluates it once over a [`SegmentBatch`] — one of the batch executor's
 //! batches of partitions whose calls all chose naive, or one partition as a
 //! batch of one segment. The append engine calls [`PartitionEval::evaluate`]
-//! for every partition it recomputes and asks it for the strategy choice
-//! when it splices. Query-level key hoisting, which both run in front of it,
-//! is [`hoist_keys`].
+//! for every partition it recomputes, and [`PartitionEval::choose`] when
+//! asked for its strategy decisions. Query-level key hoisting, which both run
+//! in front of it, is [`hoist_keys`].
 
 use crate::artifacts::{self, ArtifactCache, BudgetGovernor};
 use crate::column::Outputs;
@@ -22,7 +22,7 @@ use crate::frame::{resolve_frames, FrameExclusion, ResolvedFrames};
 use crate::order::{sort_permutation, KeyColumns};
 use crate::plan::{canonical_order, sort_keys_of, ArtifactKey, CanonicalSortKey, QueryPlan};
 use crate::spec::WindowSpec;
-use crate::strategy::{choose, CostModel, PartitionStats, StatsAcc, Strategy};
+use crate::strategy::{choose, CostModel, PartitionStats, Strategy};
 use crate::table::Table;
 use rustc_hash::FxHashMap;
 use std::sync::Arc;
@@ -141,8 +141,8 @@ pub(crate) struct PartitionReport {
     pub resolve: Duration,
     /// Call evaluation, lazy artifact builds included.
     pub probe: Duration,
-    /// Counters of every cache the evaluation used (cumulative for a cache
-    /// the caller owns). All zero for an all-naive partition.
+    /// Counters of every cache the evaluation used. All zero for an
+    /// all-naive partition.
     pub cache: CacheStats,
     /// `(label, bytes)` per artifact built, drained from those caches.
     pub footprints: Vec<(&'static str, usize)>,
@@ -162,8 +162,6 @@ pub(crate) struct Prepared {
     pub rows: Vec<usize>,
     /// Resolved frames over `rows`.
     pub frames: ResolvedFrames,
-    /// The frame statistics the choice was made from.
-    pub acc: StatsAcc,
     /// The strategy chosen per call.
     pub choices: Vec<Strategy>,
     pub report: PartitionReport,
@@ -201,31 +199,29 @@ pub(crate) struct PartitionEval<'a> {
 }
 
 impl PartitionEval<'_> {
-    /// Picks a strategy per call. A pure function of (mode, call class,
-    /// frame stats, partition size, tree parameters, budget) — none of which
-    /// depend on parallelism or sharing — so every engine configuration, and
-    /// the append engine against a from-scratch run, makes identical choices.
-    pub fn choose(&self, stats: &PartitionStats) -> Vec<Strategy> {
+    /// Picks a strategy per call of `plan`. A pure function of (mode, call
+    /// class, frame stats, partition size, tree parameters, budget) — none of
+    /// which depend on parallelism or sharing — so every engine
+    /// configuration, and the append engine against a from-scratch run, makes
+    /// identical choices.
+    pub fn choose(plan: &QueryPlan, opts: ExecOptions, stats: &PartitionStats) -> Vec<Strategy> {
         // Under a budget, surcharge the MST's cost terms by how hard this
         // partition's tree would press on it (spill writes + re-faults the
         // base model doesn't price).
         let width = if holistic_core::index::fits_u32(stats.m + 1) { 4 } else { 8 };
-        let est_tree_bytes =
-            (holistic_core::mst_arena_len(stats.m, self.opts.params) * width) as u64;
-        let model = CostModel::default().under_memory_pressure(est_tree_bytes, self.opts.budget);
-        self.plan
-            .calls
-            .iter()
-            .map(|cp| choose(self.opts.strategy, cp.class, stats, &model))
-            .collect()
+        let est_tree_bytes = (holistic_core::mst_arena_len(stats.m, opts.params) * width) as u64;
+        let model = CostModel::default().under_memory_pressure(est_tree_bytes, opts.budget);
+        plan.calls.iter().map(|cp| choose(opts.strategy, cp.class, stats, &model)).collect()
     }
 
-    /// Hands `cache` the hoisted key columns, so calls falling back to them
-    /// never re-evaluate a criterion's expressions.
-    fn seed(&self, cache: &ArtifactCache) {
+    /// A fresh cache holding the hoisted key columns, so calls falling back
+    /// to them never re-evaluate a criterion's expressions.
+    fn seeded_cache(&self) -> ArtifactCache {
+        let cache = ArtifactCache::new(Arc::clone(self.gov));
         for (ks, kc) in self.hoisted {
             cache.seed(ArtifactKey::InnerKeys(ks.clone()), Arc::clone(kc));
         }
+        cache
     }
 
     fn ctx<'c>(
@@ -258,45 +254,29 @@ impl PartitionEval<'_> {
         let resolve_start = Instant::now();
         let frames = resolve_frames(self.table, &rows, self.window_keys, &self.query.spec.frame)?;
         report.resolve = resolve_start.elapsed();
-        let mut acc = StatsAcc::new();
-        acc.extend(&frames, 0);
-        let choices = self.choose(&acc.stats());
+        let choices = Self::choose(self.plan, self.opts, &PartitionStats::from_frames(&frames));
         report.build = build_start.elapsed();
-        Ok(Prepared { rows, frames, acc, choices, report })
+        Ok(Prepared { rows, frames, choices, report })
     }
 
     /// [`Self::prepare`], then [`Self::finish`].
-    pub fn evaluate(
-        &self,
-        rows: Vec<usize>,
-        cache: Option<&ArtifactCache>,
-    ) -> Result<PartitionOutput> {
-        self.finish(self.prepare(rows)?, cache)
+    pub fn evaluate(&self, rows: Vec<usize>) -> Result<PartitionOutput> {
+        self.finish(self.prepare(rows)?)
     }
 
     /// Evaluates every call of a prepared partition. A naive call runs
     /// through [`Self::evaluate_naive`] over the partition as a batch of one
     /// segment, so a partition whose calls all chose naive touches no cache.
-    /// With shared artifacts every other call builds into `cache` — the
-    /// caller's (which must hold nothing position-dependent, and keeps the
-    /// hoisted key seeds afterwards) or, when `None`, a fresh one dropped on
-    /// return. Without sharing each of them gets a private cache.
-    pub fn finish(&self, p: Prepared, cache: Option<&ArtifactCache>) -> Result<PartitionOutput> {
+    /// With shared artifacts every other call builds into one fresh cache;
+    /// without sharing each of them gets a private one. Every cache is
+    /// dropped on return, and with it every charge to the governor.
+    pub fn finish(&self, p: Prepared) -> Result<PartitionOutput> {
         let all_naive = p.all_naive();
-        let Prepared { rows, frames, acc, choices, mut report } = p;
+        let Prepared { rows, frames, choices, mut report } = p;
         let batch = SegmentBatch::one(rows, frames);
         let build_start = Instant::now();
-        let fresh;
-        let shared: Option<&ArtifactCache> = match cache {
-            _ if all_naive || !self.opts.share_artifacts => None,
-            Some(cache) => Some(cache),
-            None => {
-                fresh = ArtifactCache::new(Arc::clone(self.gov));
-                Some(&fresh)
-            }
-        };
-        if let Some(cache) = shared {
-            self.seed(cache);
+        let shared = (!all_naive && self.opts.share_artifacts).then(|| self.seeded_cache());
+        if let Some(cache) = &shared {
             // Eager prebuild only for calls the MST actually serves;
             // alternates build lazily from the shared cache.
             let ctx = self.ctx(&batch, Some(cache), self.within);
@@ -321,23 +301,19 @@ impl PartitionEval<'_> {
             }
             // Without sharing, artifacts are still shared *within* the
             // call, never across calls.
-            let private = shared.is_none().then(|| {
-                let private = ArtifactCache::new(Arc::clone(self.gov));
-                self.seed(&private);
-                private
-            });
-            let ctx = self.ctx(&batch, shared.or(private.as_ref()), self.within);
+            let private = shared.is_none().then(|| self.seeded_cache());
+            let ctx = self.ctx(&batch, shared.as_ref().or(private.as_ref()), self.within);
             outs.push(evaluate_call(&ctx, call, cp, s)?);
             if let Some(private) = &private {
                 report.absorb(private);
             }
         }
         report.probe = probe_start.elapsed();
-        if let Some(cache) = shared {
+        if let Some(cache) = &shared {
             report.absorb(cache);
         }
         let SegmentBatch { rows, frames, .. } = batch;
-        Ok(PartitionOutput { part: Prepared { rows, frames, acc, choices, report }, outs })
+        Ok(PartitionOutput { part: Prepared { rows, frames, choices, report }, outs })
     }
 
     /// Evaluates call `ci` with [`Strategy::Naive`] over every segment of

@@ -444,7 +444,7 @@ impl WindowQuery {
             if p.all_naive() {
                 Ok(Pass::Naive(p))
             } else {
-                eval.finish(p, None).map(Pass::Done)
+                eval.finish(p).map(Pass::Done)
             }
         };
         // The reports fold in partition order, serially as each partition

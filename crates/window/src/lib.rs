@@ -69,7 +69,7 @@ pub use expr::{col, lit, BinOp, Expr};
 pub use frame::{FrameBound, FrameExclusion, FrameMode, FrameSpec};
 pub use order::SortKey;
 pub use spec::{FuncKind, FunctionCall, WindowSpec};
-pub use strategy::{CallClass, CostModel, PartitionStats, StatsAcc, Strategy, StrategyMode};
+pub use strategy::{CallClass, CostModel, PartitionStats, Strategy, StrategyMode};
 pub use table::Table;
 pub use value::{DataType, Value};
 pub use vm::{ExprVm, Program};

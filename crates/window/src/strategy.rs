@@ -203,11 +203,30 @@ pub struct PartitionStats {
 }
 
 impl PartitionStats {
-    /// Gathers stats from resolved frame bounds.
+    /// Gathers stats from resolved frame bounds in one pass.
     pub fn from_frames(frames: &ResolvedFrames) -> PartitionStats {
-        let mut acc = StatsAcc::new();
-        acc.extend(frames, 0);
-        acc.stats()
+        let m = frames.bounds.len();
+        // An exact integer sum, divided once: no float drift at any size.
+        let mut sum_width = 0u128;
+        let (mut total_slide, mut monotonic, mut distinct_keys) = (0u64, true, 0usize);
+        let mut prev = None;
+        for (i, &(a, b)) in frames.bounds.iter().enumerate() {
+            sum_width += (b - a) as u128;
+            if let Some((pa, pb)) = prev {
+                total_slide += a.abs_diff(pa) as u64 + b.abs_diff(pb) as u64;
+                monotonic &= a >= pa && b >= pb;
+            }
+            distinct_keys += usize::from(frames.peer_start[i] == i);
+            prev = Some((a, b));
+        }
+        PartitionStats {
+            m,
+            avg_frame: if m == 0 { 0.0 } else { sum_width as f64 / m as f64 },
+            total_slide,
+            monotonic,
+            has_exclusion: frames.has_exclusion(),
+            distinct_keys,
+        }
     }
 
     /// `distinct_keys / m` in `[0, 1]`; 1.0 on empty partitions (the
@@ -217,69 +236,6 @@ impl PartitionStats {
             1.0
         } else {
             self.distinct_keys as f64 / self.m as f64
-        }
-    }
-}
-
-/// Incremental accumulator behind [`PartitionStats`]: exact integer sums
-/// over the resolved frames, extensible row by row. The append engine keeps
-/// one per partition and calls [`StatsAcc::extend`] for just the appended
-/// suffix — O(b) per batch instead of an O(m) rescan — with the invariant
-/// (asserted in tests) that the result is identical to a from-scratch
-/// [`PartitionStats::from_frames`] over the grown frames.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct StatsAcc {
-    /// Rows folded in so far.
-    pub m: usize,
-    /// Exact `Σ (b - a)` (u128: no float drift across appends).
-    pub sum_width: u128,
-    /// Exact `Σ |Δa| + |Δb|` including the junction between batches.
-    pub total_slide: u64,
-    /// Both boundaries non-decreasing so far (vacuously true when empty).
-    pub monotonic: bool,
-    /// The frame spec carries an exclusion clause.
-    pub has_exclusion: bool,
-    /// Peer groups seen so far (`peer_start[i] == i` rows).
-    pub distinct_keys: usize,
-    last: Option<(usize, usize)>,
-}
-
-impl StatsAcc {
-    /// An empty accumulator.
-    pub fn new() -> StatsAcc {
-        StatsAcc { monotonic: true, ..StatsAcc::default() }
-    }
-
-    /// Folds in positions `from..` of `frames`. Appending a resolved suffix
-    /// in batches produces the same accumulator as one pass over the whole
-    /// partition — the junction slide between the last old row and the first
-    /// new row is accounted for by `last`.
-    pub fn extend(&mut self, frames: &ResolvedFrames, from: usize) {
-        self.has_exclusion = frames.has_exclusion();
-        for i in from..frames.bounds.len() {
-            let (a, b) = frames.bounds[i];
-            self.sum_width += (b - a) as u128;
-            if let Some((pa, pb)) = self.last {
-                self.total_slide += a.abs_diff(pa) as u64 + b.abs_diff(pb) as u64;
-                self.monotonic &= a >= pa && b >= pb;
-            }
-            if frames.peer_start[i] == i {
-                self.distinct_keys += 1;
-            }
-            self.last = Some((a, b));
-            self.m += 1;
-        }
-    }
-
-    /// The stats snapshot for the rows folded in so far.
-    pub fn stats(&self) -> PartitionStats {
-        PartitionStats {
-            m: self.m,
-            avg_frame: if self.m == 0 { 0.0 } else { self.sum_width as f64 / self.m as f64 },
-            total_slide: self.total_slide,
-            monotonic: self.monotonic,
-            has_exclusion: self.has_exclusion,
-            distinct_keys: self.distinct_keys,
         }
     }
 }
