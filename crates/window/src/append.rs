@@ -61,7 +61,7 @@ use crate::order::{
     float_from_ordinal, float_ordinal, int_ordinal, peer_bounds, sort_permutation, KeyColumns,
 };
 use crate::partition::Partitioner;
-use crate::plan::{canonical_order, plan_query, sort_keys_of, CanonicalSortKey, QueryPlan};
+use crate::plan::{canonical_order, plan_query, sort_keys_of, Criteria, QueryPlan};
 use crate::spec::{FuncKind, FunctionCall};
 use crate::strategy::PartitionStats;
 use crate::table::Table;
@@ -225,7 +225,7 @@ struct SpliceFrame {
 /// (direction included, since [`encode_key`] bakes it in) and how many calls
 /// probe the forests kept for it.
 struct ForestKey {
-    keys: Vec<CanonicalSortKey>,
+    keys: Criteria,
     calls: usize,
 }
 

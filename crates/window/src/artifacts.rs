@@ -5,14 +5,15 @@
 //! codes, merge sort trees, segment trees, the range tree, the mode index,
 //! kept-row masks, materialized expression values) is addressed by a
 //! canonical [`ArtifactKey`] and built **exactly once per partition**, no
-//! matter how many calls request it. Calls whose plan keys coincide — e.g.
+//! matter how many calls request it. Calls whose sources coincide — e.g.
 //! `RANK`, `ROW_NUMBER` and a framed `LEAD` over the same inner ORDER BY —
 //! share the sort and the trees instead of redoing them per call.
 //!
-//! Keys are derived once, in the plan phase ([`crate::plan::CallKeys`]);
-//! every request here *borrows* a plan-owned key, and [`ArtifactCache`]
-//! clones it exactly once — when the key's slot is first created. The
-//! `key_clones` counter pins this: it always equals the miss count.
+//! A getter makes its key from the requesting call's [`CallPlan`] when the
+//! evaluator asks: the plan's sources are `Arc`-shared, so a key costs
+//! reference-count bumps, and the cache moves it into the slot map on a
+//! miss. Every artifact is built on its first request, whatever the
+//! strategy, and [`ArtifactCache::get_or_build`] times the build.
 //!
 //! Artifacts are stored type-erased (`Arc<dyn Any>`) behind a `OnceLock` per
 //! key: the slot map's lock is held only to fetch the slot, the build runs
@@ -37,7 +38,7 @@ use crate::eval::Ctx;
 use crate::executor::{CacheStats, SpillStats};
 use crate::hash::hash_column;
 use crate::order::{dense_codes_for, KeyColumns};
-use crate::plan::{sort_keys_of, ArtifactKey, CallKeys};
+use crate::plan::{sort_keys_of, CallPlan, CanonicalExpr, Criteria, MaskKey, OrderKey};
 use crate::remap::Remap;
 use holistic_core::aggregate::DistinctAggregate;
 use holistic_core::codes::DenseCodes;
@@ -51,9 +52,128 @@ use holistic_rangetree::RangeTree3;
 use holistic_segtree::Monoid;
 use rustc_hash::FxHashMap;
 use std::any::Any;
+use std::cell::Cell;
 use std::mem::size_of;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed};
 use std::sync::{Arc, Mutex, OnceLock, Weak};
+use std::time::{Duration, Instant};
+
+/// Which annotated-tree aggregate a distinct SUM/AVG needs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub(crate) enum AggFlavor {
+    SumI64,
+    SumF64,
+    Avg,
+}
+
+/// Which fold index a distributive aggregate needs: exact prefix sums for an
+/// integer SUM / AVG (addition has an inverse), a segment tree for the rest.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub(crate) enum SegFlavor {
+    SumI64,
+    SumF64,
+    Min,
+    Max,
+}
+
+/// Canonical identity of one preprocessing product within a partition: the
+/// artifact's kind and the sources it is made from, shared by `Arc` with the
+/// requesting call's plan.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub(crate) enum ArtifactKey {
+    /// Expression values per partition position (window order).
+    Values(Arc<CanonicalExpr>),
+    /// Kept-row mask, remap and kept→table row map.
+    Mask(Arc<MaskKey>),
+    /// Expression values per *kept* position.
+    KeptValues(Arc<CanonicalExpr>, Arc<MaskKey>),
+    /// Materialized inner ORDER BY key columns (full table).
+    InnerKeys(Criteria),
+    /// The inner sort: dense codes + permutation over kept rows (Figure 8).
+    DenseCodes(Criteria, Arc<MaskKey>),
+    /// Merge sort tree over the unique codes (rank family, §4.4).
+    CodeMst(Criteria, Arc<MaskKey>),
+    /// Merge sort tree over the permutation array (selection, §4.5).
+    PermMst(Criteria, Arc<MaskKey>),
+    /// Distinct preprocessing: value hashes per kept position (§6.7).
+    DistinctPrep(Arc<CanonicalExpr>, Arc<MaskKey>),
+    /// Previous-occurrence indices over those hashes (Alg. 1) — read only by
+    /// the distinct trees, so tree-free partitions never build it.
+    PrevIdcs(Arc<CanonicalExpr>, Arc<MaskKey>),
+    /// Merge sort tree over the previous-occurrence indices (§4.2).
+    DistinctCountMst(Arc<CanonicalExpr>, Arc<MaskKey>),
+    /// Annotated merge sort tree for SUM/AVG DISTINCT (§4.3).
+    DistinctAggMst(Arc<CanonicalExpr>, Arc<MaskKey>, AggFlavor),
+    /// MIN/MAX ordinal encoding of the values (all positions).
+    OrdinalEnc(Arc<CanonicalExpr>),
+    /// Fold index of a distributive aggregate's argument: a segment tree, or
+    /// the prefix sums of [`SegFlavor::SumI64`]. (A frame's kept-row count
+    /// has no key: the mask's remap answers it.)
+    SegTree(Arc<CanonicalExpr>, Arc<MaskKey>, SegFlavor),
+    /// 3-d range tree over tie-group ids (DENSE_RANK, §4.4).
+    RangeTree(Criteria, Arc<MaskKey>),
+    /// √-decomposition range mode index.
+    ModeIndex(Arc<CanonicalExpr>, Arc<MaskKey>),
+}
+
+impl ArtifactKey {
+    /// Short stable label for profiling output (`ExecProfile::artifacts`).
+    /// Distinct keys of one shape share a label; footprints aggregate per
+    /// label across partitions.
+    pub(crate) fn label(&self) -> &'static str {
+        use ArtifactKey as K;
+        match self {
+            K::Values(_) => "values",
+            K::Mask(_) => "mask",
+            K::KeptValues(..) => "kept-values",
+            K::InnerKeys(_) => "inner-keys",
+            K::DenseCodes(..) => "dense-codes",
+            K::CodeMst(..) => "code-mst",
+            K::PermMst(..) => "perm-mst",
+            K::DistinctPrep(..) => "distinct-prep",
+            K::PrevIdcs(..) => "prev-idcs",
+            K::DistinctCountMst(..) => "distinct-count-mst",
+            K::DistinctAggMst(..) => "distinct-agg-mst",
+            K::OrdinalEnc(_) => "ordinal-enc",
+            K::SegTree(_, _, SegFlavor::SumI64) => "prefix-sums",
+            K::SegTree(_, _, SegFlavor::SumF64) => "segtree-sum-f64",
+            K::SegTree(_, _, SegFlavor::Min) => "segtree-min",
+            K::SegTree(_, _, SegFlavor::Max) => "segtree-max",
+            K::RangeTree(..) => "range-tree",
+            K::ModeIndex(..) => "mode-index",
+        }
+    }
+
+    /// The fold index of `cp`'s argument in `flavor`.
+    pub(crate) fn seg_tree(cp: &CallPlan, flavor: SegFlavor) -> Self {
+        ArtifactKey::SegTree(Arc::clone(value(cp)), Arc::clone(&cp.mask), flavor)
+    }
+
+    /// The MIN/MAX ordinal encoding of `cp`'s argument.
+    pub(crate) fn ordinal_enc(cp: &CallPlan) -> Self {
+        ArtifactKey::OrdinalEnc(Arc::clone(value(cp)))
+    }
+
+    /// The annotated tree of `cp`'s distinct aggregate in `flavor`.
+    pub(crate) fn distinct_agg(cp: &CallPlan, flavor: AggFlavor) -> Self {
+        ArtifactKey::DistinctAggMst(Arc::clone(value(cp)), Arc::clone(&cp.mask), flavor)
+    }
+}
+
+/// The expression `cp` evaluates per position. An evaluator asking for an
+/// artifact of a call that evaluates none is a dispatch bug.
+fn value(cp: &CallPlan) -> &Arc<CanonicalExpr> {
+    cp.value.as_ref().expect("the call evaluates an expression")
+}
+
+/// The explicit criterion `cp` sorts by, for the artifacts of its inner
+/// sort. Frame-position order and classic LEAD/LAG sort nothing.
+fn criteria(cp: &CallPlan) -> &Criteria {
+    match &cp.order {
+        Some(OrderKey::Keys(ks)) => ks,
+        _ => unreachable!("only a call with an inner ORDER BY sorts"),
+    }
+}
 
 type Payload = Arc<dyn Any + Send + Sync>;
 /// A built artifact plus the bytes the cache charged to the budget governor
@@ -132,7 +252,6 @@ impl<M: Monoid> ArtifactBytes for SegTrees<M> {
 pub(crate) struct AtomicStats {
     pub hits: AtomicU64,
     pub misses: AtomicU64,
-    pub key_clones: AtomicU64,
     pub bytes_built: AtomicU64,
     pub inner_sorts: AtomicU64,
     pub mst_builds: AtomicU64,
@@ -146,7 +265,6 @@ impl AtomicStats {
         CacheStats {
             hits: self.hits.load(Relaxed),
             misses: self.misses.load(Relaxed),
-            key_clones: self.key_clones.load(Relaxed),
             bytes_built: self.bytes_built.load(Relaxed),
             inner_sorts: self.inner_sorts.load(Relaxed),
             mst_builds: self.mst_builds.load(Relaxed),
@@ -494,12 +612,44 @@ pub(crate) enum Built<T> {
     Shared(Arc<T>),
 }
 
+thread_local! {
+    /// Artifact builds running on this thread. A build that starts while
+    /// another runs is one of its ingredients, timed as part of it.
+    static BUILDS_RUNNING: Cell<usize> = const { Cell::new(0) };
+}
+
+/// Adds the time it is alive to `total`, unless it starts inside another
+/// artifact build on this thread.
+struct BuildTimer<'a> {
+    total: &'a AtomicU64,
+    start: Option<Instant>,
+}
+
+impl<'a> BuildTimer<'a> {
+    fn start(total: &'a AtomicU64) -> Self {
+        let running = BUILDS_RUNNING.get();
+        BUILDS_RUNNING.set(running + 1);
+        BuildTimer { total, start: (running == 0).then(Instant::now) }
+    }
+}
+
+impl Drop for BuildTimer<'_> {
+    fn drop(&mut self) {
+        BUILDS_RUNNING.set(BUILDS_RUNNING.get() - 1);
+        if let Some(start) = self.start {
+            self.total.fetch_add(start.elapsed().as_nanos() as u64, Relaxed);
+        }
+    }
+}
+
 /// The per-partition artifact cache.
 pub(crate) struct ArtifactCache {
     slots: Mutex<FxHashMap<ArtifactKey, Slot>>,
     /// `(label, bytes)` per slot actually built (seeded slots excluded).
     footprints: Mutex<Vec<(&'static str, usize)>>,
     stats: AtomicStats,
+    /// Nanoseconds spent in builds no other build encloses.
+    build_nanos: AtomicU64,
     /// The execution's shared budget governor.
     gov: Arc<BudgetGovernor>,
     /// This cache's partition id under the governor (eviction order).
@@ -513,6 +663,7 @@ impl ArtifactCache {
             slots: Mutex::new(FxHashMap::default()),
             footprints: Mutex::new(Vec::new()),
             stats: AtomicStats::default(),
+            build_nanos: AtomicU64::new(0),
             gov,
             partition,
         }
@@ -520,6 +671,12 @@ impl ArtifactCache {
 
     pub fn stats(&self) -> &AtomicStats {
         &self.stats
+    }
+
+    /// Time spent building this cache's artifacts, each ingredient inside
+    /// the build that requested it.
+    pub fn build_time(&self) -> Duration {
+        Duration::from_nanos(self.build_nanos.load(Relaxed))
     }
 
     /// The execution-wide budget governor this cache charges builds to.
@@ -538,7 +695,7 @@ impl ArtifactCache {
     }
 
     /// Pre-populates a slot with an already-built artifact (the executor
-    /// seeds the window ORDER BY key columns this way). Counts as neither a
+    /// seeds the hoisted ORDER BY key columns this way). Counts as neither a
     /// hit nor a miss; later requests count as hits.
     pub fn seed<T: Any + Send + Sync>(&self, key: ArtifactKey, value: Arc<T>) {
         let slot: Slot = Arc::new(OnceLock::new());
@@ -549,31 +706,27 @@ impl ArtifactCache {
     /// Returns the artifact for `key`, building it with `build` on first
     /// request. Concurrent requesters block on the same slot; the build runs
     /// outside the map lock, so builds of *different* keys — including a
-    /// build requesting its own ingredients — never contend.
-    ///
-    /// The key is borrowed: the caller keeps the plan-derived key alive and
-    /// the cache clones it only when creating the slot (`key_clones` counts
-    /// exactly those clones — one per miss, never per hit).
-    pub fn get_or_build<T, F>(&self, key: &ArtifactKey, build: F) -> Result<Arc<T>>
+    /// build requesting its own ingredients — never contend. A miss moves
+    /// `key` into the slot map; a hit drops it. The build is timed
+    /// ([`Self::build_time`]) unless another build on this thread encloses
+    /// it.
+    pub fn get_or_build<T, F>(&self, key: ArtifactKey, build: F) -> Result<Arc<T>>
     where
         T: Any + Send + Sync + ArtifactBytes,
         F: FnOnce() -> Result<Built<T>>,
     {
-        let slot = {
-            let mut slots = self.slots.lock().expect("artifact cache poisoned");
-            match slots.get(key) {
-                Some(slot) => Arc::clone(slot),
-                None => {
-                    self.stats.key_clones.fetch_add(1, Relaxed);
-                    Arc::clone(
-                        slots.entry(key.clone()).or_insert_with(|| Arc::new(OnceLock::new())),
-                    )
-                }
-            }
-        };
+        let label = key.label();
+        let slot = Arc::clone(
+            self.slots
+                .lock()
+                .expect("artifact cache poisoned")
+                .entry(key)
+                .or_insert_with(|| Arc::new(OnceLock::new())),
+        );
         let mut fresh = false;
         let res = slot.get_or_init(|| {
             fresh = true;
+            let _timer = BuildTimer::start(&self.build_nanos);
             build().and_then(|built| {
                 // A shared product is the other artifact's `Arc`: that
                 // artifact owns and is charged for the bytes, this entry
@@ -586,7 +739,7 @@ impl ArtifactCache {
                     Built::Shared(v) => (v, 0),
                 };
                 self.stats.bytes_built.fetch_add(bytes as u64, Relaxed);
-                self.footprints.lock().expect("artifact cache poisoned").push((key.label(), bytes));
+                self.footprints.lock().expect("artifact cache poisoned").push((label, bytes));
                 // Self-governed artifacts charge per residency transition;
                 // everything else is charged for its lifetime here. A failed
                 // charge is cached like any build error: the recipe fails
@@ -734,9 +887,9 @@ impl ArtifactBytes for ModeArt<RangeModeIndex> {
     }
 }
 
-/// The artifact getters. Each takes the requesting call's [`CallKeys`] and
-/// reads its own key and its ingredients' keys from there, so nothing is
-/// derived (or cloned) per request.
+/// The artifact getters. Each takes the requesting call's [`CallPlan`] and
+/// makes its own key from the plan's sources when asked; its ingredients'
+/// getters do the same.
 impl Ctx<'_> {
     /// True when this partition's trees index with u32 (uniform per
     /// partition, hence absent from artifact keys). Over a batch: when every
@@ -746,36 +899,36 @@ impl Ctx<'_> {
     }
 
     /// The artifact under `key`: the cache's, built on first request — or,
-    /// for a naive call, `own` if the call holds it already, else built now
-    /// and handed over.
-    fn artifact_in<T, F>(&self, key: &ArtifactKey, own: Option<&Arc<T>>, build: F) -> Result<Arc<T>>
+    /// for a naive call, built now and handed over, remembered in `own` if
+    /// the call keeps one for it.
+    fn artifact_in<T, F>(
+        &self,
+        key: ArtifactKey,
+        own: Option<&OnceLock<Arc<T>>>,
+        build: F,
+    ) -> Result<Arc<T>>
     where
         T: Any + Send + Sync + ArtifactBytes,
         F: FnOnce() -> Result<Built<T>>,
     {
-        match (self.cache, own) {
+        match (self.cache, own.and_then(OnceLock::get)) {
             (Some(cache), _) => cache.get_or_build(key, build),
             (None, Some(held)) => Ok(Arc::clone(held)),
-            (None, None) => Ok(match build()? {
-                Built::New(v) => Arc::new(v),
-                Built::Shared(v) => v,
-            }),
+            (None, None) => {
+                let built = match build()? {
+                    Built::New(v) => Arc::new(v),
+                    Built::Shared(v) => v,
+                };
+                Ok(match own {
+                    Some(own) => Arc::clone(own.get_or_init(|| built)),
+                    None => built,
+                })
+            }
         }
     }
 
-    /// Builds a naive call's values and mask up front and holds them: its
-    /// recipes ask for these two again (kept values need the mask the
-    /// evaluator already holds), and without a cache nothing else would
-    /// remember them.
-    pub(crate) fn hold_own(&mut self, keys: &CallKeys) -> Result<()> {
-        debug_assert!(self.cache.is_none(), "a cache remembers what it built");
-        self.own_values = keys.values.as_ref().map(|_| self.values_art(keys)).transpose()?;
-        self.own_mask = keys.mask.as_ref().map(|_| self.mask_art(keys)).transpose()?;
-        Ok(())
-    }
-
     /// [`Self::artifact_in`] for a recipe that always builds anew.
-    pub(crate) fn artifact<T, F>(&self, key: &ArtifactKey, build: F) -> Result<Arc<T>>
+    pub(crate) fn artifact<T, F>(&self, key: ArtifactKey, build: F) -> Result<Arc<T>>
     where
         T: Any + Send + Sync + ArtifactBytes,
         F: FnOnce() -> Result<T>,
@@ -793,17 +946,17 @@ impl Ctx<'_> {
 
     /// Expression values per partition position ([`ArtifactKey::Values`]), a
     /// typed column.
-    pub(crate) fn values_art(&self, keys: &CallKeys) -> Result<Arc<Column>> {
-        let ArtifactKey::Values(e) = keys.values() else { unreachable!("values key") };
-        self.artifact_in(keys.values(), self.own_values.as_ref(), || {
+    pub(crate) fn values_art(&self, cp: &CallPlan) -> Result<Arc<Column>> {
+        let e = value(cp);
+        self.artifact_in(ArtifactKey::Values(Arc::clone(e)), Some(&self.own_values), || {
             self.eval_positions(&e.to_expr()).map(Built::New)
         })
     }
 
     /// The kept-row mask artifact ([`ArtifactKey::Mask`]).
-    pub(crate) fn mask_art(&self, keys: &CallKeys) -> Result<Arc<MaskArtifact>> {
-        let ArtifactKey::Mask(mk) = keys.mask() else { unreachable!("mask key") };
-        self.artifact_in(keys.mask(), self.own_mask.as_ref(), || {
+    pub(crate) fn mask_art(&self, cp: &CallPlan) -> Result<Arc<MaskArtifact>> {
+        let mk = &cp.mask;
+        self.artifact_in(ArtifactKey::Mask(Arc::clone(mk)), Some(&self.own_mask), || {
             let m = self.m();
             let mut keep = match &mk.filter {
                 None => vec![true; m],
@@ -814,9 +967,9 @@ impl Ctx<'_> {
             };
             if let Some(screen) = &mk.screen {
                 // What a call screens for NULLs is what it evaluates.
-                debug_assert!(matches!(keys.values(), ArtifactKey::Values(e) if e == screen));
+                debug_assert_eq!(cp.value.as_deref(), Some(screen));
                 // An empty validity drops nothing.
-                let vals = self.values_art(keys)?;
+                let vals = self.values_art(cp)?;
                 for (k, &ok) in keep.iter_mut().zip(vals.validity()) {
                     *k &= ok;
                 }
@@ -827,10 +980,11 @@ impl Ctx<'_> {
 
     /// Expression values per *kept* position ([`ArtifactKey::KeptValues`]).
     /// Under a mask that drops nothing this is the values artifact itself.
-    pub(crate) fn kept_values_art(&self, keys: &CallKeys) -> Result<Arc<Column>> {
-        self.artifact_in(keys.kept_values(), None, || {
-            let values = self.values_art(keys)?;
-            let mask = self.mask_art(keys)?;
+    pub(crate) fn kept_values_art(&self, cp: &CallPlan) -> Result<Arc<Column>> {
+        let key = ArtifactKey::KeptValues(Arc::clone(value(cp)), Arc::clone(&cp.mask));
+        self.artifact_in(key, None, || {
+            let values = self.values_art(cp)?;
+            let mask = self.mask_art(cp)?;
             if mask.kept_len() == values.len() {
                 return Ok(Built::Shared(values));
             }
@@ -841,23 +995,26 @@ impl Ctx<'_> {
 
     /// Materialized inner ORDER BY key columns (full table; independent of
     /// any mask, so structurally equal criteria share one evaluation —
-    /// hoisted per query whenever the plan knew them).
-    pub(crate) fn inner_keys_art(&self, keys: &CallKeys) -> Result<Arc<KeyColumns>> {
-        let ArtifactKey::InnerKeys(ks) = keys.inner_keys() else { unreachable!("inner-keys key") };
+    /// hoisted per query, and a cache is seeded with them).
+    pub(crate) fn inner_keys_art(&self, cp: &CallPlan) -> Result<Arc<KeyColumns>> {
+        let ks = criteria(cp);
         if self.cache.is_none() {
             if let Some(kc) = self.hoisted.get(ks) {
                 return Ok(Arc::clone(kc));
             }
         }
-        self.artifact(keys.inner_keys(), || KeyColumns::evaluate(self.table, &sort_keys_of(ks)))
+        self.artifact(ArtifactKey::InnerKeys(Arc::clone(ks)), || {
+            KeyColumns::evaluate(self.table, &sort_keys_of(ks))
+        })
     }
 
     /// The inner sort: dense codes over the kept rows (Figure 8). Every
     /// cache miss here is one actual sort — the profile's `inner_sorts`.
-    pub(crate) fn dense_codes_art(&self, keys: &CallKeys) -> Result<Arc<DenseCodes>> {
-        self.artifact(keys.dense_codes(), || {
-            let kc = self.inner_keys_art(keys)?;
-            let mask = self.mask_art(keys)?;
+    pub(crate) fn dense_codes_art(&self, cp: &CallPlan) -> Result<Arc<DenseCodes>> {
+        let key = ArtifactKey::DenseCodes(Arc::clone(criteria(cp)), Arc::clone(&cp.mask));
+        self.artifact(key, || {
+            let kc = self.inner_keys_art(cp)?;
+            let mask = self.mask_art(cp)?;
             self.count_build(|s| &s.inner_sorts);
             Ok(dense_codes_for(&kc, mask.kept_rows(self.rows), self.parallel))
         })
@@ -867,7 +1024,7 @@ impl Ctx<'_> {
     /// checked out resident.
     fn mst<I: TreeIndex>(
         &self,
-        key: &ArtifactKey,
+        key: ArtifactKey,
         values: impl FnOnce() -> Result<Vec<I>>,
     ) -> Result<Arc<MergeSortTree<I>>> {
         let cache = self.cache.expect("only the tree arm builds merge sort trees");
@@ -883,25 +1040,28 @@ impl Ctx<'_> {
 
     /// Merge sort tree over the unique codes (rank family / framed LEAD),
     /// [`ArtifactKey::CodeMst`].
-    pub(crate) fn code_mst<I: TreeIndex>(&self, keys: &CallKeys) -> Result<Arc<MergeSortTree<I>>> {
-        self.mst(keys.code_mst(), || {
-            Ok(self.dense_codes_art(keys)?.code.iter().map(|&c| I::from_usize(c)).collect())
+    pub(crate) fn code_mst<I: TreeIndex>(&self, cp: &CallPlan) -> Result<Arc<MergeSortTree<I>>> {
+        let key = ArtifactKey::CodeMst(Arc::clone(criteria(cp)), Arc::clone(&cp.mask));
+        self.mst(key, || {
+            Ok(self.dense_codes_art(cp)?.code.iter().map(|&c| I::from_usize(c)).collect())
         })
     }
 
     /// Merge sort tree over the inner sort's permutation array (selection
     /// family), [`ArtifactKey::PermMst`].
-    pub(crate) fn perm_mst<I: TreeIndex>(&self, keys: &CallKeys) -> Result<Arc<MergeSortTree<I>>> {
-        self.mst(keys.perm_mst(), || {
-            Ok(self.dense_codes_art(keys)?.perm.iter().map(|&p| I::from_usize(p)).collect())
+    pub(crate) fn perm_mst<I: TreeIndex>(&self, cp: &CallPlan) -> Result<Arc<MergeSortTree<I>>> {
+        let key = ArtifactKey::PermMst(Arc::clone(criteria(cp)), Arc::clone(&cp.mask));
+        self.mst(key, || {
+            Ok(self.dense_codes_art(cp)?.perm.iter().map(|&p| I::from_usize(p)).collect())
         })
     }
 
     /// Distinct preprocessing: hashes and (under exclusion) per-value
     /// occurrence lists ([`ArtifactKey::DistinctPrep`]).
-    pub(crate) fn distinct_prep_art(&self, keys: &CallKeys) -> Result<Arc<DistinctPrepArt>> {
-        self.artifact(keys.distinct_prep(), || {
-            let values = self.kept_values_art(keys)?;
+    pub(crate) fn distinct_prep_art(&self, cp: &CallPlan) -> Result<Arc<DistinctPrepArt>> {
+        let key = ArtifactKey::DistinctPrep(Arc::clone(value(cp)), Arc::clone(&cp.mask));
+        self.artifact(key, || {
+            let values = self.kept_values_art(cp)?;
             let hashes = hash_column(&values);
             let mut occurrences: FxHashMap<u64, Vec<usize>> = FxHashMap::default();
             if self.frames.has_exclusion() {
@@ -916,9 +1076,10 @@ impl Ctx<'_> {
     /// Shifted previous-occurrence index per kept position (Algorithm 1), in
     /// `usize` (widened to the partition's tree index by the tree builders —
     /// its only readers), [`ArtifactKey::PrevIdcs`].
-    pub(crate) fn prev_idcs_art(&self, keys: &CallKeys) -> Result<Arc<Vec<usize>>> {
-        self.artifact(keys.prev_idcs(), || {
-            let prep = self.distinct_prep_art(keys)?;
+    pub(crate) fn prev_idcs_art(&self, cp: &CallPlan) -> Result<Arc<Vec<usize>>> {
+        let key = ArtifactKey::PrevIdcs(Arc::clone(value(cp)), Arc::clone(&cp.mask));
+        self.artifact(key, || {
+            let prep = self.distinct_prep_art(cp)?;
             Ok(holistic_core::prev_idcs_u64(&prep.hashes, self.parallel))
         })
     }
@@ -927,11 +1088,10 @@ impl Ctx<'_> {
     /// [`ArtifactKey::DistinctCountMst`].
     pub(crate) fn distinct_count_mst<I: TreeIndex>(
         &self,
-        keys: &CallKeys,
+        cp: &CallPlan,
     ) -> Result<Arc<MergeSortTree<I>>> {
-        self.mst(keys.distinct_count_mst(), || {
-            Ok(self.prev_idcs_art(keys)?.iter().map(|&p| I::from_usize(p)).collect())
-        })
+        let key = ArtifactKey::DistinctCountMst(Arc::clone(value(cp)), Arc::clone(&cp.mask));
+        self.mst(key, || Ok(self.prev_idcs_art(cp)?.iter().map(|&p| I::from_usize(p)).collect()))
     }
 
     /// DENSE_RANK's counter over tie-group ids: `index` makes it from each
@@ -955,9 +1115,10 @@ impl Ctx<'_> {
 
     /// DENSE_RANK's 3-d range tree, [`ArtifactKey::RangeTree`] (u32
     /// partitions only).
-    pub(crate) fn range_tree_art(&self, keys: &CallKeys) -> Result<Arc<DenseRankArt<RangeTree3>>> {
-        self.artifact(keys.range_tree(), || {
-            let dc = self.dense_codes_art(keys)?;
+    pub(crate) fn range_tree_art(&self, cp: &CallPlan) -> Result<Arc<DenseRankArt<RangeTree3>>> {
+        let key = ArtifactKey::RangeTree(Arc::clone(criteria(cp)), Arc::clone(&cp.mask));
+        self.artifact(key, || {
+            let dc = self.dense_codes_art(cp)?;
             self.count_build(|s| &s.rangetree_builds);
             let narrow = |v: &[usize]| v.iter().map(|&x| x as u32).collect::<Vec<u32>>();
             Ok(self.dense_rank_parts(&dc, |gids, prev| {
@@ -970,10 +1131,10 @@ impl Ctx<'_> {
     /// dense ids and their number.
     pub(crate) fn mode_parts<X>(
         &self,
-        keys: &CallKeys,
+        cp: &CallPlan,
         index: impl FnOnce(Vec<u32>, usize) -> X,
     ) -> Result<ModeArt<X>> {
-        let values = self.kept_values_art(keys)?;
+        let values = self.kept_values_art(cp)?;
         // Dense ids in value order (ids ascend with sql_cmp) so the
         // smallest-id tie-break picks the smallest value: one sort of the
         // positions, a new id wherever the value changes.
@@ -993,60 +1154,11 @@ impl Ctx<'_> {
 
     /// The MODE decode table and √-decomposition index,
     /// [`ArtifactKey::ModeIndex`].
-    pub(crate) fn mode_art(&self, keys: &CallKeys) -> Result<Arc<ModeArt<RangeModeIndex>>> {
-        self.artifact(keys.mode_index(), || {
+    pub(crate) fn mode_art(&self, cp: &CallPlan) -> Result<Arc<ModeArt<RangeModeIndex>>> {
+        let key = ArtifactKey::ModeIndex(Arc::clone(value(cp)), Arc::clone(&cp.mask));
+        self.artifact(key, || {
             self.count_build(|s| &s.modeindex_builds);
-            self.mode_parts(keys, |ids, u| RangeModeIndex::build(&ids, u))
+            self.mode_parts(cp, |ids, u| RangeModeIndex::build(&ids, u))
         })
     }
-}
-
-/// Forces one of `keys`' planned artifacts into the cache (the build phase's
-/// worklist driver). Dependencies resolve recursively through the getters;
-/// the partition's index width is chosen here for width-generic artifacts.
-pub(crate) fn force(ctx: &Ctx<'_>, keys: &CallKeys, key: &ArtifactKey) -> Result<()> {
-    use ArtifactKey as K;
-    match key {
-        K::Values(_) => drop(ctx.values_art(keys)?),
-        K::Mask(_) => drop(ctx.mask_art(keys)?),
-        K::KeptValues(..) => drop(ctx.kept_values_art(keys)?),
-        K::InnerKeys(_) => drop(ctx.inner_keys_art(keys)?),
-        K::DenseCodes(..) => drop(ctx.dense_codes_art(keys)?),
-        K::CodeMst(..) => {
-            if ctx.u32_trees() {
-                drop(ctx.code_mst::<u32>(keys)?);
-            } else {
-                drop(ctx.code_mst::<u64>(keys)?);
-            }
-        }
-        K::PermMst(..) => {
-            if ctx.u32_trees() {
-                drop(ctx.perm_mst::<u32>(keys)?);
-            } else {
-                drop(ctx.perm_mst::<u64>(keys)?);
-            }
-        }
-        K::DistinctPrep(..) => drop(ctx.distinct_prep_art(keys)?),
-        K::PrevIdcs(..) => drop(ctx.prev_idcs_art(keys)?),
-        K::DistinctCountMst(..) => {
-            if ctx.u32_trees() {
-                drop(ctx.distinct_count_mst::<u32>(keys)?);
-            } else {
-                drop(ctx.distinct_count_mst::<u64>(keys)?);
-            }
-        }
-        K::RangeTree(..) => {
-            // Wide partitions error at probe time (DENSE_RANK is u32-only);
-            // skipping here keeps the error message on the evaluator's path.
-            if ctx.u32_trees() {
-                drop(ctx.range_tree_art(keys)?);
-            }
-        }
-        K::ModeIndex(..) => drop(ctx.mode_art(keys)?),
-        // Data-dependent artifacts (SUM / AVG flavor, MIN/MAX ordinal trees,
-        // annotated distinct trees) are never planned eagerly; they build
-        // lazily through the same cache during the probe phase.
-        K::DistinctAggMst(..) | K::OrdinalEnc(..) | K::SegTree(..) => {}
-    }
-    Ok(())
 }

@@ -27,10 +27,10 @@
 
 use super::primitive::{CountBelow, Scan};
 use super::{alt, Ctx, Planned};
-use crate::artifacts::{DistinctPrepArt, MaskArtifact};
+use crate::artifacts::{AggFlavor, ArtifactKey, DistinctPrepArt, MaskArtifact};
 use crate::column::{Column, Outputs};
 use crate::error::{Error, Result};
-use crate::plan::{AggFlavor, CallPlan};
+use crate::plan::CallPlan;
 use crate::spec::{FuncKind, FunctionCall};
 use crate::strategy::Strategy;
 use crate::value::DataType;
@@ -49,8 +49,8 @@ pub(crate) fn evaluate(
     if call.kind == FuncKind::CountStar {
         return Err(Error::InvalidArgument("COUNT(DISTINCT *) is not valid SQL".into()));
     }
-    let mask = ctx.mask_art(&cp.keys)?;
-    let prep = ctx.distinct_prep_art(&cp.keys)?;
+    let mask = ctx.mask_art(cp)?;
+    let prep = ctx.distinct_prep_art(cp)?;
     if call.kind != FuncKind::Count {
         // SUM / AVG: the annotated tree only (`strategy::applicable`).
         return if ctx.u32_trees() {
@@ -65,10 +65,8 @@ pub(crate) fn evaluate(
             let prev = holistic_core::prev_idcs_u64(&prep.hashes, ctx.parallel);
             count(ctx, &mask, &prep, &Scan(&prev))?
         }
-        _ if ctx.u32_trees() => {
-            count(ctx, &mask, &prep, &*ctx.distinct_count_mst::<u32>(&cp.keys)?)?
-        }
-        _ => count(ctx, &mask, &prep, &*ctx.distinct_count_mst::<u64>(&cp.keys)?)?,
+        _ if ctx.u32_trees() => count(ctx, &mask, &prep, &*ctx.distinct_count_mst::<u32>(cp)?)?,
+        _ => count(ctx, &mask, &prep, &*ctx.distinct_count_mst::<u64>(cp)?)?,
     };
     Ok(Column::ints(counts).into())
 }
@@ -243,13 +241,14 @@ where
     A: DistinctAggregate + 'static,
     T: Clone + Default + Send,
 {
-    let tree: Arc<AnnotatedMst<I, A>> = ctx.artifact(cp.keys.distinct_agg(flavor), || {
-        let prev = ctx.prev_idcs_art(&cp.keys)?;
-        ctx.count_build(|s| &s.mst_builds);
-        let prev: Vec<I> = prev.iter().map(|&p| I::from_usize(p)).collect();
-        let payloads: Vec<A::Payload> = (0..prep.values.len()).map(&payload_of).collect();
-        Ok(AnnotatedMst::<I, A>::build(&prev, &payloads, ctx.params))
-    })?;
+    let tree: Arc<AnnotatedMst<I, A>> =
+        ctx.artifact(ArtifactKey::distinct_agg(cp, flavor), || {
+            let prev = ctx.prev_idcs_art(cp)?;
+            ctx.count_build(|s| &s.mst_builds);
+            let prev: Vec<I> = prev.iter().map(|&p| I::from_usize(p)).collect();
+            let payloads: Vec<A::Payload> = (0..prep.values.len()).map(&payload_of).collect();
+            Ok(AnnotatedMst::<I, A>::build(&prev, &payloads, ctx.params))
+        })?;
     // One seed per probe chunk: consecutive frames move the threshold and
     // the edges a little, so each search gallops from the previous row's.
     ctx.probe_with(|seed: &mut ProbeSeed, i| {

@@ -13,17 +13,17 @@
 //! SUM / AVG (the combine order is the result) fold one segment tree per
 //! partition on both arms — per segment of a naive call's batch; MIN / MAX
 //! (no inverse) fold a segment tree, or for a
-//! [`Strategy::Naive`] call scan the same inputs ([`ScanFold`]). The data
-//! indexes (whose kind depends on the observed value types) build lazily
-//! under data-dependent keys during the probe phase.
+//! [`Strategy::Naive`] call scan the same inputs ([`ScanFold`]). Which data
+//! index a call reads depends on the observed value types, so its key's
+//! flavor is chosen here, from the data, when the call asks for it.
 
 use super::primitive::{Fold, ScanFold, SegTrees};
 use super::Ctx;
-use crate::artifacts::{ArtifactBytes, MaskArtifact};
+use crate::artifacts::{ArtifactBytes, ArtifactKey, MaskArtifact, SegFlavor};
 use crate::column::Column;
 use crate::error::{Error, Result};
 use crate::order::{float_from_ordinal, float_ordinal};
-use crate::plan::{ArtifactKey, CallPlan, SegFlavor};
+use crate::plan::CallPlan;
 use crate::spec::{FuncKind, FunctionCall};
 use crate::strategy::Strategy;
 use crate::value::DataType;
@@ -126,16 +126,16 @@ pub(crate) fn evaluate(
     cp: &CallPlan,
     strategy: Strategy,
 ) -> Result<Column> {
-    let (keys, naive) = (&cp.keys, strategy == Strategy::Naive);
+    let naive = strategy == Strategy::Naive;
     // A frame's participating rows are those passing FILTER with a non-NULL
     // argument — exactly the mask the plan derived, so its remap counts them.
-    let mask = ctx.mask_art(keys)?;
+    let mask = ctx.mask_art(cp)?;
     if matches!(call.kind, FuncKind::CountStar | FuncKind::Count) {
         let counts = ctx.probe(|i| Ok(mask.kept_in(&ctx.frames.range_set(i)) as i64))?;
         return Ok(Column::ints(counts));
     }
 
-    let values = ctx.values_art(keys)?;
+    let values = ctx.values_art(cp)?;
     // A data index's input per position: `of(i)` for a participating row,
     // the monoid's neutral element elsewhere.
     fn inputs<T: Copy>(keep: &[bool], neutral: T, of: impl Fn(usize) -> Option<T>) -> Vec<T> {
@@ -154,9 +154,11 @@ pub(crate) fn evaluate(
                 // segment, the very tree the cache would hold for its
                 // partition (uncached), so the combine order — hence every
                 // bit — agrees.
-                let data = seg_trees::<SumF64Monoid>(ctx, keys.seg(SegFlavor::SumF64), || {
-                    inputs(&mask.keep, 0.0, |i| values.f64_at(i))
-                })?;
+                let data = seg_trees::<SumF64Monoid>(
+                    ctx,
+                    ArtifactKey::seg_tree(cp, SegFlavor::SumF64),
+                    || inputs(&mask.keep, 0.0, |i| values.f64_at(i)),
+                )?;
                 let sums = probe_fold(ctx, &mask, &*data, |s, cnt| {
                     Ok(if avg { s / cnt as f64 } else { s })
                 })?;
@@ -164,10 +166,11 @@ pub(crate) fn evaluate(
             } else {
                 // Integer addition has an inverse: no tree on either arm, and
                 // AVG divides the exact sum (one rounding).
-                let data: Arc<IntSums> = ctx.artifact(keys.seg(SegFlavor::SumI64), || {
-                    let ints = inputs(&mask.keep, 0, |i| values.i64_at(i));
-                    Ok(IntSums { sums: PrefixSums::build(&ints), rows: ints.len() })
-                })?;
+                let data: Arc<IntSums> =
+                    ctx.artifact(ArtifactKey::seg_tree(cp, SegFlavor::SumI64), || {
+                        let ints = inputs(&mask.keep, 0, |i| values.i64_at(i));
+                        Ok(IntSums { sums: PrefixSums::build(&ints), rows: ints.len() })
+                    })?;
                 if avg {
                     let avgs =
                         probe_fold(ctx, &mask, &data.sums, |s, cnt| Ok(s as f64 / cnt as f64))?;
@@ -181,15 +184,17 @@ pub(crate) fn evaluate(
             }
         }
         FuncKind::Min | FuncKind::Max => {
-            let enc: Arc<OrdEnc> = ctx.artifact(keys.ordinal_enc(), || {
+            let enc: Arc<OrdEnc> = ctx.artifact(ArtifactKey::ordinal_enc(cp), || {
                 let (ords, decode) = encode_ordinals(&values);
                 Ok(OrdEnc { ords, decode })
             })?;
             let ords = |neutral: i64| inputs(&mask.keep, neutral, |i| enc.ords[i]);
             let data = if call.kind == FuncKind::Min {
-                data_index::<MinMonoid>(ctx, naive, keys.seg(SegFlavor::Min), || ords(i64::MAX))?
+                let key = ArtifactKey::seg_tree(cp, SegFlavor::Min);
+                data_index::<MinMonoid>(ctx, naive, key, || ords(i64::MAX))?
             } else {
-                data_index::<MaxMonoid>(ctx, naive, keys.seg(SegFlavor::Max), || ords(i64::MIN))?
+                let key = ArtifactKey::seg_tree(cp, SegFlavor::Max);
+                data_index::<MaxMonoid>(ctx, naive, key, || ords(i64::MIN))?
             };
             let folded = probe_fold(ctx, &mask, &*data, |o, _| Ok(o))?;
             Ok(decode_ordinals(folded, &enc.decode))
@@ -201,7 +206,7 @@ pub(crate) fn evaluate(
 /// The segment trees over `inputs()` under `key`, one per segment.
 fn seg_trees<M: Monoid>(
     ctx: &Ctx<'_>,
-    key: &ArtifactKey,
+    key: ArtifactKey,
     inputs: impl FnOnce() -> Vec<M::Input>,
 ) -> Result<Arc<SegTrees<M>>> {
     ctx.artifact(key, || {
@@ -215,7 +220,7 @@ fn seg_trees<M: Monoid>(
 fn data_index<M: Monoid>(
     ctx: &Ctx<'_>,
     naive: bool,
-    key: &ArtifactKey,
+    key: ArtifactKey,
     inputs: impl FnOnce() -> Vec<M::Input>,
 ) -> Result<Arc<dyn Fold<M::State>>> {
     Ok(if naive { Arc::new(ScanFold::<M>(inputs())) } else { seg_trees::<M>(ctx, key, inputs)? })

@@ -35,22 +35,14 @@ pub(crate) fn evaluate(
         return evaluate_classic(&args, cp);
     }
     let prep = rank::prepare(ctx, cp)?;
-    let kept_out = ctx.kept_values_art(&cp.keys)?;
+    let kept_out = ctx.kept_values_art(cp)?;
     let codes = Scan(&prep.dc.code);
     let lagged = match strategy {
         Strategy::Naive => evaluate_framed(&args, &prep, &codes, &codes),
-        _ if ctx.u32_trees() => evaluate_framed(
-            &args,
-            &prep,
-            &*ctx.code_mst::<u32>(&cp.keys)?,
-            &*ctx.perm_mst::<u32>(&cp.keys)?,
-        ),
-        _ => evaluate_framed(
-            &args,
-            &prep,
-            &*ctx.code_mst::<u64>(&cp.keys)?,
-            &*ctx.perm_mst::<u64>(&cp.keys)?,
-        ),
+        _ if ctx.u32_trees() => {
+            evaluate_framed(&args, &prep, &*ctx.code_mst::<u32>(cp)?, &*ctx.perm_mst::<u32>(cp)?)
+        }
+        _ => evaluate_framed(&args, &prep, &*ctx.code_mst::<u64>(cp)?, &*ctx.perm_mst::<u64>(cp)?),
     }?;
     lagged_outputs(&kept_out, lagged)
 }
@@ -145,7 +137,7 @@ pub(crate) fn target_position(base: usize, off: i64, len: usize) -> Option<usize
 /// whose target leaves the frame, so it reads the row's segment instead.
 fn evaluate_classic(args: &Args<'_>, cp: &CallPlan) -> Result<Outputs> {
     let Args { ctx, call, .. } = *args;
-    let values = ctx.values_art(&cp.keys)?;
+    let values = ctx.values_art(cp)?;
     // IGNORE NULLS: the n-th non-null value before/after the current row.
     let non_null: Vec<usize> = if call.ignore_nulls {
         (0..ctx.m()).filter(|&i| values.is_valid(i)).collect()

@@ -6,9 +6,9 @@
 //! per partition — requested through the shared
 //! [`crate::artifacts::ArtifactCache`] so structurally equal requests from
 //! different calls coincide — then probed once per row, embarrassingly
-//! parallel (§4.1). Evaluators receive their call's [`CallPlan`] carrying
-//! the canonical artifact keys the plan phase derived, and the
-//! [`Strategy`] chosen for it: each family is written once over the range
+//! parallel (§4.1). Evaluators receive their call's [`CallPlan`] — the
+//! canonical sources its artifacts are made from — and the [`Strategy`]
+//! chosen for it: each family is written once over the range
 //! [`primitive`]s, and the strategy names the index that answers them.
 //!
 //! The positions an evaluator sees are a [`pipeline::SegmentBatch`]'s: one
@@ -39,7 +39,7 @@ use crate::vm;
 use holistic_core::{MstParams, RangeSet};
 use pipeline::HoistedKeys;
 use primitive::{CountBelow, Select};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Rows per block handed to the MST block kernels. Large enough to keep
 /// dozens of independent cascade searches in flight per level, small enough
@@ -69,11 +69,12 @@ pub(crate) struct Ctx<'a> {
     /// Query-level key columns, which a naive call reads directly (a cache
     /// is seeded with them).
     pub hoisted: &'a HoistedKeys,
-    /// A naive call's values and mask, built before it is dispatched
-    /// ([`Ctx::hold_own`]).
-    pub own_values: Option<Arc<Column>>,
+    /// A naive call's values and mask, kept from their first request: its
+    /// own recipes ask for them again, and without a cache nothing else
+    /// would remember them.
+    pub own_values: OnceLock<Arc<Column>>,
     /// See [`Self::own_values`].
-    pub own_mask: Option<Arc<MaskArtifact>>,
+    pub own_mask: OnceLock<Arc<MaskArtifact>>,
     /// Query-level probe-kernel counters; block scratches flush into it when
     /// their probe loop (or chunk) finishes.
     pub kernel: &'a AtomicProbeKernel,

@@ -19,13 +19,13 @@ use crate::plan::CallPlan;
 use crate::strategy::Strategy;
 
 pub(crate) fn evaluate(ctx: &Ctx<'_>, cp: &CallPlan, strategy: Strategy) -> Result<Column> {
-    let mask = ctx.mask_art(&cp.keys)?;
+    let mask = ctx.mask_art(cp)?;
     match strategy {
         Strategy::Naive => {
             let scan = |ids, distinct| ScanIds { ids, distinct };
-            probe(ctx, &mask, &ctx.mode_parts(&cp.keys, scan)?)
+            probe(ctx, &mask, &ctx.mode_parts(cp, scan)?)
         }
-        _ => probe(ctx, &mask, &*ctx.mode_art(&cp.keys)?),
+        _ => probe(ctx, &mask, &*ctx.mode_art(cp)?),
     }
 }
 

@@ -13,29 +13,29 @@
 //! asked for its strategy decisions. Query-level key hoisting, which both run
 //! in front of it, is [`hoist_keys`].
 
-use crate::artifacts::{self, ArtifactCache, BudgetGovernor};
+use crate::artifacts::{ArtifactCache, ArtifactKey, BudgetGovernor};
 use crate::column::Outputs;
 use crate::error::Result;
 use crate::eval::{evaluate_call, Ctx};
 use crate::executor::{AtomicProbeKernel, CacheStats, ExecOptions, WindowQuery};
 use crate::frame::{resolve_frames, FrameExclusion, ResolvedFrames};
 use crate::order::{sort_permutation, KeyColumns};
-use crate::plan::{canonical_order, sort_keys_of, ArtifactKey, CanonicalSortKey, QueryPlan};
+use crate::plan::{canonical_order, sort_keys_of, Criteria, OrderKey, QueryPlan};
 use crate::spec::WindowSpec;
 use crate::strategy::{choose, CostModel, PartitionStats, Strategy};
 use crate::table::Table;
 use rustc_hash::FxHashMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 /// Query-level ORDER BY key columns by canonical criteria list: the window
 /// order plus every planned inner order. Key columns cover the full table
 /// and are mask-independent, so one evaluation serves all partitions — and
 /// a naive call, which has no cache to share through.
-pub(crate) type HoistedKeys = FxHashMap<Vec<CanonicalSortKey>, Arc<KeyColumns>>;
+pub(crate) type HoistedKeys = FxHashMap<Criteria, Arc<KeyColumns>>;
 
 /// Evaluates the window ORDER BY and, unless the table is empty (no work, no
-/// error), every planned inner ORDER BY criterion that `hoisted` does not
+/// error), every call's inner ORDER BY criterion that `hoisted` does not
 /// hold yet. Returns the window ORDER BY key columns.
 pub(crate) fn hoist_keys(
     table: &Table,
@@ -55,11 +55,11 @@ pub(crate) fn hoist_keys(
         }
     };
     if table.num_rows() > 0 {
-        for key in &plan.prebuild {
-            if let ArtifactKey::InnerKeys(ks) = key {
+        for cp in &plan.calls {
+            if let Some(OrderKey::Keys(ks)) = &cp.order {
                 if !hoisted.contains_key(ks) {
                     let kc = Arc::new(KeyColumns::evaluate(table, &sort_keys_of(ks))?);
-                    hoisted.insert(ks.clone(), kc);
+                    hoisted.insert(Arc::clone(ks), kc);
                 }
             }
         }
@@ -135,11 +135,12 @@ impl SegmentBatch {
 /// them to its profile when the partition finishes.
 #[derive(Debug, Default)]
 pub(crate) struct PartitionReport {
-    /// Sort, frame resolution and eager artifact builds.
+    /// Sort, frame resolution and every artifact build, as the caches timed
+    /// them.
     pub build: Duration,
     /// Frame resolution alone (a sub-span of `build`).
     pub resolve: Duration,
-    /// Call evaluation, lazy artifact builds included.
+    /// Call evaluation, the caches' artifact builds excluded.
     pub probe: Duration,
     /// Counters of every cache the evaluation used. All zero for an
     /// all-naive partition.
@@ -149,7 +150,9 @@ pub(crate) struct PartitionReport {
 }
 
 impl PartitionReport {
+    /// Adds a cache's counters, footprints and build time.
     fn absorb(&mut self, cache: &ArtifactCache) {
+        self.build += cache.build_time();
         self.cache.add(&cache.stats().snapshot());
         self.footprints.append(&mut cache.take_footprints());
     }
@@ -219,7 +222,7 @@ impl PartitionEval<'_> {
     fn seeded_cache(&self) -> ArtifactCache {
         let cache = ArtifactCache::new(Arc::clone(self.gov));
         for (ks, kc) in self.hoisted {
-            cache.seed(ArtifactKey::InnerKeys(ks.clone()), Arc::clone(kc));
+            cache.seed(ArtifactKey::InnerKeys(Arc::clone(ks)), Arc::clone(kc));
         }
         cache
     }
@@ -239,8 +242,8 @@ impl PartitionEval<'_> {
             params: if parallel { self.opts.params } else { self.opts.params.serial() },
             cache,
             hoisted: self.hoisted,
-            own_values: None,
-            own_mask: None,
+            own_values: OnceLock::new(),
+            own_mask: OnceLock::new(),
             kernel: &self.kernel,
         }
     }
@@ -268,29 +271,17 @@ impl PartitionEval<'_> {
     /// through [`Self::evaluate_naive`] over the partition as a batch of one
     /// segment, so a partition whose calls all chose naive touches no cache.
     /// With shared artifacts every other call builds into one fresh cache;
-    /// without sharing each of them gets a private one. Every cache is
-    /// dropped on return, and with it every charge to the governor.
+    /// without sharing each of them gets a private one. A call builds what
+    /// it reads when it first asks; the time its caches spent building moves
+    /// from the report's `probe` to its `build`. Every cache is dropped on
+    /// return, and with it every charge to the governor.
     pub fn finish(&self, p: Prepared) -> Result<PartitionOutput> {
         let all_naive = p.all_naive();
         let Prepared { rows, frames, choices, mut report } = p;
         let batch = SegmentBatch::one(rows, frames);
-        let build_start = Instant::now();
+        let start = Instant::now();
+        let built_before = report.build;
         let shared = (!all_naive && self.opts.share_artifacts).then(|| self.seeded_cache());
-        if let Some(cache) = &shared {
-            // Eager prebuild only for calls the MST actually serves;
-            // alternates build lazily from the shared cache.
-            let ctx = self.ctx(&batch, Some(cache), self.within);
-            for (cp, &s) in self.plan.calls.iter().zip(&choices) {
-                if s == Strategy::Mst {
-                    for key in cp.keys.eager() {
-                        artifacts::force(&ctx, &cp.keys, key)?;
-                    }
-                }
-            }
-        }
-        report.build += build_start.elapsed();
-
-        let probe_start = Instant::now();
         let mut outs: Vec<Outputs> = Vec::with_capacity(self.query.calls.len());
         for (ci, ((call, cp), &s)) in
             self.query.calls.iter().zip(&self.plan.calls).zip(&choices).enumerate()
@@ -308,10 +299,10 @@ impl PartitionEval<'_> {
                 report.absorb(private);
             }
         }
-        report.probe = probe_start.elapsed();
         if let Some(cache) = &shared {
             report.absorb(cache);
         }
+        report.probe = start.elapsed().saturating_sub(report.build - built_before);
         let SegmentBatch { rows, frames, .. } = batch;
         Ok(PartitionOutput { part: Prepared { rows, frames, choices, report }, outs })
     }
@@ -328,8 +319,6 @@ impl PartitionEval<'_> {
         parallel: bool,
     ) -> Result<Outputs> {
         let (call, cp) = (&self.query.calls[ci], &self.plan.calls[ci]);
-        let mut ctx = self.ctx(batch, None, parallel);
-        ctx.hold_own(&cp.keys)?;
-        evaluate_call(&ctx, call, cp, Strategy::Naive)
+        evaluate_call(&self.ctx(batch, None, parallel), call, cp, Strategy::Naive)
     }
 }

@@ -44,9 +44,9 @@ pub(super) struct RankPrep {
 }
 
 pub(super) fn prepare(ctx: &Ctx<'_>, cp: &CallPlan) -> Result<RankPrep> {
-    let keys = ctx.inner_keys_art(&cp.keys)?;
-    let mask = ctx.mask_art(&cp.keys)?;
-    let dc = ctx.dense_codes_art(&cp.keys)?;
+    let keys = ctx.inner_keys_art(cp)?;
+    let mask = ctx.mask_art(cp)?;
+    let dc = ctx.dense_codes_art(cp)?;
     Ok(RankPrep { keys, mask, dc })
 }
 
@@ -111,8 +111,8 @@ pub(crate) fn evaluate(
     let prep = prepare(ctx, cp)?;
     match strategy {
         Strategy::Naive => probe(ctx, call, &prep, &Scan(&prep.dc.code)),
-        _ if ctx.u32_trees() => probe(ctx, call, &prep, &*ctx.code_mst::<u32>(&cp.keys)?),
-        _ => probe(ctx, call, &prep, &*ctx.code_mst::<u64>(&cp.keys)?),
+        _ if ctx.u32_trees() => probe(ctx, call, &prep, &*ctx.code_mst::<u32>(cp)?),
+        _ => probe(ctx, call, &prep, &*ctx.code_mst::<u64>(cp)?),
     }
 }
 
@@ -248,7 +248,7 @@ pub(crate) fn evaluate_dense_rank(
         Strategy::Naive => {
             probe_dense_rank(ctx, &prep, &ctx.dense_rank_parts(&prep.dc, ScanPoints))
         }
-        _ => probe_dense_rank(ctx, &prep, &*ctx.range_tree_art(&cp.keys)?),
+        _ => probe_dense_rank(ctx, &prep, &*ctx.range_tree_art(cp)?),
     }
 }
 

@@ -34,22 +34,22 @@ pub(crate) fn evaluate(
 ) -> Result<Column> {
     let order = cp.order.as_ref().expect("selection plans always carry an order");
 
-    let mask = ctx.mask_art(&cp.keys)?;
+    let mask = ctx.mask_art(cp)?;
     // Output value per kept position: the ORDER BY key for percentiles, the
     // first argument for value functions — the plan already derived the key.
-    let kept_out = ctx.kept_values_art(&cp.keys)?;
+    let kept_out = ctx.kept_values_art(cp)?;
 
     // Permutation by the inner order (identity = frame position order).
     let dc = match order {
         OrderKey::Identity => None,
-        OrderKey::Keys(_) => Some(ctx.dense_codes_art(&cp.keys)?),
+        OrderKey::Keys(_) => Some(ctx.dense_codes_art(cp)?),
     };
     let sel = Selection { ctx, call, mask: &mask, kept_out: &kept_out, dc: dc.as_deref() };
     match (strategy, sel.dc) {
         (_, None) => sel.probe(&FrameOrder),
         (Strategy::Naive, Some(dc)) => sel.probe(&Scan(&dc.code)),
-        (Strategy::Mst, _) if ctx.u32_trees() => sel.probe(&*ctx.perm_mst::<u32>(&cp.keys)?),
-        (Strategy::Mst, _) => sel.probe(&*ctx.perm_mst::<u64>(&cp.keys)?),
+        (Strategy::Mst, _) if ctx.u32_trees() => sel.probe(&*ctx.perm_mst::<u32>(cp)?),
+        (Strategy::Mst, _) => sel.probe(&*ctx.perm_mst::<u64>(cp)?),
         (sliding, Some(dc)) => alt::percentile(&sel, dc, sliding),
     }
 }

@@ -1,12 +1,14 @@
 //! Asserts the plan → build → probe pipeline's sharing guarantees through
-//! the profile's cache counters: a query whose calls share one inner ORDER
-//! BY performs exactly one inner sort and one merge-sort-tree build of each
-//! needed kind per partition — and disabling sharing redoes the work per
-//! call without changing any result.
+//! the profile's cache counters and artifact labels: a query whose calls
+//! share one inner ORDER BY performs exactly one inner sort and one
+//! merge-sort-tree build of each needed kind per partition, a call builds
+//! only what it reads — and disabling sharing redoes the work per call
+//! without changing any result.
 
 use holistic_window::frame::{FrameBound, FrameSpec};
 use holistic_window::{
-    col, lit, Column, ExecOptions, FunctionCall, SortKey, Strategy, Table, WindowQuery, WindowSpec,
+    col, lit, Column, ExecOptions, ExecProfile, FunctionCall, SortKey, Strategy, Table,
+    WindowQuery, WindowSpec,
 };
 
 /// Serial execution pinned to the merge sort tree: these tests assert cache
@@ -30,6 +32,18 @@ fn shared_order_query() -> WindowQuery {
     .call(FunctionCall::lead(col("v"), 1, lit(-1i64)).order_by(inner()).named("ld"))
 }
 
+/// How many times the execution built artifacts under `label`.
+fn builds(profile: &ExecProfile, label: &str) -> u64 {
+    profile.artifacts.iter().find(|a| a.label == label).map_or(0, |a| a.builds)
+}
+
+/// The labels the execution built, sorted.
+fn labels(profile: &ExecProfile) -> Vec<&'static str> {
+    let mut labels: Vec<&'static str> = profile.artifacts.iter().map(|a| a.label).collect();
+    labels.sort_unstable();
+    labels
+}
+
 fn demo_table(n: usize) -> Table {
     let t: Vec<i64> = (0..n as i64).collect();
     let v: Vec<i64> = (0..n as i64).map(|i| (i * 37 + 11) % 23).collect();
@@ -47,6 +61,9 @@ fn three_calls_one_criterion_sort_once() {
     // One code tree (rank + row_number + LEAD's rank step) and one
     // permutation tree (LEAD's selection step) — nothing else.
     assert_eq!(profile.cache.mst_builds, 2, "one code MST and one permutation MST");
+    assert_eq!((builds(&profile, "code-mst"), builds(&profile, "perm-mst")), (1, 1));
+    // No call filters or screens: one mask serves all three.
+    assert_eq!(builds(&profile, "mask"), 1);
     assert!(profile.cache.hits > 0, "later calls must hit the shared artifacts");
 }
 
@@ -121,6 +138,7 @@ fn differing_masks_do_not_share_sorts() {
     .call(FunctionCall::median(col("v")).named("med"));
     let (_, profile) = q.execute_profiled(&table, mst()).unwrap();
     assert_eq!(profile.cache.inner_sorts, 2, "NULL-screened and unscreened sorts must stay apart");
+    assert_eq!((builds(&profile, "mask"), builds(&profile, "dense-codes")), (2, 2));
 }
 
 #[test]
@@ -145,4 +163,61 @@ fn window_order_fallback_shares_with_seeded_keys() {
         out.column("r2").unwrap().to_values(),
         "explicit and fallback criteria must agree"
     );
+}
+
+#[test]
+fn implicit_and_explicit_rank_order_share_one_sort_and_tree() {
+    // RANK without an inner ORDER BY ranks by the window's; ROW_NUMBER
+    // spells the same criterion out. One sort and one code tree serve both.
+    let table = demo_table(48);
+    let q = WindowQuery::over(
+        WindowSpec::new()
+            .order_by(vec![SortKey::asc(col("v"))])
+            .frame(FrameSpec::rows(FrameBound::Preceding(lit(3i64)), FrameBound::CurrentRow)),
+    )
+    .call(FunctionCall::rank(vec![]).named("r"))
+    .call(FunctionCall::row_number(vec![SortKey::asc(col("v"))]).named("rn"));
+    let (_, profile) = q.execute_profiled(&table, mst()).unwrap();
+    assert_eq!((profile.cache.inner_sorts, profile.cache.mst_builds), (1, 1));
+    assert_eq!(labels(&profile), ["code-mst", "dense-codes", "mask"]);
+}
+
+#[test]
+fn sum_and_avg_of_one_argument_share_one_prefix_sum_array() {
+    // The fold index's flavor is the data's choice (integers here); under
+    // one mask `sum(v), avg(v)` read the same one.
+    let table = demo_table(48);
+    let q = WindowQuery::over(
+        WindowSpec::new()
+            .order_by(vec![SortKey::asc(col("t"))])
+            .frame(FrameSpec::rows(FrameBound::Preceding(lit(3i64)), FrameBound::CurrentRow)),
+    )
+    .call(FunctionCall::sum(col("v")).named("s"))
+    .call(FunctionCall::avg(col("v")).named("a"));
+    let (_, profile) = q.execute_profiled(&table, mst()).unwrap();
+    assert_eq!(builds(&profile, "prefix-sums"), 1);
+    assert_eq!(profile.cache.segtree_builds, 0);
+    assert_eq!(labels(&profile), ["mask", "prefix-sums", "values"]);
+}
+
+#[test]
+fn what_the_partition_already_answers_builds_no_index() {
+    // A frame's kept-row count is the mask's remap and frame-position
+    // selection is arithmetic on the frame's pieces: COUNT and value
+    // functions without an inner ORDER BY build a mask and the values they
+    // read, nothing to sort and no tree.
+    let table = demo_table(48);
+    let q = WindowQuery::over(
+        WindowSpec::new()
+            .order_by(vec![SortKey::asc(col("t"))])
+            .frame(FrameSpec::rows(FrameBound::Preceding(lit(3i64)), FrameBound::CurrentRow)),
+    )
+    .call(FunctionCall::count_star().filter(col("v").gt(lit(0i64))).named("c"))
+    .call(FunctionCall::count(col("v")).named("cv"))
+    .call(FunctionCall::first_value(col("v")).ignore_nulls().named("fv"))
+    .call(FunctionCall::nth_value(col("v"), lit(2i64)).named("nv"));
+    let (_, profile) = q.execute_profiled(&table, mst()).unwrap();
+    assert_eq!(profile.strategy.cacheless_partitions, 0);
+    assert_eq!((profile.cache.inner_sorts, profile.cache.mst_builds), (0, 0));
+    assert_eq!(labels(&profile), ["kept-values", "mask", "values"]);
 }

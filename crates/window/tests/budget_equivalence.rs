@@ -81,6 +81,44 @@ fn budgeted_execution_is_bit_identical_and_within_budget() {
     assert!(p.spill.peak_resident <= total * 2);
 }
 
+/// A tree is built when its call first asks for it, so under a budget that
+/// holds one tree but not two, the second call's build parks the first
+/// call's tree after that call is done with it: one tree spilled, none
+/// re-faulted. Building both before either call probes would park the first
+/// tree before its own call checks it out, and every probe after that
+/// re-faults.
+#[test]
+fn each_tree_is_built_when_its_call_asks_so_none_re_faults() {
+    let n = 20_000i64;
+    let table = Table::new(vec![
+        ("t", Column::ints((0..n).collect())),
+        ("a", Column::ints((0..n).map(|i| (i * 7919) % 1000).collect())),
+        ("b", Column::ints((0..n).map(|i| (i * 104_729) % 997).collect())),
+    ])
+    .unwrap();
+    let q = WindowQuery::over(
+        WindowSpec::new()
+            .order_by(vec![SortKey::asc(col("t"))])
+            .frame(FrameSpec::rows(FrameBound::Preceding(lit(100i64)), FrameBound::CurrentRow)),
+    )
+    .call(FunctionCall::rank(vec![SortKey::desc(col("a"))]).named("ra"))
+    .call(FunctionCall::rank(vec![SortKey::desc(col("b"))]).named("rb"));
+    let opts = ExecOptions::serial().force_strategy(Strategy::Mst);
+    let (reference, profile) = q.execute_profiled(&table, opts).unwrap();
+    let trees = profile.artifacts.iter().find(|a| a.label == "code-mst").unwrap();
+    assert_eq!(trees.builds, 2);
+    let tree_bytes = trees.bytes / 2;
+    assert_eq!(profile.spill.bytes_spilled, 0);
+
+    let budget = profile.spill.peak_resident * 9 / 10;
+    let (out, p) = q.execute_profiled(&table, opts.memory_budget(budget)).unwrap();
+    tables_bit_identical(&out, &reference, "one tree's worth too little");
+    assert_eq!(p.spill.refaults, 0, "a tree was parked before its call probed it");
+    assert_eq!(p.spill.evictions, 1);
+    assert_eq!(p.spill.bytes_spilled, tree_bytes, "exactly the first call's tree spills");
+    assert!(p.spill.peak_resident <= budget);
+}
+
 #[test]
 fn parallel_budgeted_execution_is_identical_or_typed_error() {
     let t = test_table(4000, 8);

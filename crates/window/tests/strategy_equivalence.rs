@@ -174,8 +174,8 @@ proptest! {
                 prop_assert_eq!(profile.partitions, base_profile.partitions);
                 let (c, b) = (profile.cache, base_profile.cache);
                 prop_assert_eq!(
-                    (c.misses, c.key_clones, c.bytes_built, c.inner_sorts),
-                    (b.misses, b.key_clones, b.bytes_built, b.inner_sorts)
+                    (c.misses, c.bytes_built, c.inner_sorts),
+                    (b.misses, b.bytes_built, b.inner_sorts)
                 );
                 prop_assert_eq!(
                     (c.mst_builds, c.segtree_builds, c.rangetree_builds, c.modeindex_builds),
