@@ -107,30 +107,42 @@ step "fuzz smoke (differential: naive vs adaptive/forced configs, fixed seed)"
 # columns mix Int and Float and the result column's typing rules (widen, or
 # TypeMismatch, by the first non-NULL row) are checked against the oracle:
 # the leg fails when no case's reference output mixed them (5 of 600 here).
+# `differential_leg RE WHAT CMD...` runs a fuzz leg and prints all it printed,
+# a divergence's report and replay command included, then fails with the leg
+# if it failed, and otherwise when its summary line is missing or RE's one
+# group counts no case: WHAT says what none of them did.
 differential_leg() {
-  local out
-  out=$("$@")
+  local re=$1 what=$2 out status=0
+  shift 2
+  out=$("$@") || status=$?
   echo "$out"
-  local re='fuzz OK: ([0-9]+) cases, .*; ([0-9]+) cases mixed Int and Float in a reference output'
+  if ((status != 0)); then
+    exit "$status"
+  fi
   if ! [[ $out =~ $re ]]; then
     echo "the differential leg printed no summary line" >&2
     exit 1
   fi
-  if ((BASH_REMATCH[2] == 0)); then
-    echo "no case of the differential leg mixed Int and Float in an output column" >&2
+  if ((BASH_REMATCH[1] == 0)); then
+    echo "no case of the differential leg $what" >&2
     exit 1
   fi
 }
-differential_leg cargo run --release -q -p holistic-fuzz --bin fuzz -- \
+differential_leg 'fuzz OK: [0-9]+ cases, .*; ([0-9]+) cases mixed Int and Float in a reference output' \
+  "mixed Int and Float in an output column" \
+  cargo run --release -q -p holistic-fuzz --bin fuzz -- \
   --cases 600 --seed 0xC0FFEE --max-n 40 --time-budget-secs 120
 
 step "fuzz (differential at a size where Adaptive itself picks alternates, fixed seed)"
 # At --max-n 40 Adaptive is all-naive and only the forced configs reach
 # eval/alt.rs. These 100 cases hold 2 queries whose partitions run tree-free
-# (incremental, no MST), 7 mixing incremental and MST calls, and 58 with a
+# (incremental, no MST), 9 mixing incremental and MST calls, and 58 with a
 # PARTITION BY (every shape of gen_partition_by but `-f`, which the max-n 40
-# legs draw).
-cargo run --release -q -p holistic-fuzz --bin fuzz -- \
+# legs draw). In 8 of them Adaptive runs a rank-family call on the sliding
+# window of codes; the leg fails when none does.
+differential_leg 'fuzz OK: .*, ([0-9]+) ran a rank-family call on the sliding window' \
+  "ran a rank-family call on the sliding window" \
+  cargo run --release -q -p holistic-fuzz --bin fuzz -- \
   --cases 100 --seed 0xD15C0 --max-n 4000 --time-budget-secs 180
 
 step "fuzz smoke (append delta API: bit-identity vs from-scratch, fixed seed)"

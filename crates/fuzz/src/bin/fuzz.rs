@@ -9,8 +9,10 @@
 //! Default mode generates `--cases` cases from `--seed` and runs each
 //! through the differential check (naive baseline + every engine
 //! configuration of `diff::check_case`); its summary line counts the cases
-//! whose reference output mixed Int and Float. On the first divergence it
-//! shrinks the case, prints a replayable report and exits non-zero. `--replay` re-runs exactly one case
+//! whose reference output mixed Int and Float, and those in which Adaptive
+//! ran a rank-family call on the incremental strategy's sliding window. On
+//! the first divergence it shrinks the case, prints a replayable report and
+//! exits non-zero. `--replay` re-runs exactly one case
 //! by its per-case seed (printed in every failure report). `--panic-sweep`
 //! runs the invalid-spec corpus instead: everything must return `Error`,
 //! nothing may panic. `--append` runs the append-sequence mode instead: each
@@ -196,8 +198,9 @@ fn main() {
     // Append mode's: cases that spliced, read a rank off the peer groups,
     // and probed a forest shared by two calls.
     let (spliced, peer_rank, shared_forest) = (Cell::new(0u64), Cell::new(0u64), Cell::new(0u64));
-    // Default mode's: cases whose reference output mixed Int and Float.
-    let mixed = Cell::new(0u64);
+    // Default mode's: cases whose reference output mixed Int and Float, and
+    // cases where Adaptive slid a rank-family call.
+    let (mixed, rank_slid) = (Cell::new(0u64), Cell::new(0u64));
     let count = |c: &Cell<u64>, yes: bool| c.set(c.get() + yes as u64);
     let check = |t: &holistic_window::Table, q: &holistic_window::WindowQuery, cs: u64| {
         if args.sql_roundtrip {
@@ -214,7 +217,10 @@ fn main() {
                 count(&shared_forest, probe.shared_forest);
             })
         } else {
-            check_case(t, q).map(|probe| count(&mixed, probe.mixed_numeric))
+            check_case(t, q).map(|probe| {
+                count(&mixed, probe.mixed_numeric);
+                count(&rank_slid, probe.rank_slid);
+            })
         }
     };
     let generate =
@@ -296,12 +302,14 @@ fn main() {
     } else {
         println!(
             "fuzz OK: {ran} cases, seed {:#x}, max-n {}, {} exact configs + {} forced strategies \
-             vs naive; {} cases mixed Int and Float in a reference output ({:.1}s)",
+             vs naive; {} cases mixed Int and Float in a reference output, {} ran a \
+             rank-family call on the sliding window ({:.1}s)",
             args.seed,
             args.max_n,
             holistic_fuzz::diff::exact_configs().len(),
             holistic_fuzz::diff::FORCED_ALTERNATES.len(),
             mixed.get(),
+            rank_slid.get(),
             start.elapsed().as_secs_f64()
         );
     }

@@ -19,6 +19,7 @@
 
 use holistic_baselines::naive;
 use holistic_window::prelude::*;
+use holistic_window::CallClass;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// One observed disagreement (or panic), attributed to the configuration
@@ -204,6 +205,10 @@ pub struct CaseProbe {
     /// LEAD/LAG default of the other numeric type): the output column's
     /// typing rules decided between a Float column and a `TypeMismatch`.
     pub mixed_numeric: bool,
+    /// Adaptive ran a rank-family call (ROW_NUMBER, RANK, PERCENT_RANK,
+    /// CUME_DIST, NTILE) on the sliding window of the incremental strategy
+    /// in some partition.
+    pub rank_slid: bool,
 }
 
 /// Checks one case: the naive baseline, all four adaptive engine
@@ -229,14 +234,24 @@ pub fn check_case(table: &Table, query: &WindowQuery) -> Result<CaseProbe, Diver
         values.iter().any(|v| matches!(v, Value::Int(_)))
             && values.iter().any(|v| matches!(v, Value::Float(_)))
     };
-    let probe = CaseProbe {
+    let mut probe = CaseProbe {
         mixed_numeric: naive_outputs.as_ref().is_ok_and(|calls| calls.iter().any(mixes)),
+        rank_slid: false,
+    };
+    let slid = |profile: &ExecProfile| {
+        query.calls.iter().zip(&profile.strategy.per_call).any(|(call, decided)| {
+            CallClass::of(call) == CallClass::RankLike && decided[Strategy::Incremental.index()] > 0
+        })
     };
     let naive_res = naive_outputs.and_then(|calls| naive::assemble(query, &calls));
     let mut reference: Option<(String, Table)> = None;
     for opts in exact_configs() {
         let label = opts.label();
-        let engine_res = run_protected(&label, || query.execute_with(table, opts))?;
+        let engine_res =
+            run_protected(&label, || query.execute_profiled(table, opts))?.map(|(out, profile)| {
+                probe.rank_slid |= opts.strategy == StrategyMode::Adaptive && slid(&profile);
+                out
+            });
         match (&naive_res, engine_res) {
             // Both sides reject the case: agreement (invalid specs are the
             // panic sweep's business, not the differential check's).

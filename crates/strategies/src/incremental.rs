@@ -2,11 +2,11 @@
 //!
 //! These maintain an aggregation state under `add`/`remove` as the frame
 //! slides (§3.2): distinct counts with a hash multiset (O(1) per update —
-//! O(n) total), percentiles with a sorted array (O(frame) per insert — the
-//! O(n²) row of Table 1), and modes with counts-of-counts. Non-monotonic
-//! frames make the same tuple enter and leave repeatedly, degrading all of
-//! them (§6.5); the generic slide driver below handles that case by moving
-//! both bounds in either direction.
+//! O(n) total), percentiles and ranks with a sorted array ([`SortedWindow`]:
+//! O(frame) per insert — the O(n²) row of Table 1), and modes with
+//! counts-of-counts. Non-monotonic frames make the same tuple enter and
+//! leave repeatedly, degrading all of them (§6.5); the generic slide driver
+//! below handles that case by moving both bounds in either direction.
 
 use rustc_hash::FxHashMap;
 use std::collections::BTreeSet;
@@ -20,16 +20,47 @@ pub fn slide<S>(
     mut remove: impl FnMut(&mut S, usize),
     mut out: impl FnMut(&mut S, usize),
 ) {
-    let (mut cs, mut ce) = (0usize, 0usize);
+    let mut hull = Hull::default();
     for (i, &(a, b)) in frames.iter().enumerate() {
-        if a >= ce || b <= cs {
-            // Disjoint target: drain and reposition.
+        hull.move_to(a, b, state, &mut add, &mut remove);
+        out(state, i);
+    }
+}
+
+/// The positions `[start, end)` a sliding state holds.
+#[derive(Debug, Clone, Copy, Default)]
+struct Hull {
+    start: usize,
+    end: usize,
+}
+
+impl Hull {
+    /// True when no position of `[start, end)` stays in the target
+    /// `[a, b)`.
+    fn disjoint(&self, a: usize, b: usize) -> bool {
+        a >= self.end || b <= self.start
+    }
+
+    /// Moves to `[a, b)`, adding the positions that enter and removing those
+    /// that leave; a disjoint target drains the state first.
+    #[inline]
+    fn move_to<S>(
+        &mut self,
+        a: usize,
+        b: usize,
+        state: &mut S,
+        add: &mut impl FnMut(&mut S, usize),
+        remove: &mut impl FnMut(&mut S, usize),
+    ) {
+        // The bounds move in locals, not in `self`, while the callbacks run:
+        // kept in fields they cost the percentile probe a few percent.
+        let Hull { start: mut cs, end: mut ce } = *self;
+        if self.disjoint(a, b) {
             while cs < ce {
                 remove(state, cs);
                 cs += 1;
             }
-            cs = a;
-            ce = a;
+            (cs, ce) = (a, a);
         }
         while ce < b {
             add(state, ce);
@@ -47,7 +78,90 @@ pub fn slide<S>(
             remove(state, cs);
             cs += 1;
         }
-        out(state, i);
+        *self = Hull { start: cs, end: ce };
+    }
+}
+
+/// The keys at the positions of one frame hull, kept sorted while the hull
+/// slides from frame to frame — Wesley & Xu's ordered vector. An update is a
+/// binary search plus a shift of up to a frame's worth of keys (the O(n²)
+/// percentile row of Table 1), so it pays off on narrow frames; a query is a
+/// binary search ([`Self::count_below`]) or an index ([`Self::select`]).
+///
+/// ```
+/// use holistic_strategies::incremental::SortedWindow;
+///
+/// let keys = [5, 1, 4, 1, 3];
+/// let mut w = SortedWindow::new(&keys);
+/// w.slide_to(1, 4); // {1, 4, 1}
+/// assert_eq!((w.len(), w.count_below(4), w.select(2)), (3, 2, Some(4)));
+/// w.slide_to(2, 5); // {4, 1, 3}
+/// assert_eq!((w.count_below(4), w.select(0)), (2, Some(1)));
+/// ```
+#[derive(Debug, Clone)]
+pub struct SortedWindow<'a, T> {
+    keys: &'a [T],
+    sorted: Vec<T>,
+    hull: Hull,
+}
+
+impl<'a, T: Copy + Ord> SortedWindow<'a, T> {
+    /// An empty window over `keys` (position → key).
+    pub fn new(keys: &'a [T]) -> Self {
+        SortedWindow { keys, sorted: Vec::new(), hull: Hull::default() }
+    }
+
+    /// Holds the keys at the positions `[a, b)` (`a <= b <= keys.len()`)
+    /// from now on. A target that shares no position with the current hull
+    /// starts over from an empty window.
+    #[inline]
+    pub fn slide_to(&mut self, a: usize, b: usize) {
+        if self.hull.disjoint(a, b) {
+            self.sorted.clear();
+            self.hull = Hull { start: a, end: a };
+        }
+        let keys = self.keys;
+        self.hull.move_to(
+            a,
+            b,
+            &mut self.sorted,
+            &mut |s: &mut Vec<T>, p| {
+                let k = keys[p];
+                let at = s.partition_point(|&v| v < k);
+                s.insert(at, k);
+            },
+            &mut |s: &mut Vec<T>, p| {
+                let k = keys[p];
+                let at = s.partition_point(|&v| v < k);
+                debug_assert!(s[at] == k, "remove of a key the window does not hold");
+                s.remove(at);
+            },
+        );
+    }
+
+    /// How many keys the window holds.
+    #[inline]
+    pub fn len(&self) -> usize {
+        self.sorted.len()
+    }
+
+    /// True when the window holds no key.
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.sorted.is_empty()
+    }
+
+    /// How many of the window's keys are smaller than `t`.
+    #[inline]
+    pub fn count_below(&self, t: T) -> usize {
+        self.sorted.partition_point(|&v| v < t)
+    }
+
+    /// The `j`-th smallest (0-based) of the window's keys; `None` when it
+    /// holds `j` keys or fewer.
+    #[inline]
+    pub fn select(&self, j: usize) -> Option<T> {
+        self.sorted.get(j).copied()
     }
 }
 
@@ -85,29 +199,19 @@ pub fn distinct_count(hashes: &[u64], frames: &[(usize, usize)]) -> Vec<usize> {
 /// Incremental windowed percentile with a sorted array — O(frame) per update,
 /// the O(n²) percentile row of Table 1. Returns `None` for empty frames.
 pub fn percentile(values: &[i64], frames: &[(usize, usize)], p: f64) -> Vec<Option<i64>> {
-    let mut out = vec![None; frames.len()];
-    let mut sorted: Vec<i64> = Vec::new();
-    slide(
-        frames,
-        &mut sorted,
-        |s, pos| {
-            let idx = s.partition_point(|&v| v < values[pos]);
-            s.insert(idx, values[pos]);
-        },
-        |s, pos| {
-            let idx = s.partition_point(|&v| v < values[pos]);
-            debug_assert_eq!(s[idx], values[pos]);
-            s.remove(idx);
-        },
-        |s, i| {
-            if !s.is_empty() {
-                // PERCENTILE_DISC: j = ceil(p * s), 1-based.
-                let j = ((p * s.len() as f64).ceil() as usize).clamp(1, s.len());
-                out[i] = Some(s[j - 1]);
+    let mut window = SortedWindow::new(values);
+    frames
+        .iter()
+        .map(|&(a, b)| {
+            window.slide_to(a, b);
+            if window.is_empty() {
+                return None;
             }
-        },
-    );
-    out
+            // PERCENTILE_DISC: j = ceil(p * s), 1-based.
+            let j = ((p * window.len() as f64).ceil() as usize).clamp(1, window.len());
+            window.select(j - 1)
+        })
+        .collect()
 }
 
 /// Incremental windowed mode (smallest among the most frequent values),

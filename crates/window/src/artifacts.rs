@@ -40,6 +40,7 @@ use crate::hash::hash_column;
 use crate::order::{dense_codes_for, KeyColumns};
 use crate::plan::{sort_keys_of, CallPlan, CanonicalExpr, Criteria, MaskKey, OrderKey};
 use crate::remap::Remap;
+use crate::strategy::{CallClass, Strategy};
 use holistic_core::aggregate::DistinctAggregate;
 use holistic_core::codes::DenseCodes;
 use holistic_core::index::fits_u32;
@@ -245,6 +246,38 @@ impl<M: Monoid> ArtifactBytes for SegTrees<M> {
     fn bytes_built(&self) -> usize {
         self.bytes()
     }
+}
+
+/// A floor under the bytes a call of `class` evaluated with `s` charges the
+/// memory governor over `m` partition rows of which its mask keeps `kept`,
+/// known before anything is built and read off the layouts above.
+/// [`Strategy::Naive`] runs cacheless and charges nothing. Every other
+/// strategy charges the mask's keep flags and, over the kept rows, what the
+/// class's evaluators read whatever the argument's type: the [`DenseCodes`]
+/// (five words a row) for percentiles and the rank family, the
+/// [`DistinctPrepArt`] hashes for COUNT(DISTINCT). [`Strategy::Mst`] adds
+/// its merge sort tree, `tree_bytes`, and for COUNT(DISTINCT) the
+/// previous-occurrence words the tree is built from. Kept values, whose
+/// width is their type's, and the artifacts of every other class are left
+/// out.
+pub(crate) fn governed_floor(
+    s: Strategy,
+    class: CallClass,
+    m: usize,
+    kept: usize,
+    tree_bytes: u64,
+) -> u64 {
+    const CODES: usize = 5 * size_of::<usize>();
+    const HASH: usize = size_of::<u64>();
+    let (per_kept, tree) = match (s, class) {
+        (Strategy::Naive, _) => return 0,
+        (Strategy::Mst, CallClass::Percentile | CallClass::RankLike) => (CODES, tree_bytes),
+        (_, CallClass::Percentile | CallClass::RankLike) => (CODES, 0),
+        (Strategy::Mst, CallClass::CountDistinct) => (HASH + size_of::<usize>(), tree_bytes),
+        (_, CallClass::CountDistinct) => (HASH, 0),
+        _ => return 0,
+    };
+    (m * size_of::<bool>() + kept * per_kept) as u64 + tree
 }
 
 /// Internal atomic counters; snapshotted into the public [`CacheStats`].

@@ -12,10 +12,15 @@
 //!
 //! Applicability is the strategy layer's contract: percentiles (DISC /
 //! CONT / MEDIAN) on all three engines, COUNT(DISTINCT) on the incremental
-//! multiset — and only for frames without exclusion, so every frame is a
+//! multiset, and the rank family on the incremental sorted window — which
+//! counts instead of selecting, so it is a [`CountBelow`] the rank
+//! evaluator probes ([`super::primitive::Sliding`]) rather than a loop
+//! here — and only for frames without exclusion, so every frame is a
 //! contiguous hull in kept space. Selection operates on unique dense codes
 //! (exact integers); outputs are gathered from the same kept values the MST
 //! path reads, so results are bit-identical by construction.
+//!
+//! [`CountBelow`]: super::primitive::CountBelow
 
 use super::select_based::Selection;
 use super::{cont_rank, disc_rank, Ctx};
@@ -26,7 +31,7 @@ use crate::spec::FuncKind;
 use crate::strategy::Strategy;
 use holistic_core::codes::DenseCodes;
 use holistic_segtree::SortedListSegTree;
-use holistic_strategies::incremental;
+use holistic_strategies::incremental::{self, SortedWindow};
 use holistic_strategies::ostree::OrderStatisticTree;
 use std::borrow::Cow;
 
@@ -89,24 +94,13 @@ pub(super) fn percentile(
 
         match strategy {
             Strategy::Incremental => {
-                // Sorted array of codes under add/remove (the O(n²) row of
-                // Table 1 — chosen only when frames are narrow).
-                let mut sorted: Vec<usize> = Vec::new();
-                incremental::slide(
-                    &frames,
-                    &mut sorted,
-                    |s, k| {
-                        let c = dc.code[k];
-                        let idx = s.partition_point(|&v| v < c);
-                        s.insert(idx, c);
-                    },
-                    |s, k| {
-                        let c = dc.code[k];
-                        let idx = s.partition_point(|&v| v < c);
-                        s.remove(idx);
-                    },
-                    |s, i| emit(i, s.len(), &mut |j| s[j]),
-                );
+                // The sorted window of codes (the O(n²) row of Table 1 —
+                // chosen only when frames are narrow).
+                let mut window = SortedWindow::new(&dc.code);
+                for (i, &(ka, kb)) in frames.iter().enumerate() {
+                    window.slide_to(ka, kb);
+                    emit(i, window.len(), &mut |j| window.select(j).expect("j < len"));
+                }
             }
             Strategy::OsTree => {
                 let mut tree = OrderStatisticTree::new();

@@ -13,7 +13,7 @@
 //! asked for its strategy decisions. Query-level key hoisting, which both run
 //! in front of it, is [`hoist_keys`].
 
-use crate::artifacts::{ArtifactCache, ArtifactKey, BudgetGovernor};
+use crate::artifacts::{governed_floor, ArtifactCache, ArtifactKey, BudgetGovernor};
 use crate::column::Outputs;
 use crate::error::Result;
 use crate::eval::{evaluate_call, Ctx};
@@ -22,7 +22,7 @@ use crate::frame::{resolve_frames, FrameExclusion, ResolvedFrames};
 use crate::order::{sort_permutation, KeyColumns};
 use crate::plan::{canonical_order, sort_keys_of, Criteria, OrderKey, QueryPlan};
 use crate::spec::WindowSpec;
-use crate::strategy::{choose, CostModel, PartitionStats, Strategy};
+use crate::strategy::{choose_fitting, CostModel, PartitionStats, Strategy};
 use crate::table::Table;
 use rustc_hash::FxHashMap;
 use std::sync::{Arc, OnceLock};
@@ -210,11 +210,23 @@ impl PartitionEval<'_> {
     pub fn choose(plan: &QueryPlan, opts: ExecOptions, stats: &PartitionStats) -> Vec<Strategy> {
         // Under a budget, surcharge the MST's cost terms by how hard this
         // partition's tree would press on it (spill writes + re-faults the
-        // base model doesn't price).
+        // base model doesn't price), and pass over a strategy whose
+        // governed bytes surely exceed the budget while naive, which charges
+        // none, could run the call.
         let width = if holistic_core::index::fits_u32(stats.m + 1) { 4 } else { 8 };
-        let est_tree_bytes = (holistic_core::mst_arena_len(stats.m, opts.params) * width) as u64;
-        let model = CostModel::default().under_memory_pressure(est_tree_bytes, opts.budget);
-        plan.calls.iter().map(|cp| choose(opts.strategy, cp.class, stats, &model)).collect()
+        let tree_bytes = |n| (holistic_core::mst_arena_len(n, opts.params) * width) as u64;
+        let model = CostModel::default().under_memory_pressure(tree_bytes(stats.m), opts.budget);
+        plan.calls
+            .iter()
+            .map(|cp| {
+                // A FILTER may drop any share of the rows, so only its keep
+                // flags count; a NULL screen is taken to drop none.
+                let kept = if cp.mask.filter.is_some() { 0 } else { stats.m };
+                let floor = |s| governed_floor(s, cp.class, stats.m, kept, tree_bytes(kept));
+                let fits = |s| opts.budget.is_none_or(|b| floor(s) <= b);
+                choose_fitting(opts.strategy, cp.class, stats, &model, fits)
+            })
+            .collect()
     }
 
     /// A fresh cache holding the hoisted key columns, so calls falling back

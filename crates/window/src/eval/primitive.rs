@@ -13,6 +13,10 @@
 //! | [`Fold`], MIN / MAX | [`SegTrees`] | [`ScanFold`] |
 //! | [`RangeMode`] | [`RangeModeIndex`] | [`ScanIds`] |
 //!
+//! The rank family's [`CountBelow`] has a third, which the incremental
+//! strategy names: its codes [`Sliding`] as one sorted window along the
+//! frames.
+//!
 //! Three questions have one implementation, whatever the strategy, because
 //! what the partition already holds answers them: [`Select`] in frame-position
 //! order is [`FrameOrder`]'s arithmetic, an integer SUM / AVG is a [`Fold`] of
@@ -31,6 +35,7 @@ use holistic_core::{BlockScratch, MergeSortTree, RangeSet, TreeIndex};
 use holistic_rangemode::RangeModeIndex;
 use holistic_rangetree::RangeTree3;
 use holistic_segtree::{Monoid, PrefixSums, SegmentTree};
+use holistic_strategies::incremental::SortedWindow;
 
 /// `count_below(pieces, t)`: how many elements at the positions `pieces` are
 /// smaller than `t`.
@@ -52,15 +57,31 @@ pub(crate) trait CountBelow: Sync {
         P: Fn(usize, &mut dyn FnMut(&RangeSet, usize)) -> Result<Planned<S, T>>,
         F: Fn(usize, S, usize) -> Result<T>,
     {
-        for (off, slot) in slots.iter_mut().enumerate() {
-            let mut sum = 0;
-            *slot = match plan(base + off, &mut |rs, t| sum += self.count_below(rs, t))? {
-                Planned::Done(v) => v,
-                Planned::Counted(s) => finish(base + off, s, sum)?,
-            };
-        }
-        Ok(())
+        count_rows(base, slots, plan, finish, |rs, t| self.count_below(rs, t))
     }
+}
+
+/// The row-at-a-time count loop of one chunk: each query a row pushes is
+/// answered by `answer` as it is pushed.
+fn count_rows<S, T, P, F>(
+    base: usize,
+    slots: &mut [T],
+    plan: &P,
+    finish: &F,
+    mut answer: impl FnMut(&RangeSet, usize) -> usize,
+) -> Result<()>
+where
+    P: Fn(usize, &mut dyn FnMut(&RangeSet, usize)) -> Result<Planned<S, T>>,
+    F: Fn(usize, S, usize) -> Result<T>,
+{
+    for (off, slot) in slots.iter_mut().enumerate() {
+        let mut sum = 0;
+        *slot = match plan(base + off, &mut |rs, t| sum += answer(rs, t))? {
+            Planned::Done(v) => v,
+            Planned::Counted(s) => finish(base + off, s, sum)?,
+        };
+    }
+    Ok(())
 }
 
 /// `select(pieces, j)`: the rank, in the index's order, of the `j`-th
@@ -214,6 +235,44 @@ pub(crate) struct Scan<'a>(pub &'a [usize]);
 impl CountBelow for Scan<'_> {
     fn count_below(&self, pieces: &RangeSet, t: usize) -> usize {
         pieces.iter().map(|(a, b)| self.0[a..b].iter().filter(|&&x| x < t).count()).sum()
+    }
+}
+
+/// The unique codes a merge sort tree would have been built from, held as
+/// one [`SortedWindow`] that each probe chunk slides along its rows' frames
+/// (Wesley & Xu): [`CountBelow`] for the rank family over narrow,
+/// mostly-monotonic frames. A query that is not one hull (several pieces)
+/// is a [`Scan`] of the same codes; each chunk starts its own window, so
+/// every count is the tree's.
+pub(crate) struct Sliding<'a>(pub &'a [usize]);
+
+impl CountBelow for Sliding<'_> {
+    fn count_below(&self, pieces: &RangeSet, t: usize) -> usize {
+        Scan(self.0).count_below(pieces, t)
+    }
+
+    fn probe_chunk<S, T, P, F>(
+        &self,
+        _ctx: &Ctx<'_>,
+        base: usize,
+        slots: &mut [T],
+        plan: &P,
+        finish: &F,
+    ) -> Result<()>
+    where
+        P: Fn(usize, &mut dyn FnMut(&RangeSet, usize)) -> Result<Planned<S, T>>,
+        F: Fn(usize, S, usize) -> Result<T>,
+    {
+        let mut window = SortedWindow::new(self.0);
+        count_rows(base, slots, plan, finish, |rs, t| match rs.len() {
+            0 => 0,
+            1 => {
+                let (a, b) = rs.nth(0);
+                window.slide_to(a, b);
+                window.count_below(t)
+            }
+            _ => self.count_below(rs, t),
+        })
     }
 }
 
@@ -482,6 +541,44 @@ mod tests {
                         FrameOrder.select(&p, j, &mut buf),
                         Select::select(&by_position, &p, j, &mut buf),
                         "frame order, pieces {:?} j {}", p, j
+                    );
+                }
+            }
+        }
+
+        #[test]
+        fn sorted_window_matches_scan(
+            keys in prop::collection::vec(0usize..9, 0..60),
+            steps in prop::collection::vec((0usize..64, 0usize..64), 1..24),
+            monotone in any::<bool>(),
+        ) {
+            // Monotone hulls creep forward by up to 7 at either end; the
+            // others are drawn afresh, so they jump, shrink and vanish.
+            let n = keys.len();
+            let (mut a, mut b) = (0, 0);
+            let mut window = SortedWindow::new(&keys[..]);
+            let mut buf = SelectBuf::default();
+            for &(x, y) in &steps {
+                (a, b) = if monotone {
+                    let b = (b + y % 8).min(n);
+                    ((a + x % 8).min(b), b)
+                } else {
+                    let (x, y) = (x % (n + 1), y % (n + 1));
+                    (x.min(y), x.max(y))
+                };
+                window.slide_to(a, b);
+                let hull = RangeSet::single(a, b);
+                prop_assert_eq!(window.len(), b - a);
+                for t in [0, 1, 4, 8, 9, 10] {
+                    prop_assert_eq!(
+                        window.count_below(t), Scan(&keys).count_below(&hull, t),
+                        "[{}, {}) t {}", a, b, t
+                    );
+                }
+                for j in 0..=b - a + 1 {
+                    prop_assert_eq!(
+                        window.select(j), Scan(&keys).select(&hull, j, &mut buf),
+                        "[{}, {}) j {}", a, b, j
                     );
                 }
             }

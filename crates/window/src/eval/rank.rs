@@ -17,9 +17,10 @@
 //! through the partition's cache, so the whole family over one (criterion,
 //! mask) pair shares a single sort and a single code tree — and the counts
 //! from whichever [`CountBelow`] / [`Count3d`] index the strategy names: the
-//! trees, or a scan of the codes they would have been built from.
+//! trees, a scan of the codes they would have been built from, or (for the
+//! rank family over hull frames) those codes slid as one sorted window.
 
-use super::primitive::{Count3d, CountBelow, Scan, ScanPoints};
+use super::primitive::{Count3d, CountBelow, Scan, ScanPoints, Sliding};
 use super::{cume_dist, percent_rank, Ctx, Planned};
 use crate::artifacts::{DenseRankArt, MaskArtifact};
 use crate::column::Column;
@@ -51,15 +52,18 @@ pub(super) fn prepare(ctx: &Ctx<'_>, cp: &CallPlan) -> Result<RankPrep> {
 }
 
 impl RankPrep {
-    /// `(group_min, group_end, unique_code_or_none)` of partition position
-    /// `i` in *kept sorted-code* space. Rows dropped by FILTER still rank
-    /// against the kept rows; their virtual code bounds come from binary
-    /// search.
-    fn code_bounds(&self, ctx: &Ctx<'_>, i: usize) -> (usize, usize, Option<usize>) {
+    /// `(group_min, group_end, code)` of partition position `i` in *kept
+    /// sorted-code* space. A row dropped by FILTER still ranks against the
+    /// kept rows: its code bounds come from binary search, and its code is
+    /// the one it would have had — the tie group's codes ascend with
+    /// position, so the kept rows ordering before it (smaller keys, then
+    /// equal keys earlier in the partition) are exactly those coded below
+    /// it.
+    fn code_bounds(&self, ctx: &Ctx<'_>, i: usize) -> (usize, usize, usize) {
         let (mask, dc) = (&self.mask, &self.dc);
         if mask.remap.is_kept(i) {
             let k = mask.remap.kept_index(i);
-            return (dc.group_min[k], dc.group_end[k], Some(dc.code[k]));
+            return (dc.group_min[k], dc.group_end[k], dc.code[k]);
         }
         let row = ctx.rows[i];
         let kept_rows = mask.kept_rows(ctx.rows);
@@ -68,7 +72,8 @@ impl RankPrep {
             dc.perm.partition_point(|p| self.keys.cmp_rows(kept_row(p), row) == Ordering::Less);
         let gend =
             gmin + dc.perm[gmin..].partition_point(|p| self.keys.rows_equal(kept_row(p), row));
-        (gmin, gend, None)
+        let ki = mask.remap.range(0, i).1;
+        (gmin, gend, gmin + dc.perm[gmin..gend].partition_point(|&p| p < ki))
     }
 
     /// Frame pieces remapped to kept space.
@@ -77,9 +82,7 @@ impl RankPrep {
     }
 
     /// How many kept rows of `pieces` order before position `i` — its
-    /// 0-based ROW_NUMBER. A FILTER-dropped row has no code of its own and
-    /// ranks virtually: key-smaller rows plus equal-key rows that precede it
-    /// positionally.
+    /// 0-based ROW_NUMBER, FILTER-dropped or not.
     pub fn rows_before(
         &self,
         ctx: &Ctx<'_>,
@@ -87,17 +90,7 @@ impl RankPrep {
         i: usize,
         pieces: &RangeSet,
     ) -> usize {
-        let (gmin, gend, code) = self.code_bounds(ctx, i);
-        if let Some(c) = code {
-            return index.count_below(pieces, c);
-        }
-        let ki = self.mask.remap.range(0, i).1;
-        let mut earlier = RangeSet::empty();
-        for (a, b) in pieces.iter() {
-            earlier.push(a, b.min(ki));
-        }
-        index.count_below(pieces, gmin) + index.count_below(&earlier, gend)
-            - index.count_below(&earlier, gmin)
+        index.count_below(pieces, self.code_bounds(ctx, i).2)
     }
 }
 
@@ -111,6 +104,7 @@ pub(crate) fn evaluate(
     let prep = prepare(ctx, cp)?;
     match strategy {
         Strategy::Naive => probe(ctx, call, &prep, &Scan(&prep.dc.code)),
+        Strategy::Incremental => probe(ctx, call, &prep, &Sliding(&prep.dc.code)),
         _ if ctx.u32_trees() => probe(ctx, call, &prep, &*ctx.code_mst::<u32>(cp)?),
         _ => probe(ctx, call, &prep, &*ctx.code_mst::<u64>(cp)?),
     }
@@ -123,23 +117,11 @@ fn probe<C: CountBelow>(
     index: &C,
 ) -> Result<Column> {
     Ok(match call.kind {
-        // A dropped row interleaves several thresholds and clipped piece
-        // sets, so it resolves at once instead of joining the block — the
-        // cold path.
         FuncKind::RowNumber => Column::ints(ctx.probe_counts(
             index,
             |i, push| {
-                let pieces = prep.kept_pieces(ctx, i);
-                match prep.code_bounds(ctx, i).2 {
-                    Some(c) => {
-                        push(&pieces, c);
-                        Ok(Planned::Counted(()))
-                    }
-                    None => {
-                        let rn = prep.rows_before(ctx, index, i, &pieces) + 1;
-                        Ok(Planned::Done(rn as i64))
-                    }
-                }
+                push(&prep.kept_pieces(ctx, i), prep.code_bounds(ctx, i).2);
+                Ok(Planned::Counted(()))
             },
             |_, (), below| Ok((below + 1) as i64),
         )?),
@@ -196,16 +178,8 @@ fn probe<C: CountBelow>(
                     if size == 0 {
                         return Ok(Planned::Done(None));
                     }
-                    match prep.code_bounds(ctx, i).2 {
-                        Some(c) => {
-                            push(&pieces, c);
-                            Ok(Planned::Counted((size, b)))
-                        }
-                        None => {
-                            let rn = prep.rows_before(ctx, index, i, &pieces) + 1;
-                            Ok(Planned::Done(Some(ntile_of(rn, size, b) as i64)))
-                        }
-                    }
+                    push(&pieces, prep.code_bounds(ctx, i).2);
+                    Ok(Planned::Counted((size, b)))
                 },
                 |_, (size, b), below| Ok(Some(ntile_of(below + 1, size, b) as i64)),
             )?)

@@ -34,9 +34,10 @@ pub enum Strategy {
     /// winner on tiny partitions, where building *anything* costs more than
     /// scanning every frame.
     Naive,
-    /// Wesley & Xu sliding state (PVLDB 2016): an ordered multiset of codes
-    /// (percentiles) or a hash multiset (COUNT DISTINCT) slid along the
-    /// frame sequence. Wins on narrow, mostly-monotonic frames.
+    /// Wesley & Xu sliding state (PVLDB 2016): a sorted window of codes
+    /// (percentiles select in it, the rank family counts below a threshold
+    /// in it) or a hash multiset (COUNT DISTINCT) slid along the frame
+    /// sequence. Wins on narrow, mostly-monotonic frames.
     Incremental,
     /// A counted-B-tree order-statistic multiset slid along the frame
     /// sequence; `O(log f)` updates buy robustness to wide frames.
@@ -374,14 +375,15 @@ impl CostModel {
 ///   whose integer-overflow-degrades-to-float probe behaviour only the
 ///   annotated tree reproduces bit-exactly.
 /// * The sliding/selection alternates target the percentile family (plus
-///   COUNT DISTINCT for [`Strategy::Incremental`]) over hull frames — frame
-///   exclusion punches holes the hull-based adapters cannot see.
+///   COUNT DISTINCT and the rank family — ROW_NUMBER, RANK, PERCENT_RANK,
+///   CUME_DIST, NTILE — for [`Strategy::Incremental`]) over hull frames —
+///   frame exclusion punches holes the hull-based adapters cannot see.
 pub fn applicable(s: Strategy, class: CallClass, stats: &PartitionStats) -> bool {
     match s {
         Strategy::Mst => true,
         Strategy::Naive => class != CallClass::SumAvgDistinct,
         Strategy::Incremental => {
-            matches!(class, CallClass::Percentile | CallClass::CountDistinct)
+            matches!(class, CallClass::Percentile | CallClass::CountDistinct | CallClass::RankLike)
                 && !stats.has_exclusion
         }
         Strategy::OsTree | Strategy::SegTree => {
@@ -399,6 +401,19 @@ pub fn choose(
     stats: &PartitionStats,
     model: &CostModel,
 ) -> Strategy {
+    choose_fitting(mode, class, stats, model, |_| true)
+}
+
+/// [`choose`], where Adaptive passes over every strategy `fits` rejects as
+/// long as [`Strategy::Naive`] applies (a budget's guard: naive charges
+/// nothing, so it always fits). A forced strategy stays forced.
+pub(crate) fn choose_fitting(
+    mode: StrategyMode,
+    class: CallClass,
+    stats: &PartitionStats,
+    model: &CostModel,
+    fits: impl Fn(Strategy) -> bool,
+) -> Strategy {
     match mode {
         StrategyMode::Force(s) => {
             if applicable(s, class, stats) {
@@ -410,12 +425,16 @@ pub fn choose(
         StrategyMode::Adaptive => {
             // Tiny partitions skip scoring (and, in the executor, the whole
             // artifact cache): naive wins there by construction.
-            if stats.m <= model.tiny_m && applicable(Strategy::Naive, class, stats) {
+            let naive = applicable(Strategy::Naive, class, stats);
+            if stats.m <= model.tiny_m && naive {
                 return Strategy::Naive;
             }
             let mut best = Strategy::Mst;
             let mut best_cost = f64::INFINITY;
             for s in Strategy::ALL {
+                if naive && !fits(s) {
+                    continue;
+                }
                 let c = model.cost(s, class, stats);
                 if c < best_cost {
                     best = s;
@@ -464,7 +483,7 @@ mod tests {
         assert_eq!(
             choose(
                 StrategyMode::Force(Strategy::Incremental),
-                CallClass::RankLike,
+                CallClass::DenseRank,
                 &s,
                 &CostModel::default()
             ),
@@ -502,6 +521,55 @@ mod tests {
         assert!(
             matches!(picked, Strategy::Incremental | Strategy::OsTree),
             "expected a sliding strategy for narrow monotonic frames, got {picked:?}"
+        );
+    }
+
+    #[test]
+    fn narrow_monotonic_ranks_prefer_sliding() {
+        // A dashboard partition: 618-row RANGE frames sliding forward.
+        let m = 50_000u64;
+        let s = stats(m as usize, 618.0, 2 * m);
+        let picked = choose(StrategyMode::Adaptive, CallClass::RankLike, &s, &CostModel::default());
+        assert_eq!(picked, Strategy::Incremental);
+    }
+
+    #[test]
+    fn jittered_ranks_keep_the_tree() {
+        // 5 000-row frames whose bounds jump by a frame's width per row.
+        let m = 100_000u64;
+        let s = stats(m as usize, 5_000.0, 5_000 * m);
+        let picked = choose(StrategyMode::Adaptive, CallClass::RankLike, &s, &CostModel::default());
+        assert_eq!(picked, Strategy::Mst);
+    }
+
+    #[test]
+    fn adaptive_passes_over_what_does_not_fit_while_naive_applies() {
+        use crate::artifacts::governed_floor;
+        let model = CostModel::default();
+        let pick = |s: &PartitionStats, class, tree: u64, budget: u64| {
+            let fits = |st| governed_floor(st, class, s.m, s.m, tree) <= budget;
+            choose_fitting(StrategyMode::Adaptive, class, s, &model, fits)
+        };
+        let s = stats(20_000, 551.0, 40_000);
+        let tree = 725_376;
+        assert_eq!(pick(&s, CallClass::RankLike, tree, u64::MAX), Strategy::Incremental);
+        assert_eq!(pick(&s, CallClass::RankLike, tree, 1_500_000), Strategy::Incremental);
+        assert_eq!(pick(&s, CallClass::RankLike, tree, 800_000), Strategy::Naive);
+        assert_eq!(pick(&s, CallClass::Percentile, tree, 400_000), Strategy::Naive);
+        // Naive cannot evaluate SUM DISTINCT, so nothing is passed over.
+        assert_eq!(pick(&s, CallClass::SumAvgDistinct, tree, 0), Strategy::Mst);
+        // A running COUNT(DISTINCT) charges its hashes, not dense codes:
+        // 30 MB holds a million rows' worth, and the sliding multiset stays.
+        let running = stats(1_000_000, 500_000.0, 1_000_000);
+        assert_eq!(
+            pick(&running, CallClass::CountDistinct, 80_000_000, 30_000_000),
+            Strategy::Incremental
+        );
+        // A forced strategy stays forced.
+        let forced = StrategyMode::Force(Strategy::Mst);
+        assert_eq!(
+            choose_fitting(forced, CallClass::RankLike, &s, &model, |_| false),
+            Strategy::Mst
         );
     }
 

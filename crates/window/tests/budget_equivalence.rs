@@ -119,6 +119,72 @@ fn each_tree_is_built_when_its_call_asks_so_none_re_faults() {
     assert!(p.spill.peak_resident <= budget);
 }
 
+/// A budget never makes Adaptive pick a cached strategy whose artifacts
+/// cannot fit while naive, which charges the governor nothing, could run
+/// the call: one 20 000-row partition, 551-row frames, a median and a rank,
+/// each completes bit-identically under every budget. Choosing by cost
+/// alone, the median's dense codes (800 000 B) fail at 800 000 and below,
+/// and the rank's tree (725 376 B) at 1 500 000 while lower budgets pass.
+#[test]
+fn adaptive_falls_back_to_naive_where_a_cached_strategy_cannot_fit() {
+    let n = 20_000i64;
+    let table = Table::new(vec![
+        ("t", Column::ints((0..n).collect())),
+        ("v", Column::ints((0..n).map(|i| (37 * i + 11) % 1009).collect())),
+    ])
+    .unwrap();
+    let over = |call: FunctionCall| {
+        WindowQuery::over(
+            WindowSpec::new()
+                .order_by(vec![SortKey::asc(col("t"))])
+                .frame(FrameSpec::rows(FrameBound::Preceding(lit(550i64)), FrameBound::CurrentRow)),
+        )
+        .call(call)
+    };
+    for q in [
+        over(FunctionCall::median(col("v")).named("med")),
+        over(FunctionCall::rank(vec![SortKey::asc(col("v"))]).named("r")),
+    ] {
+        let name = q.calls[0].output_name.clone();
+        let reference = q.execute_with(&table, ExecOptions::serial()).unwrap();
+        for budget in [3_000_000, 1_500_000, 800_000, 400_000] {
+            let label = format!("{name} under {budget}");
+            let opts = ExecOptions::serial().memory_budget(budget);
+            let (out, p) =
+                q.execute_profiled(&table, opts).unwrap_or_else(|e| panic!("{label}: {e}"));
+            tables_bit_identical(&out, &reference, &label);
+            assert!(p.spill.peak_resident <= budget, "{label}");
+        }
+    }
+}
+
+/// The fallback prices each call by what its family builds: a running
+/// COUNT(DISTINCT) charges its mask, values and hashes (340 000 B over
+/// 20 000 rows), never dense codes, so a budget that holds those but not
+/// the rank family's 41 B a row keeps it on the sliding multiset instead
+/// of handing it to naive, which rehashes every growing frame.
+#[test]
+fn a_budget_that_holds_a_running_distinct_count_keeps_it_incremental() {
+    let n = 20_000i64;
+    let table = Table::new(vec![
+        ("t", Column::ints((0..n).collect())),
+        ("v", Column::ints((0..n).map(|i| (37 * i + 11) % 1009).collect())),
+    ])
+    .unwrap();
+    let q = WindowQuery::over(
+        WindowSpec::new()
+            .order_by(vec![SortKey::asc(col("t"))])
+            .frame(FrameSpec::rows(FrameBound::UnboundedPreceding, FrameBound::CurrentRow)),
+    )
+    .call(FunctionCall::count_distinct(col("v")).named("cd"));
+    let reference = q.execute_with(&table, ExecOptions::serial()).unwrap();
+    let budget = 600_000;
+    let (out, p) = q.execute_profiled(&table, ExecOptions::serial().memory_budget(budget)).unwrap();
+    tables_bit_identical(&out, &reference, "running COUNT(DISTINCT) under 600 000");
+    assert_eq!(p.strategy.decisions[Strategy::Incremental.index()], 1);
+    assert!(p.spill.peak_resident <= budget);
+}
+
 #[test]
 fn parallel_budgeted_execution_is_identical_or_typed_error() {
     let t = test_table(4000, 8);

@@ -398,3 +398,110 @@ fn forced_alternates_agree_on_integer_data() {
         }
     }
 }
+
+/// The rank family on the sliding window of codes: RANK, ROW_NUMBER,
+/// PERCENT_RANK, CUME_DIST and NTILE, each with and without a FILTER that
+/// drops every fifth row (whose ROW_NUMBER and NTILE count below the code
+/// they would have had), over ROWS, RANGE and GROUPS frames that grow,
+/// shrink, slide, jump to a disjoint hull every row, or are always empty.
+/// Forced incremental, serial and with parallel chunks that each start
+/// their own window, answers bit for bit like forced MST and the naive
+/// oracle; under `EXCLUDE CURRENT ROW` the family stays on the tree. On the
+/// narrow monotonic frame Adaptive picks the window itself; on the disjoint
+/// jumps it does not.
+#[test]
+fn the_rank_family_slides_bit_identically() {
+    let n = 3000i64;
+    let table = Table::new(vec![
+        ("pos", Column::ints((0..n).collect())),
+        // Keys in adjacent pairs, so a dropped row ties with a kept
+        // neighbour and ranks between equal keys by position.
+        ("y", Column::ints((0..n).map(|i| (i / 2 * 37 + 11) % 23).collect())),
+        ("live", Column::bools((0..n).map(|i| i % 5 != 0).collect())),
+        // Two rows per key, keys 5 apart: `RANGE 1 FOLLOWING AND 3
+        // FOLLOWING` holds no row.
+        ("k", Column::ints((0..n).map(|i| i / 2 * 5).collect())),
+        // 301-row frames, every other one 600 rows back of its neighbours'.
+        ("lo", Column::ints((0..n).map(|i| if i % 2 == 0 { 300 } else { 900 }).collect())),
+        ("hi", Column::ints((0..n).map(|i| if i % 2 == 0 { 0 } else { 600 }).collect())),
+    ])
+    .unwrap();
+    let by = || vec![SortKey::asc(col("y"))];
+    let mut calls = Vec::new();
+    for (suffix, filtered) in [("", false), ("_f", true)] {
+        let family = [
+            FunctionCall::rank(by()).named(format!("rank{suffix}")),
+            FunctionCall::row_number(by()).named(format!("row_number{suffix}")),
+            FunctionCall::percent_rank(by()).named(format!("percent_rank{suffix}")),
+            FunctionCall::cume_dist(by()).named(format!("cume_dist{suffix}")),
+            FunctionCall::ntile(lit(4i64), by()).named(format!("ntile{suffix}")),
+        ];
+        calls.extend(family.into_iter().map(|c| if filtered { c.filter(col("live")) } else { c }));
+    }
+    let names: Vec<&str> = calls.iter().map(|c| c.output_name.as_str()).collect();
+    let (p, f) = (|x: i64| FrameBound::Preceding(lit(x)), |x: i64| FrameBound::Following(lit(x)));
+    let narrow = FrameSpec::rows(p(300), FrameBound::CurrentRow);
+    let frames = [
+        ("rows, sliding", narrow.clone(), false),
+        (
+            "rows, growing",
+            FrameSpec::rows(FrameBound::UnboundedPreceding, FrameBound::CurrentRow),
+            false,
+        ),
+        (
+            "rows, shrinking",
+            FrameSpec::rows(FrameBound::CurrentRow, FrameBound::UnboundedFollowing),
+            false,
+        ),
+        (
+            "rows, disjoint jumps",
+            FrameSpec::rows(FrameBound::Preceding(col("lo")), FrameBound::Preceding(col("hi"))),
+            false,
+        ),
+        ("rows, empty", FrameSpec::rows(f(2), f(1)), false),
+        ("range, sliding", FrameSpec::range(p(40), f(10)), false),
+        ("range, empty", FrameSpec::range(f(1), f(3)), false),
+        ("groups, sliding", FrameSpec::groups(p(3), f(1)), false),
+        ("rows, exclude current row", narrow.clone().exclude(FrameExclusion::CurrentRow), true),
+    ];
+    let decided =
+        |profile: &holistic_window::ExecProfile, s: Strategy| profile.strategy.decisions[s.index()];
+    for (shape, frame, excluded) in frames {
+        let order = if shape.starts_with("range") { "k" } else { "pos" };
+        let spec = WindowSpec::new().order_by(vec![SortKey::asc(col(order))]).frame(frame);
+        let q = WindowQuery { spec, calls: calls.clone() };
+        let oracle = holistic_baselines::naive::execute(&q, &table).unwrap();
+        let mst =
+            q.execute_with(&table, ExecOptions::serial().force_strategy(Strategy::Mst)).unwrap();
+        assert_same_columns(&oracle, &mst, &names, &format!("{shape}, forced mst"));
+        for (label, opts) in
+            [("serial", ExecOptions::serial()), ("parallel", ExecOptions::default())]
+        {
+            let (out, profile) =
+                q.execute_profiled(&table, opts.force_strategy(Strategy::Incremental)).unwrap();
+            let label = format!("{shape}, forced incremental, {label}");
+            assert_same_columns(&oracle, &out, &names, &label);
+            let taken = if excluded { Strategy::Mst } else { Strategy::Incremental };
+            assert_eq!(decided(&profile, taken), calls.len() as u64, "{label}");
+        }
+        if shape == "rows, disjoint jumps" {
+            // Draining the window at every jump would be right but slow:
+            // the cost model must keep Adaptive off it here.
+            let (out, profile) = q.execute_profiled(&table, ExecOptions::serial()).unwrap();
+            assert_same_columns(&oracle, &out, &names, &format!("{shape}, adaptive"));
+            let elsewhere = decided(&profile, Strategy::Mst) + decided(&profile, Strategy::Naive);
+            assert_eq!(elsewhere, calls.len() as u64, "{shape}: {:?}", profile.strategy);
+        }
+    }
+    let q = WindowQuery {
+        spec: WindowSpec::new().order_by(vec![SortKey::asc(col("pos"))]).frame(narrow),
+        calls: calls.clone(),
+    };
+    let (_, profile) = q.execute_profiled(&table, ExecOptions::serial()).unwrap();
+    assert_eq!(
+        decided(&profile, Strategy::Incremental),
+        calls.len() as u64,
+        "{:?}",
+        profile.strategy
+    );
+}

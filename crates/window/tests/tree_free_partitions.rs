@@ -128,7 +128,7 @@ fn one_row_apart_calls() -> Vec<(FunctionCall, &'static [Strategy])> {
             FunctionCall::percentile_cont(0.3, SortKey::desc(col("f"))).named("percentile_cont"),
             &Strategy::ALL,
         ),
-        (FunctionCall::rank(by("y")).filter(col("live")).named("rank"), &[Naive, Mst]),
+        (FunctionCall::rank(by("y")).filter(col("live")).named("rank"), &[Naive, Incremental, Mst]),
         (FunctionCall::dense_rank(by("y")).filter(col("live")).named("dense_rank"), &[Naive, Mst]),
         (framed_lead.named("lead"), &[Naive, Mst]),
         (FunctionCall::mode(col("y")).named("mode"), &[Naive, Mst]),
