@@ -134,8 +134,8 @@ differential_leg 'fuzz OK: [0-9]+ cases, .*; ([0-9]+) cases mixed Int and Float 
   --cases 600 --seed 0xC0FFEE --max-n 40 --time-budget-secs 120
 
 step "fuzz (differential at a size where Adaptive itself picks alternates, fixed seed)"
-# At --max-n 40 Adaptive is all-naive and only the forced configs reach
-# eval/alt.rs. These 100 cases hold 2 queries whose partitions run tree-free
+# At --max-n 40 Adaptive is all-naive and only the forced configs reach the
+# alternates' indexes. These 100 cases hold 2 queries whose partitions run tree-free
 # (incremental, no MST), 9 mixing incremental and MST calls, and 58 with a
 # PARTITION BY (every shape of gen_partition_by but `-f`, which the max-n 40
 # legs draw). In 8 of them Adaptive runs a rank-family call on the sliding

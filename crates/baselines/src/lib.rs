@@ -22,6 +22,7 @@
 //! ([`naive`], [`sqlsim`]) local.
 //!
 //! ```
+//! use holistic_baselines::incremental::OrderedMultiset;
 //! use holistic_baselines::ostree::OrderStatisticTree;
 //!
 //! let mut t = OrderStatisticTree::new();

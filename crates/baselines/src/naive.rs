@@ -432,30 +432,32 @@ fn eval_row(ctx: &NaiveCtx<'_>, call: &FunctionCall, i: usize) -> Result<Value> 
             };
             let mut kept: Vec<usize> =
                 fp.iter().copied().filter(|&q| ctx.filter[q] && !ctx.key0[q].is_null()).collect();
-            kept.sort_by(|&a, &b| ctx.cmp_inner(a, b));
             let s = kept.len();
             if s == 0 {
                 return Ok(Value::Null);
             }
+            // The kept row at 0-based rank `j` by the inner order: a
+            // selection, not a sort, since at most two ranks are read.
+            let mut at = |j: usize| {
+                kept.select_nth_unstable_by(j, |&a, &b| ctx.cmp_inner(a, b));
+                &ctx.key0[kept[j]]
+            };
             if call.kind == PercentileCont {
                 let rn = p * (s - 1) as f64;
                 let (lo, hi) = (rn.floor() as usize, rn.ceil() as usize);
-                let (x, y) = (
-                    ctx.key0[kept[lo]].as_f64().ok_or(Error::TypeMismatch {
+                let numeric = |v: &Value| {
+                    v.as_f64().ok_or(Error::TypeMismatch {
                         expected: "numeric",
                         got: "non-numeric",
                         context: "naive percentile_cont",
-                    })?,
-                    ctx.key0[kept[hi]].as_f64().ok_or(Error::TypeMismatch {
-                        expected: "numeric",
-                        got: "non-numeric",
-                        context: "naive percentile_cont",
-                    })?,
-                );
+                    })
+                };
+                let x = numeric(at(lo))?;
+                let y = numeric(at(hi))?;
                 Ok(Value::Float(x + (y - x) * (rn - lo as f64)))
             } else {
                 let j = ((p * s as f64).ceil() as usize).clamp(1, s);
-                Ok(ctx.key0[kept[j - 1]].clone())
+                Ok(at(j - 1).clone())
             }
         }
         FirstValue | LastValue | NthValue => {

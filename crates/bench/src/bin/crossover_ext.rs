@@ -14,6 +14,11 @@
 //!   must beat always-MST by ≥ 1.5× by skipping the artifact machinery on
 //!   the tiny partitions.
 //!
+//! A grid cell where `ostree` or `segtree` beats every other strategy by
+//! more than the cell's spread (the wider of the two strategies' best-to-
+//! worst range over the reps) is flagged on a line of its own: those two
+//! strategies stay only while some cell flags them.
+//!
 //! Naive cells whose estimated work (`rows × frame width`) exceeds
 //! `NAIVE_BUDGET` are skipped — quadratic scans at 1M × 512 would dominate
 //! the run without informing the model. Checks only engage at `N ≥ 500k`
@@ -23,7 +28,7 @@
 //! `bench_results/BENCH_crossover_ext.json`. `N=...` rescales (default 1M).
 
 use holistic_bench::json::{self, BenchRecord};
-use holistic_bench::{env_usize, time_best};
+use holistic_bench::{env_usize, time_once};
 use holistic_window::frame::{FrameBound, FrameSpec};
 use holistic_window::{
     col, lit, Column, ExecOptions, FunctionCall, SortKey, Strategy, Table, WindowQuery, WindowSpec,
@@ -70,16 +75,22 @@ fn family_call(family: &str) -> FunctionCall {
         "median" => FunctionCall::median(col("v")).named("o"),
         "count_distinct" => FunctionCall::count_distinct(col("v")).named("o"),
         "sum" => FunctionCall::sum(col("v")).named("o"),
+        "rank" => FunctionCall::rank(vec![SortKey::asc(col("v"))]).named("o"),
         _ => unreachable!(),
     }
 }
 
-/// Times one engine run (serial; best of `reps`) in ns/row.
-fn run_ns(q: &WindowQuery, t: &Table, opts: ExecOptions, reps: usize) -> f64 {
+/// Times `reps` engine runs (serial) in ns/row: the best and the worst.
+fn run_ns(q: &WindowQuery, t: &Table, opts: ExecOptions, reps: usize) -> (f64, f64) {
     let n = t.num_rows();
-    let (out, d) = time_best(reps, || q.execute_with(t, opts).unwrap());
-    assert_eq!(out.column("o").map(|c| c.len()).unwrap_or(n), n);
-    d.as_nanos() as f64 / n as f64
+    let (mut best, mut worst) = (f64::INFINITY, 0.0f64);
+    for _ in 0..reps.max(1) {
+        let (out, d) = time_once(|| q.execute_with(t, opts).unwrap());
+        assert_eq!(out.column("o").map(|c| c.len()).unwrap_or(n), n);
+        let ns = d.as_nanos() as f64 / n as f64;
+        (best, worst) = (best.min(ns), worst.max(ns));
+    }
+    (best, worst)
 }
 
 fn main() {
@@ -96,7 +107,7 @@ fn main() {
     // ---- Uniform grid ----------------------------------------------------
     let sizes = [32usize, 256, 2048, 16384, 131072];
     let widths = [16usize, 512];
-    let families = ["median", "count_distinct", "sum"];
+    let families = ["median", "count_distinct", "sum", "rank"];
     let mut adaptive_total = 0.0f64;
     let mut oracle_total = 0.0f64;
     println!(
@@ -111,21 +122,41 @@ fn main() {
             for &w in &widths {
                 let q = query(vec![family_call(family)], w);
                 let workload = format!("{family}/m{m}/w{w}");
-                let mut cells: Vec<(String, f64)> = Vec::new();
+                // (best, worst) ns/row per strategy, in `Strategy::ALL` order.
+                let mut cells: Vec<(f64, f64)> = Vec::new();
                 let mut best = f64::INFINITY;
                 for s in Strategy::ALL {
                     // A quadratic scan over wide frames is pure waste: skip
                     // naive cells whose cell count blows the budget.
                     if s == Strategy::Naive && n.saturating_mul(w.min(m)) > naive_budget {
-                        cells.push((s.name().to_string(), f64::NAN));
+                        cells.push((f64::NAN, f64::NAN));
                         continue;
                     }
                     let ns = run_ns(&q, &table, ExecOptions::serial().force_strategy(s), reps);
-                    best = best.min(ns);
-                    records.push(BenchRecord::new(&workload, n, s.name(), ns));
-                    cells.push((s.name().to_string(), ns));
+                    best = best.min(ns.0);
+                    records.push(BenchRecord::new(&workload, n, s.name(), ns.0));
+                    cells.push(ns);
                 }
-                let adaptive = run_ns(&q, &table, ExecOptions::serial(), reps);
+                for alt in [Strategy::OsTree, Strategy::SegTree] {
+                    let (ab, aw) = cells[alt.index()];
+                    let Some((other, (ob, ow))) = Strategy::ALL
+                        .iter()
+                        .filter(|&&s| s != alt && !cells[s.index()].0.is_nan())
+                        .map(|&s| (s, cells[s.index()]))
+                        .min_by(|a, b| a.1 .0.total_cmp(&b.1 .0))
+                    else {
+                        continue;
+                    };
+                    let spread = (aw - ab).max(ow - ob);
+                    if ob - ab > spread {
+                        println!(
+                            "  ^ {} wins {workload}: {ab:.1} vs {} {ob:.1} ns/row, spread {spread:.1}",
+                            alt.name(),
+                            other.name()
+                        );
+                    }
+                }
+                let adaptive = run_ns(&q, &table, ExecOptions::serial(), reps).0;
                 records.push(BenchRecord::new(&workload, n, "adaptive", adaptive));
                 adaptive_total += adaptive;
                 oracle_total += best;
@@ -137,7 +168,7 @@ fn main() {
                     .map(|s| s.name())
                     .unwrap_or("?");
                 let cell = |i: usize| {
-                    let v = cells[i].1;
+                    let v = cells[i].0;
                     if v.is_nan() {
                         "     --".to_string()
                     } else {
@@ -195,12 +226,12 @@ fn main() {
     );
     let mut skew: Vec<(String, f64)> = Vec::new();
     for s in Strategy::ALL {
-        let ns = run_ns(&q, &table, ExecOptions::serial().force_strategy(s), reps);
+        let ns = run_ns(&q, &table, ExecOptions::serial().force_strategy(s), reps).0;
         records.push(BenchRecord::new("skewed", n, s.name(), ns));
         skew.push((s.name().to_string(), ns));
         println!("  skewed {:<12} {ns:>8.1} ns/row", s.name());
     }
-    let adaptive = run_ns(&q, &table, ExecOptions::serial(), reps);
+    let adaptive = run_ns(&q, &table, ExecOptions::serial(), reps).0;
     records.push(BenchRecord::new("skewed", n, "adaptive", adaptive));
     let mst = skew.iter().find(|(s, _)| s == "mst").map(|&(_, v)| v).unwrap();
     let best_forced = skew.iter().map(|&(_, v)| v).fold(f64::INFINITY, f64::min);

@@ -301,13 +301,11 @@ fn main() {
         );
     } else {
         println!(
-            "fuzz OK: {ran} cases, seed {:#x}, max-n {}, {} exact configs + {} forced strategies \
-             vs naive; {} cases mixed Int and Float in a reference output, {} ran a \
+            "fuzz OK: {ran} cases, seed {:#x}, max-n {}, {} exact configs vs naive; {} cases mixed Int and Float in a reference output, {} ran a \
              rank-family call on the sliding window ({:.1}s)",
             args.seed,
             args.max_n,
             holistic_fuzz::diff::exact_configs().len(),
-            holistic_fuzz::diff::FORCED_ALTERNATES.len(),
             mixed.get(),
             rank_slid.get(),
             start.elapsed().as_secs_f64()

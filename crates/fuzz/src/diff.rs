@@ -7,11 +7,11 @@
 //!   (segment-tree pairwise vs. linear scan), so exact equality is not a
 //!   sound expectation.
 //! * **engine config vs. engine config** — bit-identical
-//!   ([`values_identical`]). Serial/parallel, shared/private caching and
-//!   adaptive-vs-forced-MST strategy choice are pure execution strategies; any difference at all, down to the sign of
-//!   a zero, is a bug. Forced *alternate* strategies (naive, incremental,
-//!   ostree, segtree) compute with genuinely different arithmetic and are
-//!   held to the float-tolerant regime against the baseline instead.
+//!   ([`values_identical`]). Serial/parallel, shared/private caching and the
+//!   strategy, adaptive or forced, are pure execution strategies: every
+//!   strategy names an index over the same kept values and dense codes, and
+//!   each family's arithmetic is written once against it. Any difference at
+//!   all, down to the sign of a zero, is a bug.
 //!
 //! Errors count as agreement only when *both* sides error (messages may
 //! legitimately differ); a panic anywhere is always a failure — the engine's
@@ -184,18 +184,14 @@ pub fn check_budget_case(
     Ok(probe)
 }
 
-/// The bit-identical group of [`check_case`]: every adaptive configuration
-/// plus forced-MST, serial and parallel.
+/// The configurations [`check_case`] holds bit-identical: every adaptive
+/// one, each strategy forced serially, and forced-MST in parallel.
 pub fn exact_configs() -> Vec<ExecOptions> {
     let mut exact = ExecOptions::all_configs().to_vec();
-    exact.push(ExecOptions::serial().force_strategy(Strategy::Mst));
+    exact.extend(Strategy::ALL.map(|s| ExecOptions::serial().force_strategy(s)));
     exact.push(ExecOptions::default().force_strategy(Strategy::Mst));
     exact
 }
-
-/// The forced strategies [`check_case`] holds to the float-tolerant regime.
-pub const FORCED_ALTERNATES: [Strategy; 4] =
-    [Strategy::Naive, Strategy::Incremental, Strategy::OsTree, Strategy::SegTree];
 
 /// What a case that held exercised: the default mode's summary counts
 /// these, so a change to the generator that loses a shape says so.
@@ -211,23 +207,13 @@ pub struct CaseProbe {
     pub rank_slid: bool,
 }
 
-/// Checks one case: the naive baseline, all four adaptive engine
-/// configurations, forced-MST, and every forced alternate strategy must
-/// agree (per the module-level comparison regimes). `Ok` means full
+/// Checks one case: every configuration of [`exact_configs`] must agree
+/// with the naive baseline float-tolerantly, in its `Err`-ness too, and
+/// with the others bit for bit (the module-level comparison regimes). A
+/// forced strategy a call cannot use falls back to the MST for that call,
+/// so every case runs each forced path end to end. `Ok` means full
 /// agreement and says what the case exercised; `Err` carries the first
 /// divergence found.
-///
-/// Comparison groups:
-///
-/// * the four adaptive configs and forced-MST (serial and parallel) form
-///   the **bit-identical** group ([`exact_configs`]) — the adaptive chooser is a pure function
-///   of the resolved frames, so per-partition strategy choices cannot vary
-///   across configs, naive is the MST evaluators themselves over exact
-///   scans, and the alternates select over the same dense codes;
-/// * each remaining forced strategy ([`FORCED_ALTERNATES`]) is compared **float-tolerantly** against the naive baseline — these
-///   paths derive aggregates with genuinely different arithmetic (e.g. a
-///   sliding order-statistic tree vs. a per-row scan) — and its `Err`-ness
-///   must match the baseline's.
 pub fn check_case(table: &Table, query: &WindowQuery) -> Result<CaseProbe, Divergence> {
     let naive_outputs = run_protected("naive", || naive::outputs(query, table))?;
     let mixes = |values: &Vec<Value>| {
@@ -276,31 +262,6 @@ pub fn check_case(table: &Table, query: &WindowQuery) -> Result<CaseProbe, Diver
                     }
                     None => reference = Some((label, got)),
                 }
-            }
-        }
-    }
-    // Forced alternates: strategies a call can't support fall back to the
-    // MST per call, so every case exercises each forced path end to end.
-    for s in FORCED_ALTERNATES {
-        let opts = ExecOptions::serial().force_strategy(s);
-        let label = opts.label();
-        let engine_res = run_protected(&label, || query.execute_with(table, opts))?;
-        match (&naive_res, engine_res) {
-            (Err(_), Err(_)) => {}
-            (Err(e), Ok(_)) => {
-                return Err(Divergence {
-                    config: label,
-                    message: format!("engine succeeded where naive errors ({e})"),
-                })
-            }
-            (Ok(_), Err(e)) => {
-                return Err(Divergence {
-                    config: label,
-                    message: format!("engine error where naive succeeds: {e}"),
-                })
-            }
-            (Ok(expect), Ok(got)) => {
-                compare_tables(&label, "naive", query, expect, &got, values_close)?
             }
         }
     }

@@ -11,11 +11,10 @@
 //!   regenerates the same table and query, so every failure is replayable.
 //! * [`diff`] — the differential check: the engine must agree with the naive
 //!   per-row baseline (float-tolerant, the two sides sum in different
-//!   orders); all four adaptive configurations plus forced-MST must agree
-//!   bit-identically with each other; and every forced alternate strategy
-//!   (naive, incremental, ostree, segtree) must agree float-tolerantly with
-//!   the baseline. Panics are caught and reported as failures, never
-//!   allowed to take the harness down.
+//!   orders), and all four adaptive configurations and every forced
+//!   strategy must agree bit-identically with each other: each strategy is
+//!   an index over the same dense codes. Panics are caught and reported as
+//!   failures, never allowed to take the harness down.
 //! * [`mod@shrink`] — delta-debugging minimization of a failing case: first the
 //!   table rows, then the calls, then individual spec features, so the
 //!   reported repro is as small as the failure allows.

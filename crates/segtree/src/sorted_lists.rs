@@ -129,7 +129,17 @@ impl SortedListSegTree {
     /// The `j`-th smallest value (0-based) within `[a, b)` — O((log n)²) via a
     /// value-domain binary search over the covering runs.
     pub fn select(&self, a: usize, b: usize, j: usize) -> Option<i64> {
-        let runs = self.covering_runs(a, b);
+        self.select_in([(a, b)], j)
+    }
+
+    /// [`Self::select`] over the union of disjoint `ranges`.
+    pub fn select_in(
+        &self,
+        ranges: impl IntoIterator<Item = (usize, usize)>,
+        j: usize,
+    ) -> Option<i64> {
+        let runs: Vec<&[i64]> =
+            ranges.into_iter().flat_map(|(a, b)| self.covering_runs(a, b)).collect();
         let total: usize = runs.iter().map(|r| r.len()).sum();
         if j >= total {
             return None;

@@ -2,8 +2,9 @@
 //!
 //! These maintain an aggregation state under `add`/`remove` as the frame
 //! slides (§3.2): distinct counts with a hash multiset (O(1) per update —
-//! O(n) total), percentiles and ranks with a sorted array ([`SortedWindow`]:
-//! O(frame) per insert — the O(n²) row of Table 1), and modes with
+//! O(n) total), percentiles and ranks with an ordered multiset
+//! ([`SortedWindow`]: a sorted array, O(frame) per insert — the O(n²) row of
+//! Table 1 — or a counted B-tree, O(log n)), and modes with
 //! counts-of-counts. Non-monotonic frames make the same tuple enter and
 //! leave repeatedly, degrading all of them (§6.5); the generic slide driver
 //! below handles that case by moving both bounds in either direction.
@@ -82,33 +83,72 @@ impl Hull {
     }
 }
 
-/// The keys at the positions of one frame hull, kept sorted while the hull
-/// slides from frame to frame — Wesley & Xu's ordered vector. An update is a
-/// binary search plus a shift of up to a frame's worth of keys (the O(n²)
-/// percentile row of Table 1), so it pays off on narrow frames; a query is a
-/// binary search ([`Self::count_below`]) or an index ([`Self::select`]).
+/// What a [`SortedWindow`] holds its keys in: a sorted vector or a counted
+/// B-tree ([`crate::ostree::OrderStatisticTree`]).
+pub trait OrderedMultiset<T>: Default {
+    /// Adds one occurrence of `k`.
+    fn insert(&mut self, k: T);
+
+    /// Removes one occurrence of `k`, which the multiset holds.
+    fn remove(&mut self, k: T);
+
+    /// How many of its keys are smaller than `t`.
+    fn count_below(&self, t: T) -> usize;
+
+    /// The `j`-th smallest (0-based) of its keys; `None` when it holds `j`
+    /// keys or fewer.
+    fn select(&self, j: usize) -> Option<T>;
+}
+
+/// Wesley & Xu's ordered vector: an update is a binary search plus a shift
+/// of up to a frame's worth of keys (the O(n²) percentile row of Table 1),
+/// a query a binary search or an index.
+impl<T: Copy + Ord> OrderedMultiset<T> for Vec<T> {
+    fn insert(&mut self, k: T) {
+        let at = self.partition_point(|&v| v < k);
+        Vec::insert(self, at, k);
+    }
+
+    fn remove(&mut self, k: T) {
+        let at = self.partition_point(|&v| v < k);
+        debug_assert!(self[at] == k, "remove of a key the window does not hold");
+        Vec::remove(self, at);
+    }
+
+    fn count_below(&self, t: T) -> usize {
+        self.partition_point(|&v| v < t)
+    }
+
+    fn select(&self, j: usize) -> Option<T> {
+        self.get(j).copied()
+    }
+}
+
+/// The keys at the positions of one frame hull, held in an ordered multiset
+/// `S` while the hull slides from frame to frame: by default a sorted
+/// vector, which pays off on narrow frames.
 ///
 /// ```
 /// use holistic_strategies::incremental::SortedWindow;
 ///
 /// let keys = [5, 1, 4, 1, 3];
-/// let mut w = SortedWindow::new(&keys);
+/// let mut w: SortedWindow<_> = SortedWindow::new(&keys);
 /// w.slide_to(1, 4); // {1, 4, 1}
-/// assert_eq!((w.len(), w.count_below(4), w.select(2)), (3, 2, Some(4)));
+/// assert_eq!((w.count_below(4), w.select(2), w.select(3)), (2, Some(4), None));
 /// w.slide_to(2, 5); // {4, 1, 3}
 /// assert_eq!((w.count_below(4), w.select(0)), (2, Some(1)));
 /// ```
 #[derive(Debug, Clone)]
-pub struct SortedWindow<'a, T> {
+pub struct SortedWindow<'a, T, S = Vec<T>> {
     keys: &'a [T],
-    sorted: Vec<T>,
+    set: S,
     hull: Hull,
 }
 
-impl<'a, T: Copy + Ord> SortedWindow<'a, T> {
+impl<'a, T: Copy, S: OrderedMultiset<T>> SortedWindow<'a, T, S> {
     /// An empty window over `keys` (position → key).
     pub fn new(keys: &'a [T]) -> Self {
-        SortedWindow { keys, sorted: Vec::new(), hull: Hull::default() }
+        SortedWindow { keys, set: S::default(), hull: Hull::default() }
     }
 
     /// Holds the keys at the positions `[a, b)` (`a <= b <= keys.len()`)
@@ -117,51 +157,30 @@ impl<'a, T: Copy + Ord> SortedWindow<'a, T> {
     #[inline]
     pub fn slide_to(&mut self, a: usize, b: usize) {
         if self.hull.disjoint(a, b) {
-            self.sorted.clear();
+            self.set = S::default();
             self.hull = Hull { start: a, end: a };
         }
         let keys = self.keys;
         self.hull.move_to(
             a,
             b,
-            &mut self.sorted,
-            &mut |s: &mut Vec<T>, p| {
-                let k = keys[p];
-                let at = s.partition_point(|&v| v < k);
-                s.insert(at, k);
-            },
-            &mut |s: &mut Vec<T>, p| {
-                let k = keys[p];
-                let at = s.partition_point(|&v| v < k);
-                debug_assert!(s[at] == k, "remove of a key the window does not hold");
-                s.remove(at);
-            },
+            &mut self.set,
+            &mut |s: &mut S, p| s.insert(keys[p]),
+            &mut |s: &mut S, p| s.remove(keys[p]),
         );
-    }
-
-    /// How many keys the window holds.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.sorted.len()
-    }
-
-    /// True when the window holds no key.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.sorted.is_empty()
     }
 
     /// How many of the window's keys are smaller than `t`.
     #[inline]
     pub fn count_below(&self, t: T) -> usize {
-        self.sorted.partition_point(|&v| v < t)
+        self.set.count_below(t)
     }
 
     /// The `j`-th smallest (0-based) of the window's keys; `None` when it
     /// holds `j` keys or fewer.
     #[inline]
     pub fn select(&self, j: usize) -> Option<T> {
-        self.sorted.get(j).copied()
+        self.set.select(j)
     }
 }
 
@@ -199,16 +218,17 @@ pub fn distinct_count(hashes: &[u64], frames: &[(usize, usize)]) -> Vec<usize> {
 /// Incremental windowed percentile with a sorted array — O(frame) per update,
 /// the O(n²) percentile row of Table 1. Returns `None` for empty frames.
 pub fn percentile(values: &[i64], frames: &[(usize, usize)], p: f64) -> Vec<Option<i64>> {
-    let mut window = SortedWindow::new(values);
+    let mut window: SortedWindow<_> = SortedWindow::new(values);
     frames
         .iter()
         .map(|&(a, b)| {
             window.slide_to(a, b);
-            if window.is_empty() {
+            let s = b - a;
+            if s == 0 {
                 return None;
             }
             // PERCENTILE_DISC: j = ceil(p * s), 1-based.
-            let j = ((p * window.len() as f64).ceil() as usize).clamp(1, window.len());
+            let j = ((p * s as f64).ceil() as usize).clamp(1, s);
             window.select(j - 1)
         })
         .collect()

@@ -12,18 +12,20 @@
 //! allowed (an element equal to a separator key goes left, so `rank` returns
 //! the count of *strictly smaller* elements).
 
+use crate::incremental::OrderedMultiset;
+
 const T: usize = 16; // minimum degree: nodes hold T-1 ..= 2T-1 keys
 
 #[derive(Clone)]
-struct Node {
-    keys: Vec<i64>,
+struct Node<K> {
+    keys: Vec<K>,
     #[allow(clippy::vec_box)] // children move during splits/merges; boxing keeps those moves O(1)
-    children: Vec<Box<Node>>,
+    children: Vec<Box<Node<K>>>,
     /// Total number of keys in this subtree.
     size: usize,
 }
 
-impl Node {
+impl<K> Node<K> {
     fn leaf() -> Self {
         Node { keys: Vec::with_capacity(2 * T - 1), children: Vec::new(), size: 0 }
     }
@@ -37,18 +39,18 @@ impl Node {
     }
 }
 
-/// An order-statistic multiset of `i64` values.
-pub struct OrderStatisticTree {
-    root: Box<Node>,
+/// An order-statistic multiset of keys (`i64` unless named).
+pub struct OrderStatisticTree<K = i64> {
+    root: Box<Node<K>>,
 }
 
-impl Default for OrderStatisticTree {
+impl<K: Copy + Ord> Default for OrderStatisticTree<K> {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl OrderStatisticTree {
+impl<K: Copy + Ord> OrderStatisticTree<K> {
     /// An empty tree.
     pub fn new() -> Self {
         OrderStatisticTree { root: Box::new(Node::leaf()) }
@@ -64,25 +66,7 @@ impl OrderStatisticTree {
         self.len() == 0
     }
 
-    /// Inserts one occurrence of `v`. O(log n).
-    pub fn insert(&mut self, v: i64) {
-        if self.root.keys.len() == 2 * T - 1 {
-            // Grow: split the root.
-            let mut new_root = Box::new(Node::leaf());
-            std::mem::swap(&mut new_root, &mut self.root);
-            let old_root = new_root;
-            self.root.children.push(old_root);
-            self.split_child(0);
-            self.root.recount();
-        }
-        Self::insert_nonfull(&mut self.root, v);
-    }
-
-    fn split_child(&mut self, idx: usize) {
-        split_child_of(&mut self.root, idx);
-    }
-
-    fn insert_nonfull(node: &mut Node, v: i64) {
+    fn insert_nonfull(node: &mut Node<K>, v: K) {
         node.size += 1;
         if node.is_leaf() {
             let pos = node.keys.partition_point(|&k| k < v);
@@ -99,8 +83,50 @@ impl OrderStatisticTree {
         Self::insert_nonfull(&mut node.children[idx], v);
     }
 
-    /// Removes one occurrence of `v`. Panics if absent. O(log n).
-    pub fn remove(&mut self, v: i64) {
+    /// Number of elements strictly smaller than `v`. O(log n).
+    pub fn rank(&self, v: K) -> usize {
+        let mut node = &self.root;
+        let mut acc = 0usize;
+        loop {
+            let idx = node.keys.partition_point(|&k| k < v);
+            acc += idx;
+            if node.is_leaf() {
+                return acc;
+            }
+            acc += node.children[..idx].iter().map(|c| c.size).sum::<usize>();
+            node = &node.children[idx];
+        }
+    }
+
+    /// The discrete percentile (smallest value with cume_dist ≥ p), if any.
+    pub fn percentile_disc(&self, p: f64) -> Option<K> {
+        let s = self.len();
+        if s == 0 {
+            return None;
+        }
+        let j = ((p * s as f64).ceil() as usize).clamp(1, s);
+        self.select(j - 1)
+    }
+}
+
+/// The counted B-tree's updates and selection: what a
+/// [`SortedWindow`](crate::incremental::SortedWindow) slides, in O(log n)
+/// per step whatever the frame's width.
+impl<K: Copy + Ord> OrderedMultiset<K> for OrderStatisticTree<K> {
+    /// O(log n).
+    fn insert(&mut self, v: K) {
+        if self.root.keys.len() == 2 * T - 1 {
+            // Grow: split the root.
+            let old_root = std::mem::replace(&mut self.root, Box::new(Node::leaf()));
+            self.root.children.push(old_root);
+            split_child_of(&mut self.root, 0);
+            self.root.recount();
+        }
+        Self::insert_nonfull(&mut self.root, v);
+    }
+
+    /// Panics if `v` is absent. O(log n).
+    fn remove(&mut self, v: K) {
         remove_from(&mut self.root, v);
         if !self.root.is_leaf() && self.root.keys.is_empty() {
             // Shrink: the root lost its last separator.
@@ -109,8 +135,8 @@ impl OrderStatisticTree {
         }
     }
 
-    /// The `k`-th smallest element (0-based), if present. O(log n).
-    pub fn select(&self, k: usize) -> Option<i64> {
+    /// O(log n).
+    fn select(&self, k: usize) -> Option<K> {
         if k >= self.len() {
             return None;
         }
@@ -136,33 +162,12 @@ impl OrderStatisticTree {
         }
     }
 
-    /// Number of elements strictly smaller than `v`. O(log n).
-    pub fn rank(&self, v: i64) -> usize {
-        let mut node = &self.root;
-        let mut acc = 0usize;
-        loop {
-            let idx = node.keys.partition_point(|&k| k < v);
-            acc += idx;
-            if node.is_leaf() {
-                return acc;
-            }
-            acc += node.children[..idx].iter().map(|c| c.size).sum::<usize>();
-            node = &node.children[idx];
-        }
-    }
-
-    /// The discrete percentile (smallest value with cume_dist ≥ p), if any.
-    pub fn percentile_disc(&self, p: f64) -> Option<i64> {
-        let s = self.len();
-        if s == 0 {
-            return None;
-        }
-        let j = ((p * s as f64).ceil() as usize).clamp(1, s);
-        self.select(j - 1)
+    fn count_below(&self, t: K) -> usize {
+        self.rank(t)
     }
 }
 
-fn split_child_of(parent: &mut Node, idx: usize) {
+fn split_child_of<K>(parent: &mut Node<K>, idx: usize) {
     let child = &mut parent.children[idx];
     debug_assert_eq!(child.keys.len(), 2 * T - 1);
     let mut right = Box::new(Node::leaf());
@@ -179,7 +184,7 @@ fn split_child_of(parent: &mut Node, idx: usize) {
 
 /// CLRS B-tree deletion, counting-aware. Assumes `v` is present in the
 /// subtree; the caller (and `fill`) guarantee non-minimal nodes on descent.
-fn remove_from(node: &mut Node, v: i64) {
+fn remove_from<K: Copy + Ord>(node: &mut Node<K>, v: K) {
     node.size -= 1;
     let idx = node.keys.partition_point(|&k| k < v);
     if idx < node.keys.len() && node.keys[idx] == v {
@@ -210,7 +215,7 @@ fn remove_from(node: &mut Node, v: i64) {
     remove_from(&mut node.children[idx], v);
 }
 
-fn max_of(node: &Node) -> i64 {
+fn max_of<K: Copy>(node: &Node<K>) -> K {
     let mut n = node;
     while !n.is_leaf() {
         n = n.children.last().unwrap();
@@ -218,7 +223,7 @@ fn max_of(node: &Node) -> i64 {
     *n.keys.last().unwrap()
 }
 
-fn min_of(node: &Node) -> i64 {
+fn min_of<K: Copy>(node: &Node<K>) -> K {
     let mut n = node;
     while !n.is_leaf() {
         n = n.children.first().unwrap();
@@ -228,7 +233,7 @@ fn min_of(node: &Node) -> i64 {
 
 /// Ensures child `idx` has at least T keys; returns the (possibly shifted)
 /// index of the child that now covers the original key range.
-fn fill(node: &mut Node, idx: usize) -> usize {
+fn fill<K: Copy>(node: &mut Node<K>, idx: usize) -> usize {
     if idx > 0 && node.children[idx - 1].keys.len() >= T {
         // Borrow from the left sibling.
         let (left, right) = node.children.split_at_mut(idx);
@@ -269,7 +274,7 @@ fn fill(node: &mut Node, idx: usize) -> usize {
 }
 
 /// Merges child `idx`, separator `idx` and child `idx + 1`.
-fn merge_children(node: &mut Node, idx: usize) {
+fn merge_children<K>(node: &mut Node<K>, idx: usize) {
     let sep = node.keys.remove(idx);
     let mut right = node.children.remove(idx + 1);
     let left = &mut node.children[idx];
@@ -324,7 +329,7 @@ mod tests {
         assert_eq!(t.percentile_disc(0.5), Some(5));
         assert_eq!(t.percentile_disc(0.0), Some(1));
         assert_eq!(t.percentile_disc(1.0), Some(10));
-        assert_eq!(OrderStatisticTree::new().percentile_disc(0.5), None);
+        assert_eq!(OrderStatisticTree::<i64>::new().percentile_disc(0.5), None);
     }
 
     #[test]

@@ -9,6 +9,8 @@
 //! faithfully: the warm-up is real work, so the penalty is visible even on a
 //! single core.
 
+use crate::incremental::OrderedMultiset;
+use crate::ostree::OrderStatisticTree;
 use rayon::prelude::*;
 
 /// Hyper's task granularity (§5.5).
@@ -229,14 +231,8 @@ pub fn percentile_stats(
         task_size,
         parallel,
         Vec::<i64>::new,
-        |s, pos| {
-            let idx = s.partition_point(|&v| v < values[pos]);
-            s.insert(idx, values[pos]);
-        },
-        |s, pos| {
-            let idx = s.partition_point(|&v| v < values[pos]);
-            s.remove(idx);
-        },
+        |s, pos| OrderedMultiset::insert(s, values[pos]),
+        |s, pos| OrderedMultiset::remove(s, values[pos]),
         |s, _| {
             if s.is_empty() {
                 None
@@ -268,7 +264,6 @@ pub fn ostree_percentile_stats(
     task_size: usize,
     parallel: bool,
 ) -> (Vec<Option<i64>>, SlideStats) {
-    use crate::ostree::OrderStatisticTree;
     task_parallel_slide_stats(
         frames,
         task_size,
@@ -288,7 +283,6 @@ pub fn ostree_rank(
     task_size: usize,
     parallel: bool,
 ) -> Vec<usize> {
-    use crate::ostree::OrderStatisticTree;
     task_parallel_slide(
         frames,
         task_size,

@@ -384,8 +384,8 @@ impl IncrementalEngine {
     /// current frames, indexed by [`crate::Strategy::index`]: the
     /// `decisions` histogram of a from-scratch profiled execution on the
     /// grown table.
-    pub fn strategy_decisions(&self) -> [u64; 5] {
-        let mut h = [0u64; 5];
+    pub fn strategy_decisions(&self) -> [u64; crate::Strategy::ALL.len()] {
+        let mut h = [0u64; crate::Strategy::ALL.len()];
         for stats in self.partition_stats() {
             for s in PartitionEval::choose(&self.plan, self.opts, &stats) {
                 h[s.index()] += 1;

@@ -26,7 +26,7 @@
 //! group, so this is the peer-group-size-bounded part of the query).
 
 use super::primitive::{CountBelow, Scan};
-use super::{alt, Ctx, Planned};
+use super::{Ctx, Planned};
 use crate::artifacts::{AggFlavor, ArtifactKey, DistinctPrepArt, MaskArtifact};
 use crate::column::{Column, Outputs};
 use crate::error::{Error, Result};
@@ -36,7 +36,9 @@ use crate::strategy::Strategy;
 use crate::value::DataType;
 use holistic_core::aggregate::{AvgF64, SumF64, SumI64};
 use holistic_core::{AnnotatedMst, DistinctAggregate, ProbeSeed, RangeSet, TreeIndex};
+use holistic_strategies::incremental;
 use rustc_hash::FxHashSet;
+use std::borrow::Cow;
 use std::sync::Arc;
 
 /// Entry point for DISTINCT aggregates.
@@ -60,7 +62,7 @@ pub(crate) fn evaluate(
         };
     }
     let counts = match strategy {
-        Strategy::Incremental => alt::count_distinct_incremental(ctx, &mask, &prep),
+        Strategy::Incremental => count_incremental(ctx, &mask, &prep),
         Strategy::Naive => {
             let prev = holistic_core::prev_idcs_u64(&prep.hashes, ctx.parallel);
             count(ctx, &mask, &prep, &Scan(&prev))?
@@ -143,6 +145,19 @@ fn count(
             Ok((base - correction) as i64)
         },
     )
+}
+
+/// COUNT(DISTINCT) on the incremental hash multiset (Table 1 row 1), slid
+/// along kept-space hulls (no exclusion here): under a mask that drops
+/// nothing, the resolved bounds themselves, borrowed — `start <= end <= m`
+/// ([`crate::frame::ResolvedFrames`]) leaves the remap's clamp nothing to do.
+fn count_incremental(ctx: &Ctx<'_>, mask: &MaskArtifact, prep: &DistinctPrepArt) -> Vec<i64> {
+    let hulls = if mask.remap.is_identity() {
+        Cow::Borrowed(&ctx.frames.bounds)
+    } else {
+        Cow::Owned(ctx.frames.bounds.iter().map(|&(a, b)| mask.remap.range(a, b)).collect())
+    };
+    incremental::distinct_count(&prep.hashes, &hulls).into_iter().map(|c| c as i64).collect()
 }
 
 /// An integer `SUM(DISTINCT)`'s output: exact, or past `i64` degraded to a

@@ -16,7 +16,6 @@
 //! call at once for the scan arm. Frames never cross a segment, so only an
 //! evaluator that reads beyond a frame asks where its segment is.
 
-pub(crate) mod alt;
 pub(crate) mod distinct;
 pub(crate) mod distributive;
 pub(crate) mod leadlag;

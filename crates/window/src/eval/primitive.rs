@@ -13,9 +13,10 @@
 //! | [`Fold`], MIN / MAX | [`SegTrees`] | [`ScanFold`] |
 //! | [`RangeMode`] | [`RangeModeIndex`] | [`ScanIds`] |
 //!
-//! The rank family's [`CountBelow`] has a third, which the incremental
-//! strategy names: its codes [`Sliding`] as one sorted window along the
-//! frames.
+//! The Table 1 competitors answer the same two over the same unique codes:
+//! the incremental strategy slides them as a [`SortedVector`], the
+//! order-statistic one as a [`CountedBTree`], and the segment-tree one
+//! selects in a [`SortedListSegTree`].
 //!
 //! Three questions have one implementation, whatever the strategy, because
 //! what the partition already holds answers them: [`Select`] in frame-position
@@ -34,8 +35,10 @@ use crate::error::Result;
 use holistic_core::{BlockScratch, MergeSortTree, RangeSet, TreeIndex};
 use holistic_rangemode::RangeModeIndex;
 use holistic_rangetree::RangeTree3;
-use holistic_segtree::{Monoid, PrefixSums, SegmentTree};
-use holistic_strategies::incremental::SortedWindow;
+use holistic_segtree::{Monoid, PrefixSums, SegmentTree, SortedListSegTree};
+use holistic_strategies::incremental::{OrderedMultiset, SortedWindow};
+use holistic_strategies::ostree::OrderStatisticTree;
+use std::marker::PhantomData;
 
 /// `count_below(pieces, t)`: how many elements at the positions `pieces` are
 /// smaller than `t`.
@@ -107,19 +110,34 @@ pub(crate) trait Select: Sync {
         F: Fn(usize, S, &[Option<usize>]) -> Result<T>,
     {
         let mut buf = SelectBuf::default();
-        for (off, slot) in slots.iter_mut().enumerate() {
-            let (mut res, mut n) = ([None; 2], 0);
-            let planned = plan(base + off, &mut |rs, j| {
-                res[n] = self.select(&rs, j, &mut buf);
-                n += 1;
-            })?;
-            *slot = match planned {
-                Planned::Done(v) => v,
-                Planned::Counted(s) => finish(base + off, s, &res[..n])?,
-            };
-        }
-        Ok(())
+        select_rows(base, slots, plan, finish, |rs, j| self.select(rs, j, &mut buf))
     }
+}
+
+/// The row-at-a-time select loop of one chunk; see [`count_rows`].
+fn select_rows<S, T, P, F>(
+    base: usize,
+    slots: &mut [T],
+    plan: &P,
+    finish: &F,
+    mut answer: impl FnMut(&RangeSet, usize) -> Option<usize>,
+) -> Result<()>
+where
+    P: Fn(usize, &mut dyn FnMut(RangeSet, usize)) -> Result<Planned<S, T>>,
+    F: Fn(usize, S, &[Option<usize>]) -> Result<T>,
+{
+    for (off, slot) in slots.iter_mut().enumerate() {
+        let (mut res, mut n) = ([None; 2], 0);
+        let planned = plan(base + off, &mut |rs, j| {
+            res[n] = answer(&rs, j);
+            n += 1;
+        })?;
+        *slot = match planned {
+            Planned::Done(v) => v,
+            Planned::Counted(s) => finish(base + off, s, &res[..n])?,
+        };
+    }
+    Ok(())
 }
 
 /// The block-kernel probe loop of one chunk: rows are planned
@@ -239,16 +257,31 @@ impl CountBelow for Scan<'_> {
 }
 
 /// The unique codes a merge sort tree would have been built from, held as
-/// one [`SortedWindow`] that each probe chunk slides along its rows' frames
-/// (Wesley & Xu): [`CountBelow`] for the rank family over narrow,
+/// one [`SortedWindow`] in the ordered multiset `W` that each probe chunk
+/// slides along its rows' frames (Wesley & Xu): an index for narrow,
 /// mostly-monotonic frames. A query that is not one hull (several pieces)
 /// is a [`Scan`] of the same codes; each chunk starts its own window, so
-/// every count is the tree's.
-pub(crate) struct Sliding<'a>(pub &'a [usize]);
+/// every answer is the tree's.
+pub(crate) struct Sliding<'a, W> {
+    codes: &'a [usize],
+    multiset: PhantomData<fn() -> W>,
+}
 
-impl CountBelow for Sliding<'_> {
+/// The incremental strategy's index: a sorted vector of codes.
+pub(crate) type SortedVector<'a> = Sliding<'a, Vec<usize>>;
+
+/// The order-statistic strategy's index: a counted B-tree of codes.
+pub(crate) type CountedBTree<'a> = Sliding<'a, OrderStatisticTree<usize>>;
+
+impl<'a, W: OrderedMultiset<usize>> Sliding<'a, W> {
+    pub fn new(codes: &'a [usize]) -> Self {
+        Sliding { codes, multiset: PhantomData }
+    }
+}
+
+impl<W: OrderedMultiset<usize>> CountBelow for Sliding<'_, W> {
     fn count_below(&self, pieces: &RangeSet, t: usize) -> usize {
-        Scan(self.0).count_below(pieces, t)
+        Scan(self.codes).count_below(pieces, t)
     }
 
     fn probe_chunk<S, T, P, F>(
@@ -263,9 +296,8 @@ impl CountBelow for Sliding<'_> {
         P: Fn(usize, &mut dyn FnMut(&RangeSet, usize)) -> Result<Planned<S, T>>,
         F: Fn(usize, S, usize) -> Result<T>,
     {
-        let mut window = SortedWindow::new(self.0);
+        let mut window = SortedWindow::<_, W>::new(self.codes);
         count_rows(base, slots, plan, finish, |rs, t| match rs.len() {
-            0 => 0,
             1 => {
                 let (a, b) = rs.nth(0);
                 window.slide_to(a, b);
@@ -273,6 +305,51 @@ impl CountBelow for Sliding<'_> {
             }
             _ => self.count_below(rs, t),
         })
+    }
+}
+
+impl<W: OrderedMultiset<usize>> Select for Sliding<'_, W> {
+    fn select(&self, pieces: &RangeSet, j: usize, buf: &mut SelectBuf) -> Option<usize> {
+        Scan(self.codes).select(pieces, j, buf)
+    }
+
+    fn probe_chunk<S, T, P, F>(
+        &self,
+        _ctx: &Ctx<'_>,
+        base: usize,
+        slots: &mut [T],
+        plan: &P,
+        finish: &F,
+    ) -> Result<()>
+    where
+        P: Fn(usize, &mut dyn FnMut(RangeSet, usize)) -> Result<Planned<S, T>>,
+        F: Fn(usize, S, &[Option<usize>]) -> Result<T>,
+    {
+        let mut window = SortedWindow::<_, W>::new(self.codes);
+        let mut buf = SelectBuf::default();
+        select_rows(base, slots, plan, finish, |rs, j| match rs.len() {
+            1 => {
+                let (a, b) = rs.nth(0);
+                window.slide_to(a, b);
+                window.select(j)
+            }
+            _ => self.select(rs, j, &mut buf),
+        })
+    }
+}
+
+/// The segment-tree strategy's index: the codes in a segment tree whose
+/// nodes carry their sorted lists (Arasu & Widom's base intervals), built
+/// per call.
+pub(crate) fn sorted_lists(codes: &[usize], parallel: bool) -> SortedListSegTree {
+    let wide: Vec<i64> = codes.iter().map(|&c| c as i64).collect();
+    SortedListSegTree::build(&wide, parallel)
+}
+
+/// A code is its rank; O((log n)²) per piece and step of the value search.
+impl Select for SortedListSegTree {
+    fn select(&self, pieces: &RangeSet, j: usize, _buf: &mut SelectBuf) -> Option<usize> {
+        self.select_in(pieces.iter(), j).map(|c| c as usize)
     }
 }
 
@@ -525,6 +602,7 @@ mod tests {
             let dc = dense_codes(&keys, false);
             let by_keys = tree(&dc.perm);
             let by_position = tree(&(0..n).collect::<Vec<_>>());
+            let lists = sorted_lists(&dc.code, false);
             // One scratch through every query: its memo must notice each
             // change of pieces.
             let mut buf = SelectBuf::default();
@@ -536,6 +614,11 @@ mod tests {
                         Scan(&dc.code).select(&p, j, &mut buf),
                         Select::select(&by_keys, &p, j, &mut buf),
                         "explicit order, pieces {:?} j {}", p, j
+                    );
+                    prop_assert_eq!(
+                        Select::select(&lists, &p, j, &mut buf),
+                        Select::select(&by_keys, &p, j, &mut buf),
+                        "sorted lists, pieces {:?} j {}", p, j
                     );
                     prop_assert_eq!(
                         FrameOrder.select(&p, j, &mut buf),
@@ -556,7 +639,8 @@ mod tests {
             // others are drawn afresh, so they jump, shrink and vanish.
             let n = keys.len();
             let (mut a, mut b) = (0, 0);
-            let mut window = SortedWindow::new(&keys[..]);
+            let mut window: SortedWindow<_> = SortedWindow::new(&keys[..]);
+            let mut counted = SortedWindow::<_, OrderStatisticTree<_>>::new(&keys[..]);
             let mut buf = SelectBuf::default();
             for &(x, y) in &steps {
                 (a, b) = if monotone {
@@ -567,19 +651,21 @@ mod tests {
                     (x.min(y), x.max(y))
                 };
                 window.slide_to(a, b);
+                counted.slide_to(a, b);
                 let hull = RangeSet::single(a, b);
-                prop_assert_eq!(window.len(), b - a);
                 for t in [0, 1, 4, 8, 9, 10] {
                     prop_assert_eq!(
                         window.count_below(t), Scan(&keys).count_below(&hull, t),
                         "[{}, {}) t {}", a, b, t
                     );
+                    prop_assert_eq!(counted.count_below(t), window.count_below(t));
                 }
                 for j in 0..=b - a + 1 {
                     prop_assert_eq!(
                         window.select(j), Scan(&keys).select(&hull, j, &mut buf),
                         "[{}, {}) j {}", a, b, j
                     );
+                    prop_assert_eq!(counted.select(j), window.select(j));
                 }
             }
         }

@@ -20,7 +20,7 @@
 //! trees, a scan of the codes they would have been built from, or (for the
 //! rank family over hull frames) those codes slid as one sorted window.
 
-use super::primitive::{Count3d, CountBelow, Scan, ScanPoints, Sliding};
+use super::primitive::{Count3d, CountBelow, Scan, ScanPoints, SortedVector};
 use super::{cume_dist, percent_rank, Ctx, Planned};
 use crate::artifacts::{DenseRankArt, MaskArtifact};
 use crate::column::Column;
@@ -104,7 +104,7 @@ pub(crate) fn evaluate(
     let prep = prepare(ctx, cp)?;
     match strategy {
         Strategy::Naive => probe(ctx, call, &prep, &Scan(&prep.dc.code)),
-        Strategy::Incremental => probe(ctx, call, &prep, &Sliding(&prep.dc.code)),
+        Strategy::Incremental => probe(ctx, call, &prep, &SortedVector::new(&prep.dc.code)),
         _ if ctx.u32_trees() => probe(ctx, call, &prep, &*ctx.code_mst::<u32>(cp)?),
         _ => probe(ctx, call, &prep, &*ctx.code_mst::<u64>(cp)?),
     }

@@ -13,10 +13,11 @@
 //! remapping). The planner encodes exactly this rule in the call's mask key,
 //! so the sort and both trees come from the shared artifact cache. Which
 //! [`Select`] index answers an inner ORDER BY — the tree, a scan of the
-//! codes, or one of the sliding alternates — is the strategy's choice.
+//! codes, or an alternate's index over the same codes — is the strategy's
+//! choice.
 
-use super::primitive::{FrameOrder, Scan, Select};
-use super::{alt, cont_rank, disc_rank, fraction_arg, Ctx, Planned};
+use super::primitive::{sorted_lists, CountedBTree, FrameOrder, Scan, Select, SortedVector};
+use super::{cont_rank, disc_rank, fraction_arg, Ctx, Planned};
 use crate::artifacts::MaskArtifact;
 use crate::column::Column;
 use crate::error::{Error, Result};
@@ -48,25 +49,27 @@ pub(crate) fn evaluate(
     match (strategy, sel.dc) {
         (_, None) => sel.probe(&FrameOrder),
         (Strategy::Naive, Some(dc)) => sel.probe(&Scan(&dc.code)),
+        (Strategy::Incremental, Some(dc)) => sel.probe(&SortedVector::new(&dc.code)),
+        (Strategy::OsTree, Some(dc)) => sel.probe(&CountedBTree::new(&dc.code)),
+        (Strategy::SegTree, Some(dc)) => sel.probe(&sorted_lists(&dc.code, ctx.parallel)),
         (Strategy::Mst, _) if ctx.u32_trees() => sel.probe(&*ctx.perm_mst::<u32>(cp)?),
         (Strategy::Mst, _) => sel.probe(&*ctx.perm_mst::<u64>(cp)?),
-        (sliding, Some(dc)) => alt::percentile(&sel, dc, sliding),
     }
 }
 
 /// One selection call over one partition, before its index is chosen.
-pub(super) struct Selection<'a> {
-    pub ctx: &'a Ctx<'a>,
-    pub call: &'a FunctionCall,
-    pub mask: &'a MaskArtifact,
-    pub kept_out: &'a Column,
+struct Selection<'a> {
+    ctx: &'a Ctx<'a>,
+    call: &'a FunctionCall,
+    mask: &'a MaskArtifact,
+    kept_out: &'a Column,
     dc: Option<&'a DenseCodes>,
 }
 
 impl Selection<'_> {
     /// The percentile fraction. CONT interpolates: its key must be numeric
     /// throughout, even when a particular rank lands exactly on one element.
-    pub fn fraction(&self) -> Result<f64> {
+    fn fraction(&self) -> Result<f64> {
         let p = fraction_arg(self.ctx.table, self.ctx.rows, self.call)?;
         if self.call.kind == FuncKind::PercentileCont {
             let numeric = |t| matches!(t, Some(DataType::Int | DataType::Float | DataType::Date));

@@ -249,9 +249,9 @@ pub struct ArtifactFootprint {
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct StrategyProfile {
     /// Total decisions per strategy over all (partition × call) pairs.
-    pub decisions: [u64; 5],
+    pub decisions: [u64; Strategy::ALL.len()],
     /// Decisions per call (outer index = call position in the query).
-    pub per_call: Vec<[u64; 5]>,
+    pub per_call: Vec<[u64; Strategy::ALL.len()]>,
     /// Partitions where *every* call chose [`Strategy::Naive`]: each is a
     /// segment of a naive batch, and the whole artifact machinery
     /// (cache, seeding, footprints) was skipped.
@@ -423,7 +423,7 @@ impl WindowQuery {
             plan: plan_time,
             partitions: partitions.len(),
             strategy: StrategyProfile {
-                per_call: vec![[0u64; 5]; self.calls.len()],
+                per_call: vec![[0u64; Strategy::ALL.len()]; self.calls.len()],
                 ..StrategyProfile::default()
             },
             ..ExecProfile::default()

@@ -124,8 +124,9 @@ pub struct ResolvedFrames {
     /// every mode of [`resolve_frames`] and checked where it returns:
     /// `start <= end <= m` (the partition's size) — an empty frame is
     /// `start == end`, never a reversed or overhanging pair. Readers index
-    /// per-position arrays with these bounds unclamped (`eval::alt` slides
-    /// over them as they are when the call's mask drops nothing).
+    /// per-position arrays with these bounds unclamped (the incremental
+    /// COUNT(DISTINCT) slides over them as they are when the call's mask
+    /// drops nothing).
     pub bounds: Vec<(usize, usize)>,
     /// Exclusion clause in force.
     pub exclusion: FrameExclusion,
@@ -179,10 +180,14 @@ impl ResolvedFrames {
         h
     }
 
-    /// The frame of row `i` as up to three disjoint ranges.
+    /// The frame of row `i` as up to three disjoint ranges. Runs per row in
+    /// every probe loop, so a frame without holes skips the hole arithmetic.
     pub fn range_set(&self, i: usize) -> RangeSet {
         let (a, b) = self.bounds[i];
-        RangeSet::frame_minus_holes(a, b, self.holes(i).as_slice())
+        match self.exclusion {
+            FrameExclusion::NoOthers => RangeSet::single(a, b),
+            _ => RangeSet::frame_minus_holes(a, b, self.holes(i).as_slice()),
+        }
     }
 
     /// True when no row's frame has exclusion holes.

@@ -18,8 +18,8 @@
 //!
 //! Both forms clamp range bounds past the partition to `n`, so
 //! `range(a, b)` is total on any `a`, `b`. Callers that *skip* the
-//! translation under the identity (`eval::alt` borrows the hull frames as
-//! they are) rely on [`crate::frame::ResolvedFrames`]'s invariant
+//! translation under the identity (the incremental COUNT(DISTINCT) borrows
+//! the hull frames as they are) rely on [`crate::frame::ResolvedFrames`]'s invariant
 //! `start <= end <= n` instead.
 
 use holistic_core::RangeSet;

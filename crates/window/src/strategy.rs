@@ -17,9 +17,11 @@
 //!   (serial/parallel, shared/private caches) picks the same strategy and
 //!   stays bit-identical.
 //! * Every strategy is bit-identical to the merge-sort-tree path by
-//!   construction: alternates slide/select *dense codes* (exact integer
-//!   ranks), and naive is the merge-sort-tree path's own evaluator with each
-//!   range primitive answered by a scan (`eval::primitive`).
+//!   construction: each family evaluator is written once against the range
+//!   primitives of `eval::primitive`, and a strategy only names the index
+//!   that answers them — a scan for naive, a sliding window or a sorted-list
+//!   segment tree of the same *dense codes* (exact integer ranks) for the
+//!   alternates.
 //! * [`Strategy::Mst`] is applicable to everything; a forced strategy that
 //!   does not apply to a call falls back to it.
 
@@ -513,15 +515,12 @@ mod tests {
 
     #[test]
     fn narrow_monotonic_percentiles_prefer_sliding() {
-        // 1M rows, 8-wide monotonic frame: slide ≈ 2 per row. Any sliding
-        // strategy beats building a merge sort tree.
+        // 1M rows, 8-wide monotonic frame: slide ≈ 2 per row. The sorted
+        // vector (about 74 M ns) beats naive (89 M) and every tree.
         let s = stats(1_000_000, 8.0, 2_000_000);
         let picked =
             choose(StrategyMode::Adaptive, CallClass::Percentile, &s, &CostModel::default());
-        assert!(
-            matches!(picked, Strategy::Incremental | Strategy::OsTree),
-            "expected a sliding strategy for narrow monotonic frames, got {picked:?}"
-        );
+        assert_eq!(picked, Strategy::Incremental);
     }
 
     #[test]
@@ -576,14 +575,13 @@ mod tests {
     #[test]
     fn adversarial_slide_prefers_trees() {
         // Random frames: total slide ~ m * m/3 — sliding state thrashes.
+        // The merge sort tree (about 71 M ns) beats the sorted-list segment
+        // tree (409 M).
         let m = 100_000u64;
         let s = stats(m as usize, 30_000.0, m * 30_000);
         let picked =
             choose(StrategyMode::Adaptive, CallClass::Percentile, &s, &CostModel::default());
-        assert!(
-            matches!(picked, Strategy::SegTree | Strategy::Mst),
-            "expected a tree strategy for adversarial frames, got {picked:?}"
-        );
+        assert_eq!(picked, Strategy::Mst);
     }
 
     #[test]

@@ -399,18 +399,20 @@ fn forced_alternates_agree_on_integer_data() {
     }
 }
 
-/// The rank family on the sliding window of codes: RANK, ROW_NUMBER,
-/// PERCENT_RANK, CUME_DIST and NTILE, each with and without a FILTER that
-/// drops every fifth row (whose ROW_NUMBER and NTILE count below the code
-/// they would have had), over ROWS, RANGE and GROUPS frames that grow,
-/// shrink, slide, jump to a disjoint hull every row, or are always empty.
-/// Forced incremental, serial and with parallel chunks that each start
-/// their own window, answers bit for bit like forced MST and the naive
-/// oracle; under `EXCLUDE CURRENT ROW` the family stays on the tree. On the
-/// narrow monotonic frame Adaptive picks the window itself; on the disjoint
-/// jumps it does not.
+/// The alternates' indexes over the codes: RANK, ROW_NUMBER, PERCENT_RANK,
+/// CUME_DIST and NTILE, and MEDIAN, PERCENTILE_DISC and PERCENTILE_CONT,
+/// each with and without a FILTER that drops every fifth row (whose
+/// ROW_NUMBER and NTILE count below the code they would have had), over
+/// ROWS, RANGE and GROUPS frames that grow, shrink, slide, jump to a
+/// disjoint hull every row, or are always empty. Forced incremental (the
+/// sorted vector), ostree (the counted B-tree) and segtree (the sorted-list
+/// segment tree), serial and with parallel chunks that each start their own
+/// window, answer bit for bit like forced MST and the naive oracle; a call
+/// a forced strategy cannot serve, and every call under `EXCLUDE CURRENT
+/// ROW`, stays on the tree. On the narrow monotonic frame Adaptive slides
+/// every call on the sorted vector; on the disjoint jumps it slides none.
 #[test]
-fn the_rank_family_slides_bit_identically() {
+fn every_alternate_answers_bit_identically() {
     let n = 3000i64;
     let table = Table::new(vec![
         ("pos", Column::ints((0..n).collect())),
@@ -435,6 +437,11 @@ fn the_rank_family_slides_bit_identically() {
             FunctionCall::percent_rank(by()).named(format!("percent_rank{suffix}")),
             FunctionCall::cume_dist(by()).named(format!("cume_dist{suffix}")),
             FunctionCall::ntile(lit(4i64), by()).named(format!("ntile{suffix}")),
+            FunctionCall::median(col("y")).named(format!("median{suffix}")),
+            FunctionCall::percentile_disc(0.9, SortKey::asc(col("y")))
+                .named(format!("disc{suffix}")),
+            FunctionCall::percentile_cont(0.25, SortKey::asc(col("y")))
+                .named(format!("cont{suffix}")),
         ];
         calls.extend(family.into_iter().map(|c| if filtered { c.filter(col("live")) } else { c }));
     }
@@ -466,6 +473,11 @@ fn the_rank_family_slides_bit_identically() {
     ];
     let decided =
         |profile: &holistic_window::ExecProfile, s: Strategy| profile.strategy.decisions[s.index()];
+    let percentile = |c: &FunctionCall| {
+        c.output_name.contains("median")
+            || c.output_name.contains("disc")
+            || c.output_name.contains("cont")
+    };
     for (shape, frame, excluded) in frames {
         let order = if shape.starts_with("range") { "k" } else { "pos" };
         let spec = WindowSpec::new().order_by(vec![SortKey::asc(col(order))]).frame(frame);
@@ -474,15 +486,20 @@ fn the_rank_family_slides_bit_identically() {
         let mst =
             q.execute_with(&table, ExecOptions::serial().force_strategy(Strategy::Mst)).unwrap();
         assert_same_columns(&oracle, &mst, &names, &format!("{shape}, forced mst"));
-        for (label, opts) in
-            [("serial", ExecOptions::serial()), ("parallel", ExecOptions::default())]
-        {
-            let (out, profile) =
-                q.execute_profiled(&table, opts.force_strategy(Strategy::Incremental)).unwrap();
-            let label = format!("{shape}, forced incremental, {label}");
-            assert_same_columns(&oracle, &out, &names, &label);
-            let taken = if excluded { Strategy::Mst } else { Strategy::Incremental };
-            assert_eq!(decided(&profile, taken), calls.len() as u64, "{label}");
+        for forced in [Strategy::Incremental, Strategy::OsTree, Strategy::SegTree] {
+            for (label, opts) in
+                [("serial", ExecOptions::serial()), ("parallel", ExecOptions::default())]
+            {
+                let (out, profile) =
+                    q.execute_profiled(&table, opts.force_strategy(forced)).unwrap();
+                let label = format!("{shape}, forced {}, {label}", forced.name());
+                assert_same_columns(&oracle, &out, &names, &label);
+                for (call, decisions) in calls.iter().zip(&profile.strategy.per_call) {
+                    let serves = forced == Strategy::Incremental || percentile(call);
+                    let taken = if serves && !excluded { forced } else { Strategy::Mst };
+                    assert_eq!(decisions[taken.index()], 1, "{label}: {}", call.output_name);
+                }
+            }
         }
         if shape == "rows, disjoint jumps" {
             // Draining the window at every jump would be right but slow:
