@@ -55,14 +55,30 @@ if grep -n "ArtifactKey" crates/window/src/plan.rs; then
   exit 1
 fi
 
-step "typed probe path (no Vec<Value> in the evaluators, the artifact cache, the executor or the append engine)"
-# A call's arguments and outputs are typed columns between the VM and the
-# result table; `Value` stays in the per-row interpreter, the naive oracle,
-# `Column::get` and literals. The count may only go down.
+step "typed probe path (no Vec<Value> in the evaluators, the artifact cache, the executor, the append engine, the partitioner or the SQL session)"
+# A call's arguments and outputs, PARTITION BY keys and the session's columns
+# are typed columns between the VM and the result table; `Value` stays in the
+# per-row interpreter, the naive oracle, `Column::get` and literals. The count
+# may only go down.
 vec_values=$(cat crates/window/src/eval/*.rs crates/window/src/artifacts.rs \
-  crates/window/src/executor.rs crates/window/src/append.rs | grep -c 'Vec<Value>' || true)
+  crates/window/src/executor.rs crates/window/src/append.rs \
+  crates/window/src/partition.rs crates/sql/src/session.rs | grep -c 'Vec<Value>' || true)
 if ((vec_values > 0)); then
   echo "Vec<Value> appears $vec_values times on the probe path (at most 0)" >&2
+  exit 1
+fi
+
+step "one way from rows to a column (only vm.rs and frame.rs name ExprVm; no eval_all)"
+# Keys, arguments, masks and the session's columns evaluate through
+# `vm::eval`; frame.rs reads the VM's block itself, because a constant block
+# is a constant offset. A second batch evaluator would be a second copy of
+# the size rule and the fallback to the interpreter's first error.
+if grep -rln "ExprVm" crates/window/src crates/sql/src | grep -vE "crates/window/src/(vm|frame)\.rs$"; then
+  echo "only crates/window/src/vm.rs and frame.rs may name ExprVm" >&2
+  exit 1
+fi
+if grep -rn "eval_all" crates src tests examples; then
+  echo "eval_all is gone: evaluate batches through vm::eval" >&2
   exit 1
 fi
 

@@ -198,14 +198,14 @@ fn eval_call(
             rows.iter().map(|&r| Ok(b.eval(table, r)?.is_truthy())).collect::<Result<Vec<_>>>()?
         }
     };
-    let eval_all =
+    let per_row =
         |e: &BoundExpr| -> Result<Vec<Value>> { rows.iter().map(|&r| e.eval(table, r)).collect() };
     let arg0: Vec<Value> = match call.args.first() {
-        Some(e) => eval_all(&e.bind(table)?)?,
+        Some(e) => per_row(&e.bind(table)?)?,
         None => Vec::new(),
     };
     let key0: Vec<Value> = match call.inner_order.first() {
-        Some(k) => eval_all(&k.expr.bind(table)?)?,
+        Some(k) => per_row(&k.expr.bind(table)?)?,
         None => Vec::new(),
     };
     // Rank functions with no inner order fall back to the window ORDER BY as

@@ -219,14 +219,11 @@ fn filter_table(table: &Table, pred: &Expr) -> Result<Table, SqlError> {
     Ok(out)
 }
 
+/// The table's rows in `perm` order, each column gathered in its own type.
 fn permute_table(table: &Table, perm: &[usize]) -> Result<Table, SqlError> {
     let mut out = Table::empty();
     for (name, col) in table.iter() {
-        let mut sorted = Column::new_empty(col.data_type());
-        for &i in perm {
-            sorted.push(col.get(i))?;
-        }
-        out.add_column(name, sorted)?;
+        out.add_column(name, col.gather(perm.iter().map(|&i| Some(i))))?;
     }
     Ok(out)
 }
@@ -267,6 +264,28 @@ mod tests {
         );
         let out = session().query("SELECT g, v FROM t ORDER BY v * -1").unwrap();
         assert_eq!(out.column("v").unwrap().get(0), Value::Int(4));
+
+        // The permutation carries every column in its own type, NULLs and
+        // strings included.
+        let mut s = SqlSession::new();
+        s.register(
+            "u",
+            Table::new(vec![
+                ("name", Column::strs(vec!["c", "a", "d", "b"])),
+                ("x", Column::ints_opt(vec![Some(3), Some(1), None, Some(2)])),
+            ])
+            .unwrap(),
+        );
+        let out = s.query("SELECT name, x FROM u ORDER BY x NULLS FIRST").unwrap();
+        let names = out.column("name").unwrap();
+        assert!(matches!(names, Column::Str(..)));
+        assert_eq!(names.to_values(), ["d", "a", "b", "c"].map(Value::str));
+        let x = out.column("x").unwrap();
+        assert!(matches!(x, Column::Int(..)));
+        assert_eq!(
+            x.to_values(),
+            [None, Some(1), Some(2), Some(3)].map(|v| v.map_or(Value::Null, Value::Int))
+        );
     }
 
     #[test]

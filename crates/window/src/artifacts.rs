@@ -995,7 +995,7 @@ impl Ctx<'_> {
                 None => vec![true; m],
                 Some(f) => {
                     let bound = f.to_expr().bind(self.table)?;
-                    crate::vm::eval_filter_rows(&bound, self.table, self.rows)?
+                    crate::vm::mask(&bound, self.table, crate::vm::RowSel::Rows(self.rows))?
                 }
             };
             if let Some(screen) = &mk.screen {

@@ -422,7 +422,7 @@ impl Column {
     /// `None` pick: the same type, its validity empty unless a picked row is
     /// NULL, and `push`'s data under every NULL — what pushing the picked
     /// rows' values into an empty column of this type builds.
-    pub(crate) fn gather(&self, picks: impl Iterator<Item = Option<usize>>) -> Column {
+    pub fn gather(&self, picks: impl Iterator<Item = Option<usize>>) -> Column {
         fn pick<T: Clone>(
             d: &[T],
             v: &Validity,

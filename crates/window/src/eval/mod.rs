@@ -109,7 +109,7 @@ impl<'a> Ctx<'a> {
     /// Evaluates an expression for every position (in window order) into a
     /// typed column.
     pub fn eval_positions(&self, expr: &crate::expr::Expr) -> Result<Column> {
-        vm::eval_rows(&expr.bind(self.table)?, self.table, self.rows)
+        Ok(vm::eval(&expr.bind(self.table)?, self.table, vm::RowSel::Rows(self.rows))?.into_owned())
     }
 
     /// Runs `f(scratch, i)` for every position `i`, in parallel when

@@ -35,7 +35,8 @@ pub enum BinOp {
     Sub,
     /// Multiplication.
     Mul,
-    /// Division (Int / Int truncates; division by zero yields NULL).
+    /// Division (Int / Int truncates and wraps at `i64::MIN / -1`; division
+    /// by zero yields NULL).
     Div,
     /// Modulo (the paper's non-monotonic frame generator uses `mod`).
     Mod,
@@ -157,24 +158,10 @@ impl BoundExpr {
         })
     }
 
-    /// Evaluates the expression for every row, materializing a value vector.
-    pub fn eval_all(&self, table: &Table) -> Result<Vec<Value>> {
-        (0..table.num_rows()).map(|i| self.eval(table, i)).collect()
-    }
-
-    /// Evaluates and materializes into a typed [`Column`].
-    ///
-    /// Runs through the compiled [`crate::vm`] stack machine, which builds
-    /// typed column blocks directly (no per-row `Value` round-trip); a VM
-    /// error falls back to the per-row interpreter so the canonical
-    /// first-row error is reported.
+    /// Evaluates for every row of `table` into a typed [`Column`], through the
+    /// compiled VM; the error, if any, is the per-row interpreter's first.
     pub fn eval_column(&self, table: &Table) -> Result<Column> {
-        let prog = crate::vm::Program::compile(self);
-        let mut vm = crate::vm::ExprVm::new();
-        match vm.run_column(&prog, table) {
-            Ok(col) => Ok(col),
-            Err(_) => Column::from_values(&self.eval_all(table)?),
-        }
+        Ok(crate::vm::eval(self, table, crate::vm::RowSel::Span(0, table.num_rows()))?.into_owned())
     }
 }
 
@@ -191,7 +178,7 @@ pub(crate) fn not_value(v: Value) -> Result<Value> {
 pub(crate) fn neg_value(v: Value) -> Result<Value> {
     match v {
         Value::Null => Ok(Value::Null),
-        Value::Int(v) => Ok(Value::Int(-v)),
+        Value::Int(v) => Ok(Value::Int(v.wrapping_neg())),
         Value::Float(v) => Ok(Value::Float(-v)),
         v => Err(Error::TypeMismatch {
             expected: "numeric",
@@ -242,28 +229,19 @@ pub(crate) fn eval_binop(op: BinOp, a: Value, b: Value) -> Result<Value> {
             Add => Value::Int(x.wrapping_add(*y)),
             Sub => Value::Int(x.wrapping_sub(*y)),
             Mul => Value::Int(x.wrapping_mul(*y)),
-            Div => {
-                if *y == 0 {
-                    Value::Null
-                } else {
-                    Value::Int(x / y)
-                }
-            }
-            Mod => {
-                if *y == 0 {
-                    Value::Null
-                } else {
-                    Value::Int(x.rem_euclid(*y))
-                }
-            }
+            Div | Mod if *y == 0 => Value::Null,
+            Div => Value::Int(x.wrapping_div(*y)),
+            Mod => Value::Int(x.wrapping_rem_euclid(*y)),
             _ => unreachable!(),
         }),
         (Value::Date(x), Value::Int(y)) => Ok(match op {
-            Add => Value::Date(x + *y as i32),
-            Sub => Value::Date(x - *y as i32),
+            Add => Value::Date(x.wrapping_add(*y as i32)),
+            Sub => Value::Date(x.wrapping_sub(*y as i32)),
             _ => return Err(type_err("date")),
         }),
-        (Value::Int(x), Value::Date(y)) if op == Add => Ok(Value::Date(*x as i32 + y)),
+        (Value::Int(x), Value::Date(y)) if op == Add => {
+            Ok(Value::Date((*x as i32).wrapping_add(*y)))
+        }
         (Value::Date(x), Value::Date(y)) if op == Sub => Ok(Value::Int((*x as i64) - (*y as i64))),
         _ => {
             let (Some(x), Some(y)) = (a.as_f64(), b.as_f64()) else {

@@ -56,7 +56,7 @@ pub mod spec;
 pub mod strategy;
 pub mod table;
 pub mod value;
-pub mod vm;
+mod vm;
 
 pub use append::{AppendProfile, AppendResult, IncrementalEngine};
 pub use column::Column;
@@ -72,7 +72,6 @@ pub use spec::{FuncKind, FunctionCall, WindowSpec};
 pub use strategy::{CallClass, CostModel, PartitionStats, Strategy, StrategyMode};
 pub use table::Table;
 pub use value::{DataType, Value};
-pub use vm::{ExprVm, Program};
 
 /// Convenient glob import.
 pub mod prelude {

@@ -8,18 +8,22 @@
 //! an Int, Date, Bool or Float is range-compressed and the criteria are
 //! concatenated into one *normalized key* per row, so that comparing two
 //! rows is comparing two integers and sorting is an integer sort
-//! ([`holistic_core::sort::sort_pairs`]). Criteria that do not fit 64 bits
-//! (strings, mixed types, very wide ranges) keep the `Value` comparator,
-//! which is also the definition the normalized key is tested against.
+//! ([`holistic_core::sort::sort_pairs`]). Each criterion is read from its
+//! typed column, evaluated through the VM where it is an expression. Criteria
+//! that do not fit 64 bits (strings, very wide ranges) keep the `Value`
+//! comparator, which is also the definition the normalized key is tested
+//! against.
 
 use crate::column::Column;
 use crate::error::{Error, Result};
-use crate::expr::{BoundExpr, Expr};
+use crate::expr::Expr;
 use crate::table::Table;
 use crate::value::{DataType, Value};
+use crate::vm::{self, RowSel};
 use holistic_core::codes::DenseCodes;
 use holistic_core::sort::{sort_pairs, sort_rows};
 use rayon::prelude::*;
+use std::borrow::Cow;
 use std::cmp::Ordering;
 
 /// One ORDER BY criterion.
@@ -78,18 +82,7 @@ pub(crate) fn float_from_ordinal(o: u64) -> f64 {
     f64::from_bits(if o >> 63 == 1 { o & !(1 << 63) } else { !o })
 }
 
-/// The ordinal of a non-NULL value of a packable type.
-fn ordinal(v: &Value) -> Option<(DataType, u64)> {
-    Some(match v {
-        Value::Int(x) => (DataType::Int, int_ordinal(*x)),
-        Value::Date(d) => (DataType::Date, int_ordinal(i64::from(*d))),
-        Value::Bool(b) => (DataType::Bool, u64::from(*b)),
-        Value::Float(f) => (DataType::Float, float_ordinal(*f)),
-        Value::Null | Value::Str(_) => return None,
-    })
-}
-
-/// Inverts [`ordinal`].
+/// The value of ordinal `o` of a criterion of type `ty`.
 fn value_of(ty: DataType, o: u64) -> Value {
     let int = int_from_ordinal(o);
     match ty {
@@ -121,7 +114,7 @@ impl Ordinals {
         Ordinals { range: (lo <= hi).then_some((ty, lo, hi)), ords, valid }
     }
 
-    /// Typed fast path: a table column read in place.
+    /// A key column's ordinals: `None` for strings.
     fn of_column(col: &Column) -> Option<Self> {
         let (ty, ords, valid): (_, Vec<u64>, &Vec<bool>) = match col {
             Column::Int(d, v) => (DataType::Int, d.iter().map(|&x| int_ordinal(x)).collect(), v),
@@ -137,26 +130,6 @@ impl Ordinals {
         // An empty validity mask means "no NULLs".
         let valid = if valid.is_empty() { vec![true; ords.len()] } else { valid.clone() };
         Some(Ordinals::new(ty, ords, valid))
-    }
-
-    /// Evaluated values: `None` for strings and for mixed types.
-    fn of_values(vals: &[Value]) -> Option<Self> {
-        let mut ty = None;
-        let mut ords = Vec::with_capacity(vals.len());
-        for v in vals {
-            ords.push(match v {
-                Value::Null => 0,
-                v => {
-                    let (t, o) = ordinal(v)?;
-                    if *ty.get_or_insert(t) != t {
-                        return None;
-                    }
-                    o
-                }
-            });
-        }
-        let valid = vals.iter().map(|v| !v.is_null()).collect();
-        Some(Ordinals::new(ty.unwrap_or(DataType::Int), ords, valid))
     }
 
     /// `self` followed by `more`; `None` when their types differ.
@@ -323,34 +296,14 @@ enum Repr {
     Values(Vec<(Vec<Value>, bool, bool)>),
 }
 
-/// One criterion's values before the representation is chosen.
-enum Source<'a> {
-    /// A plain column reference: read in place.
-    Column(&'a Column),
-    Values(Vec<Value>),
-}
-
-impl Source<'_> {
-    fn evaluate<'a>(table: &'a Table, key: &SortKey) -> Result<Source<'a>> {
-        Ok(match key.expr.bind(table)? {
-            BoundExpr::Col(idx) => Source::Column(table.column_at(idx)),
-            bound => Source::Values(bound.eval_all(table)?),
-        })
-    }
-
-    fn ordinals(&self) -> Option<Ordinals> {
-        match self {
-            Source::Column(col) => Ordinals::of_column(col),
-            Source::Values(vals) => Ordinals::of_values(vals),
-        }
-    }
-
-    fn into_values(self) -> Vec<Value> {
-        match self {
-            Source::Column(col) => col.to_values(),
-            Source::Values(vals) => vals,
-        }
-    }
+/// Rows `from..` of every criterion's key column, through the VM.
+fn key_columns<'t>(
+    table: &'t Table,
+    sort_keys: &[SortKey],
+    from: usize,
+) -> Result<Vec<Cow<'t, Column>>> {
+    let sel = RowSel::Span(from, table.num_rows());
+    sort_keys.iter().map(|sk| vm::eval(&sk.expr.bind(table)?, table, sel)).collect()
 }
 
 fn flags(sort_keys: &[SortKey]) -> Vec<(bool, bool)> {
@@ -372,26 +325,27 @@ impl KeyColumns {
     /// keys when the criteria pack into 64 bits and as `Value` columns
     /// otherwise; the choice depends on the key data alone.
     pub fn evaluate(table: &Table, sort_keys: &[SortKey]) -> Result<Self> {
-        let sources: Vec<Source<'_>> =
-            sort_keys.iter().map(|sk| Source::evaluate(table, sk)).collect::<Result<_>>()?;
-        let packed = sources
+        let cols = key_columns(table, sort_keys, 0)?;
+        let packed = cols
             .iter()
-            .map(Source::ordinals)
+            .map(|c| Ordinals::of_column(c))
             .collect::<Option<Vec<Ordinals>>>()
-            .and_then(|cols| pack(&cols, &flags(sort_keys), false));
-        let repr = packed.unwrap_or_else(|| {
-            values_repr(sources.into_iter().map(Source::into_values), sort_keys)
-        });
+            .and_then(|ords| pack(&ords, &flags(sort_keys), false));
+        let repr =
+            packed.unwrap_or_else(|| values_repr(cols.iter().map(|c| c.to_values()), sort_keys));
         Ok(KeyColumns { repr })
     }
 
-    /// Evaluates `sort_keys` as `Value` columns compared with `sql_cmp`,
-    /// never normalized: the semantic definition that the naive oracle and
-    /// the equivalence tests hold the normalized keys against.
+    /// Evaluates `sort_keys` row by row through the per-row interpreter, as
+    /// `Value` columns compared with `sql_cmp`, never normalized: the
+    /// semantic definition that the naive oracle and the equivalence tests
+    /// hold the normalized keys against.
     pub fn evaluate_comparator(table: &Table, sort_keys: &[SortKey]) -> Result<Self> {
         let mut values = Vec::with_capacity(sort_keys.len());
         for sk in sort_keys {
-            values.push(sk.expr.bind(table)?.eval_all(table)?);
+            let bound = sk.expr.bind(table)?;
+            values
+                .push((0..table.num_rows()).map(|r| bound.eval(table, r)).collect::<Result<_>>()?);
         }
         Ok(KeyColumns { repr: values_repr(values.into_iter(), sort_keys) })
     }
@@ -403,23 +357,18 @@ impl KeyColumns {
     /// falls back to `Value` columns when 64 bits no longer suffice).
     /// `sort_keys` must be the criteria this instance was built from.
     pub fn extend(&mut self, table: &Table, sort_keys: &[SortKey], from_row: usize) -> Result<()> {
-        let n = table.num_rows();
-        let mut batch: Vec<Vec<Value>> = Vec::with_capacity(sort_keys.len());
-        for sk in sort_keys {
-            let bound = sk.expr.bind(table)?;
-            batch.push((from_row..n).map(|r| bound.eval(table, r)).collect::<Result<_>>()?);
-        }
+        let batch = key_columns(table, sort_keys, from_row)?;
         let (norm, fields) = match &mut self.repr {
             Repr::Values(keys) => {
                 debug_assert_eq!(keys.len(), sort_keys.len());
-                for ((vals, _, _), more) in keys.iter_mut().zip(batch) {
-                    vals.extend(more);
+                for ((vals, _, _), more) in keys.iter_mut().zip(&batch) {
+                    vals.extend(more.to_values());
                 }
                 return Ok(());
             }
             Repr::Packed { norm, fields } => (norm, fields),
         };
-        let more: Option<Vec<Ordinals>> = batch.iter().map(|v| Ordinals::of_values(v)).collect();
+        let more: Option<Vec<Ordinals>> = batch.iter().map(|c| Ordinals::of_column(c)).collect();
         if let Some(codes) = more.as_ref().and_then(|more| encode(fields, more)) {
             norm.extend(codes);
             return Ok(());
@@ -431,9 +380,9 @@ impl KeyColumns {
             pack(&all, &flags(sort_keys), true)
         });
         self.repr = repacked.unwrap_or_else(|| {
-            let values = old().zip(batch).map(|(o, more)| {
+            let values = old().zip(&batch).map(|(o, more)| {
                 let mut vals = o.into_values();
-                vals.extend(more);
+                vals.extend(more.to_values());
                 vals
             });
             values_repr(values, sort_keys)

@@ -2,11 +2,12 @@
 //! append engine.
 //!
 //! Each key gives every row a dense *equality code* in first-appearance
-//! order, read from the typed column in place where the key is a bare column.
-//! The codes fold left to right into one dense partition id per row, and a
-//! counting pass scatters the rows into exactly-sized lists. Grouping
-//! equality is [`Value::sql_eq`]: NULL groups with NULL, floats group by
-//! `total_cmp` (`-0.0` apart from `0.0`, NaNs by payload).
+//! order, read from the key's typed column: the table's own where the key is
+//! a bare column, the VM's where it is an expression. The codes fold left to
+//! right into one dense partition id per row, and a counting pass scatters
+//! the rows into exactly-sized lists. Grouping equality is
+//! [`Value::sql_eq`](crate::value::Value::sql_eq): NULL groups with NULL,
+//! floats group by `total_cmp` (`-0.0` apart from `0.0`, NaNs by payload).
 //!
 //! The [`Partitioner`] is persistent: [`Partitioner::route`] takes only the
 //! rows a table gained since the last call, and codes, ids and partition
@@ -15,9 +16,9 @@
 use crate::column::Column;
 use crate::error::{Error, Result};
 use crate::expr::{BoundExpr, Expr};
-use crate::hash::hash_value;
 use crate::table::Table;
-use crate::value::Value;
+use crate::value::DataType;
+use crate::vm::{self, RowSel};
 use rustc_hash::FxHashMap;
 use std::sync::Arc;
 
@@ -118,20 +119,34 @@ impl Partitioner {
 /// its values into dense codes, first appearance first.
 struct KeyCodes {
     expr: BoundExpr,
-    encoder: Encoder,
+    codes: Counter,
+    /// The key's type and dictionary: a bare column's from the schema, an
+    /// expression's from the first batch that holds a value (until then every
+    /// row was NULL, and an all-NULL column may carry another type than the
+    /// expression's values will).
+    encoder: Option<(DataType, Encoder)>,
 }
 
 enum Encoder {
-    /// A bare Int / Date / Bool column by value, a Float column by bit
-    /// pattern (`total_cmp` equality is bit equality).
-    Ints { slots: IntSlots, codes: Counter },
-    /// A bare Str column. Strings of up to seven bytes are integers (see
-    /// [`packed`]); longer ones are looked up by `&str`, one owned `Arc` per
-    /// distinct string.
-    Strs { short: IntSlots, long: FxHashMap<Arc<str>, u32>, codes: Counter },
-    /// Any other expression, by the definition: evaluated values, hashed by
-    /// `hash_value`, chains settled by `sql_eq` against `reps[code]`.
-    Values { chains: FxHashMap<u64, Vec<u32>>, reps: Vec<Value> },
+    /// Int / Date / Bool keys by value, Float keys by bit pattern
+    /// (`total_cmp` equality is bit equality).
+    Ints(IntSlots),
+    /// Str keys. Strings of up to seven bytes are integers (see [`packed`]);
+    /// longer ones are looked up by `&str`, one owned `Arc` per distinct
+    /// string.
+    Strs { short: IntSlots, long: FxHashMap<Arc<str>, u32> },
+}
+
+impl Encoder {
+    fn of(ty: DataType) -> (DataType, Encoder) {
+        let encoder = match ty {
+            DataType::Str => {
+                Encoder::Strs { short: IntSlots::default(), long: FxHashMap::default() }
+            }
+            _ => Encoder::Ints(IntSlots::default()),
+        };
+        (ty, encoder)
+    }
 }
 
 /// Hands out one key's codes. NULL takes the next code when it first appears,
@@ -160,14 +175,9 @@ impl Counter {
     }
 }
 
-/// Rows `from..` of a typed column, `None` for NULL.
-fn cells<'a, T>(
-    data: &'a [T],
-    valid: &'a [bool],
-    from: usize,
-) -> impl Iterator<Item = Option<&'a T>> + Clone {
-    let valid = if valid.is_empty() { valid } else { &valid[from..] };
-    data[from..].iter().enumerate().map(move |(i, x)| (valid.is_empty() || valid[i]).then_some(x))
+/// The rows of a typed column, `None` for NULL.
+fn cells<'a, T>(data: &'a [T], valid: &'a [bool]) -> impl Iterator<Item = Option<&'a T>> + Clone {
+    data.iter().enumerate().map(move |(i, x)| (valid.is_empty() || valid[i]).then_some(x))
 }
 
 /// A string of up to seven bytes as an integer: its bytes, its length on top
@@ -190,50 +200,51 @@ fn biased(x: i64) -> u64 {
 impl KeyCodes {
     fn new(table: &Table, expr: &Expr) -> Result<KeyCodes> {
         let expr = expr.bind(table)?;
-        let encoder = match &expr {
-            BoundExpr::Col(idx) => match table.column_at(*idx) {
-                Column::Str(..) => Encoder::Strs {
-                    short: IntSlots::default(),
-                    long: FxHashMap::default(),
-                    codes: Counter::default(),
-                },
-                _ => Encoder::Ints { slots: IntSlots::default(), codes: Counter::default() },
-            },
-            _ => Encoder::Values { chains: FxHashMap::default(), reps: Vec::new() },
+        let encoder = match expr {
+            BoundExpr::Col(idx) => Some(Encoder::of(table.column_at(idx).data_type())),
+            _ => None,
         };
-        Ok(KeyCodes { expr, encoder })
+        Ok(KeyCodes { expr, codes: Counter::default(), encoder })
     }
 
     /// Distinct values seen so far (NULL counts as one).
     fn card(&self) -> u32 {
-        match &self.encoder {
-            Encoder::Ints { codes, .. } | Encoder::Strs { codes, .. } => codes.card,
-            Encoder::Values { reps, .. } => reps.len() as u32,
-        }
+        self.codes.card
     }
 
     /// The codes of rows `from..`.
     fn encode(&mut self, table: &Table, from: usize) -> Result<Vec<u32>> {
         let n = table.num_rows();
-        let column = match &self.expr {
-            BoundExpr::Col(idx) => Some(table.column_at(*idx)),
-            _ => None,
-        };
-        Ok(match (&mut self.encoder, column) {
-            (Encoder::Ints { slots, codes }, Some(Column::Int(d, v))) => {
-                slots.encode(cells(d, v, from).map(|c| c.map(|&x| biased(x))), n, codes)
+        let column = vm::eval(&self.expr, table, RowSel::Span(from, n))?;
+        let codes = &mut self.codes;
+        if !column.any_valid() {
+            return Ok((0..column.len()).map(|_| codes.null()).collect());
+        }
+        let ty = column.data_type();
+        let (fixed, encoder) = self.encoder.get_or_insert_with(|| Encoder::of(ty));
+        if *fixed != ty {
+            // Only a table of another schema gets here.
+            return Err(Error::TypeMismatch {
+                expected: "the type of the key's earlier values",
+                got: ty.name(),
+                context: "PARTITION BY",
+            });
+        }
+        Ok(match (encoder, &*column) {
+            (Encoder::Ints(slots), Column::Int(d, v)) => {
+                slots.encode(cells(d, v).map(|c| c.map(|&x| biased(x))), n, codes)
             }
-            (Encoder::Ints { slots, codes }, Some(Column::Date(d, v))) => {
-                slots.encode(cells(d, v, from).map(|c| c.map(|&x| biased(x.into()))), n, codes)
+            (Encoder::Ints(slots), Column::Date(d, v)) => {
+                slots.encode(cells(d, v).map(|c| c.map(|&x| biased(x.into()))), n, codes)
             }
-            (Encoder::Ints { slots, codes }, Some(Column::Bool(d, v))) => {
-                slots.encode(cells(d, v, from).map(|c| c.map(|&x| x.into())), n, codes)
+            (Encoder::Ints(slots), Column::Bool(d, v)) => {
+                slots.encode(cells(d, v).map(|c| c.map(|&x| x.into())), n, codes)
             }
-            (Encoder::Ints { slots, codes }, Some(Column::Float(d, v))) => {
-                slots.encode(cells(d, v, from).map(|c| c.map(|x| x.to_bits())), n, codes)
+            (Encoder::Ints(slots), Column::Float(d, v)) => {
+                slots.encode(cells(d, v).map(|c| c.map(|x| x.to_bits())), n, codes)
             }
-            (Encoder::Strs { short, long, codes }, Some(Column::Str(d, v))) => {
-                short.cover(cells(d, v, from).flatten().filter_map(|s| packed(s)), n);
+            (Encoder::Strs { short, long }, Column::Str(d, v)) => {
+                short.cover(cells(d, v).flatten().filter_map(|s| packed(s)), n);
                 let code = |cell: Option<&Arc<str>>| {
                     let Some(s) = cell else { return codes.null() };
                     if let Some(key) = packed(s) {
@@ -247,33 +258,9 @@ impl KeyCodes {
                         }
                     }
                 };
-                cells(d, v, from).map(code).collect()
+                cells(d, v).map(code).collect()
             }
-            (Encoder::Values { chains, reps }, None) => {
-                let mut out = Vec::with_capacity(n - from);
-                for row in from..n {
-                    let v: Value = self.expr.eval(table, row)?;
-                    let chain = chains.entry(hash_value(&v)).or_default();
-                    out.push(match chain.iter().find(|&&code| reps[code as usize].sql_eq(&v)) {
-                        Some(&code) => code,
-                        None => {
-                            chain.push(reps.len() as u32);
-                            reps.push(v);
-                            reps.len() as u32 - 1
-                        }
-                    });
-                }
-                out
-            }
-            // The encoder was chosen from the expression and its column's
-            // type: only a table of another schema gets here.
-            (_, column) => {
-                return Err(Error::TypeMismatch {
-                    expected: "the column type the partitioner was built over",
-                    got: column.map_or("expression", |c| c.data_type().name()),
-                    context: "PARTITION BY",
-                })
-            }
+            _ => unreachable!("the encoder was made for the column's type"),
         })
     }
 }
@@ -395,7 +382,8 @@ impl Fold {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::expr::col;
+    use crate::expr::{col, lit};
+    use crate::value::Value;
 
     #[test]
     fn no_keys_single_partition() {
@@ -438,14 +426,32 @@ mod tests {
     }
 
     #[test]
-    fn floats_group_by_total_cmp_and_expressions_by_sql_eq() {
+    fn floats_group_by_total_cmp_in_columns_and_expressions() {
         let nan2 = f64::from_bits(f64::NAN.to_bits() ^ 1);
         let t = Table::new(vec![("f", Column::floats(vec![0.0, -0.0, f64::NAN, nan2, 0.0, nan2]))])
             .unwrap();
         let expect = vec![vec![0, 4], vec![1], vec![2], vec![3, 5]];
         assert_eq!(partition_rows(&t, &[col("f")]).unwrap(), expect);
-        // The same grouping through the expression arm.
+        // The same grouping through the VM's column of an expression, and
+        // through the interpreter's (below eight rows).
         assert_eq!(partition_rows(&t, &[col("f").neg().neg()]).unwrap(), expect);
+        let wide =
+            Table::new(vec![("f", Column::floats([0.0, -0.0, f64::NAN, nan2].repeat(3)))]).unwrap();
+        let parts = partition_rows(&wide, &[col("f").neg().neg()]).unwrap();
+        assert_eq!(parts, vec![vec![0, 4, 8], vec![1, 5, 9], vec![2, 6, 10], vec![3, 7, 11]]);
+    }
+
+    /// An expression's encoder is fixed by its first value, not by its first
+    /// batch: an empty batch yields a column of no particular type.
+    #[test]
+    fn an_expression_key_routed_first_over_no_rows_keeps_its_type() {
+        let t = Table::new(vec![("a", Column::ints((0..10).collect()))]).unwrap();
+        let key = [lit(Value::str("x"))];
+        let mut p = Partitioner::new(&t, &key).unwrap();
+        assert!(p.route(&t.slice_rows(0, 0), 0).unwrap().is_empty());
+        let routed = p.route(&t, 0).unwrap();
+        assert_eq!(routed, vec![(0, (0..10).collect())]);
+        assert_eq!(p.num_partitions(), 1);
     }
 
     #[test]
@@ -489,7 +495,7 @@ mod tests {
         }
         assert_eq!(parts, whole);
         assert!(matches!(p.folds[0].slots, IntSlots::Direct { .. }));
-        let Encoder::Ints { slots, .. } = &p.keys[0].encoder else { panic!("int key") };
+        let Some((_, Encoder::Ints(slots))) = &p.keys[0].encoder else { panic!("int key") };
         assert!(matches!(slots, IntSlots::Map(_)));
     }
 }

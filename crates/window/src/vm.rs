@@ -1,16 +1,21 @@
-//! Compiled expression programs: a compile-once stack VM replacing the
-//! recursive interpreter on the hot path.
+//! Compiled expression programs, and the one way a batch of rows becomes
+//! values.
 //!
-//! Frame-bound and FILTER expressions used to be evaluated by walking the
-//! [`BoundExpr`] tree once per row — a pointer chase plus a `Value` enum
-//! round-trip per node per row. `ExprCompiler` lowers a bound tree once
-//! into a flat [`Program`] (a post-order op vector plus a constant pool,
-//! both `Arc`-shared so plans can hand programs to worker threads for free),
-//! and a reusable [`ExprVm`] executes the program over a whole partition at
-//! a time: each op consumes and produces *column blocks* (typed vectors with
-//! validity masks), so the op dispatch cost is paid once per block instead
-//! of once per row and the inner loops are tight monomorphic kernels over
-//! `i64`/`f64`/`bool` slices.
+//! [`eval`] is that way: it turns a row selection — a span of table rows or
+//! a partition's rows in window order — into a typed [`Column`], and [`mask`]
+//! reads a predicate's column as a kept-row mask. Sort keys, PARTITION BY
+//! keys, call arguments, FILTER masks and the SQL session's WHERE, SELECT
+//! and final ORDER BY all evaluate through it. The per-row interpreter,
+//! [`BoundExpr::eval`], is its fallback, the reference the comparator keys
+//! and the naive oracle are built with, and the evaluator of sites that read
+//! one row alone (a LEAD/LAG offset, NTILE's buckets, a percentile's
+//! fraction).
+//!
+//! `Program::compile` lowers a bound tree once into a flat program (a
+//! post-order op vector plus a constant pool), and `ExprVm` runs it over the
+//! whole selection: each op consumes and produces *column blocks* (typed
+//! vectors with validity masks), so op dispatch is paid once per block and
+//! the inner loops are monomorphic kernels over `i64`/`f64`/`bool` slices.
 //!
 //! Semantics are bit-identical to the interpreter by construction: every
 //! kernel arm mirrors the corresponding `eval_binop` arm (same wrapping
@@ -20,15 +25,15 @@
 //! calls the *interpreter's own* scalar functions. Because the interpreter
 //! is strict — both operands of every node are evaluated for every row — an
 //! expression errors under the VM if and only if it errors under the
-//! interpreter, so callers that need the interpreter's canonical first-error
-//! simply re-run the per-row path when the VM returns an error.
+//! interpreter, so on a VM error [`eval`] re-runs the selection row by row
+//! for the interpreter's canonical first error.
 
 use crate::column::{Column, Validity};
-use crate::error::{Error, Result};
+use crate::error::Result;
 use crate::expr::{eval_binop, neg_value, not_value, BinOp, BoundExpr};
 use crate::table::Table;
 use crate::value::Value;
-use std::sync::Arc;
+use std::borrow::Cow;
 
 /// One instruction of a compiled expression program.
 ///
@@ -37,7 +42,7 @@ use std::sync::Arc;
 /// the op vector with an explicit block stack — no recursion, no tree
 /// pointers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Op {
+enum Op {
     /// Push the values of column `.0` for the selected rows.
     Col(u32),
     /// Push constant-pool entry `.0`, broadcast over the block.
@@ -50,37 +55,21 @@ pub enum Op {
     Neg,
 }
 
-/// A compiled expression: flat op vector + constant pool, cheap to clone and
-/// share across threads.
-#[derive(Debug, Clone)]
-pub struct Program {
-    ops: Arc<[Op]>,
-    consts: Arc<[Value]>,
+/// A compiled expression: flat op vector + constant pool.
+#[derive(Debug)]
+pub(crate) struct Program {
+    ops: Box<[Op]>,
+    consts: Box<[Value]>,
     max_stack: usize,
 }
 
 impl Program {
     /// Lowers a bound expression tree into a program.
-    pub fn compile(expr: &BoundExpr) -> Program {
+    pub(crate) fn compile(expr: &BoundExpr) -> Program {
         let mut c = ExprCompiler { ops: Vec::new(), consts: Vec::new(), depth: 0, max_depth: 0 };
         c.lower(expr);
         debug_assert_eq!(c.depth, 1);
         Program { ops: c.ops.into(), consts: c.consts.into(), max_stack: c.max_depth }
-    }
-
-    /// Number of ops in the program.
-    pub fn len(&self) -> usize {
-        self.ops.len()
-    }
-
-    /// True for the empty program (never produced by [`Program::compile`]).
-    pub fn is_empty(&self) -> bool {
-        self.ops.is_empty()
-    }
-
-    /// Peak operand-stack depth during execution.
-    pub fn max_stack(&self) -> usize {
-        self.max_stack
     }
 }
 
@@ -129,27 +118,35 @@ impl ExprCompiler {
     }
 }
 
-/// Which rows of the table a program run covers.
+/// Which rows of the table an evaluation covers.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum RowSel<'a> {
-    /// All rows `0..n` in order.
-    All(usize),
-    /// An explicit row selection (a partition in window order).
+    /// Table rows `a..b`, in order.
+    Span(usize, usize),
+    /// A partition's rows, in window order.
     Rows(&'a [usize]),
 }
 
 impl RowSel<'_> {
     fn len(&self) -> usize {
         match self {
-            RowSel::All(n) => *n,
+            RowSel::Span(a, b) => b - a,
             RowSel::Rows(r) => r.len(),
+        }
+    }
+
+    /// The table row at selection position `i`.
+    fn row(&self, i: usize) -> usize {
+        match self {
+            RowSel::Span(a, _) => a + i,
+            RowSel::Rows(r) => r[i],
         }
     }
 }
 
 /// `valid[i]` with the "empty means all-valid" convention.
 #[inline]
-pub(crate) fn vld(valid: &[bool], i: usize) -> bool {
+fn vld(valid: &[bool], i: usize) -> bool {
     valid.is_empty() || valid[i]
 }
 
@@ -181,18 +178,6 @@ pub(crate) enum Block {
 }
 
 impl Block {
-    /// The block of `n` positions as a predicate mask: `true` exactly where
-    /// the value is truthy (`Value::is_truthy` — NULL and non-bool values
-    /// are falsy), matching the interpreter's mask rule.
-    fn truthy_mask(self, n: usize) -> Vec<bool> {
-        match self {
-            Block::Bool(d, v) => (0..n).map(|i| vld(&v, i) && d[i]).collect(),
-            Block::Const(c) => vec![c.is_truthy(); n],
-            Block::Int(..) | Block::Float(..) => vec![false; n],
-            Block::Vals(vs) => vs.iter().map(|v| v.is_truthy()).collect(),
-        }
-    }
-
     /// The block of `n` positions as a typed column: a typed block keeps its
     /// type, a constant broadcasts (NULL as an all-NULL `Int`), and per-row
     /// values take [`Column::from_values`]' rules.
@@ -212,7 +197,7 @@ impl Block {
     }
 
     /// The value at block position `i` (not a table row index).
-    pub(crate) fn value_at(&self, i: usize) -> Value {
+    fn value_at(&self, i: usize) -> Value {
         match self {
             Block::Const(v) => v.clone(),
             Block::Int(d, v) => {
@@ -341,35 +326,37 @@ fn tri_src(b: &Block) -> TriSrc<'_> {
 /// columns become typed blocks (one memcpy-like pass); Str/Date columns go
 /// through `Vals` so their arithmetic stays on the interpreter-exact path.
 fn gather(col: &Column, sel: RowSel<'_>) -> Block {
-    fn pick<T: Copy>(d: &[T], v: &[bool], sel: RowSel<'_>) -> (Vec<T>, Validity) {
-        match sel {
-            RowSel::All(n) => (d[..n].to_vec(), if v.is_empty() { Vec::new() } else { v.to_vec() }),
-            RowSel::Rows(rows) => {
-                let data = rows.iter().map(|&r| d[r]).collect();
-                let valid = if v.is_empty() {
-                    Vec::new()
-                } else {
-                    normalize(rows.iter().map(|&r| v[r]).collect())
-                };
-                (data, valid)
+    fn pick<T: Copy>(d: &[T], v: &[bool], rows: &[usize]) -> (Vec<T>, Validity) {
+        let data = rows.iter().map(|&r| d[r]).collect();
+        let valid =
+            if v.is_empty() { Vec::new() } else { normalize(rows.iter().map(|&r| v[r]).collect()) };
+        (data, valid)
+    }
+    let rows = match sel {
+        RowSel::Span(a, b) => {
+            return match col.slice(a, b) {
+                Column::Int(d, v) => Block::Int(d, v),
+                Column::Float(d, v) => Block::Float(d, v),
+                Column::Bool(d, v) => Block::Bool(d, v),
+                col => Block::Vals(col.to_values()),
             }
         }
-    }
-    match (col, sel) {
-        (Column::Int(d, v), sel) => {
-            let (d, v) = pick(d, v, sel);
+        RowSel::Rows(rows) => rows,
+    };
+    match col {
+        Column::Int(d, v) => {
+            let (d, v) = pick(d, v, rows);
             Block::Int(d, v)
         }
-        (Column::Float(d, v), sel) => {
-            let (d, v) = pick(d, v, sel);
+        Column::Float(d, v) => {
+            let (d, v) = pick(d, v, rows);
             Block::Float(d, v)
         }
-        (Column::Bool(d, v), sel) => {
-            let (d, v) = pick(d, v, sel);
+        Column::Bool(d, v) => {
+            let (d, v) = pick(d, v, rows);
             Block::Bool(d, v)
         }
-        (col, RowSel::All(n)) => Block::Vals((0..n).map(|r| col.get(r)).collect()),
-        (col, RowSel::Rows(rows)) => Block::Vals(rows.iter().map(|&r| col.get(r)).collect()),
+        col => Block::Vals(rows.iter().map(|&r| col.get(r)).collect()),
     }
 }
 
@@ -394,40 +381,6 @@ fn build<T: Default>(n: usize, mut f: impl FnMut(usize) -> Option<T>) -> (Vec<T>
     }
     (data, if any_null { valid } else { Vec::new() })
 }
-
-/// Fallible variant of [`build`], for kernels that must bail out to the
-/// interpreter mid-block (integer overflow poisons).
-fn try_build<T: Default>(
-    n: usize,
-    mut f: impl FnMut(usize) -> Result<Option<T>>,
-) -> Result<(Vec<T>, Validity)> {
-    let mut data = Vec::with_capacity(n);
-    let mut valid = Vec::with_capacity(n);
-    let mut any_null = false;
-    for i in 0..n {
-        match f(i)? {
-            Some(x) => {
-                data.push(x);
-                valid.push(true);
-            }
-            None => {
-                data.push(T::default());
-                valid.push(false);
-                any_null = true;
-            }
-        }
-    }
-    Ok((data, if any_null { valid } else { Vec::new() }))
-}
-
-/// The interpreter *panics* on `i64::MIN / -1` (always-checked division
-/// overflow) and on `-i64::MIN` (debug builds) — but only when it actually
-/// reaches that row. The VM evaluates rows the canonical per-row walk might
-/// never reach (an earlier row of another operand can error first), so the
-/// kernels must not trip those panics eagerly: they surface this error
-/// instead, and the caller re-runs the per-row interpreter, which panics or
-/// errors in exactly the canonical order.
-const POISON: Error = Error::Overflow("i64 overflow deferred to the per-row interpreter");
 
 /// Element-wise fallback: route every row through the interpreter's scalar
 /// `eval_binop`. Covers dates, strings and type errors bit-exactly.
@@ -502,28 +455,18 @@ fn exec_bin(op: BinOp, a: Block, b: Block, n: usize) -> Result<Block> {
     // Arithmetic. Int × Int stays integer (wrapping, like the interpreter);
     // Int/Float mixes widen to f64; dates and errors take the fallback.
     if let (Some(sa), Some(sb)) = (int_src(&a), int_src(&b)) {
-        let (d, v) = try_build(n, |i| {
-            Ok(match (sa.get(i), sb.get(i)) {
-                (Some(x), Some(y)) => match op {
-                    Add => Some(x.wrapping_add(y)),
-                    Sub => Some(x.wrapping_sub(y)),
-                    Mul => Some(x.wrapping_mul(y)),
-                    Div | Mod => {
-                        if y == 0 {
-                            None
-                        } else if x == i64::MIN && y == -1 {
-                            return Err(POISON);
-                        } else if op == Div {
-                            Some(x / y)
-                        } else {
-                            Some(x.rem_euclid(y))
-                        }
-                    }
-                    _ => unreachable!(),
-                },
-                _ => None,
-            })
-        })?;
+        let (d, v) = build(n, |i| match (sa.get(i), sb.get(i)) {
+            (Some(_), Some(0)) if matches!(op, Div | Mod) => None,
+            (Some(x), Some(y)) => Some(match op {
+                Add => x.wrapping_add(y),
+                Sub => x.wrapping_sub(y),
+                Mul => x.wrapping_mul(y),
+                Div => x.wrapping_div(y),
+                Mod => x.wrapping_rem_euclid(y),
+                _ => unreachable!(),
+            }),
+            _ => None,
+        });
         return Ok(Block::Int(d, v));
     }
     if let (Some(sa), Some(sb)) = (f64_src(&a), f64_src(&b)) {
@@ -574,21 +517,7 @@ fn exec_not(a: Block, n: usize) -> Result<Block> {
 fn exec_neg(a: Block, n: usize) -> Result<Block> {
     match a {
         Block::Const(v) => Ok(Block::Const(neg_value(v)?)),
-        Block::Int(d, v) => {
-            // Only negate valid slots: NULL slots hold unspecified padding.
-            let mut out = Vec::with_capacity(d.len());
-            for (i, &x) in d.iter().enumerate() {
-                if vld(&v, i) {
-                    if x == i64::MIN {
-                        return Err(POISON);
-                    }
-                    out.push(-x);
-                } else {
-                    out.push(0);
-                }
-            }
-            Ok(Block::Int(out, v))
-        }
+        Block::Int(d, v) => Ok(Block::Int(d.iter().map(|&x| x.wrapping_neg()).collect(), v)),
         Block::Float(d, v) => Ok(Block::Float(d.iter().map(|&x| -x).collect(), v)),
         a => {
             let mut out = Vec::with_capacity(n);
@@ -600,16 +529,15 @@ fn exec_neg(a: Block, n: usize) -> Result<Block> {
     }
 }
 
-/// A reusable expression VM: one per thread (or probe chunk), executing any
-/// number of programs without allocation of the operand stack itself.
+/// Runs programs over row selections, reusing its operand stack.
 #[derive(Debug, Default)]
-pub struct ExprVm {
+pub(crate) struct ExprVm {
     stack: Vec<Block>,
 }
 
 impl ExprVm {
     /// A fresh VM with an empty operand stack.
-    pub fn new() -> ExprVm {
+    pub(crate) fn new() -> ExprVm {
         ExprVm { stack: Vec::new() }
     }
 
@@ -623,8 +551,7 @@ impl ExprVm {
         let n = sel.len();
         if n == 0 {
             // The interpreter evaluates nothing over zero rows (so it cannot
-            // error or panic); neither may the VM — skip even constant
-            // folding.
+            // error); neither may the VM — skip even constant folding.
             return Ok(Block::Vals(Vec::new()));
         }
         self.stack.clear();
@@ -654,29 +581,6 @@ impl ExprVm {
         debug_assert_eq!(self.stack.len(), 1);
         Ok(self.stack.pop().expect("vm produced no result"))
     }
-
-    /// Evaluates `prog` for every table row into a typed [`Column`], with the
-    /// same type-inference rules as [`Column::from_values`] (all-NULL → Int;
-    /// per-row Ints under a Float result widen).
-    pub fn run_column(&mut self, prog: &Program, table: &Table) -> Result<Column> {
-        let n = table.num_rows();
-        self.run_block(prog, table, RowSel::All(n))?.into_column(n)
-    }
-
-    /// Evaluates `prog` for an explicit row selection (a partition in window
-    /// order) into a typed column, one row per position, with
-    /// [`ExprVm::run_column`]'s rules.
-    pub fn run_rows(&mut self, prog: &Program, table: &Table, rows: &[usize]) -> Result<Column> {
-        self.run_block(prog, table, RowSel::Rows(rows))?.into_column(rows.len())
-    }
-
-    /// Evaluates `prog` as a predicate for every table row: `true` exactly
-    /// when the row's value is truthy (`Value::is_truthy` — NULL and
-    /// non-bool values are falsy), matching the interpreter's mask rule.
-    pub fn run_filter_mask(&mut self, prog: &Program, table: &Table) -> Result<Vec<bool>> {
-        let n = table.num_rows();
-        Ok(self.run_block(prog, table, RowSel::All(n))?.truthy_mask(n))
-    }
 }
 
 /// Selections shorter than this are interpreted row by row. Compiling a
@@ -684,57 +588,116 @@ impl ExprVm {
 /// that a computed expression repays from about 7 rows on (a bare column
 /// reference only past 100, within 1.2× from 32) — and a query over 50 000
 /// partitions of 1–7 rows pays it 50 000 times. Both evaluators agree bit
-/// for bit (`proptest_vm.rs`), so the rule moves time only.
+/// for bit (the properties below), so the rule moves time only.
 const INTERPRET_BELOW: usize = 8;
 
-/// The block `bound` evaluates to over `rows`, through the VM. `None` sends
-/// the caller to the per-row interpreter: the selection is short
-/// ([`INTERPRET_BELOW`]), or the VM failed and the interpreter is asked for
-/// the canonical first error.
-fn run_rows(bound: &BoundExpr, table: &Table, rows: &[usize]) -> Option<Block> {
-    if rows.len() < INTERPRET_BELOW {
-        return None;
+/// `bound` over the rows `sel` selects, one row per position, as a typed
+/// column: the VM's block, typed as the block is (a constant broadcasts, NULL
+/// as an all-NULL `Int`), or on the per-row path the interpreter's values
+/// under [`Column::from_values`]' rules, which the VM's agree with. A bare
+/// column over a span is its rows, read in place when the span is the table.
+/// The per-row path takes selections shorter than [`INTERPRET_BELOW`], and a
+/// selection the VM failed on, for the interpreter's canonical first error.
+pub(crate) fn eval<'t>(
+    bound: &BoundExpr,
+    table: &'t Table,
+    sel: RowSel<'_>,
+) -> Result<Cow<'t, Column>> {
+    let n = sel.len();
+    if let (BoundExpr::Col(idx), RowSel::Span(a, b)) = (bound, sel) {
+        let col = table.column_at(*idx);
+        return Ok(if n == col.len() { Cow::Borrowed(col) } else { Cow::Owned(col.slice(a, b)) });
     }
-    ExprVm::new().run_block(&Program::compile(bound), table, RowSel::Rows(rows)).ok()
-}
-
-/// Evaluates a bound expression for an explicit row selection (a partition
-/// in window order) into a typed column, one row per position — a call's
-/// argument values. The VM's column ([`ExprVm::run_rows`]), or on the per-row
-/// path the interpreter's values under [`Column::from_values`]' rules, which
-/// the VM's agree with.
-pub fn eval_rows(bound: &BoundExpr, table: &Table, rows: &[usize]) -> Result<Column> {
-    match run_rows(bound, table, rows) {
-        Some(block) => block.into_column(rows.len()),
-        None => {
-            let values: Vec<Value> =
-                rows.iter().map(|&r| bound.eval(table, r)).collect::<Result<_>>()?;
-            Column::from_values(&values)
+    if n >= INTERPRET_BELOW {
+        if let Ok(block) = ExprVm::new().run_block(&Program::compile(bound), table, sel) {
+            return block.into_column(n).map(Cow::Owned);
         }
     }
+    let values = (0..n).map(|i| bound.eval(table, sel.row(i))).collect::<Result<Vec<_>>>()?;
+    Column::from_values(&values).map(Cow::Owned)
 }
 
-/// Evaluates a bound predicate for an explicit row selection into a kept-row
-/// mask (`is_truthy` per row — NULL and non-bool are falsy). The FILTER half
-/// of the mask artifact builds through this.
-pub(crate) fn eval_filter_rows(
-    bound: &BoundExpr,
-    table: &Table,
-    rows: &[usize],
-) -> Result<Vec<bool>> {
-    match run_rows(bound, table, rows) {
-        Some(block) => Ok(block.truthy_mask(rows.len())),
-        None => rows.iter().map(|&r| Ok(bound.eval(table, r)?.is_truthy())).collect(),
-    }
+/// A predicate over `sel` as a kept-row mask: `true` exactly where it is
+/// TRUE (`Value::is_truthy` — NULL and non-bool values are falsy).
+pub(crate) fn mask(bound: &BoundExpr, table: &Table, sel: RowSel<'_>) -> Result<Vec<bool>> {
+    Ok(match &*eval(bound, table, sel)? {
+        Column::Bool(d, v) => d.iter().enumerate().map(|(i, &b)| b && vld(v, i)).collect(),
+        col => vec![false; col.len()],
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::expr::{col, lit, Expr};
-    use crate::value::Value;
+    use proptest::prelude::*;
 
-    fn table() -> Table {
+    /// The VM alone — no size rule, no fallback — over `rows`, as a column.
+    fn vm_column(bound: &BoundExpr, t: &Table, rows: &[usize]) -> Result<Column> {
+        ExprVm::new()
+            .run_block(&Program::compile(bound), t, RowSel::Rows(rows))?
+            .into_column(rows.len())
+    }
+
+    fn interpret(bound: &BoundExpr, t: &Table, rows: &[usize]) -> Result<Vec<Value>> {
+        rows.iter().map(|&r| bound.eval(t, r)).collect()
+    }
+
+    /// Bit-faithful value equality (`Value`'s `==` treats `-0.0 == 0.0`).
+    fn bitwise_eq(a: &Value, b: &Value) -> bool {
+        match (a, b) {
+            (Value::Float(x), Value::Float(y)) => x.to_bits() == y.to_bits(),
+            _ => format!("{a:?}") == format!("{b:?}"),
+        }
+    }
+
+    /// The VM without fallback against the interpreter: both error, or the
+    /// VM's column holds the interpreter's values bit for bit.
+    fn check_vm(bound: &BoundExpr, t: &Table, rows: &[usize]) -> std::result::Result<(), String> {
+        match (interpret(bound, t, rows), vm_column(bound, t, rows)) {
+            (Err(_), Err(_)) => Ok(()),
+            (Ok(want), Ok(got)) => {
+                let got = got.to_values();
+                match want.iter().zip(&got).position(|(w, g)| !bitwise_eq(w, g)) {
+                    None if got.len() == want.len() => Ok(()),
+                    None => Err(format!("{} rows, want {}", got.len(), want.len())),
+                    Some(i) => Err(format!("row {i}: vm {:?}, interpreter {:?}", got[i], want[i])),
+                }
+            }
+            (want, got) => Err(format!("interpreter {want:?}, vm {got:?}")),
+        }
+    }
+
+    /// The entry's column for `rows` against the interpreter's values: both
+    /// error, or the column holds them — floats bit for bit — and every
+    /// non-NULL one has the column's type.
+    fn check_typed_values(
+        bound: &BoundExpr,
+        t: &Table,
+        rows: &[usize],
+    ) -> std::result::Result<(), String> {
+        match (interpret(bound, t, rows), eval(bound, t, RowSel::Rows(rows))) {
+            (Err(_), Err(_)) => Ok(()),
+            (Ok(want), Ok(got)) => {
+                if got.len() != want.len() {
+                    return Err(format!("{} rows, want {}", got.len(), want.len()));
+                }
+                for (i, w) in want.iter().enumerate() {
+                    let g = got.get(i);
+                    if !bitwise_eq(w, &g) || w.data_type().is_some_and(|dt| dt != got.data_type()) {
+                        return Err(format!(
+                            "row {i}: {g:?} in a {:?} column, want {w:?}",
+                            got.data_type()
+                        ));
+                    }
+                }
+                Ok(())
+            }
+            (want, got) => Err(format!("interpreter {want:?}, typed {got:?}")),
+        }
+    }
+
+    fn small_table() -> Table {
         Table::new(vec![
             ("a", Column::ints(vec![10, 20, 30, -5])),
             ("b", Column::ints_opt(vec![Some(3), None, Some(7), Some(0)])),
@@ -747,27 +710,11 @@ mod tests {
     }
 
     fn check(e: Expr) {
-        let t = table();
+        let t = small_table();
         let bound = e.bind(&t).unwrap();
-        let prog = Program::compile(&bound);
-        let mut vm = ExprVm::new();
-        let interp: Result<Vec<Value>> = (0..t.num_rows()).map(|i| bound.eval(&t, i)).collect();
         let rows: Vec<usize> = (0..t.num_rows()).collect();
-        match (interp, vm.run_rows(&prog, &t, &rows).map(|c| c.to_values())) {
-            (Ok(want), Ok(got)) => {
-                for (i, (w, g)) in want.iter().zip(&got).enumerate() {
-                    assert!(bitwise_eq(w, g), "row {i}: interpreter {w:?} != vm {g:?} for {e:?}");
-                }
-            }
-            (Err(_), Err(_)) => {}
-            (i, v) => panic!("err-ness mismatch for {e:?}: interp {i:?} vm {v:?}"),
-        }
-    }
-
-    fn bitwise_eq(a: &Value, b: &Value) -> bool {
-        match (a, b) {
-            (Value::Float(x), Value::Float(y)) => x.to_bits() == y.to_bits(),
-            _ => a == b,
+        if let Err(msg) = check_vm(&bound, &t, &rows) {
+            panic!("{e:?}: {msg}");
         }
     }
 
@@ -807,62 +754,271 @@ mod tests {
 
     #[test]
     fn constant_folding_broadcasts() {
-        let t = table();
+        let t = small_table();
+        let all: Vec<usize> = (0..t.num_rows()).collect();
         let bound = lit(2).add(lit(3)).bind(&t).unwrap();
-        let prog = Program::compile(&bound);
-        let mut vm = ExprVm::new();
-        let c = vm.run_column(&prog, &t).unwrap();
+        let c = vm_column(&bound, &t, &all).unwrap();
         assert_eq!(c.to_values(), vec![Value::Int(5); 4]);
         // NULL constant → all-null Int column, like Column::from_values.
         let bound = lit(Value::Null).add(lit(3)).bind(&t).unwrap();
-        let c = vm.run_column(&Program::compile(&bound), &t).unwrap();
+        let c = vm_column(&bound, &t, &all).unwrap();
         assert_eq!(c.to_values(), vec![Value::Null; 4]);
         assert!(matches!(c, Column::Int(..)));
     }
 
     #[test]
-    fn filter_mask_matches_is_truthy() {
-        let t = table();
-        let e = col("t").or(col("b").gt(lit(5)));
-        let bound = e.bind(&t).unwrap();
-        let mut vm = ExprVm::new();
-        let mask = vm.run_filter_mask(&Program::compile(&bound), &t).unwrap();
-        let want: Vec<bool> =
-            (0..t.num_rows()).map(|i| bound.eval(&t, i).unwrap().is_truthy()).collect();
-        assert_eq!(mask, want);
-        // Non-bool predicate: everything falsy.
-        let bound = col("a").bind(&t).unwrap();
-        let mask = vm.run_filter_mask(&Program::compile(&bound), &t).unwrap();
-        assert_eq!(mask, vec![false; 4]);
-    }
-
-    #[test]
     fn row_selection_gathers_in_window_order() {
-        let t = table();
+        let t = small_table();
         let bound = col("a").add(col("b")).bind(&t).unwrap();
-        let prog = Program::compile(&bound);
-        let mut vm = ExprVm::new();
-        let got = vm.run_rows(&prog, &t, &[2, 0, 1]).unwrap();
+        let got = vm_column(&bound, &t, &[2, 0, 1]).unwrap();
         assert_eq!(got.to_values(), vec![Value::Int(37), Value::Int(13), Value::Null]);
     }
 
     #[test]
     fn program_shape() {
-        let t = table();
+        let t = small_table();
         let bound = col("a").add(lit(1)).mul(col("b")).bind(&t).unwrap();
         let prog = Program::compile(&bound);
-        assert_eq!(prog.len(), 5);
-        assert_eq!(prog.max_stack(), 2);
-        assert!(!prog.is_empty());
+        assert_eq!(prog.ops.len(), 5);
+        assert_eq!(prog.max_stack, 2);
     }
 
+    /// A span of a bare column is its rows, the whole table's borrowed in
+    /// place; any other span or selection is evaluated.
     #[test]
-    fn wrapping_arithmetic_matches() {
-        let t = Table::new(vec![("x", Column::ints(vec![i64::MAX, i64::MIN, 1]))]).unwrap();
-        let bound = col("x").add(lit(1)).bind(&t).unwrap();
-        let mut vm = ExprVm::new();
-        let got = vm.run_rows(&Program::compile(&bound), &t, &[0, 1, 2]).unwrap();
-        let want: Vec<Value> = (0..3).map(|i| bound.eval(&t, i).unwrap()).collect();
-        assert_eq!(got.to_values(), want);
+    fn spans_of_a_bare_column_are_its_rows() {
+        let t = small_table();
+        let a = col("a").bind(&t).unwrap();
+        assert!(matches!(eval(&a, &t, RowSel::Span(0, 4)).unwrap(), Cow::Borrowed(_)));
+        let part = eval(&a, &t, RowSel::Span(1, 3)).unwrap();
+        assert_eq!(part.to_values(), vec![Value::Int(20), Value::Int(30)]);
+        let d = col("d").bind(&t).unwrap();
+        assert!(matches!(eval(&d, &t, RowSel::Span(2, 4)).unwrap().as_ref(), Column::Date(..)));
+    }
+
+    /// A predicate that is not boolean keeps no row, like `Value::is_truthy`.
+    #[test]
+    fn non_bool_predicates_keep_nothing() {
+        let t = table(&[-6, -1, 0, 1, 2, 3, 60, 9, 15]);
+        for e in [col("a"), col("s"), lit(1i64), Expr::Lit(Value::Null)] {
+            let bound = e.bind(&t).unwrap();
+            assert_eq!(mask(&bound, &t, RowSel::Span(0, 9)).unwrap(), vec![false; 9], "{e:?}");
+        }
+    }
+
+    /// Builds a deterministic expression tree from a byte genome: each byte
+    /// picks a node kind; the genome running dry (or `depth` hitting zero)
+    /// forces a leaf. Covers every `BinOp`, `Not`, `Neg`, all leaf kinds.
+    fn build_expr(genome: &mut &[u8], depth: u32) -> Expr {
+        let Some((&t, rest)) = genome.split_first() else {
+            return lit(1i64);
+        };
+        *genome = rest;
+        let leaf = |t: u8| -> Expr {
+            match t % 10 {
+                0 => col("a"),
+                1 => col("b"),
+                2 => col("f"),
+                3 => col("g"),
+                4 => col("d"),
+                5 => col("s"),
+                6 => lit(i64::from(t) - 128),
+                7 => lit(f64::from(t) / 8.0 - 8.0),
+                8 => Expr::Lit(Value::Null),
+                _ => lit(0i64),
+            }
+        };
+        if depth == 0 {
+            return leaf(t);
+        }
+        let mut sub = || build_expr(genome, depth - 1);
+        match t % 18 {
+            0 => sub().add(sub()),
+            1 => sub().sub(sub()),
+            2 => sub().mul(sub()),
+            3 => sub().div(sub()),
+            4 => sub().rem(sub()),
+            5 => sub().lt(sub()),
+            6 => sub().le(sub()),
+            7 => sub().gt(sub()),
+            8 => sub().ge(sub()),
+            9 => sub().eq_(sub()),
+            10 => sub().ne(sub()),
+            11 => sub().and(sub()),
+            12 => sub().or(sub()),
+            13 => sub().not(),
+            14 => sub().neg(),
+            _ => leaf(t),
+        }
+    }
+
+    /// A table exercising every column type the VM gathers: plain ints, ints
+    /// with NULLs, floats, floats with NULLs, dates, strings (arithmetic type
+    /// errors), with values spanning zero (division), negatives and duplicates.
+    fn table(xs: &[i64]) -> Table {
+        let n = xs.len();
+        let b = xs.iter().map(|&x| if x % 3 == 0 { None } else { Some(x * 7) }).collect();
+        let g = xs.iter().map(|&x| if x % 5 == 0 { None } else { Some(x as f64 * 1.5) }).collect();
+        Table::new(vec![
+            ("a", Column::ints(xs.to_vec())),
+            ("b", Column::ints_opt(b)),
+            ("f", Column::floats(xs.iter().map(|&x| x as f64 / 4.0).collect())),
+            ("g", Column::floats_opt(g)),
+            ("d", Column::dates(xs.iter().map(|&x| (x % 1000) as i32).collect())),
+            ("s", Column::strs((0..n).map(|i| format!("s{}", i % 4)).collect::<Vec<_>>())),
+        ])
+        .unwrap()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(300))]
+
+        /// Over random trees and data, the VM without fallback errs exactly
+        /// when the interpreter does and otherwise gives its values bit for
+        /// bit, over every row and over a strided selection (the shape
+        /// partitions present); the entry's typed column holds them too,
+        /// through the VM and (short selections) the interpreter.
+        #[test]
+        fn vm_matches_interpreter_on_random_trees(
+            genome in prop::collection::vec(any::<u8>(), 1..40),
+            xs in prop::collection::vec(-60i64..60, 1..80),
+        ) {
+            let t = table(&xs);
+            let expr = build_expr(&mut genome.as_slice(), 4);
+            let bound = expr.bind(&t).unwrap();
+            let all: Vec<usize> = (0..xs.len()).collect();
+            let odd: Vec<usize> = (0..xs.len()).filter(|i| i % 2 == 1).collect();
+            let short: Vec<usize> = all.iter().copied().rev().take(5).collect();
+            for rows in [&all, &odd] {
+                let res = check_vm(&bound, &t, rows);
+                prop_assert!(res.is_ok(), "expr {:?} over {:?}: {:?}", expr, rows, res);
+            }
+            for rows in [&all, &odd, &short] {
+                let res = check_typed_values(&bound, &t, rows);
+                prop_assert!(res.is_ok(), "expr {:?} over {:?}: {:?}", expr, rows, res);
+            }
+        }
+
+        /// A predicate's kept-row mask is the interpreter's truthiness, over
+        /// every row and over a strided selection.
+        #[test]
+        fn vm_filter_masks_match_interpreter(
+            genome in prop::collection::vec(any::<u8>(), 1..24),
+            xs in prop::collection::vec(-20i64..20, 1..48),
+        ) {
+            let t = table(&xs);
+            let mut g = genome.as_slice();
+            // Root the tree at a comparison so it is predicate-shaped.
+            let expr = build_expr(&mut g, 3).gt(build_expr(&mut g, 2));
+            let bound = expr.bind(&t).unwrap();
+            let odd: Vec<usize> = (0..xs.len()).filter(|i| i % 2 == 1).collect();
+            for sel in [RowSel::Span(0, xs.len()), RowSel::Rows(&odd)] {
+                let rows: Vec<usize> = (0..sel.len()).map(|i| sel.row(i)).collect();
+                let want = interpret(&bound, &t, &rows)
+                    .map(|vs| vs.iter().map(Value::is_truthy).collect::<Vec<_>>());
+                match (want, mask(&bound, &t, sel)) {
+                    (Ok(want), Ok(got)) => prop_assert_eq!(got, want, "expr: {:?}", expr),
+                    (Err(_), Err(_)) => {}
+                    (want, got) => prop_assert!(false, "{:?}: {:?} against {:?}", expr, got, want),
+                }
+            }
+        }
+    }
+
+    /// Known-edge battery: the cases the generators only hit by luck.
+    #[test]
+    fn vm_edge_cases_match_interpreter() {
+        let t = table(&[-6, -1, 0, 1, 2, 3, 60]);
+        let all: Vec<usize> = (0..t.num_rows()).collect();
+        let min = || col("a").mul(lit(i64::MIN)); // i64::MIN at a = 1
+        let i32_max = || lit(i64::from(i32::MAX));
+        let cases: Vec<Expr> = vec![
+            // Division/modulo by zero → NULL, both Int and Float.
+            col("a").div(lit(0i64)),
+            col("a").rem(lit(0i64)),
+            col("f").div(lit(0.0f64)),
+            col("f").rem(lit(0.0f64)),
+            col("a").div(col("a")),
+            // NULL propagation through every operator.
+            col("b").add(Expr::Lit(Value::Null)),
+            Expr::Lit(Value::Null).mul(col("g")),
+            Expr::Lit(Value::Null).not(),
+            Expr::Lit(Value::Null).neg(),
+            // Three-valued logic short-circuits.
+            col("b").gt(lit(0i64)).and(lit(false)),
+            col("b").gt(lit(0i64)).or(lit(true)),
+            // Mixed Int/Float widening and comparisons.
+            col("a").add(col("f")),
+            col("a").lt(col("f")),
+            col("f").eq_(col("a")),
+            // Date arithmetic.
+            col("d").add(lit(7i64)),
+            col("d").sub(col("d")),
+            // Type errors (string arithmetic, NOT over ints).
+            col("s").add(lit(1i64)),
+            col("a").not(),
+            col("s").neg(),
+            // Wrapping integer arithmetic.
+            lit(i64::MAX).add(lit(1i64)),
+            lit(i64::MAX).mul(col("a")),
+            // The integer edges wrap too: i64::MIN / -1, MOD -1 and negated,
+            // in the kernels and constant-folded, and dates past i32.
+            min().div(lit(-1i64)),
+            min().rem(lit(-1i64)),
+            min().neg(),
+            lit(i64::MIN).div(lit(-1i64)),
+            lit(i64::MIN).rem(lit(-1i64)),
+            lit(i64::MIN).neg(),
+            col("d").add(i32_max()),
+            col("d").sub(i32_max()),
+            i32_max().add(col("d")),
+        ];
+        for expr in cases {
+            let bound = expr.bind(&t).unwrap();
+            if let Err(msg) = check_vm(&bound, &t, &all) {
+                panic!("{expr:?}: {msg}");
+            }
+            assert_eq!(
+                eval(&bound, &t, RowSel::Span(0, all.len())).map(|c| c.to_values()),
+                interpret(&bound, &t, &all),
+                "expr: {expr:?}"
+            );
+        }
+    }
+
+    /// One expression per block kind the VM hands a call — a constant (value
+    /// and NULL), typed Int, Float and Bool blocks, and per-row values holding
+    /// strings or dates — over every row, a strided selection and a selection
+    /// short enough for the per-row interpreter.
+    #[test]
+    fn typed_values_match_the_interpreter_for_every_block_kind() {
+        let t = table(&[-6, -1, 0, 1, 2, 3, 60, 9, 15, -30, 7]);
+        let n = t.num_rows();
+        let all: Vec<usize> = (0..n).collect();
+        let odd: Vec<usize> = (0..n).filter(|i| i % 2 == 1).collect();
+        let short: Vec<usize> = vec![4, 0, 2];
+        let cases: Vec<(Expr, &str)> = vec![
+            (lit(7i64).add(lit(1i64)), "Const int"),
+            (lit(2.5).mul(lit(-0.0)), "Const float"),
+            (Expr::Lit(Value::Null).add(lit(1i64)), "Const NULL"),
+            (lit(Value::str("k")), "Const str"),
+            (col("a"), "Int"),
+            (col("b").mul(lit(3i64)), "Int with NULLs"),
+            (col("f").neg(), "Float"),
+            (col("g").div(col("a")), "Float with NULLs"),
+            (col("a").gt(lit(1i64)), "Bool"),
+            (col("b").lt(lit(0i64)).not(), "Bool with NULLs"),
+            (col("s"), "Vals of Str"),
+            (col("d"), "Vals of Date"),
+            (col("d").add(lit(7i64)), "Vals of Date arithmetic"),
+        ];
+        for (expr, kind) in cases {
+            let bound = expr.bind(&t).unwrap();
+            for rows in [&all, &odd, &short] {
+                if let Err(e) = check_typed_values(&bound, &t, rows) {
+                    panic!("{kind} ({expr:?}) over {rows:?}: {e}");
+                }
+            }
+        }
     }
 }

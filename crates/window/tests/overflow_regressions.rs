@@ -212,3 +212,43 @@ fn range_frames_float_paths_still_work() {
     let rf = resolve_frames(&t2, &rows2, &keys2, &spec).unwrap();
     assert_eq!(rf.bounds, vec![(0, 2), (0, 2), (2, 3)]);
 }
+
+/// `i64::MIN / -1` and `i64::MIN MOD -1` panicked in both evaluators (the
+/// VM handed exactly those rows to the interpreter, which then panicked), and
+/// `-i64::MIN` in an overflow-checked build. Integer arithmetic wraps at the
+/// edges as `+ − ×` do: `i64::MIN / -1` is `i64::MIN`, `MOD -1` is 0. A
+/// PARTITION BY key, a FILTER, an ORDER BY key and an argument over a table
+/// holding `i64::MIN` agree with the naive oracle bit for bit, long enough
+/// for the VM and short enough for the per-row interpreter.
+#[test]
+fn integer_edges_wrap_in_keys_filters_and_arguments() {
+    let edges = [i64::MIN, -1, i64::MAX, i64::MIN, 0, 1, i64::MIN + 1, i64::MIN, 7, -7];
+    for n in [4, edges.len() * 3] {
+        let k: Vec<i64> = edges.iter().copied().cycle().take(n).collect();
+        let t = Table::new(vec![
+            ("pos", Column::ints((0..n as i64).collect())),
+            ("k", Column::ints(k)),
+        ])
+        .unwrap();
+        let q = WindowQuery::over(
+            WindowSpec::new()
+                .partition_by(vec![col("k").div(lit(-1i64))])
+                .order_by(vec![SortKey::asc(col("k").neg()), SortKey::asc(col("pos"))]),
+        )
+        .call(FunctionCall::count_star().filter(col("k").rem(lit(-1i64)).eq_(lit(0i64))).named("c"))
+        .call(FunctionCall::min(col("k").neg()).named("m"))
+        .call(FunctionCall::row_number(vec![]).named("r"));
+        let want = holistic_baselines::naive::execute(&q, &t).unwrap();
+        for opts in ExecOptions::all_configs() {
+            let got = q.execute_with(&t, opts).unwrap();
+            for name in ["c", "m", "r"] {
+                assert_eq!(
+                    format!("{:?}", got.column(name).unwrap().to_values()),
+                    format!("{:?}", want.column(name).unwrap().to_values()),
+                    "{name} over {n} rows, {}",
+                    opts.label()
+                );
+            }
+        }
+    }
+}

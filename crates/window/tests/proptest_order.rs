@@ -5,7 +5,7 @@
 //! values — whether the criteria pack, fall back, or grow through `extend`.
 
 use holistic_window::order::{dense_codes_for, peer_bounds, sort_permutation, KeyColumns, SortKey};
-use holistic_window::{col, Column, DataType, Table, Value};
+use holistic_window::{col, lit, Column, DataType, Table, Value};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -62,13 +62,22 @@ fn shapes() -> impl Strategy<Value = Vec<Shape>> {
     prop::collection::vec((0..KINDS, 0u8..3, 0u8..3, any::<bool>(), any::<bool>()), 1..=3)
 }
 
+/// The criteria's columns and keys. About half the Int, Float and Date keys
+/// (by position and direction, so a criterion keeps its form as the table
+/// grows) are wrapped in an expression that keeps their values (`-(-k)`,
+/// `d + 0`), so the VM's evaluation is held against the interpreter's too.
 fn table(shapes: &[Shape], n: usize, rng: &mut StdRng) -> (Table, Vec<SortKey>) {
     let mut t = Table::empty();
     let mut keys = Vec::new();
     for (i, &(kind, spread, nulls, desc, nulls_first)) in shapes.iter().enumerate() {
         let name = format!("k{i}");
         t.add_column(name.clone(), column(kind, spread, nulls, n, rng)).unwrap();
-        keys.push(SortKey { expr: col(name), desc, nulls_first });
+        let expr = match kind {
+            0 | 3 if (i + usize::from(desc)) % 2 == 0 => col(name).neg().neg(),
+            1 if (i + usize::from(desc)) % 2 == 0 => col(name).add(lit(0i64)),
+            _ => col(name),
+        };
+        keys.push(SortKey { expr, desc, nulls_first });
     }
     (t, keys)
 }

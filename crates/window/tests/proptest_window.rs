@@ -115,8 +115,11 @@ const PARTITION_KEYS: usize = 12;
 /// PARTITION BY from its definition: a row joins the first partition whose
 /// first row has `sql_eq` keys, else opens a new one.
 fn partition_reference(t: &Table, keys: &[Expr]) -> Vec<Vec<usize>> {
-    let keys: Vec<Vec<Value>> =
-        keys.iter().map(|e| e.bind(t).unwrap().eval_all(t).unwrap()).collect();
+    let eval = |e: &Expr| {
+        let bound = e.bind(t).unwrap();
+        (0..t.num_rows()).map(|r| bound.eval(t, r).unwrap()).collect::<Vec<Value>>()
+    };
+    let keys: Vec<Vec<Value>> = keys.iter().map(eval).collect();
     let mut parts: Vec<Vec<usize>> = Vec::new();
     for row in 0..t.num_rows() {
         let same = |p: &&mut Vec<usize>| keys.iter().all(|k| k[p[0]].sql_eq(&k[row]));
