@@ -205,13 +205,7 @@ pub fn execute_plan(
 /// the engine's `FILTER` semantics). The mask is computed once; each column
 /// is filtered in its own type.
 fn filter_table(table: &Table, pred: &Expr) -> Result<Table, SqlError> {
-    let keep: Vec<bool> = match pred.bind(table)?.eval_column(table)? {
-        Column::Bool(d, v) => {
-            d.iter().enumerate().map(|(i, &b)| b && (v.is_empty() || v[i])).collect()
-        }
-        // Only TRUE is truthy.
-        _ => vec![false; table.num_rows()],
-    };
+    let keep = pred.bind(table)?.eval_mask(table)?;
     let mut out = Table::empty();
     for (name, col) in table.iter() {
         out.add_column(name, col.filter(&keep))?;
@@ -286,6 +280,20 @@ mod tests {
             x.to_values(),
             [None, Some(1), Some(2), Some(3)].map(|v| v.map_or(Value::Null, Value::Int))
         );
+    }
+
+    /// A computed item that is NULL on every row is typed by its expression,
+    /// not by the table's size: short tables take the per-row interpreter.
+    #[test]
+    fn all_null_computed_items_keep_their_type() {
+        for n in [3, 12] {
+            let mut s = SqlSession::new();
+            s.register("u", Table::new(vec![("f", Column::floats_opt(vec![None; n]))]).unwrap());
+            let out = s.query("SELECT f * 2 AS y FROM u ORDER BY f + 1").unwrap();
+            let y = out.column("y").unwrap();
+            assert!(matches!(y, Column::Float(..)), "{n} rows: {y:?}");
+            assert_eq!(y.to_values(), vec![Value::Null; n]);
+        }
     }
 
     #[test]

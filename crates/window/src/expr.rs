@@ -159,9 +159,16 @@ impl BoundExpr {
     }
 
     /// Evaluates for every row of `table` into a typed [`Column`], through the
-    /// compiled VM; the error, if any, is the per-row interpreter's first.
+    /// block VM; the error, if any, is the per-row interpreter's first.
     pub fn eval_column(&self, table: &Table) -> Result<Column> {
         Ok(crate::vm::eval(self, table, crate::vm::RowSel::Span(0, table.num_rows()))?.into_owned())
+    }
+
+    /// Evaluates a predicate for every row of `table` as a kept-row mask:
+    /// `true` exactly where it is TRUE (NULL and non-bool values are falsy).
+    /// The error, if any, is the per-row interpreter's first.
+    pub fn eval_mask(&self, table: &Table) -> Result<Vec<bool>> {
+        crate::vm::mask(self, table, crate::vm::RowSel::Span(0, table.num_rows()))
     }
 }
 

@@ -280,13 +280,12 @@ impl Offsets {
         })
     }
 
-    /// Evaluates an expression over the whole partition through the compiled
+    /// Evaluates an expression over the whole partition through the block
     /// VM. It stays with the interpreter when any row fails evaluation or
     /// validation, which reproduces the canonical first error.
     fn precompute(&mut self, table: &Table, rows: &[usize]) {
         let Offsets::Interp(expr) = self else { return };
-        let prog = vm::Program::compile(expr);
-        let Ok(block) = vm::ExprVm::new().run_block(&prog, table, vm::RowSel::Rows(rows)) else {
+        let Ok(block) = vm::run(expr, table, vm::RowSel::Rows(rows)) else {
             return;
         };
         let no_null = |valid: &[bool]| valid.iter().all(|&ok| ok);
@@ -522,7 +521,7 @@ fn walk(
 /// are the window ORDER BY keys: every mode reads them for peers, and only a
 /// RANGE offset bound reads their values, which is where SQL's restriction to
 /// one numeric key applies. A literal offset is validated once per call;
-/// any other offset expression runs through the compiled VM in one
+/// any other offset expression runs through the block VM in one
 /// whole-partition batch (interpreter-identical results), falling back to
 /// the per-row interpreter when the batch fails so errors keep the canonical
 /// row order. An empty partition has no row to fail at.

@@ -1,4 +1,4 @@
-//! Compiled expression programs, and the one way a batch of rows becomes
+//! The block expression VM, and the one way a batch of rows becomes
 //! values.
 //!
 //! [`eval`] is that way: it turns a row selection — a span of table rows or
@@ -11,11 +11,10 @@
 //! one row alone (a LEAD/LAG offset, NTILE's buckets, a percentile's
 //! fraction).
 //!
-//! `Program::compile` lowers a bound tree once into a flat program (a
-//! post-order op vector plus a constant pool), and `ExprVm` runs it over the
-//! whole selection: each op consumes and produces *column blocks* (typed
-//! vectors with validity masks), so op dispatch is paid once per block and
-//! the inner loops are monomorphic kernels over `i64`/`f64`/`bool` slices.
+//! [`run`] evaluates a bound tree over the whole selection at once: each node
+//! consumes and produces *column blocks* (typed vectors with validity
+//! masks), so dispatch is paid once per node and block, and the inner loops
+//! are monomorphic kernels over `i64`/`f64`/`bool` slices.
 //!
 //! Semantics are bit-identical to the interpreter by construction: every
 //! kernel arm mirrors the corresponding `eval_binop` arm (same wrapping
@@ -34,89 +33,6 @@ use crate::expr::{eval_binop, neg_value, not_value, BinOp, BoundExpr};
 use crate::table::Table;
 use crate::value::Value;
 use std::borrow::Cow;
-
-/// One instruction of a compiled expression program.
-///
-/// Programs are post-order serializations of the bound tree: operands are
-/// pushed before their operator, so execution is a single forward pass over
-/// the op vector with an explicit block stack — no recursion, no tree
-/// pointers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Op {
-    /// Push the values of column `.0` for the selected rows.
-    Col(u32),
-    /// Push constant-pool entry `.0`, broadcast over the block.
-    Const(u32),
-    /// Pop two blocks, apply the binary operator element-wise, push.
-    Bin(BinOp),
-    /// Pop one block, three-valued logical NOT, push.
-    Not,
-    /// Pop one block, arithmetic negation, push.
-    Neg,
-}
-
-/// A compiled expression: flat op vector + constant pool.
-#[derive(Debug)]
-pub(crate) struct Program {
-    ops: Box<[Op]>,
-    consts: Box<[Value]>,
-    max_stack: usize,
-}
-
-impl Program {
-    /// Lowers a bound expression tree into a program.
-    pub(crate) fn compile(expr: &BoundExpr) -> Program {
-        let mut c = ExprCompiler { ops: Vec::new(), consts: Vec::new(), depth: 0, max_depth: 0 };
-        c.lower(expr);
-        debug_assert_eq!(c.depth, 1);
-        Program { ops: c.ops.into(), consts: c.consts.into(), max_stack: c.max_depth }
-    }
-}
-
-/// Post-order lowering of a [`BoundExpr`] into ops + constants, tracking the
-/// operand-stack high-water mark.
-struct ExprCompiler {
-    ops: Vec<Op>,
-    consts: Vec<Value>,
-    depth: usize,
-    max_depth: usize,
-}
-
-impl ExprCompiler {
-    fn produced(&mut self) {
-        self.depth += 1;
-        self.max_depth = self.max_depth.max(self.depth);
-    }
-
-    fn lower(&mut self, e: &BoundExpr) {
-        match e {
-            BoundExpr::Col(idx) => {
-                self.ops.push(Op::Col(*idx as u32));
-                self.produced();
-            }
-            BoundExpr::Lit(v) => {
-                let idx = self.consts.len() as u32;
-                self.consts.push(v.clone());
-                self.ops.push(Op::Const(idx));
-                self.produced();
-            }
-            BoundExpr::Bin(op, a, b) => {
-                self.lower(a);
-                self.lower(b);
-                self.ops.push(Op::Bin(*op));
-                self.depth -= 1; // two consumed, one produced
-            }
-            BoundExpr::Not(a) => {
-                self.lower(a);
-                self.ops.push(Op::Not);
-            }
-            BoundExpr::Neg(a) => {
-                self.lower(a);
-                self.ops.push(Op::Neg);
-            }
-        }
-    }
-}
 
 /// Which rows of the table an evaluation covers.
 #[derive(Debug, Clone, Copy)]
@@ -326,37 +242,34 @@ fn tri_src(b: &Block) -> TriSrc<'_> {
 /// columns become typed blocks (one memcpy-like pass); Str/Date columns go
 /// through `Vals` so their arithmetic stays on the interpreter-exact path.
 fn gather(col: &Column, sel: RowSel<'_>) -> Block {
-    fn pick<T: Copy>(d: &[T], v: &[bool], rows: &[usize]) -> (Vec<T>, Validity) {
-        let data = rows.iter().map(|&r| d[r]).collect();
-        let valid =
-            if v.is_empty() { Vec::new() } else { normalize(rows.iter().map(|&r| v[r]).collect()) };
-        (data, valid)
-    }
-    let rows = match sel {
-        RowSel::Span(a, b) => {
-            return match col.slice(a, b) {
-                Column::Int(d, v) => Block::Int(d, v),
-                Column::Float(d, v) => Block::Float(d, v),
-                Column::Bool(d, v) => Block::Bool(d, v),
-                col => Block::Vals(col.to_values()),
+    fn pick<T: Copy>(d: &[T], v: &[bool], sel: RowSel<'_>) -> (Vec<T>, Validity) {
+        let (data, valid) = match sel {
+            RowSel::Span(a, b) => {
+                let valid = if v.is_empty() { Vec::new() } else { v[a..b].to_vec() };
+                (d[a..b].to_vec(), valid)
             }
-        }
-        RowSel::Rows(rows) => rows,
-    };
+            RowSel::Rows(rows) => {
+                let valid =
+                    if v.is_empty() { Vec::new() } else { rows.iter().map(|&r| v[r]).collect() };
+                (rows.iter().map(|&r| d[r]).collect(), valid)
+            }
+        };
+        (data, normalize(valid))
+    }
     match col {
         Column::Int(d, v) => {
-            let (d, v) = pick(d, v, rows);
+            let (d, v) = pick(d, v, sel);
             Block::Int(d, v)
         }
         Column::Float(d, v) => {
-            let (d, v) = pick(d, v, rows);
+            let (d, v) = pick(d, v, sel);
             Block::Float(d, v)
         }
         Column::Bool(d, v) => {
-            let (d, v) = pick(d, v, rows);
+            let (d, v) = pick(d, v, sel);
             Block::Bool(d, v)
         }
-        col => Block::Vals(rows.iter().map(|&r| col.get(r)).collect()),
+        col => Block::Vals((0..sel.len()).map(|i| col.get(sel.row(i))).collect()),
     }
 }
 
@@ -529,66 +442,36 @@ fn exec_neg(a: Block, n: usize) -> Result<Block> {
     }
 }
 
-/// Runs programs over row selections, reusing its operand stack.
-#[derive(Debug, Default)]
-pub(crate) struct ExprVm {
-    stack: Vec<Block>,
-}
-
-impl ExprVm {
-    /// A fresh VM with an empty operand stack.
-    pub(crate) fn new() -> ExprVm {
-        ExprVm { stack: Vec::new() }
-    }
-
-    /// Executes `prog` over the selected rows and returns the result block.
-    pub(crate) fn run_block(
-        &mut self,
-        prog: &Program,
-        table: &Table,
-        sel: RowSel<'_>,
-    ) -> Result<Block> {
-        let n = sel.len();
-        if n == 0 {
-            // The interpreter evaluates nothing over zero rows (so it cannot
-            // error); neither may the VM — skip even constant folding.
-            return Ok(Block::Vals(Vec::new()));
-        }
-        self.stack.clear();
-        self.stack.reserve(prog.max_stack);
-        for op in prog.ops.iter() {
-            match *op {
-                Op::Col(idx) => self.stack.push(gather(table.column_at(idx as usize), sel)),
-                Op::Const(idx) => self.stack.push(Block::Const(prog.consts[idx as usize].clone())),
-                Op::Bin(bin) => {
-                    let b = self.stack.pop().expect("vm stack underflow");
-                    let a = self.stack.pop().expect("vm stack underflow");
-                    let r = exec_bin(bin, a, b, n);
-                    self.stack.push(r?);
-                }
-                Op::Not => {
-                    let a = self.stack.pop().expect("vm stack underflow");
-                    let r = exec_not(a, n);
-                    self.stack.push(r?);
-                }
-                Op::Neg => {
-                    let a = self.stack.pop().expect("vm stack underflow");
-                    let r = exec_neg(a, n);
-                    self.stack.push(r?);
-                }
+/// Runs `bound` over the selected rows as one block. Each node of the tree
+/// is one block op — dispatch is paid once per node, not once per row — and
+/// the operands of a node are evaluated before it, left to right.
+pub(crate) fn run(bound: &BoundExpr, table: &Table, sel: RowSel<'_>) -> Result<Block> {
+    fn block(e: &BoundExpr, table: &Table, sel: RowSel<'_>, n: usize) -> Result<Block> {
+        match e {
+            BoundExpr::Col(idx) => Ok(gather(table.column_at(*idx), sel)),
+            BoundExpr::Lit(v) => Ok(Block::Const(v.clone())),
+            BoundExpr::Bin(op, a, b) => {
+                let a = block(a, table, sel, n)?;
+                exec_bin(*op, a, block(b, table, sel, n)?, n)
             }
+            BoundExpr::Not(a) => exec_not(block(a, table, sel, n)?, n),
+            BoundExpr::Neg(a) => exec_neg(block(a, table, sel, n)?, n),
         }
-        debug_assert_eq!(self.stack.len(), 1);
-        Ok(self.stack.pop().expect("vm produced no result"))
     }
+    let n = sel.len();
+    if n == 0 {
+        // The interpreter evaluates nothing over zero rows (so it cannot
+        // error); neither may the VM — skip even constant folding.
+        return Ok(Block::Vals(Vec::new()));
+    }
+    block(bound, table, sel, n)
 }
 
-/// Selections shorter than this are interpreted row by row. Compiling a
-/// program and running its block ops has a fixed cost (150–350 ns measured)
-/// that a computed expression repays from about 7 rows on (a bare column
-/// reference only past 100, within 1.2× from 32) — and a query over 50 000
-/// partitions of 1–7 rows pays it 50 000 times. Both evaluators agree bit
-/// for bit (the properties below), so the rule moves time only.
+/// Selections shorter than this are interpreted row by row. Running a tree
+/// as blocks has a fixed cost per call, a block allocated per node, that
+/// pays off only over several rows — and a query over 50 000 partitions of
+/// 1–7 rows pays it 50 000 times. Both evaluators agree bit for bit (the
+/// properties below), so the rule moves time only.
 const INTERPRET_BELOW: usize = 8;
 
 /// `bound` over the rows `sel` selects, one row per position, as a typed
@@ -598,6 +481,8 @@ const INTERPRET_BELOW: usize = 8;
 /// column over a span is its rows, read in place when the span is the table.
 /// The per-row path takes selections shorter than [`INTERPRET_BELOW`], and a
 /// selection the VM failed on, for the interpreter's canonical first error.
+/// Values that are all NULL carry no type, so they take the VM's: a result's
+/// type never depends on how many rows it has.
 pub(crate) fn eval<'t>(
     bound: &BoundExpr,
     table: &'t Table,
@@ -608,12 +493,18 @@ pub(crate) fn eval<'t>(
         let col = table.column_at(*idx);
         return Ok(if n == col.len() { Cow::Borrowed(col) } else { Cow::Owned(col.slice(a, b)) });
     }
+    let vm = || run(bound, table, sel).and_then(|block| block.into_column(n));
     if n >= INTERPRET_BELOW {
-        if let Ok(block) = ExprVm::new().run_block(&Program::compile(bound), table, sel) {
-            return block.into_column(n).map(Cow::Owned);
+        if let Ok(col) = vm() {
+            return Ok(Cow::Owned(col));
         }
     }
     let values = (0..n).map(|i| bound.eval(table, sel.row(i))).collect::<Result<Vec<_>>>()?;
+    if values.iter().all(|v| matches!(v, Value::Null)) {
+        if let Ok(col) = vm() {
+            return Ok(Cow::Owned(col));
+        }
+    }
     Column::from_values(&values).map(Cow::Owned)
 }
 
@@ -630,13 +521,12 @@ pub(crate) fn mask(bound: &BoundExpr, table: &Table, sel: RowSel<'_>) -> Result<
 mod tests {
     use super::*;
     use crate::expr::{col, lit, Expr};
+    use crate::value::DataType;
     use proptest::prelude::*;
 
     /// The VM alone — no size rule, no fallback — over `rows`, as a column.
     fn vm_column(bound: &BoundExpr, t: &Table, rows: &[usize]) -> Result<Column> {
-        ExprVm::new()
-            .run_block(&Program::compile(bound), t, RowSel::Rows(rows))?
-            .into_column(rows.len())
+        run(bound, t, RowSel::Rows(rows))?.into_column(rows.len())
     }
 
     fn interpret(bound: &BoundExpr, t: &Table, rows: &[usize]) -> Result<Vec<Value>> {
@@ -774,13 +664,25 @@ mod tests {
         assert_eq!(got.to_values(), vec![Value::Int(37), Value::Int(13), Value::Null]);
     }
 
+    /// An all-NULL result is typed as the VM types it, over a selection short
+    /// enough for the per-row interpreter too.
     #[test]
-    fn program_shape() {
-        let t = small_table();
-        let bound = col("a").add(lit(1)).mul(col("b")).bind(&t).unwrap();
-        let prog = Program::compile(&bound);
-        assert_eq!(prog.ops.len(), 5);
-        assert_eq!(prog.max_stack, 2);
+    fn all_null_results_keep_their_type_at_every_size() {
+        // `g` is NULL wherever `a` is a multiple of 5.
+        let t = table(&[0, 5, 10, 15, 20, 25, 30, 35, 40, 45]);
+        let cases =
+            [(col("g").mul(lit(2i64)), DataType::Float), (col("g").gt(lit(1i64)), DataType::Bool)];
+        for (expr, ty) in cases {
+            let bound = expr.bind(&t).unwrap();
+            for n in [1, 3, 7, 8, 10] {
+                let got = eval(&bound, &t, RowSel::Span(0, n)).unwrap();
+                assert_eq!(
+                    (got.data_type(), got.to_values()),
+                    (ty, vec![Value::Null; n]),
+                    "{expr:?}"
+                );
+            }
+        }
     }
 
     /// A span of a bare column is its rows, the whole table's borrowed in
@@ -960,7 +862,10 @@ mod tests {
             col("s").neg(),
             // Wrapping integer arithmetic.
             lit(i64::MAX).add(lit(1i64)),
+            lit(i64::MAX).add(col("a")),
             lit(i64::MAX).mul(col("a")),
+            min().sub(lit(1i64)),
+            min().add(lit(-1i64)),
             // The integer edges wrap too: i64::MIN / -1, MOD -1 and negated,
             // in the kernels and constant-folded, and dates past i32.
             min().div(lit(-1i64)),
