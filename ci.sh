@@ -82,20 +82,39 @@ if grep -rn "eval_all" crates src tests examples; then
   exit 1
 fi
 
+step "options only shrink (ExecOptions has at most 4 pub fields, CostModel none)"
+# A knob nothing sets is a constant: the merge sort tree's (f, k) and the
+# cost model's constants are not options. A field may go; none comes back.
+# `pub_fields STRUCT FILE` counts the pub fields STRUCT declares in FILE and
+# fails when FILE declares no such struct.
+pub_fields() {
+  awk -v s="pub struct $1 {" '
+    index($0, s) == 1 { on = 1; next }
+    on && /^}/ { exit }
+    on && /^    pub [a-z_0-9]+:/ { n++ }
+    END { if (!on) { print "no " s " in " FILENAME > "/dev/stderr"; exit 1 } print n + 0 }' "$2"
+}
+exec_fields=$(pub_fields ExecOptions crates/window/src/executor.rs)
+cost_fields=$(pub_fields CostModel crates/window/src/strategy.rs)
+if ((exec_fields > 4 || cost_fields > 0)); then
+  echo "ExecOptions declares $exec_fields pub fields (at most 4), CostModel $cost_fields (none)" >&2
+  exit 1
+fi
+
 step "cargo clippy (workspace, all targets, deny warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
 
 step "cargo doc (workspace, deny warnings; holistic-sql denies missing_docs)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --quiet
 
-step "cargo build --release"
-cargo build --release --workspace
+step "cargo build --release (--locked: a dependency edit that would rewrite Cargo.lock fails here)"
+cargo build --release --workspace --locked
 
 step "cargo test (workspace)"
 cargo test --workspace -q
 
 step "perfbench driver smoke test (the benchmark package is outside the workspace)"
-cargo test --release -q --manifest-path perfbench/Cargo.toml
+cargo test --release -q --locked --manifest-path perfbench/Cargo.toml
 
 step "SQL quickstart example (the README snippet must not rot)"
 cargo run --release -q --example sql_quickstart > /dev/null

@@ -46,24 +46,10 @@ impl MstParams {
         self
     }
 
-    /// Names the documented domain the parameters are out of, if any. The
-    /// fields are public, so a literal can bypass [`Self::new`]: callers that
-    /// take parameters from outside check here and report a typed error.
-    pub fn check(&self) -> Result<(), &'static str> {
-        if self.fanout < 2 {
-            return Err("merge sort tree fanout must be at least 2");
-        }
-        if self.sampling < 1 {
-            return Err("cascading pointer sampling stride must be at least 1");
-        }
-        Ok(())
-    }
-
     /// Panics if the parameters are out of their documented domains.
     pub fn validate(&self) {
-        if let Err(domain) = self.check() {
-            panic!("{domain}");
-        }
+        assert!(self.fanout >= 2, "merge sort tree fanout must be at least 2");
+        assert!(self.sampling >= 1, "cascading pointer sampling stride must be at least 1");
     }
 }
 

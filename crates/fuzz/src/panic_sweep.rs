@@ -388,19 +388,6 @@ fn sweep_one(
             Ok(_) => {}
         }
     }
-    // Out-of-domain tree parameters (public fields, so a literal bypasses
-    // `MstParams::new`) are rejected before anything is built, whatever the
-    // spec and however few rows there are.
-    let (mut no_sampling, mut no_fanout) = (ExecOptions::serial(), ExecOptions::serial());
-    no_sampling.params.sampling = 0;
-    no_fanout.params.fanout = 1;
-    for (label, opts) in [("sampling=0", no_sampling), ("fanout=1", no_fanout)] {
-        match run_protected(label, || query.execute_with(table, opts)) {
-            Err(d) => failures.push(format!("{desc} [{label}]: {}", d.message)),
-            Ok(Ok(_)) => failures.push(format!("{desc} [{label}]: expected Error, got Ok")),
-            Ok(Err(_)) => {}
-        }
-    }
 }
 
 /// Runs the sweep: the curated corpus plus `random_cases` poisoned random

@@ -53,7 +53,6 @@
 #![forbid(unsafe_code)]
 
 pub mod ast;
-pub mod date;
 pub mod error;
 pub mod lexer;
 pub mod parser;

@@ -23,6 +23,7 @@ use crate::error::{ParseError, Span};
 use crate::lexer::{lex, Tok, Token};
 use holistic_window::expr::BinOp;
 use holistic_window::frame::{FrameExclusion, FrameMode};
+use holistic_window::value::parse_date;
 use holistic_window::Value;
 
 /// The window function names the parser recognizes as calls.
@@ -622,7 +623,7 @@ impl<'a> Parser<'a> {
                         let text = text.clone();
                         let str_span = self.bump().span;
                         let span = date_span.to(str_span);
-                        match crate::date::parse_date(&text) {
+                        match parse_date(&text) {
                             Some(days) => Ok(AstExpr::Lit(Value::Date(days), span)),
                             None => Err(ParseError::new(
                                 self.src,

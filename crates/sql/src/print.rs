@@ -13,6 +13,7 @@
 use holistic_window::expr::{BinOp, Expr};
 use holistic_window::frame::{FrameBound, FrameExclusion, FrameMode, FrameSpec};
 use holistic_window::spec::{FuncKind, FunctionCall, WindowSpec};
+use holistic_window::value::format_date;
 use holistic_window::{SortKey, Value, WindowQuery};
 use std::fmt::Write;
 
@@ -245,7 +246,7 @@ pub fn value_to_sql(v: &Value) -> String {
             }
         }
         Value::Str(s) => format!("'{}'", s.replace('\'', "''")),
-        Value::Date(d) => format!("DATE '{}'", crate::date::format_date(*d)),
+        Value::Date(d) => format!("DATE '{}'", format_date(*d)),
     }
 }
 
@@ -321,6 +322,15 @@ mod tests {
         assert_eq!(value_to_sql(&Value::str("it's")), "'it''s'");
         assert_eq!(value_to_sql(&Value::Date(0)), "DATE '1970-01-01'");
         assert_eq!(value_to_sql(&Value::Null), "NULL");
+    }
+
+    #[test]
+    fn dates_print_as_they_display() {
+        let neg_year = holistic_window::value::ymd_to_days(-1, 3, 1);
+        for d in [i32::MIN, neg_year, -1, 0, 2_932_897, 3_000_000, i32::MAX] {
+            let v = Value::Date(d);
+            assert_eq!(value_to_sql(&v), format!("DATE '{v}'"), "day {d}");
+        }
     }
 
     #[test]

@@ -13,8 +13,6 @@
 //! * [`ostree`] — a counted B-tree multiset with O(log n) select/rank.
 //! * [`taskpar`] — task-based parallel drivers that reproduce (and, via
 //!   [`taskpar::SlideStats`], measure) the re-warm overhead of §3.2.
-//! * [`memory`] — the memory-pressure penalty folded into MST cost terms
-//!   when execution runs under a memory budget.
 //!
 //! ```
 //! use holistic_strategies::incremental;
@@ -29,6 +27,5 @@
 #![forbid(unsafe_code)]
 
 pub mod incremental;
-pub mod memory;
 pub mod ostree;
 pub mod taskpar;

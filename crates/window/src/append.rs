@@ -54,7 +54,7 @@ use crate::column::{Column, ColumnScatter, Outputs};
 use crate::error::{Error, Result};
 use crate::eval::pipeline::{hoist_keys, HoistedKeys, PartitionEval, PartitionOutput, Prepared};
 use crate::eval::{cont_rank, cume_dist, disc_rank, percent_rank};
-use crate::executor::{AtomicProbeKernel, ExecOptions, SpillStats, WindowQuery};
+use crate::executor::{tree_params, AtomicProbeKernel, ExecOptions, SpillStats, WindowQuery};
 use crate::expr::Expr;
 use crate::frame::{FrameBound, FrameMode, ResolvedFrames};
 use crate::order::{
@@ -323,8 +323,7 @@ impl WindowQuery {
 impl IncrementalEngine {
     /// Builds the engine and runs the initial evaluation (equivalent to one
     /// [`WindowQuery::execute_with`] pass, plus forest construction).
-    pub fn new(query: WindowQuery, table: Table, opts: ExecOptions) -> Result<IncrementalEngine> {
-        opts.validate()?;
+    fn new(query: WindowQuery, table: Table, opts: ExecOptions) -> Result<IncrementalEngine> {
         for call in &query.calls {
             call.validate()?;
         }
@@ -450,7 +449,8 @@ impl IncrementalEngine {
     }
 
     fn new_part(&self) -> PartState {
-        let empty = |_| KeyForest { forest: MstForest::new(self.opts.params), ty: None };
+        let empty =
+            |_| KeyForest { forest: MstForest::new(tree_params(self.opts.parallel)), ty: None };
         PartState {
             rows: Vec::new(),
             frames: ResolvedFrames {
@@ -704,7 +704,7 @@ impl IncrementalEngine {
                     forests.clear();
                     break;
                 };
-                let mut forest = MstForest::new(self.opts.params);
+                let mut forest = MstForest::new(tree_params(self.opts.parallel));
                 forest.append(&enc);
                 forests.push(KeyForest { forest, ty });
             }

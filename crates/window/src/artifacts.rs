@@ -35,7 +35,7 @@ use crate::column::Column;
 use crate::error::{Error, Result};
 use crate::eval::primitive::SegTrees;
 use crate::eval::Ctx;
-use crate::executor::{CacheStats, SpillStats};
+use crate::executor::{tree_params, CacheStats, SpillStats};
 use crate::hash::hash_column;
 use crate::order::{dense_codes_for, KeyColumns};
 use crate::plan::{sort_keys_of, CallPlan, CanonicalExpr, Criteria, MaskKey, OrderKey};
@@ -1064,8 +1064,13 @@ impl Ctx<'_> {
         let sp = cache.get_or_build::<SpillableMst<I>, _>(key, || {
             let values = values()?;
             self.count_build(|s| &s.mst_builds);
-            SpillableMst::build(&values, self.params, cache.governor(), cache.partition())
-                .map(Built::New)
+            SpillableMst::build(
+                &values,
+                tree_params(self.parallel),
+                cache.governor(),
+                cache.partition(),
+            )
+            .map(Built::New)
         })?;
         SpillableMst::register(&sp);
         sp.checkout()

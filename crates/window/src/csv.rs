@@ -3,13 +3,15 @@
 //! quoting).
 //!
 //! Types are inferred per column from the data: `Int` ⊂ `Float`; ISO dates
-//! (`YYYY-MM-DD`) become [`crate::value::Value::Date`]; `true`/`false` become
-//! booleans; empty fields are NULL; everything else is a string.
+//! (`[-]YYYY-MM-DD`, read by [`crate::value::parse_date`] and written by
+//! [`crate::value::format_date`]) become [`crate::value::Value::Date`];
+//! `true`/`false` become booleans; empty fields are NULL; everything else is
+//! a string.
 
 use crate::column::Column;
 use crate::error::{Error, Result};
 use crate::table::Table;
-use crate::value::{days_to_ymd, ymd_to_days, DataType, Value};
+use crate::value::{parse_date, DataType, Value};
 
 /// Parses CSV text (first line = headers) into a table.
 pub fn table_from_csv(text: &str) -> Result<Table> {
@@ -53,10 +55,6 @@ pub fn table_to_csv(table: &Table) -> String {
             .map(|(_, c)| match c.get(row) {
                 Value::Null => String::new(),
                 Value::Str(s) => quote(&s),
-                Value::Date(d) => {
-                    let (y, m, dd) = days_to_ymd(d);
-                    format!("{y:04}-{m:02}-{dd:02}")
-                }
                 v => v.to_string(),
             })
             .collect();
@@ -113,26 +111,6 @@ fn parse_records(text: &str) -> Vec<Vec<String>> {
         records.push(record);
     }
     records
-}
-
-fn parse_date(s: &str) -> Option<i32> {
-    let bytes = s.as_bytes();
-    if bytes.len() != 10 || bytes[4] != b'-' || bytes[7] != b'-' {
-        return None;
-    }
-    let y: i32 = s[0..4].parse().ok()?;
-    let m: u32 = s[5..7].parse().ok()?;
-    let d: u32 = s[8..10].parse().ok()?;
-    if !(1..=12).contains(&m) || !(1..=31).contains(&d) {
-        return None;
-    }
-    let days = ymd_to_days(y, m, d);
-    // Round-trip check rejects nonsense like Feb 30.
-    if days_to_ymd(days) == (y, m, d) {
-        Some(days)
-    } else {
-        None
-    }
 }
 
 fn infer_type(fields: &[&str]) -> DataType {
@@ -234,6 +212,18 @@ mod tests {
     fn invalid_dates_are_strings() {
         let t = table_from_csv("v\n2020-02-30\n2020-13-01\n").unwrap();
         assert_eq!(t.column("v").unwrap().data_type(), DataType::Str);
+    }
+
+    #[test]
+    fn dates_round_trip_across_the_i32_range() {
+        let days = [i32::MIN, -1, 0, 2_932_897, 3_000_000, i32::MAX];
+        let t = Table::new(vec![("d", Column::dates(days.to_vec()))]).unwrap();
+        let back = table_from_csv(&table_to_csv(&t)).unwrap();
+        let col = back.column("d").unwrap();
+        assert_eq!(col.data_type(), DataType::Date);
+        for (i, &d) in days.iter().enumerate() {
+            assert!(col.get(i).sql_eq(&Value::Date(d)), "day {d} came back as {}", col.get(i));
+        }
     }
 
     #[test]

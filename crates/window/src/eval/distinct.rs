@@ -30,6 +30,7 @@ use super::{Ctx, Planned};
 use crate::artifacts::{AggFlavor, ArtifactKey, DistinctPrepArt, MaskArtifact};
 use crate::column::{Column, Outputs};
 use crate::error::{Error, Result};
+use crate::executor::tree_params;
 use crate::plan::CallPlan;
 use crate::spec::{FuncKind, FunctionCall};
 use crate::strategy::Strategy;
@@ -262,7 +263,7 @@ where
             ctx.count_build(|s| &s.mst_builds);
             let prev: Vec<I> = prev.iter().map(|&p| I::from_usize(p)).collect();
             let payloads: Vec<A::Payload> = (0..prep.values.len()).map(&payload_of).collect();
-            Ok(AnnotatedMst::<I, A>::build(&prev, &payloads, ctx.params))
+            Ok(AnnotatedMst::<I, A>::build(&prev, &payloads, tree_params(ctx.parallel)))
         })?;
     // One seed per probe chunk: consecutive frames move the threshold and
     // the edges a little, so each search gallops from the previous row's.

@@ -35,7 +35,7 @@ use crate::spec::{FuncKind, FunctionCall};
 use crate::strategy::Strategy;
 use crate::table::Table;
 use crate::vm;
-use holistic_core::{MstParams, RangeSet};
+use holistic_core::RangeSet;
 use pipeline::HoistedKeys;
 use primitive::{CountBelow, Select};
 use std::sync::{Arc, OnceLock};
@@ -56,10 +56,8 @@ pub(crate) struct Ctx<'a> {
     pub frames: &'a ResolvedFrames,
     /// Segment boundaries: `0`, then the end of every segment.
     pub starts: &'a [usize],
-    /// Parallel probing allowed.
+    /// Parallel probing and tree builds allowed.
     pub parallel: bool,
-    /// Merge sort tree parameters.
-    pub params: MstParams,
     /// The partition's preprocessing-artifact cache. `None` evaluates one
     /// naive call cacheless: every artifact recipe builds into a plain `Arc`
     /// that dies with the call — no slot, key hash, footprint or governor

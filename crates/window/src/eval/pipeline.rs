@@ -17,7 +17,7 @@ use crate::artifacts::{governed_floor, ArtifactCache, ArtifactKey, BudgetGoverno
 use crate::column::Outputs;
 use crate::error::Result;
 use crate::eval::{evaluate_call, Ctx};
-use crate::executor::{AtomicProbeKernel, CacheStats, ExecOptions, WindowQuery};
+use crate::executor::{tree_params, AtomicProbeKernel, CacheStats, ExecOptions, WindowQuery};
 use crate::frame::{resolve_frames, FrameExclusion, ResolvedFrames};
 use crate::order::{sort_permutation, KeyColumns};
 use crate::plan::{canonical_order, sort_keys_of, Criteria, OrderKey, QueryPlan};
@@ -203,7 +203,7 @@ pub(crate) struct PartitionEval<'a> {
 
 impl PartitionEval<'_> {
     /// Picks a strategy per call of `plan`. A pure function of (mode, call
-    /// class, frame stats, partition size, tree parameters, budget) — none of
+    /// class, frame stats, partition size, budget) — none of
     /// which depend on parallelism or sharing — so every engine
     /// configuration, and the append engine against a from-scratch run, makes
     /// identical choices.
@@ -214,7 +214,8 @@ impl PartitionEval<'_> {
         // governed bytes surely exceed the budget while naive, which charges
         // none, could run the call.
         let width = if holistic_core::index::fits_u32(stats.m + 1) { 4 } else { 8 };
-        let tree_bytes = |n| (holistic_core::mst_arena_len(n, opts.params) * width) as u64;
+        let tree_bytes =
+            |n| (holistic_core::mst_arena_len(n, tree_params(opts.parallel)) * width) as u64;
         let model = CostModel::default().under_memory_pressure(tree_bytes(stats.m), opts.budget);
         plan.calls
             .iter()
@@ -251,7 +252,6 @@ impl PartitionEval<'_> {
             frames: &batch.frames,
             starts: &batch.starts,
             parallel,
-            params: if parallel { self.opts.params } else { self.opts.params.serial() },
             cache,
             hoisted: self.hoisted,
             own_values: OnceLock::new(),

@@ -15,7 +15,7 @@
 
 use crate::artifacts::BudgetGovernor;
 use crate::column::ColumnScatter;
-use crate::error::{Error, Result};
+use crate::error::Result;
 use crate::eval::pipeline::{
     hoist_keys, HoistedKeys, PartitionEval, PartitionOutput, Prepared, SegmentBatch,
 };
@@ -35,8 +35,6 @@ use std::time::{Duration, Instant};
 pub struct ExecOptions {
     /// Use rayon for partitioning, sorting, tree builds and probes.
     pub parallel: bool,
-    /// Merge sort tree parameters (§5.1; default f = k = 32).
-    pub params: MstParams,
     /// Share preprocessing artifacts across the query's calls (default).
     /// When off, every call gets a private cache — each call still reuses
     /// its *own* artifacts (e.g. framed LEAD builds one sort for its two
@@ -60,7 +58,6 @@ impl Default for ExecOptions {
     fn default() -> Self {
         ExecOptions {
             parallel: true,
-            params: MstParams::default(),
             share_artifacts: true,
             strategy: StrategyMode::default(),
             budget: None,
@@ -71,11 +68,7 @@ impl Default for ExecOptions {
 impl ExecOptions {
     /// Fully serial execution (used by benchmarks isolating algorithms).
     pub fn serial() -> Self {
-        ExecOptions {
-            parallel: false,
-            params: MstParams::default().serial(),
-            ..ExecOptions::default()
-        }
+        ExecOptions { parallel: false, ..ExecOptions::default() }
     }
 
     /// Caps resident preprocessing-artifact memory at `bytes`. See
@@ -96,13 +89,6 @@ impl ExecOptions {
     pub fn no_sharing(mut self) -> Self {
         self.share_artifacts = false;
         self
-    }
-
-    /// Rejects tree parameters outside their documented domains. Every
-    /// entry point that takes options calls this before anything is built:
-    /// the fields are public, so `MstParams::new`'s assert can be bypassed.
-    pub(crate) fn validate(&self) -> Result<()> {
-        self.params.check().map_err(|domain| Error::InvalidArgument(domain.into()))
     }
 
     /// Every engine configuration the result must be invariant under:
@@ -136,6 +122,12 @@ impl ExecOptions {
             budget,
         )
     }
+}
+
+/// The parameters of every merge sort tree the engine builds: the paper's
+/// f = k = 32 (§5.1), built in parallel only when the execution is.
+pub(crate) fn tree_params(parallel: bool) -> MstParams {
+    MstParams { parallel, ..MstParams::default() }
 }
 
 /// Artifact-cache counters, accumulated over all per-partition caches of one
@@ -387,7 +379,6 @@ impl WindowQuery {
         // Plan phase: validate every call, then canonicalize what each
         // call's artifacts are made from.
         let plan_start = Instant::now();
-        opts.validate()?;
         for call in &self.calls {
             call.validate()?;
         }
@@ -507,6 +498,7 @@ impl WindowQuery {
 mod tests {
     use super::*;
     use crate::column::Column;
+    use crate::error::Error;
     use crate::expr::{col, lit};
     use crate::frame::{FrameBound, FrameSpec};
     use crate::order::SortKey;
@@ -691,6 +683,7 @@ mod tests {
         .call(FunctionCall::sum_distinct(col("x")).named("sd"))
         .call(FunctionCall::median(col("x")).named("med"))
         .call(FunctionCall::rank(vec![SortKey::desc(col("x"))]).named("r"));
+        let mut built = Vec::new();
         for opts in ExecOptions::all_configs() {
             let opts = opts.force_strategy(Strategy::Mst);
             let (_, profile) = q.execute_profiled(&t, opts).unwrap();
@@ -705,6 +698,17 @@ mod tests {
             // The builds are timed into `build`, which holds the sort and
             // the frame resolution too.
             assert!(profile.build > profile.resolve, "{}", opts.label());
+            built.push((opts, profile.artifacts));
+        }
+        // What gets built (every label, build count and byte count) depends
+        // on the sharing mode only: the parallel configuration builds the
+        // serial one's artifacts.
+        for (serial, s_art) in built.iter().filter(|(o, _)| !o.parallel) {
+            let (_, p_art) = built
+                .iter()
+                .find(|(o, _)| o.parallel && o.share_artifacts == serial.share_artifacts)
+                .expect("all_configs pairs every serial configuration with a parallel one");
+            assert_eq!(s_art, p_art, "{}", serial.label());
         }
     }
 

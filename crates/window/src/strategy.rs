@@ -248,36 +248,37 @@ impl PartitionStats {
 /// The engine always scores with [`CostModel::default`], whose values come
 /// from the `crossover_ext` calibration benchmark (see `EXPERIMENTS.md`);
 /// they only need to rank strategies correctly near the crossover points,
-/// not predict absolute runtimes.
+/// not predict absolute runtimes. They are constants: no field can be set
+/// from outside this module.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CostModel {
     /// Partitions at or below this size short-circuit to [`Strategy::Naive`]
     /// whenever it applies — no artifact cache, no scoring.
-    pub tiny_m: usize,
+    tiny_m: usize,
     /// Naive: fixed per-row overhead (frame decode, output).
-    pub naive_row: f64,
+    naive_row: f64,
     /// Naive: per frame cell scanned.
-    pub naive_cell: f64,
+    naive_cell: f64,
     /// Incremental: fixed per-row overhead.
-    pub incr_row: f64,
+    incr_row: f64,
     /// Incremental: per boundary-slide element update (hash set ops for
     /// COUNT DISTINCT; binary search for the ordered vector).
-    pub incr_update: f64,
+    incr_update: f64,
     /// Incremental: per element *shifted* by an ordered-vector
     /// insert/remove, scaled by the frame width (memmove cost).
-    pub incr_shift: f64,
+    incr_shift: f64,
     /// Order-statistic tree: fixed per-row overhead (selection probe).
-    pub ostree_row: f64,
+    ostree_row: f64,
     /// Order-statistic tree: per slide update, scaled by `log2(frame)`.
-    pub ostree_update: f64,
+    ostree_update: f64,
     /// Sorted-list segment tree: per element per level at build.
-    pub segtree_build_cell: f64,
+    segtree_build_cell: f64,
     /// Sorted-list segment tree: per probe, scaled by `log²(m)`.
-    pub segtree_probe: f64,
+    segtree_probe: f64,
     /// Merge sort tree: per element per level at build.
-    pub mst_build_cell: f64,
+    mst_build_cell: f64,
     /// Merge sort tree: per probe, scaled by `log(m)`.
-    pub mst_probe: f64,
+    mst_probe: f64,
 }
 
 impl Default for CostModel {
@@ -305,14 +306,17 @@ impl CostModel {
     /// A copy of this model with the MST terms surcharged for memory
     /// pressure: a partition whose estimated tree footprint crowds the
     /// budget pays spill writes at build and re-faults at probe, neither of
-    /// which the base constants price. The multiplier comes from
-    /// [`holistic_strategies::memory::mst_pressure_penalty`] (1.0 with no
-    /// budget or a comfortably fitting tree, saturating at its
-    /// `MAX_PRESSURE_PENALTY` for trees far beyond the budget), steering
-    /// borderline partitions toward budget-friendly strategies while
-    /// letting the MST keep wins that survive the surcharge.
-    pub fn under_memory_pressure(self, est_tree_bytes: u64, budget: Option<u64>) -> CostModel {
-        let penalty = holistic_strategies::memory::mst_pressure_penalty(est_tree_bytes, budget);
+    /// which the base constants price. The multiplier is
+    /// [`mst_pressure_penalty`] (1.0 with no budget or a comfortably fitting
+    /// tree, saturating at [`MAX_PRESSURE_PENALTY`] for trees far beyond the
+    /// budget), steering borderline partitions toward budget-friendly
+    /// strategies while letting the MST keep wins that survive the surcharge.
+    pub(crate) fn under_memory_pressure(
+        self,
+        est_tree_bytes: u64,
+        budget: Option<u64>,
+    ) -> CostModel {
+        let penalty = mst_pressure_penalty(est_tree_bytes, budget);
         CostModel {
             mst_build_cell: self.mst_build_cell * penalty,
             mst_probe: self.mst_probe * penalty,
@@ -367,6 +371,41 @@ impl CostModel {
             }
             Strategy::Mst => m * self.mst_build_cell * lg_m + m * self.mst_probe * lg_m,
         }
+    }
+}
+
+/// Largest multiplier [`mst_pressure_penalty`] returns. Spill I/O is slow
+/// but not unboundedly so (sequential writes + segment-wise re-faults), so
+/// the penalty saturates instead of growing without bound — an MST can still
+/// win on a huge partition where every alternative is asymptotically worse.
+const MAX_PRESSURE_PENALTY: f64 = 8.0;
+
+/// Multiplier for the MST build/probe cost terms of a partition whose tree
+/// is estimated at `estimated_bytes` under an optional `budget`. The base
+/// model prices a tree as if its whole arena stays resident; a tree that
+/// exceeds its share of the budget is built out-of-core and/or parked and
+/// re-faulted between probes instead.
+///
+/// * No budget: `1.0` (the base model is already right).
+/// * Tree at most half the budget: `1.0` — it fits comfortably alongside
+///   its siblings; no spilling is expected.
+/// * Beyond half the budget the penalty ramps linearly with the
+///   tree-to-budget ratio and saturates at [`MAX_PRESSURE_PENALTY`] (a tree
+///   several times the budget is re-faulted roughly once per probe pass;
+///   more overshoot cannot make a single pass slower than that).
+/// * Zero budget: [`MAX_PRESSURE_PENALTY`] (everything thrashes).
+fn mst_pressure_penalty(estimated_bytes: u64, budget: Option<u64>) -> f64 {
+    let Some(b) = budget else {
+        return 1.0;
+    };
+    if b == 0 {
+        return MAX_PRESSURE_PENALTY;
+    }
+    let ratio = estimated_bytes as f64 / b as f64;
+    if ratio <= 0.5 {
+        1.0
+    } else {
+        (1.0 + (ratio - 0.5) * 2.0).min(MAX_PRESSURE_PENALTY)
     }
 }
 
@@ -623,5 +662,41 @@ mod tests {
         let expect = m * model.naive_row + m * all_distinct.avg_frame * flat;
         let got = model.cost(Strategy::Naive, CallClass::CountDistinct, &all_distinct);
         assert!((got - expect).abs() < 1e-6);
+    }
+
+    #[test]
+    fn no_budget_means_no_penalty() {
+        assert_eq!(mst_pressure_penalty(u64::MAX, None), 1.0);
+        assert_eq!(mst_pressure_penalty(0, None), 1.0);
+    }
+
+    #[test]
+    fn comfortable_fit_is_free() {
+        assert_eq!(mst_pressure_penalty(0, Some(1 << 20)), 1.0);
+        assert_eq!(mst_pressure_penalty(1 << 19, Some(1 << 20)), 1.0);
+    }
+
+    #[test]
+    fn penalty_ramps_and_saturates() {
+        let b = Some(1u64 << 20);
+        // At exactly the budget the tree competes with everything else
+        // resident: ratio 1.0 → penalty 2.0.
+        assert_eq!(mst_pressure_penalty(1 << 20, b), 2.0);
+        let p_fits = mst_pressure_penalty(3 << 18, b); // ratio 0.75 → 1.5
+        assert!(p_fits > 1.0 && p_fits < 2.0);
+        // Far past the budget the penalty saturates.
+        assert_eq!(mst_pressure_penalty(1 << 30, b), MAX_PRESSURE_PENALTY);
+        assert_eq!(mst_pressure_penalty(123, Some(0)), MAX_PRESSURE_PENALTY);
+    }
+
+    #[test]
+    fn penalty_is_monotone_in_tree_size() {
+        let b = Some(4096u64);
+        let mut last = 0.0f64;
+        for bytes in (0..20).map(|i| i * 1024) {
+            let p = mst_pressure_penalty(bytes, b);
+            assert!(p >= last, "penalty regressed at {bytes} bytes");
+            last = p;
+        }
     }
 }

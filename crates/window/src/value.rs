@@ -155,10 +155,7 @@ impl fmt::Display for Value {
             Value::Int(v) => write!(f, "{v}"),
             Value::Float(v) => write!(f, "{v}"),
             Value::Str(s) => write!(f, "{s}"),
-            Value::Date(d) => {
-                let (y, m, day) = crate::value::days_to_ymd(*d);
-                write!(f, "{y:04}-{m:02}-{day:02}")
-            }
+            Value::Date(d) => f.write_str(&format_date(*d)),
             Value::Bool(b) => write!(f, "{b}"),
         }
     }
@@ -191,7 +188,8 @@ impl From<bool> for Value {
     }
 }
 
-/// Days-since-epoch → (year, month, day), proleptic Gregorian.
+/// Days-since-epoch → (year, month, day), proleptic Gregorian with
+/// astronomical year numbering; exact over the whole `i32` day range.
 pub fn days_to_ymd(days: i32) -> (i32, u32, u32) {
     // Howard Hinnant's civil_from_days.
     let z = i64::from(days) + 719_468;
@@ -206,7 +204,8 @@ pub fn days_to_ymd(days: i32) -> (i32, u32, u32) {
     ((y + if m <= 2 { 1 } else { 0 }) as i32, m, d)
 }
 
-/// (year, month, day) → days since epoch, proleptic Gregorian.
+/// (year, month, day) → days since epoch, the inverse of [`days_to_ymd`].
+/// A date outside the `i32` day range wraps; [`parse_date`] rejects it.
 pub fn ymd_to_days(y: i32, m: u32, d: u32) -> i32 {
     // Howard Hinnant's days_from_civil.
     let y = y as i64 - if m <= 2 { 1 } else { 0 };
@@ -216,6 +215,40 @@ pub fn ymd_to_days(y: i32, m: u32, d: u32) -> i32 {
     let doy = (153 * mp + 2) / 5 + d as i64 - 1;
     let doe = yoe * 365 + yoe / 4 - yoe / 100 + doy;
     (era * 146_097 + doe - 719_468) as i32
+}
+
+/// Parses `[-]YYYY-MM-DD` (a year of at least four digits, then a two-digit
+/// month and day) into days since the epoch: the text [`format_date`]
+/// writes, which is also what SQL's `DATE '…'` and CSV fields hold. `None`
+/// when the text has another shape, the date does not exist (month 13,
+/// Feb 30) or it lies outside the `i32` day range.
+pub fn parse_date(text: &str) -> Option<i32> {
+    let (ymd, negative) = match text.strip_prefix('-') {
+        Some(rest) => (rest, true),
+        None => (text, false),
+    };
+    let (b, n) = (ymd.as_bytes(), ymd.len());
+    let dash = |i| i == n - 6 || i == n - 3;
+    if n < 10
+        || !b.iter().enumerate().all(|(i, c)| if dash(i) { *c == b'-' } else { c.is_ascii_digit() })
+    {
+        return None;
+    }
+    let y: i32 = ymd[..n - 6].parse().ok()?;
+    let y = if negative { -y } else { y };
+    let (m, d) = (ymd[n - 5..n - 3].parse().ok()?, ymd[n - 2..].parse().ok()?);
+    let days = ymd_to_days(y, m, d);
+    // Only a real date in range survives the round trip: month 13 or Feb 30
+    // comes back as another date, and so does a day count that wrapped.
+    (days_to_ymd(days) == (y, m, d)).then_some(days)
+}
+
+/// Renders days since the epoch as `[-]YYYY-MM-DD`: the year zero-padded to
+/// four digits, month and day to two.
+pub fn format_date(days: i32) -> String {
+    let (y, m, d) = days_to_ymd(days);
+    let sign = if y < 0 { "-" } else { "" };
+    format!("{sign}{:04}-{m:02}-{d:02}", y.unsigned_abs())
 }
 
 #[cfg(test)]
@@ -270,5 +303,64 @@ mod tests {
         assert_eq!(Value::Int(42).to_string(), "42");
         assert_eq!(Value::Null.to_string(), "NULL");
         assert_eq!(Value::Date(0).to_string(), "1970-01-01");
+        assert_eq!(Value::Date(ymd_to_days(-1, 3, 1)).to_string(), "-0001-03-01");
+        assert_eq!(Value::Date(3_000_000).to_string(), "10183-09-21");
+    }
+
+    #[test]
+    fn epoch_and_neighbors() {
+        assert_eq!(parse_date("1970-01-01"), Some(0));
+        assert_eq!(parse_date("1969-12-31"), Some(-1));
+        assert_eq!(parse_date("1970-01-02"), Some(1));
+        assert_eq!(format_date(0), "1970-01-01");
+        assert_eq!(format_date(-1), "1969-12-31");
+    }
+
+    #[test]
+    fn round_trips_across_the_i32_range() {
+        for &d in &[i32::MIN, -719468, -1, 0, 1, 365, 59, 60, 730_000, 3_000_000, i32::MAX] {
+            assert_eq!(parse_date(&format_date(d)), Some(d), "day {d}");
+        }
+    }
+
+    #[test]
+    fn rejects_invalid_dates() {
+        assert_eq!(parse_date("1970-02-30"), None);
+        assert_eq!(parse_date("1970-13-01"), None);
+        assert_eq!(parse_date("1970-00-01"), None);
+        assert_eq!(parse_date("1970-01-00"), None);
+        assert_eq!(parse_date("not-a-date"), None);
+        assert_eq!(parse_date("1970-01"), None);
+        assert_eq!(parse_date(""), None);
+        assert_eq!(parse_date("-"), None);
+    }
+
+    #[test]
+    fn rejects_other_shapes() {
+        for text in
+            ["1970-1-01", "1970-01-1", "197-01-01", "+1970-01-01", "1970/01/01", "--1970-01-01"]
+        {
+            assert_eq!(parse_date(text), None, "{text}");
+        }
+    }
+
+    #[test]
+    fn rejects_extreme_years_without_overflow() {
+        assert_eq!(parse_date("9223372036854775807-01-01"), None);
+        assert_eq!(parse_date("-9223372036854775808-01-01"), None);
+        assert_eq!(parse_date("2147483647-12-31"), None);
+        assert_eq!(parse_date("-2147483647-01-01"), None);
+        assert_eq!(parse_date("6000001-01-01"), None);
+        assert_eq!(parse_date("-6000001-01-01"), None);
+        // One day past either end of the i32 range.
+        assert_eq!(parse_date("5881610-07-12"), None);
+        assert_eq!(parse_date("-5877641-06-22"), None);
+    }
+
+    #[test]
+    fn leap_years() {
+        assert!(parse_date("2000-02-29").is_some());
+        assert_eq!(parse_date("1900-02-29"), None);
+        assert!(parse_date("2024-02-29").is_some());
     }
 }

@@ -231,7 +231,7 @@ fn forests_are_shared_per_order_by_key_and_direction() {
 /// only).
 #[test]
 fn forest_bytes_count_the_arenas_and_the_encoded_keys() {
-    use holistic_core::MstForest;
+    use holistic_core::{MstForest, MstParams};
     let full = timeseries(300);
     let (base, batches) = suffix_batches(&full, 120, 6);
     let q = WindowQuery::over(
@@ -242,7 +242,7 @@ fn forest_bytes_count_the_arenas_and_the_encoded_keys() {
     .call(FunctionCall::median(col("v")).named("med"));
     let opts = ExecOptions::default();
     let mut engine = q.begin_incremental(&base, opts).unwrap();
-    let mut forest = MstForest::new(opts.params);
+    let mut forest = MstForest::new(MstParams::default());
     forest.append(&vec![0; base.num_rows()]);
     for batch in &batches {
         let p = engine.append(batch).unwrap().profile;

@@ -125,24 +125,6 @@ fn errors_do_not_depend_on_parallelism() {
 }
 
 #[test]
-fn out_of_domain_tree_params_are_a_typed_error_at_every_entry_point() {
-    let q = WindowQuery::over(WindowSpec::new().order_by(vec![SortKey::asc(col("a"))]))
-        .call(FunctionCall::count_distinct(col("a")));
-    let mut session = holistic_sql::SqlSession::new();
-    session.register("t", table());
-    for params in [
-        MstParams { sampling: 0, ..MstParams::default() },
-        MstParams { fanout: 1, ..MstParams::default() },
-    ] {
-        let opts = ExecOptions { params, ..ExecOptions::serial().force_strategy(Strategy::Mst) };
-        assert!(matches!(q.execute_with(&table(), opts), Err(Error::InvalidArgument(_))));
-        assert!(matches!(q.begin_incremental(&table(), opts), Err(Error::InvalidArgument(_))));
-        let sql = "SELECT count(DISTINCT a) OVER (ORDER BY a) FROM t";
-        assert!(session.query_with(sql, opts).unwrap_err().to_string().contains("at least"));
-    }
-}
-
-#[test]
 fn ragged_table_rejected_at_construction() {
     let r = Table::new(vec![("a", Column::ints(vec![1, 2])), ("b", Column::ints(vec![1]))]);
     assert!(matches!(r, Err(Error::LengthMismatch { .. })));
