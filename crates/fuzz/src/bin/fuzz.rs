@@ -199,8 +199,8 @@ fn main() {
     // and probed a forest shared by two calls.
     let (spliced, peer_rank, shared_forest) = (Cell::new(0u64), Cell::new(0u64), Cell::new(0u64));
     // Default mode's: cases whose reference output mixed Int and Float, and
-    // cases where Adaptive slid a rank-family call.
-    let (mixed, rank_slid) = (Cell::new(0u64), Cell::new(0u64));
+    // cases where Adaptive slid a rank-family call or a percentile.
+    let (mixed, rank_slid, percentile_slid) = (Cell::new(0u64), Cell::new(0u64), Cell::new(0u64));
     let count = |c: &Cell<u64>, yes: bool| c.set(c.get() + yes as u64);
     let check = |t: &holistic_window::Table, q: &holistic_window::WindowQuery, cs: u64| {
         if args.sql_roundtrip {
@@ -220,6 +220,7 @@ fn main() {
             check_case(t, q).map(|probe| {
                 count(&mixed, probe.mixed_numeric);
                 count(&rank_slid, probe.rank_slid);
+                count(&percentile_slid, probe.percentile_slid);
             })
         }
     };
@@ -302,12 +303,13 @@ fn main() {
     } else {
         println!(
             "fuzz OK: {ran} cases, seed {:#x}, max-n {}, {} exact configs vs naive; {} cases mixed Int and Float in a reference output, {} ran a \
-             rank-family call on the sliding window ({:.1}s)",
+             rank-family call and {} a percentile on the sliding window ({:.1}s)",
             args.seed,
             args.max_n,
             holistic_fuzz::diff::exact_configs().len(),
             mixed.get(),
             rank_slid.get(),
+            percentile_slid.get(),
             start.elapsed().as_secs_f64()
         );
     }

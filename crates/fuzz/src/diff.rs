@@ -203,8 +203,11 @@ pub struct CaseProbe {
     pub mixed_numeric: bool,
     /// Adaptive ran a rank-family call (ROW_NUMBER, RANK, PERCENT_RANK,
     /// CUME_DIST, NTILE) on the sliding window of the incremental strategy
-    /// in some partition.
+    /// in some partition: the window counted below a code.
     pub rank_slid: bool,
+    /// Adaptive ran a percentile (MEDIAN, PERCENTILE_DISC, PERCENTILE_CONT)
+    /// on that sliding window in some partition: the window selected a code.
+    pub percentile_slid: bool,
 }
 
 /// Checks one case: every configuration of [`exact_configs`] must agree
@@ -223,10 +226,11 @@ pub fn check_case(table: &Table, query: &WindowQuery) -> Result<CaseProbe, Diver
     let mut probe = CaseProbe {
         mixed_numeric: naive_outputs.as_ref().is_ok_and(|calls| calls.iter().any(mixes)),
         rank_slid: false,
+        percentile_slid: false,
     };
-    let slid = |profile: &ExecProfile| {
+    let slid = |profile: &ExecProfile, class: CallClass| {
         query.calls.iter().zip(&profile.strategy.per_call).any(|(call, decided)| {
-            CallClass::of(call) == CallClass::RankLike && decided[Strategy::Incremental.index()] > 0
+            CallClass::of(call) == class && decided[Strategy::Incremental.index()] > 0
         })
     };
     let naive_res = naive_outputs.and_then(|calls| naive::assemble(query, &calls));
@@ -235,7 +239,10 @@ pub fn check_case(table: &Table, query: &WindowQuery) -> Result<CaseProbe, Diver
         let label = opts.label();
         let engine_res =
             run_protected(&label, || query.execute_profiled(table, opts))?.map(|(out, profile)| {
-                probe.rank_slid |= opts.strategy == StrategyMode::Adaptive && slid(&profile);
+                if opts.strategy == StrategyMode::Adaptive {
+                    probe.rank_slid |= slid(&profile, CallClass::RankLike);
+                    probe.percentile_slid |= slid(&profile, CallClass::Percentile);
+                }
                 out
             });
         match (&naive_res, engine_res) {

@@ -3,11 +3,19 @@
 //! These maintain an aggregation state under `add`/`remove` as the frame
 //! slides (§3.2): distinct counts with a hash multiset (O(1) per update —
 //! O(n) total), percentiles and ranks with an ordered multiset
-//! ([`SortedWindow`]: a sorted array, O(frame) per insert — the O(n²) row of
-//! Table 1 — or a counted B-tree, O(log n)), and modes with
-//! counts-of-counts. Non-monotonic frames make the same tuple enter and
-//! leave repeatedly, degrading all of them (§6.5); the generic slide driver
-//! below handles that case by moving both bounds in either direction.
+//! ([`SortedWindow`]), and modes with counts-of-counts. Non-monotonic frames
+//! make the same tuple enter and leave repeatedly, degrading all of them
+//! (§6.5); the generic slide driver below handles that case by moving both
+//! bounds in either direction.
+//!
+//! A [`SortedWindow`] holds its keys in one of three multisets. Wesley & Xu's
+//! sorted vector pays O(frame) per insert — the O(n²) percentile row of
+//! Table 1 — and is kept as the paper's competitor ([`percentile`]). A
+//! counted B-tree ([`crate::ostree::OrderStatisticTree`]) pays O(log n). The
+//! engine slides a [`CountedBitset`]: a partition's dense codes are a
+//! permutation of `0..k`, so a window holds a set of them, and a bitset of
+//! `k` bits under a 16-ary tree of counts answers every operation in
+//! O(log k) steps, whatever the frame's width.
 
 use rustc_hash::FxHashMap;
 use std::collections::BTreeSet;
@@ -83,14 +91,22 @@ impl Hull {
     }
 }
 
-/// What a [`SortedWindow`] holds its keys in: a sorted vector or a counted
-/// B-tree ([`crate::ostree::OrderStatisticTree`]).
-pub trait OrderedMultiset<T>: Default {
+/// What a [`SortedWindow`] holds its keys in: a sorted vector, a counted
+/// B-tree ([`crate::ostree::OrderStatisticTree`]) or, for keys that are a
+/// permutation of `0..k`, a [`CountedBitset`].
+pub trait OrderedMultiset<T> {
+    /// An empty multiset for the keys of `keys` (a window's position → key
+    /// array), sized for them where its layout needs that.
+    fn for_keys(keys: &[T]) -> Self;
+
     /// Adds one occurrence of `k`.
     fn insert(&mut self, k: T);
 
     /// Removes one occurrence of `k`, which the multiset holds.
     fn remove(&mut self, k: T);
+
+    /// Removes every key; `held` lists exactly the keys it holds.
+    fn clear(&mut self, held: &[T]);
 
     /// How many of its keys are smaller than `t`.
     fn count_below(&self, t: T) -> usize;
@@ -104,6 +120,10 @@ pub trait OrderedMultiset<T>: Default {
 /// of up to a frame's worth of keys (the O(n²) percentile row of Table 1),
 /// a query a binary search or an index.
 impl<T: Copy + Ord> OrderedMultiset<T> for Vec<T> {
+    fn for_keys(_: &[T]) -> Self {
+        Vec::new()
+    }
+
     fn insert(&mut self, k: T) {
         let at = self.partition_point(|&v| v < k);
         Vec::insert(self, at, k);
@@ -115,6 +135,10 @@ impl<T: Copy + Ord> OrderedMultiset<T> for Vec<T> {
         Vec::remove(self, at);
     }
 
+    fn clear(&mut self, _: &[T]) {
+        Vec::clear(self);
+    }
+
     fn count_below(&self, t: T) -> usize {
         self.partition_point(|&v| v < t)
     }
@@ -124,9 +148,228 @@ impl<T: Copy + Ord> OrderedMultiset<T> for Vec<T> {
     }
 }
 
+/// log₂ of the counter tree's fan-out.
+const FAN_BITS: u32 = 4;
+/// The counter tree's fan-out: 16 `u32` counts, one cache line, per node.
+const FAN: usize = 1 << FAN_BITS;
+
+/// One node of a [`CountedBitset`]'s counter tree, one cache line: how many
+/// codes each of its 16 children holds.
+#[derive(Debug, Clone, Copy, Default)]
+#[repr(align(64))]
+struct Node([u32; FAN]);
+
+/// `BEFORE[lane]` keeps the counts of the children before `lane` and zeroes
+/// the others, so a node's left-sibling sum is 16 lanes of `and` and `add`,
+/// the same for every lane, instead of a loop whose length is the lane.
+const BEFORE: [[u32; FAN]; FAN] = {
+    let mut masks = [[0; FAN]; FAN];
+    let mut lane = 0;
+    while lane < FAN {
+        let mut k = 0;
+        while k < lane {
+            masks[lane][k] = u32::MAX;
+            k += 1;
+        }
+        lane += 1;
+    }
+    masks
+};
+
+impl Node {
+    /// How many codes the children before `lane` hold.
+    #[inline]
+    fn count_before(&self, lane: usize) -> u32 {
+        let (counts, keep) = (&self.0, &BEFORE[lane]);
+        let mut sum = 0;
+        for k in 0..FAN {
+            sum += counts[k] & keep[k];
+        }
+        sum
+    }
+
+    /// The child holding the node's `j`-th code (0-based; the node holds
+    /// more than `j`), and the rank of that code among the child's.
+    #[inline]
+    fn child_of_rank(&self, mut j: u32) -> (usize, u32) {
+        let mut lane = 0;
+        while j >= self.0[lane] {
+            j -= self.0[lane];
+            lane += 1;
+        }
+        (lane, j)
+    }
+}
+
+/// A set of codes below a universe `k`, counted for rank and selection: a
+/// bitset of `k` bits under an implicit 16-ary tree of counts. A node on
+/// level 0 of the tree counts the set bits of 16 words, one on each level
+/// above the codes under 16 nodes of the level below, and the top level is
+/// one node.
+///
+/// An update flips one bit and bumps one count per level; [`count_below`]
+/// adds the left siblings' counts along one path to one masked popcount;
+/// [`select`] descends the counts and then picks the bit inside its word.
+/// Each is O(log₁₆ k) steps of one cache line, with no term for how many
+/// codes the set holds, and each answer is an exact integer.
+///
+/// ```
+/// use holistic_strategies::incremental::{CountedBitset, OrderedMultiset};
+///
+/// let mut s = CountedBitset::new(100);
+/// for c in [70, 3, 64, 99] {
+///     s.insert(c);
+/// }
+/// s.remove(64);
+/// assert_eq!((s.len(), s.count_below(70), s.count_below(71)), (3, 1, 2));
+/// assert_eq!((s.select(1), s.select(2), s.select(3)), (Some(70), Some(99), None));
+/// ```
+///
+/// [`count_below`]: OrderedMultiset::count_below
+/// [`select`]: OrderedMultiset::select
+#[derive(Debug, Clone)]
+pub struct CountedBitset {
+    words: Vec<u64>,
+    /// `levels[l]` holds the nodes of level `l`, the bottom one first: word
+    /// `w` lies under child `(w >> 4l) % 16` of node `w >> 4(l + 1)` there.
+    levels: Vec<Vec<Node>>,
+    len: usize,
+    universe: usize,
+}
+
+impl CountedBitset {
+    /// An empty set for the codes `0..universe`. Its counts are `u32`, so
+    /// the universe must fit one.
+    pub fn new(universe: usize) -> Self {
+        assert!(u32::try_from(universe).is_ok(), "a CountedBitset counts its codes in u32");
+        let words = universe.div_ceil(64);
+        let mut levels = vec![];
+        let mut below = words;
+        loop {
+            let nodes = below.div_ceil(FAN).max(1);
+            levels.push(vec![Node::default(); nodes]);
+            if nodes == 1 {
+                break;
+            }
+            below = nodes;
+        }
+        CountedBitset { words: vec![0; words], levels, len: 0, universe }
+    }
+
+    /// How many codes the set holds.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Whether the set holds no code.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Word `w`'s node and lane on level `l`.
+    #[inline]
+    fn on_path(w: usize, l: usize) -> (usize, usize) {
+        let s = l as u32 * FAN_BITS;
+        (w >> (s + FAN_BITS), (w >> s) % FAN)
+    }
+}
+
+/// The position of the `j`-th (0-based) set bit of `w`, which has more than
+/// `j`: the lowest `j` set bits are cleared. A window narrower than its
+/// partition leaves a word few bits, so `j` is mostly 0.
+#[inline]
+fn select_in_word(mut w: u64, j: u32) -> usize {
+    for _ in 0..j {
+        w &= w - 1;
+    }
+    w.trailing_zeros() as usize
+}
+
+/// The engine's multiset: `keys` must be distinct and below `keys.len()`,
+/// as a partition's dense codes are.
+impl OrderedMultiset<usize> for CountedBitset {
+    fn for_keys(keys: &[usize]) -> Self {
+        CountedBitset::new(keys.len())
+    }
+
+    /// Adds `c` (`c < universe`), which the set does not hold.
+    #[inline]
+    fn insert(&mut self, c: usize) {
+        let (w, bit) = (c >> 6, 1u64 << (c & 63));
+        debug_assert!(self.words[w] & bit == 0, "insert of a code the set holds");
+        self.words[w] |= bit;
+        for (l, level) in self.levels.iter_mut().enumerate() {
+            let (node, lane) = Self::on_path(w, l);
+            level[node].0[lane] += 1;
+        }
+        self.len += 1;
+    }
+
+    /// Removes `c`, which the set holds.
+    #[inline]
+    fn remove(&mut self, c: usize) {
+        let (w, bit) = (c >> 6, 1u64 << (c & 63));
+        debug_assert!(self.words[w] & bit != 0, "remove of a code the set lacks");
+        self.words[w] &= !bit;
+        for (l, level) in self.levels.iter_mut().enumerate() {
+            let (node, lane) = Self::on_path(w, l);
+            level[node].0[lane] -= 1;
+        }
+        self.len -= 1;
+    }
+
+    /// Removes every code: `held` lists exactly the codes the set holds. A
+    /// node with a count in it lies on some held code's path, so zeroing
+    /// their words and paths costs O(`held.len()` log k), never O(k).
+    fn clear(&mut self, held: &[usize]) {
+        debug_assert_eq!(held.len(), self.len, "clear must be given every held code");
+        for &c in held {
+            self.words[c >> 6] = 0;
+            for (l, level) in self.levels.iter_mut().enumerate() {
+                level[Self::on_path(c >> 6, l).0] = Node::default();
+            }
+        }
+        self.len = 0;
+    }
+
+    /// How many of the set's codes are smaller than `t`; every code is when
+    /// `t >= universe`.
+    #[inline]
+    fn count_below(&self, t: usize) -> usize {
+        if t >= self.universe {
+            return self.len;
+        }
+        let w = t >> 6;
+        let mut below = (self.words[w] & ((1u64 << (t & 63)) - 1)).count_ones();
+        for (l, level) in self.levels.iter().enumerate() {
+            let (node, lane) = Self::on_path(w, l);
+            below += level[node].count_before(lane);
+        }
+        below as usize
+    }
+
+    /// The `j`-th smallest (0-based) of the set's codes; `None` when it holds
+    /// `j` codes or fewer.
+    #[inline]
+    fn select(&self, j: usize) -> Option<usize> {
+        if j >= self.len {
+            return None;
+        }
+        // `j < len` fits the u32 counts. `at` is the node's index on the
+        // level being descended, and the word's once all are.
+        let (mut j, mut at) = (j as u32, 0);
+        for level in self.levels.iter().rev() {
+            let lane;
+            (lane, j) = level[at].child_of_rank(j);
+            at = at * FAN + lane;
+        }
+        Some(at * 64 + select_in_word(self.words[at], j))
+    }
+}
+
 /// The keys at the positions of one frame hull, held in an ordered multiset
 /// `S` while the hull slides from frame to frame: by default a sorted
-/// vector, which pays off on narrow frames.
+/// vector, the paper's competitor.
 ///
 /// ```
 /// use holistic_strategies::incremental::SortedWindow;
@@ -148,19 +391,20 @@ pub struct SortedWindow<'a, T, S = Vec<T>> {
 impl<'a, T: Copy, S: OrderedMultiset<T>> SortedWindow<'a, T, S> {
     /// An empty window over `keys` (position → key).
     pub fn new(keys: &'a [T]) -> Self {
-        SortedWindow { keys, set: S::default(), hull: Hull::default() }
+        SortedWindow { keys, set: S::for_keys(keys), hull: Hull::default() }
     }
 
     /// Holds the keys at the positions `[a, b)` (`a <= b <= keys.len()`)
     /// from now on. A target that shares no position with the current hull
-    /// starts over from an empty window.
+    /// clears the window of the hull's keys first: that costs at most what
+    /// the hull holds, never the size of the multiset's universe.
     #[inline]
     pub fn slide_to(&mut self, a: usize, b: usize) {
+        let keys = self.keys;
         if self.hull.disjoint(a, b) {
-            self.set = S::default();
+            self.set.clear(&keys[self.hull.start..self.hull.end]);
             self.hull = Hull { start: a, end: a };
         }
-        let keys = self.keys;
         self.hull.move_to(
             a,
             b,

@@ -9,7 +9,8 @@
 //! implementation.
 //!
 //! * [`incremental`] — sliding-state algorithms driven by a generic
-//!   add/remove/out loop that tolerates non-monotonic frames.
+//!   add/remove/out loop that tolerates non-monotonic frames, and the sorted
+//!   window the engine slides over a counted bitset of dense codes.
 //! * [`ostree`] — a counted B-tree multiset with O(log n) select/rank.
 //! * [`taskpar`] — task-based parallel drivers that reproduce (and, via
 //!   [`taskpar::SlideStats`], measure) the re-warm overhead of §3.2.

@@ -110,9 +110,15 @@ impl<K: Copy + Ord> OrderStatisticTree<K> {
 }
 
 /// The counted B-tree's updates and selection: what a
-/// [`SortedWindow`](crate::incremental::SortedWindow) slides, in O(log n)
-/// per step whatever the frame's width.
+/// [`SortedWindow`](crate::incremental::SortedWindow) slides for the
+/// order-statistic strategy, in O(log n) per step whatever the frame's
+/// width. Unlike a [`CountedBitset`](crate::incremental::CountedBitset) it
+/// takes any keys, duplicates included, at a pointer chase per level.
 impl<K: Copy + Ord> OrderedMultiset<K> for OrderStatisticTree<K> {
+    fn for_keys(_: &[K]) -> Self {
+        Self::new()
+    }
+
     /// O(log n).
     fn insert(&mut self, v: K) {
         if self.root.keys.len() == 2 * T - 1 {
@@ -133,6 +139,11 @@ impl<K: Copy + Ord> OrderedMultiset<K> for OrderStatisticTree<K> {
             let child = self.root.children.pop().expect("underflowed root");
             self.root = child;
         }
+    }
+
+    /// Drops the tree and starts an empty one.
+    fn clear(&mut self, _: &[K]) {
+        *self = Self::new();
     }
 
     /// O(log n).

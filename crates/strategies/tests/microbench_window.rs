@@ -1,0 +1,88 @@
+//! Ignored-by-default micro-timer for the three ordered multisets a
+//! [`SortedWindow`] slides: the sorted vector (the paper's incremental
+//! competitor), the counted B-tree (the order-statistic strategy) and the
+//! counted bitset (the engine's incremental strategy). Each slides a
+//! trailing frame of `w` rows over a permutation of `0..m`, as a partition's
+//! dense codes are, once per call the engine slides it for: a rank
+//! (ROW_NUMBER, one `count_below` per row) and a median (one `select` per
+//! row). It asserts equal answers, then prints ns/row as a Markdown table.
+//! Run with
+//! `cargo test --release -p holistic-strategies --test microbench_window -- --ignored --nocapture`.
+
+use holistic_strategies::incremental::{CountedBitset, OrderedMultiset, SortedWindow};
+use holistic_strategies::ostree::OrderStatisticTree;
+use std::time::{Duration, Instant};
+
+fn splitmix(x: &mut u64) -> u64 {
+    *x = x.wrapping_add(0x9E3779B97F4A7C15);
+    let mut z = *x;
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
+    z ^ (z >> 31)
+}
+
+/// Slides `[i + 1 − w, i + 1)` over every row `i` and asks the window, per
+/// row, for the rank of row `i`'s code (`median` false) or for its median
+/// code; returns a checksum of the answers and the time taken.
+fn call<S: OrderedMultiset<usize>>(codes: &[usize], w: usize, median: bool) -> (u64, Duration) {
+    let t0 = Instant::now();
+    let mut window = SortedWindow::<_, S>::new(codes);
+    let mut sum = 0u64;
+    for (i, &code) in codes.iter().enumerate() {
+        let (a, b) = ((i + 1).saturating_sub(w), i + 1);
+        window.slide_to(a, b);
+        let answer = if median {
+            window.select((b - a - 1) / 2).expect("the frame holds row i")
+        } else {
+            window.count_below(code)
+        };
+        sum = sum.wrapping_mul(31).wrapping_add(answer as u64);
+    }
+    (sum, t0.elapsed())
+}
+
+#[test]
+#[ignore = "micro-timer, run explicitly with --ignored --nocapture"]
+fn window_multisets_timing() {
+    let reps = 3;
+    println!("ns/row, best of {reps}; ratio = vector ÷ counted bitset");
+    println!("| m | w | call | vector | counted B-tree | counted bitset | ratio |");
+    println!("|---|---|---|---|---|---|---|");
+    for m in [50_000usize, 1_000_000] {
+        // A random permutation of 0..m (Fisher–Yates).
+        let mut s = m as u64;
+        let mut codes: Vec<usize> = (0..m).collect();
+        for i in (1..m).rev() {
+            codes.swap(i, (splitmix(&mut s) % (i as u64 + 1)) as usize);
+        }
+        for w in [8usize, 32, 130, 618, 5_000] {
+            for (median, name) in [(false, "rank"), (true, "median")] {
+                // Interleaved best-of: the three alternate within one
+                // process so frequency drift hits them alike.
+                let mut best = [Duration::MAX; 3];
+                let mut sums = [0u64; 3];
+                for _ in 0..reps {
+                    let runs = [
+                        call::<Vec<usize>>(&codes, w, median),
+                        call::<OrderStatisticTree<usize>>(&codes, w, median),
+                        call::<CountedBitset>(&codes, w, median),
+                    ];
+                    for (k, (sum, d)) in runs.into_iter().enumerate() {
+                        sums[k] = sum;
+                        best[k] = best[k].min(d);
+                    }
+                }
+                assert_eq!(sums[1], sums[0], "counted B-tree, m {m} w {w} {name}");
+                assert_eq!(sums[2], sums[0], "counted bitset, m {m} w {w} {name}");
+                let ns = |d: Duration| d.as_nanos() as f64 / m as f64;
+                println!(
+                    "| {m} | {w} | {name} | {:.1} | {:.1} | {:.1} | {:.2}× |",
+                    ns(best[0]),
+                    ns(best[1]),
+                    ns(best[2]),
+                    best[0].as_secs_f64() / best[2].as_secs_f64()
+                );
+            }
+        }
+    }
+}

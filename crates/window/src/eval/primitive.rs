@@ -1,21 +1,26 @@
 //! The range primitives every framed function reduces to (§4), each with the
-//! two implementations the strategy layer picks between: the index the
-//! merge-sort-tree arm builds, and a scan over the array that index would
-//! have been built from. Family evaluators are written once against the
+//! implementations the strategy layer picks between: the index the
+//! merge-sort-tree arm builds, a scan over the array that index would have
+//! been built from, and for two of them the incremental strategy's sliding
+//! window over that array. Family evaluators are written once against the
 //! traits here; which implementation answers is decided where the index is
 //! constructed, never inside a probe loop.
 //!
-//! | primitive | tree | scan |
-//! |---|---|---|
-//! | [`CountBelow`] | [`MergeSortTree`], block kernel | [`Scan`] of the codes / prevIdcs |
-//! | [`Select`] by an inner ORDER BY | [`MergeSortTree`] over the permutation | [`Scan`]: gather + sort |
-//! | [`Count3d`] | [`RangeTree3`] | [`ScanPoints`] |
-//! | [`Fold`], MIN / MAX | [`SegTrees`] | [`ScanFold`] |
-//! | [`RangeMode`] | [`RangeModeIndex`] | [`ScanIds`] |
+//! | primitive | tree | scan | incremental |
+//! |---|---|---|---|
+//! | [`CountBelow`] | [`MergeSortTree`], block kernel | [`Scan`] of the codes / prevIdcs | [`SlidingBitset`] of the codes |
+//! | [`Select`] by an inner ORDER BY | [`MergeSortTree`] over the permutation | [`Scan`]: gather + sort | [`SlidingBitset`] of the codes |
+//! | [`Count3d`] | [`RangeTree3`] | [`ScanPoints`] | — |
+//! | [`Fold`], MIN / MAX | [`SegTrees`] | [`ScanFold`] | — |
+//! | [`RangeMode`] | [`RangeModeIndex`] | [`ScanIds`] | — |
 //!
-//! The Table 1 competitors answer the same two over the same unique codes:
-//! the incremental strategy slides them as a [`SortedVector`], the
-//! order-statistic one as a [`CountedBTree`], and the segment-tree one
+//! The alternates answer the same two over the same unique codes. The
+//! incremental strategy slides them as a [`SlidingBitset`], a counted bitset
+//! whose updates and queries take O(log k) steps whatever the frame's width;
+//! Wesley & Xu's sorted vector, whose every update shifts up to a frame of
+//! codes (Table 1's O(n²) row), stays only the paper's competitor
+//! ([`holistic_strategies::incremental::percentile`]). The order-statistic
+//! strategy slides them as a [`CountedBTree`], and the segment-tree one
 //! selects in a [`SortedListSegTree`].
 //!
 //! Three questions have one implementation, whatever the strategy, because
@@ -36,7 +41,7 @@ use holistic_core::{BlockScratch, MergeSortTree, RangeSet, TreeIndex};
 use holistic_rangemode::RangeModeIndex;
 use holistic_rangetree::RangeTree3;
 use holistic_segtree::{Monoid, PrefixSums, SegmentTree, SortedListSegTree};
-use holistic_strategies::incremental::{OrderedMultiset, SortedWindow};
+use holistic_strategies::incremental::{CountedBitset, OrderedMultiset, SortedWindow};
 use holistic_strategies::ostree::OrderStatisticTree;
 use std::marker::PhantomData;
 
@@ -260,15 +265,17 @@ impl CountBelow for Scan<'_> {
 /// one [`SortedWindow`] in the ordered multiset `W` that each probe chunk
 /// slides along its rows' frames (Wesley & Xu): an index for narrow,
 /// mostly-monotonic frames. A query that is not one hull (several pieces)
-/// is a [`Scan`] of the same codes; each chunk starts its own window, so
-/// every answer is the tree's.
+/// is a [`Scan`] of the same codes; each chunk starts its own window, sized
+/// once for the partition's codes, so every answer is the tree's. A frame
+/// that shares no row with the last one drains the window of the last
+/// frame's codes: O(frame), never O(partition).
 pub(crate) struct Sliding<'a, W> {
     codes: &'a [usize],
     multiset: PhantomData<fn() -> W>,
 }
 
-/// The incremental strategy's index: a sorted vector of codes.
-pub(crate) type SortedVector<'a> = Sliding<'a, Vec<usize>>;
+/// The incremental strategy's index: a counted bitset of codes.
+pub(crate) type SlidingBitset<'a> = Sliding<'a, CountedBitset>;
 
 /// The order-statistic strategy's index: a counted B-tree of codes.
 pub(crate) type CountedBTree<'a> = Sliding<'a, OrderStatisticTree<usize>>;

@@ -16,7 +16,7 @@
 //! codes, or an alternate's index over the same codes — is the strategy's
 //! choice.
 
-use super::primitive::{sorted_lists, CountedBTree, FrameOrder, Scan, Select, SortedVector};
+use super::primitive::{sorted_lists, CountedBTree, FrameOrder, Scan, Select, SlidingBitset};
 use super::{cont_rank, disc_rank, fraction_arg, Ctx, Planned};
 use crate::artifacts::MaskArtifact;
 use crate::column::Column;
@@ -49,7 +49,7 @@ pub(crate) fn evaluate(
     match (strategy, sel.dc) {
         (_, None) => sel.probe(&FrameOrder),
         (Strategy::Naive, Some(dc)) => sel.probe(&Scan(&dc.code)),
-        (Strategy::Incremental, Some(dc)) => sel.probe(&SortedVector::new(&dc.code)),
+        (Strategy::Incremental, Some(dc)) => sel.probe(&SlidingBitset::new(&dc.code)),
         (Strategy::OsTree, Some(dc)) => sel.probe(&CountedBTree::new(&dc.code)),
         (Strategy::SegTree, Some(dc)) => sel.probe(&sorted_lists(&dc.code, ctx.parallel)),
         (Strategy::Mst, _) if ctx.u32_trees() => sel.probe(&*ctx.perm_mst::<u32>(cp)?),

@@ -36,10 +36,12 @@ pub enum Strategy {
     /// winner on tiny partitions, where building *anything* costs more than
     /// scanning every frame.
     Naive,
-    /// Wesley & Xu sliding state (PVLDB 2016): a sorted window of codes
-    /// (percentiles select in it, the rank family counts below a threshold
-    /// in it) or a hash multiset (COUNT DISTINCT) slid along the frame
-    /// sequence. Wins on narrow, mostly-monotonic frames.
+    /// Wesley & Xu sliding state (PVLDB 2016) slid along the frame
+    /// sequence: the window's codes as a counted bitset over the partition's
+    /// dense codes (percentiles select in it, the rank family counts below a
+    /// threshold in it; `O(log m)` per update or query, whatever the frame's
+    /// width) or a hash multiset (COUNT DISTINCT). Wins on narrow,
+    /// mostly-monotonic frames, where a frame's rows mostly stay.
     Incremental,
     /// A counted-B-tree order-statistic multiset slid along the frame
     /// sequence; `O(log f)` updates buy robustness to wide frames.
@@ -263,6 +265,12 @@ pub struct CostModel {
     incr_row: f64,
     /// Incremental: per boundary-slide element update (hash set ops for
     /// COUNT DISTINCT; binary search for the ordered vector).
+    ///
+    /// This and `incr_shift` still price Wesley & Xu's ordered vector,
+    /// which the engine no longer slides: its counted bitset has no
+    /// frame-width term. They stay until the whole model is re-fitted on
+    /// one grid, so that every strategy decision, and every metric that
+    /// counts them, holds still while the index underneath changes.
     incr_update: f64,
     /// Incremental: per element *shifted* by an ordered-vector
     /// insert/remove, scaled by the frame width (memmove cost).
@@ -360,7 +368,9 @@ impl CostModel {
                     // (cheap); distinct-heavy data inserts/evicts entries.
                     self.incr_update * (0.25 + 0.75 * stats.distinct_ratio())
                 } else {
-                    // Ordered-vector insert/remove: search + memmove.
+                    // Ordered-vector insert/remove: search + memmove (the
+                    // counted bitset is priced as the vector until the
+                    // re-fit; see `incr_update`).
                     self.incr_update + self.incr_shift * f
                 };
                 m * self.incr_row + slide * per_update

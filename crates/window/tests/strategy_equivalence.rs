@@ -405,12 +405,12 @@ fn forced_alternates_agree_on_integer_data() {
 /// ROW_NUMBER and NTILE count below the code they would have had), over
 /// ROWS, RANGE and GROUPS frames that grow, shrink, slide, jump to a
 /// disjoint hull every row, or are always empty. Forced incremental (the
-/// sorted vector), ostree (the counted B-tree) and segtree (the sorted-list
+/// counted bitset), ostree (the counted B-tree) and segtree (the sorted-list
 /// segment tree), serial and with parallel chunks that each start their own
 /// window, answer bit for bit like forced MST and the naive oracle; a call
 /// a forced strategy cannot serve, and every call under `EXCLUDE CURRENT
 /// ROW`, stays on the tree. On the narrow monotonic frame Adaptive slides
-/// every call on the sorted vector; on the disjoint jumps it slides none.
+/// every call on the counted bitset; on the disjoint jumps it slides none.
 #[test]
 fn every_alternate_answers_bit_identically() {
     let n = 3000i64;
@@ -520,5 +520,108 @@ fn every_alternate_answers_bit_identically() {
         calls.len() as u64,
         "{:?}",
         profile.strategy
+    );
+}
+
+/// The incremental strategy's counted bitset at a size the fuzz legs never
+/// reach: one partition of 72 000 rows, so its counter tree has three
+/// levels, and every rank-family call and percentile it serves answers bit
+/// for bit like forced naive and the naive oracle — over a RANGE frame and a
+/// ROWS frame whose per-row bounds make it jitter, serial and parallel
+/// (where each chunk starts its own window).
+#[test]
+fn the_sliding_bitset_answers_like_the_scans_on_a_large_partition() {
+    let n = 72_000i64;
+    let table = Table::new(vec![
+        ("pos", Column::ints((0..n).collect())),
+        // About 5 000 distinct keys, so ties rank by position.
+        ("y", Column::ints((0..n).map(|i| (i * 7919) % 5003).collect())),
+        // Two rows per key for the RANGE frame.
+        ("k", Column::ints((0..n).map(|i| i / 2).collect())),
+        ("lo", Column::ints((0..n).map(|i| 30 + i % 17).collect())),
+        ("hi", Column::ints((0..n).map(|i| i % 7).collect())),
+    ])
+    .unwrap();
+    let by = || vec![SortKey::asc(col("y"))];
+    let calls = vec![
+        FunctionCall::median(col("y")).named("median"),
+        FunctionCall::percentile_cont(0.9, SortKey::asc(col("y"))).named("cont"),
+        FunctionCall::percentile_disc(0.1, SortKey::asc(col("y"))).named("disc"),
+        FunctionCall::rank(by()).named("rank"),
+        FunctionCall::row_number(by()).named("row_number"),
+        FunctionCall::cume_dist(by()).named("cume_dist"),
+        FunctionCall::percent_rank(by()).named("percent_rank"),
+        FunctionCall::ntile(lit(7i64), by()).named("ntile"),
+    ];
+    let names: Vec<&str> = calls.iter().map(|c| c.output_name.as_str()).collect();
+    let frames = [
+        ("range", "k", FrameSpec::range(FrameBound::Preceding(lit(20i64)), FrameBound::CurrentRow)),
+        (
+            "rows, per-row bounds",
+            "pos",
+            FrameSpec::rows(FrameBound::Preceding(col("lo")), FrameBound::Following(col("hi"))),
+        ),
+    ];
+    for (shape, order, frame) in frames {
+        let spec = WindowSpec::new().order_by(vec![SortKey::asc(col(order))]).frame(frame);
+        let q = WindowQuery { spec, calls: calls.clone() };
+        let oracle = holistic_baselines::naive::execute(&q, &table).unwrap();
+        for forced in [Strategy::Naive, Strategy::Incremental] {
+            for (label, opts) in
+                [("serial", ExecOptions::serial()), ("parallel", ExecOptions::default())]
+            {
+                let (out, profile) =
+                    q.execute_profiled(&table, opts.force_strategy(forced)).unwrap();
+                let label = format!("{shape}, forced {}, {label}", forced.name());
+                assert_same_columns(&oracle, &out, &names, &label);
+                for (call, decisions) in calls.iter().zip(&profile.strategy.per_call) {
+                    assert_eq!(decisions[forced.index()], 1, "{label}: {}", call.output_name);
+                }
+            }
+        }
+    }
+}
+
+/// A frame that shares no row with the last one drains the window of that
+/// frame's codes; it never re-zeroes the bitset, which is sized for the whole
+/// partition. Over 200 000 rows of one-row frames, each disjoint from the
+/// one before, forced incremental must stay within 2× of forced naive —
+/// re-zeroing would cost it a partition's worth of words per row.
+#[test]
+fn a_disjoint_jump_drains_the_window_instead_of_resetting_it() {
+    let n = 200_000i64;
+    let table = Table::new(vec![
+        ("pos", Column::ints((0..n).collect())),
+        ("y", Column::ints((0..n).map(|i| (i * 7919) % 100_003).collect())),
+    ])
+    .unwrap();
+    let frame =
+        FrameSpec::rows(FrameBound::Following(lit(10i64)), FrameBound::Following(lit(10i64)));
+    let q = WindowQuery {
+        spec: WindowSpec::new().order_by(vec![SortKey::asc(col("pos"))]).frame(frame),
+        calls: vec![
+            FunctionCall::rank(vec![SortKey::asc(col("y"))]).named("rank"),
+            FunctionCall::median(col("y")).named("median"),
+        ],
+    };
+    // Best of three each, alternating, so a slow phase of the host hits
+    // both sides.
+    let mut best = [std::time::Duration::MAX; 2];
+    let mut outs = Vec::new();
+    for _ in 0..3 {
+        for (k, forced) in [Strategy::Naive, Strategy::Incremental].into_iter().enumerate() {
+            let t0 = std::time::Instant::now();
+            let (out, profile) =
+                q.execute_profiled(&table, ExecOptions::serial().force_strategy(forced)).unwrap();
+            best[k] = best[k].min(t0.elapsed());
+            assert!(profile.strategy.per_call.iter().all(|d| d[forced.index()] == 1));
+            outs.push(out);
+        }
+    }
+    assert_same_columns(&outs[0], &outs[1], &["rank", "median"], "disjoint, incremental");
+    let [naive, incremental] = best;
+    assert!(
+        incremental < naive * 2,
+        "forced incremental took {incremental:?} against forced naive's {naive:?}"
     );
 }
