@@ -1,7 +1,9 @@
 //! The counted bitset against its definitions: a sorted vector and the
 //! counted B-tree slide the same windows of a permutation of `0..k`, and
 //! every count and selection must agree, at universe sizes that fill a word,
-//! a counter node and several counter levels exactly and one past them.
+//! a counter node and several counter levels exactly and one past them. The
+//! vector and the B-tree, which also hold keys that repeat, slide over such
+//! keys against a sort of each window.
 
 use holistic_strategies::incremental::{CountedBitset, OrderedMultiset, SortedWindow};
 use holistic_strategies::ostree::OrderStatisticTree;
@@ -146,6 +148,46 @@ proptest! {
             for j in [0, 1, len / 2, len.saturating_sub(1), len, len + 1, x % (len + 2)] {
                 let want = vector.select(j);
                 prop_assert_eq!(bits.select(j), want, "[{}, {}) j {}", a, b, j);
+                prop_assert_eq!(btree.select(j), want, "[{}, {}) j {}", a, b, j);
+            }
+        }
+    }
+}
+
+proptest! {
+    #[test]
+    fn windows_over_repeated_keys_match_a_sort(
+        keys in prop::collection::vec(0usize..9, 0..60),
+        steps in prop::collection::vec((0usize..64, 0usize..64), 1..24),
+        monotone in any::<bool>(),
+    ) {
+        // Monotone hulls creep forward by up to 7 at either end; the others
+        // are drawn afresh and visited as drawn, so a start moves back, and
+        // hulls jump, shrink and vanish.
+        let n = keys.len();
+        let (mut a, mut b) = (0, 0);
+        let mut vector: SortedWindow<_> = SortedWindow::new(&keys[..]);
+        let mut btree = SortedWindow::<_, OrderStatisticTree<_>>::new(&keys[..]);
+        for &(x, y) in &steps {
+            (a, b) = if monotone {
+                let b = (b + y % 8).min(n);
+                ((a + x % 8).min(b), b)
+            } else {
+                let (x, y) = (x % (n + 1), y % (n + 1));
+                (x.min(y), x.max(y))
+            };
+            vector.slide_to(a, b);
+            btree.slide_to(a, b);
+            let mut sorted = keys[a..b].to_vec();
+            sorted.sort_unstable();
+            for t in [0, 1, 4, 8, 9, 10] {
+                let want = sorted.partition_point(|&k| k < t);
+                prop_assert_eq!(vector.count_below(t), want, "[{}, {}) t {}", a, b, t);
+                prop_assert_eq!(btree.count_below(t), want, "[{}, {}) t {}", a, b, t);
+            }
+            for j in 0..=b - a + 1 {
+                let want = sorted.get(j).copied();
+                prop_assert_eq!(vector.select(j), want, "[{}, {}) j {}", a, b, j);
                 prop_assert_eq!(btree.select(j), want, "[{}, {}) j {}", a, b, j);
             }
         }

@@ -78,6 +78,8 @@ pub(crate) struct SegmentBatch {
     pub frames: ResolvedFrames,
     /// `0`, then the end of every segment.
     pub starts: Vec<usize>,
+    /// Every segment's frames are monotonic, so the batch's are.
+    pub monotonic: bool,
 }
 
 impl SegmentBatch {
@@ -92,19 +94,21 @@ impl SegmentBatch {
                 peer_end: Vec::new(),
             },
             starts: vec![0],
+            monotonic: true,
         }
     }
 
     /// One partition as a batch of one segment, its frames kept whole.
-    fn one(rows: Vec<usize>, frames: ResolvedFrames) -> Self {
+    fn one(rows: Vec<usize>, frames: ResolvedFrames, monotonic: bool) -> Self {
         let starts = vec![0, rows.len()];
-        SegmentBatch { rows, frames, starts }
+        SegmentBatch { rows, frames, starts, monotonic }
     }
 
-    /// Appends a sorted partition and its frames as the next segment. The
-    /// peer bounds are copied only under an exclusion clause, their one
+    /// Appends a prepared partition's rows and frames as the next segment.
+    /// The peer bounds are copied only under an exclusion clause, their one
     /// reader.
-    pub fn push(&mut self, rows: &[usize], frames: &ResolvedFrames) {
+    pub fn push(&mut self, Prepared { rows, frames, monotonic, .. }: &Prepared) {
+        self.monotonic &= monotonic;
         let base = self.rows.len();
         self.rows.extend_from_slice(rows);
         self.frames.bounds.extend(frames.bounds.iter().map(|&(a, b)| (a + base, b + base)));
@@ -128,6 +132,7 @@ impl SegmentBatch {
         self.frames.peer_start.clear();
         self.frames.peer_end.clear();
         self.starts.truncate(1);
+        self.monotonic = true;
     }
 }
 
@@ -165,6 +170,9 @@ pub(crate) struct Prepared {
     pub rows: Vec<usize>,
     /// Resolved frames over `rows`.
     pub frames: ResolvedFrames,
+    /// [`PartitionStats::monotonic`] of the frames: when set, a sliding
+    /// index visits the rows as they come, with no frame order to find.
+    pub monotonic: bool,
     /// The strategy chosen per call.
     pub choices: Vec<Strategy>,
     pub report: PartitionReport,
@@ -257,6 +265,7 @@ impl PartitionEval<'_> {
             own_values: OnceLock::new(),
             own_mask: OnceLock::new(),
             kernel: &self.kernel,
+            monotonic: batch.monotonic,
         }
     }
 
@@ -269,9 +278,10 @@ impl PartitionEval<'_> {
         let resolve_start = Instant::now();
         let frames = resolve_frames(self.table, &rows, self.window_keys, &self.query.spec.frame)?;
         report.resolve = resolve_start.elapsed();
-        let choices = Self::choose(self.plan, self.opts, &PartitionStats::from_frames(&frames));
+        let stats = PartitionStats::from_frames(&frames);
+        let choices = Self::choose(self.plan, self.opts, &stats);
         report.build = build_start.elapsed();
-        Ok(Prepared { rows, frames, choices, report })
+        Ok(Prepared { rows, frames, monotonic: stats.monotonic, choices, report })
     }
 
     /// [`Self::prepare`], then [`Self::finish`].
@@ -289,8 +299,8 @@ impl PartitionEval<'_> {
     /// return, and with it every charge to the governor.
     pub fn finish(&self, p: Prepared) -> Result<PartitionOutput> {
         let all_naive = p.all_naive();
-        let Prepared { rows, frames, choices, mut report } = p;
-        let batch = SegmentBatch::one(rows, frames);
+        let Prepared { rows, frames, monotonic, choices, mut report } = p;
+        let batch = SegmentBatch::one(rows, frames, monotonic);
         let start = Instant::now();
         let built_before = report.build;
         let shared = (!all_naive && self.opts.share_artifacts).then(|| self.seeded_cache());
@@ -316,7 +326,7 @@ impl PartitionEval<'_> {
         }
         report.probe = start.elapsed().saturating_sub(report.build - built_before);
         let SegmentBatch { rows, frames, .. } = batch;
-        Ok(PartitionOutput { part: Prepared { rows, frames, choices, report }, outs })
+        Ok(PartitionOutput { part: Prepared { rows, frames, monotonic, choices, report }, outs })
     }
 
     /// Evaluates call `ci` with [`Strategy::Naive`] over every segment of

@@ -455,7 +455,7 @@ impl WindowQuery {
             match pass {
                 Pass::Naive(p) => {
                     profile.absorb(&p);
-                    batch.push(&p.rows, &p.frames);
+                    batch.push(&p);
                     if batch.rows.len() >= BATCH_ROWS {
                         profile.probe += run_batch(&mut batch, &mut columns)?;
                     }
