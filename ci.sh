@@ -93,22 +93,36 @@ if grep -rnE "\b(count_rows|select_rows)\b" crates/window/src; then
   exit 1
 fi
 
-step "options only shrink (ExecOptions has at most 4 pub fields, CostModel none)"
+step "one sliding index (no counted B-tree or sorted-list segment tree in the engine)"
+# The incremental strategy slides one index, the counted bitset. The
+# order-statistic tree and the sorted-list segment tree are the paper's
+# competitors (Table 1) and stay outside the engine, and so does the ordered
+# vector's per-shift price: a second sliding index would need a strategy, a
+# price and a fuzz config of its own.
+if grep -rnE "\b(CountedBTree|sorted_lists|SortedListSegTree|OrderStatisticTree|incr_shift)\b" \
+  crates/window/src; then
+  echo "crates/window/src slides the counted bitset only" >&2
+  exit 1
+fi
+
+step "options only shrink (ExecOptions has at most 4 pub fields; CostModel no pub field and at most 7 constants)"
 # A knob nothing sets is a constant: the merge sort tree's (f, k) and the
 # cost model's constants are not options. A field may go; none comes back.
-# `pub_fields STRUCT FILE` counts the pub fields STRUCT declares in FILE and
-# fails when FILE declares no such struct.
-pub_fields() {
-  awk -v s="pub struct $1 {" '
+# `fields STRUCT FILE [pub ]` counts the fields (with `pub `, the pub ones)
+# STRUCT declares in FILE and fails when FILE declares no such struct.
+fields() {
+  awk -v s="pub struct $1 {" -v f="^    ${3:-}[a-z_0-9]+:" '
     index($0, s) == 1 { on = 1; next }
     on && /^}/ { exit }
-    on && /^    pub [a-z_0-9]+:/ { n++ }
+    on && $0 ~ f { n++ }
     END { if (!on) { print "no " s " in " FILENAME > "/dev/stderr"; exit 1 } print n + 0 }' "$2"
 }
-exec_fields=$(pub_fields ExecOptions crates/window/src/executor.rs)
-cost_fields=$(pub_fields CostModel crates/window/src/strategy.rs)
-if ((exec_fields > 4 || cost_fields > 0)); then
-  echo "ExecOptions declares $exec_fields pub fields (at most 4), CostModel $cost_fields (none)" >&2
+exec_fields=$(fields ExecOptions crates/window/src/executor.rs "pub ")
+cost_pub=$(fields CostModel crates/window/src/strategy.rs "pub ")
+cost_constants=$(fields CostModel crates/window/src/strategy.rs)
+if ((exec_fields > 4 || cost_pub > 0 || cost_constants > 7)); then
+  echo "ExecOptions declares $exec_fields pub fields (at most 4), CostModel $cost_pub pub" \
+    "fields (none) and $cost_constants constants (at most 7)" >&2
   exit 1
 fi
 
@@ -182,9 +196,9 @@ differential_leg 'fuzz OK: [0-9]+ cases, .*; ([0-9]+) cases mixed Int and Float 
   cargo run --release -q -p holistic-fuzz --bin fuzz -- \
   --cases 600 --seed 0xC0FFEE --max-n 40 --time-budget-secs 120
 
-step "fuzz (differential at a size where Adaptive itself picks alternates, fixed seed)"
+step "fuzz (differential at a size where Adaptive itself slides, fixed seed)"
 # At --max-n 40 Adaptive is all-naive and only the forced configs reach the
-# alternates' indexes. These 100 cases hold 2 queries whose partitions run tree-free
+# sliding index. These 100 cases hold 2 queries whose partitions run tree-free
 # (incremental, no MST), 9 mixing incremental and MST calls, and 58 with a
 # PARTITION BY (every shape of gen_partition_by but `-f`, which the max-n 40
 # legs draw). In 8 of them Adaptive runs a rank-family call on the sliding

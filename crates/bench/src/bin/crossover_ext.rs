@@ -1,9 +1,9 @@
 //! Supplementary experiment: strategy crossovers and the adaptive executor
 //! (DESIGN.md "Strategy layer & cost model").
 //!
-//! Sweeps partition size × frame shape × call family, timing every forced
-//! strategy (`naive`, `incremental`, `ostree`, `segtree`, `mst`) plus the
-//! adaptive default on each cell. The per-cell numbers are the calibration
+//! Sweeps partition size × frame shape × call family, timing every live
+//! forced strategy (`naive`, `incremental`, `mst`) plus the adaptive default
+//! on each cell. The per-cell numbers are the calibration
 //! data behind `CostModel::default()`'s constants; the two headline checks
 //! are the strategy layer's reason to exist:
 //!
@@ -13,11 +13,6 @@
 //! * **skewed mix** — many tiny partitions plus a few large ones; adaptive
 //!   must beat always-MST by ≥ 1.5× by skipping the artifact machinery on
 //!   the tiny partitions.
-//!
-//! A grid cell where `ostree` or `segtree` beats every other strategy by
-//! more than the cell's spread (the wider of the two strategies' best-to-
-//! worst range over the reps) is flagged on a line of its own: those two
-//! strategies stay only while some cell flags them.
 //!
 //! Naive cells whose estimated work (`rows × frame width`) exceeds
 //! `NAIVE_BUDGET` are skipped — quadratic scans at 1M × 512 would dominate
@@ -93,6 +88,10 @@ fn run_ns(q: &WindowQuery, t: &Table, opts: ExecOptions, reps: usize) -> (f64, f
     (best, worst)
 }
 
+/// The strategies a query can run: the retired `OsTree` and `SegTree` apply
+/// to nothing, so forcing them would time the MST under their names.
+const LIVE: [Strategy; 3] = [Strategy::Naive, Strategy::Incremental, Strategy::Mst];
+
 fn main() {
     let n = env_usize("N", 1_000_000);
     let reps = env_usize("REPS", 2);
@@ -111,8 +110,8 @@ fn main() {
     let mut adaptive_total = 0.0f64;
     let mut oracle_total = 0.0f64;
     println!(
-        "# {:<14} {:>7} {:>5} | {:>8} {:>8} {:>8} {:>8} {:>8} | {:>8}  chosen",
-        "family", "m", "w", "naive", "incr", "ostree", "segtree", "mst", "adaptive"
+        "# {:<14} {:>7} {:>5} | {:>8} {:>8} {:>8} | {:>8}  chosen",
+        "family", "m", "w", "naive", "incr", "mst", "adaptive"
     );
     for &m in &sizes {
         let m = m.min(n);
@@ -122,39 +121,20 @@ fn main() {
             for &w in &widths {
                 let q = query(vec![family_call(family)], w);
                 let workload = format!("{family}/m{m}/w{w}");
-                // (best, worst) ns/row per strategy, in `Strategy::ALL` order.
-                let mut cells: Vec<(f64, f64)> = Vec::new();
+                // Best ns/row per strategy, in `LIVE` order.
+                let mut cells: Vec<f64> = Vec::new();
                 let mut best = f64::INFINITY;
-                for s in Strategy::ALL {
+                for s in LIVE {
                     // A quadratic scan over wide frames is pure waste: skip
                     // naive cells whose cell count blows the budget.
                     if s == Strategy::Naive && n.saturating_mul(w.min(m)) > naive_budget {
-                        cells.push((f64::NAN, f64::NAN));
+                        cells.push(f64::NAN);
                         continue;
                     }
-                    let ns = run_ns(&q, &table, ExecOptions::serial().force_strategy(s), reps);
-                    best = best.min(ns.0);
-                    records.push(BenchRecord::new(&workload, n, s.name(), ns.0));
+                    let ns = run_ns(&q, &table, ExecOptions::serial().force_strategy(s), reps).0;
+                    best = best.min(ns);
+                    records.push(BenchRecord::new(&workload, n, s.name(), ns));
                     cells.push(ns);
-                }
-                for alt in [Strategy::OsTree, Strategy::SegTree] {
-                    let (ab, aw) = cells[alt.index()];
-                    let Some((other, (ob, ow))) = Strategy::ALL
-                        .iter()
-                        .filter(|&&s| s != alt && !cells[s.index()].0.is_nan())
-                        .map(|&s| (s, cells[s.index()]))
-                        .min_by(|a, b| a.1 .0.total_cmp(&b.1 .0))
-                    else {
-                        continue;
-                    };
-                    let spread = (aw - ab).max(ow - ob);
-                    if ob - ab > spread {
-                        println!(
-                            "  ^ {} wins {workload}: {ab:.1} vs {} {ob:.1} ns/row, spread {spread:.1}",
-                            alt.name(),
-                            other.name()
-                        );
-                    }
                 }
                 let adaptive = run_ns(&q, &table, ExecOptions::serial(), reps).0;
                 records.push(BenchRecord::new(&workload, n, "adaptive", adaptive));
@@ -162,13 +142,13 @@ fn main() {
                 oracle_total += best;
                 let (_, profile) =
                     q.execute_profiled(&table, ExecOptions::serial()).expect("profiled run");
-                let chosen = Strategy::ALL
+                let chosen = LIVE
                     .iter()
                     .max_by_key(|s| profile.strategy.decisions[s.index()])
                     .map(|s| s.name())
                     .unwrap_or("?");
                 let cell = |i: usize| {
-                    let v = cells[i].0;
+                    let v = cells[i];
                     if v.is_nan() {
                         "     --".to_string()
                     } else {
@@ -176,12 +156,10 @@ fn main() {
                     }
                 };
                 println!(
-                    "  {family:<14} {m:>7} {w:>5} | {} {} {} {} {} | {adaptive:>7.1}  {chosen}",
+                    "  {family:<14} {m:>7} {w:>5} | {} {} {} | {adaptive:>7.1}  {chosen}",
                     cell(0),
                     cell(1),
                     cell(2),
-                    cell(3),
-                    cell(4),
                 );
             }
         }
@@ -225,7 +203,7 @@ fn main() {
         sizes.iter().filter(|&&s| s == tiny).count()
     );
     let mut skew: Vec<(String, f64)> = Vec::new();
-    for s in Strategy::ALL {
+    for s in LIVE {
         let ns = run_ns(&q, &table, ExecOptions::serial().force_strategy(s), reps).0;
         records.push(BenchRecord::new("skewed", n, s.name(), ns));
         skew.push((s.name().to_string(), ns));

@@ -27,9 +27,8 @@
 //! built; the cache records per-slot `(label, bytes)` pairs that
 //! `execute_profiled` aggregates into [`crate::ExecProfile::artifacts`].
 //!
-//! Index width (u32/u64) is intentionally not part of the key: it is a pure
-//! function of the partition size ([`fits_u32`]), so all requests against
-//! one cache agree on the width and the `downcast` below cannot fail.
+//! Every tree indexes with `u32`: the pipeline refuses a partition whose
+//! positions would not fit before any artifact is asked for.
 
 use crate::column::Column;
 use crate::error::{Error, Result};
@@ -43,7 +42,6 @@ use crate::remap::Remap;
 use crate::strategy::{CallClass, Strategy};
 use holistic_core::aggregate::DistinctAggregate;
 use holistic_core::codes::DenseCodes;
-use holistic_core::index::fits_u32;
 use holistic_core::{
     mst_arena_len, mst_spill_build_len, AnnotatedMst, MergeSortTree, MstParams, MstShell, RangeSet,
     SpillableArena, TreeIndex,
@@ -920,17 +918,16 @@ impl ArtifactBytes for ModeArt<RangeModeIndex> {
     }
 }
 
+/// Positions, codes or prevIdcs as a tree's entries: exact, because the
+/// pipeline refuses a partition whose positions do not fit `u32`.
+pub(crate) fn narrow(v: &[usize]) -> Vec<u32> {
+    v.iter().map(|&x| x as u32).collect()
+}
+
 /// The artifact getters. Each takes the requesting call's [`CallPlan`] and
 /// makes its own key from the plan's sources when asked; its ingredients'
 /// getters do the same.
 impl Ctx<'_> {
-    /// True when this partition's trees index with u32 (uniform per
-    /// partition, hence absent from artifact keys). Over a batch: when every
-    /// segment's would.
-    pub(crate) fn u32_trees(&self) -> bool {
-        fits_u32(self.largest_segment() + 1)
-    }
-
     /// The artifact under `key`: the cache's, built on first request — or,
     /// for a naive call, built now and handed over, remembered in `own` if
     /// the call keeps one for it.
@@ -1055,13 +1052,13 @@ impl Ctx<'_> {
 
     /// A merge sort tree over `values()`, cached spillable under `key` and
     /// checked out resident.
-    fn mst<I: TreeIndex>(
+    fn mst(
         &self,
         key: ArtifactKey,
-        values: impl FnOnce() -> Result<Vec<I>>,
-    ) -> Result<Arc<MergeSortTree<I>>> {
+        values: impl FnOnce() -> Result<Vec<u32>>,
+    ) -> Result<Arc<MergeSortTree<u32>>> {
         let cache = self.cache.expect("only the tree arm builds merge sort trees");
-        let sp = cache.get_or_build::<SpillableMst<I>, _>(key, || {
+        let sp = cache.get_or_build::<SpillableMst<u32>, _>(key, || {
             let values = values()?;
             self.count_build(|s| &s.mst_builds);
             SpillableMst::build(
@@ -1078,20 +1075,16 @@ impl Ctx<'_> {
 
     /// Merge sort tree over the unique codes (rank family / framed LEAD),
     /// [`ArtifactKey::CodeMst`].
-    pub(crate) fn code_mst<I: TreeIndex>(&self, cp: &CallPlan) -> Result<Arc<MergeSortTree<I>>> {
+    pub(crate) fn code_mst(&self, cp: &CallPlan) -> Result<Arc<MergeSortTree<u32>>> {
         let key = ArtifactKey::CodeMst(Arc::clone(criteria(cp)), Arc::clone(&cp.mask));
-        self.mst(key, || {
-            Ok(self.dense_codes_art(cp)?.code.iter().map(|&c| I::from_usize(c)).collect())
-        })
+        self.mst(key, || Ok(narrow(&self.dense_codes_art(cp)?.code)))
     }
 
     /// Merge sort tree over the inner sort's permutation array (selection
     /// family), [`ArtifactKey::PermMst`].
-    pub(crate) fn perm_mst<I: TreeIndex>(&self, cp: &CallPlan) -> Result<Arc<MergeSortTree<I>>> {
+    pub(crate) fn perm_mst(&self, cp: &CallPlan) -> Result<Arc<MergeSortTree<u32>>> {
         let key = ArtifactKey::PermMst(Arc::clone(criteria(cp)), Arc::clone(&cp.mask));
-        self.mst(key, || {
-            Ok(self.dense_codes_art(cp)?.perm.iter().map(|&p| I::from_usize(p)).collect())
-        })
+        self.mst(key, || Ok(narrow(&self.dense_codes_art(cp)?.perm)))
     }
 
     /// Distinct preprocessing: hashes and (under exclusion) per-value
@@ -1124,12 +1117,9 @@ impl Ctx<'_> {
 
     /// Merge sort tree over the previous-occurrence indices (COUNT DISTINCT),
     /// [`ArtifactKey::DistinctCountMst`].
-    pub(crate) fn distinct_count_mst<I: TreeIndex>(
-        &self,
-        cp: &CallPlan,
-    ) -> Result<Arc<MergeSortTree<I>>> {
+    pub(crate) fn distinct_count_mst(&self, cp: &CallPlan) -> Result<Arc<MergeSortTree<u32>>> {
         let key = ArtifactKey::DistinctCountMst(Arc::clone(value(cp)), Arc::clone(&cp.mask));
-        self.mst(key, || Ok(self.prev_idcs_art(cp)?.iter().map(|&p| I::from_usize(p)).collect()))
+        self.mst(key, || Ok(narrow(&self.prev_idcs_art(cp)?)))
     }
 
     /// DENSE_RANK's counter over tie-group ids: `index` makes it from each
@@ -1151,14 +1141,12 @@ impl Ctx<'_> {
         DenseRankArt { counter: index(&dc.group_id, prev), occurrences }
     }
 
-    /// DENSE_RANK's 3-d range tree, [`ArtifactKey::RangeTree`] (u32
-    /// partitions only).
+    /// DENSE_RANK's 3-d range tree, [`ArtifactKey::RangeTree`].
     pub(crate) fn range_tree_art(&self, cp: &CallPlan) -> Result<Arc<DenseRankArt<RangeTree3>>> {
         let key = ArtifactKey::RangeTree(Arc::clone(criteria(cp)), Arc::clone(&cp.mask));
         self.artifact(key, || {
             let dc = self.dense_codes_art(cp)?;
             self.count_build(|s| &s.rangetree_builds);
-            let narrow = |v: &[usize]| v.iter().map(|&x| x as u32).collect::<Vec<u32>>();
             Ok(self.dense_rank_parts(&dc, |gids, prev| {
                 RangeTree3::build(&narrow(gids), &narrow(&prev), self.parallel)
             }))

@@ -28,7 +28,7 @@
 
 use super::primitive::{CountBelow, Scan};
 use super::{Ctx, Planned};
-use crate::artifacts::{AggFlavor, ArtifactKey, DistinctPrepArt, MaskArtifact};
+use crate::artifacts::{narrow, AggFlavor, ArtifactKey, DistinctPrepArt, MaskArtifact};
 use crate::column::{Column, Outputs};
 use crate::error::{Error, Result};
 use crate::executor::tree_params;
@@ -37,7 +37,7 @@ use crate::spec::{FuncKind, FunctionCall};
 use crate::strategy::Strategy;
 use crate::value::DataType;
 use holistic_core::aggregate::{AvgF64, SumF64, SumI64};
-use holistic_core::{AnnotatedMst, DistinctAggregate, ProbeSeed, RangeSet, TreeIndex};
+use holistic_core::{AnnotatedMst, DistinctAggregate, ProbeSeed, RangeSet};
 use holistic_strategies::incremental;
 use rustc_hash::FxHashSet;
 use std::borrow::Cow;
@@ -57,11 +57,7 @@ pub(crate) fn evaluate(
     let prep = ctx.distinct_prep_art(cp)?;
     if call.kind != FuncKind::Count {
         // SUM / AVG: the annotated tree only (`strategy::applicable`).
-        return if ctx.u32_trees() {
-            sum_or_avg::<u32>(ctx, call, cp, &mask, &prep)
-        } else {
-            sum_or_avg::<u64>(ctx, call, cp, &mask, &prep)
-        };
+        return sum_or_avg(ctx, call, cp, &mask, &prep);
     }
     let counts = match strategy {
         Strategy::Incremental => count_incremental(ctx, &mask, &prep),
@@ -69,8 +65,7 @@ pub(crate) fn evaluate(
             let prev = holistic_core::prev_idcs_u64(&prep.hashes, ctx.parallel);
             count(ctx, &mask, &prep, &Scan(&prev))?
         }
-        _ if ctx.u32_trees() => count(ctx, &mask, &prep, &*ctx.distinct_count_mst::<u32>(cp)?)?,
-        _ => count(ctx, &mask, &prep, &*ctx.distinct_count_mst::<u64>(cp)?)?,
+        _ => count(ctx, &mask, &prep, &*ctx.distinct_count_mst(cp)?)?,
     };
     Ok(Column::ints(counts).into())
 }
@@ -176,7 +171,7 @@ enum IntSum {
     Wide(f64),
 }
 
-fn sum_or_avg<I: TreeIndex>(
+fn sum_or_avg(
     ctx: &Ctx<'_>,
     call: &FunctionCall,
     cp: &CallPlan,
@@ -190,7 +185,7 @@ fn sum_or_avg<I: TreeIndex>(
     }
     let as_f64 = |k: usize| values.f64_at(k).unwrap_or(0.0);
     if call.kind == FuncKind::Avg {
-        let avgs = distinct_aggregate::<I, AvgF64, _>(
+        let avgs = distinct_aggregate::<AvgF64, _>(
             ctx,
             cp,
             mask,
@@ -204,7 +199,7 @@ fn sum_or_avg<I: TreeIndex>(
         )?;
         Ok(Column::from_floats(avgs).into())
     } else if is_float {
-        let sums = distinct_aggregate::<I, SumF64, _>(
+        let sums = distinct_aggregate::<SumF64, _>(
             ctx,
             cp,
             mask,
@@ -215,7 +210,7 @@ fn sum_or_avg<I: TreeIndex>(
         )?;
         Ok(Column::from_floats(sums).into())
     } else {
-        let sums = distinct_aggregate::<I, SumI64, _>(
+        let sums = distinct_aggregate::<SumI64, _>(
             ctx,
             cp,
             mask,
@@ -248,7 +243,7 @@ fn sum_or_avg<I: TreeIndex>(
 /// row's output — the correction state has the same type as the aggregation
 /// state for SUM-like monoids and is a parallel (sum, count) pair for AVG.
 #[allow(clippy::too_many_arguments)]
-fn distinct_aggregate<I, A, T>(
+fn distinct_aggregate<A, T>(
     ctx: &Ctx<'_>,
     cp: &CallPlan,
     mask: &Arc<MaskArtifact>,
@@ -258,24 +253,22 @@ fn distinct_aggregate<I, A, T>(
     finish: impl Fn(A::State, (A::State, usize)) -> T + Sync,
 ) -> Result<Vec<T>>
 where
-    I: TreeIndex,
     A: DistinctAggregate + 'static,
     T: Clone + Default + Send,
 {
-    let tree: Arc<AnnotatedMst<I, A>> =
+    let tree: Arc<AnnotatedMst<u32, A>> =
         ctx.artifact(ArtifactKey::distinct_agg(cp, flavor), || {
             let prev = ctx.prev_idcs_art(cp)?;
             ctx.count_build(|s| &s.mst_builds);
-            let prev: Vec<I> = prev.iter().map(|&p| I::from_usize(p)).collect();
             let payloads: Vec<A::Payload> = (0..prep.values.len()).map(&payload_of).collect();
-            Ok(AnnotatedMst::<I, A>::build(&prev, &payloads, tree_params(ctx.parallel)))
+            Ok(AnnotatedMst::build(&narrow(&prev), &payloads, tree_params(ctx.parallel)))
         })?;
     // One seed per probe chunk: consecutive frames move the threshold and
     // the edges a little, so each search gallops from the previous row's.
     ctx.probe_with(|seed: &mut ProbeSeed, i| {
         let (a, b) = ctx.frames.bounds[i];
         let (ka, kb) = mask.remap.range(a, b);
-        let (state, counted) = tree.aggregate_below(ka, kb, I::from_usize(ka + 1), Some(seed));
+        let (state, counted) = tree.aggregate_below(ka, kb, ka as u32 + 1, Some(seed));
         if !ctx.frames.has_exclusion() {
             return Ok(finish(state, (A::identity(), counted)));
         }

@@ -39,10 +39,7 @@ pub(crate) fn evaluate(
     let codes = Scan(&prep.dc.code);
     let lagged = match strategy {
         Strategy::Naive => evaluate_framed(&args, &prep, &codes, &codes),
-        _ if ctx.u32_trees() => {
-            evaluate_framed(&args, &prep, &*ctx.code_mst::<u32>(cp)?, &*ctx.perm_mst::<u32>(cp)?)
-        }
-        _ => evaluate_framed(&args, &prep, &*ctx.code_mst::<u64>(cp)?, &*ctx.perm_mst::<u64>(cp)?),
+        _ => evaluate_framed(&args, &prep, &*ctx.code_mst(cp)?, &*ctx.perm_mst(cp)?),
     }?;
     lagged_outputs(&kept_out, lagged)
 }

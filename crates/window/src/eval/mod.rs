@@ -12,7 +12,7 @@
 //! [`primitive`]s, and the strategy names the index that answers them.
 //!
 //! The positions an evaluator sees are a [`pipeline::SegmentBatch`]'s: one
-//! partition for the tree and alternate arms, every partition of a naive
+//! partition for the tree and sliding arms, every partition of a naive
 //! call at once for the scan arm. Frames never cross a segment, so only an
 //! evaluator that reads beyond a frame asks where its segment is.
 
@@ -102,11 +102,6 @@ impl<'a> Ctx<'a> {
     pub fn segment(&self, i: usize) -> (usize, usize) {
         let s = segment_of(self.starts, i);
         (self.starts[s], self.starts[s + 1])
-    }
-
-    /// The largest segment's size: what a guard on a partition's size reads.
-    pub fn largest_segment(&self) -> usize {
-        self.starts.windows(2).map(|w| w[1] - w[0]).max().unwrap_or(0)
     }
 
     /// Evaluates an expression for every position (in window order) into a

@@ -15,7 +15,7 @@
 
 use crate::artifacts::{governed_floor, ArtifactCache, ArtifactKey, BudgetGovernor};
 use crate::column::Outputs;
-use crate::error::Result;
+use crate::error::{Error, Result};
 use crate::eval::{evaluate_call, Ctx};
 use crate::executor::{tree_params, AtomicProbeKernel, CacheStats, ExecOptions, WindowQuery};
 use crate::frame::{resolve_frames, FrameExclusion, ResolvedFrames};
@@ -25,8 +25,26 @@ use crate::spec::WindowSpec;
 use crate::strategy::{choose_fitting, CostModel, PartitionStats, Strategy};
 use crate::table::Table;
 use rustc_hash::FxHashMap;
+use std::mem::size_of;
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
+
+/// The most rows one partition may hold. Every tree, code and position an
+/// evaluator reads is a `u32`: a partition's shifted prevIdcs take `m + 1`
+/// values and a threshold one more, and `u32::MAX` is the trees' sentinel.
+const MAX_PARTITION_ROWS: usize = u32::MAX as usize - 2;
+
+/// Refuses a partition of more than [`MAX_PARTITION_ROWS`] rows: the one
+/// size guard of the pipeline, which every partition passes through
+/// ([`PartitionEval::prepare`]), an append's recomputed ones included.
+fn check_rows(m: usize) -> Result<()> {
+    if m > MAX_PARTITION_ROWS {
+        return Err(Error::Unsupported(format!(
+            "a partition of {m} rows (at most {MAX_PARTITION_ROWS}: positions are 32-bit)"
+        )));
+    }
+    Ok(())
+}
 
 /// Query-level ORDER BY key columns by canonical criteria list: the window
 /// order plus every planned inner order. Key columns cover the full table
@@ -221,9 +239,9 @@ impl PartitionEval<'_> {
         // base model doesn't price), and pass over a strategy whose
         // governed bytes surely exceed the budget while naive, which charges
         // none, could run the call.
-        let width = if holistic_core::index::fits_u32(stats.m + 1) { 4 } else { 8 };
-        let tree_bytes =
-            |n| (holistic_core::mst_arena_len(n, tree_params(opts.parallel)) * width) as u64;
+        let tree_bytes = |n| {
+            (holistic_core::mst_arena_len(n, tree_params(opts.parallel)) * size_of::<u32>()) as u64
+        };
         let model = CostModel::default().under_memory_pressure(tree_bytes(stats.m), opts.budget);
         plan.calls
             .iter()
@@ -270,8 +288,10 @@ impl PartitionEval<'_> {
     }
 
     /// Sorts `rows` (one partition, any order) into window order, resolves
-    /// its frames and chooses a strategy per call.
+    /// its frames and chooses a strategy per call. A partition too large for
+    /// `u32` positions ([`check_rows`]) is refused here, before any work.
     pub fn prepare(&self, mut rows: Vec<usize>) -> Result<Prepared> {
+        check_rows(rows.len())?;
         let mut report = PartitionReport::default();
         let build_start = Instant::now();
         sort_permutation(self.window_keys, &mut rows, self.within);
@@ -342,5 +362,25 @@ impl PartitionEval<'_> {
     ) -> Result<Outputs> {
         let (call, cp) = (&self.query.calls[ci], &self.plan.calls[ci]);
         evaluate_call(&self.ctx(batch, None, parallel), call, cp, Strategy::Naive)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The guard at its boundary, without allocating a partition: the
+    /// largest partition the trees' `u32` entries hold is the one that
+    /// `fits_u32(m + 1)` admits, and one row more is a typed error.
+    #[test]
+    fn partition_size_guard_boundaries() {
+        use holistic_core::index::fits_u32;
+        assert!(check_rows(0).is_ok());
+        assert!(check_rows(MAX_PARTITION_ROWS).is_ok());
+        assert!(fits_u32(MAX_PARTITION_ROWS + 1));
+        for m in [MAX_PARTITION_ROWS + 1, u32::MAX as usize, usize::MAX] {
+            assert!(matches!(check_rows(m), Err(Error::Unsupported(_))), "{m} rows");
+        }
+        assert!(!fits_u32(MAX_PARTITION_ROWS + 2));
     }
 }

@@ -8,24 +8,23 @@
 //!
 //! | primitive | tree | scan | incremental |
 //! |---|---|---|---|
-//! | [`CountBelow`] | [`MergeSortTree`], block kernel | [`Scan`] of the codes / prevIdcs | [`SlidingBitset`] of the codes |
-//! | [`Select`] by an inner ORDER BY | [`MergeSortTree`] over the permutation | [`Scan`]: gather + sort | [`SlidingBitset`] of the codes |
+//! | [`CountBelow`] | [`MergeSortTree`], block kernel | [`Scan`] of the codes / prevIdcs | [`Sliding`] counted bitset of the codes |
+//! | [`Select`] by an inner ORDER BY | [`MergeSortTree`] over the permutation | [`Scan`]: gather + sort | [`Sliding`] counted bitset of the codes |
 //! | [`Count3d`] | [`RangeTree3`] | [`ScanPoints`] | — |
 //! | [`Fold`], MIN / MAX | [`SegTrees`] | [`ScanFold`] | — |
 //! | [`RangeMode`] | [`RangeModeIndex`] | [`ScanIds`] | — |
 //!
-//! The alternates answer the same two over the same unique codes: the
-//! incremental strategy slides a counted bitset ([`SlidingBitset`], O(log k)
-//! per step whatever the frame's width), the order-statistic one a counted
-//! B-tree ([`CountedBTree`]), and the segment-tree one selects in a
-//! [`SortedListSegTree`]. Every index but the merge sort tree's block
-//! kernels ([`super::probe_blocks`]) answers a probe chunk a row at a time
-//! through one loop, [`super::probe_rows`]. A scan takes the rows as they
-//! come; a sliding index visits them in frame order — by start, then end
+//! The incremental strategy answers the same two over the same unique codes
+//! by sliding a counted bitset ([`Sliding`], O(log k) per step whatever the
+//! frame's width). Every index but the merge sort tree's block kernels
+//! ([`super::probe_blocks`]) answers a probe chunk a row at a time through
+//! one loop, [`super::probe_rows`]. A scan takes the rows as they come; a
+//! sliding index visits them in frame order — by start, then end
 //! ([`Ctx::frame_order`]) — and places each answer by its row, so frames
 //! that jitter about a trend (Fig. 12's) slide about two positions each.
-//! Wesley & Xu's row-order slide of a sorted vector stays only the paper's
-//! competitor ([`holistic_strategies::taskpar::percentile`]).
+//! Wesley & Xu's row-order slide of a sorted vector, the order-statistic
+//! tree and the sorted-list segment tree stay only the paper's competitors
+//! ([`holistic_strategies::taskpar`]).
 //!
 //! Three questions have one implementation, whatever the strategy, because
 //! what the partition already holds answers them: [`Select`] in frame-position
@@ -41,14 +40,11 @@
 
 use super::{count_each, probe_blocks, segment_of, select_each, Ctx, Planned};
 use crate::error::Result;
-use holistic_core::{BlockScratch, MergeSortTree, RangeSet, TreeIndex};
+use holistic_core::{BlockScratch, MergeSortTree, RangeSet};
 use holistic_rangemode::RangeModeIndex;
 use holistic_rangetree::RangeTree3;
-use holistic_segtree::{Monoid, PrefixSums, SegmentTree, SortedListSegTree};
-use holistic_strategies::incremental::SlideOrder;
-use holistic_strategies::incremental::{CountedBitset, OrderedMultiset, SortedWindow};
-use holistic_strategies::ostree::OrderStatisticTree;
-use std::marker::PhantomData;
+use holistic_segtree::{Monoid, PrefixSums, SegmentTree};
+use holistic_strategies::incremental::{CountedBitset, SlideOrder, SortedWindow};
 
 /// `count_below(pieces, t)`: how many elements at the positions `pieces` are
 /// smaller than `t`.
@@ -104,9 +100,9 @@ pub(crate) trait Select: Sync {
     }
 }
 
-impl<I: TreeIndex> CountBelow for MergeSortTree<I> {
+impl CountBelow for MergeSortTree<u32> {
     fn count_below(&self, pieces: &RangeSet, t: usize) -> usize {
-        self.count_below_multi(pieces, I::from_usize(t))
+        self.count_below_multi(pieces, t as u32)
     }
 
     /// The rows' flattened per-piece queries are answered in blocks by
@@ -128,9 +124,7 @@ impl<I: TreeIndex> CountBelow for MergeSortTree<I> {
             base,
             slots,
             |i, queries| {
-                plan(i, &mut |rs, t| {
-                    queries.extend(rs.iter().map(|(a, b)| (a, b, I::from_usize(t))))
-                })
+                plan(i, &mut |rs, t| queries.extend(rs.iter().map(|(a, b)| (a, b, t as u32))))
             },
             |queries, counts| self.count_below_block(queries, counts, &mut scratch),
             |i, s, counts| finish(i, s, counts.iter().sum()),
@@ -140,7 +134,7 @@ impl<I: TreeIndex> CountBelow for MergeSortTree<I> {
     }
 }
 
-impl<I: TreeIndex> Select for MergeSortTree<I> {
+impl Select for MergeSortTree<u32> {
     fn select(&self, pieces: &RangeSet, j: usize, _buf: &mut SelectBuf) -> Option<usize> {
         MergeSortTree::select(self, pieces, j)
     }
@@ -182,34 +176,23 @@ impl CountBelow for Scan<'_> {
     }
 }
 
-/// The unique codes a merge sort tree would have been built from, held as
-/// one [`SortedWindow`] in the ordered multiset `W` that each probe chunk
-/// slides along its rows' frames (Wesley & Xu), visiting the rows in frame
-/// order ([`Ctx::frame_order`]: as they come when the partition's frames are
-/// monotonic). A query of several pieces is a [`Scan`] of the same codes.
-/// Each chunk starts its own window, sized once for the partition's codes,
-/// so every answer is the tree's; a frame that shares no row with the last
-/// one drains the window: O(frame), never O(partition).
-pub(crate) struct Sliding<'a, W> {
-    codes: &'a [usize],
-    multiset: PhantomData<fn() -> W>,
-}
+/// The incremental strategy's index: the unique codes a merge sort tree
+/// would have been built from, held as one [`SortedWindow`] over a
+/// [`CountedBitset`] that each probe chunk slides along its rows' frames
+/// (Wesley & Xu), visiting the rows in frame order ([`Ctx::frame_order`]: as
+/// they come when the partition's frames are monotonic). A query of several
+/// pieces is a [`Scan`] of the same codes. Each chunk starts its own window,
+/// sized once for the partition's codes, so every answer is the tree's; a
+/// frame that shares no row with the last one drains the window: O(frame),
+/// never O(partition).
+pub(crate) struct Sliding<'a>(pub &'a [usize]);
 
-/// The incremental strategy's index: a counted bitset of codes.
-pub(crate) type SlidingBitset<'a> = Sliding<'a, CountedBitset>;
+/// One chunk's window.
+type Window<'a> = SortedWindow<'a, usize, CountedBitset>;
 
-/// The order-statistic strategy's index: a counted B-tree of codes.
-pub(crate) type CountedBTree<'a> = Sliding<'a, OrderStatisticTree<usize>>;
-
-impl<'a, W: OrderedMultiset<usize>> Sliding<'a, W> {
-    pub fn new(codes: &'a [usize]) -> Self {
-        Sliding { codes, multiset: PhantomData }
-    }
-}
-
-impl<W: OrderedMultiset<usize>> CountBelow for Sliding<'_, W> {
+impl CountBelow for Sliding<'_> {
     fn count_below(&self, pieces: &RangeSet, t: usize) -> usize {
-        Scan(self.codes).count_below(pieces, t)
+        Scan(self.0).count_below(pieces, t)
     }
 
     fn probe_chunk<S, T, P, F>(
@@ -224,7 +207,7 @@ impl<W: OrderedMultiset<usize>> CountBelow for Sliding<'_, W> {
         P: Fn(usize, &mut dyn FnMut(&RangeSet, usize)) -> Result<Planned<S, T>>,
         F: Fn(usize, S, usize) -> Result<T>,
     {
-        let mut window = SortedWindow::<_, W>::new(self.codes);
+        let mut window = Window::new(self.0);
         let order = ctx.frame_order(base, slots.len());
         count_each(base, order, slots, plan, finish, |rs, t| match rs.len() {
             1 => {
@@ -237,9 +220,9 @@ impl<W: OrderedMultiset<usize>> CountBelow for Sliding<'_, W> {
     }
 }
 
-impl<W: OrderedMultiset<usize>> Select for Sliding<'_, W> {
+impl Select for Sliding<'_> {
     fn select(&self, pieces: &RangeSet, j: usize, buf: &mut SelectBuf) -> Option<usize> {
-        Scan(self.codes).select(pieces, j, buf)
+        Scan(self.0).select(pieces, j, buf)
     }
 
     fn probe_chunk<S, T, P, F>(
@@ -254,7 +237,7 @@ impl<W: OrderedMultiset<usize>> Select for Sliding<'_, W> {
         P: Fn(usize, &mut dyn FnMut(RangeSet, usize)) -> Result<Planned<S, T>>,
         F: Fn(usize, S, &[Option<usize>]) -> Result<T>,
     {
-        let mut window = SortedWindow::<_, W>::new(self.codes);
+        let mut window = Window::new(self.0);
         let mut buf = SelectBuf::default();
         let order = ctx.frame_order(base, slots.len());
         select_each(base, order, slots, plan, finish, |rs, j| match rs.len() {
@@ -265,21 +248,6 @@ impl<W: OrderedMultiset<usize>> Select for Sliding<'_, W> {
             }
             _ => self.select(rs, j, &mut buf),
         })
-    }
-}
-
-/// The segment-tree strategy's index: the codes in a segment tree whose
-/// nodes carry their sorted lists (Arasu & Widom's base intervals), built
-/// per call.
-pub(crate) fn sorted_lists(codes: &[usize], parallel: bool) -> SortedListSegTree {
-    let wide: Vec<i64> = codes.iter().map(|&c| c as i64).collect();
-    SortedListSegTree::build(&wide, parallel)
-}
-
-/// A code is its rank; O((log n)²) per piece and step of the value search.
-impl Select for SortedListSegTree {
-    fn select(&self, pieces: &RangeSet, j: usize, _buf: &mut SelectBuf) -> Option<usize> {
-        self.select_in(pieces.iter(), j).map(|c| c as usize)
     }
 }
 
@@ -533,7 +501,6 @@ mod tests {
             let dc = dense_codes(&keys, false);
             let by_keys = tree(&dc.perm);
             let by_position = tree(&(0..n).collect::<Vec<_>>());
-            let lists = sorted_lists(&dc.code, false);
             // One scratch through every query: its memo must notice each
             // change of pieces.
             let mut buf = SelectBuf::default();
@@ -545,11 +512,6 @@ mod tests {
                         Scan(&dc.code).select(&p, j, &mut buf),
                         Select::select(&by_keys, &p, j, &mut buf),
                         "explicit order, pieces {:?} j {}", p, j
-                    );
-                    prop_assert_eq!(
-                        Select::select(&lists, &p, j, &mut buf),
-                        Select::select(&by_keys, &p, j, &mut buf),
-                        "sorted lists, pieces {:?} j {}", p, j
                     );
                     prop_assert_eq!(
                         FrameOrder.select(&p, j, &mut buf),
@@ -619,13 +581,9 @@ mod tests {
                     ctx.probe_selects(&scan, select, selected).unwrap(),
                 ), "scan over {:?}", bounds);
                 prop_assert_eq!(&scans, &(
-                    ctx.probe_counts(&SlidingBitset::new(&codes), count, counted).unwrap(),
-                    ctx.probe_selects(&SlidingBitset::new(&codes), select, selected).unwrap(),
+                    ctx.probe_counts(&Sliding(&codes), count, counted).unwrap(),
+                    ctx.probe_selects(&Sliding(&codes), select, selected).unwrap(),
                 ), "counted bitset over {:?}", bounds);
-                prop_assert_eq!(&scans, &(
-                    ctx.probe_counts(&CountedBTree::new(&codes), count, counted).unwrap(),
-                    ctx.probe_selects(&CountedBTree::new(&codes), select, selected).unwrap(),
-                ), "counted B-tree over {:?}", bounds);
             });
             // COUNT(DISTINCT)'s slide against the scan of its prevIdcs.
             let hashes: Vec<u64> = keys.iter().map(|&k| k as u64).collect();

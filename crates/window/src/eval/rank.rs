@@ -20,7 +20,7 @@
 //! trees, a scan of the codes they would have been built from, or (for the
 //! rank family over hull frames) those codes slid as one sorted window.
 
-use super::primitive::{Count3d, CountBelow, Scan, ScanPoints, SlidingBitset};
+use super::primitive::{Count3d, CountBelow, Scan, ScanPoints, Sliding};
 use super::{cume_dist, percent_rank, Ctx, Planned};
 use crate::artifacts::{DenseRankArt, MaskArtifact};
 use crate::column::Column;
@@ -104,9 +104,8 @@ pub(crate) fn evaluate(
     let prep = prepare(ctx, cp)?;
     match strategy {
         Strategy::Naive => probe(ctx, call, &prep, &Scan(&prep.dc.code)),
-        Strategy::Incremental => probe(ctx, call, &prep, &SlidingBitset::new(&prep.dc.code)),
-        _ if ctx.u32_trees() => probe(ctx, call, &prep, &*ctx.code_mst::<u32>(cp)?),
-        _ => probe(ctx, call, &prep, &*ctx.code_mst::<u64>(cp)?),
+        Strategy::Incremental => probe(ctx, call, &prep, &Sliding(&prep.dc.code)),
+        _ => probe(ctx, call, &prep, &*ctx.code_mst(cp)?),
     }
 }
 
@@ -214,9 +213,6 @@ pub(crate) fn evaluate_dense_rank(
     cp: &CallPlan,
     strategy: Strategy,
 ) -> Result<Column> {
-    if !ctx.u32_trees() {
-        return Err(Error::Unsupported("DENSE_RANK partitions beyond u32 positions".into()));
-    }
     let prep = prepare(ctx, cp)?;
     match strategy {
         Strategy::Naive => {

@@ -13,10 +13,10 @@
 //! remapping). The planner encodes exactly this rule in the call's mask key,
 //! so the sort and both trees come from the shared artifact cache. Which
 //! [`Select`] index answers an inner ORDER BY — the tree, a scan of the
-//! codes, or an alternate's index over the same codes — is the strategy's
-//! choice.
+//! codes, or the incremental strategy's sliding window over the same codes —
+//! is the strategy's choice.
 
-use super::primitive::{sorted_lists, CountedBTree, FrameOrder, Scan, Select, SlidingBitset};
+use super::primitive::{FrameOrder, Scan, Select, Sliding};
 use super::{cont_rank, disc_rank, fraction_arg, Ctx, Planned};
 use crate::artifacts::MaskArtifact;
 use crate::column::Column;
@@ -49,11 +49,8 @@ pub(crate) fn evaluate(
     match (strategy, sel.dc) {
         (_, None) => sel.probe(&FrameOrder),
         (Strategy::Naive, Some(dc)) => sel.probe(&Scan(&dc.code)),
-        (Strategy::Incremental, Some(dc)) => sel.probe(&SlidingBitset::new(&dc.code)),
-        (Strategy::OsTree, Some(dc)) => sel.probe(&CountedBTree::new(&dc.code)),
-        (Strategy::SegTree, Some(dc)) => sel.probe(&sorted_lists(&dc.code, ctx.parallel)),
-        (Strategy::Mst, _) if ctx.u32_trees() => sel.probe(&*ctx.perm_mst::<u32>(cp)?),
-        (Strategy::Mst, _) => sel.probe(&*ctx.perm_mst::<u64>(cp)?),
+        (Strategy::Incremental, Some(dc)) => sel.probe(&Sliding(&dc.code)),
+        (_, Some(_)) => sel.probe(&*ctx.perm_mst(cp)?),
     }
 }
 

@@ -3,13 +3,16 @@
 //! The paper evaluates the merge sort tree against four classic
 //! per-partition algorithms (naive re-evaluation, Wesley & Xu incremental
 //! sliding state, order-statistic trees, and segment-tree selection —
-//! §5/§6, Table 1). Each wins somewhere: naive on tiny partitions where any
-//! preprocessing is overhead, incremental on narrow frames that are monotone
-//! in frame order (by start, then end), trees on everything wide or
-//! scattered. This module makes that choice
-//! explicit: a [`CostModel`] of calibrated constants scores every
-//! applicable [`Strategy`] against cheap [`PartitionStats`] and the
-//! per-partition pipeline dispatches each (partition × call) to the winner.
+//! §5/§6, Table 1). The engine runs three of them as strategies: naive on
+//! tiny partitions where any preprocessing is overhead, incremental on
+//! narrow frames that are monotone in frame order (by start, then end), and
+//! the merge sort tree on everything wide or scattered. The order-statistic
+//! tree and the sorted-list segment tree stay the paper's competitors only:
+//! the counted bitset the incremental strategy slides beats the one, and the
+//! tree the other. This module makes the choice explicit: a [`CostModel`] of
+//! calibrated constants scores every applicable [`Strategy`] against cheap
+//! [`PartitionStats`] and the per-partition pipeline dispatches each
+//! (partition × call) to the winner.
 //!
 //! Invariants the executor relies on:
 //!
@@ -20,9 +23,8 @@
 //! * Every strategy is bit-identical to the merge-sort-tree path by
 //!   construction: each family evaluator is written once against the range
 //!   primitives of `eval::primitive`, and a strategy only names the index
-//!   that answers them — a scan for naive, a sliding window or a sorted-list
-//!   segment tree of the same *dense codes* (exact integer ranks) for the
-//!   alternates.
+//!   that answers them — a scan for naive, a sliding window of the same
+//!   *dense codes* (exact integer ranks) for incremental.
 //! * [`Strategy::Mst`] is applicable to everything; a forced strategy that
 //!   does not apply to a call falls back to it.
 
@@ -47,11 +49,16 @@ pub enum Strategy {
     /// that are monotone or a permutation of monotone ones (the paper's
     /// jittered Fig. 12 frames), where a frame's rows mostly stay.
     Incremental,
-    /// A counted-B-tree order-statistic multiset slid the same way;
-    /// `O(log f)` updates buy robustness to wide frames.
+    /// Retired: applies to no call, so Adaptive never picks it and forcing
+    /// it falls back to [`Strategy::Mst`]. It slid a counted-B-tree
+    /// order-statistic multiset, which the counted bitset of
+    /// [`Strategy::Incremental`] beats. The name stays only because
+    /// benchmark decision counters are labelled by [`Strategy::index`]; it
+    /// goes together with those labels.
     OsTree,
-    /// A sorted-list segment tree built once over the kept codes; each row
-    /// selects in `O(log² n)` with no sliding state (Arasu-Widom style).
+    /// Retired like [`Strategy::OsTree`], and kept for the same reason. It
+    /// selected in a sorted-list segment tree (Arasu & Widom), which was
+    /// never within 2× of the merge sort tree.
     SegTree,
     /// The paper's merge sort trees — the default, and the only strategy
     /// applicable to every call class.
@@ -59,7 +66,8 @@ pub enum Strategy {
 }
 
 impl Strategy {
-    /// All strategies, in [`Strategy::index`] order.
+    /// All strategies, in [`Strategy::index`] order, the two retired ones
+    /// included.
     pub const ALL: [Strategy; 5] = [
         Strategy::Naive,
         Strategy::Incremental,
@@ -121,7 +129,7 @@ pub enum CallClass {
     /// `COUNT(DISTINCT expr)`.
     CountDistinct,
     /// `SUM`/`AVG` DISTINCT — annotated-tree only (integer overflow degrades
-    /// to float mid-probe, which no alternate reproduces bit-exactly).
+    /// to float mid-probe, which no other index reproduces bit-exactly).
     SumAvgDistinct,
     /// `COUNT(DISTINCT *)` — rejected at evaluation time.
     CountStarDistinct,
@@ -130,7 +138,7 @@ pub enum CallClass {
     /// `DENSE_RANK` (range-tree backed on the MST path).
     DenseRank,
     /// `PERCENTILE_DISC`/`PERCENTILE_CONT`/`MEDIAN` — the holistic selection
-    /// family every alternate strategy targets.
+    /// family.
     Percentile,
     /// `FIRST_VALUE`/`LAST_VALUE`/`NTH_VALUE`.
     ValueFn,
@@ -204,8 +212,8 @@ pub struct PartitionStats {
     pub total_slide: u64,
     /// Both boundaries non-decreasing row over row.
     pub monotonic: bool,
-    /// The frame has an exclusion clause (hull-based alternates don't
-    /// apply).
+    /// The frame has an exclusion clause (the hull-based sliding window
+    /// doesn't apply).
     pub has_exclusion: bool,
     /// Distinct window ORDER BY keys: the number of peer groups
     /// (`peer_start[i] == i`). A free O(m) duplication estimate — heavy key
@@ -283,26 +291,10 @@ pub struct CostModel {
     naive_cell: f64,
     /// Incremental: fixed per-row overhead.
     incr_row: f64,
-    /// Incremental: per boundary-slide element update (hash set ops for
-    /// COUNT DISTINCT; binary search for the ordered vector).
-    ///
-    /// This and `incr_shift` still price Wesley & Xu's ordered vector,
-    /// which the engine no longer slides: its counted bitset has no
-    /// frame-width term. They stay until the whole model is re-fitted on
-    /// one grid, so that every strategy decision, and every metric that
-    /// counts them, holds still while the index underneath changes.
+    /// Incremental: per boundary-slide element update — an insert into or
+    /// removal from the counted bitset (`O(log m)`, no frame-width term), or
+    /// hash multiset upkeep for COUNT DISTINCT.
     incr_update: f64,
-    /// Incremental: per element *shifted* by an ordered-vector
-    /// insert/remove, scaled by the frame width (memmove cost).
-    incr_shift: f64,
-    /// Order-statistic tree: fixed per-row overhead (selection probe).
-    ostree_row: f64,
-    /// Order-statistic tree: per slide update, scaled by `log2(frame)`.
-    ostree_update: f64,
-    /// Sorted-list segment tree: per element per level at build.
-    segtree_build_cell: f64,
-    /// Sorted-list segment tree: per probe, scaled by `log²(m)`.
-    segtree_probe: f64,
     /// Merge sort tree: per element per level at build.
     mst_build_cell: f64,
     /// Merge sort tree: per probe, scaled by `log(m)`.
@@ -319,11 +311,6 @@ impl Default for CostModel {
             naive_cell: 1.3,
             incr_row: 45.0,
             incr_update: 14.0,
-            incr_shift: 0.09,
-            ostree_row: 70.0,
-            ostree_update: 19.0,
-            segtree_build_cell: 14.0,
-            segtree_probe: 14.0,
             mst_build_cell: 19.0,
             mst_probe: 24.0,
         }
@@ -388,16 +375,14 @@ impl CostModel {
                     // (cheap); distinct-heavy data inserts/evicts entries.
                     self.incr_update * (0.25 + 0.75 * stats.distinct_ratio())
                 } else {
-                    // Ordered-vector insert/remove: search + memmove (the
-                    // counted bitset is priced as the vector until the
-                    // re-fit; see `incr_update`).
-                    self.incr_update + self.incr_shift * f
+                    // A counted-bitset insert or removal: whatever the frame's
+                    // width, so the slide alone prices it.
+                    self.incr_update
                 };
                 m * self.incr_row + slide * per_update
             }
-            Strategy::OsTree => m * self.ostree_row + slide * self.ostree_update * lg_f,
-            Strategy::SegTree => {
-                m * self.segtree_build_cell * lg_m + m * self.segtree_probe * lg_m * lg_m
+            Strategy::OsTree | Strategy::SegTree => {
+                unreachable!("retired strategies apply nowhere")
             }
             Strategy::Mst => m * self.mst_build_cell * lg_m + m * self.mst_probe * lg_m,
         }
@@ -445,10 +430,12 @@ fn mst_pressure_penalty(estimated_bytes: u64, budget: Option<u64>) -> f64 {
 /// * [`Strategy::Naive`] applies to everything except SUM/AVG DISTINCT,
 ///   whose integer-overflow-degrades-to-float probe behaviour only the
 ///   annotated tree reproduces bit-exactly.
-/// * The sliding/selection alternates target the percentile family (plus
-///   COUNT DISTINCT and the rank family — ROW_NUMBER, RANK, PERCENT_RANK,
-///   CUME_DIST, NTILE — for [`Strategy::Incremental`]) over hull frames —
-///   frame exclusion punches holes the hull-based adapters cannot see.
+/// * [`Strategy::Incremental`] targets the percentile family, COUNT
+///   DISTINCT and the rank family — ROW_NUMBER, RANK, PERCENT_RANK,
+///   CUME_DIST, NTILE — over hull frames: frame exclusion punches holes the
+///   sliding window cannot see.
+/// * The retired [`Strategy::OsTree`] and [`Strategy::SegTree`] apply to
+///   nothing.
 pub fn applicable(s: Strategy, class: CallClass, stats: &PartitionStats) -> bool {
     match s {
         Strategy::Mst => true,
@@ -457,9 +444,7 @@ pub fn applicable(s: Strategy, class: CallClass, stats: &PartitionStats) -> bool
             matches!(class, CallClass::Percentile | CallClass::CountDistinct | CallClass::RankLike)
                 && !stats.has_exclusion
         }
-        Strategy::OsTree | Strategy::SegTree => {
-            class == CallClass::Percentile && !stats.has_exclusion
-        }
+        Strategy::OsTree | Strategy::SegTree => false,
     }
 }
 
@@ -551,41 +536,47 @@ mod tests {
     #[test]
     fn forced_inapplicable_falls_back_to_mst() {
         let s = stats(1000, 50.0, 2000);
-        assert_eq!(
-            choose(
-                StrategyMode::Force(Strategy::Incremental),
-                CallClass::DenseRank,
-                &s,
-                &CostModel::default()
-            ),
-            Strategy::Mst
-        );
-        assert_eq!(
-            choose(
-                StrategyMode::Force(Strategy::Incremental),
-                CallClass::Percentile,
-                &s,
-                &CostModel::default()
-            ),
-            Strategy::Incremental
-        );
+        let forced = |st, class| choose(StrategyMode::Force(st), class, &s, &CostModel::default());
+        assert_eq!(forced(Strategy::Incremental, CallClass::DenseRank), Strategy::Mst);
+        assert_eq!(forced(Strategy::Incremental, CallClass::Percentile), Strategy::Incremental);
+        // The retired strategies apply to no class.
+        use CallClass::*;
+        for class in [
+            CountStar,
+            Count,
+            SumAvg,
+            MinMax,
+            CountDistinct,
+            SumAvgDistinct,
+            CountStarDistinct,
+            RankLike,
+            DenseRank,
+            Percentile,
+            ValueFn,
+            LeadLagClassic,
+            LeadLagFramed,
+            Mode,
+        ] {
+            for retired in [Strategy::OsTree, Strategy::SegTree] {
+                assert!(!applicable(retired, class, &s), "{retired:?} applies to {class:?}");
+                assert_eq!(forced(retired, class), Strategy::Mst, "{retired:?}, {class:?}");
+            }
+        }
     }
 
     #[test]
     fn exclusion_disables_hull_alternates() {
         let mut s = stats(100_000, 100.0, 200_000);
         s.has_exclusion = true;
-        for alt in [Strategy::Incremental, Strategy::OsTree, Strategy::SegTree] {
-            assert!(!applicable(alt, CallClass::Percentile, &s));
-        }
+        assert!(!applicable(Strategy::Incremental, CallClass::Percentile, &s));
         assert!(applicable(Strategy::Naive, CallClass::Percentile, &s));
         assert!(applicable(Strategy::Mst, CallClass::Percentile, &s));
     }
 
     #[test]
     fn narrow_monotonic_percentiles_prefer_sliding() {
-        // 1M rows, 8-wide monotonic frame: slide ≈ 2 per row. The sorted
-        // vector (about 74 M ns) beats naive (89 M) and every tree.
+        // 1M rows, 8-wide monotonic frame: slide ≈ 2 per row. The counted
+        // bitset (about 73 M ns) beats naive (89 M) and the tree.
         let s = stats(1_000_000, 8.0, 2_000_000);
         let picked =
             choose(StrategyMode::Adaptive, CallClass::Percentile, &s, &CostModel::default());
@@ -602,12 +593,26 @@ mod tests {
     }
 
     #[test]
-    fn jittered_ranks_keep_the_tree() {
+    fn scattered_ranks_keep_the_tree() {
         // 5 000-row frames whose bounds jump by a frame's width per row.
         let m = 100_000u64;
         let s = stats(m as usize, 5_000.0, 5_000 * m);
         let picked = choose(StrategyMode::Adaptive, CallClass::RankLike, &s, &CostModel::default());
         assert_eq!(picked, Strategy::Mst);
+    }
+
+    #[test]
+    fn frame_ordered_jitter_slides() {
+        // The paper's Fig. 12 frames: 5 000 rows wide, jittered per row, so
+        // not monotonic, but in frame order they slide about two positions a
+        // row. The bitset's slide has no frame-width term, so it beats the
+        // tree for the percentiles and the rank family alike.
+        let m = 100_000u64;
+        let s = PartitionStats { monotonic: false, ..stats(m as usize, 5_000.0, 2 * m) };
+        for class in [CallClass::Percentile, CallClass::RankLike] {
+            let picked = choose(StrategyMode::Adaptive, class, &s, &CostModel::default());
+            assert_eq!(picked, Strategy::Incremental, "{class:?}");
+        }
     }
 
     #[test]
@@ -643,9 +648,8 @@ mod tests {
 
     #[test]
     fn adversarial_slide_prefers_trees() {
-        // Random frames: total slide ~ m * m/3 — sliding state thrashes.
-        // The merge sort tree (about 71 M ns) beats the sorted-list segment
-        // tree (409 M).
+        // Random frames: total slide ~ m * m/3 — sliding state thrashes,
+        // and the merge sort tree (about 71 M ns) wins.
         let m = 100_000u64;
         let s = stats(m as usize, 30_000.0, m * 30_000);
         let picked =

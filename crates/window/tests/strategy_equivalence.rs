@@ -399,17 +399,15 @@ fn forced_alternates_agree_on_integer_data() {
     }
 }
 
-/// The alternates' indexes over the codes: RANK, ROW_NUMBER, PERCENT_RANK,
-/// CUME_DIST and NTILE, and MEDIAN, PERCENTILE_DISC and PERCENTILE_CONT,
-/// each with and without a FILTER that drops every fifth row (whose
-/// ROW_NUMBER and NTILE count below the code they would have had), over
-/// ROWS, RANGE and GROUPS frames that grow, shrink, slide, jump to a
-/// disjoint hull every row, or are always empty. Forced incremental (the
-/// counted bitset), ostree (the counted B-tree) and segtree (the sorted-list
-/// segment tree), serial and with parallel chunks that each start their own
-/// window, answer bit for bit like forced MST and the naive oracle; a call
-/// a forced strategy cannot serve, and every call under `EXCLUDE CURRENT
-/// ROW`, stays on the tree. On the narrow monotonic frame and on the
+/// The incremental strategy's index over the codes: RANK, ROW_NUMBER,
+/// PERCENT_RANK, CUME_DIST and NTILE, and MEDIAN, PERCENTILE_DISC and
+/// PERCENTILE_CONT, each with and without a FILTER that drops every fifth
+/// row (whose ROW_NUMBER and NTILE count below the code they would have
+/// had), over ROWS, RANGE and GROUPS frames that grow, shrink, slide, jump
+/// to a disjoint hull every row, or are always empty. Forced incremental (the
+/// counted bitset), serial and with parallel chunks that each start their
+/// own window, answers bit for bit like forced MST and the naive oracle;
+/// every call under `EXCLUDE CURRENT ROW` stays on the tree. On the narrow monotonic frame and on the
 /// disjoint jumps, which frame order makes monotone, Adaptive slides every
 /// call on the counted bitset.
 #[test]
@@ -474,11 +472,6 @@ fn every_alternate_answers_bit_identically() {
     ];
     let decided =
         |profile: &holistic_window::ExecProfile, s: Strategy| profile.strategy.decisions[s.index()];
-    let percentile = |c: &FunctionCall| {
-        c.output_name.contains("median")
-            || c.output_name.contains("disc")
-            || c.output_name.contains("cont")
-    };
     for (shape, frame, excluded) in frames {
         let order = if shape.starts_with("range") { "k" } else { "pos" };
         let spec = WindowSpec::new().order_by(vec![SortKey::asc(col(order))]).frame(frame);
@@ -487,19 +480,16 @@ fn every_alternate_answers_bit_identically() {
         let mst =
             q.execute_with(&table, ExecOptions::serial().force_strategy(Strategy::Mst)).unwrap();
         assert_same_columns(&oracle, &mst, &names, &format!("{shape}, forced mst"));
-        for forced in [Strategy::Incremental, Strategy::OsTree, Strategy::SegTree] {
-            for (label, opts) in
-                [("serial", ExecOptions::serial()), ("parallel", ExecOptions::default())]
-            {
-                let (out, profile) =
-                    q.execute_profiled(&table, opts.force_strategy(forced)).unwrap();
-                let label = format!("{shape}, forced {}, {label}", forced.name());
-                assert_same_columns(&oracle, &out, &names, &label);
-                for (call, decisions) in calls.iter().zip(&profile.strategy.per_call) {
-                    let serves = forced == Strategy::Incremental || percentile(call);
-                    let taken = if serves && !excluded { forced } else { Strategy::Mst };
-                    assert_eq!(decisions[taken.index()], 1, "{label}: {}", call.output_name);
-                }
+        let forced = Strategy::Incremental;
+        for (label, opts) in
+            [("serial", ExecOptions::serial()), ("parallel", ExecOptions::default())]
+        {
+            let (out, profile) = q.execute_profiled(&table, opts.force_strategy(forced)).unwrap();
+            let label = format!("{shape}, forced {}, {label}", forced.name());
+            assert_same_columns(&oracle, &out, &names, &label);
+            let taken = if excluded { Strategy::Mst } else { forced };
+            for (call, decisions) in calls.iter().zip(&profile.strategy.per_call) {
+                assert_eq!(decisions[taken.index()], 1, "{label}: {}", call.output_name);
             }
         }
         if shape == "rows, disjoint jumps" {
@@ -635,8 +625,8 @@ fn a_disjoint_jump_drains_the_window_instead_of_resetting_it() {
 /// consecutive frames are not monotone, though they are a permutation of
 /// monotone ones. COUNT(DISTINCT), the percentiles and the rank family answer
 /// bit for bit like the naive oracle under forced incremental (the counted
-/// bitset and the hash multiset, slid in frame order), forced ostree (the
-/// counted B-tree) and forced naive, serial and parallel. Adaptive, whose
+/// bitset and the hash multiset, slid in frame order) and forced naive,
+/// serial and parallel. Adaptive, whose
 /// cost model prices the frame-ordered slide, slides every call.
 #[test]
 fn jittered_frames_slide_in_frame_order_like_the_oracle() {
@@ -665,7 +655,7 @@ fn jittered_frames_slide_in_frame_order_like_the_oracle() {
     let spec = WindowSpec::new().order_by(vec![SortKey::asc(col("pos"))]).frame(frame);
     let q = WindowQuery { spec, calls: calls.clone() };
     let oracle = holistic_baselines::naive::execute(&q, &table).unwrap();
-    for forced in [Strategy::Incremental, Strategy::OsTree, Strategy::Naive] {
+    for forced in [Strategy::Incremental, Strategy::Naive] {
         for (label, opts) in
             [("serial", ExecOptions::serial()), ("parallel", ExecOptions::default())]
         {
@@ -673,10 +663,7 @@ fn jittered_frames_slide_in_frame_order_like_the_oracle() {
             let label = format!("jittered, forced {}, {label}", forced.name());
             assert_same_columns(&oracle, &out, &names, &label);
             for (call, decisions) in calls.iter().zip(&profile.strategy.per_call) {
-                let percentile = ["median", "cont"].contains(&call.output_name.as_str());
-                let taken =
-                    if forced != Strategy::OsTree || percentile { forced } else { Strategy::Mst };
-                assert_eq!(decisions[taken.index()], 1, "{label}: {}", call.output_name);
+                assert_eq!(decisions[forced.index()], 1, "{label}: {}", call.output_name);
             }
         }
     }
