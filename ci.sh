@@ -105,9 +105,10 @@ if grep -rnE "\b(CountedBTree|sorted_lists|SortedListSegTree|OrderStatisticTree|
   exit 1
 fi
 
-step "options only shrink (ExecOptions has at most 4 pub fields; CostModel no pub field and at most 7 constants)"
+step "options only shrink (ExecOptions has at most 4 pub fields; CostModel no pub field and at most 6 constants; PartitionStats at most 5 pub fields)"
 # A knob nothing sets is a constant: the merge sort tree's (f, k) and the
-# cost model's constants are not options. A field may go; none comes back.
+# cost model's constants are not options. A field may go; none comes back,
+# and neither does a statistic the cost model no longer prices.
 # `fields STRUCT FILE [pub ]` counts the fields (with `pub `, the pub ones)
 # STRUCT declares in FILE and fails when FILE declares no such struct.
 fields() {
@@ -120,9 +121,22 @@ fields() {
 exec_fields=$(fields ExecOptions crates/window/src/executor.rs "pub ")
 cost_pub=$(fields CostModel crates/window/src/strategy.rs "pub ")
 cost_constants=$(fields CostModel crates/window/src/strategy.rs)
-if ((exec_fields > 4 || cost_pub > 0 || cost_constants > 7)); then
+stats_fields=$(fields PartitionStats crates/window/src/strategy.rs "pub ")
+if ((exec_fields > 4 || cost_pub > 0 || cost_constants > 6 || stats_fields > 5)); then
   echo "ExecOptions declares $exec_fields pub fields (at most 4), CostModel $cost_pub pub" \
-    "fields (none) and $cost_constants constants (at most 7)" >&2
+    "fields (none) and $cost_constants constants (at most 6), PartitionStats" \
+    "$stats_fields pub fields (at most 5)" >&2
+  exit 1
+fi
+
+step "the chooser reads no peer groups (no peer_start or peer_end in strategy.rs outside #[cfg(test)])"
+# A ROWS frame resolves no peer groups unless an EXCLUDE GROUP / TIES hole
+# reads them: a statistic read off them would make every frame pay for them
+# again, and how often the window ORDER BY key repeats says nothing about the
+# values a call aggregates.
+if awk '/#\[cfg\(test\)\]/ { exit } /peer_(start|end)/ { print FILENAME ":" FNR ": " $0; found = 1 }
+  END { exit !found }' crates/window/src/strategy.rs; then
+  echo "crates/window/src/strategy.rs must not read peer_start or peer_end" >&2
   exit 1
 fi
 

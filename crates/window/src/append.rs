@@ -42,6 +42,9 @@
 //!
 //! Per partition the engine keeps what the splice reads and nothing else:
 //! the sorted rows, their frames, the outputs, the forests and the cursors.
+//! The frames carry peer groups where a GROUP or TIES hole reads them
+//! ([`ResolvedFrames::peer_start`]); the engine adds them itself where a
+//! peer-group rank reads them.
 //! A recompute evaluates through caches that are dropped before it returns,
 //! as the batch executor's are, so no governed byte outlives it and the
 //! hoisted key columns stay uniquely owned and extend in place.
@@ -297,6 +300,10 @@ pub struct IncrementalEngine {
     splice: Option<SpliceFrame>,
     /// True when every call has a fast plan *and* the frame is spliceable.
     all_fast: bool,
+    /// True when the splice reads a rank off the peer groups: `all_fast`,
+    /// and some call is [`FastPlan::PeerRank`]. A partition's kept frames
+    /// then carry peer groups whatever the exclusion.
+    peer_ranks: bool,
     table: Table,
     /// PARTITION BY routing; `parts[pid]` is its partition `pid`.
     partitioner: Partitioner,
@@ -333,6 +340,8 @@ impl IncrementalEngine {
             query.calls.iter().map(|c| fast_plan(&query, c, &mut forest_keys)).collect();
         let splice = splice_frame(&query.spec);
         let all_fast = splice.is_some() && fast_plans.iter().all(|p| p.is_some());
+        let peer_ranks =
+            all_fast && fast_plans.iter().flatten().any(|p| matches!(p, FastPlan::PeerRank(_)));
         let mut engine = IncrementalEngine {
             opts,
             plan,
@@ -340,6 +349,7 @@ impl IncrementalEngine {
             forest_keys,
             splice,
             all_fast,
+            peer_ranks,
             partitioner: Partitioner::new(&table, &query.spec.partition_by)?,
             query,
             table,
@@ -558,8 +568,9 @@ impl IncrementalEngine {
             return Ok(self.demote(pid));
         };
 
-        // Phase 2: splice frames and peer groups.
+        // Phase 2: splice frames and the peer groups they carry.
         let sp = self.splice.expect("fast path requires a spliceable frame");
+        let peers = self.peer_ranks || self.query.spec.frame.exclusion.reads_peers();
         let ps = &mut self.parts[pid];
         for i in m_old..m {
             let start = match sp.start {
@@ -575,16 +586,18 @@ impl IncrementalEngine {
             ps.frames.bounds.push((start, end.max(start).min(m)));
         }
         // Peer groups: the batch may extend the last old group.
-        let g0 = if m_old > 0 && wk.rows_equal(ps.rows[m_old], ps.rows[m_old - 1]) {
-            ps.frames.peer_start[m_old - 1]
-        } else {
-            m_old
-        };
-        let (start, end) = peer_bounds(wk, &ps.rows[g0..m]);
-        ps.frames.peer_start.truncate(g0);
-        ps.frames.peer_end.truncate(g0);
-        ps.frames.peer_start.extend(start.into_iter().map(|p| p + g0));
-        ps.frames.peer_end.extend(end.into_iter().map(|p| p + g0));
+        if peers {
+            let g0 = if m_old > 0 && wk.rows_equal(ps.rows[m_old], ps.rows[m_old - 1]) {
+                ps.frames.peer_start[m_old - 1]
+            } else {
+                m_old
+            };
+            let (start, end) = peer_bounds(wk, &ps.rows[g0..m]);
+            ps.frames.peer_start.truncate(g0);
+            ps.frames.peer_end.truncate(g0);
+            ps.frames.peer_start.extend(start.into_iter().map(|p| p + g0));
+            ps.frames.peer_end.extend(end.into_iter().map(|p| p + g0));
+        }
 
         // Phase 3: grow each forest once, then probe outputs for the new rows.
         for (kf, (encs, ty)) in ps.forests.iter_mut().zip(new_encs) {
@@ -673,8 +686,17 @@ impl IncrementalEngine {
         let old_index: FxHashMap<usize, usize> =
             self.parts[pid].rows[..m_old].iter().enumerate().map(|(pos, &r)| (r, pos)).collect();
         let rows = std::mem::take(&mut self.parts[pid].rows);
+        let eval = self.evaluator(wk);
+        let mut prepared = eval.prepare(rows)?;
+        // The next splice reads its peer-group ranks off the kept frames.
+        // Added before the calls run, as `resolve_frames` adds them where a
+        // hole reads them, so they never land on top of the calls' peak.
+        let frames = &mut prepared.frames;
+        if self.peer_ranks && self.parts[pid].fast_ok && !frames.exclusion.reads_peers() {
+            (frames.peer_start, frames.peer_end) = peer_bounds(wk, &prepared.rows);
+        }
         let PartitionOutput { part: Prepared { rows, frames, report, .. }, outs } =
-            self.evaluator(wk).evaluate(rows)?;
+            eval.finish(prepared)?;
         profile.artifact_bytes_built +=
             report.footprints.iter().map(|&(_, b)| b as u64).sum::<u64>();
 

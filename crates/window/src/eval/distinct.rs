@@ -39,7 +39,6 @@ use crate::value::DataType;
 use holistic_core::aggregate::{AvgF64, SumF64, SumI64};
 use holistic_core::{AnnotatedMst, DistinctAggregate, ProbeSeed, RangeSet};
 use holistic_strategies::incremental;
-use rustc_hash::FxHashSet;
 use std::borrow::Cow;
 use std::sync::Arc;
 
@@ -70,48 +69,11 @@ pub(crate) fn evaluate(
     Ok(Column::ints(counts).into())
 }
 
-/// The exclusion hole(s) of row `i`, remapped to kept space and clipped to
-/// the frame hull. Fixed-size return: this runs per output row.
-fn kept_holes(ctx: &Ctx<'_>, mask: &MaskArtifact, i: usize) -> ([(usize, usize); 2], usize) {
-    let (a, b) = ctx.frames.bounds[i];
-    let mut out = [(0usize, 0usize); 2];
-    let mut nh = 0usize;
-    for (h1, h2) in ctx.frames.holes(i).iter() {
-        let (h1, h2) = (h1.max(a).min(b), h2.max(a).min(b));
-        let (h1, h2) = mask.remap.range(h1, h2.max(h1));
-        if h1 < h2 {
-            out[nh] = (h1, h2);
-            nh += 1;
-        }
-    }
-    (out, nh)
-}
-
-/// Values that occur inside the row's holes but nowhere else in its frame.
-/// `visit` receives one kept position per such value.
-fn hole_only_values(
-    prep: &DistinctPrepArt,
-    pieces: &RangeSet,
-    holes: &[(usize, usize)],
-    mut visit: impl FnMut(usize),
-) {
-    let mut seen: FxHashSet<u64> = FxHashSet::default();
-    for &(h1, h2) in holes {
-        for p in h1..h2 {
-            let h = prep.hashes[p];
-            if !seen.insert(h) {
-                continue;
-            }
-            let occ = &prep.occurrences[&h];
-            let in_pieces = pieces.iter().any(|(lo, hi)| {
-                let idx = occ.partition_point(|&q| q < lo);
-                idx < occ.len() && occ[idx] < hi
-            });
-            if !in_pieces {
-                visit(p);
-            }
-        }
-    }
+/// Kept position `k`'s value as a [`Ctx::hole_only_ids`] id: its hash, with
+/// the hash's kept positions.
+fn value_id(prep: &DistinctPrepArt, k: usize) -> Option<(u64, &[usize])> {
+    let h = prep.hashes[k];
+    Some((h, &prep.occurrences[&h]))
 }
 
 /// COUNT(DISTINCT): the entries of the frame hull's previous-occurrence
@@ -135,10 +97,8 @@ fn count(
                 return Ok(base as i64);
             }
             // Hole-only corrections never touch the index.
-            let pieces = mask.remap.range_set(&ctx.frames.range_set(i));
-            let (holes, nh) = kept_holes(ctx, mask, i);
             let mut correction = 0usize;
-            hole_only_values(prep, &pieces, &holes[..nh], |_| correction += 1);
+            ctx.hole_only_ids(&mask.remap, i, |k| value_id(prep, k), |_| correction += 1);
             Ok((base - correction) as i64)
         },
     )
@@ -272,14 +232,17 @@ where
         if !ctx.frames.has_exclusion() {
             return Ok(finish(state, (A::identity(), counted)));
         }
-        let pieces = mask.remap.range_set(&ctx.frames.range_set(i));
-        let (holes, nh) = kept_holes(ctx, mask, i);
         let mut corr = A::identity();
         let mut removed = 0usize;
-        hole_only_values(prep, &pieces, &holes[..nh], |p| {
-            corr = A::combine(corr, A::lift(payload_of(p)));
-            removed += 1;
-        });
+        ctx.hole_only_ids(
+            &mask.remap,
+            i,
+            |k| value_id(prep, k),
+            |k| {
+                corr = A::combine(corr, A::lift(payload_of(k)));
+                removed += 1;
+            },
+        );
         Ok(finish(state, (corr, counted - removed)))
     })
 }

@@ -31,6 +31,7 @@ use crate::error::{Error, Result};
 use crate::executor::AtomicProbeKernel;
 use crate::frame::ResolvedFrames;
 use crate::plan::CallPlan;
+use crate::remap::Remap;
 use crate::spec::{FuncKind, FunctionCall};
 use crate::strategy::Strategy;
 use crate::table::Table;
@@ -39,6 +40,8 @@ use holistic_core::RangeSet;
 use holistic_strategies::incremental::{in_frame_order, SlideOrder};
 use pipeline::HoistedKeys;
 use primitive::{CountBelow, Select};
+use rustc_hash::FxHashSet;
+use std::hash::Hash;
 use std::sync::{Arc, OnceLock};
 
 /// Rows per block handed to the MST block kernels. Large enough to keep
@@ -117,6 +120,42 @@ impl<'a> Ctx<'a> {
             SlideOrder::Rows(0..n)
         } else {
             in_frame_order(n, |k| self.frames.bounds[base + k])
+        }
+    }
+
+    /// The exclusion correction (§4.7) of the families that count distinct
+    /// ids over a frame's hull — values by their hash (COUNT / SUM / AVG
+    /// DISTINCT), smaller-key tie groups (DENSE_RANK): `visit` gets one kept
+    /// position of every id that sits in row `i`'s holes and nowhere else in
+    /// its frame, whose hull count holds it once too often. `id(k)` is kept
+    /// position `k`'s id with the id's kept positions in ascending order, or
+    /// `None` for a position the count leaves out. O(hole · log n) per row.
+    pub fn hole_only_ids<'o, K: Eq + Hash>(
+        &self,
+        remap: &Remap,
+        i: usize,
+        id: impl Fn(usize) -> Option<(K, &'o [usize])>,
+        mut visit: impl FnMut(usize),
+    ) {
+        let (a, b) = self.frames.bounds[i];
+        let pieces = remap.range_set(&self.frames.range_set(i));
+        let mut seen = FxHashSet::default();
+        for (h1, h2) in self.frames.holes(i).iter() {
+            let (h1, h2) = (h1.max(a).min(b), h2.max(a).min(b));
+            let (h1, h2) = remap.range(h1, h2.max(h1));
+            for k in h1..h2 {
+                let Some((id, occ)) = id(k) else { continue };
+                if !seen.insert(id) {
+                    continue;
+                }
+                let in_pieces = pieces.iter().any(|(lo, hi)| {
+                    let idx = occ.partition_point(|&q| q < lo);
+                    idx < occ.len() && occ[idx] < hi
+                });
+                if !in_pieces {
+                    visit(k);
+                }
+            }
         }
     }
 
@@ -320,14 +359,14 @@ pub(crate) fn probe_blocks<Q, R: Copy + Default, S, T>(
     Ok(())
 }
 
-/// Runs `f` on the context of one segment whose frames are `bounds`, each
-/// row its own peer group, with no table, cache or parallelism, and frames
-/// not known to be monotonic.
+/// Runs `f` on the context of one segment whose frames are `bounds`, with no
+/// exclusion (so no peer groups), table, cache or parallelism, and frames not
+/// known to be monotonic.
 #[cfg(test)]
 pub(crate) fn with_frames<R>(bounds: Vec<(usize, usize)>, f: impl FnOnce(&Ctx<'_>) -> R) -> R {
     let m = bounds.len();
     let exclusion = crate::frame::FrameExclusion::NoOthers;
-    let (peer_start, peer_end) = ((0..m).collect(), (1..=m).collect());
+    let (peer_start, peer_end) = (Vec::new(), Vec::new());
     let frames = ResolvedFrames { bounds, exclusion, peer_start, peer_end };
     let (table, rows) = (Table::empty(), (0..m).collect::<Vec<_>>());
     let (hoisted, kernel) = (HoistedKeys::default(), AtomicProbeKernel::default());

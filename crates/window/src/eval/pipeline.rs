@@ -8,10 +8,11 @@
 //! calls. A naive call never runs per partition: [`PartitionEval::evaluate_naive`]
 //! evaluates it once over a [`SegmentBatch`] — one of the batch executor's
 //! batches of partitions whose calls all chose naive, or one partition as a
-//! batch of one segment. The append engine calls [`PartitionEval::evaluate`]
-//! for every partition it recomputes, and [`PartitionEval::choose`] when
-//! asked for its strategy decisions. Query-level key hoisting, which both run
-//! in front of it, is [`hoist_keys`].
+//! batch of one segment. The append engine calls [`PartitionEval::prepare`]
+//! and [`PartitionEval::finish`] for every partition it recomputes, and
+//! [`PartitionEval::choose`] when asked for its strategy decisions.
+//! Query-level key hoisting, which both run in front of it, is
+//! [`hoist_keys`].
 
 use crate::artifacts::{governed_floor, ArtifactCache, ArtifactKey, BudgetGovernor};
 use crate::column::Outputs;
@@ -123,14 +124,14 @@ impl SegmentBatch {
     }
 
     /// Appends a prepared partition's rows and frames as the next segment.
-    /// The peer bounds are copied only under an exclusion clause, their one
-    /// reader.
+    /// The peer bounds are copied exactly when the exclusion's holes read
+    /// them, as [`resolve_frames`] keeps them.
     pub fn push(&mut self, Prepared { rows, frames, monotonic, .. }: &Prepared) {
         self.monotonic &= monotonic;
         let base = self.rows.len();
         self.rows.extend_from_slice(rows);
         self.frames.bounds.extend(frames.bounds.iter().map(|&(a, b)| (a + base, b + base)));
-        if frames.has_exclusion() {
+        if frames.exclusion.reads_peers() {
             self.frames.peer_start.extend(frames.peer_start.iter().map(|&p| p + base));
             self.frames.peer_end.extend(frames.peer_end.iter().map(|&p| p + base));
         }
@@ -234,7 +235,7 @@ impl PartitionEval<'_> {
     /// configuration, and the append engine against a from-scratch run, makes
     /// identical choices.
     pub fn choose(plan: &QueryPlan, opts: ExecOptions, stats: &PartitionStats) -> Vec<Strategy> {
-        // Under a budget, surcharge the MST's cost terms by how hard this
+        // Under a budget, surcharge the MST's cost term by how hard this
         // partition's tree would press on it (spill writes + re-faults the
         // base model doesn't price), and pass over a strategy whose
         // governed bytes surely exceed the budget while naive, which charges
@@ -242,7 +243,11 @@ impl PartitionEval<'_> {
         let tree_bytes = |n| {
             (holistic_core::mst_arena_len(n, tree_params(opts.parallel)) * size_of::<u32>()) as u64
         };
-        let model = CostModel::default().under_memory_pressure(tree_bytes(stats.m), opts.budget);
+        // With no budget there is no pressure, and no tree to size.
+        let model = match opts.budget {
+            None => CostModel::default(),
+            budget => CostModel::default().under_memory_pressure(tree_bytes(stats.m), budget),
+        };
         plan.calls
             .iter()
             .map(|cp| {
@@ -302,11 +307,6 @@ impl PartitionEval<'_> {
         let choices = Self::choose(self.plan, self.opts, &stats);
         report.build = build_start.elapsed();
         Ok(Prepared { rows, frames, monotonic: stats.monotonic, choices, report })
-    }
-
-    /// [`Self::prepare`], then [`Self::finish`].
-    pub fn evaluate(&self, rows: Vec<usize>) -> Result<PartitionOutput> {
-        self.finish(self.prepare(rows)?)
     }
 
     /// Evaluates every call of a prepared partition. A naive call runs

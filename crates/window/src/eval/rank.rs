@@ -32,7 +32,6 @@ use crate::strategy::Strategy;
 use crate::value::Value;
 use holistic_core::codes::DenseCodes;
 use holistic_core::RangeSet;
-use rustc_hash::FxHashSet;
 use std::cmp::Ordering;
 use std::sync::Arc;
 
@@ -240,35 +239,12 @@ fn probe_dense_rank<C: Count3d>(
         }
         // Correct for smaller-key groups whose only frame occurrences sit in
         // the exclusion hole.
-        let pieces = prep.kept_pieces(ctx, i);
-        let mut holes = [(0usize, 0usize); 2];
-        let mut nh = 0usize;
-        for (h1, h2) in ctx.frames.holes(i).iter() {
-            let (h1, h2) = (h1.max(a).min(b), h2.max(a).min(b));
-            let (h1, h2) = prep.mask.remap.range(h1, h2.max(h1));
-            if h1 < h2 {
-                holes[nh] = (h1, h2);
-                nh += 1;
-            }
-        }
-        let mut seen: FxHashSet<usize> = FxHashSet::default();
         let mut correction = 0usize;
-        for &(h1, h2) in &holes[..nh] {
-            for p in h1..h2 {
-                let g = prep.dc.group_id[p];
-                if g >= gcount || !seen.insert(g) {
-                    continue;
-                }
-                let occ = &art.occurrences[g];
-                let in_pieces = pieces.iter().any(|(lo, hi)| {
-                    let idx = occ.partition_point(|&q| q < lo);
-                    idx < occ.len() && occ[idx] < hi
-                });
-                if !in_pieces {
-                    correction += 1;
-                }
-            }
-        }
+        let group = |k: usize| {
+            let g = prep.dc.group_id[k];
+            (g < gcount).then(|| (g, art.occurrences[g].as_slice()))
+        };
+        ctx.hole_only_ids(&prep.mask.remap, i, group, |_| correction += 1);
         Ok((base - correction + 1) as i64)
     })?;
     Ok(Column::ints(ranks))

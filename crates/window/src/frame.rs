@@ -71,6 +71,14 @@ pub enum FrameExclusion {
     Ties,
 }
 
+impl FrameExclusion {
+    /// The holes are cut from the current row's peer group (GROUP, TIES),
+    /// so the resolved frames carry their peer bounds.
+    pub fn reads_peers(self) -> bool {
+        matches!(self, FrameExclusion::Group | FrameExclusion::Ties)
+    }
+}
+
 /// A complete frame clause.
 #[derive(Debug, Clone)]
 pub struct FrameSpec {
@@ -130,7 +138,10 @@ pub struct ResolvedFrames {
     pub bounds: Vec<(usize, usize)>,
     /// Exclusion clause in force.
     pub exclusion: FrameExclusion,
-    /// Peer group start per position (under the window ORDER BY).
+    /// Peer group start per position (under the window ORDER BY). Invariant:
+    /// [`resolve_frames`] fills this and `peer_end` exactly when the
+    /// exclusion's holes read them ([`FrameExclusion::reads_peers`]) and
+    /// leaves both empty otherwise, RANGE and GROUPS frames included.
     pub peer_start: Vec<usize>,
     /// Peer group end (exclusive) per position.
     pub peer_end: Vec<usize>,
@@ -167,6 +178,10 @@ impl Holes {
 impl ResolvedFrames {
     /// The exclusion holes of row `i` (positions to drop from its frame).
     pub fn holes(&self, i: usize) -> Holes {
+        debug_assert!(
+            !self.exclusion.reads_peers() || self.peer_end.len() == self.bounds.len(),
+            "EXCLUDE GROUP / TIES frames carry their peer bounds"
+        );
         let mut h = Holes::default();
         match self.exclusion {
             FrameExclusion::NoOthers => {}
@@ -518,10 +533,14 @@ fn walk(
 /// Resolves all frames of a sorted partition.
 ///
 /// `rows` maps partition positions to table rows *in window order*; `keys`
-/// are the window ORDER BY keys: every mode reads them for peers, and only a
-/// RANGE offset bound reads their values, which is where SQL's restriction to
-/// one numeric key applies. A literal offset is validated once per call;
-/// any other offset expression runs through the block VM in one
+/// are the window ORDER BY keys: RANGE and GROUPS bounds and the GROUP and
+/// TIES exclusions read them for peers, and only a RANGE offset bound reads
+/// their values, which is where SQL's restriction to one numeric key
+/// applies. A ROWS frame is positional and resolves no peer group unless its
+/// exclusion reads them; the peers a RANGE or GROUPS bound read are dropped
+/// on return unless the exclusion reads them too
+/// ([`ResolvedFrames::peer_start`]). A literal offset is validated once per
+/// call; any other offset expression runs through the block VM in one
 /// whole-partition batch (interpreter-identical results), falling back to
 /// the per-row interpreter when the batch fails so errors keep the canonical
 /// row order. An empty partition has no row to fail at.
@@ -532,7 +551,11 @@ pub fn resolve_frames(
     spec: &FrameSpec,
 ) -> Result<ResolvedFrames> {
     let m = rows.len();
-    let (peer_start, peer_end) = peer_bounds(keys, rows);
+    let (peer_start, peer_end) = if spec.mode != FrameMode::Rows || spec.exclusion.reads_peers() {
+        peer_bounds(keys, rows)
+    } else {
+        Default::default()
+    };
     let mut start = Bound::bind(&spec.start, table)?;
     let mut end = Bound::bind(&spec.end, table)?;
 
@@ -566,6 +589,8 @@ pub fn resolve_frames(
         bounds.len() == m && bounds.iter().all(|&(a, b)| a <= b && b <= m),
         "resolved frames must satisfy start <= end <= m"
     );
+    let (peer_start, peer_end) =
+        if spec.exclusion.reads_peers() { (peer_start, peer_end) } else { Default::default() };
     Ok(ResolvedFrames { bounds, exclusion: spec.exclusion, peer_start, peer_end })
 }
 
@@ -694,6 +719,31 @@ mod tests {
         let spec = FrameSpec::whole_partition().exclude(FrameExclusion::CurrentRow);
         let rf = resolve_frames(&t, &rows, &keys, &spec).unwrap();
         assert_eq!(rf.range_set(0).iter().collect::<Vec<_>>(), vec![(1, 4)]);
+    }
+
+    #[test]
+    fn peers_are_kept_only_where_a_hole_reads_them() {
+        use FrameExclusion::*;
+        let (t, rows, keys) = setup(vec![5, 5, 7, 9, 9, 9]);
+        let (peer_start, peer_end) = peer_bounds(&keys, &rows);
+        let specs = [
+            FrameSpec::whole_partition(),
+            FrameSpec::range(FrameBound::Preceding(lit(2i64)), FrameBound::CurrentRow),
+            FrameSpec::groups(FrameBound::Preceding(lit(1i64)), FrameBound::CurrentRow),
+        ];
+        for spec in specs {
+            for exclusion in [NoOthers, CurrentRow, Group, Ties] {
+                let spec = spec.clone().exclude(exclusion);
+                let rf = resolve_frames(&t, &rows, &keys, &spec).unwrap();
+                let what = format!("{:?} EXCLUDE {exclusion:?}", spec.mode);
+                if matches!(exclusion, Group | Ties) {
+                    assert_eq!((&rf.peer_start, &rf.peer_end), (&peer_start, &peer_end), "{what}");
+                } else {
+                    assert!(rf.peer_start.is_empty() && rf.peer_end.is_empty(), "{what}");
+                    assert_eq!(rf.peer_start.capacity() + rf.peer_end.capacity(), 0, "{what}");
+                }
+            }
+        }
     }
 
     #[test]

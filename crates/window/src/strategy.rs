@@ -215,11 +215,6 @@ pub struct PartitionStats {
     /// The frame has an exclusion clause (the hull-based sliding window
     /// doesn't apply).
     pub has_exclusion: bool,
-    /// Distinct window ORDER BY keys: the number of peer groups
-    /// (`peer_start[i] == i`). A free O(m) duplication estimate — heavy key
-    /// duplication predicts cheap hash upkeep for COUNT DISTINCT / MODE
-    /// scans, distinct-heavy data the opposite.
-    pub distinct_keys: usize,
 }
 
 impl PartitionStats {
@@ -231,15 +226,14 @@ impl PartitionStats {
         let m = bounds.len();
         // An exact integer sum, divided once: no float drift at any size.
         let mut sum_width = 0u128;
-        let (mut total_slide, mut monotonic, mut distinct_keys) = (0u64, true, 0usize);
+        let (mut total_slide, mut monotonic) = (0u64, true);
         let mut prev = None;
-        for (i, &(a, b)) in bounds.iter().enumerate() {
+        for &(a, b) in bounds {
             sum_width += (b - a) as u128;
             if let Some((pa, pb)) = prev {
                 total_slide += a.abs_diff(pa) as u64 + b.abs_diff(pb) as u64;
                 monotonic &= a >= pa && b >= pb;
             }
-            distinct_keys += usize::from(frames.peer_start[i] == i);
             prev = Some((a, b));
         }
         // Monotonic frames are visited as they come; others in frame order.
@@ -258,17 +252,6 @@ impl PartitionStats {
             total_slide,
             monotonic,
             has_exclusion: frames.has_exclusion(),
-            distinct_keys,
-        }
-    }
-
-    /// `distinct_keys / m` in `[0, 1]`; 1.0 on empty partitions (the
-    /// conservative all-distinct assumption).
-    pub fn distinct_ratio(&self) -> f64 {
-        if self.m == 0 {
-            1.0
-        } else {
-            self.distinct_keys as f64 / self.m as f64
         }
     }
 }
@@ -295,10 +278,8 @@ pub struct CostModel {
     /// removal from the counted bitset (`O(log m)`, no frame-width term), or
     /// hash multiset upkeep for COUNT DISTINCT.
     incr_update: f64,
-    /// Merge sort tree: per element per level at build.
-    mst_build_cell: f64,
-    /// Merge sort tree: per probe, scaled by `log(m)`.
-    mst_probe: f64,
+    /// Merge sort tree: per row per level, its build and its probe together.
+    mst_cell: f64,
 }
 
 impl Default for CostModel {
@@ -311,14 +292,13 @@ impl Default for CostModel {
             naive_cell: 1.3,
             incr_row: 45.0,
             incr_update: 14.0,
-            mst_build_cell: 19.0,
-            mst_probe: 24.0,
+            mst_cell: 43.0,
         }
     }
 }
 
 impl CostModel {
-    /// A copy of this model with the MST terms surcharged for memory
+    /// A copy of this model with the MST term surcharged for memory
     /// pressure: a partition whose estimated tree footprint crowds the
     /// budget pays spill writes at build and re-faults at probe, neither of
     /// which the base constants price. The multiplier is
@@ -331,12 +311,7 @@ impl CostModel {
         est_tree_bytes: u64,
         budget: Option<u64>,
     ) -> CostModel {
-        let penalty = mst_pressure_penalty(est_tree_bytes, budget);
-        CostModel {
-            mst_build_cell: self.mst_build_cell * penalty,
-            mst_probe: self.mst_probe * penalty,
-            ..self
-        }
+        CostModel { mst_cell: self.mst_cell * mst_pressure_penalty(est_tree_bytes, budget), ..self }
     }
 
     /// Estimated cost (ns) of evaluating one call of `class` over a
@@ -356,35 +331,20 @@ impl CostModel {
                 let cell = match class {
                     // Per-row gather + sort of the frame's codes.
                     CallClass::Percentile => self.naive_cell * lg_f * 2.0,
-                    // Per-cell hash-map upkeep: inserts of *new* keys (misses,
-                    // rehashing, map growth) dominate hits on already-present
-                    // ones, so the per-cell charge scales with the partition's
-                    // distinct-key ratio. All-distinct data recovers the old
-                    // flat 4× constant; heavy duplication keeps naive scans
-                    // competitive far longer.
-                    CallClass::CountDistinct | CallClass::Mode => {
-                        self.naive_cell * (1.0 + 3.0 * stats.distinct_ratio())
-                    }
+                    // Per-cell hash-map upkeep, priced as if every value were
+                    // new: the frame's values are not what the stats read.
+                    CallClass::CountDistinct | CallClass::Mode => self.naive_cell * 4.0,
                     _ => self.naive_cell,
                 };
                 m * self.naive_row + m * f * cell
             }
-            Strategy::Incremental => {
-                let per_update = if class == CallClass::CountDistinct {
-                    // Hash-multiset slide: duplicated keys mostly bump counts
-                    // (cheap); distinct-heavy data inserts/evicts entries.
-                    self.incr_update * (0.25 + 0.75 * stats.distinct_ratio())
-                } else {
-                    // A counted-bitset insert or removal: whatever the frame's
-                    // width, so the slide alone prices it.
-                    self.incr_update
-                };
-                m * self.incr_row + slide * per_update
-            }
+            // A counted-bitset insert or removal, or a hash multiset's:
+            // whatever the frame's width, so the slide alone prices it.
+            Strategy::Incremental => m * self.incr_row + slide * self.incr_update,
             Strategy::OsTree | Strategy::SegTree => {
                 unreachable!("retired strategies apply nowhere")
             }
-            Strategy::Mst => m * self.mst_build_cell * lg_m + m * self.mst_probe * lg_m,
+            Strategy::Mst => m * self.mst_cell * lg_m,
         }
     }
 }
@@ -395,7 +355,7 @@ impl CostModel {
 /// win on a huge partition where every alternative is asymptotically worse.
 const MAX_PRESSURE_PENALTY: f64 = 8.0;
 
-/// Multiplier for the MST build/probe cost terms of a partition whose tree
+/// Multiplier for the MST cost term of a partition whose tree
 /// is estimated at `estimated_bytes` under an optional `budget`. The base
 /// model prices a tree as if its whole arena stays resident; a tree that
 /// exceeds its share of the budget is built out-of-core and/or parked and
@@ -507,14 +467,7 @@ mod tests {
     use super::*;
 
     fn stats(m: usize, avg_frame: f64, total_slide: u64) -> PartitionStats {
-        PartitionStats {
-            m,
-            avg_frame,
-            total_slide,
-            monotonic: true,
-            has_exclusion: false,
-            distinct_keys: m,
-        }
+        PartitionStats { m, avg_frame, total_slide, monotonic: true, has_exclusion: false }
     }
 
     #[test]
@@ -663,8 +616,8 @@ mod tests {
         let frames = ResolvedFrames {
             bounds: vec![(2, 5), (0, 2), (1, 4), (0, 3)],
             exclusion: FrameExclusion::NoOthers,
-            peer_start: vec![0, 1, 2, 3],
-            peer_end: vec![1, 2, 3, 4],
+            peer_start: Vec::new(),
+            peer_end: Vec::new(),
         };
         let s = PartitionStats::from_frames(&frames);
         assert_eq!(s.m, 4);
@@ -674,42 +627,17 @@ mod tests {
         assert!(!s.monotonic);
         assert!((s.avg_frame - 11.0 / 4.0).abs() < 1e-12);
         assert!(!s.has_exclusion);
-        assert_eq!(s.distinct_keys, 4);
         // Sorted by (start, end) with an end moving back: frame order is row
         // order, and the frames are not monotonic.
         for (bounds, monotonic) in
             [(vec![(0, 1), (0, 3), (1, 3)], true), (vec![(0, 3), (1, 2)], false)]
         {
-            let m = bounds.len();
-            let (peer_start, peer_end) = ((0..m).collect(), (1..=m).collect());
+            let (peer_start, peer_end) = (Vec::new(), Vec::new());
             let exclusion = FrameExclusion::NoOthers;
             let frames = ResolvedFrames { bounds, exclusion, peer_start, peer_end };
             let s = PartitionStats::from_frames(&frames);
             assert_eq!((s.total_slide, s.monotonic), (if monotonic { 3 } else { 2 }, monotonic));
         }
-    }
-
-    #[test]
-    fn duplication_favors_naive_and_incremental_count_distinct() {
-        // Same geometry, two duplication profiles: all-distinct vs. 1% keys.
-        let model = CostModel::default();
-        let all_distinct = stats(100_000, 200.0, 400_000);
-        let mut duplicated = all_distinct;
-        duplicated.distinct_keys = 1_000;
-        for s in [Strategy::Naive, Strategy::Incremental] {
-            let hi = model.cost(s, CallClass::CountDistinct, &all_distinct);
-            let lo = model.cost(s, CallClass::CountDistinct, &duplicated);
-            assert!(
-                lo < hi,
-                "{s:?}: duplication should lower the COUNT DISTINCT estimate ({lo} vs {hi})"
-            );
-        }
-        // All-distinct data recovers the old flat constants exactly.
-        let flat = model.naive_cell * 4.0;
-        let m = all_distinct.m as f64;
-        let expect = m * model.naive_row + m * all_distinct.avg_frame * flat;
-        let got = model.cost(Strategy::Naive, CallClass::CountDistinct, &all_distinct);
-        assert!((got - expect).abs() < 1e-6);
     }
 
     #[test]

@@ -195,6 +195,40 @@ fn window_order_ranks_splice_without_a_forest() {
     }
 }
 
+/// A window-order rank over a ROWS frame with no GROUP or TIES hole: its
+/// resolved frames carry no peer groups, so the engine keeps its own. A
+/// mid-stream insert recomputes the partition, and the end-append after it
+/// splices, reading its ranks off the peer groups the recompute left — the
+/// first new row tying the last old group, so the splice extends that group.
+#[test]
+fn window_order_rank_splices_after_a_recompute() {
+    let table = |t: &[i64]| {
+        let v = t.iter().map(|t| t * 7 % 5).collect();
+        Table::new(vec![("t", Column::ints(t.to_vec())), ("v", Column::ints(v))]).unwrap()
+    };
+    let base = table(&(0..60).map(|i| i / 3).collect::<Vec<_>>());
+    let (insert, append) = (table(&[4, 4, 11, 0]), table(&[19, 19, 20, 21, 21, 21]));
+    let q = WindowQuery::over(
+        WindowSpec::new()
+            .order_by(vec![SortKey::asc(col("t"))])
+            .frame(FrameSpec::rows(FrameBound::Preceding(lit(3i64)), FrameBound::CurrentRow)),
+    )
+    .call(FunctionCall::rank(vec![]).named("r"))
+    .call(FunctionCall::percent_rank(vec![]).named("pr"))
+    .call(FunctionCall::cume_dist(vec![]).named("cd"))
+    .call(FunctionCall::count_star().named("c"));
+    for opts in ExecOptions::all_configs() {
+        let mut engine = q.begin_incremental(&base, opts).unwrap();
+        let p = engine.append(&insert).unwrap().profile;
+        assert_eq!((p.recomputed_partitions, p.spliced_partitions), (1, 0), "{opts:?}");
+        let p = engine.append(&append).unwrap().profile;
+        assert_eq!((p.recomputed_partitions, p.spliced_partitions), (0, 1), "{opts:?}");
+        assert_eq!(p.peer_rank_outputs, 3 * append.num_rows());
+        let expected = q.execute_with(engine.table(), opts).unwrap();
+        tables_bit_identical(&engine.output_table().unwrap(), &expected);
+    }
+}
+
 /// Calls share a partition's forest exactly when their canonical ORDER BY
 /// keys are equal: the three over `v ASC` probe one forest, the one over
 /// `v DESC` (whose encoding is reversed) gets its own.

@@ -3,7 +3,7 @@
 
 use holistic_core::RangeSet;
 use holistic_window::frame::{resolve_frames, FrameBound, FrameExclusion, FrameMode, FrameSpec};
-use holistic_window::order::{sort_permutation, KeyColumns, SortKey};
+use holistic_window::order::{peer_bounds, sort_permutation, KeyColumns, SortKey};
 use holistic_window::partition::{partition_rows, Partitioner};
 use holistic_window::remap::Remap;
 use holistic_window::{col, lit, Column, Expr, Table, Value};
@@ -390,12 +390,13 @@ proptest! {
         ][which];
         let spec = FrameSpec::whole_partition().exclude(excl);
         let rf = resolve_frames(&t, &rows, &kc, &spec).unwrap();
+        let (peer_start, peer_end) = peer_bounds(&kc, &rows);
         for i in 0..n {
             let rs = rf.range_set(i);
             prop_assert!(rs.len() <= 3);
             // Expected membership per position.
             for p in 0..n {
-                let peers = rf.peer_start[i] <= p && p < rf.peer_end[i];
+                let peers = peer_start[i] <= p && p < peer_end[i];
                 let expected = match excl {
                     FrameExclusion::NoOthers => true,
                     FrameExclusion::CurrentRow => p != i,
@@ -621,8 +622,7 @@ proptest! {
         let rf = resolve_frames(&t, &rows, &packed, &spec).unwrap();
         let by_values = resolve_frames(&t, &rows, &values, &spec).unwrap();
         prop_assert_eq!(&rf.bounds, &by_values.bounds, "packed and `Value` keys under {:?}", spec);
-        prop_assert_eq!(&rf.peer_start, &by_values.peer_start);
-        prop_assert_eq!(&rf.peer_end, &by_values.peer_end);
+        prop_assert_eq!(peer_bounds(&packed, &rows), peer_bounds(&values, &rows));
 
         let sorted_keys = rows.iter().map(|&r| keys[r].clone()).collect();
         let sorted = SortedKeys::new(sorted_keys, mode, desc, nulls_first);

@@ -140,3 +140,51 @@ fn tiny_partitions_with_exclusion() {
         }
     }
 }
+
+/// About 1 500 partitions of 1–7 rows under ROWS frames with EXCLUDE GROUP
+/// and EXCLUDE TIES: every partition is tiny, so every call runs naive over
+/// one batch of the concatenated partitions (6 000 rows), and each
+/// partition's peer groups — which a ROWS frame keeps only for these holes —
+/// must reach its segment of the batch shifted to the segment's start.
+#[test]
+fn peer_holes_of_tiny_partitions_in_one_naive_batch() {
+    let mut rng = StdRng::seed_from_u64(4);
+    let (mut g, mut k, mut v) = (Vec::new(), Vec::new(), Vec::new());
+    let mut partitions = 0u64;
+    while g.len() < 6_000 {
+        for _ in 0..rng.gen_range(1..=7) {
+            g.push(partitions as i64);
+            k.push(rng.gen_range(0..3i64)); // peer groups of 1 to 7 rows
+            v.push(rng.gen_range(0..4i64));
+        }
+        partitions += 1;
+    }
+    let t =
+        Table::new(vec![("g", Column::ints(g)), ("k", Column::ints(k)), ("v", Column::ints(v))])
+            .unwrap();
+    // SUM / AVG DISTINCT run on the tree only, so they would take their
+    // partitions out of the batch.
+    let mut calls: Vec<FunctionCall> = distinct_calls()
+        .into_iter()
+        .filter(|c| !(c.distinct && matches!(c.kind, FuncKind::Sum | FuncKind::Avg)))
+        .collect();
+    calls.extend([
+        FunctionCall::count_star().named("n"),
+        FunctionCall::median(col("v")).named("med"),
+        FunctionCall::rank(vec![SortKey::asc(col("v"))]).named("rk"),
+        FunctionCall::first_value(col("v")).named("fv"),
+    ]);
+    for excl in [FrameExclusion::Group, FrameExclusion::Ties] {
+        let frame =
+            FrameSpec::rows(FrameBound::Preceding(lit(2i64)), FrameBound::Following(lit(3i64)))
+                .exclude(excl);
+        let spec = WindowSpec::new()
+            .partition_by(vec![col("g")])
+            .order_by(vec![SortKey::asc(col("k"))])
+            .frame(frame);
+        let q = WindowQuery { spec: spec.clone(), calls: calls.clone() };
+        let (_, profile) = q.execute_profiled(&t, ExecOptions::serial()).unwrap();
+        assert_eq!(profile.strategy.cacheless_partitions, partitions, "{excl:?}");
+        check(&t, spec, calls.clone());
+    }
+}
