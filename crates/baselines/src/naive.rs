@@ -6,8 +6,8 @@
 //! engine (only the frame plumbing, which both sides need to agree on by
 //! construction). Partitioning and ordering are the oracle's own: it
 //! evaluates the key values itself and compares them with `sql_cmp`, so a
-//! fault in the engine's partitioner, its hashes or its normalized integer
-//! keys cannot cancel out; frame resolution gets the engine's
+//! fault in the engine's partitioner, its value dictionary or its normalized
+//! integer keys cannot cancel out; frame resolution gets the engine's
 //! comparator-form key columns, never the normalized ones.
 
 use holistic_window::error::Result;
@@ -34,6 +34,16 @@ pub fn outputs(query: &WindowQuery, table: &Table) -> Result<Vec<Vec<Value>>> {
     let partitions = partitions(table, &query.spec.partition_by)?;
     let window_keys = OracleKeys::evaluate(table, &query.spec.order_by)?;
     let frame_keys = KeyColumns::evaluate_comparator(table, &query.spec.order_by)?;
+    // Each call's ranking criterion over the whole table, evaluated once per
+    // call: its inner ORDER BY, or else (as in the engine) the window's.
+    let call_keys = query
+        .calls
+        .iter()
+        .map(|call| {
+            let inner = !call.inner_order.is_empty();
+            inner.then(|| OracleKeys::evaluate(table, &call.inner_order)).transpose()
+        })
+        .collect::<Result<Vec<_>>>()?;
 
     let mut out_values: Vec<Vec<Value>> =
         query.calls.iter().map(|_| vec![Value::Null; n]).collect();
@@ -42,7 +52,8 @@ pub fn outputs(query: &WindowQuery, table: &Table) -> Result<Vec<Vec<Value>>> {
         rows.sort_by(|&a, &b| window_keys.cmp_rows(a, b).then(a.cmp(&b)));
         let frames = resolve_frames(table, &rows, &frame_keys, &query.spec.frame)?;
         for (ci, call) in query.calls.iter().enumerate() {
-            let vals = eval_call(table, &rows, &frames, &window_keys, call)?;
+            let keys = call_keys[ci].as_ref().unwrap_or(&window_keys);
+            let vals = eval_call(table, &rows, &frames, keys, call)?;
             for (pos, &row) in rows.iter().enumerate() {
                 out_values[ci][row] = vals[pos].clone();
             }
@@ -87,7 +98,7 @@ fn partitions(table: &Table, partition_by: &[Expr]) -> Result<Vec<Vec<usize>>> {
 
 /// True the first time `v` is offered: DISTINCT's equality is `sql_cmp`'s,
 /// and `seen` is kept sorted by it. The oracle deduplicates on the values
-/// themselves, never on the engine's hashes, so a fault in those cannot
+/// themselves, never on the engine's value ids, so a fault in those cannot
 /// cancel out.
 fn first_sight<'a>(seen: &mut Vec<&'a Value>, v: &'a Value) -> bool {
     match seen.binary_search_by(|s| s.sql_cmp(v)) {
@@ -187,7 +198,7 @@ fn eval_call(
     table: &Table,
     rows: &[usize],
     frames: &ResolvedFrames,
-    window_keys: &OracleKeys,
+    keys: &OracleKeys,
     call: &FunctionCall,
 ) -> Result<Vec<Value>> {
     let m = rows.len();
@@ -207,15 +218,6 @@ fn eval_call(
     let key0: Vec<Value> = match call.inner_order.first() {
         Some(k) => per_row(&k.expr.bind(table)?)?,
         None => Vec::new(),
-    };
-    // Rank functions with no inner order fall back to the window ORDER BY as
-    // their ranking criterion, matching the engine.
-    let inner_keys_owned;
-    let keys: &OracleKeys = if call.inner_order.is_empty() {
-        window_keys
-    } else {
-        inner_keys_owned = OracleKeys::evaluate(table, &call.inner_order)?;
-        &inner_keys_owned
     };
     let ctx = NaiveCtx {
         table,
@@ -293,7 +295,7 @@ fn eval_row(ctx: &NaiveCtx<'_>, call: &FunctionCall, i: usize) -> Result<Value> 
             }
             Ok(if call.kind == Avg {
                 // All-integer frames divide the exact sum: one rounding.
-                let sum = if any_float || call.distinct { sum_f } else { sum_i as f64 };
+                let sum = if any_float { sum_f } else { sum_i as f64 };
                 Value::Float(sum / cnt as f64)
             } else if any_float {
                 Value::Float(sum_f)

@@ -71,6 +71,6 @@ pub use mst::{
     ProbeSeed,
 };
 pub use params::MstParams;
-pub use prev_idcs::{prev_idcs_by_key, prev_idcs_u64};
+pub use prev_idcs::{prev_idcs_by_key, prev_idcs_dense, prev_idcs_u64};
 pub use range_set::RangeSet;
 pub use stats::{paper_element_estimate, MstStats};

@@ -9,6 +9,12 @@
 //! entries in `prev_idcs[a..b]` that are `< a + 1` (each distinct value is
 //! counted exactly once, at its first occurrence inside the frame — Figure 1).
 //!
+//! Over dense codes — each value numbered `0..card` by equality, as the
+//! engine numbers them — one pass that remembers where each code was last
+//! seen computes the same array in O(n + card) ([`prev_idcs_dense`]);
+//! Algorithm 1's sort ([`prev_idcs_by_key`]) is its definition and serves
+//! keys that are not dense.
+//!
 //! Note: Algorithm 1 in the paper writes `prevIdcs[i] ← sorted[i-1].second`,
 //! indexing by the *sorted* position `i`; the accompanying text and Figure 1
 //! make clear the array must be in input order, so we write to
@@ -59,12 +65,19 @@ pub fn prev_idcs_by_key<K: Ord + Copy + Send + Sync>(keys: &[K], parallel: bool)
     prev
 }
 
-/// [`prev_idcs_by_key`] specialized for 64-bit hashes.
-///
-/// The engine sorts value *hashes* instead of the values themselves so the
-/// merge sort tree preprocessing is independent of SQL types (§6.7). Hash
-/// collisions would conflate two distinct values; the window layer documents
-/// this and the test-suite cross-checks against the exact-key variant.
+/// Shifted previous-occurrence indices of dense codes, each below `card`:
+/// one linear pass over a last-seen array, equal to
+/// [`prev_idcs_by_key`] over the same codes.
+pub fn prev_idcs_dense(codes: impl IntoIterator<Item = usize>, card: usize) -> Vec<usize> {
+    let mut last_seen = vec![0usize; card];
+    let at = codes.into_iter().enumerate();
+    at.map(|(i, code)| std::mem::replace(&mut last_seen[code], i + 1)).collect()
+}
+
+/// [`prev_idcs_by_key`] over 64-bit value hashes (§6.7), for the figure
+/// benchmarks that replay the paper's hashed preprocessing. Two values whose
+/// hashes collide count as one here; the engine numbers values by equality
+/// and calls [`prev_idcs_dense`].
 pub fn prev_idcs_u64(hashes: &[u64], parallel: bool) -> Vec<usize> {
     prev_idcs_by_key(hashes, parallel)
 }
@@ -121,11 +134,14 @@ mod tests {
             let expect = brute(&keys);
             assert_eq!(prev_idcs_by_key(&keys, false), expect);
             assert_eq!(prev_idcs_by_key(&keys, true), expect);
+            let dense = keys.iter().map(|&k| k as usize);
+            assert_eq!(prev_idcs_dense(dense, 30), expect);
         }
         // Force the parallel path past its size threshold.
         let n = 10_000;
         let keys: Vec<i64> = (0..n).map(|_| rng.gen_range(0..100)).collect();
         assert_eq!(prev_idcs_by_key(&keys, true), prev_idcs_by_key(&keys, false));
+        assert_eq!(prev_idcs_dense(keys.iter().map(|&k| k as usize), 100), brute(&keys));
     }
 
     #[test]

@@ -211,8 +211,8 @@ pub fn gen_table(rng: &mut StdRng, n: usize) -> Table {
 /// [`gen_table`] with the NULL share of the nullable columns given.
 fn table_with_nulls(rng: &mut StdRng, n: usize, null_p: f64) -> Table {
     let key_profile = rng.gen_range(0u32..7);
-    // Arguments too: distinct aggregates decide equality on a value hash,
-    // which must not round neighbouring integers into one f64.
+    // Arguments too: integers past 2^53, which one f64 cannot tell apart,
+    // must stay distinct values for DISTINCT and MODE.
     let arg_profile = rng.gen_range(0u32..8);
     let tie_heavy = rng.gen_bool(0.4);
     let alphabet = rng.gen_range(1usize..=4);
@@ -259,7 +259,11 @@ fn table_with_nulls(rng: &mut StdRng, n: usize, null_p: f64) -> Table {
                 None
             } else if tie_heavy {
                 // Half-integer grid: float ties are otherwise vanishingly rare.
-                Some(rng.gen_range(-4i64..4) as f64 * 0.5)
+                // `-0.0` beside `0.0`: apart under `sql_eq`, one value to f64 `==`.
+                Some(match rng.gen_range(-4i64..5) {
+                    4 => -0.0,
+                    x => x as f64 * 0.5,
+                })
             } else {
                 Some(rng.gen_range(-8.0..8.0))
             }
@@ -484,7 +488,7 @@ pub fn gen_call(rng: &mut StdRng) -> FunctionCall {
         0 => FunctionCall::count_star(),
         1 => FunctionCall::count([col("v"), col("f"), col("g")][rng.gen_range(0usize..3)].clone()),
         2 => FunctionCall::count_distinct(
-            [col("v"), col("g"), col("d")][rng.gen_range(0usize..3)].clone(),
+            [col("v"), col("g"), col("d"), col("f")][rng.gen_range(0usize..4)].clone(),
         ),
         3 => {
             let c = FunctionCall::sum(if rng.gen_bool(0.5) { col("v") } else { col("f") });
@@ -596,7 +600,9 @@ pub fn gen_call(rng: &mut StdRng) -> FunctionCall {
             }
             c
         }
-        _ => FunctionCall::mode([col("v"), col("g"), col("d")][rng.gen_range(0usize..3)].clone()),
+        _ => FunctionCall::mode(
+            [col("v"), col("g"), col("d"), col("f")][rng.gen_range(0usize..4)].clone(),
+        ),
     };
     maybe_filter(rng, call)
 }

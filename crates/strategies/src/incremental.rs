@@ -1,7 +1,7 @@
 //! Incremental sliding-window algorithms of Wesley & Xu (PVLDB 2016).
 //!
 //! These maintain an aggregation state under `add`/`remove` as the frame
-//! slides (§3.2): distinct counts with a hash multiset (O(1) per update —
+//! slides (§3.2): distinct counts with a count per value (O(1) per update —
 //! O(n) total), percentiles and ranks with an ordered multiset
 //! ([`SortedWindow`]), and modes with counts-of-counts. Visited in row order,
 //! non-monotonic frames make the same tuple enter and leave repeatedly,
@@ -516,40 +516,56 @@ impl<'a, T: Copy, S: OrderedMultiset<T>> SortedWindow<'a, T, S> {
 
 /// Incremental windowed distinct count over pre-hashed values, visiting the
 /// frames [`in_frame_order`] — O(n) total for monotonic frames (Table 1 row
-/// 1), and for frames that are a permutation of monotonic ones.
+/// 1), and for frames that are a permutation of monotonic ones. Equal hashes
+/// count as one value: the hashes are numbered densely, then slid by
+/// [`distinct_counts`].
 pub fn distinct_count(hashes: &[u64], frames: &[(usize, usize)]) -> Vec<usize> {
+    let mut number: FxHashMap<u64, u32> = FxHashMap::default();
+    let ids: Vec<u32> = hashes
+        .iter()
+        .map(|&h| {
+            let fresh = number.len() as u32;
+            *number.entry(h).or_insert(fresh)
+        })
+        .collect();
     let mut out = vec![0usize; frames.len()];
-    distinct_counts(hashes, frames, in_frame_order(frames.len(), |i| frames[i]), |i, c| out[i] = c);
+    let order = in_frame_order(frames.len(), |i| frames[i]);
+    distinct_counts(&ids, number.len(), frames, order, |i, c| out[i] = c);
     out
 }
 
-/// [`distinct_count`] visiting the rows in `order` (a permutation of the
-/// frames' rows), handing row `i`'s count to `out(i, count)`.
+/// The distinct count of dense value ids, each below `distinct`, visiting
+/// the rows in `order` (a permutation of the frames' rows) and handing row
+/// `i`'s count to `out(i, count)`. The window's state is a count per id.
 pub fn distinct_counts(
-    hashes: &[u64],
+    ids: &[u32],
+    distinct: usize,
     frames: &[(usize, usize)],
     order: SlideOrder,
     out: impl FnMut(usize, usize),
 ) {
     match order {
-        SlideOrder::Rows(rows) => slide_distinct(hashes, frames, rows, out),
-        SlideOrder::Sorted(rows) => slide_distinct(hashes, frames, rows.map(|i| i as usize), out),
+        SlideOrder::Rows(rows) => slide_distinct(ids, distinct, frames, rows, out),
+        SlideOrder::Sorted(rows) => {
+            slide_distinct(ids, distinct, frames, rows.map(|i| i as usize), out)
+        }
     }
 }
 
 /// One loop per kind of order, so frames in frame order slide in a plain
 /// loop over their rows.
 fn slide_distinct(
-    hashes: &[u64],
+    ids: &[u32],
+    distinct: usize,
     frames: &[(usize, usize)],
     order: impl Iterator<Item = usize>,
     mut out: impl FnMut(usize, usize),
 ) {
     struct St {
-        counts: FxHashMap<u64, u32>,
+        counts: Vec<u32>,
         distinct: usize,
     }
-    let mut st = St { counts: FxHashMap::default(), distinct: 0 };
+    let mut st = St { counts: vec![0; distinct], distinct: 0 };
     let mut hull = Hull::default();
     for i in order {
         let (a, b) = frames[i];
@@ -558,18 +574,14 @@ fn slide_distinct(
             b,
             &mut st,
             &mut |s, p| {
-                let c = s.counts.entry(hashes[p]).or_insert(0);
-                if *c == 0 {
-                    s.distinct += 1;
-                }
+                let c = &mut s.counts[ids[p] as usize];
+                s.distinct += usize::from(*c == 0);
                 *c += 1;
             },
             &mut |s, p| {
-                let c = s.counts.get_mut(&hashes[p]).expect("remove of absent value");
+                let c = &mut s.counts[ids[p] as usize];
                 *c -= 1;
-                if *c == 0 {
-                    s.distinct -= 1;
-                }
+                s.distinct -= usize::from(*c == 0);
             },
         );
         out(i, st.distinct);

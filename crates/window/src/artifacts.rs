@@ -31,11 +31,11 @@
 //! positions would not fit before any artifact is asked for.
 
 use crate::column::Column;
+use crate::dictionary::codes_of;
 use crate::error::{Error, Result};
 use crate::eval::primitive::SegTrees;
 use crate::eval::Ctx;
 use crate::executor::{tree_params, CacheStats, SpillStats};
-use crate::hash::hash_column;
 use crate::order::{dense_codes_for, KeyColumns};
 use crate::plan::{sort_keys_of, CallPlan, CanonicalExpr, Criteria, MaskKey, OrderKey};
 use crate::remap::Remap;
@@ -43,8 +43,8 @@ use crate::strategy::{CallClass, Strategy};
 use holistic_core::aggregate::DistinctAggregate;
 use holistic_core::codes::DenseCodes;
 use holistic_core::{
-    mst_arena_len, mst_spill_build_len, AnnotatedMst, MergeSortTree, MstParams, MstShell, RangeSet,
-    SpillableArena, TreeIndex,
+    mst_arena_len, mst_spill_build_len, prev_idcs_dense, AnnotatedMst, MergeSortTree, MstParams,
+    MstShell, RangeSet, SpillableArena, TreeIndex,
 };
 use holistic_rangemode::RangeModeIndex;
 use holistic_rangetree::RangeTree3;
@@ -94,9 +94,9 @@ pub(crate) enum ArtifactKey {
     CodeMst(Criteria, Arc<MaskKey>),
     /// Merge sort tree over the permutation array (selection, §4.5).
     PermMst(Criteria, Arc<MaskKey>),
-    /// Distinct preprocessing: value hashes per kept position (§6.7).
+    /// Value ids per kept position: the DISTINCT aggregates' and MODE's.
     DistinctPrep(Arc<CanonicalExpr>, Arc<MaskKey>),
-    /// Previous-occurrence indices over those hashes (Alg. 1) — read only by
+    /// Previous-occurrence indices over those ids (Alg. 1) — read only by
     /// the distinct trees, so tree-free partitions never build it.
     PrevIdcs(Arc<CanonicalExpr>, Arc<MaskKey>),
     /// Merge sort tree over the previous-occurrence indices (§4.2).
@@ -253,7 +253,7 @@ impl<M: Monoid> ArtifactBytes for SegTrees<M> {
 /// strategy charges the mask's keep flags and, over the kept rows, what the
 /// class's evaluators read whatever the argument's type: the [`DenseCodes`]
 /// (five words a row) for percentiles and the rank family, the
-/// [`DistinctPrepArt`] hashes for COUNT(DISTINCT). [`Strategy::Mst`] adds
+/// [`DistinctPrepArt`] ids for COUNT(DISTINCT). [`Strategy::Mst`] adds
 /// its merge sort tree, `tree_bytes`, and for COUNT(DISTINCT) the
 /// previous-occurrence words the tree is built from. Kept values, whose
 /// width is their type's, and the artifacts of every other class are left
@@ -266,13 +266,13 @@ pub(crate) fn governed_floor(
     tree_bytes: u64,
 ) -> u64 {
     const CODES: usize = 5 * size_of::<usize>();
-    const HASH: usize = size_of::<u64>();
+    const ID: usize = size_of::<u32>();
     let (per_kept, tree) = match (s, class) {
         (Strategy::Naive, _) => return 0,
         (Strategy::Mst, CallClass::Percentile | CallClass::RankLike) => (CODES, tree_bytes),
         (_, CallClass::Percentile | CallClass::RankLike) => (CODES, 0),
-        (Strategy::Mst, CallClass::CountDistinct) => (HASH + size_of::<usize>(), tree_bytes),
-        (_, CallClass::CountDistinct) => (HASH, 0),
+        (Strategy::Mst, CallClass::CountDistinct) => (ID + size_of::<usize>(), tree_bytes),
+        (_, CallClass::CountDistinct) => (ID, 0),
         _ => return 0,
     };
     (m * size_of::<bool>() + kept * per_kept) as u64 + tree
@@ -868,24 +868,36 @@ impl ArtifactBytes for MaskArtifact {
     }
 }
 
-/// Distinct-aggregate preprocessing (§4.2): value hashes per kept position —
+/// The value ids of the DISTINCT aggregates (§4.2) and MODE: each kept
+/// position's value as its code in a [`crate::dictionary::Dictionary`] —
 /// all the tree-free strategies read. The previous-occurrence indices only
 /// the trees consume are an artifact of their own ([`Ctx::prev_idcs_art`]).
 pub(crate) struct DistinctPrepArt {
-    /// Value hash per kept position.
-    pub hashes: Vec<u64>,
+    /// Value id per kept position, `0..distinct` in first-appearance order.
+    pub ids: Vec<u32>,
+    pub distinct: usize,
     /// Kept values (payloads / exclusion corrections). `Arc`-shared with the
     /// kept-values artifact, which is the one charged for them.
     pub values: Arc<Column>,
-    /// hash → ascending kept positions; built only under frame exclusion.
-    pub occurrences: FxHashMap<u64, Vec<usize>>,
+    /// Id → ascending kept positions ([`Ctx::occurrences`]).
+    pub occurrences: Vec<Vec<usize>>,
+}
+
+impl DistinctPrepArt {
+    /// Shifted previous-occurrence index per kept position (Algorithm 1).
+    pub fn prev_idcs(&self) -> Vec<usize> {
+        prev_idcs_dense(self.ids.iter().map(|&id| id as usize), self.distinct)
+    }
 }
 
 impl ArtifactBytes for DistinctPrepArt {
     fn bytes_built(&self) -> usize {
-        self.hashes.len() * size_of::<u64>()
-            + self.occurrences.values().map(|v| v.len() * size_of::<usize>()).sum::<usize>()
+        self.ids.len() * size_of::<u32>() + occurrence_bytes(&self.occurrences)
     }
+}
+
+fn occurrence_bytes(occurrences: &[Vec<usize>]) -> usize {
+    occurrences.iter().map(|v| v.len() * size_of::<usize>()).sum()
 }
 
 /// DENSE_RANK artifact (§4.4): the 3-d counter over the kept rows' `(tie
@@ -893,14 +905,13 @@ impl ArtifactBytes for DistinctPrepArt {
 /// themselves for a scan.
 pub(crate) struct DenseRankArt<C> {
     pub counter: C,
-    /// Tie group → ascending kept positions; built only under exclusion.
+    /// Tie group → ascending kept positions ([`Ctx::occurrences`]).
     pub occurrences: Vec<Vec<usize>>,
 }
 
 impl ArtifactBytes for DenseRankArt<RangeTree3> {
     fn bytes_built(&self) -> usize {
-        self.counter.bytes()
-            + self.occurrences.iter().map(|v| v.len() * size_of::<usize>()).sum::<usize>()
+        self.counter.bytes() + occurrence_bytes(&self.occurrences)
     }
 }
 
@@ -1087,20 +1098,28 @@ impl Ctx<'_> {
         self.mst(key, || Ok(narrow(&self.dense_codes_art(cp)?.perm)))
     }
 
-    /// Distinct preprocessing: hashes and (under exclusion) per-value
-    /// occurrence lists ([`ArtifactKey::DistinctPrep`]).
+    /// Each id's kept positions in ascending order, for the exclusion
+    /// correction ([`Ctx::hole_only_ids`]); none unless a frame excludes.
+    fn occurrences(&self, ids: impl Iterator<Item = usize>, distinct: usize) -> Vec<Vec<usize>> {
+        let mut occurrences = Vec::new();
+        if self.frames.has_exclusion() {
+            occurrences = vec![Vec::new(); distinct];
+            for (k, id) in ids.enumerate() {
+                occurrences[id].push(k);
+            }
+        }
+        occurrences
+    }
+
+    /// Value ids and (under exclusion) their occurrence lists
+    /// ([`ArtifactKey::DistinctPrep`]).
     pub(crate) fn distinct_prep_art(&self, cp: &CallPlan) -> Result<Arc<DistinctPrepArt>> {
         let key = ArtifactKey::DistinctPrep(Arc::clone(value(cp)), Arc::clone(&cp.mask));
         self.artifact(key, || {
             let values = self.kept_values_art(cp)?;
-            let hashes = hash_column(&values);
-            let mut occurrences: FxHashMap<u64, Vec<usize>> = FxHashMap::default();
-            if self.frames.has_exclusion() {
-                for (k, &h) in hashes.iter().enumerate() {
-                    occurrences.entry(h).or_default().push(k);
-                }
-            }
-            Ok(DistinctPrepArt { hashes, values, occurrences })
+            let (ids, distinct) = codes_of(&values);
+            let occurrences = self.occurrences(ids.iter().map(|&id| id as usize), distinct);
+            Ok(DistinctPrepArt { ids, distinct, values, occurrences })
         })
     }
 
@@ -1109,10 +1128,7 @@ impl Ctx<'_> {
     /// its only readers), [`ArtifactKey::PrevIdcs`].
     pub(crate) fn prev_idcs_art(&self, cp: &CallPlan) -> Result<Arc<Vec<usize>>> {
         let key = ArtifactKey::PrevIdcs(Arc::clone(value(cp)), Arc::clone(&cp.mask));
-        self.artifact(key, || {
-            let prep = self.distinct_prep_art(cp)?;
-            Ok(holistic_core::prev_idcs_u64(&prep.hashes, self.parallel))
-        })
+        self.artifact(key, || Ok(self.distinct_prep_art(cp)?.prev_idcs()))
     }
 
     /// Merge sort tree over the previous-occurrence indices (COUNT DISTINCT),
@@ -1130,14 +1146,8 @@ impl Ctx<'_> {
         dc: &'d DenseCodes,
         index: impl FnOnce(&'d [usize], Vec<usize>) -> C,
     ) -> DenseRankArt<C> {
-        let prev = holistic_core::prev_idcs_by_key(&dc.group_id, self.parallel);
-        let mut occurrences: Vec<Vec<usize>> = Vec::new();
-        if self.frames.has_exclusion() {
-            occurrences = vec![Vec::new(); dc.num_groups];
-            for (k, &g) in dc.group_id.iter().enumerate() {
-                occurrences[g].push(k);
-            }
-        }
+        let prev = prev_idcs_dense(dc.group_id.iter().copied(), dc.num_groups);
+        let occurrences = self.occurrences(dc.group_id.iter().copied(), dc.num_groups);
         DenseRankArt { counter: index(&dc.group_id, prev), occurrences }
     }
 
@@ -1154,28 +1164,28 @@ impl Ctx<'_> {
     }
 
     /// MODE's decode table and index: `index` makes it from the kept rows'
-    /// dense ids and their number.
+    /// value ids renumbered in value order and their number.
     pub(crate) fn mode_parts<X>(
         &self,
         cp: &CallPlan,
         index: impl FnOnce(Vec<u32>, usize) -> X,
     ) -> Result<ModeArt<X>> {
-        let values = self.kept_values_art(cp)?;
-        // Dense ids in value order (ids ascend with sql_cmp) so the
-        // smallest-id tie-break picks the smallest value: one sort of the
-        // positions, a new id wherever the value changes.
-        let mut order: Vec<usize> = (0..values.len()).collect();
-        order.sort_by(|&a, &b| values.cmp_rows(a, b));
-        let mut ids = vec![0u32; values.len()];
-        let mut firsts: Vec<usize> = Vec::new();
-        for (k, &p) in order.iter().enumerate() {
-            if k == 0 || values.cmp_rows(order[k - 1], p).is_ne() {
-                firsts.push(p);
+        let prep = self.distinct_prep_art(cp)?;
+        // Ids ascend with sql_cmp, so the smallest-id tie-break picks the
+        // smallest value: one sort of each id's first position.
+        let mut firsts: Vec<usize> = Vec::with_capacity(prep.distinct);
+        for (k, &id) in prep.ids.iter().enumerate() {
+            if id as usize == firsts.len() {
+                firsts.push(k);
             }
-            ids[p] = (firsts.len() - 1) as u32;
         }
-        let index = index(ids, firsts.len());
-        Ok(ModeArt { decode: values.gather(firsts.into_iter().map(Some)), index })
+        firsts.sort_by(|&a, &b| prep.values.cmp_rows(a, b));
+        let mut rank = vec![0u32; prep.distinct];
+        for (r, &k) in firsts.iter().enumerate() {
+            rank[prep.ids[k] as usize] = r as u32;
+        }
+        let index = index(prep.ids.iter().map(|&id| rank[id as usize]).collect(), prep.distinct);
+        Ok(ModeArt { decode: prep.values.gather(firsts.into_iter().map(Some)), index })
     }
 
     /// The MODE decode table and √-decomposition index,

@@ -4,12 +4,14 @@
 //!
 //! 1. the kept-row mask (FILTER ∧ non-NULL argument) and kept values come
 //!    from the artifact cache, remapping frame bounds (§4.7);
-//! 2. hash the kept values (§6.7 — type-independent preprocessing; the
-//!    cached `DistinctPrep` artifact) and compute shifted previous-occurrence
-//!    indices over the hashes (Algorithm 1; the cached `PrevIdcs` artifact);
+//! 2. number the kept values densely by equality (the cached `DistinctPrep`
+//!    artifact, which MODE reads too; §6.7 hashes instead, and counts two
+//!    values whose hashes collide as one) and compute shifted
+//!    previous-occurrence indices over the ids in one pass (Algorithm 1's
+//!    result; the cached `PrevIdcs` artifact);
 //! 3. build the (annotated) merge sort tree — cached per (argument, mask)
 //!    and, for SUM/AVG, per aggregate flavor; a naive COUNT scans the
-//!    indices instead, the incremental one slides a hash multiset through
+//!    indices instead, the incremental one slides a count per id through
 //!    the frames in frame order;
 //! 4. per row: `count_below(frame, frame_start + 1)` — or the annotated
 //!    prefix-aggregate query for SUM/AVG DISTINCT.
@@ -60,20 +62,17 @@ pub(crate) fn evaluate(
     }
     let counts = match strategy {
         Strategy::Incremental => count_incremental(ctx, &mask, &prep),
-        Strategy::Naive => {
-            let prev = holistic_core::prev_idcs_u64(&prep.hashes, ctx.parallel);
-            count(ctx, &mask, &prep, &Scan(&prev))?
-        }
+        Strategy::Naive => count(ctx, &mask, &prep, &Scan(&prep.prev_idcs()))?,
         _ => count(ctx, &mask, &prep, &*ctx.distinct_count_mst(cp)?)?,
     };
     Ok(Column::ints(counts).into())
 }
 
-/// Kept position `k`'s value as a [`Ctx::hole_only_ids`] id: its hash, with
-/// the hash's kept positions.
-fn value_id(prep: &DistinctPrepArt, k: usize) -> Option<(u64, &[usize])> {
-    let h = prep.hashes[k];
-    Some((h, &prep.occurrences[&h]))
+/// Kept position `k`'s value as a [`Ctx::hole_only_ids`] id, with the id's
+/// kept positions.
+fn value_id(prep: &DistinctPrepArt, k: usize) -> Option<(usize, &[usize])> {
+    let id = prep.ids[k] as usize;
+    Some((id, &prep.occurrences[id]))
 }
 
 /// COUNT(DISTINCT): the entries of the frame hull's previous-occurrence
@@ -104,7 +103,7 @@ fn count(
     )
 }
 
-/// COUNT(DISTINCT) on the incremental hash multiset (Table 1 row 1), slid in
+/// COUNT(DISTINCT) on a count per value id (Table 1 row 1), slid in
 /// frame order through the partition's kept-space hulls (no exclusion
 /// here): under a mask that drops nothing, the resolved bounds themselves,
 /// borrowed — `start <= end <= m` ([`crate::frame::ResolvedFrames`]) leaves
@@ -117,18 +116,8 @@ fn count_incremental(ctx: &Ctx<'_>, mask: &MaskArtifact, prep: &DistinctPrepArt)
     };
     let mut out = vec![0; hulls.len()];
     let order = ctx.frame_order(0, hulls.len());
-    incremental::distinct_counts(&prep.hashes, &hulls, order, |i, c| out[i] = c as i64);
+    incremental::distinct_counts(&prep.ids, prep.distinct, &hulls, order, |i, c| out[i] = c as i64);
     out
-}
-
-/// An integer `SUM(DISTINCT)`'s output: exact, or past `i64` degraded to a
-/// float rather than an error mid-probe.
-#[derive(Debug, Clone, Copy, Default)]
-enum IntSum {
-    #[default]
-    Null,
-    Exact(i64),
-    Wide(f64),
 }
 
 fn sum_or_avg(
@@ -139,60 +128,57 @@ fn sum_or_avg(
     prep: &Arc<DistinctPrepArt>,
 ) -> Result<Outputs> {
     let values = &prep.values;
-    let is_float = values.data_type() == DataType::Float && values.any_valid();
     if let Some(got) = values.first_misfit(|t| matches!(t, Some(DataType::Int | DataType::Float))) {
         return Err(Error::TypeMismatch { expected: "numeric", got, context: "SUM/AVG DISTINCT" });
     }
-    let as_f64 = |k: usize| values.f64_at(k).unwrap_or(0.0);
-    if call.kind == FuncKind::Avg {
-        let avgs = distinct_aggregate::<AvgF64, _>(
-            ctx,
-            cp,
-            mask,
-            prep,
-            AggFlavor::Avg,
-            as_f64,
-            |state, (corr, _)| {
-                let (s, c) = (state.0 - corr.0, state.1 - corr.1);
-                (c != 0).then(|| s / c as f64)
-            },
-        )?;
-        Ok(Column::from_floats(avgs).into())
-    } else if is_float {
-        let sums = distinct_aggregate::<SumF64, _>(
-            ctx,
-            cp,
-            mask,
-            prep,
-            AggFlavor::SumF64,
-            as_f64,
-            |s, (corr, cnt)| (cnt != 0).then_some(s - corr),
-        )?;
-        Ok(Column::from_floats(sums).into())
-    } else {
-        let sums = distinct_aggregate::<SumI64, _>(
-            ctx,
-            cp,
-            mask,
-            prep,
-            AggFlavor::SumI64,
-            |k| values.i64_at(k).unwrap_or(0),
-            |s, (corr, cnt)| match (cnt, i64::try_from(s - corr)) {
-                (0, _) => IntSum::Null,
-                (_, Ok(x)) => IntSum::Exact(x),
-                (_, Err(_)) => IntSum::Wide((s - corr) as f64),
-            },
-        )?;
-        let exact = sums.iter().map(|s| match *s {
-            IntSum::Exact(x) => Some(x),
-            _ => None,
-        });
-        let wide = sums.iter().map(|s| match *s {
-            IntSum::Wide(x) => Some(x),
-            _ => None,
-        });
-        Ok(Outputs::lanes(Column::from_ints(exact), Column::from_floats(wide)))
+    let avg = call.kind == FuncKind::Avg;
+    if values.data_type() == DataType::Float && values.any_valid() {
+        let as_f64 = |k: usize| values.f64_at(k).unwrap_or(0.0);
+        let out = if avg {
+            distinct_aggregate::<AvgF64, _>(
+                ctx,
+                cp,
+                mask,
+                prep,
+                AggFlavor::Avg,
+                as_f64,
+                |state, (corr, _)| {
+                    let (s, c) = (state.0 - corr.0, state.1 - corr.1);
+                    (c != 0).then(|| s / c as f64)
+                },
+            )?
+        } else {
+            distinct_aggregate::<SumF64, _>(
+                ctx,
+                cp,
+                mask,
+                prep,
+                AggFlavor::SumF64,
+                as_f64,
+                |s, (corr, cnt)| (cnt != 0).then_some(s - corr),
+            )?
+        };
+        return Ok(Column::from_floats(out).into());
     }
+    // Integers sum exactly, so a hole's correction cancels exactly however
+    // large the values: AVG divides the exact sum, and a SUM past `i64`
+    // degrades to a float rather than an error mid-probe.
+    let sums = distinct_aggregate::<SumI64, _>(
+        ctx,
+        cp,
+        mask,
+        prep,
+        AggFlavor::SumI64,
+        |k| values.i64_at(k).unwrap_or(0),
+        |s, (corr, cnt)| (s - corr, cnt),
+    )?;
+    let sums = sums.into_iter().map(|(s, cnt)| (cnt != 0).then_some((s, cnt)));
+    if avg {
+        return Ok(Column::from_floats(sums.map(|o| o.map(|(s, c)| s as f64 / c as f64))).into());
+    }
+    let exact = sums.clone().map(|o| o.and_then(|(s, _)| i64::try_from(s).ok()));
+    let wide = sums.map(|o| o.and_then(|(s, _)| i64::try_from(s).is_err().then_some(s as f64)));
+    Ok(Outputs::lanes(Column::from_ints(exact), Column::from_floats(wide)))
 }
 
 /// Generic distinct-aggregate evaluation: fetch (or build) the annotated

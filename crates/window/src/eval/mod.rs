@@ -41,7 +41,6 @@ use holistic_strategies::incremental::{in_frame_order, SlideOrder};
 use pipeline::HoistedKeys;
 use primitive::{CountBelow, Select};
 use rustc_hash::FxHashSet;
-use std::hash::Hash;
 use std::sync::{Arc, OnceLock};
 
 /// Rows per block handed to the MST block kernels. Large enough to keep
@@ -124,17 +123,17 @@ impl<'a> Ctx<'a> {
     }
 
     /// The exclusion correction (§4.7) of the families that count distinct
-    /// ids over a frame's hull — values by their hash (COUNT / SUM / AVG
-    /// DISTINCT), smaller-key tie groups (DENSE_RANK): `visit` gets one kept
+    /// ids over a frame's hull — value ids (COUNT / SUM / AVG DISTINCT),
+    /// smaller-key tie groups (DENSE_RANK): `visit` gets one kept
     /// position of every id that sits in row `i`'s holes and nowhere else in
     /// its frame, whose hull count holds it once too often. `id(k)` is kept
     /// position `k`'s id with the id's kept positions in ascending order, or
     /// `None` for a position the count leaves out. O(hole · log n) per row.
-    pub fn hole_only_ids<'o, K: Eq + Hash>(
+    pub fn hole_only_ids<'o>(
         &self,
         remap: &Remap,
         i: usize,
-        id: impl Fn(usize) -> Option<(K, &'o [usize])>,
+        id: impl Fn(usize) -> Option<(usize, &'o [usize])>,
         mut visit: impl FnMut(usize),
     ) {
         let (a, b) = self.frames.bounds[i];

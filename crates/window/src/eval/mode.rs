@@ -2,8 +2,9 @@
 //! beyond the paper (§3.1 notes mode needs dedicated structures [13, 25]).
 //!
 //! Pipeline mirrors the other holistic families: FILTER/NULL rows are never
-//! inserted and frame bounds are remapped; values are compressed to dense
-//! ids *in value order*, so the index's smallest-id tie-break implements
+//! inserted and frame bounds are remapped; the DISTINCT aggregates' value
+//! ids (one artifact per argument and mask) are renumbered *in value order*,
+//! so the index's smallest-id tie-break implements
 //! "smallest value among the most frequent" deterministically. One-piece
 //! frames probe in O(√n log n); frames with exclusion holes fall back to exact
 //! union counting (mode does not decompose over unions). The decode table

@@ -351,8 +351,8 @@ impl PartitionEval<'_> {
 
     /// Evaluates call `ci` with [`Strategy::Naive`] over every segment of
     /// `batch` at once, cacheless — the one place a naive call runs. Its
-    /// values, mask and whatever its scan reads (dense codes, prevIdcs,
-    /// hashes) are built once for the whole batch and die with the call;
+    /// values, mask and whatever its scan reads (dense codes, value ids,
+    /// prevIdcs) are built once for the whole batch and die with the call;
     /// nothing is charged to the memory governor.
     pub fn evaluate_naive(
         &self,

@@ -454,7 +454,7 @@ mod tests {
     use super::*;
     use crate::artifacts::MaskArtifact;
     use crate::eval::with_frames;
-    use holistic_core::{dense_codes, prev_idcs_by_key, prev_idcs_u64, MstParams};
+    use holistic_core::{dense_codes, prev_idcs_dense, MstParams};
     use holistic_segtree::{CountMonoid, MaxMonoid, MinMonoid, SumMonoid};
     use proptest::prelude::*;
 
@@ -587,7 +587,7 @@ mod tests {
             });
             // COUNT(DISTINCT)'s slide against the scan of its prevIdcs.
             let hashes: Vec<u64> = keys.iter().map(|&k| k as u64).collect();
-            let prev = prev_idcs_u64(&hashes, false);
+            let prev = prev_idcs_dense(keys.iter().map(|&k| k as usize), 9);
             let scanned: Vec<usize> = bounds.iter()
                 .map(|&(a, b)| Scan(&prev).count_below(&RangeSet::single(a, b), a + 1))
                 .collect();
@@ -601,7 +601,7 @@ mod tests {
         ) {
             let n = groups.len();
             let wide: Vec<usize> = groups.iter().map(|&g| g as usize).collect();
-            let prev = prev_idcs_by_key(&wide, false);
+            let prev = prev_idcs_dense(wide.iter().copied(), 7);
             let narrow: Vec<u32> = prev.iter().map(|&p| p as u32).collect();
             let tree = RangeTree3::build(&groups, &narrow, false);
             let scan = ScanPoints(&wide, prev);

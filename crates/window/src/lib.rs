@@ -42,6 +42,7 @@ pub mod append;
 mod artifacts;
 pub mod column;
 pub mod csv;
+mod dictionary;
 pub mod error;
 mod eval;
 pub mod executor;

@@ -1,11 +1,12 @@
 //! PARTITION BY: one typed partitioner behind the batch executor and the
 //! append engine.
 //!
-//! Each key gives every row a dense *equality code* in first-appearance
-//! order, read from the key's typed column: the table's own where the key is
-//! a bare column, the VM's where it is an expression. The codes fold left to
-//! right into one dense partition id per row, and a counting pass scatters
-//! the rows into exactly-sized lists. Grouping equality is
+//! Each key gives every row its value's code in the key's value dictionary
+//! (the one the DISTINCT aggregates and MODE use), read from the key's typed
+//! column: the table's own where the key is a bare column, the VM's where
+//! it is an expression. The codes fold left to right into one dense
+//! partition id per row, and a counting pass scatters the rows into
+//! exactly-sized lists. Grouping equality is the dictionary's,
 //! [`Value::sql_eq`](crate::value::Value::sql_eq): NULL groups with NULL,
 //! floats group by `total_cmp` (`-0.0` apart from `0.0`, NaNs by payload).
 //!
@@ -13,14 +14,11 @@
 //! rows a table gained since the last call, and codes, ids and partition
 //! order stay what one pass over the whole table would have produced.
 
-use crate::column::Column;
+use crate::dictionary::{Counter, Dictionary, IntSlots, VACANT};
 use crate::error::{Error, Result};
 use crate::expr::{BoundExpr, Expr};
 use crate::table::Table;
-use crate::value::DataType;
 use crate::vm::{self, RowSel};
-use rustc_hash::FxHashMap;
-use std::sync::Arc;
 
 /// Splits the table's rows into partitions by the PARTITION BY expressions.
 ///
@@ -31,10 +29,6 @@ pub fn partition_rows(table: &Table, partition_by: &[Expr]) -> Result<Vec<Vec<us
     let routed = Partitioner::new(table, partition_by)?.route(table, 0)?;
     Ok(routed.into_iter().map(|(_, rows)| rows).collect())
 }
-
-/// "No code yet" in every code table; also bounds the rows one partitioner
-/// can take, since a code or id is at most the row count.
-const VACANT: u32 = u32::MAX;
 
 /// Assigns table rows to partitions, incrementally.
 pub struct Partitioner {
@@ -80,10 +74,10 @@ impl Partitioner {
             return Err(Error::Unsupported("PARTITION BY over 2^32 or more rows".into()));
         }
         let mut ids = first.encode(table, from_row)?;
-        let mut card = first.card();
+        let mut card = first.dictionary.card();
         for (key, fold) in rest.iter_mut().zip(&mut self.folds) {
             let codes = key.encode(table, from_row)?;
-            ids = fold.join(&ids, &codes, key.card(), n);
+            ids = fold.join(&ids, &codes, key.dictionary.card(), n);
             card = fold.ids.card;
         }
         self.num_partitions = card as usize;
@@ -116,233 +110,34 @@ impl Partitioner {
 }
 
 /// One PARTITION BY key: the bound expression and the dictionary that turns
-/// its values into dense codes, first appearance first.
+/// its values into codes.
 struct KeyCodes {
     expr: BoundExpr,
-    codes: Counter,
-    /// The key's type and dictionary: a bare column's from the schema, an
-    /// expression's from the first batch that holds a value (until then every
-    /// row was NULL, and an all-NULL column may carry another type than the
-    /// expression's values will).
-    encoder: Option<(DataType, Encoder)>,
-}
-
-enum Encoder {
-    /// Int / Date / Bool keys by value, Float keys by bit pattern
-    /// (`total_cmp` equality is bit equality).
-    Ints(IntSlots),
-    /// Str keys. Strings of up to seven bytes are integers (see [`packed`]);
-    /// longer ones are looked up by `&str`, one owned `Arc` per distinct
-    /// string.
-    Strs { short: IntSlots, long: FxHashMap<Arc<str>, u32> },
-}
-
-impl Encoder {
-    fn of(ty: DataType) -> (DataType, Encoder) {
-        let encoder = match ty {
-            DataType::Str => {
-                Encoder::Strs { short: IntSlots::default(), long: FxHashMap::default() }
-            }
-            _ => Encoder::Ints(IntSlots::default()),
-        };
-        (ty, encoder)
-    }
-}
-
-/// Hands out one key's codes. NULL takes the next code when it first appears,
-/// like any other value.
-#[derive(Default)]
-struct Counter {
-    card: u32,
-    null: Option<u32>,
-}
-
-impl Counter {
-    /// `code` as looked up with `self.card` offered as the fresh one: taken
-    /// when the lookup handed the offer back.
-    #[inline]
-    fn settle(&mut self, code: u32) -> u32 {
-        self.card += u32::from(code == self.card);
-        code
-    }
-
-    #[inline]
-    fn null(&mut self) -> u32 {
-        *self.null.get_or_insert_with(|| {
-            self.card += 1;
-            self.card - 1
-        })
-    }
-}
-
-/// The rows of a typed column, `None` for NULL.
-fn cells<'a, T>(data: &'a [T], valid: &'a [bool]) -> impl Iterator<Item = Option<&'a T>> + Clone {
-    data.iter().enumerate().map(move |(i, x)| (valid.is_empty() || valid[i]).then_some(x))
-}
-
-/// A string of up to seven bytes as an integer: its bytes, its length on top
-/// (so that equally long codes and flags are neighbours).
-#[inline]
-fn packed(s: &str) -> Option<u64> {
-    if s.len() > 7 {
-        return None;
-    }
-    let bytes = s.bytes().rev().fold(0, |key, byte| key << 8 | u64::from(byte));
-    Some(bytes | (s.len() as u64) << 56)
-}
-
-/// Order-preserving `i64` → `u64`, so a signed range is a contiguous one.
-#[inline]
-fn biased(x: i64) -> u64 {
-    (x as u64) ^ (1 << 63)
+    /// A bare column's type comes from the schema, an expression's from the
+    /// first batch that holds a value.
+    dictionary: Dictionary,
 }
 
 impl KeyCodes {
     fn new(table: &Table, expr: &Expr) -> Result<KeyCodes> {
         let expr = expr.bind(table)?;
-        let encoder = match expr {
-            BoundExpr::Col(idx) => Some(Encoder::of(table.column_at(idx).data_type())),
-            _ => None,
+        let dictionary = match expr {
+            BoundExpr::Col(idx) => Dictionary::of_type(table.column_at(idx).data_type()),
+            _ => Dictionary::default(),
         };
-        Ok(KeyCodes { expr, codes: Counter::default(), encoder })
-    }
-
-    /// Distinct values seen so far (NULL counts as one).
-    fn card(&self) -> u32 {
-        self.codes.card
+        Ok(KeyCodes { expr, dictionary })
     }
 
     /// The codes of rows `from..`.
     fn encode(&mut self, table: &Table, from: usize) -> Result<Vec<u32>> {
         let n = table.num_rows();
         let column = vm::eval(&self.expr, table, RowSel::Span(from, n))?;
-        let codes = &mut self.codes;
-        if !column.any_valid() {
-            return Ok((0..column.len()).map(|_| codes.null()).collect());
-        }
-        let ty = column.data_type();
-        let (fixed, encoder) = self.encoder.get_or_insert_with(|| Encoder::of(ty));
-        if *fixed != ty {
-            // Only a table of another schema gets here.
-            return Err(Error::TypeMismatch {
-                expected: "the type of the key's earlier values",
-                got: ty.name(),
-                context: "PARTITION BY",
-            });
-        }
-        Ok(match (encoder, &*column) {
-            (Encoder::Ints(slots), Column::Int(d, v)) => {
-                slots.encode(cells(d, v).map(|c| c.map(|&x| biased(x))), n, codes)
-            }
-            (Encoder::Ints(slots), Column::Date(d, v)) => {
-                slots.encode(cells(d, v).map(|c| c.map(|&x| biased(x.into()))), n, codes)
-            }
-            (Encoder::Ints(slots), Column::Bool(d, v)) => {
-                slots.encode(cells(d, v).map(|c| c.map(|&x| x.into())), n, codes)
-            }
-            (Encoder::Ints(slots), Column::Float(d, v)) => {
-                slots.encode(cells(d, v).map(|c| c.map(|x| x.to_bits())), n, codes)
-            }
-            (Encoder::Strs { short, long }, Column::Str(d, v)) => {
-                short.cover(cells(d, v).flatten().filter_map(|s| packed(s)), n);
-                let code = |cell: Option<&Arc<str>>| {
-                    let Some(s) = cell else { return codes.null() };
-                    if let Some(key) = packed(s) {
-                        return codes.settle(short.get_or_set(key, codes.card));
-                    }
-                    match long.get(&**s) {
-                        Some(&code) => code,
-                        None => {
-                            long.insert(Arc::clone(s), codes.card);
-                            codes.settle(codes.card)
-                        }
-                    }
-                };
-                cells(d, v).map(code).collect()
-            }
-            _ => unreachable!("the encoder was made for the column's type"),
+        // Only a table of another schema is refused.
+        self.dictionary.encode(&column, n).ok_or_else(|| Error::TypeMismatch {
+            expected: "the type of the key's earlier values",
+            got: column.data_type().name(),
+            context: "PARTITION BY",
         })
-    }
-}
-
-/// Integer keys → `u32` slots, `VACANT` until written: a direct table while
-/// the keys span a range small relative to the rows routed, a hash map from
-/// the batch on that takes them past it. Chosen from the data.
-enum IntSlots {
-    Direct { base: u64, table: Vec<u32> },
-    Map(FxHashMap<u64, u32>),
-}
-
-impl Default for IntSlots {
-    fn default() -> Self {
-        IntSlots::Direct { base: 0, table: Vec::new() }
-    }
-}
-
-impl IntSlots {
-    /// The widest key span a direct table may cover after `rows` rows: at
-    /// most 16 B of table per row, and small inputs never hash.
-    fn direct_span(rows: usize) -> u64 {
-        4 * rows as u64 + 1024
-    }
-
-    /// Makes every one of `keys` addressable: the direct table grows to span
-    /// them, or gives way to the map.
-    fn cover(&mut self, keys: impl Iterator<Item = u64>, rows: usize) {
-        let IntSlots::Direct { base, table } = self else { return };
-        let seen = (!table.is_empty()).then(|| (*base, *base + (table.len() as u64 - 1)));
-        let range = keys.fold(seen, |range, key| {
-            Some(range.map_or((key, key), |(lo, hi)| (lo.min(key), hi.max(key))))
-        });
-        let Some((lo, hi)) = range else { return };
-        if hi - lo >= Self::direct_span(rows) {
-            *self = IntSlots::Map(self.entries().into_iter().collect());
-            return;
-        }
-        if !table.is_empty() && lo < *base {
-            table.splice(0..0, std::iter::repeat_n(VACANT, (*base - lo) as usize));
-        }
-        *base = lo;
-        table.resize((hi - lo) as usize + 1, VACANT);
-    }
-
-    /// The slot's value, after writing `fresh` into it if it was vacant.
-    #[inline]
-    fn get_or_set(&mut self, key: u64, fresh: u32) -> u32 {
-        let slot = match self {
-            IntSlots::Direct { base, table } => &mut table[(key - *base) as usize],
-            IntSlots::Map(map) => map.entry(key).or_insert(VACANT),
-        };
-        if *slot == VACANT {
-            *slot = fresh;
-        }
-        *slot
-    }
-
-    /// Every `(key, slot)` written so far.
-    fn entries(&self) -> Vec<(u64, u32)> {
-        match self {
-            IntSlots::Direct { base, table } => {
-                let taken = table.iter().enumerate().filter(|(_, &slot)| slot != VACANT);
-                taken.map(|(i, &slot)| (*base + i as u64, slot)).collect()
-            }
-            IntSlots::Map(map) => map.iter().map(|(&key, &slot)| (key, slot)).collect(),
-        }
-    }
-
-    /// Codes for a batch of keys (`None` = NULL), after `rows` rows in all.
-    fn encode(
-        &mut self,
-        keys: impl Iterator<Item = Option<u64>> + Clone,
-        rows: usize,
-        codes: &mut Counter,
-    ) -> Vec<u32> {
-        self.cover(keys.clone().flatten(), rows);
-        keys.map(|key| match key {
-            None => codes.null(),
-            Some(key) => codes.settle(self.get_or_set(key, codes.card)),
-        })
-        .collect()
     }
 }
 
@@ -382,6 +177,7 @@ impl Fold {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::column::Column;
     use crate::expr::{col, lit};
     use crate::value::Value;
 
@@ -495,7 +291,6 @@ mod tests {
         }
         assert_eq!(parts, whole);
         assert!(matches!(p.folds[0].slots, IntSlots::Direct { .. }));
-        let Some((_, Encoder::Ints(slots))) = &p.keys[0].encoder else { panic!("int key") };
-        assert!(matches!(slots, IntSlots::Map(_)));
+        assert!(p.keys[0].dictionary.hashes_ints());
     }
 }

@@ -45,7 +45,7 @@ pub enum Strategy {
     /// row: the window's codes as a counted bitset over the partition's
     /// dense codes (percentiles select in it, the rank family counts below a
     /// threshold in it; `O(log m)` per update or query, whatever the frame's
-    /// width) or a hash multiset (COUNT DISTINCT). Wins on narrow frames
+    /// width) or a count per value id (COUNT DISTINCT). Wins on narrow frames
     /// that are monotone or a permutation of monotone ones (the paper's
     /// jittered Fig. 12 frames), where a frame's rows mostly stay.
     Incremental,
@@ -276,7 +276,7 @@ pub struct CostModel {
     incr_row: f64,
     /// Incremental: per boundary-slide element update — an insert into or
     /// removal from the counted bitset (`O(log m)`, no frame-width term), or
-    /// hash multiset upkeep for COUNT DISTINCT.
+    /// a value id's count for COUNT DISTINCT.
     incr_update: f64,
     /// Merge sort tree: per row per level, its build and its probe together.
     mst_cell: f64,
@@ -331,14 +331,14 @@ impl CostModel {
                 let cell = match class {
                     // Per-row gather + sort of the frame's codes.
                     CallClass::Percentile => self.naive_cell * lg_f * 2.0,
-                    // Per-cell hash-map upkeep, priced as if every value were
+                    // Per-cell count upkeep, priced as if every value were
                     // new: the frame's values are not what the stats read.
                     CallClass::CountDistinct | CallClass::Mode => self.naive_cell * 4.0,
                     _ => self.naive_cell,
                 };
                 m * self.naive_row + m * f * cell
             }
-            // A counted-bitset insert or removal, or a hash multiset's:
+            // A counted-bitset insert or removal, or a value count's:
             // whatever the frame's width, so the slide alone prices it.
             Strategy::Incremental => m * self.incr_row + slide * self.incr_update,
             Strategy::OsTree | Strategy::SegTree => {
@@ -584,8 +584,8 @@ mod tests {
         assert_eq!(pick(&s, CallClass::Percentile, tree, 400_000), Strategy::Naive);
         // Naive cannot evaluate SUM DISTINCT, so nothing is passed over.
         assert_eq!(pick(&s, CallClass::SumAvgDistinct, tree, 0), Strategy::Mst);
-        // A running COUNT(DISTINCT) charges its hashes, not dense codes:
-        // 30 MB holds a million rows' worth, and the sliding multiset stays.
+        // A running COUNT(DISTINCT) charges its value ids, not dense codes:
+        // 30 MB holds a million rows' worth, and the slide stays.
         let running = stats(1_000_000, 500_000.0, 1_000_000);
         assert_eq!(
             pick(&running, CallClass::CountDistinct, 80_000_000, 30_000_000),

@@ -533,7 +533,8 @@ mod tests {
         rows.iter().map(|&r| bound.eval(t, r)).collect()
     }
 
-    /// Bit-faithful value equality (`Value`'s `==` treats `-0.0 == 0.0`).
+    /// Value equality that also tells types apart (`Value`'s `==` is
+    /// `sql_eq`, under which `Int(1)` equals `Float(1.0)`).
     fn bitwise_eq(a: &Value, b: &Value) -> bool {
         match (a, b) {
             (Value::Float(x), Value::Float(y)) => x.to_bits() == y.to_bits(),

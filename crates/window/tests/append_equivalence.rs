@@ -571,7 +571,7 @@ fn a_query_error_mid_append_poisons_the_engine() {
 }
 
 /// The recompute diff compares float outputs by their bits: a `0.0` that
-/// becomes `-0.0` changed (though SQL calls them equal), a NaN that stays
+/// becomes `-0.0` changed (as `sql_eq` says too), a NaN that stays
 /// the same NaN did not, and a NaN that becomes another NaN did.
 #[test]
 fn float_outputs_diff_by_bits() {

@@ -33,12 +33,20 @@ fn percentile_cont_over_int_keys_is_float_on_exact_hits() {
     }
 }
 
-/// Found by reading `hash_value` (ISSUE 13), not by a seed: the fuzzer's
-/// argument columns never left ±15. `Int(x)` hashed as `(x as f64).to_bits()`
-/// and every distinct path decides equality on the hash alone, so integers
+/// Found by reading `hash_value`, not by a seed: the fuzzer's argument
+/// columns never left ±15. `Int(x)` hashed as `(x as f64).to_bits()` and
+/// every distinct path decided equality on the hash alone, so integers
 /// beyond 2^53 that round to one float counted as one value: the running
 /// distinct count over 2^53, 2^53+1, 2^53+2, 2^53+3 read 1, 1, 2, 3 and
 /// `SUM(DISTINCT)` dropped 2^53+1 — under every strategy alike.
+///
+/// The 64-bit hash itself merged values too, until the distinct paths
+/// numbered values by equality: FxHash maps `1` and `-175318655624032360`,
+/// and `"AAAAAAAABBBBBBBB"` and `"$OW42/h3sfVq&E)7"`, to one hash each, and
+/// it normalized `-0.0` to `0.0`, which SQL's grouping keeps apart. Each
+/// pair is checked against the naive oracle over a running frame, `OVER
+/// ()`, and a frame whose excluded current row reaches the per-value
+/// occurrence lists.
 #[test]
 fn distinct_aggregates_tell_integers_beyond_2_pow_53_apart() {
     const P53: i64 = 1 << 53;
@@ -81,6 +89,63 @@ fn distinct_aggregates_tell_integers_beyond_2_pow_53_apart() {
                 assert_eq!(out.column("cd").unwrap().to_values(), ints(&counts), "{label}");
                 if let Some(sums) = &sums {
                     assert_eq!(out.column("sd").unwrap().to_values(), ints(sums), "{label}");
+                }
+            }
+        }
+    }
+
+    let specs = [
+        spec.clone(),
+        WindowSpec::new(),
+        WindowSpec::new().order_by(vec![SortKey::asc(col("pos"))]).frame(
+            FrameSpec::rows(FrameBound::Preceding(lit(1i64)), FrameBound::Following(lit(1i64)))
+                .exclude(FrameExclusion::CurrentRow),
+        ),
+    ];
+    let pattern = [0, 1, 1, 0, 1, 0, 0];
+    let pick = |pair: [Value; 2]| pattern.map(|p| pair[p].clone()).to_vec();
+    let numeric = || {
+        let x = col("x");
+        let sums = [FunctionCall::sum_distinct(x.clone()), FunctionCall::avg(x.clone()).distinct()];
+        [vec![FunctionCall::count_distinct(x)], sums.to_vec()].concat()
+    };
+    let pairs = [
+        (pick([Value::Int(1), Value::Int(-175_318_655_624_032_360)]), numeric()),
+        (
+            pick([Value::str("AAAAAAAABBBBBBBB"), Value::str("$OW42/h3sfVq&E)7")]),
+            vec![FunctionCall::count_distinct(col("x"))],
+        ),
+        (
+            pick([Value::Float(0.0), Value::Float(-0.0)]),
+            [numeric(), vec![FunctionCall::mode(col("x"))]].concat(),
+        ),
+    ];
+    for (x, calls) in pairs {
+        let t = Table::new(vec![
+            ("pos", Column::ints((0..x.len() as i64).collect())),
+            ("x", Column::from_values(&x).unwrap()),
+        ])
+        .unwrap();
+        for spec in &specs {
+            let q = calls.iter().enumerate().fold(WindowQuery::over(spec.clone()), |q, (i, c)| {
+                q.call(c.clone().named(format!("c{i}")))
+            });
+            let oracle = holistic_baselines::naive::execute(&q, &t).unwrap();
+            for opts in ExecOptions::all_configs() {
+                let forced = [Strategy::Mst, Strategy::Incremental, Strategy::Naive];
+                for opts in std::iter::once(opts).chain(forced.map(|s| opts.force_strategy(s))) {
+                    let out = q.execute_with(&t, opts).unwrap();
+                    for i in 0..calls.len() {
+                        let name = format!("c{i}");
+                        assert_eq!(
+                            out.column(&name).unwrap().to_values(),
+                            oracle.column(&name).unwrap().to_values(),
+                            "{:?} {name} over {:?}, {}",
+                            &x[..2],
+                            spec.frame,
+                            opts.label()
+                        );
+                    }
                 }
             }
         }

@@ -82,7 +82,8 @@ fn table(shapes: &[Shape], n: usize, rng: &mut StdRng) -> (Table, Vec<SortKey>) 
     (t, keys)
 }
 
-/// Bit-faithful value equality (`Value`'s `==` treats `-0.0 == 0.0`).
+/// Value equality that also tells types apart (`Value`'s `==` is `sql_eq`,
+/// under which `Int(1)` equals `Float(1.0)`).
 fn same_value(a: &Value, b: &Value) -> bool {
     match (a, b) {
         (Value::Float(x), Value::Float(y)) => x.to_bits() == y.to_bits(),

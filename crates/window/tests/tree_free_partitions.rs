@@ -86,7 +86,7 @@ fn tree_free_partition_builds_no_prev_and_copies_no_values() {
     assert_eq!(p.strategy.decisions[Strategy::Incremental.index()], 1);
     assert_eq!(p.cache.mst_builds, 0);
     assert_eq!(footprint(&p, "prev-idcs"), (0, 0), "nothing reads prev on the incremental path");
-    assert_eq!(footprint(&p, "distinct-prep"), (1, 8 * n as u64), "hashes only");
+    assert_eq!(footprint(&p, "distinct-prep"), (1, 4 * n as u64), "value ids only");
     assert_eq!(footprint(&p, "values"), (1, 8 * n as u64), "an i64 column without NULLs");
     assert_eq!(footprint(&p, "kept-values"), (1, 0), "shared with the values entry");
     // A mask that drops nothing is its keep flags (1 B/row): no remap arrays,
@@ -196,11 +196,11 @@ fn mixed_partition_builds_prev_once() {
         let (_, p) = q.execute_profiled(&t, mixed).unwrap();
         assert_eq!(p.strategy.decisions[Strategy::Incremental.index()], parts);
         assert_eq!(p.strategy.decisions[Strategy::Mst.index()], parts);
-        assert_eq!(footprint(&p, "prev-idcs"), (parts, 8 * n), "one sort per partition");
-        assert_eq!(footprint(&p, "distinct-prep"), (parts, 8 * n), "hashed once, read twice");
+        assert_eq!(footprint(&p, "prev-idcs"), (parts, 8 * n), "one pass per partition");
+        assert_eq!(footprint(&p, "distinct-prep"), (parts, 4 * n), "numbered once, read twice");
         assert_accounting(&p, "mixed");
 
-        // Private caches: only the tree call sorts.
+        // Private caches: only the tree call builds prevIdcs.
         let (_, p) = q.execute_profiled(&t, mixed.no_sharing()).unwrap();
         assert_eq!(footprint(&p, "prev-idcs").0, parts);
         assert_eq!(footprint(&p, "distinct-prep").0, 2 * parts);

@@ -141,9 +141,9 @@ fn tiny_partitions_with_exclusion() {
     }
 }
 
-/// About 1 500 partitions of 1–7 rows under ROWS frames with EXCLUDE GROUP
+/// About 3 000 partitions of 1–7 rows under ROWS frames with EXCLUDE GROUP
 /// and EXCLUDE TIES: every partition is tiny, so every call runs naive over
-/// one batch of the concatenated partitions (6 000 rows), and each
+/// one batch of the concatenated partitions (12 000 rows), and each
 /// partition's peer groups — which a ROWS frame keeps only for these holes —
 /// must reach its segment of the batch shifted to the segment's start.
 #[test]
@@ -151,7 +151,7 @@ fn peer_holes_of_tiny_partitions_in_one_naive_batch() {
     let mut rng = StdRng::seed_from_u64(4);
     let (mut g, mut k, mut v) = (Vec::new(), Vec::new(), Vec::new());
     let mut partitions = 0u64;
-    while g.len() < 6_000 {
+    while g.len() < 12_000 {
         for _ in 0..rng.gen_range(1..=7) {
             g.push(partitions as i64);
             k.push(rng.gen_range(0..3i64)); // peer groups of 1 to 7 rows
