@@ -116,6 +116,16 @@ if grep -rnE "\b(CountedBTree|sorted_lists|SortedListSegTree|OrderStatisticTree|
   exit 1
 fi
 
+step "one sort kernel (no sort_pairs, sort_rows, radix_sort_run or sort_pair_run under crates/)"
+# The engine sorts indices by (key, index) through core::sort::sort_indices:
+# only the indices move, and each key is read through the caller's key array.
+# A pair sort beside it would be a second copy of the radix passes, the
+# comparison fallback and the thresholds between them.
+if grep -rnwE "sort_pairs|sort_rows|radix_sort_run|sort_pair_run" crates; then
+  echo "crates/ sorts through core::sort::sort_indices only" >&2
+  exit 1
+fi
+
 step "options only shrink (ExecOptions has at most 4 pub fields; CostModel no pub field and at most 6 constants; PartitionStats at most 5 pub fields)"
 # A knob nothing sets is a constant: the merge sort tree's (f, k) and the
 # cost model's constants are not options. A field may go; none comes back,

@@ -21,7 +21,7 @@ use crate::cursor::gallop_partition_point;
 use crate::index::TreeIndex;
 use crate::params::MstParams;
 use crate::range_set::{RangeSet, MAX_RANGES};
-use crate::sort::sort_pairs;
+use crate::sort::sort_indices;
 use rayon::prelude::*;
 
 /// Per-level metadata of an arena-backed merge sort tree.
@@ -97,14 +97,20 @@ pub struct ProbeSeed {
 /// Base positions `0..n` ordered by `(values[p], p)`: the order of the top run,
 /// and — ties going to the earlier position — the order a stable merge of the
 /// level below would have produced. One call of the engine's one sort
-/// ([`sort_pairs`]) over range-compressed keys, so narrow key domains (prevIdcs,
-/// dense codes, permutations: all `≤ n`) take its radix passes.
+/// ([`sort_indices`]) over range-compressed keys, so narrow key domains
+/// (prevIdcs, dense codes, permutations: all `≤ n`) take its radix passes.
 fn sort_positions<I: TreeIndex>(values: &[I], parallel: bool) -> Vec<I> {
     let keys = || values.iter().map(|v| v.to_usize());
     let (min, max) = (keys().min().unwrap_or(0), keys().max().unwrap_or(0));
     let key_bits = usize::BITS - (max - min).leading_zeros();
-    let pairs = keys().enumerate().map(|(p, key)| ((key - min) as u64, p)).collect();
-    sort_pairs(pairs, key_bits, parallel).into_iter().map(|(_, p)| I::from_usize(p)).collect()
+    let mut pos = (0..values.len()).map(I::from_usize).collect();
+    sort_indices(
+        &mut pos,
+        |p: I| (values[p.to_usize()].to_usize() - min) as u64,
+        key_bits,
+        parallel,
+    );
+    pos
 }
 
 /// Derives level `lvl - 1` from level `lvl` by a stable `fanout`-way scatter
@@ -391,7 +397,8 @@ impl<I: TreeIndex> MergeSortTree<I> {
     /// the full [`mst_arena_len`]-element arena — the out-of-core path for
     /// partitions whose tree exceeds the memory budget. To stay below the
     /// arena it is avoiding, the positions are sorted in place rather than
-    /// through [`sort_pairs`], whose pairs and scratch alone are 32 B per row.
+    /// through [`sort_indices`], which holds a scratch copy of them beside
+    /// them (or, on its comparison path, 16 B per row of gathered key pairs).
     ///
     /// Bit-identical to [`Self::build`]: the same total order on top, the
     /// same scatter below; only the backing storage differs.

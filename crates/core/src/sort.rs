@@ -3,17 +3,17 @@
 //! The paper reuses the database's existing parallel sorter for the MST
 //! preprocessing steps: thread-local runs are sorted independently, then
 //! merged with a parallel multiway merge whose split points come from
-//! multisequence selection. This module provides exactly that pipeline for
+//! multisequence selection. [`parallel_sort`] is that pipeline for
 //! integer-keyed elements (every MST preprocessing sort is integer-keyed
 //! after hashing/encoding, §5.1/§6.7).
 //!
-//! [`sort_pairs`] is the engine's one sort entry point: the window ORDER BY
-//! and the SQL session's final ORDER BY (through [`sort_rows`]) and every
-//! inner ORDER BY hand it `(normalized key, row)` pairs, and the merge sort
-//! tree build its `(key, base position)` pairs. Runs are formed with
-//! LSD radix passes when the key's bit width makes that cheaper than
-//! comparing, and merged with the same stable multiway merge as everything
-//! else here.
+//! [`sort_indices`] is the engine's one sort: the window ORDER BY, the SQL
+//! session's final ORDER BY, every inner ORDER BY and the merge sort tree
+//! build hand it their indices (rows or positions) and the normalized key
+//! each index is read through, and get the indices back ordered by
+//! `(key, index)`. Only the indices move: LSD counting passes permute the
+//! index array itself whenever the key's bit width makes that cheaper than
+//! comparing.
 
 use crate::index::TreeIndex;
 use crate::loser_tree::LoserTree;
@@ -24,148 +24,117 @@ use rayon::prelude::*;
 /// and a date-sized key is one pass.
 const RADIX_DIGIT_BITS: u32 = 12;
 
-/// Fewest pairs worth forming parallel runs for: below it, spawning the
-/// workers and merging their runs costs more than the serial sort (on the
-/// two-core reference box the two meet at about a million pairs).
-const PARALLEL_MIN_LEN: usize = 1 << 16;
+/// Fewest indices the keys are gathered for: below it, every sort compares
+/// the indices in place.
+const RADIX_MIN_LEN: usize = 1 << 6;
 
-/// Shortest run any key width is radix-sorted at; below it, pairs are not
-/// worth gathering either ([`sort_rows`]).
-const RADIX_MIN_LEN: usize = 1 << 10;
-
-/// Whether LSD radix passes beat the comparison sort on a run of `len` pairs
-/// with `key_bits`-wide keys. Measured on the reference box with duplicate-
-/// heavy keys (which the comparison sort likes), one pass costs about two of
-/// the comparison sort's `log2(len)` levels, and the counters and the scratch
-/// buffer another eight: one-pass keys win from 1 Ki pairs, 48-bit keys from
-/// 64 Ki. Past four passes the comparison sort is at least as fast at every
-/// length, so wider keys (hashes, full-range integers) always take it.
+/// Whether LSD radix passes beat the comparison sort on `len` indices with
+/// `key_bits`-wide keys. Measured on the reference box (EXPERIMENTS.md, "One
+/// sort kernel"): clearing and summing a pass's counters costs about as much
+/// as moving an eighth as many indices, one or two passes win wherever
+/// their counters are paid for, three from 2 Ki indices and four from 8 Ki;
+/// five never do.
 fn radix_wins(len: usize, key_bits: u32) -> bool {
     let passes = key_bits.div_ceil(RADIX_DIGIT_BITS);
-    len >= RADIX_MIN_LEN && passes <= 4 && 2 * passes + 8 <= len.ilog2()
+    let buckets = 1usize << key_bits.div_ceil(passes.max(1));
+    let counters_paid = passes as usize * buckets <= 8 * len;
+    counters_paid && (passes <= 2 || (passes <= 4 && 2 * passes + 5 <= len.ilog2()))
 }
 
-/// Splits `data` into `num_runs` contiguous chunks, sorts each with `sort`
-/// (one task per chunk) and returns the run boundaries (always starting with
-/// 0 and ending with `data.len()`).
-fn form_runs<T: Send>(
-    data: &mut [T],
-    num_runs: usize,
-    sort: impl Fn(&mut [T]) + Send + Sync,
-) -> Vec<usize> {
+/// Splits `data` into `num_runs` contiguous chunks, sorts each by key (one
+/// task per chunk) and returns the run boundaries (always starting with 0
+/// and ending with `data.len()`).
+///
+/// Runs are ordered by key only: elements with equal keys land in no
+/// particular order, so a caller that needs ties in input order (prevIdcs)
+/// sorts indices instead, with [`sort_indices`].
+pub fn sort_runs<I: TreeIndex, T: Keyed<I>>(data: &mut [T], num_runs: usize) -> Vec<usize> {
     let n = data.len();
     let chunk = n.div_ceil(num_runs.clamp(1, n.max(1))).max(1);
     let mut bounds: Vec<usize> = (0..n).step_by(chunk).collect();
     bounds.push(n);
     bounds.dedup();
-    data.par_chunks_mut(chunk).for_each(sort);
+    data.par_chunks_mut(chunk).for_each(|c| c.sort_unstable_by_key(|e| e.key()));
     bounds
 }
 
-/// Sorts `data` into contiguous runs (one per task) and returns the run
-/// boundaries (always starting with 0 and ending with `data.len()`).
-///
-/// Runs are ordered by key only: elements with equal keys land in no
-/// particular order, so a caller that needs ties in input order (prevIdcs)
-/// sorts whole pairs instead, as [`sort_pairs`] does.
-pub fn sort_runs<I: TreeIndex, T: Keyed<I>>(data: &mut [T], num_runs: usize) -> Vec<usize> {
-    form_runs(data, num_runs, |c| c.sort_unstable_by_key(|e| e.key()))
-}
-
-/// Stable LSD radix sort of `run` on the low `key_bits` of each key.
-fn radix_sort_run(run: &mut [(u64, usize)], key_bits: u32) {
-    let passes = key_bits.div_ceil(RADIX_DIGIT_BITS);
-    if passes == 0 {
+/// LSD counting sort of the ascending indices `idx` by `(key(i), i)` on the
+/// low `key_bits` of each key. Every digit's histogram comes from one read
+/// of the keys, and only a digit that not all keys share makes a pass; the
+/// passes are stable, so ties keep their ascending index order. The indices
+/// move between `idx` and one scratch array, which replaces `idx` when the
+/// last pass wrote it.
+fn radix_sort<T: Copy + Default>(idx: &mut Vec<T>, key: impl Fn(T) -> u64, key_bits: u32) {
+    let (n, passes) = (idx.len(), key_bits.div_ceil(RADIX_DIGIT_BITS) as usize);
+    let bits = key_bits.div_ceil(passes.max(1) as u32);
+    let buckets = 1usize << bits;
+    let digit = |k: u64, p: usize| (k >> (p as u32 * bits)) as usize & (buckets - 1);
+    let mut counts = vec![0usize; passes * buckets];
+    for &i in idx.iter() {
+        let k = key(i);
+        for p in 0..passes {
+            counts[p * buckets + digit(k, p)] += 1;
+        }
+    }
+    let live: Vec<(usize, &mut [usize])> =
+        counts.chunks_mut(buckets).enumerate().filter(|(_, c)| !c.contains(&n)).collect();
+    if live.is_empty() {
         return;
     }
-    let digit_bits = key_bits.div_ceil(passes);
-    let buckets = 1usize << digit_bits;
-    let digit = |key: u64, pass: u32| (key >> (pass * digit_bits)) as usize & (buckets - 1);
-    // Every pass's histogram from one read of the run.
-    let mut counts = vec![0usize; passes as usize * buckets];
-    for &(key, _) in run.iter() {
-        for pass in 0..passes {
-            counts[pass as usize * buckets + digit(key, pass)] += 1;
-        }
-    }
-    let mut scratch = run.to_vec();
-    let (mut src, mut dst) = (&mut *run, &mut scratch[..]);
-    let mut swapped = false;
-    for (pass, next) in (0..passes).zip(counts.chunks_mut(buckets)) {
-        if next.contains(&src.len()) {
-            continue; // every key shares this digit
-        }
+    let mut scratch = vec![T::default(); n];
+    let odd = live.len() % 2 == 1;
+    let (mut src, mut dst) = (&mut idx[..], &mut scratch[..]);
+    for (p, next) in live {
         let mut sum = 0;
         for slot in next.iter_mut() {
             sum += std::mem::replace(slot, sum);
         }
-        for &pair in src.iter() {
-            let slot = &mut next[digit(pair.0, pass)];
-            dst[*slot] = pair;
+        for &i in src.iter() {
+            let slot = &mut next[digit(key(i), p)];
+            dst[*slot] = i;
             *slot += 1;
         }
         std::mem::swap(&mut src, &mut dst);
-        swapped = !swapped;
     }
-    if swapped {
-        dst.copy_from_slice(src);
-    }
-}
-
-/// Sorts one run of `(key, row)` pairs whose rows ascend: by key, ties in
-/// ascending row. Radix passes are stable, so they keep the input's row order
-/// among equal keys; the comparison sort orders the whole pair.
-fn sort_pair_run(run: &mut [(u64, usize)], key_bits: u32) {
-    if radix_wins(run.len(), key_bits) {
-        radix_sort_run(run, key_bits);
-    } else {
-        run.sort_unstable();
+    if odd {
+        *idx = scratch;
     }
 }
 
-/// The engine's one sort: `(key, row)` pairs ascending by key, ties in
-/// ascending row — a total order, so the result is unique.
+/// The engine's one sort: orders `idx` by `(key(i), i)` — a total order, so
+/// the result is unique. Only the indices move; each key is read through
+/// `key`, the caller's key array.
 ///
 /// `key_bits` is an upper bound on the significant bits of every key (a
-/// by-product of range-compressing the keys, 64 when unknown); it decides
-/// between LSD radix passes and the comparison sort per run. Rows normally
-/// arrive ascending (a partition's rows in table order); when they do not,
-/// the pairs are comparison-sorted as a whole, which needs no stability.
-pub fn sort_pairs(
-    mut pairs: Vec<(u64, usize)>,
-    key_bits: u32,
-    parallel: bool,
-) -> Vec<(u64, usize)> {
-    debug_assert!(key_bits >= 64 || pairs.iter().all(|p| p.0 >> key_bits == 0));
-    if !pairs.windows(2).all(|w| w[0].1 < w[1].1) {
+/// by-product of range-compressing the keys, 64 when unknown); with the
+/// length it decides between LSD radix passes and the comparison sort.
+/// Indices normally arrive ascending (a partition's rows in table order, a
+/// tree's positions), which the radix passes need; when they do not, the
+/// comparison sort takes them. The radix passes run on one thread: forming
+/// runs on several and merging them lost to the serial passes at every
+/// length measured (EXPERIMENTS.md), so `parallel` reaches only the
+/// comparison sort.
+pub fn sort_indices<T, K>(idx: &mut Vec<T>, key: K, key_bits: u32, parallel: bool)
+where
+    T: Copy + Ord + Default + Send + Sync,
+    K: Fn(T) -> u64,
+{
+    debug_assert!(key_bits >= 64 || idx.iter().all(|&i| key(i) >> key_bits == 0));
+    if idx.len() < RADIX_MIN_LEN {
+        idx.sort_unstable_by_key(|&i| (key(i), i));
+    } else if radix_wins(idx.len(), key_bits) && idx.windows(2).all(|w| w[0] < w[1]) {
+        radix_sort(idx, key, key_bits);
+    } else {
+        // Each key read once, then compared beside its index.
+        let mut pairs: Vec<(u64, T)> = idx.iter().map(|&i| (key(i), i)).collect();
         if parallel {
             pairs.par_sort_unstable();
         } else {
             pairs.sort_unstable();
         }
-        return pairs;
-    }
-    if !parallel || pairs.len() < PARALLEL_MIN_LEN {
-        sort_pair_run(&mut pairs, key_bits);
-        return pairs;
-    }
-    let tasks = rayon::current_num_threads().max(1) * 4;
-    let bounds = form_runs(&mut pairs, tasks, |run| sort_pair_run(run, key_bits));
-    // The merge breaks key ties towards the earlier run, whose rows are the
-    // smaller ones.
-    merge_runs::<u64, (u64, usize)>(&pairs, &bounds, true)
-}
-
-/// Sorts table `rows` by `(keys[row], row)`: [`sort_pairs`] over the gathered
-/// pairs, or in place when there are too few rows for the gather to pay.
-pub fn sort_rows(rows: &mut [usize], keys: &[u64], key_bits: u32, parallel: bool) {
-    if rows.len() < RADIX_MIN_LEN {
-        rows.sort_unstable_by_key(|&row| (keys[row], row));
-        return;
-    }
-    let pairs = rows.iter().map(|&row| (keys[row], row)).collect();
-    for (row, (_, sorted)) in rows.iter_mut().zip(sort_pairs(pairs, key_bits, parallel)) {
-        *row = sorted;
+        for (i, (_, sorted)) in idx.iter_mut().zip(pairs) {
+            *i = sorted;
+        }
     }
 }
 
@@ -269,32 +238,49 @@ mod tests {
     }
 
     #[test]
-    fn sort_pairs_orders_by_key_then_row_at_every_width() {
+    fn sort_indices_orders_by_key_then_index_at_every_width() {
         let mut rng = StdRng::seed_from_u64(79);
-        for &n in &[0usize, 1, 7, 1_000, 5_000, 40_000, 300_000] {
-            for &bits in &[0u32, 1, 6, 11, 12, 23, 40, 64] {
-                let mask = if bits == 64 { u64::MAX } else { (1u64 << bits) - 1 };
-                // Few distinct keys, so ties are common at every width.
-                let keys: Vec<u64> = (0..64).map(|_| rng.gen::<u64>() & mask).collect();
-                let pairs: Vec<(u64, usize)> =
-                    (0..n).map(|row| (keys[rng.gen_range(0..64usize)], row)).collect();
-                let mut expect = pairs.clone();
-                expect.sort_unstable();
-                assert_eq!(sort_pairs(pairs.clone(), bits, false), expect, "n={n} bits={bits}");
-                assert_eq!(sort_pairs(pairs, bits, true), expect, "n={n} bits={bits} parallel");
+        let lens = [0, 1, 7, RADIX_MIN_LEN - 1, RADIX_MIN_LEN, 5_000, 1 << 16];
+        for bits in 0..=64u32 {
+            let mask = if bits == 0 { 0 } else { u64::MAX >> (64 - bits) };
+            // Few distinct keys, so ties are common at every width; the top
+            // bit is always among them.
+            let mut pool: Vec<u64> = (0..63).map(|_| rng.gen::<u64>() & mask).collect();
+            pool.push(mask);
+            for &n in &lens {
+                let key: Vec<u64> = (0..n).map(|_| pool[rng.gen_range(0..64usize)]).collect();
+                let mut expect: Vec<usize> = (0..n).collect();
+                expect.sort_unstable_by_key(|&i| (key[i], i));
+                // Ascending input, and the same indices shuffled (which takes
+                // the comparison sort at any length, so once a long one).
+                let ascending: Vec<usize> = (0..n).collect();
+                let mut shuffled = ascending.clone();
+                for i in (1..n).rev() {
+                    shuffled.swap(i, rng.gen_range(0..i + 1));
+                }
+                let inputs = if n <= RADIX_MIN_LEN || bits == 64 { 2 } else { 1 };
+                for input in [&ascending, &shuffled].into_iter().take(inputs) {
+                    for parallel in [false, true] {
+                        let mut idx = input.clone();
+                        sort_indices(&mut idx, |i| key[i], bits, parallel);
+                        assert_eq!(idx, expect, "n={n} bits={bits} parallel={parallel}");
+                    }
+                }
             }
         }
     }
 
     #[test]
-    fn sort_pairs_accepts_rows_in_any_order() {
+    fn sort_indices_sorts_tree_positions() {
         let mut rng = StdRng::seed_from_u64(80);
-        let pairs: Vec<(u64, usize)> =
-            (0..100_000).rev().map(|row| (rng.gen_range(0..50), row)).collect();
-        let mut expect = pairs.clone();
-        expect.sort_unstable();
-        assert_eq!(sort_pairs(pairs.clone(), 6, false), expect);
-        assert_eq!(sort_pairs(pairs, 6, true), expect);
+        let values: Vec<u32> = (0..100_000).map(|_| rng.gen_range(0..50_000)).collect();
+        let mut expect: Vec<u32> = (0..100_000).collect();
+        expect.sort_unstable_by_key(|&p| (values[p as usize], p));
+        for parallel in [false, true] {
+            let mut pos: Vec<u32> = (0..100_000).collect();
+            sort_indices(&mut pos, |p| u64::from(values[p as usize]), 16, parallel);
+            assert_eq!(pos, expect);
+        }
     }
 
     #[test]

@@ -94,8 +94,10 @@ pub(crate) enum ArtifactKey {
     CodeMst(Criteria, Arc<MaskKey>),
     /// Merge sort tree over the permutation array (selection, §4.5).
     PermMst(Criteria, Arc<MaskKey>),
-    /// Value ids per kept position: the DISTINCT aggregates' and MODE's.
-    DistinctPrep(Arc<CanonicalExpr>, Arc<MaskKey>),
+    /// Value ids per kept position: the DISTINCT aggregates' and MODE's;
+    /// with each id's occurrence list when the flag is set (the DISTINCT
+    /// aggregates' exclusion correction).
+    DistinctPrep(Arc<CanonicalExpr>, Arc<MaskKey>, bool),
     /// Previous-occurrence indices over those ids (Alg. 1) — read only by
     /// the distinct trees, so tree-free partitions never build it.
     PrevIdcs(Arc<CanonicalExpr>, Arc<MaskKey>),
@@ -879,7 +881,8 @@ pub(crate) struct DistinctPrepArt {
     /// Kept values (payloads / exclusion corrections). `Arc`-shared with the
     /// kept-values artifact, which is the one charged for them.
     pub values: Arc<Column>,
-    /// Id → ascending kept positions ([`Ctx::occurrences`]).
+    /// Id → ascending kept positions ([`Ctx::occurrences`]), for the
+    /// DISTINCT aggregates only.
     pub occurrences: Vec<Vec<usize>>,
 }
 
@@ -1111,14 +1114,24 @@ impl Ctx<'_> {
         occurrences
     }
 
-    /// Value ids and (under exclusion) their occurrence lists
-    /// ([`ArtifactKey::DistinctPrep`]).
-    pub(crate) fn distinct_prep_art(&self, cp: &CallPlan) -> Result<Arc<DistinctPrepArt>> {
-        let key = ArtifactKey::DistinctPrep(Arc::clone(value(cp)), Arc::clone(&cp.mask));
+    /// Value ids and, when `occurrences` is asked for and a frame excludes,
+    /// their occurrence lists ([`ArtifactKey::DistinctPrep`]): the DISTINCT
+    /// aggregates' hole correction reads them, MODE never does.
+    pub(crate) fn distinct_prep_art(
+        &self,
+        cp: &CallPlan,
+        occurrences: bool,
+    ) -> Result<Arc<DistinctPrepArt>> {
+        let lists = occurrences && self.frames.has_exclusion();
+        let key = ArtifactKey::DistinctPrep(Arc::clone(value(cp)), Arc::clone(&cp.mask), lists);
         self.artifact(key, || {
             let values = self.kept_values_art(cp)?;
             let (ids, distinct) = codes_of(&values);
-            let occurrences = self.occurrences(ids.iter().map(|&id| id as usize), distinct);
+            let occurrences = if lists {
+                self.occurrences(ids.iter().map(|&id| id as usize), distinct)
+            } else {
+                Vec::new()
+            };
             Ok(DistinctPrepArt { ids, distinct, values, occurrences })
         })
     }
@@ -1128,7 +1141,7 @@ impl Ctx<'_> {
     /// its only readers), [`ArtifactKey::PrevIdcs`].
     pub(crate) fn prev_idcs_art(&self, cp: &CallPlan) -> Result<Arc<Vec<usize>>> {
         let key = ArtifactKey::PrevIdcs(Arc::clone(value(cp)), Arc::clone(&cp.mask));
-        self.artifact(key, || Ok(self.distinct_prep_art(cp)?.prev_idcs()))
+        self.artifact(key, || Ok(self.distinct_prep_art(cp, true)?.prev_idcs()))
     }
 
     /// Merge sort tree over the previous-occurrence indices (COUNT DISTINCT),
@@ -1170,7 +1183,7 @@ impl Ctx<'_> {
         cp: &CallPlan,
         index: impl FnOnce(Vec<u32>, usize) -> X,
     ) -> Result<ModeArt<X>> {
-        let prep = self.distinct_prep_art(cp)?;
+        let prep = self.distinct_prep_art(cp, false)?;
         // Ids ascend with sql_cmp, so the smallest-id tie-break picks the
         // smallest value: one sort of each id's first position.
         let mut firsts: Vec<usize> = Vec::with_capacity(prep.distinct);

@@ -55,7 +55,7 @@ pub(crate) fn evaluate(
         return Err(Error::InvalidArgument("COUNT(DISTINCT *) is not valid SQL".into()));
     }
     let mask = ctx.mask_art(cp)?;
-    let prep = ctx.distinct_prep_art(cp)?;
+    let prep = ctx.distinct_prep_art(cp, true)?;
     if call.kind != FuncKind::Count {
         // SUM / AVG: the annotated tree only (`strategy::applicable`).
         return sum_or_avg(ctx, call, cp, &mask, &prep);

@@ -8,7 +8,7 @@
 //! an Int, Date, Bool or Float is range-compressed and the criteria are
 //! concatenated into one *normalized key* per row, so that comparing two
 //! rows is comparing two integers and sorting is an integer sort
-//! ([`holistic_core::sort::sort_pairs`]). Each criterion is read from its
+//! ([`holistic_core::sort::sort_indices`]). Each criterion is read from its
 //! typed column, evaluated through the VM where it is an expression. Criteria
 //! that do not fit 64 bits (strings, very wide ranges) keep the `Value`
 //! comparator, which is also the definition the normalized key is tested
@@ -21,7 +21,7 @@ use crate::table::Table;
 use crate::value::{DataType, Value};
 use crate::vm::{self, RowSel};
 use holistic_core::codes::DenseCodes;
-use holistic_core::sort::{sort_pairs, sort_rows};
+use holistic_core::sort::sort_indices;
 use rayon::prelude::*;
 use std::borrow::Cow;
 use std::cmp::Ordering;
@@ -94,63 +94,47 @@ fn value_of(ty: DataType, o: u64) -> Value {
     }
 }
 
-/// One criterion's values as ordinals, the input of the key layout.
-struct Ordinals {
-    /// Type, smallest and largest ordinal of the non-NULL rows, if any.
-    range: Option<(DataType, u64, u64)>,
-    /// Ordinal per row (arbitrary where `valid` is false).
-    ords: Vec<u64>,
-    /// False marks NULL.
-    valid: Vec<bool>,
+/// Calls `each` with the ordinal of every row of a key column (`None` for
+/// NULL) and returns the column's type; `None` for strings, which have no
+/// ordinal.
+fn for_each_ordinal(col: &Column, each: impl FnMut(Option<u64>)) -> Option<DataType> {
+    fn rows<X: Copy>(
+        data: &[X],
+        valid: &[bool],
+        ord: impl Fn(X) -> u64,
+        mut each: impl FnMut(Option<u64>),
+    ) {
+        // An empty validity mask means "no NULLs".
+        if valid.is_empty() {
+            data.iter().for_each(|&x| each(Some(ord(x))));
+        } else {
+            data.iter().zip(valid).for_each(|(&x, &ok)| each(ok.then(|| ord(x))));
+        }
+    }
+    match col {
+        Column::Int(d, v) => rows(d, v, int_ordinal, each),
+        Column::Date(d, v) => rows(d, v, |x| int_ordinal(i64::from(x)), each),
+        Column::Bool(d, v) => rows(d, v, u64::from, each),
+        Column::Float(d, v) => rows(d, v, float_ordinal, each),
+        Column::Str(..) => return None,
+    }
+    Some(col.data_type())
 }
 
-impl Ordinals {
-    fn new(ty: DataType, ords: Vec<u64>, valid: Vec<bool>) -> Self {
-        let (mut lo, mut hi) = (u64::MAX, 0);
-        for (&o, _) in ords.iter().zip(&valid).filter(|(_, &ok)| ok) {
+/// A criterion's type with the smallest and largest ordinal of its non-NULL
+/// rows, `None` while it has none: what the key layout is made from.
+type OrdinalRange = Option<(DataType, u64, u64)>;
+
+/// The [`OrdinalRange`] of a key column; `None` for strings.
+fn ordinal_range(col: &Column) -> Option<OrdinalRange> {
+    let (mut lo, mut hi) = (u64::MAX, 0);
+    let ty = for_each_ordinal(col, |o| {
+        if let Some(o) = o {
             lo = lo.min(o);
             hi = hi.max(o);
         }
-        Ordinals { range: (lo <= hi).then_some((ty, lo, hi)), ords, valid }
-    }
-
-    /// A key column's ordinals: `None` for strings.
-    fn of_column(col: &Column) -> Option<Self> {
-        let (ty, ords, valid): (_, Vec<u64>, &Vec<bool>) = match col {
-            Column::Int(d, v) => (DataType::Int, d.iter().map(|&x| int_ordinal(x)).collect(), v),
-            Column::Date(d, v) => {
-                (DataType::Date, d.iter().map(|&x| int_ordinal(i64::from(x))).collect(), v)
-            }
-            Column::Bool(d, v) => (DataType::Bool, d.iter().map(|&x| u64::from(x)).collect(), v),
-            Column::Float(d, v) => {
-                (DataType::Float, d.iter().map(|&x| float_ordinal(x)).collect(), v)
-            }
-            Column::Str(..) => return None,
-        };
-        // An empty validity mask means "no NULLs".
-        let valid = if valid.is_empty() { vec![true; ords.len()] } else { valid.clone() };
-        Some(Ordinals::new(ty, ords, valid))
-    }
-
-    /// `self` followed by `more`; `None` when their types differ.
-    fn concat(mut self, more: Ordinals) -> Option<Self> {
-        self.range = match (self.range, more.range) {
-            (Some((a, lo, hi)), Some((b, lo2, hi2))) if a == b => {
-                Some((a, lo.min(lo2), hi.max(hi2)))
-            }
-            (Some(_), Some(_)) => return None,
-            (a, b) => a.or(b),
-        };
-        self.ords.extend(more.ords);
-        self.valid.extend(more.valid);
-        Some(self)
-    }
-
-    fn into_values(self) -> Vec<Value> {
-        let ty = self.range.map_or(DataType::Int, |r| r.0);
-        let value = |(&o, &ok): (&u64, &bool)| if ok { value_of(ty, o) } else { Value::Null };
-        self.ords.iter().zip(&self.valid).map(value).collect()
-    }
+    })?;
+    Some((lo <= hi).then_some((ty, lo, hi)))
 }
 
 /// Where one criterion sits inside the normalized key, and how its values
@@ -193,10 +177,15 @@ impl Field {
         Some(self.lo + if self.desc { self.span - rel } else { rel })
     }
 
-    fn unpack(&self, norm: &[u64]) -> Ordinals {
-        let (ords, valid) =
-            norm.iter().map(|&k| self.ordinal_in(k).map_or((0, false), |o| (o, true))).unzip();
-        Ordinals::new(self.ty.unwrap_or(DataType::Int), ords, valid)
+    /// The criterion's values in the normalized keys `norm`, as a column of
+    /// the field's type, or of `ty` while the field has seen only NULLs.
+    fn column(&self, norm: &[u64], ty: DataType) -> Column {
+        let mut col = Column::new_empty(self.ty.unwrap_or(ty));
+        for &key in norm {
+            let v = self.ordinal_in(key).map_or(Value::Null, |o| value_of(col.data_type(), o));
+            col.push(v).expect("a value of the column's own type");
+        }
+        col
     }
 }
 
@@ -204,8 +193,8 @@ impl Field {
 /// ordinal range allows; `None` when they need more than 64 bits. With
 /// `headroom` the spare bits are shared out among the criteria, so that a
 /// growing table rarely outgrows the layout again.
-fn layout(cols: &[Ordinals], flags: &[(bool, bool)], headroom: bool) -> Option<Vec<Field>> {
-    let needed = |c: &Ordinals| c.range.map_or(0, |(_, lo, hi)| hi - lo);
+fn layout(cols: &[OrdinalRange], flags: &[(bool, bool)], headroom: bool) -> Option<Vec<Field>> {
+    let needed = |c: &OrdinalRange| c.map_or(0, |(_, lo, hi)| hi - lo);
     let mut widths = Vec::with_capacity(cols.len());
     for c in cols {
         // Codes run to `span + 1` (the NULL code), which must itself fit.
@@ -223,24 +212,38 @@ fn layout(cols: &[Ordinals], flags: &[(bool, bool)], headroom: bool) -> Option<V
         shift -= width;
         // The widest span the field's bits can code, centred on the data.
         let span = (u64::MAX >> (u64::BITS - width)) - 1;
-        let min = c.range.map_or(0, |r| r.1);
+        let min = c.map_or(0, |r| r.1);
         let lo = min.saturating_sub((span - needed(c)) / 2).min(u64::MAX - span);
-        fields.push(Field { ty: c.range.map(|r| r.0), lo, span, shift, desc, nulls_first });
+        fields.push(Field { ty: c.map(|r| r.0), lo, span, shift, desc, nulls_first });
     }
     Some(fields)
 }
 
-/// Encodes rows of `cols` under `fields`; `None` when a value's type or
-/// ordinal is outside its field.
-fn encode(fields: &[Field], cols: &[Ordinals]) -> Option<Vec<u64>> {
-    let fits = |(f, c): (&Field, &Ordinals)| c.range.is_none_or(|r| f.ty == Some(r.0));
-    if !fields.iter().zip(cols).all(fits) {
-        return None;
-    }
-    let mut norm = vec![0u64; cols.first().map_or(0, |c| c.ords.len())];
-    for (f, c) in fields.iter().zip(cols) {
-        for ((key, &o), &ok) in norm.iter_mut().zip(&c.ords).zip(&c.valid) {
-            *key |= f.code(ok.then_some(o))? << f.shift;
+/// Encodes the rows of the key columns `cols` under `fields`, one pass per
+/// criterion straight from its typed column: the first writes each key, the
+/// others add their fields to it. `None` when a value's type or ordinal is
+/// outside its field.
+fn encode(fields: &[Field], cols: &[Cow<'_, Column>]) -> Option<Vec<u64>> {
+    let mut norm: Vec<u64> = Vec::new();
+    for (i, (f, col)) in fields.iter().zip(cols).enumerate() {
+        if col.any_valid() && f.ty != Some(col.data_type()) {
+            return None;
+        }
+        let mut fits = true;
+        let mut code = |o| {
+            let code = f.code(o);
+            fits &= code.is_some();
+            code.unwrap_or(0) << f.shift
+        };
+        if i == 0 {
+            norm.reserve_exact(col.len());
+            for_each_ordinal(col, |o| norm.push(code(o)))?;
+        } else {
+            let mut keys = norm.iter_mut();
+            for_each_ordinal(col, |o| *keys.next().expect("columns equally long") |= code(o))?;
+        }
+        if !fits {
+            return None;
         }
     }
     Some(norm)
@@ -314,8 +317,11 @@ fn values_repr(values: impl Iterator<Item = Vec<Value>>, sort_keys: &[SortKey]) 
     Repr::Values(values.zip(sort_keys).map(|(v, sk)| (v, sk.desc, sk.nulls_first)).collect())
 }
 
-fn pack(cols: &[Ordinals], flags: &[(bool, bool)], headroom: bool) -> Option<Repr> {
-    let fields = layout(cols, flags, headroom)?;
+/// The normalized keys of `cols`, laid out from their ordinal ranges; `None`
+/// when a criterion is a string or the criteria need more than 64 bits.
+fn pack(cols: &[Cow<'_, Column>], flags: &[(bool, bool)], headroom: bool) -> Option<Repr> {
+    let ranges = cols.iter().map(|c| ordinal_range(c)).collect::<Option<Vec<_>>>()?;
+    let fields = layout(&ranges, flags, headroom)?;
     let norm = encode(&fields, cols).expect("the layout covers every ordinal it was built from");
     Some(Repr::Packed { norm, fields })
 }
@@ -326,13 +332,8 @@ impl KeyColumns {
     /// otherwise; the choice depends on the key data alone.
     pub fn evaluate(table: &Table, sort_keys: &[SortKey]) -> Result<Self> {
         let cols = key_columns(table, sort_keys, 0)?;
-        let packed = cols
-            .iter()
-            .map(|c| Ordinals::of_column(c))
-            .collect::<Option<Vec<Ordinals>>>()
-            .and_then(|ords| pack(&ords, &flags(sort_keys), false));
-        let repr =
-            packed.unwrap_or_else(|| values_repr(cols.iter().map(|c| c.to_values()), sort_keys));
+        let repr = pack(&cols, &flags(sort_keys), false)
+            .unwrap_or_else(|| values_repr(cols.iter().map(|c| c.to_values()), sort_keys));
         Ok(KeyColumns { repr })
     }
 
@@ -368,20 +369,28 @@ impl KeyColumns {
             }
             Repr::Packed { norm, fields } => (norm, fields),
         };
-        let more: Option<Vec<Ordinals>> = batch.iter().map(|c| Ordinals::of_column(c)).collect();
-        if let Some(codes) = more.as_ref().and_then(|more| encode(fields, more)) {
+        if let Some(codes) = encode(fields, &batch) {
             norm.extend(codes);
             return Ok(());
         }
-        let old = || fields.iter().map(|f| f.unpack(norm));
-        let repacked = more.and_then(|more| {
-            let all: Vec<Ordinals> =
-                old().zip(more).map(|(o, m)| o.concat(m)).collect::<Option<_>>()?;
-            pack(&all, &flags(sort_keys), true)
+        // Each criterion's old rows decoded and the batch appended, where
+        // their types agree (a criterion that has seen only NULLs takes the
+        // batch's).
+        let repacked = fields.iter().zip(&batch).map(|(f, more)| {
+            let ty = f.ty.unwrap_or(more.data_type());
+            if more.data_type() == DataType::Str || (more.any_valid() && more.data_type() != ty) {
+                return None;
+            }
+            let mut all = f.column(norm, ty);
+            all.extend_from(more);
+            Some(Cow::Owned(all))
         });
+        let repacked = repacked
+            .collect::<Option<Vec<_>>>()
+            .and_then(|all| pack(&all, &flags(sort_keys), true));
         self.repr = repacked.unwrap_or_else(|| {
-            let values = old().zip(&batch).map(|(o, more)| {
-                let mut vals = o.into_values();
+            let values = fields.iter().zip(&batch).map(|(f, more)| {
+                let mut vals = f.column(norm, DataType::Int).to_values();
                 vals.extend(more.to_values());
                 vals
             });
@@ -548,8 +557,8 @@ fn cmp_values(keys: &[(Vec<Value>, bool, bool)], a: usize, b: usize) -> Ordering
 /// Sorts `rows` (indices into the table) by `keys`, ties broken by the row
 /// index, so the result is unique. This is the window operator's ORDER BY
 /// phase; it reuses the engine's integer sorter as the paper reuses Hyper's
-/// (§5.3).
-pub fn sort_permutation(keys: &KeyColumns, rows: &mut [usize], parallel: bool) {
+/// (§5.3), and the sorted order replaces `rows`.
+pub fn sort_permutation(keys: &KeyColumns, rows: &mut Vec<usize>, parallel: bool) {
     let Some((norm, bits)) = keys.normalized() else {
         let cmp = |&a: &usize, &b: &usize| keys.cmp_rows(a, b).then_with(|| a.cmp(&b));
         if parallel && rows.len() >= 4096 {
@@ -559,7 +568,7 @@ pub fn sort_permutation(keys: &KeyColumns, rows: &mut [usize], parallel: bool) {
         }
         return;
     };
-    sort_rows(rows, norm, bits, parallel);
+    sort_indices(rows, |row| norm[row], bits, parallel);
 }
 
 /// Dense code preprocessing (Figure 8): the inner ORDER BY sort and its
@@ -582,10 +591,12 @@ pub fn dense_codes_for(keys: &KeyColumns, rows: &[usize], parallel: bool) -> Den
             keys.rows_equal(rows[perm[r]], rows[perm[r - 1]])
         });
     };
-    let pairs = rows.iter().enumerate().map(|(pos, &row)| (norm[row], pos)).collect();
-    let sorted = sort_pairs(pairs, bits, parallel);
-    let perm = sorted.iter().map(|&(_, pos)| pos).collect();
-    DenseCodes::from_sorted(perm, |_, r| sorted[r].0 == sorted[r - 1].0)
+    // Gathered once, the keys are read in position order by the sort's
+    // first passes.
+    let key: Vec<u64> = rows.iter().map(|&row| norm[row]).collect();
+    let mut perm = (0..n).collect();
+    sort_indices(&mut perm, |pos| key[pos], bits, parallel);
+    DenseCodes::from_sorted(perm, |perm, r| key[perm[r]] == key[perm[r - 1]])
 }
 
 /// Peer group boundaries of an already-sorted position range: for each

@@ -13,6 +13,11 @@ use rand::{Rng, SeedableRng};
 /// Column kinds: 0 Int, 1 Date, 2 Bool, 3 Float, 4 Str.
 const KINDS: u8 = 5;
 
+/// NaNs of either sign with payloads other than the default NaN's, quiet
+/// and signalling: `total_cmp` orders them by payload.
+const NAN_PAYLOADS: [u64; 4] =
+    [0x7ff0_0000_0000_0001, 0x7ff8_0000_0000_0abc, 0xfff0_0000_0000_0002, 0xffff_ffff_ffff_ffff];
+
 /// One non-NULL value of `kind`. `spread` 0 draws from a handful of values
 /// (ties everywhere), 1 from a wider band, 2 adds the type's extremes.
 fn value(kind: u8, spread: u8, rng: &mut StdRng) -> Value {
@@ -32,8 +37,12 @@ fn value(kind: u8, spread: u8, rng: &mut StdRng) -> Value {
         3 => Value::Float(match spread {
             0 => small as f64 / 2.0,
             1 => f64::from_bits(rng.gen::<u64>()),
-            _ => [f64::NAN, -f64::NAN, 0.0, -0.0, f64::INFINITY, f64::NEG_INFINITY, 1.5]
-                [rng.gen_range(0..7usize)],
+            _ => NAN_PAYLOADS
+                .into_iter()
+                .map(f64::from_bits)
+                .chain([f64::NAN, -f64::NAN, 0.0, -0.0, f64::INFINITY, f64::NEG_INFINITY, 1.5])
+                .nth(rng.gen_range(0..11usize))
+                .unwrap(),
         }),
         _ => Value::str(["", "a", "ab", "b", "β"][rng.gen_range(0..5usize)]),
     }
@@ -271,4 +280,69 @@ fn appended_monotone_keys_repack_once_then_extend_in_place() {
     }
     let reference = KeyColumns::evaluate_comparator(&t, &sort_keys).unwrap();
     assert_same_answers(&keys, &reference, t.num_rows(), &mut StdRng::seed_from_u64(4));
+}
+
+#[test]
+fn extend_repacks_from_nulls_to_values_across_criteria() {
+    // The first batch gives the floats only NULLs and `d` a narrow band. The
+    // second brings the floats' first values and moves `d` out of its layout,
+    // so the keys re-pack, and a criterion that had seen only NULLs takes the
+    // batch's type; the third fits the new layout. `f` holds NaN payloads and
+    // infinities (one criterion of nearly 64 bits), `z` only ±0.0, which
+    // packs beside `d` and `b`.
+    let floats: Vec<f64> = NAN_PAYLOADS[..3]
+        .iter()
+        .map(|&bits| f64::from_bits(bits))
+        .chain([-0.0, 0.0, f64::NAN, -f64::NAN, 2.5, f64::NEG_INFINITY])
+        .collect();
+    let typed = |ty, vals: Vec<Value>| {
+        let mut c = Column::new_empty(ty);
+        vals.into_iter().for_each(|v| c.push(v).unwrap());
+        c
+    };
+    let batch = |from: usize, n: usize, spread: i32| {
+        let rows = from..from + n;
+        let null = |i: usize| spread == 1 || i.is_multiple_of(5);
+        let float = |i: usize, v: f64| if null(i) { Value::Null } else { Value::Float(v) };
+        let f = rows.clone().map(|i| float(i, floats[i % floats.len()])).collect();
+        let z = rows.clone().map(|i| float(i, [-0.0, 0.0][i % 2])).collect();
+        let d = rows.clone().map(|i| Value::Date((i as i32 * 37 % 11) * spread)).collect();
+        let b = rows.map(|i| {
+            if i.is_multiple_of(7) {
+                Value::Null
+            } else {
+                Value::Bool(i.is_multiple_of(3))
+            }
+        });
+        Table::new(vec![
+            ("f", typed(DataType::Float, f)),
+            ("z", typed(DataType::Float, z)),
+            ("d", typed(DataType::Date, d)),
+            ("b", typed(DataType::Bool, b.collect())),
+        ])
+        .unwrap()
+    };
+    let key_lists = [
+        vec![SortKey::desc(col("f"))],
+        vec![
+            SortKey::asc(col("d").add(lit(0i64))).nulls_first(true),
+            SortKey::asc(col("b")),
+            SortKey::desc(col("z")).nulls_first(false),
+        ],
+    ];
+    for sort_keys in &key_lists {
+        let mut t = batch(0, 300, 1);
+        let mut keys = KeyColumns::evaluate(&t, sort_keys).unwrap();
+        for (n, spread) in [(300, 1_000), (300, 10)] {
+            let from = t.num_rows();
+            t.append_rows(&batch(from, n, spread)).unwrap();
+            keys.extend(&t, sort_keys, from).unwrap();
+            assert!(is_packed(&keys, t.num_rows()), "{} rows", t.num_rows());
+            let reference = KeyColumns::evaluate_comparator(&t, sort_keys).unwrap();
+            let whole = KeyColumns::evaluate(&t, sort_keys).unwrap();
+            let mut rng = StdRng::seed_from_u64(5);
+            assert_same_answers(&keys, &reference, t.num_rows(), &mut rng);
+            assert_same_answers(&whole, &reference, t.num_rows(), &mut rng);
+        }
+    }
 }

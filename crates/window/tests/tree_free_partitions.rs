@@ -95,6 +95,35 @@ fn tree_free_partition_builds_no_prev_and_copies_no_values() {
     assert_accounting(&p, "tree-free");
 }
 
+#[test]
+fn only_the_distinct_aggregates_build_occurrence_lists() {
+    // Seven floats under EXCLUDE CURRENT ROW: the value ids are 4 B a row,
+    // the occurrence lists the hole correction reads another 8 B a row.
+    let x = vec![1.5, -0.0, 2.5, 1.5, 0.0, 2.5, 1.5];
+    let t = Table::new(vec![("pos", Column::ints((0..7).collect())), ("x", Column::floats(x))])
+        .unwrap();
+    let frame = FrameSpec::rows(FrameBound::Preceding(lit(1i64)), FrameBound::Following(lit(1i64)))
+        .exclude(FrameExclusion::CurrentRow);
+    let spec = WindowSpec::new().order_by(vec![SortKey::asc(col("pos"))]).frame(frame);
+    let mode = FunctionCall::mode(col("x")).named("m");
+    let count = FunctionCall::count_distinct(col("x")).named("c");
+    // Seven rows run cacheless (and record nothing) unless a strategy is
+    // forced; every forced strategy but the naive scan keeps a cache.
+    for strategy in Strategy::ALL.into_iter().filter(|&s| s != Strategy::Naive) {
+        let prep = |calls: &[&FunctionCall]| {
+            let q = calls.iter().fold(WindowQuery::over(spec.clone()), |q, &c| q.call(c.clone()));
+            let opts = ExecOptions::serial().force_strategy(strategy);
+            let (_, p) = q.execute_profiled(&t, opts).unwrap();
+            assert_accounting(&p, "occurrence lists");
+            footprint(&p, "distinct-prep")
+        };
+        assert_eq!(prep(&[&mode]), (1, 28), "{strategy:?}: MODE reads the ids alone");
+        assert_eq!(prep(&[&count]), (1, 84), "{strategy:?}: COUNT(DISTINCT) reads the lists");
+        // Under exclusion the two read different products of the ids.
+        assert_eq!(prep(&[&mode, &count]), (2, 112), "{strategy:?}: one of each");
+    }
+}
+
 /// `n` rows none of the calls of [`one_row_apart_calls`] drops, then one last
 /// row each of them drops: NULL in `y` and `f`, `live` false.
 fn one_row_apart_table(n: usize) -> Table {
